@@ -439,6 +439,7 @@ class ConstantEstimate:
     h0_hat: float
     h: np.ndarray
     sup_ratio: np.ndarray
+    sweeps: list[InequalitySweep]  # one per sample, over the sorted h
 
 
 def estimate_carleman_constant(
@@ -457,8 +458,8 @@ def estimate_carleman_constant(
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     sup_ratio = np.zeros_like(h_values)
-    for u in samples:
-        sweep = evaluate_carleman_inequality(weight, u, h_values, side)
+    sweeps = [evaluate_carleman_inequality(weight, u, h_values, side) for u in samples]
+    for sweep in sweeps:
         sup_ratio = np.maximum(sup_ratio, sweep.ratio)
     cut = h_values.size
     for k in range(1, h_values.size):
@@ -471,7 +472,9 @@ def estimate_carleman_constant(
             break
     c_hat = float(np.max(sup_ratio[:cut])) if cut else 0.0
     h0_hat = float(h_values[cut - 1]) if cut else 0.0
-    return ConstantEstimate(c_hat=c_hat, h0_hat=h0_hat, h=h_values, sup_ratio=sup_ratio)
+    return ConstantEstimate(
+        c_hat=c_hat, h0_hat=h0_hat, h=h_values, sup_ratio=sup_ratio, sweeps=sweeps
+    )
 
 
 def random_test_function(

@@ -459,11 +459,13 @@ class ActuatorClassification:
     poly_grid: ConditionReport
 
 
-def classify_actuator(xi, settings: ClassifySettings | None = None) -> ActuatorClassification:
+def classify_actuator(
+    xi, settings: ClassifySettings | None = None, keep_trace: bool = False
+) -> ActuatorClassification:
     """Classify an actuator position by arithmetic type and grid conditions.
 
     xi may be anything expand_continued_fraction accepts; the grid checks
-    run on the float value.
+    run on the float value and keep their traces when keep_trace is set.
     """
     settings = settings or ClassifySettings()
     cf = expand_continued_fraction(
@@ -479,8 +481,10 @@ def classify_actuator(xi, settings: ClassifySettings | None = None) -> ActuatorC
         resonances = resonances[resonances <= settings.mu_max]
         if resonances.size:
             grid = np.sort(np.concatenate([grid, resonances]))
-    exp_report = check_exp_grid(value, grid, settings.k1, settings.trend_factor)
-    poly_report = check_poly_grid(value, settings.poly_eps, grid, settings.trend_factor)
+    exp_report = check_exp_grid(value, grid, settings.k1, settings.trend_factor, keep_trace)
+    poly_report = check_poly_grid(
+        value, settings.poly_eps, grid, settings.trend_factor, keep_trace
+    )
     is_rational = cf.is_rational
     constant_type = (
         not is_rational

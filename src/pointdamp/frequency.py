@@ -51,6 +51,7 @@ __all__ = [
     "winding_number",
     "find_eigenvalues",
     "spectral_abscissa",
+    "abscissa_of_roots",
 ]
 
 DENOMINATOR_FLOOR = 1e-14
@@ -516,13 +517,14 @@ def scan_resolvent_growth(
     probes_per_mu: int = 4,
     seed: int = 0,
     cells_per_side: int = 512,
+    kernel: str = "consistent",
 ) -> ScanResult:
     """Estimate resolvent-norm growth along the imaginary axis.
 
     For each mu the probe set is the near-resonant mode plus random
     band-limited forcings (seeded per grid index, so scans are
     reproducible).  Fits log(norm) = log C + K*mu by least squares over the
-    finite estimates.
+    finite estimates.  kernel selects the closed form, as in solve_resolvent.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
@@ -531,7 +533,7 @@ def scan_resolvent_growth(
         rng = np.random.default_rng([seed, i])
         probes = [resonant_forcing(mesh, mu)]
         probes += [random_forcing(mesh, rng) for _ in range(max(probes_per_mu - 1, 0))]
-        estimates[i] = resolvent_norm_lower_bound(xi, mu, probes)
+        estimates[i] = resolvent_norm_lower_bound(xi, mu, probes, kernel)
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:
@@ -755,7 +757,15 @@ def spectral_abscissa(
         raise ValueError("horizon must be positive")
     if horizon <= 0.5:
         return -math.inf  # every nonzero root has modulus above 1
-    roots = find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0), tol)
+    return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0), tol), real_tol)
+
+
+def abscissa_of_roots(roots: list[CharacteristicRoot], real_tol: float) -> float:
+    """Largest generator real part -Im z over the given characteristic roots.
+
+    Exactly 0.0 when a root lies within real_tol of the real axis; -inf for
+    no roots.
+    """
     if not roots:
         return -math.inf
     if any(abs(r.z.imag) <= real_tol for r in roots):

@@ -127,6 +127,11 @@ class EnergyTrace:
         power = self.damping_power if upto_step is None else self.damping_power[:upto_step]
         return float(self.dt * np.sum(power))
 
+    def dissipated_at_samples(self) -> np.ndarray:
+        """Dissipated energy up to each energy sample, by the midpoint rule."""
+        cumulative = np.concatenate(([0.0], np.cumsum(self.damping_power))) * self.dt
+        return cumulative[self.sample_steps]
+
 
 def simulate(
     state: WaveState,
@@ -242,8 +247,7 @@ def dissipation_residual(
     is the quadrature the stepping scheme satisfies exactly, so the residual
     measures only accumulated roundoff.
     """
-    cumulative = np.concatenate(([0.0], np.cumsum(trace.damping_power))) * trace.dt
-    dissipated = cumulative[trace.sample_steps]
+    dissipated = trace.dissipated_at_samples()
     if t1 is None and t2 is None:
         return float(np.max(np.abs(trace.energies - trace.energies[0] + dissipated)))
     i1 = 0 if t1 is None else int(np.argmin(np.abs(trace.times - t1)))

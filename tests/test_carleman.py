@@ -283,6 +283,12 @@ def test_constant_estimate_tame_family(rng):
     assert est.c_hat > 0.0
     assert est.h0_hat == pytest.approx(h[-1])
     assert np.all(np.isfinite(est.sup_ratio))
+    # the per-sample sweeps are the ones the sup is taken over
+    assert len(est.sweeps) == len(samples)
+    for u, sweep in zip(samples, est.sweeps):
+        direct = evaluate_carleman_inequality(weight, u, h, "left")
+        np.testing.assert_array_equal(sweep.ratio, direct.ratio)
+    np.testing.assert_array_equal(est.sup_ratio, np.max([s.ratio for s in est.sweeps], axis=0))
 
 
 # ------------------------------------------------------- random functions

@@ -1,10 +1,14 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pointdamp import diophantine, frequency
 from pointdamp.cli import main
+from pointdamp.mesh import build_mesh
 
 
 def run(args):
@@ -33,6 +37,13 @@ def test_classify_rational(tmp_path):
     assert result["strongly_stable"] is False
     assert set(result["conditions"]) == {"exp_grid", "poly_grid", "cos_grid", "liouville"}
     assert result["exact_form"] == "1/2"
+    # the grid holds the resonances pi*q*k, so the checks witness the one at 2*pi
+    library = diophantine.classify_actuator(Fraction(1, 2))
+    for name, expected in (("exp_grid", library.exp_grid), ("poly_grid", library.poly_grid)):
+        condition = result["conditions"][name]
+        assert condition["verdict"] == "fail" == expected.verdict
+        assert condition["witness"] == pytest.approx(2 * math.pi, abs=1e-12)
+        assert condition["witness"] == pytest.approx(expected.witness, abs=1e-12)
 
 
 def test_classify_golden_with_traces(tmp_path):
@@ -219,6 +230,28 @@ def test_resolvent_scan_csv(tmp_path):
     assert report["result"]["n_grid"] == 9
 
 
+def test_resolvent_scan_verbatim_kernel(tmp_path):
+    args = [
+        "resolvent-scan", "--xi", "golden", "--set", "mu_min=3", "--set", "mu_max=20",
+        "--set", "mu_step=1", "--set", "cells=64", "--set", "probes=2", "--seed", "2",
+    ]
+    assert run(args + ["--out", tmp_path / "consistent"]) == 0
+    assert run(args + ["--out", tmp_path / "verbatim", "--set", "kernel=verbatim"]) == 0
+    consistent = (tmp_path / "consistent" / "resolvent_scan.csv").read_text()
+    verbatim = (tmp_path / "verbatim" / "resolvent_scan.csv").read_text()
+    assert verbatim != consistent
+
+    _, _, rows = read_csv(tmp_path / "verbatim" / "resolvent_scan.csv")
+    i = 9
+    mu = float(rows[i][0])
+    xi, _ = diophantine.parse_actuator_position("golden")
+    mesh = build_mesh(xi, 64, 64)
+    rng = np.random.default_rng([2, i])
+    probes = [frequency.resonant_forcing(mesh, mu), frequency.random_forcing(mesh, rng)]
+    expected = frequency.resolvent_norm_lower_bound(xi, mu, probes, kernel="verbatim")
+    assert float(rows[i][1]) == expected
+
+
 # ---------------------------------------------------------- carleman verify
 
 
@@ -276,21 +309,33 @@ def test_sweep_unknown_task_is_config_error(tmp_path):
     assert run(["sweep", "--out", tmp_path, "--set", "task=everything"]) == 2
 
 
+def test_sweep_bad_xi_list_is_config_error(tmp_path):
+    assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,abc"]) == 2
+    assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,1/0"]) == 2
+
+
 # ------------------------------------------------------------- determinism
 
 
-def test_reports_are_deterministic(tmp_path):
-    args = [
-        "resolvent-scan", "--xi", "0.3", "--out", tmp_path,
-        "--set", "mu_min=3", "--set", "mu_max=8", "--set", "mu_step=1",
-        "--set", "cells=64", "--set", "probes=2", "--seed", "5",
-    ]
+@pytest.mark.parametrize("args", [
+    ["classify", "--xi", "0.3", "--set", "mu_max=50", "--set", "keep_trace=true"],
+    ["resolvent-scan", "--xi", "0.3", "--set", "mu_min=3", "--set", "mu_max=8",
+     "--set", "mu_step=1", "--set", "cells=64", "--set", "probes=2"],
+    ["spectrum", "--xi", "0.3", "--set", "re_max=12"],
+    ["carleman-verify", "--xi", "0.3", "--set", "cells=256", "--set", "n_samples=3",
+     "--set", "h_count=4"],
+    ["simulate", "--xi", "0.3", "--set", "cells=60", "--set", "t_final=2",
+     "--set", "sample_every=10"],
+    ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,0.6", "--set", "cells=40",
+     "--set", "t_final=1"],
+], ids=lambda args: args[0])
+def test_reports_are_deterministic(tmp_path, args):
+    args = args + ["--out", tmp_path, "--seed", "5"]
     assert run(args) == 0
-    first_csv = (tmp_path / "resolvent_scan.csv").read_bytes()
-    first_json = (tmp_path / "resolvent_scan.json").read_bytes()
+    first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(first) >= 2
     assert run(args) == 0
-    assert (tmp_path / "resolvent_scan.csv").read_bytes() == first_csv
-    assert (tmp_path / "resolvent_scan.json").read_bytes() == first_json
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
 
 
 def test_no_temp_files_left_behind(tmp_path):
