@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
+
+from .quadrature import simpson
 
 __all__ = [
     "WeightFunction",

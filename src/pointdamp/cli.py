@@ -327,6 +327,8 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
 def run_classify(cfg: dict):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
     value, exact = _parse_xi(cfg["xi"])
+    if not (cfg["mu_step"] > 0 and cfg["mu_max"] >= cfg["mu_min"]):
+        raise ConfigError("need mu_min <= mu_max and mu_step > 0")
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -399,6 +401,10 @@ def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
         raise ConfigError(f"unknown kernel {cfg['kernel']!r}")
     if cfg["mu_max"] <= cfg["mu_min"] or cfg["mu_step"] <= 0:
         raise ConfigError("need mu_min < mu_max and mu_step > 0")
+    if cfg["cells"] < 2:
+        raise ConfigError("cells must be at least 2")
+    if cfg["probes"] < 1:
+        raise ConfigError("probes must be at least 1 (the near-resonant probe)")
     grid = np.arange(cfg["mu_min"], cfg["mu_max"] + 0.5 * cfg["mu_step"], cfg["mu_step"])
     return frequency.scan_resolvent_growth(
         value,
@@ -592,6 +598,10 @@ def _verify_carleman_side(
 def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
     value, _ = _parse_xi(cfg["xi"])
+    # the coarsest identity-check grid has cells // 4 cells, and its one-sided
+    # second-derivative stencil needs at least 3 of them
+    if cfg["cells"] < 12:
+        raise ConfigError("cells must be at least 12")
     return {
         side: _verify_carleman_side(cfg, side, weight)
         for side, weight in _carleman_weights(cfg, value).items()
@@ -642,6 +652,10 @@ def run_simulate(cfg: dict):
     trace has too few usable samples.
     """
     value, _ = _parse_xi(cfg["xi"])
+    if cfg["cells"] < 2:
+        raise ConfigError("cells must be at least 2")
+    if cfg["sample_every"] < 1:
+        raise ConfigError("sample_every must be at least 1")
     mesh = build_mesh(value, cfg["cells"], cfg["cells"])
     if cfg["initial"] == "fourier_mode":
         state = simulator.initial_data(mesh, "fourier_mode", mode=cfg["mode"])

@@ -20,13 +20,14 @@ carry -i*mu*|u(xi)|^2 and the time-domain energy nonincreasing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .mesh import Mesh, build_mesh
+from .quadrature import cumulative_simpson, simpson
 
 __all__ = [
     "ForcingData",
@@ -127,19 +128,6 @@ def assemble_phi(forcing: ForcingData, mu: float) -> tuple[np.ndarray, np.ndarra
     return phi1, phi2
 
 
-def _side_simpson(values: np.ndarray, dx: float) -> complex:
-    return simpson(values, dx=dx)
-
-
-def _cumulative_simpson_c(values: np.ndarray, dx: float) -> np.ndarray:
-    """Running Simpson integral from the first node; complex-safe."""
-    if np.iscomplexobj(values):
-        return cumulative_simpson(values.real, dx=dx, initial=0.0) + 1j * cumulative_simpson(
-            values.imag, dx=dx, initial=0.0
-        )
-    return cumulative_simpson(values, dx=dx, initial=0.0)
-
-
 def _denominator(xi: float, mu: float) -> tuple[float, float, float]:
     s = math.sin(mu)
     a = math.sin(xi * mu) * math.sin((1.0 - xi) * mu)
@@ -187,12 +175,12 @@ def lambda_coefficients(
 
     # integrals of the jump system, Simpson per side
     sin_k1 = np.sin(mu * (xi - t1))
-    i1_sin = _side_simpson(sin_k1 * phi1, h1)                    # int_0^xi sin(mu(xi-t)) Phi1
-    i1_exp = _side_simpson(np.exp(1j * mu * (xi - t1)) * phi1, h1)  # one-sided complex kernel
+    i1_sin = simpson(sin_k1 * phi1, h1)                       # int_0^xi sin(mu(xi-t)) Phi1
+    i1_exp = simpson(np.exp(1j * mu * (xi - t1)) * phi1, h1)  # one-sided complex kernel
     sin_k2 = np.sin(mu * (xi - t2))
     cos_k2 = np.cos(mu * (xi - t2))
-    i2_sin = _side_simpson(sin_k2 * phi2, h2)                    # int_xi^1 sin(mu(xi-t)) Phi2
-    i2_cos = _side_simpson(cos_k2 * phi2, h2)                    # int_xi^1 cos(mu(xi-t)) Phi2
+    i2_sin = simpson(sin_k2 * phi2, h2)                       # int_xi^1 sin(mu(xi-t)) Phi2
+    i2_cos = simpson(cos_k2 * phi2, h2)                       # int_xi^1 cos(mu(xi-t)) Phi2
 
     prefactor = (-s + 1j * a) / den
     group_sin = (i1_sin + i2_sin) / mu
@@ -264,15 +252,15 @@ def solve_resolvent(
     h1, h2 = mesh.h_left, mesh.h_right
 
     # left side: running integrals from 0
-    ic1 = _cumulative_simpson_c(np.cos(mu * t1) * phi1, h1)
-    is1 = _cumulative_simpson_c(np.sin(mu * t1) * phi1, h1)
+    ic1 = cumulative_simpson(np.cos(mu * t1) * phi1, h1)
+    is1 = cumulative_simpson(np.sin(mu * t1) * phi1, h1)
     sin1, cos1 = np.sin(mu * t1), np.cos(mu * t1)
     u1 = lam1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
     up1 = lam1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
 
     # right side: running integrals from 1 (cumulate from xi, shift by the total)
-    c2 = _cumulative_simpson_c(np.cos(mu * t2) * phi2, h2)
-    s2 = _cumulative_simpson_c(np.sin(mu * t2) * phi2, h2)
+    c2 = cumulative_simpson(np.cos(mu * t2) * phi2, h2)
+    s2 = cumulative_simpson(np.sin(mu * t2) * phi2, h2)
     jc2 = c2 - c2[-1]
     js2 = s2 - s2[-1]
     sin2, cos2 = np.sin(mu * t2), np.cos(mu * t2)
@@ -318,11 +306,11 @@ def trace_derivatives(
     mesh, mu = sol.mesh, sol.mu
     xi = mesh.xi
     t1, t2 = mesh.left, mesh.right
-    left = sol.lambda1 * mu * math.cos(mu * xi) + _side_simpson(
+    left = sol.lambda1 * mu * math.cos(mu * xi) + simpson(
         np.cos(mu * (xi - t1)) * phi1, mesh.h_left
     )
     # right-side integral runs from 1 down to xi
-    right = sol.lambda2 * mu * math.cos(mu * (xi - 1.0)) - _side_simpson(
+    right = sol.lambda2 * mu * math.cos(mu * (xi - 1.0)) - simpson(
         np.cos(mu * (xi - t2)) * phi2, mesh.h_right
     )
     return complex(left), complex(right)
@@ -360,13 +348,13 @@ def verify_interface_identity(
     h1, h2 = mesh.h_left, mesh.h_right
     phi1, phi2 = assemble_phi(forcing, mu)
 
-    lhs = _side_simpson(phi1 * np.conj(sol.u1), h1) + _side_simpson(
+    lhs = simpson(phi1 * np.conj(sol.u1), h1) + simpson(
         phi2 * np.conj(sol.u2), h2
     )
-    norm_u_sq = _side_simpson(np.abs(sol.u1) ** 2, h1) + _side_simpson(
+    norm_u_sq = simpson(np.abs(sol.u1) ** 2, h1) + simpson(
         np.abs(sol.u2) ** 2, h2
     )
-    norm_up_sq = _side_simpson(np.abs(sol.up1) ** 2, h1) + _side_simpson(
+    norm_up_sq = simpson(np.abs(sol.up1) ** 2, h1) + simpson(
         np.abs(sol.up2) ** 2, h2
     )
     f1_xi = forcing.f1_at_xi
@@ -379,10 +367,10 @@ def verify_interface_identity(
     residual = abs(lhs - rhs)
     scale = abs(lhs) + abs(rhs) + 1e-300
     trace_lhs = mu * abs(sol.trace_u) ** 2
-    norm_phi1 = math.sqrt(abs(_side_simpson(np.abs(phi1) ** 2, h1)))
-    norm_phi2 = math.sqrt(abs(_side_simpson(np.abs(phi2) ** 2, h2)))
-    norm_u1 = math.sqrt(abs(_side_simpson(np.abs(sol.u1) ** 2, h1)))
-    norm_u2 = math.sqrt(abs(_side_simpson(np.abs(sol.u2) ** 2, h2)))
+    norm_phi1 = math.sqrt(abs(simpson(np.abs(phi1) ** 2, h1)))
+    norm_phi2 = math.sqrt(abs(simpson(np.abs(phi2) ** 2, h2)))
+    norm_u1 = math.sqrt(abs(simpson(np.abs(sol.u1) ** 2, h1)))
+    norm_u2 = math.sqrt(abs(simpson(np.abs(sol.u2) ** 2, h2)))
     trace_rhs = abs(f1_xi) ** 2 + norm_phi1 * norm_u1 + norm_phi2 * norm_u2
     ratio = trace_lhs / trace_rhs if trace_rhs > 0 else 0.0
     return InterfaceIdentityReport(
@@ -417,10 +405,10 @@ def state_norm(
     ap1 = _fd_derivative(a1, mesh.h_left) if ap1 is None else ap1
     ap2 = _fd_derivative(a2, mesh.h_right) if ap2 is None else ap2
     total = (
-        _side_simpson(np.abs(ap1) ** 2, mesh.h_left)
-        + _side_simpson(np.abs(ap2) ** 2, mesh.h_right)
-        + _side_simpson(np.abs(b1) ** 2, mesh.h_left)
-        + _side_simpson(np.abs(b2) ** 2, mesh.h_right)
+        simpson(np.abs(ap1) ** 2, mesh.h_left)
+        + simpson(np.abs(ap2) ** 2, mesh.h_right)
+        + simpson(np.abs(b1) ** 2, mesh.h_left)
+        + simpson(np.abs(b2) ** 2, mesh.h_right)
     )
     return math.sqrt(abs(total))
 
@@ -430,33 +418,45 @@ def state_norm(
 # ----------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=4)
+def _mode_tables(nodes: bytes, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only sin(k pi x) and cos(k pi x), k = 1..n_modes, at the given nodes.
+
+    Keyed by the node values, so every probe of a scan shares one table.
+    """
+    modes = np.outer(np.arange(1, n_modes + 1), np.pi * np.frombuffer(nodes))
+    sin, cos = np.sin(modes), np.cos(modes)
+    sin.flags.writeable = cos.flags.writeable = False
+    return sin, cos
+
+
 def random_forcing(mesh: Mesh, rng: np.random.Generator, n_modes: int = 8) -> ForcingData:
     """Band-limited random probe: global sine series for f, cosine+sine for g."""
     k = np.arange(1, n_modes + 1)
     af = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
     ag = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
     bg = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
+    sin, cos = _mode_tables(mesh.nodes.tobytes(), n_modes)
+    sin1, sin2 = mesh.split(sin)
+    cos1, cos2 = mesh.split(cos)
 
-    def f(x):
-        return np.sum(af[:, None] * np.sin(np.outer(k, np.pi * x)), axis=0)
+    def f(sin_x):
+        return np.sum(af[:, None] * sin_x, axis=0)
 
-    def fp(x):
-        return np.sum(
-            af[:, None] * (k[:, None] * np.pi) * np.cos(np.outer(k, np.pi * x)), axis=0
-        )
+    def fp(cos_x):
+        return np.sum(af[:, None] * (k[:, None] * np.pi) * cos_x, axis=0)
 
-    def g(x):
-        modes = np.outer(k, np.pi * x)
-        return np.sum(ag[:, None] * np.cos(modes) + bg[:, None] * np.sin(modes), axis=0)
+    def g(sin_x, cos_x):
+        return np.sum(ag[:, None] * cos_x + bg[:, None] * sin_x, axis=0)
 
     return ForcingData(
         mesh=mesh,
-        f1=f(mesh.left),
-        f2=f(mesh.right),
-        g1=g(mesh.left),
-        g2=g(mesh.right),
-        fp1=fp(mesh.left),
-        fp2=fp(mesh.right),
+        f1=f(sin1),
+        f2=f(sin2),
+        g1=g(sin1, cos1),
+        g2=g(sin2, cos2),
+        fp1=fp(cos1),
+        fp2=fp(cos2),
     )
 
 

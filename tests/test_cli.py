@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointdamp
 from pointdamp import diophantine, frequency
 from pointdamp.cli import main
 from pointdamp.mesh import build_mesh
@@ -22,6 +26,21 @@ def read_csv(path):
     columns = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return schema, columns, rows
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.integrate and scipy.linalg cost most of a short command's start-up;
+    # only simulate needs scipy.linalg, and it imports it when it runs
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, pointdamp.cli; print(sorted(sys.modules))"
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
+        timeout=60,
+    ).stdout
+    assert "'pointdamp.cli'" in loaded
+    assert "'scipy.integrate'" not in loaded
+    assert "'scipy.linalg'" not in loaded
 
 
 # ----------------------------------------------------------------- classify
@@ -108,6 +127,21 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
         "spectrum", "--xi", "0.5", "--out", tmp_path,
         "--set", "re_min=10", "--set", "re_max=5",
     ]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "--set", "mu_step=0"],
+    ["classify", "--set", "mu_step=-1"],
+    ["simulate", "--set", "sample_every=0"],
+    ["simulate", "--set", "cells=1"],
+    ["resolvent-scan", "--set", "cells=1"],
+    ["resolvent-scan", "--set", "probes=0"],
+    ["carleman-verify", "--set", "cells=2"],
+    ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
+], ids=lambda args: f"{args[0]}:{args[-1]}")
+def test_out_of_range_number_is_config_error(tmp_path, args):
+    xi = [] if args[0] == "sweep" else ["--xi", "golden"]
+    assert run(args + xi + ["--out", tmp_path]) == 2
 
 
 def test_inadmissible_weight_is_computation_error(tmp_path):

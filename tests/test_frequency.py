@@ -89,6 +89,29 @@ def test_random_forcing_is_admissible(rng):
     assert np.max(np.abs(fd[1:-1] - forcing.fp1.real[1:-1])) < 1e-2
 
 
+def test_random_forcing_matches_naive_series():
+    # the mode tables are built once per mesh; draws must still follow the seed
+    meshes = [build_mesh(GOLDEN, 64, 40), build_mesh(0.3, 20, 30), build_mesh(GOLDEN, 64, 40)]
+    for mesh in meshes:
+        a = random_forcing(mesh, np.random.default_rng(9))
+        b = random_forcing(mesh, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        k = np.arange(1, 9)
+        af, ag, bg = (
+            (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / k for _ in range(3)
+        )
+        for side, x in (("1", mesh.left), ("2", mesh.right)):
+            theta = [(j + 1) * (np.pi * x) for j in range(8)]
+            f = sum(af[j] * np.sin(theta[j]) for j in range(8))
+            fp = sum(af[j] * (j + 1) * np.pi * np.cos(theta[j]) for j in range(8))
+            g = sum(ag[j] * np.cos(theta[j]) + bg[j] * np.sin(theta[j]) for j in range(8))
+            for name, naive in (("f", f), ("fp", fp), ("g", g)):
+                scale = 1.0 if name != "fp" else 8 * np.pi
+                got = getattr(a, name + side)
+                np.testing.assert_array_equal(got, getattr(b, name + side))
+                np.testing.assert_allclose(got, naive, rtol=0, atol=1e-15 * scale)
+
+
 def test_resonant_forcing_structure():
     mesh = build_mesh(0.5, 32, 32)
     probe = resonant_forcing(mesh, 11.0)

@@ -245,3 +245,54 @@ def test_dissipation_residual_dt_independent():
     for dt in (5e-3, 1e-3):
         _, trace = simulate(state, 1.0, dt=dt)
         assert dissipation_residual(trace) < 1e-11 * trace.energies[0]
+
+
+# ----------------------------------------------------------------- oracle
+
+
+def _banded_midpoint_march(state, n_steps, dt, damped):
+    """Implicit midpoint march assembled element by element, one banded solve a step.
+
+    With y the midpoint velocity, u' = v and M v' = -S u - B v give
+    (2M/dt + dt S/2 + B) y = 2M v/dt - S u; then u += dt y, v = 2y - v.
+    """
+    from scipy.linalg import solve_banded
+
+    x = state.mesh.nodes
+    n = x.size
+    mass = np.zeros(n)
+    stiff = np.zeros((3, n))  # rows: super-diagonal, diagonal, sub-diagonal
+    for i in range(n - 1):
+        h = x[i + 1] - x[i]
+        mass[i] += h / 2.0
+        mass[i + 1] += h / 2.0
+        stiff[1, i] += 1.0 / h
+        stiff[1, i + 1] += 1.0 / h
+        stiff[0, i + 1] -= 1.0 / h
+        stiff[2, i] -= 1.0 / h
+    inner = slice(1, n - 1)
+    mass, stiff = mass[inner], stiff[:, inner]
+    step_matrix = dt / 2.0 * stiff
+    step_matrix[1] += 2.0 * mass / dt
+    if damped:
+        step_matrix[1, state.mesh.i_xi - 1] += 1.0
+    u, v = state.u[inner].copy(), state.v[inner].copy()
+    for _ in range(n_steps):
+        s_u = stiff[1] * u
+        s_u[:-1] += stiff[0, 1:] * u[1:]
+        s_u[1:] += stiff[2, :-1] * u[:-1]
+        y = solve_banded((1, 1), step_matrix, 2.0 * mass * v / dt - s_u)
+        u = u + dt * y
+        v = 2.0 * y - v
+    return u, v
+
+
+@pytest.mark.parametrize("damped", [True, False])
+def test_simulate_matches_banded_oracle(damped):
+    mesh = build_mesh(GOLDEN, 40, 30)
+    state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
+    final, trace = simulate(state, 1.5, dt=7e-3, damped=damped)
+    u, v = _banded_midpoint_march(state, trace.damping_power.size, trace.dt, damped)
+    assert trace.damping_power.size == 215
+    np.testing.assert_allclose(final.u[1:-1], u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.v[1:-1], v, rtol=0, atol=1e-12)
