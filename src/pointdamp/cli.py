@@ -243,36 +243,46 @@ def _pyify(obj):
     return obj
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text chunks to a temporary file, then move it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        # the chunks may fail mid-stream: leave no partial file behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_json_report(path: Path, payload: dict) -> None:
     body = json.dumps(_pyify(payload), sort_keys=True, indent=2, ensure_ascii=False)
-    _write_atomic(path, body + "\n")
+    _write_atomic(path, [body, "\n"])
 
 
 def _csv_cell(value) -> str:
+    # floats first: they fill almost every cell (no bool or int is a float)
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     return str(value)
 
 
-def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
-    lines = [
-        f"# pointdamp-csv schema={schema} version={CSV_SCHEMA_VERSION}",
-        ",".join(columns),
-    ]
+def _csv_lines(schema: str, columns: list[str], rows):
+    yield f"# pointdamp-csv schema={schema} version={CSV_SCHEMA_VERSION}\n"
+    yield ",".join(columns) + "\n"
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    _write_atomic(path, "\n".join(lines) + "\n")
+        yield ",".join(map(_csv_cell, row)) + "\n"
+
+
+def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
+    """Stream the rows to the file, one line each, under a schema comment."""
+    _write_atomic(path, _csv_lines(schema, columns, rows))
 
 
 def _report_skeleton(command: str, cfg: dict) -> dict:

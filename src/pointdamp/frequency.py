@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -88,6 +89,9 @@ class ForcingData:
     (no boundary constraint).  fp1/fp2 optionally carry exact samples of f'
     for accurate state-norm quadrature; when absent, f is differentiated
     numerically.
+
+    The arrays may carry leading axes: a stack of probes on one mesh, with
+    the side grid on the last axis.  Every row is checked by validate.
     """
 
     mesh: Mesh
@@ -100,23 +104,30 @@ class ForcingData:
 
     def validate(self) -> None:
         m = self.mesh
+        rows = np.shape(self.f1)[:-1]
         for name, arr, n in (
             ("f1", self.f1, m.n_left + 1),
             ("g1", self.g1, m.n_left + 1),
             ("f2", self.f2, m.n_right + 1),
             ("g2", self.g2, m.n_right + 1),
         ):
-            if np.asarray(arr).shape != (n,):
+            if np.shape(arr) != rows + (n,):
                 raise ValueError(f"{name} does not conform to the mesh")
-        scale = max(np.max(np.abs(self.f1)), np.max(np.abs(self.f2)), 1e-300)
-        if abs(self.f1[0]) > 1e-12 * scale or abs(self.f2[-1]) > 1e-12 * scale:
+        f1, f2 = np.asarray(self.f1), np.asarray(self.f2)
+        scale = np.maximum(
+            np.maximum(np.max(np.abs(f1), axis=-1), np.max(np.abs(f2), axis=-1)), 1e-300
+        )
+        tol = 1e-12 * scale
+        if np.any(np.abs(f1[..., 0]) > tol) or np.any(np.abs(f2[..., -1]) > tol):
             raise ValueError("f must vanish at the outer boundaries")
-        if abs(self.f1[-1] - self.f2[0]) > 1e-12 * scale:
+        if np.any(np.abs(f1[..., -1] - f2[..., 0]) > tol):
             raise ValueError("f must be continuous at the damped point")
 
     @property
-    def f1_at_xi(self) -> complex:
-        return complex(self.f1[-1])
+    def f1_at_xi(self) -> complex | np.ndarray:
+        """f1 at the damped point: a complex, or an array for a stack."""
+        value = np.asarray(self.f1)[..., -1]
+        return complex(value) if value.ndim == 0 else value.astype(complex)
 
 
 def assemble_phi(forcing: ForcingData, mu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -162,6 +173,9 @@ def lambda_coefficients(
       confirms).
     * "verbatim": cos(mu*xi) + i*sin(mu*(1-xi)), an asymmetric variant kept
       so its interface residual can be surfaced rather than silently fixed.
+
+    phi1, phi2 and f1_at_xi may be stacked over leading axes; the
+    coefficients are then arrays of the leading shape.
     """
     if kernel not in ("consistent", "verbatim"):
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -183,8 +197,9 @@ def lambda_coefficients(
     i2_cos = simpson(cos_k2 * phi2, h2)                       # int_xi^1 cos(mu(xi-t)) Phi2
 
     prefactor = (-s + 1j * a) / den
-    group_sin = (i1_sin + i2_sin) / mu
-    group_jump = (i1_exp + i2_cos + f1_at_xi) / mu
+    # array arithmetic for one probe too, so each row of a stack rounds alike
+    group_sin = np.atleast_1d((i1_sin + i2_sin) / mu)
+    group_jump = np.atleast_1d((i1_exp + i2_cos + f1_at_xi) / mu)
 
     lam1 = prefactor * (
         math.cos(mu * (1.0 - xi)) * group_sin + math.sin(mu * (1.0 - xi)) * group_jump
@@ -194,7 +209,9 @@ def lambda_coefficients(
     else:
         first = complex(math.cos(mu * xi), math.sin(mu * (1.0 - xi)))
     lam2 = prefactor * (first * group_sin - math.sin(mu * xi) * group_jump)
-    return complex(lam1), complex(lam2)
+    if np.ndim(phi1) == 1:
+        return complex(lam1[0]), complex(lam2[0])
+    return lam1, lam2
 
 
 # ----------------------------------------------------------------------------
@@ -204,21 +221,26 @@ def lambda_coefficients(
 
 @dataclass
 class ResolventSolution:
-    """Closed-form resolvent data on a two-sided mesh."""
+    """Closed-form resolvent data on a two-sided mesh.
+
+    For a stacked forcing the arrays carry its leading axes, lambda1,
+    lambda2 and the trace_* fields are arrays, and the two residuals hold
+    the worst row.
+    """
 
     mesh: Mesh
     mu: float
-    lambda1: complex
-    lambda2: complex
+    lambda1: complex | np.ndarray
+    lambda2: complex | np.ndarray
     u1: np.ndarray = field(repr=False)
     u2: np.ndarray = field(repr=False)
     v1: np.ndarray = field(repr=False)
     v2: np.ndarray = field(repr=False)
     up1: np.ndarray = field(repr=False)
     up2: np.ndarray = field(repr=False)
-    trace_u: complex = 0j
-    trace_up_left: complex = 0j
-    trace_up_right: complex = 0j
+    trace_u: complex | np.ndarray = 0j
+    trace_up_left: complex | np.ndarray = 0j
+    trace_up_right: complex | np.ndarray = 0j
     continuity_residual: float = 0.0
     jump_residual: float = 0.0
     kernel: str = "consistent"
@@ -237,7 +259,7 @@ def solve_resolvent(
     oscillatory integrals are evaluated by cumulative Simpson after splitting
     the kernel sin(mu(x-t)) into sin(mu x)cos(mu t) - cos(mu x)sin(mu t).
     Raises ResonantDenominator within denominator_floor of an exact
-    resonance.
+    resonance.  A stacked forcing is solved in one pass along the last axis.
     """
     mesh = forcing.mesh
     if abs(mesh.xi - xi) > 1e-14:
@@ -247,33 +269,43 @@ def solve_resolvent(
     lam1, lam2 = lambda_coefficients(
         xi, mu, phi1, phi2, f1_xi, mesh, kernel, denominator_floor
     )
+    # broadcast the coefficients of a stack along the side grid
+    col1, col2 = np.expand_dims(lam1, -1), np.expand_dims(lam2, -1)
 
     t1, t2 = mesh.left, mesh.right
     h1, h2 = mesh.h_left, mesh.h_right
 
+    # the kernels are cast to complex once: a real operand is cast anew in
+    # every mixed product, and the cast does not change the result
     # left side: running integrals from 0
-    ic1 = cumulative_simpson(np.cos(mu * t1) * phi1, h1)
-    is1 = cumulative_simpson(np.sin(mu * t1) * phi1, h1)
-    sin1, cos1 = np.sin(mu * t1), np.cos(mu * t1)
-    u1 = lam1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
-    up1 = lam1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
+    sin1, cos1 = np.sin(mu * t1).astype(complex), np.cos(mu * t1).astype(complex)
+    ic1 = cumulative_simpson(cos1 * phi1, h1)
+    is1 = cumulative_simpson(sin1 * phi1, h1)
+    u1 = col1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
+    up1 = col1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
 
     # right side: running integrals from 1 (cumulate from xi, shift by the total)
-    c2 = cumulative_simpson(np.cos(mu * t2) * phi2, h2)
-    s2 = cumulative_simpson(np.sin(mu * t2) * phi2, h2)
-    jc2 = c2 - c2[-1]
-    js2 = s2 - s2[-1]
-    sin2, cos2 = np.sin(mu * t2), np.cos(mu * t2)
-    u2 = lam2 * np.sin(mu * (t2 - 1.0)) + (sin2 * jc2 - cos2 * js2) / mu
-    up2 = lam2 * mu * np.cos(mu * (t2 - 1.0)) + (cos2 * jc2 + sin2 * js2)
+    sin2, cos2 = np.sin(mu * t2).astype(complex), np.cos(mu * t2).astype(complex)
+    c2 = cumulative_simpson(cos2 * phi2, h2)
+    s2 = cumulative_simpson(sin2 * phi2, h2)
+    jc2 = c2 - c2[..., -1:]
+    js2 = s2 - s2[..., -1:]
+    u2 = col2 * np.sin(mu * (t2 - 1.0)) + (sin2 * jc2 - cos2 * js2) / mu
+    up2 = col2 * mu * np.cos(mu * (t2 - 1.0)) + (cos2 * jc2 + sin2 * js2)
 
     v1 = np.asarray(forcing.f1, dtype=complex) + 1j * mu * u1
     v2 = np.asarray(forcing.f2, dtype=complex) + 1j * mu * u2
 
-    trace_u = complex(u1[-1])
-    scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)), 1e-300)
-    continuity = abs(u1[-1] - u2[0]) / scale
-    jump = abs(up2[0] - up1[-1] - f1_xi - 1j * mu * trace_u) / (mu * scale)
+    trace_u = u1[..., -1]
+    scale = np.maximum(
+        np.maximum(np.max(np.abs(u1), axis=-1), np.max(np.abs(u2), axis=-1)), 1e-300
+    )
+    continuity = np.max(np.abs(trace_u - u2[..., 0]) / scale)
+    jump = np.max(np.abs(up2[..., 0] - up1[..., -1] - f1_xi - 1j * mu * trace_u) / (mu * scale))
+    trace_up_left, trace_up_right = up1[..., -1], up2[..., 0]
+    if trace_u.ndim == 0:
+        trace_u = complex(trace_u)
+        trace_up_left, trace_up_right = complex(trace_up_left), complex(trace_up_right)
 
     return ResolventSolution(
         mesh=mesh,
@@ -287,8 +319,8 @@ def solve_resolvent(
         up1=up1,
         up2=up2,
         trace_u=trace_u,
-        trace_up_left=complex(up1[-1]),
-        trace_up_right=complex(up2[0]),
+        trace_up_left=trace_up_left,
+        trace_up_right=trace_up_right,
         continuity_residual=float(continuity),
         jump_residual=float(jump),
         kernel=kernel,
@@ -383,12 +415,12 @@ def verify_interface_identity(
 
 
 def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order derivative samples on a uniform side grid."""
+    """Second-order derivative samples on a uniform side grid (last axis)."""
     values = np.asarray(values)
     out = np.empty_like(values, dtype=complex)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dx)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dx)
+    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * dx)
+    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * dx)
     return out
 
 
@@ -400,8 +432,11 @@ def state_norm(
     b2: np.ndarray,
     ap1: np.ndarray | None = None,
     ap2: np.ndarray | None = None,
-) -> float:
-    """Energy-space norm sqrt(int |a'|^2 + int |b|^2) of a state pair (a, b)."""
+) -> float | np.ndarray:
+    """Energy-space norm sqrt(int |a'|^2 + int |b|^2) of a state pair (a, b).
+
+    A float for one state; an array over the leading axes for a stack.
+    """
     ap1 = _fd_derivative(a1, mesh.h_left) if ap1 is None else ap1
     ap2 = _fd_derivative(a2, mesh.h_right) if ap2 is None else ap2
     total = (
@@ -410,7 +445,7 @@ def state_norm(
         + simpson(np.abs(b1) ** 2, mesh.h_left)
         + simpson(np.abs(b2) ** 2, mesh.h_right)
     )
-    return math.sqrt(abs(total))
+    return math.sqrt(abs(total)) if np.ndim(total) == 0 else np.sqrt(np.abs(total))
 
 
 # ----------------------------------------------------------------------------
@@ -419,45 +454,50 @@ def state_norm(
 
 
 @functools.lru_cache(maxsize=4)
-def _mode_tables(nodes: bytes, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only sin(k pi x) and cos(k pi x), k = 1..n_modes, at the given nodes.
+def _series_table(nodes: bytes, n_modes: int) -> np.ndarray:
+    """Read-only block table that maps probe coefficients to (f, f', g).
 
-    Keyed by the node values, so every probe of a scan shares one table.
+    With s_k = sin(k pi x) and c_k = cos(k pi x), k = 1..n_modes, at the
+    given nodes, the rows are [s, 0, 0], [k pi c, 0, 0] and [0, c, s]
+    against the coefficient blocks (af, ag, bg).  Keyed by the node values,
+    so every probe of a scan shares one table.
     """
-    modes = np.outer(np.arange(1, n_modes + 1), np.pi * np.frombuffer(nodes))
-    sin, cos = np.sin(modes), np.cos(modes)
-    sin.flags.writeable = cos.flags.writeable = False
-    return sin, cos
-
-
-def random_forcing(mesh: Mesh, rng: np.random.Generator, n_modes: int = 8) -> ForcingData:
-    """Band-limited random probe: global sine series for f, cosine+sine for g."""
+    x = np.frombuffer(nodes)
     k = np.arange(1, n_modes + 1)
-    af = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-    ag = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-    bg = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-    sin, cos = _mode_tables(mesh.nodes.tobytes(), n_modes)
-    sin1, sin2 = mesh.split(sin)
-    cos1, cos2 = mesh.split(cos)
+    theta = np.outer(np.pi * x, k)
+    sin, cos = np.sin(theta), np.cos(theta)
+    n = x.size
+    table = np.zeros((3 * n, 3 * n_modes))
+    table[:n, :n_modes] = sin
+    table[n : 2 * n, :n_modes] = cos * (k * np.pi)
+    table[2 * n :, n_modes : 2 * n_modes] = cos
+    table[2 * n :, 2 * n_modes :] = sin
+    table.flags.writeable = False
+    return table
 
-    def f(sin_x):
-        return np.sum(af[:, None] * sin_x, axis=0)
 
-    def fp(cos_x):
-        return np.sum(af[:, None] * (k[:, None] * np.pi) * cos_x, axis=0)
+def random_forcing(
+    mesh: Mesh, rng: np.random.Generator, n_modes: int = 8, count: int | None = None
+) -> ForcingData:
+    """Band-limited random probe: global sine series for f, cosine+sine for g.
 
-    def g(sin_x, cos_x):
-        return np.sum(ag[:, None] * cos_x + bg[:, None] * sin_x, axis=0)
-
-    return ForcingData(
-        mesh=mesh,
-        f1=f(sin1),
-        f2=f(sin2),
-        g1=g(sin1, cos1),
-        g2=g(sin2, cos2),
-        fp1=fp(cos1),
-        fp2=fp(cos2),
-    )
+    count=k returns k probes stacked along a leading axis; row j equals the
+    j-th of k successive single calls on the same generator.
+    """
+    rows = 1 if count is None else count
+    # per probe: real and imaginary parts of af, ag, bg, each over the modes
+    draws = rng.standard_normal((rows, 6, n_modes)) / np.arange(1, n_modes + 1)
+    # (rows, 3 * n_modes, 2): coefficient blocks down, (real, imag) across
+    coef = draws.reshape(rows, 3, 2, n_modes).transpose(0, 1, 3, 2).reshape(rows, -1, 2)
+    # real matrix products give (real, imag) pairs, read as complex samples
+    series = (_series_table(mesh.nodes.tobytes(), n_modes) @ coef).view(complex)[..., 0]
+    if count is None:
+        series = series[0]
+    f, fp, g = np.split(series, 3, axis=-1)
+    f1, f2 = mesh.split(f)
+    fp1, fp2 = mesh.split(fp)
+    g1, g2 = mesh.split(g)
+    return ForcingData(mesh=mesh, f1=f1, f2=f2, g1=g1, g2=g2, fp1=fp1, fp2=fp2)
 
 
 def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
@@ -482,23 +522,37 @@ def resolvent_norm_lower_bound(
 
     A lower bound for the resolvent norm on the imaginary axis at height mu;
     +inf when the closed form sits within the denominator floor of an exact
-    resonance.
+    resonance.  The probes (single or stacked, on one mesh) are solved as one
+    stack; a probe of zero input norm is skipped, and 0.0 is returned when
+    every probe is zero (or there is none).
     """
-    best = 0.0
-    for probe in probes:
-        mesh = probe.mesh
-        in_norm = state_norm(
-            mesh, probe.f1, probe.f2, probe.g1, probe.g2, probe.fp1, probe.fp2
+    if not probes:
+        return 0.0
+    mesh = probes[0].mesh
+    if any(p.mesh is not mesh and not np.array_equal(p.mesh.nodes, mesh.nodes) for p in probes):
+        raise ValueError("probes must share one mesh")
+
+    def rows(arrays) -> np.ndarray:
+        return np.concatenate(
+            [np.asarray(a, dtype=complex).reshape(-1, np.shape(a)[-1]) for a in arrays]
         )
-        if in_norm == 0.0:
-            continue
-        try:
-            sol = solve_resolvent(xi, mu, probe, kernel)
-        except ResonantDenominator:
-            return math.inf
-        out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
-        best = max(best, out_norm / in_norm)
-    return best
+
+    f1, f2 = rows(p.f1 for p in probes), rows(p.f2 for p in probes)
+    g1, g2 = rows(p.g1 for p in probes), rows(p.g2 for p in probes)
+    fp1 = rows(_fd_derivative(p.f1, mesh.h_left) if p.fp1 is None else p.fp1 for p in probes)
+    fp2 = rows(_fd_derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
+    in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
+    live = in_norm != 0.0
+    if not np.any(live):
+        return 0.0
+    if not np.all(live):
+        f1, f2, g1, g2, in_norm = f1[live], f2[live], g1[live], g2[live], in_norm[live]
+    try:
+        sol = solve_resolvent(xi, mu, ForcingData(mesh, f1, f2, g1, g2), kernel)
+    except ResonantDenominator:
+        return math.inf
+    out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
+    return float(np.max(out_norm / in_norm))
 
 
 @dataclass
@@ -521,10 +575,11 @@ def scan_resolvent_growth(
 ) -> ScanResult:
     """Estimate resolvent-norm growth along the imaginary axis.
 
-    For each mu the probe set is the near-resonant mode plus random
-    band-limited forcings (seeded per grid index, so scans are
-    reproducible).  Fits log(norm) = log C + K*mu by least squares over the
-    finite estimates.  kernel selects the closed form, as in solve_resolvent.
+    For each mu the probe set is the near-resonant mode plus a stack of
+    probes_per_mu - 1 random band-limited forcings (seeded per grid index,
+    so scans are reproducible), solved together.  Fits log(norm) = log C +
+    K*mu by least squares over the finite estimates.  kernel selects the
+    closed form, as in solve_resolvent.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
@@ -532,7 +587,8 @@ def scan_resolvent_growth(
     for i, mu in enumerate(mu_grid):
         rng = np.random.default_rng([seed, i])
         probes = [resonant_forcing(mesh, mu)]
-        probes += [random_forcing(mesh, rng) for _ in range(max(probes_per_mu - 1, 0))]
+        if probes_per_mu > 1:
+            probes.append(random_forcing(mesh, rng, count=probes_per_mu - 1))
         estimates[i] = resolvent_norm_lower_bound(xi, mu, probes, kernel)
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
@@ -648,6 +704,9 @@ class CharacteristicRoot:
 
 
 def _newton_polish(xi: float, z0: complex, tol: float, max_iter: int = 100) -> complex | None:
+    # D(z) is evaluated with a rounding error of about eps*|z|; a tolerance
+    # below that is never met, and the cell is then subdivided without end
+    tol = max(tol, 2.0 * sys.float_info.epsilon * abs(z0))
     z = z0
     fz = characteristic_function(xi, z)
     for _ in range(max_iter):

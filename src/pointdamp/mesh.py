@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,23 @@ class Mesh:
     def right(self) -> np.ndarray:
         """Nodes of [xi, 1], endpoint included."""
         return self.nodes[self.i_xi :]
+
+    @functools.cached_property
+    def lumped_mass(self) -> np.ndarray:
+        """Trapezoid (lumped) mass of each node, read-only."""
+        h = np.diff(self.nodes)
+        mass = np.empty(self.nodes.size)
+        mass[0], mass[-1] = 0.5 * h[0], 0.5 * h[-1]
+        mass[1:-1] = 0.5 * (h[:-1] + h[1:])
+        mass.flags.writeable = False
+        return mass
+
+    @functools.cached_property
+    def inverse_spacing(self) -> np.ndarray:
+        """1/h of each cell, read-only."""
+        inv = 1.0 / np.diff(self.nodes)
+        inv.flags.writeable = False
+        return inv
 
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a full-grid function into (left, right) halves sharing the xi node."""

@@ -99,10 +99,15 @@ def initial_data(
 
 def energy(state: WaveState) -> float:
     """Trapezoid kinetic energy plus piecewise-linear potential energy."""
-    h = np.diff(state.mesh.nodes)
-    kinetic = 0.5 * np.sum(h * (state.v[:-1] ** 2 + state.v[1:] ** 2)) / 2.0
-    potential = 0.5 * np.sum(np.diff(state.u) ** 2 / h)
-    return float(kinetic + potential)
+    # weighted sums against the lumped nodal mass and 1/h, in place; np.dot
+    # would be a little faster, but its first BLAS call adds resident memory
+    mesh = state.mesh
+    kinetic = state.v * state.v
+    kinetic *= mesh.lumped_mass
+    potential = np.diff(state.u)
+    potential *= potential
+    potential *= mesh.inverse_spacing
+    return 0.5 * float(kinetic.sum() + potential.sum())
 
 
 @dataclass
@@ -143,7 +148,8 @@ def simulate(
 
     Returns the final state and the energy/damping trace.  The requested dt
     is shrunk minutely so a whole number of uniform steps lands exactly on
-    t_final; the dt actually used is reported on the trace.
+    t_final; the dt actually used is reported on the trace.  The string is
+    clamped at both ends: boundary values are held at zero.
     """
     mesh = state.mesh
     if dt is None:
@@ -170,12 +176,13 @@ def simulate(
     dt = span / n_steps
 
     # scipy.linalg costs a noticeable import; only the time stepper needs it
+    from scipy.linalg.blas import daxpy
     from scipy.linalg.lapack import dpttrf, dpttrs
 
-    h = np.diff(mesh.nodes)
-    mass = 0.5 * (h[:-1] + h[1:])
-    main = 1.0 / h[:-1] + 1.0 / h[1:]
-    upper = -1.0 / h[1:-1]
+    inv_h = mesh.inverse_spacing
+    mass = mesh.lumped_mass[1:-1]
+    main = inv_h[:-1] + inv_h[1:]
+    upper = -inv_h[1:-1]
     m = mesh.i_xi - 1  # interface node in interior numbering
 
     # step matrix 2M + dt^2/2 S (+ dt e_m e_m^T), factored once as L D L^T
@@ -186,19 +193,25 @@ def simulate(
     if info != 0:
         raise np.linalg.LinAlgError(f"step matrix is not positive definite (dpttrf info={info})")
 
-    # right-hand side 2 M v - dt S u, assembled in preallocated buffers
+    # The loop carries u on every node (boundary entries held at 0) and the
+    # momentum p = 2 M v on the interior.  The right-hand side 2 M v - dt S u
+    # is p + diff(slope), slope = (dt/h) diff(u) per cell, rebuilt from u on
+    # every step; the midpoint velocity y then gives u += dt y and
+    # p = 4 M y - p.  v = p / (2M) is recovered only where it is read.
     mass2 = 2.0 * mass
-    neg_dt_main = -dt * main
-    neg_dt_upper = -dt * upper
-    u = state.u[1:-1].copy()
-    v = state.v[1:-1].copy()
-    rhs = np.empty_like(u)
-    work = np.empty_like(u)
-    coupling = np.empty(u.size - 1)
+    mass4 = 4.0 * mass
+    dt_over_h = dt * inv_h
+    u = state.u.copy()
+    u[0] = u[-1] = 0.0
+    u_in = u[1:-1]
+    p = mass2 * state.v[1:-1]
+    v = np.zeros_like(u)
+    v_in = v[1:-1]
+    slope = np.empty(inv_h.size)
+    rhs = np.empty(u_in.size)
+    work = np.empty(u_in.size)
     t0 = state.t
 
-    full_u = state.u.copy()
-    full_v = state.v.copy()
     times = [t0]
     energies = [energy(state)]
     sample_steps = [0]
@@ -206,35 +219,28 @@ def simulate(
     interface_velocity = np.zeros(n_steps)
 
     for k in range(n_steps):
-        np.multiply(neg_dt_main, u, out=rhs)
-        np.multiply(neg_dt_upper, u[1:], out=coupling)
-        rhs[:-1] += coupling
-        np.multiply(neg_dt_upper, u[:-1], out=coupling)
-        rhs[1:] += coupling
-        np.multiply(mass2, v, out=work)
-        rhs += work
+        np.subtract(u[1:], u[:-1], out=slope)
+        np.multiply(slope, dt_over_h, out=slope)
+        np.subtract(slope[1:], slope[:-1], out=rhs)
+        np.add(rhs, p, out=rhs)
         # midpoint velocity, solved in place in rhs
         y, info = dpttrs(d_factor, e_factor, rhs, overwrite_b=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
-        np.multiply(dt, y, out=work)
-        u += work
-        np.multiply(2.0, y, out=work)
-        np.subtract(work, v, out=v)
+        daxpy(y, u_in, a=dt)
+        np.multiply(mass4, y, out=work)
+        np.subtract(work, p, out=p)
         if damped:
             interface_velocity[k] = y[m]
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            full_u[1:-1] = u
-            full_v[1:-1] = v
-            snap = WaveState(mesh, t0 + (k + 1) * dt, full_u, full_v)
+            np.divide(p, mass2, out=v_in)
+            snap = WaveState(mesh, t0 + (k + 1) * dt, u, v)
             times.append(snap.t)
             energies.append(energy(snap))
             sample_steps.append(k + 1)
     damping_power = interface_velocity**2
 
-    final = WaveState(mesh, t0 + n_steps * dt, full_u.copy(), full_v.copy())
-    final.u[1:-1] = u
-    final.v[1:-1] = v
+    final = WaveState(mesh, t0 + n_steps * dt, u, v)
     trace = EnergyTrace(
         dt=dt,
         times=np.asarray(times),

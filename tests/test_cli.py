@@ -264,6 +264,23 @@ def test_resolvent_scan_csv(tmp_path):
     assert report["result"]["n_grid"] == 9
 
 
+def test_resolvent_scan_single_probe(tmp_path):
+    # probes=1 solves the near-resonant probe alone, with no random stack
+    code = run([
+        "resolvent-scan", "--xi", "golden", "--out", tmp_path,
+        "--set", "mu_min=2", "--set", "mu_max=10", "--set", "mu_step=1",
+        "--set", "cells=64", "--set", "probes=1",
+    ])
+    assert code == 0
+    _, _, rows = read_csv(tmp_path / "resolvent_scan.csv")
+    assert len(rows) == 9
+    xi, _ = diophantine.parse_actuator_position("golden")
+    mesh = build_mesh(xi, 64, 64)
+    for mu, norm in rows:
+        probe = frequency.resonant_forcing(mesh, float(mu))
+        assert float(norm) == frequency.resolvent_norm_lower_bound(xi, float(mu), [probe])
+
+
 def test_resolvent_scan_verbatim_kernel(tmp_path):
     args = [
         "resolvent-scan", "--xi", "golden", "--set", "mu_min=3", "--set", "mu_max=20",
@@ -378,6 +395,18 @@ def test_no_temp_files_left_behind(tmp_path):
     ]) == 0
     leftovers = [p for p in tmp_path.iterdir() if ".tmp" in p.name]
     assert leftovers == []
+
+
+def test_csv_stream_failure_leaves_no_file(tmp_path):
+    from pointdamp.cli import write_csv
+
+    def rows():
+        yield (1.0, 2.0)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(tmp_path / "partial.csv", "test", ["a", "b"], rows())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_float_format_roundtrips(tmp_path):

@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import interface_coefficients_quadrature, numerov_interface_solve
+import pointdamp
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
@@ -110,6 +114,35 @@ def test_random_forcing_matches_naive_series():
                 got = getattr(a, name + side)
                 np.testing.assert_array_equal(got, getattr(b, name + side))
                 np.testing.assert_allclose(got, naive, rtol=0, atol=1e-15 * scale)
+
+
+def test_stacked_forcing_validation(rng):
+    mesh = build_mesh(GOLDEN, 64, 64)
+    stack = random_forcing(mesh, rng, count=3)
+    stack.validate()
+    assert stack.f1.shape == (3, 65)
+    np.testing.assert_array_equal(stack.f1_at_xi, stack.f1[:, -1])
+    f2 = stack.f2.copy()
+    f2[1, 0] += 0.5  # one row jumps at the damped point
+    with pytest.raises(ValueError):
+        ForcingData(mesh, stack.f1, f2, stack.g1, stack.g2).validate()
+    f1 = stack.f1.copy()
+    f1[2, 0] = 1.0  # one row does not vanish at x = 0
+    with pytest.raises(ValueError):
+        ForcingData(mesh, f1, stack.f2, stack.g1, stack.g2).validate()
+    with pytest.raises(ValueError):
+        ForcingData(mesh, stack.f1, stack.f2, stack.g1[:2], stack.g2).validate()
+
+
+def test_random_forcing_count_stacks_successive_draws():
+    for mesh in (build_mesh(GOLDEN, 64, 40), build_mesh(0.3, 20, 30)):
+        stack = random_forcing(mesh, np.random.default_rng(11), count=3)
+        rng = np.random.default_rng(11)
+        singles = [random_forcing(mesh, rng) for _ in range(3)]
+        for name in ("f1", "f2", "g1", "g2", "fp1", "fp2"):
+            assert getattr(stack, name).shape[0] == 3
+            for j, single in enumerate(singles):
+                np.testing.assert_array_equal(getattr(stack, name)[j], getattr(single, name))
 
 
 def test_resonant_forcing_structure():
@@ -251,6 +284,27 @@ def test_solve_rejects_unknown_kernel(rng):
         solve_resolvent(GOLDEN, 10.0, forcing, kernel="other")
 
 
+@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
+def test_stacked_solve_matches_single_solves(kernel):
+    mesh = build_mesh(GOLDEN, 96, 80)
+    stack = random_forcing(mesh, np.random.default_rng(4), count=3)
+    rng = np.random.default_rng(4)
+    singles = [random_forcing(mesh, rng) for _ in range(3)]
+    for mu in (1.5, 23.0, 61.7):
+        sol = solve_resolvent(GOLDEN, mu, stack, kernel)
+        refs = [solve_resolvent(GOLDEN, mu, single, kernel) for single in singles]
+        for j, ref in enumerate(refs):
+            for name in ("u1", "u2", "v1", "v2", "up1", "up2"):
+                np.testing.assert_allclose(getattr(sol, name)[j], getattr(ref, name), rtol=1e-15)
+            for name in ("lambda1", "lambda2", "trace_u", "trace_up_left", "trace_up_right"):
+                assert isinstance(getattr(ref, name), complex)
+                np.testing.assert_allclose(getattr(sol, name)[j], getattr(ref, name), rtol=1e-15)
+        # the residuals stay plain floats and report the worst row
+        assert type(sol.continuity_residual) is float and type(sol.jump_residual) is float
+        assert sol.continuity_residual == max(r.continuity_residual for r in refs)
+        assert sol.jump_residual == max(r.jump_residual for r in refs)
+
+
 # ------------------------------------------------------------------ traces
 
 
@@ -353,6 +407,17 @@ def test_state_norm_without_derivative_samples():
     assert norm == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-4)
 
 
+def test_state_norm_of_stack_matches_rows(rng):
+    mesh = build_mesh(GOLDEN, 64, 48)
+    stack = random_forcing(mesh, rng, count=3)
+    norms = state_norm(mesh, stack.f1, stack.f2, stack.g1, stack.g2)
+    assert norms.shape == (3,)
+    for j in range(3):
+        single = state_norm(mesh, stack.f1[j], stack.f2[j], stack.g1[j], stack.g2[j])
+        assert type(single) is float
+        assert norms[j] == pytest.approx(single, rel=1e-15)
+
+
 # ------------------------------------------------------------------- scans
 
 
@@ -368,6 +433,41 @@ def test_lower_bound_monotone_in_probe_set(rng):
     small = resolvent_norm_lower_bound(GOLDEN, 18.0, probes[:1])
     large = resolvent_norm_lower_bound(GOLDEN, 18.0, probes)
     assert 0.0 < small <= large
+
+
+def test_lower_bound_same_for_singles_and_stack():
+    mesh = build_mesh(GOLDEN, 128, 128)
+    stack = random_forcing(mesh, np.random.default_rng(8), count=3)
+    rng = np.random.default_rng(8)
+    singles = [random_forcing(mesh, rng) for _ in range(3)]
+    for mu in (7.0, 18.0, 44.5):
+        resonant = resonant_forcing(mesh, mu)
+        listed = resolvent_norm_lower_bound(GOLDEN, mu, [resonant] + singles)
+        stacked = resolvent_norm_lower_bound(GOLDEN, mu, [resonant, stack])
+        assert stacked == pytest.approx(listed, rel=1e-15)
+        assert listed == max(resolvent_norm_lower_bound(GOLDEN, mu, [p]) for p in singles + [resonant])
+
+
+def test_lower_bound_skips_zero_probes_and_fills_derivatives():
+    mesh = build_mesh(GOLDEN, 128, 128)
+    probe = random_forcing(mesh, np.random.default_rng(2))
+    no_fp = ForcingData(mesh, probe.f1, probe.f2, probe.g1, probe.g2)
+    zero = _zero_forcing(mesh)
+    assert resolvent_norm_lower_bound(GOLDEN, 18.0, [zero]) == 0.0
+    assert resolvent_norm_lower_bound(GOLDEN, 18.0, []) == 0.0
+    with_zero = resolvent_norm_lower_bound(GOLDEN, 18.0, [zero, no_fp])
+    alone = resolvent_norm_lower_bound(GOLDEN, 18.0, [no_fp])
+    assert with_zero == alone > 0.0
+    # the finite-difference derivative only approximates the exact one
+    assert alone == pytest.approx(resolvent_norm_lower_bound(GOLDEN, 18.0, [probe]), rel=1e-3)
+
+
+def test_lower_bound_of_stack_is_infinite_on_resonance():
+    mesh = build_mesh(0.5, 64, 64)
+    stack = random_forcing(mesh, np.random.default_rng(1), count=3)
+    assert resolvent_norm_lower_bound(0.5, 2 * math.pi, [stack]) == math.inf
+    # an all-zero probe set never reaches the solve
+    assert resolvent_norm_lower_bound(0.5, 2 * math.pi, [_zero_forcing(mesh)]) == 0.0
 
 
 def test_norm_blows_up_approaching_resonance():
@@ -488,3 +588,19 @@ def test_spectral_abscissa_values():
     assert spectral_abscissa(0.3, 0.4) == -math.inf
     with pytest.raises(ValueError):
         spectral_abscissa(0.5, -1.0)
+
+
+def test_eigenvalues_far_out_terminate():
+    # near z = 8557 the rounding of D(z) (about eps*|z|) exceeds the default
+    # Newton tolerance; the polish must stop at that floor instead of
+    # subdividing forever, so run it in a child that can be timed out
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    probe = (
+        "from pointdamp import GOLDEN_RATIO_CONJUGATE, find_eigenvalues; "
+        "print(len(find_eigenvalues(GOLDEN_RATIO_CONJUGATE, (8550.0, 8565.0, -0.5, 3.0))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 5  # (8565 - 8550) / pi = 4.8 roots expected
