@@ -337,8 +337,14 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
 def run_classify(cfg: dict):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
     value, exact = _parse_xi(cfg["xi"])
-    if not (cfg["mu_step"] > 0 and cfg["mu_max"] >= cfg["mu_min"]):
-        raise ConfigError("need mu_min <= mu_max and mu_step > 0")
+    if not (0 < cfg["mu_min"] <= cfg["mu_max"] and cfg["mu_step"] > 0):
+        raise ConfigError("need 0 < mu_min <= mu_max and mu_step > 0")
+    for key in ("depth", "liouville_m_max"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    for key in ("trend_factor", "liouville_kappa"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive")
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -409,8 +415,8 @@ def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
     value, _ = _parse_xi(cfg["xi"])
     if cfg["kernel"] not in ("consistent", "verbatim"):
         raise ConfigError(f"unknown kernel {cfg['kernel']!r}")
-    if cfg["mu_max"] <= cfg["mu_min"] or cfg["mu_step"] <= 0:
-        raise ConfigError("need mu_min < mu_max and mu_step > 0")
+    if not (0 < cfg["mu_min"] < cfg["mu_max"] and cfg["mu_step"] > 0):
+        raise ConfigError("need 0 < mu_min < mu_max and mu_step > 0")
     if cfg["cells"] < 2:
         raise ConfigError("cells must be at least 2")
     if cfg["probes"] < 1:
@@ -612,6 +618,12 @@ def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEst
     # second-derivative stencil needs at least 3 of them
     if cfg["cells"] < 12:
         raise ConfigError("cells must be at least 12")
+    for key in ("n_samples", "n_modes", "h_count"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be at least 1")
+    for key in ("h_min", "h_max", "check_h"):
+        if not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive")
     return {
         side: _verify_carleman_side(cfg, side, weight)
         for side, weight in _carleman_weights(cfg, value).items()
@@ -668,8 +680,12 @@ def run_simulate(cfg: dict):
         raise ConfigError("sample_every must be at least 1")
     mesh = build_mesh(value, cfg["cells"], cfg["cells"])
     if cfg["initial"] == "fourier_mode":
+        if cfg["mode"] < 1:
+            raise ConfigError("mode must be at least 1")
         state = simulator.initial_data(mesh, "fourier_mode", mode=cfg["mode"])
     elif cfg["initial"] == "smooth_bump":
+        if not cfg["width"] > 0:
+            raise ConfigError("width must be positive")
         center = None if math.isnan(cfg["center"]) else cfg["center"]
         state = simulator.initial_data(
             mesh, "smooth_bump", center=center, width=cfg["width"]

@@ -8,12 +8,12 @@ scans, and the grid/scan conditions that separate decay regimes.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -41,6 +41,11 @@ GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
 
 # convergents of a double are meaningless once q_k*q_{k+1} ~ 1/eps
 _PRECISION_BUDGET = 0.25 / np.finfo(float).eps
+
+# the string 'golden' expands (sqrt(5)-1)/2 held to 60 significant digits,
+# with the same budget rule at that precision
+_GOLDEN_60 = (Fraction(decimal.Context(prec=60).sqrt(5)) - 1) / 2
+_GOLDEN_60_BUDGET = 0.25e60
 
 # grid expression values below this count as exact resonances (roundoff scale)
 _RESONANCE_FLOOR = 1e-20
@@ -96,27 +101,19 @@ class ContinuedFraction:
         return max(tail) if tail else 0
 
 
-def _cf_from_fraction(frac: Fraction, depth: int) -> ContinuedFraction:
-    quotients: list[int] = []
-    num, den = frac.numerator, frac.denominator
-    while den and len(quotients) < depth:
-        a, num = divmod(num, den)
-        quotients.append(int(a))
-        num, den = den, num
-    terminated = den == 0 or num == 0
-    return _with_convergents(float(frac), quotients, terminated)
-
-
-def _cf_from_real(
+def _cf_expand(
     x, depth: int, rational_tol: float, quotient_overflow: float, budget: float | None
 ) -> ContinuedFraction:
+    """Expansion loop shared by floats and exact Fractions."""
     quotients: list[int] = []
+    convergents: list[tuple[int, int]] = []
     terminated = False
     truncated = False
+    p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
     y = x
     for _ in range(depth):
-        a = int(mpmath.floor(y)) if isinstance(y, mpmath.mpf) else int(math.floor(y))
+        a = math.floor(y)
         if quotients and a > quotient_overflow:
             terminated = True  # numerically rational: the tail is noise
             break
@@ -124,28 +121,17 @@ def _cf_from_real(
         if budget is not None and quotients and q_next * q_cur > budget:
             truncated = True
             break
-        quotients.append(a)
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, q_next
+        quotients.append(a)
+        convergents.append((p_cur, q_cur))
         frac = y - a
         if frac <= rational_tol:
             terminated = True
             break
         y = 1 / frac
-    return _with_convergents(float(x), quotients, terminated, truncated)
-
-
-def _with_convergents(
-    value: float, quotients: list[int], terminated: bool, truncated: bool = False
-) -> ContinuedFraction:
-    convergents: list[tuple[int, int]] = []
-    p_prev, q_prev = 0, 1
-    p_cur, q_cur = 1, 0
-    for a in quotients:
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        convergents.append((p_cur, q_cur))
     return ContinuedFraction(
-        value=value,
+        value=float(x),
         partial_quotients=quotients,
         convergents=convergents,
         terminated=terminated,
@@ -161,32 +147,35 @@ def expand_continued_fraction(
 ) -> ContinuedFraction:
     """Expand x in (0,1) as a continued fraction.
 
-    Accepts a float (double-precision path, truncated once convergent
-    denominators exhaust the 53-bit budget), a Fraction (exact Euclid),
-    an mpmath.mpf, or a string: decimal digits or 'golden', both evaluated
-    at 60 significant digits.
+    Accepts:
+      - a float: its exact binary value, truncated once the convergent
+        denominators exhaust the 53-bit budget (q_k*q_{k+1} > 2**50);
+      - a Fraction: exact Euclid, so rational_tol and quotient_overflow
+        do not apply;
+      - a decimal string such as '0.375': exactly the rational the digits
+        denote, with no budget;
+      - 'golden': (sqrt(5)-1)/2 to 60 significant digits, truncated once
+        q_k*q_{k+1} > 0.25e60, where those digits run out.
 
-    Floats whose expansion hits a partial quotient above quotient_overflow,
-    or whose remainder drops below rational_tol, are reported as rational.
+    Anything else goes through float().  Floats, decimal strings and
+    'golden' whose expansion hits a partial quotient above quotient_overflow,
+    or whose remainder drops to rational_tol or below, are reported as
+    rational.
     """
+    budget = None
     if isinstance(x, Fraction):
-        if not 0 < x < 1:
-            raise ValueError("value must lie in (0,1)")
-        return _cf_from_fraction(x, depth)
-    if isinstance(x, str):
-        with mpmath.workdps(60):
-            value = (
-                (mpmath.sqrt(5) - 1) / 2 if x.strip().lower() == "golden" else mpmath.mpf(x)
-            )
-            if not 0 < value < 1:
-                raise ValueError("value must lie in (0,1)")
-            return _cf_from_real(value, depth, rational_tol, quotient_overflow, None)
-    if isinstance(x, mpmath.mpf):
-        return _cf_from_real(x, depth, rational_tol, quotient_overflow, None)
-    x = float(x)
-    if not 0.0 < x < 1.0:
+        rational_tol, quotient_overflow = 0.0, math.inf
+    elif isinstance(x, str):
+        text = x.strip().lower()
+        if text == "golden":
+            x, budget = _GOLDEN_60, _GOLDEN_60_BUDGET
+        else:
+            x = Fraction(text)
+    else:
+        x, budget = float(x), _PRECISION_BUDGET
+    if not 0 < x < 1:
         raise ValueError("value must lie in (0,1)")
-    return _cf_from_real(x, depth, rational_tol, quotient_overflow, _PRECISION_BUDGET)
+    return _cf_expand(x, depth, rational_tol, quotient_overflow, budget)
 
 
 # ----------------------------------------------------------------------------
@@ -464,8 +453,9 @@ def classify_actuator(
 ) -> ActuatorClassification:
     """Classify an actuator position by arithmetic type and grid conditions.
 
-    xi may be anything expand_continued_fraction accepts; the grid checks
-    run on the float value and keep their traces when keep_trace is set.
+    xi may be anything expand_continued_fraction accepts (a float, a
+    Fraction, a decimal string or 'golden'); the grid checks run on the
+    float value and keep their traces when keep_trace is set.
     """
     settings = settings or ClassifySettings()
     cf = expand_continued_fraction(

@@ -28,19 +28,38 @@ def read_csv(path):
     return schema, columns, rows
 
 
+def run_python(code):
+    """Run code in a fresh interpreter that imports pointdamp from this tree."""
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.integrate and scipy.linalg cost most of a short command's start-up;
     # only simulate needs scipy.linalg, and it imports it when it runs
-    src = str(Path(pointdamp.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, pointdamp.cli; print(sorted(sys.modules))"
-    loaded = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True,
-        timeout=60,
-    ).stdout
+    probe = run_python("import sys, pointdamp.cli; print(sorted(sys.modules))")
+    assert probe.returncode == 0, probe.stderr
+    loaded = probe.stdout
     assert "'pointdamp.cli'" in loaded
     assert "'scipy.integrate'" not in loaded
     assert "'scipy.linalg'" not in loaded
+    assert "'mpmath'" not in loaded
+
+
+def test_classify_runs_without_mpmath(tmp_path):
+    # a None entry in sys.modules makes any import of mpmath fail
+    done = run_python(
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from pointdamp.cli import main\n"
+        f"sys.exit(main(['classify', '--xi', 'golden', '--out', {str(tmp_path / 'golden')!r}])\n"
+        f"         or main(['classify', '--xi', '2/5', '--out', {str(tmp_path / 'q')!r}]))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "golden" / "classify_report.json").exists()
+    assert (tmp_path / "q" / "classify_report.json").exists()
 
 
 # ----------------------------------------------------------------- classify
@@ -132,12 +151,31 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
 @pytest.mark.parametrize("args", [
     ["classify", "--set", "mu_step=0"],
     ["classify", "--set", "mu_step=-1"],
+    ["classify", "--set", "mu_min=0"],
+    ["classify", "--set", "depth=0"],
+    ["classify", "--set", "trend_factor=0"],
+    ["classify", "--set", "liouville_kappa=0"],
+    ["classify", "--set", "liouville_m_max=0"],
     ["simulate", "--set", "sample_every=0"],
     ["simulate", "--set", "cells=1"],
+    ["simulate", "--set", "initial=fourier_mode", "--set", "mode=0"],
+    ["simulate", "--set", "width=0"],
+    ["simulate", "--set", "width=-1"],
     ["resolvent-scan", "--set", "cells=1"],
     ["resolvent-scan", "--set", "probes=0"],
+    ["resolvent-scan", "--set", "mu_min=0"],
+    ["resolvent-scan", "--set", "mu_min=-1"],
     ["carleman-verify", "--set", "cells=2"],
+    ["carleman-verify", "--set", "h_min=0"],
+    ["carleman-verify", "--set", "h_max=0"],
+    ["carleman-verify", "--set", "check_h=0"],
+    ["carleman-verify", "--set", "n_modes=0"],
+    ["carleman-verify", "--set", "n_modes=-1"],
+    ["carleman-verify", "--set", "h_count=0"],
+    ["carleman-verify", "--set", "n_samples=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
+    ["sweep", "--set", "task=carleman-verify", "--set", "xi_list=0.3", "--set", "n_modes=0"],
+    ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "depth=0"],
 ], ids=lambda args: f"{args[0]}:{args[-1]}")
 def test_out_of_range_number_is_config_error(tmp_path, args):
     xi = [] if args[0] == "sweep" else ["--xi", "golden"]

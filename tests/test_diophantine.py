@@ -7,6 +7,7 @@ import pytest
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ActuatorClassification,
+    ClassifySettings,
     GrowthFunction,
     check_cos_grid,
     check_exp_grid,
@@ -98,6 +99,40 @@ def test_cf_golden_all_ones():
     assert not cf.is_rational
     # Fibonacci convergents
     assert cf.convergents[:6] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
+
+
+def test_cf_decimal_string_is_exact():
+    # 0.375 = 3/8 = [0; 2, 1, 2]; a rounded remainder would end [..., 1, 1]
+    cf = expand_continued_fraction("0.375")
+    assert cf.partial_quotients == [0, 2, 1, 2]
+    assert cf.convergents[-1] == (3, 8)
+    assert (2, 5) not in cf.convergents
+    assert cf.is_rational
+
+
+def test_cf_decimal_strings_match_their_fractions(rng):
+    # at most 11 digits, no remainder falls below rational_tol and no
+    # quotient exceeds quotient_overflow, so both routes are exact Euclid
+    texts = ["0.375", "0.1", "0.99999999999", "0.00000000001"]
+    for x in rng.uniform(0.0, 1.0, size=300):
+        texts += [f"{x:.6f}", f"{x:.11f}", f"{x:.3g}"]
+    for text in texts:
+        if not 0 < Fraction(text) < 1:
+            continue
+        a = expand_continued_fraction(text, depth=200)
+        b = expand_continued_fraction(Fraction(text), depth=200)
+        assert a.partial_quotients == b.partial_quotients, text
+        assert a.convergents == b.convergents, text
+        assert a.terminated and b.terminated, text
+
+
+def test_cf_golden_string_stops_at_its_precision():
+    cf = expand_continued_fraction("golden", depth=200)
+    assert cf.truncated_by_precision
+    assert not cf.terminated
+    assert len(cf.partial_quotients) == 144
+    assert all(a == 1 for a in cf.partial_quotients[1:])
+    assert classify_actuator("golden", ClassifySettings(depth=200)).constant_type
 
 
 def test_cf_float_golden_hits_precision_budget():
@@ -297,6 +332,14 @@ def test_classify_golden_string():
     assert cls.constant_type
     assert cls.max_partial_quotient == 1
     assert cls.exp_grid.passed and cls.poly_grid.passed
+
+
+def test_classify_golden_string_runs_grid_checks_on_the_double():
+    assert (
+        classify_actuator("golden").xi
+        == GOLDEN_RATIO_CONJUGATE
+        == parse_actuator_position("golden")[0]
+    )
 
 
 def test_classify_golden_float_matches_string():
