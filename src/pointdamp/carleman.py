@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import simpson
+from .quadrature import derivative, simpson
 
 __all__ = [
     "WeightFunction",
@@ -156,16 +156,9 @@ def validate_weight(weight: WeightFunction, side: str, n_samples: int = 1001) ->
 
 
 # ----------------------------------------------------------------------------
-# grid derivatives (second order including one-sided ends)
+# second grid derivative (second order including one-sided ends; the first
+# derivative is quadrature.derivative)
 # ----------------------------------------------------------------------------
-
-
-def _d1(w: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(w, dtype=complex if np.iscomplexobj(w) else float)
-    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * dx)
-    out[0] = (-3.0 * w[0] + 4.0 * w[1] - w[2]) / (2.0 * dx)
-    out[-1] = (3.0 * w[-1] - 4.0 * w[-2] + w[-3]) / (2.0 * dx)
-    return out
 
 
 def _d2(w: np.ndarray, dx: float) -> np.ndarray:
@@ -191,7 +184,9 @@ def apply_conjugated_operator(
     p1 = np.asarray(weight.d1(x), dtype=float)
     p2 = np.asarray(weight.d2(x), dtype=float)
     w = np.asarray(w)
-    return -(h**2) * _d2(w, dx) + 2.0 * h * p1 * _d1(w, dx) + h * p2 * w - (p1**2 + 1.0) * w
+    return (
+        -(h**2) * _d2(w, dx) + 2.0 * h * p1 * derivative(w, dx) + h * p2 * w - (p1**2 + 1.0) * w
+    )
 
 
 def conjugation_route(
@@ -252,7 +247,7 @@ def split_conjugated_operator(
     p2 = np.asarray(weight.d2(x), dtype=float)
     w = np.asarray(w, dtype=complex)
     sym = -(h**2) * _d2(w, dx) - (p1**2 + 1.0) * w
-    anti = -1j * h * (2.0 * p1 * _d1(w, dx) + p2 * w)
+    anti = -1j * h * (2.0 * p1 * derivative(w, dx) + p2 * w)
     return sym, anti
 
 
@@ -277,8 +272,8 @@ def ibp_residuals(
     w = np.asarray(w, dtype=complex)
     q2w, q1w = split_conjugated_operator(weight, h, w, x)
     q2v, q1v = split_conjugated_operator(weight, h, v, x)
-    dv = -1j * h * _d1(v, dx)
-    dw = -1j * h * _d1(w, dx)
+    dv = -1j * h * derivative(v, dx)
+    dw = -1j * h * derivative(w, dx)
     p1 = np.asarray(weight.d1(x), dtype=float)
 
     lhs1 = simpson(v * np.conj(q2w), dx=dx)
@@ -337,7 +332,7 @@ def square_expansion_residual(
 
     sym, anti = split_conjugated_operator(weight, h, w, x)
     pw = sym + 1j * anti
-    dw = -1j * h * _d1(w, dx)
+    dw = -1j * h * derivative(w, dx)
 
     lhs = float(simpson(np.abs(pw) ** 2, dx=dx).real)
     volume = (
@@ -414,7 +409,7 @@ def evaluate_carleman_inequality(
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
     lhs_arr = np.empty_like(h_values)
     rhs_arr = np.empty_like(h_values)
-    du = _d1(u, dx)
+    du = derivative(u, dx)
     d2u = _d2(u, dx)
     for i, h in enumerate(h_values):
         E = np.exp(2.0 * (phi - phi_max) / h)

@@ -22,6 +22,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy
@@ -71,88 +72,111 @@ def _as_str(text) -> str:
 
 _REQUIRED = object()
 
-# key -> (default, caster); _REQUIRED means the key must be provided
+
+class Limit(NamedTuple):
+    """The values a config key admits, and the phrase that names them."""
+
+    text: str
+    admits: Callable[[object], bool]
+
+
+def at_least(n: int) -> Limit:
+    return Limit(f"at least {n}", lambda value: value >= n)
+
+
+def one_of(*choices: str) -> Limit:
+    return Limit(f"one of {', '.join(choices)}", lambda value: value in choices)
+
+
+positive = Limit("positive", lambda value: value > 0)
+nonnegative = Limit("nonnegative", lambda value: value >= 0)
+
+# key -> (default, caster, Limit or None); _REQUIRED means the key must be provided.
+# The limits are checked right after casting, before any work starts.
 COMMAND_SCHEMAS: dict[str, dict] = {
     "classify": {
-        "xi": (_REQUIRED, _as_str),
-        "depth": (40, _as_int),
-        "rational_tol": (1e-12, _as_float),
-        "quotient_overflow": (1e12, _as_float),
-        "constant_type_bound": (20, _as_int),
-        "mu_min": (1.0, _as_float),
-        "mu_max": (500.0, _as_float),
-        "mu_step": (0.01, _as_float),
-        "k1": (1.0, _as_float),
-        "poly_eps": (1.0, _as_float),
-        "trend_factor": (10.0, _as_float),
-        "liouville_kappa": (0.2, _as_float),
-        "liouville_m_max": (1000, _as_int),
-        "liouville_phi": ("identity", _as_str),
-        "keep_trace": (False, _as_bool),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "xi": (_REQUIRED, _as_str, None),
+        "depth": (40, _as_int, at_least(1)),
+        "rational_tol": (1e-12, _as_float, None),
+        "quotient_overflow": (1e12, _as_float, None),
+        "constant_type_bound": (20, _as_int, None),
+        "mu_min": (1.0, _as_float, positive),
+        "mu_max": (500.0, _as_float, None),
+        "mu_step": (0.01, _as_float, positive),
+        "k1": (1.0, _as_float, nonnegative),
+        "poly_eps": (1.0, _as_float, None),
+        "trend_factor": (10.0, _as_float, positive),
+        "liouville_kappa": (0.2, _as_float, positive),
+        "liouville_m_max": (1000, _as_int, at_least(1)),
+        "liouville_phi": ("identity", _as_str, None),
+        "keep_trace": (False, _as_bool, None),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
     "resolvent-scan": {
-        "xi": (_REQUIRED, _as_str),
-        "mu_min": (1.0, _as_float),
-        "mu_max": (60.0, _as_float),
-        "mu_step": (0.5, _as_float),
-        "probes": (4, _as_int),
-        "cells": (512, _as_int),
-        "kernel": ("consistent", _as_str),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "xi": (_REQUIRED, _as_str, None),
+        "mu_min": (1.0, _as_float, positive),
+        "mu_max": (60.0, _as_float, None),
+        "mu_step": (0.5, _as_float, positive),
+        "probes": (4, _as_int, at_least(1)),
+        "cells": (512, _as_int, at_least(2)),
+        "kernel": ("consistent", _as_str, one_of("consistent", "verbatim")),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
     "spectrum": {
-        "xi": (_REQUIRED, _as_str),
-        "re_min": (0.5, _as_float),
-        "re_max": (50.0, _as_float),
-        "im_min": (-0.5, _as_float),
-        "im_max": (3.0, _as_float),
-        "tol": (1e-12, _as_float),
-        "real_tol": (1e-10, _as_float),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "xi": (_REQUIRED, _as_str, None),
+        "re_min": (0.5, _as_float, None),
+        "re_max": (50.0, _as_float, None),
+        "im_min": (-0.5, _as_float, None),
+        "im_max": (3.0, _as_float, None),
+        "tol": (1e-12, _as_float, None),
+        "real_tol": (1e-10, _as_float, None),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
     "carleman-verify": {
-        "xi": (_REQUIRED, _as_str),
-        "side": ("both", _as_str),
-        "weight": ("default", _as_str),
-        "cells": (2048, _as_int),
-        "n_samples": (50, _as_int),
-        "n_modes": (8, _as_int),
-        "h_min": (1e-3, _as_float),
-        "h_max": (1e-1, _as_float),
-        "h_count": (13, _as_int),
-        "check_h": (0.05, _as_float),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "xi": (_REQUIRED, _as_str, None),
+        "side": ("both", _as_str, one_of("both", "left", "right")),
+        "weight": ("default", _as_str, None),
+        # the coarsest identity-check grid has cells // 4 cells, and its
+        # one-sided second-derivative stencil needs at least 3 of them
+        "cells": (2048, _as_int, at_least(12)),
+        "n_samples": (50, _as_int, at_least(1)),
+        "n_modes": (8, _as_int, at_least(1)),
+        "h_min": (1e-3, _as_float, positive),
+        "h_max": (1e-1, _as_float, positive),
+        "h_count": (13, _as_int, at_least(1)),
+        "check_h": (0.05, _as_float, positive),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
     "simulate": {
-        "xi": (_REQUIRED, _as_str),
-        "cells": (1000, _as_int),
-        "t_final": (200.0, _as_float),
-        "dt": (0.0, _as_float),  # 0 means the default, min spacing / 2
-        "sample_every": (100, _as_int),
-        "damped": (True, _as_bool),
-        "initial": ("smooth_bump", _as_str),
-        "mode": (2, _as_int),
-        "center": (math.nan, _as_float),  # NaN means the damped point
-        "width": (0.1, _as_float),
-        "fit": (True, _as_bool),
-        "save_state": (True, _as_bool),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "xi": (_REQUIRED, _as_str, None),
+        "cells": (1000, _as_int, at_least(2)),
+        "t_final": (200.0, _as_float, positive),
+        "dt": (0.0, _as_float, nonnegative),  # 0 means the default, min spacing / 2
+        "sample_every": (100, _as_int, at_least(1)),
+        "damped": (True, _as_bool, None),
+        "initial": ("smooth_bump", _as_str, one_of("smooth_bump", "fourier_mode")),
+        "mode": (2, _as_int, at_least(1)),
+        "center": (math.nan, _as_float, None),  # NaN means the damped point
+        "width": (0.1, _as_float, positive),
+        "fit": (True, _as_bool, None),
+        "save_state": (True, _as_bool, None),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
     "sweep": {
-        "task": ("spectrum", _as_str),
-        "xi_min": (0.05, _as_float),
-        "xi_max": (0.95, _as_float),
-        "xi_count": (19, _as_int),
-        "xi_list": ("", _as_str),
-        "workers": (1, _as_int),
-        "out": (".", _as_str),
-        "seed": (0, _as_int),
+        "task": ("spectrum", _as_str,
+                 one_of("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate")),
+        "xi_min": (0.05, _as_float, None),
+        "xi_max": (0.95, _as_float, None),
+        "xi_count": (19, _as_int, at_least(1)),
+        "xi_list": ("", _as_str, None),
+        "workers": (1, _as_int, at_least(1)),
+        "out": (".", _as_str, None),
+        "seed": (0, _as_int, nonnegative),
     },
 }
 
@@ -179,34 +203,36 @@ def load_config_file(path: str) -> dict[str, str]:
     return raw
 
 
+def _setting(key: str, spec: tuple, text: str | None):
+    """The value of one key: its default when text is None, else text cast and checked."""
+    default, caster, limit = spec
+    if text is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} (e.g. --xi or --set {key}=...)")
+        return default
+    value = caster(text)
+    if limit is not None and not limit.admits(value):
+        raise ConfigError(f"{key} must be {limit.text}, got {text!r}")
+    return value
+
+
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
     schema = COMMAND_SCHEMAS[command]
+    cfg = {key: _setting(key, spec, raw.get(key)) for key, spec in schema.items()}
     forwarded = {}
     if command == "sweep":
-        task = raw.get("task", schema["task"][0])
-        if task not in COMMAND_SCHEMAS or task == "sweep":
-            raise ConfigError(f"unknown sweep task {task!r}")
-        task_schema = dict(COMMAND_SCHEMAS[task])
-        task_schema.pop("xi", None)
-        merged_defaults = dict(_SWEEP_TASK_OVERRIDES.get(task, {}))
-        for key, (default, caster) in task_schema.items():
-            if key in ("out", "seed"):
-                continue
-            text = raw.pop(key, merged_defaults.get(key))
-            forwarded[key] = caster(text) if text is not None else default
-    cfg = {}
-    unknown = set(raw) - set(schema)
+        # the swept task's own keys, under lighter defaults; xi, out and seed
+        # come from the sweep itself
+        lighter = _SWEEP_TASK_OVERRIDES.get(cfg["task"], {})
+        forwarded = {
+            key: _setting(key, spec, raw.get(key, lighter.get(key)))
+            for key, spec in COMMAND_SCHEMAS[cfg["task"]].items()
+            if key not in ("xi", "out", "seed")
+        }
+        cfg["task_config"] = forwarded
+    unknown = set(raw) - set(schema) - set(forwarded)
     if unknown:
         raise ConfigError(f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
-    for key, (default, caster) in schema.items():
-        if key in raw:
-            cfg[key] = caster(raw[key])
-        elif default is _REQUIRED:
-            raise ConfigError(f"{command} requires key {key!r} (e.g. --xi or --set {key}=...)")
-        else:
-            cfg[key] = default
-    if command == "sweep":
-        cfg["task_config"] = forwarded
     return cfg
 
 
@@ -337,14 +363,8 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
 def run_classify(cfg: dict):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
     value, exact = _parse_xi(cfg["xi"])
-    if not (0 < cfg["mu_min"] <= cfg["mu_max"] and cfg["mu_step"] > 0):
-        raise ConfigError("need 0 < mu_min <= mu_max and mu_step > 0")
-    for key in ("depth", "liouville_m_max"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    for key in ("trend_factor", "liouville_kappa"):
-        if not cfg[key] > 0:
-            raise ConfigError(f"{key} must be positive")
+    if not cfg["mu_min"] <= cfg["mu_max"]:
+        raise ConfigError("need mu_min <= mu_max")
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -413,14 +433,8 @@ def _classify_row(result) -> dict:
 
 def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
     value, _ = _parse_xi(cfg["xi"])
-    if cfg["kernel"] not in ("consistent", "verbatim"):
-        raise ConfigError(f"unknown kernel {cfg['kernel']!r}")
-    if not (0 < cfg["mu_min"] < cfg["mu_max"] and cfg["mu_step"] > 0):
-        raise ConfigError("need 0 < mu_min < mu_max and mu_step > 0")
-    if cfg["cells"] < 2:
-        raise ConfigError("cells must be at least 2")
-    if cfg["probes"] < 1:
-        raise ConfigError("probes must be at least 1 (the near-resonant probe)")
+    if not cfg["mu_min"] < cfg["mu_max"]:
+        raise ConfigError("need mu_min < mu_max")
     grid = np.arange(cfg["mu_min"], cfg["mu_max"] + 0.5 * cfg["mu_step"], cfg["mu_step"])
     return frequency.scan_resolvent_growth(
         value,
@@ -529,8 +543,6 @@ def _spectrum_row(result) -> dict:
 def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction]:
     choice = cfg["weight"]
     sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
-    if cfg["side"] not in ("both", "left", "right"):
-        raise ConfigError(f"side must be left, right, or both, got {cfg['side']!r}")
     weights = {}
     for side in sides:
         interval = (0.0, xi) if side == "left" else (xi, 1.0)
@@ -614,16 +626,6 @@ def _verify_carleman_side(
 def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
     value, _ = _parse_xi(cfg["xi"])
-    # the coarsest identity-check grid has cells // 4 cells, and its one-sided
-    # second-derivative stencil needs at least 3 of them
-    if cfg["cells"] < 12:
-        raise ConfigError("cells must be at least 12")
-    for key in ("n_samples", "n_modes", "h_count"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be at least 1")
-    for key in ("h_min", "h_max", "check_h"):
-        if not cfg[key] > 0:
-            raise ConfigError(f"{key} must be positive")
     return {
         side: _verify_carleman_side(cfg, side, weight)
         for side, weight in _carleman_weights(cfg, value).items()
@@ -674,27 +676,12 @@ def run_simulate(cfg: dict):
     trace has too few usable samples.
     """
     value, _ = _parse_xi(cfg["xi"])
-    if cfg["cells"] < 2:
-        raise ConfigError("cells must be at least 2")
-    if cfg["sample_every"] < 1:
-        raise ConfigError("sample_every must be at least 1")
     mesh = build_mesh(value, cfg["cells"], cfg["cells"])
-    if cfg["initial"] == "fourier_mode":
-        if cfg["mode"] < 1:
-            raise ConfigError("mode must be at least 1")
-        state = simulator.initial_data(mesh, "fourier_mode", mode=cfg["mode"])
-    elif cfg["initial"] == "smooth_bump":
-        if not cfg["width"] > 0:
-            raise ConfigError("width must be positive")
-        center = None if math.isnan(cfg["center"]) else cfg["center"]
-        state = simulator.initial_data(
-            mesh, "smooth_bump", center=center, width=cfg["width"]
-        )
-    else:
-        raise ConfigError(f"unknown initial data {cfg['initial']!r}")
-    dt = None if cfg["dt"] <= 0 else cfg["dt"]
-    if cfg["t_final"] <= 0:
-        raise ConfigError("t_final must be positive")
+    center = None if math.isnan(cfg["center"]) else cfg["center"]
+    state = simulator.initial_data(
+        mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]
+    )
+    dt = cfg["dt"] or None
     final, trace = simulator.simulate(
         state, cfg["t_final"], dt=dt, damped=cfg["damped"], sample_every=cfg["sample_every"]
     )
@@ -793,8 +780,6 @@ def cmd_sweep(cfg: dict) -> list[Path]:
     if cfg["xi_list"].strip():
         xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
     else:
-        if cfg["xi_count"] < 1:
-            raise ConfigError("xi_count must be positive")
         xi_values = [float(v) for v in np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])]
     for v in xi_values:
         if not 0.0 < v < 1.0:
@@ -871,10 +856,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             raw["seed"] = str(args.seed)
         cfg = resolve_config(args.command, raw)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

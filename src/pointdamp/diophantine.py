@@ -329,6 +329,25 @@ def _tail_trend_check(
     )
 
 
+def _exp_weight_check(
+    condition_id: str,
+    indicator: Callable,
+    xi: float,
+    mu_grid,
+    k1: float,
+    trend_factor: float,
+    keep_trace: bool,
+) -> ConditionReport:
+    """indicator(xi, mu) * e^(k1*mu) >= k2 > 0 on the grid (the default one if None)."""
+    if k1 < 0:
+        raise ValueError("k1 must be nonnegative")
+    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    expr = indicator(xi, mu_grid)
+    return _tail_trend_check(
+        condition_id, xi, mu_grid, expr, k1 * mu_grid, {"k1": k1}, trend_factor, keep_trace
+    )
+
+
 def check_exp_grid(
     xi: float,
     mu_grid=None,
@@ -337,12 +356,8 @@ def check_exp_grid(
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Exponential-weight lower bound: resonance_indicator * e^(k1*mu) >= k2 > 0."""
-    if k1 < 0:
-        raise ValueError("k1 must be nonnegative")
-    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    expr = resonance_indicator(xi, mu_grid)
-    return _tail_trend_check(
-        "exp-grid", xi, mu_grid, expr, k1 * mu_grid, {"k1": k1}, trend_factor, keep_trace
+    return _exp_weight_check(
+        "exp-grid", resonance_indicator, xi, mu_grid, k1, trend_factor, keep_trace
     )
 
 
@@ -372,12 +387,8 @@ def check_cos_grid(
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Cosine-variant exponential-weight lower bound."""
-    if k1 < 0:
-        raise ValueError("k1 must be nonnegative")
-    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
-    expr = cos_resonance_indicator(xi, mu_grid)
-    return _tail_trend_check(
-        "cos-grid", xi, mu_grid, expr, k1 * mu_grid, {"k1": k1}, trend_factor, keep_trace
+    return _exp_weight_check(
+        "cos-grid", cos_resonance_indicator, xi, mu_grid, k1, trend_factor, keep_trace
     )
 
 

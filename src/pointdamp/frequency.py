@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .mesh import Mesh, build_mesh
-from .quadrature import cumulative_simpson, simpson
+from .quadrature import cumulative_simpson, derivative, simpson
 
 __all__ = [
     "ForcingData",
@@ -414,16 +414,6 @@ def verify_interface_identity(
     )
 
 
-def _fd_derivative(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order derivative samples on a uniform side grid (last axis)."""
-    values = np.asarray(values)
-    out = np.empty_like(values, dtype=complex)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * dx)
-    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * dx)
-    return out
-
-
 def state_norm(
     mesh: Mesh,
     a1: np.ndarray,
@@ -437,8 +427,8 @@ def state_norm(
 
     A float for one state; an array over the leading axes for a stack.
     """
-    ap1 = _fd_derivative(a1, mesh.h_left) if ap1 is None else ap1
-    ap2 = _fd_derivative(a2, mesh.h_right) if ap2 is None else ap2
+    ap1 = derivative(a1, mesh.h_left) if ap1 is None else ap1
+    ap2 = derivative(a2, mesh.h_right) if ap2 is None else ap2
     total = (
         simpson(np.abs(ap1) ** 2, mesh.h_left)
         + simpson(np.abs(ap2) ** 2, mesh.h_right)
@@ -539,8 +529,8 @@ def resolvent_norm_lower_bound(
 
     f1, f2 = rows(p.f1 for p in probes), rows(p.f2 for p in probes)
     g1, g2 = rows(p.g1 for p in probes), rows(p.g2 for p in probes)
-    fp1 = rows(_fd_derivative(p.f1, mesh.h_left) if p.fp1 is None else p.fp1 for p in probes)
-    fp2 = rows(_fd_derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
+    fp1 = rows(derivative(p.f1, mesh.h_left) if p.fp1 is None else p.fp1 for p in probes)
+    fp2 = rows(derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
     in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
     live = in_norm != 0.0
     if not np.any(live):

@@ -1,15 +1,16 @@
-"""Composite Simpson rules on uniform grids, along the last axis.
+"""Composite Simpson rules and a first-derivative stencil on uniform grids,
+along the last axis.
 
-Both rules follow scipy.integrate's equal-interval formulas term for term
-(scipy 1.17), so they agree with it to roundoff on real and complex input,
-without importing scipy.integrate.
+Both Simpson rules follow scipy.integrate's equal-interval formulas term for
+term (scipy 1.17), so they agree with it to roundoff on real and complex
+input, without importing scipy.integrate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson", "cumulative_simpson"]
+__all__ = ["simpson", "cumulative_simpson", "derivative"]
 
 
 def _composite(y: np.ndarray, stop: int, dx: float):
@@ -64,3 +65,17 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
         # the last interval, backward from the odd triple ending there
         out[..., -1] = dx / 3 * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)
     return np.cumsum(out, axis=-1, out=out)
+
+
+def derivative(y, dx: float) -> np.ndarray:
+    """Second-order first derivative of samples y with spacing dx (at least 3).
+
+    Central differences inside, one-sided three-point differences at both
+    ends; real input gives a real result, complex input a complex one.
+    """
+    y = np.asarray(y)
+    out = np.empty(y.shape, dtype=np.result_type(y, float))
+    out[..., 1:-1] = (y[..., 2:] - y[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (-3.0 * y[..., 0] + 4.0 * y[..., 1] - y[..., 2]) / (2.0 * dx)
+    out[..., -1] = (3.0 * y[..., -1] - 4.0 * y[..., -2] + y[..., -3]) / (2.0 * dx)
+    return out

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 
 import pointdamp
 from pointdamp import diophantine, frequency
-from pointdamp.cli import main
+from pointdamp.cli import COMMAND_SCHEMAS, main
 from pointdamp.mesh import build_mesh
 
 
@@ -156,15 +158,19 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "trend_factor=0"],
     ["classify", "--set", "liouville_kappa=0"],
     ["classify", "--set", "liouville_m_max=0"],
+    ["classify", "--set", "k1=-1"],
     ["simulate", "--set", "sample_every=0"],
     ["simulate", "--set", "cells=1"],
     ["simulate", "--set", "initial=fourier_mode", "--set", "mode=0"],
     ["simulate", "--set", "width=0"],
     ["simulate", "--set", "width=-1"],
+    ["simulate", "--set", "mode=0"],
+    ["simulate", "--set", "dt=-1"],
     ["resolvent-scan", "--set", "cells=1"],
     ["resolvent-scan", "--set", "probes=0"],
     ["resolvent-scan", "--set", "mu_min=0"],
     ["resolvent-scan", "--set", "mu_min=-1"],
+    ["resolvent-scan", "--seed", "-1"],
     ["carleman-verify", "--set", "cells=2"],
     ["carleman-verify", "--set", "h_min=0"],
     ["carleman-verify", "--set", "h_max=0"],
@@ -173,6 +179,8 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--set", "n_modes=-1"],
     ["carleman-verify", "--set", "h_count=0"],
     ["carleman-verify", "--set", "n_samples=0"],
+    ["carleman-verify", "--seed", "-1"],
+    ["sweep", "--set", "xi_list=0.3", "--set", "workers=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
     ["sweep", "--set", "task=carleman-verify", "--set", "xi_list=0.3", "--set", "n_modes=0"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "depth=0"],
@@ -180,6 +188,30 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
 def test_out_of_range_number_is_config_error(tmp_path, args):
     xi = [] if args[0] == "sweep" else ["--xi", "golden"]
     assert run(args + xi + ["--out", tmp_path]) == 2
+
+
+def _readme_key_tables():
+    """Command -> the keys named in the first column of its README key table."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        heading = re.match(r"`([a-z-]+)` \(writes", line)
+        if not heading:
+            continue
+        start = next(j for j in range(i, len(lines)) if lines[j].startswith("|"))
+        # skip the header and separator rows
+        rows = itertools.takewhile(lambda row: row.startswith("|"), lines[start + 2:])
+        first_cells = " ".join(row.split("|")[1] for row in rows)
+        tables[heading[1]] = set(re.findall(r"`(\w+)`", first_cells))
+    return tables
+
+
+def test_readme_key_tables_match_schemas():
+    common = {"xi", "out", "seed"}
+    tables = _readme_key_tables()
+    assert set(tables) == set(COMMAND_SCHEMAS)
+    for command, schema in COMMAND_SCHEMAS.items():
+        assert tables[command] - common == set(schema) - common, command
 
 
 def test_inadmissible_weight_is_computation_error(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import simpson as scipy_simpson
 
-from pointdamp.quadrature import cumulative_simpson, simpson
+from pointdamp.quadrature import cumulative_simpson, derivative, simpson
 
 
 def _samples(rng, n, kind):
@@ -64,3 +64,18 @@ def test_polynomials_integrated_exactly(n):
 def test_needs_three_samples(rule):
     with pytest.raises(ValueError):
         rule(np.ones(2), 0.5)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_derivative_is_exact_on_quadratics(n):
+    # the stencil is second order at every sample, ends included
+    dx = 0.25
+    x = dx * np.arange(n)
+    real = 3.0 * x**2 - 2.0 * x + 1.0
+    assert derivative(real, dx).dtype == np.float64
+    np.testing.assert_allclose(derivative(real, dx), 6.0 * x - 2.0, rtol=0, atol=1e-13)
+    stack = np.stack([real, (1.0 - 2.0j) * x**2])
+    slope = derivative(stack, dx)
+    assert slope.dtype == np.complex128
+    np.testing.assert_allclose(slope[0], 6.0 * x - 2.0, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(slope[1], (2.0 - 4.0j) * x, rtol=0, atol=1e-13)
