@@ -164,7 +164,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["simulate", "--set", "initial=fourier_mode", "--set", "mode=0"],
     ["simulate", "--set", "width=0"],
     ["simulate", "--set", "width=-1"],
-    ["simulate", "--set", "mode=0"],
+    ["simulate", "--set", "mode=0", "--set", "initial=smooth_bump"],
     ["simulate", "--set", "dt=-1"],
     ["resolvent-scan", "--set", "cells=1"],
     ["resolvent-scan", "--set", "probes=0"],
