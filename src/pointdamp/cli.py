@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import carleman, decayfit, diophantine, frequency, simulator
@@ -84,12 +83,29 @@ def at_least(n: int) -> Limit:
     return Limit(f"at least {n}", lambda value: value >= n)
 
 
+def at_most(n: int) -> Limit:
+    return Limit(f"at most {n}", lambda value: value <= n)
+
+
+def all_of(*limits: Limit) -> Limit:
+    return Limit(
+        " and ".join(limit.text for limit in limits),
+        lambda value: all(limit.admits(value) for limit in limits),
+    )
+
+
 def one_of(*choices: str) -> Limit:
     return Limit(f"one of {', '.join(choices)}", lambda value: value in choices)
 
 
 positive = Limit("positive", lambda value: value > 0)
 nonnegative = Limit("nonnegative", lambda value: value >= 0)
+
+# ceilings on the work one invocation may ask for, so an absurd size exits 2
+# instead of exhausting memory
+MAX_CELLS = 10**6
+MAX_SIM_STEPS = 10**8
+MAX_MU_POINTS = 10**7
 
 # key -> (default, caster, Limit or None); _REQUIRED means the key must be provided.
 # The limits are checked right after casting, before any work starts.
@@ -119,7 +135,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "mu_max": (60.0, _as_float, None),
         "mu_step": (0.5, _as_float, positive),
         "probes": (4, _as_int, at_least(1)),
-        "cells": (512, _as_int, at_least(2)),
+        "cells": (512, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
         "kernel": ("consistent", _as_str, one_of("consistent", "verbatim")),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
@@ -141,7 +157,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "weight": ("default", _as_str, None),
         # the coarsest identity-check grid has cells // 4 cells, and its
         # one-sided second-derivative stencil needs at least 3 of them
-        "cells": (2048, _as_int, at_least(12)),
+        "cells": (2048, _as_int, all_of(at_least(12), at_most(MAX_CELLS))),
         "n_samples": (50, _as_int, at_least(1)),
         "n_modes": (8, _as_int, at_least(1)),
         "h_min": (1e-3, _as_float, positive),
@@ -153,7 +169,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
     },
     "simulate": {
         "xi": (_REQUIRED, _as_str, None),
-        "cells": (1000, _as_int, at_least(2)),
+        "cells": (1000, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
         "t_final": (200.0, _as_float, positive),
         "dt": (0.0, _as_float, nonnegative),  # 0 means the default, min spacing / 2
         "sample_every": (100, _as_int, at_least(1)),
@@ -319,7 +335,6 @@ def _report_skeleton(command: str, cfg: dict) -> dict:
         "versions": {
             "pointdamp": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
     }
 
@@ -365,6 +380,8 @@ def run_classify(cfg: dict):
     value, exact = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
+    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_MU_POINTS:
+        raise ConfigError(f"the mu grid would exceed {MAX_MU_POINTS} points")
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -676,12 +693,15 @@ def run_simulate(cfg: dict):
     trace has too few usable samples.
     """
     value, _ = _parse_xi(cfg["xi"])
+    # dt = 0 means half the smaller mesh spacing, the simulator's default
+    dt = cfg["dt"] or min(value, 1.0 - value) / cfg["cells"] / 2.0
+    if cfg["t_final"] / dt > MAX_SIM_STEPS:
+        raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
     mesh = build_mesh(value, cfg["cells"], cfg["cells"])
     center = None if math.isnan(cfg["center"]) else cfg["center"]
     state = simulator.initial_data(
         mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]
     )
-    dt = cfg["dt"] or None
     final, trace = simulator.simulate(
         state, cfg["t_final"], dt=dt, damped=cfg["damped"], sample_every=cfg["sample_every"]
     )

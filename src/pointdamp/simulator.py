@@ -13,8 +13,20 @@ rule, which inherits that balance exactly per step:
     E(t+dt) - E(t) = -dt * (midpoint velocity at the interface)^2,
 
 so the recorded damping power integrates to the energy drop up to roundoff,
-independent of dt.  Each step costs one symmetric tridiagonal solve with a
-factorization computed once.
+independent of dt.
+
+The step is solved exactly in another basis rather than by a linear solve.
+On each side's interior the lumped mass is h I and the stiffness is
+tridiag(-1, 2, -1) / h, both diagonal in the orthonormal sine (DST-I) basis,
+with eigenvalues lambda_k = (4/h) sin^2(k pi / 2n).  The two sides meet only
+at the interface node, whose midpoint velocity comes from a scalar Schur
+complement; each sine mode then advances by the Cayley rotation
+rho_k = (1 + i kappa_k) / (1 - i kappa_k), kappa_k = (dt/2) sqrt(lambda_k / h),
+plus dt times the midpoint interface displacement along a fixed vector.  A
+step is one dot product, one in-place multiply and one add over the K modes,
+and a few float operations.  States enter and leave the sine basis only at
+the start and the end, through a real FFT of the odd extension, and energy
+samples are read from the modal coordinates.
 """
 
 from __future__ import annotations
@@ -137,6 +149,47 @@ class EnergyTrace:
         return cumulative[self.sample_steps]
 
 
+def _side_modes(n: int, h: float, left: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(omega, g, h) of the n - 1 sine modes of a side with n cells of width h.
+
+    Mode k has frequency omega_k = (2/h) sin(k pi / 2n); g_k is its
+    orthonormal basis vector at the node next to the interface, divided by h.
+    """
+    k = np.arange(1, n)
+    omega = 2.0 / h * np.sin(0.5 * np.pi / n * k)
+    coupling = math.sqrt(2.0 / n) / h * np.sin(np.pi / n * k)
+    if left:
+        coupling[1::2] *= -1.0  # sin((n - 1) k pi / n) = (-1)^(k+1) sin(k pi / n)
+    return omega, coupling, np.full(n - 1, h)
+
+
+def _sine_transform(values: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I of interior node values, which is its own inverse.
+
+    For the n - 1 values of a side with n cells, returns
+    sqrt(2/n) sum_j values_j sin(j k pi / n) for k = 1..n-1, from one real
+    FFT of the odd extension.
+    """
+    n = values.size + 1
+    odd = np.zeros(2 * n)
+    odd[1:n] = values
+    odd[n + 1:] = -values[::-1]
+    return np.fft.rfft(odd)[1:n].imag * -math.sqrt(0.5 / n)
+
+
+def _to_modes(mesh: Mesh, values: np.ndarray) -> np.ndarray:
+    """Sine coordinates of a grid function's interior values, left side first."""
+    i = mesh.i_xi
+    return np.concatenate([_sine_transform(values[1:i]), _sine_transform(values[i + 1 : -1])])
+
+
+def _from_modes(mesh: Mesh, modal: np.ndarray, out: np.ndarray) -> None:
+    """Write the interior values of modal coordinates, left side first, into out."""
+    i = mesh.i_xi
+    out[1:i] = _sine_transform(modal[: i - 1])
+    out[i + 1 : -1] = _sine_transform(modal[i - 1 :])
+
+
 def simulate(
     state: WaveState,
     t_final: float,
@@ -171,74 +224,80 @@ def simulate(
             sample_steps=np.array([0]),
         )
         return state.copy(), trace
-    n_steps = int(math.ceil(span / dt - 1e-9))
+    n_steps = max(1, int(math.ceil(span / dt - 1e-9)))
     # keep steps uniform: adjust dt minutely so n_steps * dt = span
     dt = span / n_steps
 
-    # scipy.linalg costs a noticeable import; only the time stepper needs it
-    from scipy.linalg.blas import daxpy
-    from scipy.linalg.lapack import dpttrf, dpttrs
+    # Sine modes of both sides, left first.  Mode k has displacement a_k and
+    # velocity b_k, and carries zeta_k = (b_k + i omega_k a_k) / forcing_k,
+    # in which one step is the rotation zeta -> rho zeta + dt ubar, where ubar
+    # is the interface displacement at the step's midpoint.
+    omega, coupling, spacing = (
+        np.concatenate(parts)
+        for parts in zip(
+            _side_modes(mesh.n_left, mesh.h_left, left=True),
+            _side_modes(mesh.n_right, mesh.h_right, left=False),
+        )
+    )
+    kappa = 0.5 * dt * omega
+    tau = 1.0 - 1j * kappa
+    rho = (1.0 - kappa**2 + 2j * kappa) / (1.0 + kappa**2)
+    forcing = coupling / spacing / tau
+    # sum_k g_k a_k is Im(now_row . zeta); at a step's midpoint, before the
+    # step's own forcing, it is Im(mid_row . zeta)
+    now_row = coupling * forcing / omega
+    mid_row = now_row / tau
+    # kinetic plus potential energy of the modes, on the float pairs of zeta
+    mode_weight = np.repeat(0.5 * spacing * np.abs(forcing) ** 2, 2)
 
-    inv_h = mesh.inverse_spacing
-    mass = mesh.lumped_mass[1:-1]
-    main = inv_h[:-1] + inv_h[1:]
-    upper = -inv_h[1:-1]
-    m = mesh.i_xi - 1  # interface node in interior numbering
-
-    # step matrix 2M + dt^2/2 S (+ dt e_m e_m^T), factored once as L D L^T
-    diag = 2.0 * mass + 0.5 * dt**2 * main
-    if damped:
-        diag[m] += dt
-    d_factor, e_factor, info = dpttrf(diag, 0.5 * dt**2 * upper)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"step matrix is not positive definite (dpttrf info={info})")
-
-    # The loop carries u on every node (boundary entries held at 0) and the
-    # momentum p = 2 M v on the interior.  The right-hand side 2 M v - dt S u
-    # is p + diff(slope), slope = (dt/h) diff(u) per cell, rebuilt from u on
-    # every step; the midpoint velocity y then gives u += dt y and
-    # p = 4 M y - p.  v = p / (2M) is recovered only where it is read.
-    mass2 = 2.0 * mass
+    # Interface node: mass m and stiffness sigma to its two neighbours.  Its
+    # midpoint velocity y adds gamma * ubar to the midpoint sum_k g_k a_k, so
+    # with momentum p = 2 m v and q = Im(mid_row . zeta), y solves the scalar
+    # (2m + dt [damped] + dt^2/2 (sigma - gamma)) y = p + dt q - dt (sigma - gamma) u.
+    i = mesh.i_xi
+    mass = 0.5 * (mesh.h_left + mesh.h_right)
+    sigma = 1.0 / mesh.h_left + 1.0 / mesh.h_right
+    gamma = 0.25 * dt**2 * float(np.sum(coupling**2 / spacing / (1.0 + kappa**2)))
+    stiffness = dt * (sigma - gamma)
+    denominator = 2.0 * mass + (dt if damped else 0.0) + 0.5 * dt * stiffness
+    half_dt = 0.5 * dt
     mass4 = 4.0 * mass
-    dt_over_h = dt * inv_h
-    u = state.u.copy()
-    u[0] = u[-1] = 0.0
-    u_in = u[1:-1]
-    p = mass2 * state.v[1:-1]
-    v = np.zeros_like(u)
-    v_in = v[1:-1]
-    slope = np.empty(inv_h.size)
-    rhs = np.empty(u_in.size)
-    work = np.empty(u_in.size)
+
+    zeta = (_to_modes(mesh, state.v) + 1j * omega * _to_modes(mesh, state.u)) / forcing
+    zeta_pairs = zeta.view(np.float64)
+    u_i = float(state.u[i])
+    p_i = 2.0 * mass * float(state.v[i])
     t0 = state.t
 
     times = [t0]
     energies = [energy(state)]
     sample_steps = [0]
     damping_times = t0 + (np.arange(n_steps) + 0.5) * dt
-    interface_velocity = np.zeros(n_steps)
+    interface_velocity = np.empty(n_steps)
 
     for k in range(n_steps):
-        np.subtract(u[1:], u[:-1], out=slope)
-        np.multiply(slope, dt_over_h, out=slope)
-        np.subtract(slope[1:], slope[:-1], out=rhs)
-        np.add(rhs, p, out=rhs)
-        # midpoint velocity, solved in place in rhs
-        y, info = dpttrs(d_factor, e_factor, rhs, overwrite_b=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"tridiagonal solve failed (dpttrs info={info})")
-        daxpy(y, u_in, a=dt)
-        np.multiply(mass4, y, out=work)
-        np.subtract(work, p, out=p)
-        if damped:
-            interface_velocity[k] = y[m]
+        q = np.dot(mid_row, zeta).item().imag
+        y = (p_i + dt * q - stiffness * u_i) / denominator
+        zeta *= rho
+        zeta += dt * (u_i + half_dt * y)
+        u_i += dt * y
+        p_i = mass4 * y - p_i
+        interface_velocity[k] = y
         if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            np.divide(p, mass2, out=v_in)
-            snap = WaveState(mesh, t0 + (k + 1) * dt, u, v)
-            times.append(snap.t)
-            energies.append(energy(snap))
+            modes = float(np.dot(mode_weight, zeta_pairs * zeta_pairs))
+            q_now = np.dot(now_row, zeta).item().imag
+            times.append(t0 + (k + 1) * dt)
+            energies.append(modes + p_i * p_i / (2.0 * mass4) + (0.5 * sigma * u_i - q_now) * u_i)
             sample_steps.append(k + 1)
-    damping_power = interface_velocity**2
+    damping_power = interface_velocity**2 if damped else np.zeros(n_steps)
+
+    z = zeta * forcing
+    u = np.zeros_like(state.u)
+    v = np.zeros_like(state.v)
+    _from_modes(mesh, z.imag / omega, u)
+    _from_modes(mesh, z.real, v)
+    u[i] = u_i
+    v[i] = p_i / (2.0 * mass)
 
     final = WaveState(mesh, t0 + n_steps * dt, u, v)
     trace = EnergyTrace(

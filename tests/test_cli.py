@@ -40,15 +40,34 @@ def run_python(code):
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.integrate and scipy.linalg cost most of a short command's start-up;
-    # only simulate needs scipy.linalg, and it imports it when it runs
+    # scipy.integrate and scipy.linalg cost most of a short command's start-up,
+    # and the package needs no scipy at run time
     probe = run_python("import sys, pointdamp.cli; print(sorted(sys.modules))")
     assert probe.returncode == 0, probe.stderr
     loaded = probe.stdout
     assert "'pointdamp.cli'" in loaded
+    assert "'scipy'" not in loaded
     assert "'scipy.integrate'" not in loaded
     assert "'scipy.linalg'" not in loaded
     assert "'mpmath'" not in loaded
+
+
+def test_simulate_runs_load_no_scipy(tmp_path):
+    small = "'--set', 'cells=20', '--set', 't_final=0.5'"
+    sim, sweep = str(tmp_path / "sim"), str(tmp_path / "sweep")
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"code = main(['simulate', '--xi', 'golden', '--out', {sim!r}, {small}])\n"
+        f"code = code or main(['sweep', '--out', {sweep!r},\n"
+        f"                     '--set', 'task=simulate', '--set', 'xi_list=0.3,0.6', {small}])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        "sys.exit(code)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (Path(sim) / "simulate_report.json").exists()
+    assert (Path(sweep) / "sweep_simulate.json").exists()
 
 
 def test_classify_runs_without_mpmath(tmp_path):
@@ -159,6 +178,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "liouville_kappa=0"],
     ["classify", "--set", "liouville_m_max=0"],
     ["classify", "--set", "k1=-1"],
+    ["classify", "--set", "mu_step=1e-7"],
     ["simulate", "--set", "sample_every=0"],
     ["simulate", "--set", "cells=1"],
     ["simulate", "--set", "initial=fourier_mode", "--set", "mode=0"],
@@ -166,12 +186,16 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["simulate", "--set", "width=-1"],
     ["simulate", "--set", "mode=0", "--set", "initial=smooth_bump"],
     ["simulate", "--set", "dt=-1"],
+    ["simulate", "--set", "cells=1000001"],
+    ["simulate", "--set", "t_final=1e6"],
     ["resolvent-scan", "--set", "cells=1"],
+    ["resolvent-scan", "--set", "cells=1000001"],
     ["resolvent-scan", "--set", "probes=0"],
     ["resolvent-scan", "--set", "mu_min=0"],
     ["resolvent-scan", "--set", "mu_min=-1"],
     ["resolvent-scan", "--seed", "-1"],
     ["carleman-verify", "--set", "cells=2"],
+    ["carleman-verify", "--set", "cells=1000001"],
     ["carleman-verify", "--set", "h_min=0"],
     ["carleman-verify", "--set", "h_max=0"],
     ["carleman-verify", "--set", "check_h=0"],
@@ -182,6 +206,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--seed", "-1"],
     ["sweep", "--set", "xi_list=0.3", "--set", "workers=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
+    ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "t_final=1e6"],
     ["sweep", "--set", "task=carleman-verify", "--set", "xi_list=0.3", "--set", "n_modes=0"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "depth=0"],
 ], ids=lambda args: f"{args[0]}:{args[-1]}")

@@ -144,6 +144,14 @@ def test_simulate_lands_exactly_on_final_time():
     assert trace.times[-1] == pytest.approx(1.0, abs=1e-14)
 
 
+def test_simulate_step_longer_than_span_takes_one_step():
+    mesh = build_mesh(GOLDEN, 16, 16)
+    state = initial_data(mesh, "smooth_bump")
+    final, trace = simulate(state, 1.0, dt=1e12)
+    assert trace.damping_power.size == 1
+    assert trace.dt == 1.0 and final.t == 1.0
+
+
 # ------------------------------------------------------------- dissipation
 
 
@@ -287,12 +295,22 @@ def _banded_midpoint_march(state, n_steps, dt, damped):
     return u, v
 
 
-@pytest.mark.parametrize("damped", [True, False])
-def test_simulate_matches_banded_oracle(damped):
-    mesh = build_mesh(GOLDEN, 40, 30)
+@pytest.mark.parametrize("cells, damped", [
+    # the 40/30 mesh keeps its plain ids; (2, n) leaves one interior node,
+    # hence one sine mode, on the left
+    pytest.param(
+        cells, damped, id=str(damped) if cells == (40, 30) else f"{cells[0]}x{cells[1]}-{damped}"
+    )
+    for cells in [(40, 30), (2, 2), (2, 7)]
+    for damped in [True, False]
+])
+def test_simulate_matches_banded_oracle(cells, damped):
+    mesh = build_mesh(GOLDEN, *cells)
     state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
     final, trace = simulate(state, 1.5, dt=7e-3, damped=damped)
     u, v = _banded_midpoint_march(state, trace.damping_power.size, trace.dt, damped)
     assert trace.damping_power.size == 215
     np.testing.assert_allclose(final.u[1:-1], u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(final.v[1:-1], v, rtol=0, atol=1e-12)
+    # sampled energies are read from the stepper's own coordinates
+    assert abs(trace.energies[-1] - energy(final)) <= 1e-14 * trace.energies[0]
