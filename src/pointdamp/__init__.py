@@ -9,170 +9,18 @@ roots), the semiclassical Carleman machinery behind the resolvent bound, an
 energy-exact time-domain simulator, and decay-law fitting.
 """
 
-from .mesh import Mesh, build_mesh
-from .diophantine import (
-    GOLDEN_RATIO_CONJUGATE,
-    ActuatorClassification,
-    ClassifySettings,
-    ConditionReport,
-    ContinuedFraction,
-    GrowthFunction,
-    check_cos_grid,
-    check_exp_grid,
-    check_liouville_type,
-    check_poly_grid,
-    classify_actuator,
-    cos_resonance_indicator,
-    default_mu_grid,
-    dist_nearest_integer,
-    expand_continued_fraction,
-    parse_actuator_position,
-    resonance_indicator,
-)
-from .frequency import (
-    CharacteristicRoot,
-    ContourThroughRoot,
-    ForcingData,
-    InterfaceIdentityReport,
-    ResolventSolution,
-    ResonantDenominator,
-    ScanResult,
-    abscissa_of_roots,
-    assemble_phi,
-    characteristic_derivative,
-    characteristic_function,
-    find_eigenvalues,
-    lambda_coefficients,
-    random_forcing,
-    resolvent_norm_lower_bound,
-    resonant_forcing,
-    scan_resolvent_growth,
-    solve_resolvent,
-    spectral_abscissa,
-    state_norm,
-    trace_derivatives,
-    verify_interface_identity,
-    winding_number,
-)
-from .carleman import (
-    ConstantEstimate,
-    InequalitySweep,
-    SquareExpansionReport,
-    WeightCheck,
-    WeightFunction,
-    apply_conjugated_operator,
-    apply_helmholtz,
-    conjugation_route,
-    default_left_weight,
-    default_right_weight,
-    estimate_carleman_constant,
-    evaluate_carleman_inequality,
-    ibp_residuals,
-    random_test_function,
-    split_conjugated_operator,
-    square_expansion_residual,
-    validate_weight,
-)
-from .simulator import (
-    EnergyTrace,
-    WaveState,
-    default_mesh,
-    dissipation_residual,
-    energy,
-    initial_data,
-    simulate,
-    step,
-)
-from .decayfit import (
-    ENERGY_FLOOR_FACTOR,
-    MIN_SAMPLES,
-    DecaySamples,
-    FitResult,
-    InsufficientData,
-    fit_exp,
-    fit_log,
-    fit_poly,
-    model_select,
-)
+from . import carleman, decayfit, diophantine, frequency, mesh, simulator
+from .carleman import *
+from .decayfit import *
+from .diophantine import *
+from .frequency import *
+from .mesh import *
+from .simulator import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Mesh",
-    "build_mesh",
-    "GOLDEN_RATIO_CONJUGATE",
-    "ActuatorClassification",
-    "ClassifySettings",
-    "ConditionReport",
-    "ContinuedFraction",
-    "GrowthFunction",
-    "check_cos_grid",
-    "check_exp_grid",
-    "check_liouville_type",
-    "check_poly_grid",
-    "classify_actuator",
-    "cos_resonance_indicator",
-    "default_mu_grid",
-    "dist_nearest_integer",
-    "expand_continued_fraction",
-    "parse_actuator_position",
-    "resonance_indicator",
-    "CharacteristicRoot",
-    "ContourThroughRoot",
-    "ForcingData",
-    "InterfaceIdentityReport",
-    "ResolventSolution",
-    "ResonantDenominator",
-    "ScanResult",
-    "assemble_phi",
-    "characteristic_derivative",
-    "characteristic_function",
-    "find_eigenvalues",
-    "lambda_coefficients",
-    "random_forcing",
-    "resolvent_norm_lower_bound",
-    "resonant_forcing",
-    "scan_resolvent_growth",
-    "solve_resolvent",
-    "spectral_abscissa",
-    "abscissa_of_roots",
-    "state_norm",
-    "trace_derivatives",
-    "verify_interface_identity",
-    "winding_number",
-    "ConstantEstimate",
-    "InequalitySweep",
-    "SquareExpansionReport",
-    "WeightCheck",
-    "WeightFunction",
-    "apply_conjugated_operator",
-    "apply_helmholtz",
-    "conjugation_route",
-    "default_left_weight",
-    "default_right_weight",
-    "estimate_carleman_constant",
-    "evaluate_carleman_inequality",
-    "ibp_residuals",
-    "random_test_function",
-    "split_conjugated_operator",
-    "square_expansion_residual",
-    "validate_weight",
-    "EnergyTrace",
-    "WaveState",
-    "default_mesh",
-    "dissipation_residual",
-    "energy",
-    "initial_data",
-    "simulate",
-    "step",
-    "DecaySamples",
-    "ENERGY_FLOOR_FACTOR",
-    "FitResult",
-    "InsufficientData",
-    "MIN_SAMPLES",
-    "fit_exp",
-    "fit_log",
-    "fit_poly",
-    "model_select",
+__all__ = ["__version__"] + [
+    name
+    for module in (mesh, diophantine, frequency, carleman, simulator, decayfit)
+    for name in module.__all__
 ]

@@ -105,7 +105,7 @@ nonnegative = Limit("nonnegative", lambda value: value >= 0)
 # instead of exhausting memory
 MAX_CELLS = 10**6
 MAX_SIM_STEPS = 10**8
-MAX_MU_POINTS = 10**7
+MAX_GRID_POINTS = 10**7
 
 # key -> (default, caster, Limit or None); _REQUIRED means the key must be provided.
 # The limits are checked right after casting, before any work starts.
@@ -123,7 +123,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "poly_eps": (1.0, _as_float, None),
         "trend_factor": (10.0, _as_float, positive),
         "liouville_kappa": (0.2, _as_float, positive),
-        "liouville_m_max": (1000, _as_int, at_least(1)),
+        "liouville_m_max": (1000, _as_int, all_of(at_least(1), at_most(MAX_GRID_POINTS))),
         "liouville_phi": ("identity", _as_str, None),
         "keep_trace": (False, _as_bool, None),
         "out": (".", _as_str, None),
@@ -375,13 +375,19 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
     raise ConfigError(f"unknown growth function {text!r}")
 
 
+def _mu_grid(cfg: dict) -> np.ndarray:
+    """The config's mu grid, refused before allocation past MAX_GRID_POINTS points."""
+    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
+    return diophantine.default_mu_grid(cfg["mu_min"], cfg["mu_max"], cfg["mu_step"])
+
+
 def run_classify(cfg: dict):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
     value, exact = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
-    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_MU_POINTS:
-        raise ConfigError(f"the mu grid would exceed {MAX_MU_POINTS} points")
+    grid = _mu_grid(cfg)
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -389,7 +395,6 @@ def run_classify(cfg: dict):
     classification = diophantine.classify_actuator(
         exact if exact is not None else value, settings, keep
     )
-    grid = diophantine.default_mu_grid(cfg["mu_min"], cfg["mu_max"], cfg["mu_step"])
     cos_rep = diophantine.check_cos_grid(value, grid, cfg["k1"], cfg["trend_factor"], keep)
     phi = _growth_from_text(cfg["liouville_phi"])
     liou_rep = diophantine.check_liouville_type(
@@ -452,10 +457,9 @@ def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
     value, _ = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
-    grid = np.arange(cfg["mu_min"], cfg["mu_max"] + 0.5 * cfg["mu_step"], cfg["mu_step"])
     return frequency.scan_resolvent_growth(
         value,
-        grid,
+        _mu_grid(cfg),
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],
         cells_per_side=cfg["cells"],

@@ -139,15 +139,40 @@ def assemble_phi(forcing: ForcingData, mu: float) -> tuple[np.ndarray, np.ndarra
     return phi1, phi2
 
 
-def _denominator(xi: float, mu: float) -> tuple[float, float, float]:
-    s = math.sin(mu)
-    a = math.sin(xi * mu) * math.sin((1.0 - xi) * mu)
-    return s, a, s * s + a * a
-
-
 # ----------------------------------------------------------------------------
 # closed-form coefficients
 # ----------------------------------------------------------------------------
+
+
+def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi, kernel, denominator_floor):
+    """(lambda1, lambda2) from the moments c = int cos(mu t) Phi, s = int sin(mu t) Phi.
+
+    c1, s1 integrate Phi1 over [0, xi], c2, s2 Phi2 over [xi, 1].  Continuity
+    and the derivative jump at xi form a 2x2 system with determinant
+    sin(mu) + i*sin(mu xi)sin(mu(1-xi)), solved by Cramer's rule.
+    """
+    if kernel not in ("consistent", "verbatim"):
+        raise ValueError(f"unknown kernel {kernel!r}")
+    s, a = math.sin(mu), math.sin(xi * mu) * math.sin((1.0 - xi) * mu)
+    den = s * s + a * a
+    if den < denominator_floor:
+        raise ResonantDenominator(mu, den, denominator_floor)
+    scalar = np.ndim(c1) == 0
+    # array arithmetic for one probe too, so each row of a stack rounds alike
+    c1, s1, c2, s2 = np.atleast_1d(c1, s1, c2, s2)
+    sx, cx, eta = math.sin(mu * xi), math.cos(mu * xi), mu * (1.0 - xi)
+    rotation = complex(cx, sx)
+    # int sin(mu(xi-t)) Phi over both sides, and
+    # int_0^xi exp(i mu(xi-t)) Phi1 + int_xi^1 cos(mu(xi-t)) Phi2 + f1(xi)
+    group_sin = (sx * (c1 + c2) - cx * (s1 + s2)) / mu
+    group_jump = (rotation * (c1 - 1j * s1) + (cx * c2 + sx * s2) + f1_at_xi) / mu
+    prefactor = (-s + 1j * a) / den
+    lam1 = prefactor * (math.cos(eta) * group_sin + math.sin(eta) * group_jump)
+    first = rotation if kernel == "consistent" else complex(cx, math.sin(eta))
+    lam2 = prefactor * (first * group_sin - sx * group_jump)
+    if scalar:
+        return complex(lam1[0]), complex(lam2[0])
+    return lam1, lam2
 
 
 def lambda_coefficients(
@@ -164,7 +189,8 @@ def lambda_coefficients(
 
     The left solution is lambda1*sin(mu x) plus a Duhamel integral, the right
     solution lambda2*sin(mu(x-1)) plus its Duhamel integral.  Both are fixed
-    by continuity and the derivative jump at xi.
+    by continuity and the derivative jump at xi, through the four Simpson
+    moments int cos(mu t) Phi and int sin(mu t) Phi on each side.
 
     kernel selects the second coefficient's first factor:
 
@@ -177,41 +203,13 @@ def lambda_coefficients(
     phi1, phi2 and f1_at_xi may be stacked over leading axes; the
     coefficients are then arrays of the leading shape.
     """
-    if kernel not in ("consistent", "verbatim"):
-        raise ValueError(f"unknown kernel {kernel!r}")
-    s, a, den = _denominator(xi, mu)
-    if den < denominator_floor:
-        raise ResonantDenominator(mu, den, denominator_floor)
-
-    t1 = mesh.left
-    t2 = mesh.right
+    cos1, sin1 = np.cos(mu * mesh.left), np.sin(mu * mesh.left)
+    cos2, sin2 = np.cos(mu * mesh.right), np.sin(mu * mesh.right)
     h1, h2 = mesh.h_left, mesh.h_right
-
-    # integrals of the jump system, Simpson per side
-    sin_k1 = np.sin(mu * (xi - t1))
-    i1_sin = simpson(sin_k1 * phi1, h1)                       # int_0^xi sin(mu(xi-t)) Phi1
-    i1_exp = simpson(np.exp(1j * mu * (xi - t1)) * phi1, h1)  # one-sided complex kernel
-    sin_k2 = np.sin(mu * (xi - t2))
-    cos_k2 = np.cos(mu * (xi - t2))
-    i2_sin = simpson(sin_k2 * phi2, h2)                       # int_xi^1 sin(mu(xi-t)) Phi2
-    i2_cos = simpson(cos_k2 * phi2, h2)                       # int_xi^1 cos(mu(xi-t)) Phi2
-
-    prefactor = (-s + 1j * a) / den
-    # array arithmetic for one probe too, so each row of a stack rounds alike
-    group_sin = np.atleast_1d((i1_sin + i2_sin) / mu)
-    group_jump = np.atleast_1d((i1_exp + i2_cos + f1_at_xi) / mu)
-
-    lam1 = prefactor * (
-        math.cos(mu * (1.0 - xi)) * group_sin + math.sin(mu * (1.0 - xi)) * group_jump
+    return _interface_coefficients(
+        xi, mu, simpson(cos1 * phi1, h1), simpson(sin1 * phi1, h1),
+        simpson(cos2 * phi2, h2), simpson(sin2 * phi2, h2), f1_at_xi, kernel, denominator_floor,
     )
-    if kernel == "consistent":
-        first = complex(math.cos(mu * xi), math.sin(mu * xi))
-    else:
-        first = complex(math.cos(mu * xi), math.sin(mu * (1.0 - xi)))
-    lam2 = prefactor * (first * group_sin - math.sin(mu * xi) * group_jump)
-    if np.ndim(phi1) == 1:
-        return complex(lam1[0]), complex(lam2[0])
-    return lam1, lam2
 
 
 # ----------------------------------------------------------------------------
@@ -258,20 +256,16 @@ def solve_resolvent(
     Uses the sine ansatz with Duhamel particular integrals; the running
     oscillatory integrals are evaluated by cumulative Simpson after splitting
     the kernel sin(mu(x-t)) into sin(mu x)cos(mu t) - cos(mu x)sin(mu t).
-    Raises ResonantDenominator within denominator_floor of an exact
-    resonance.  A stacked forcing is solved in one pass along the last axis.
+    The end values of those four running integrals are the moments that fix
+    lambda1 and lambda2.  Raises ResonantDenominator within denominator_floor
+    of an exact resonance.  A stacked forcing is solved in one pass along the
+    last axis.
     """
     mesh = forcing.mesh
     if abs(mesh.xi - xi) > 1e-14:
         raise ValueError("forcing mesh was built for a different actuator position")
     phi1, phi2 = assemble_phi(forcing, mu)
     f1_xi = forcing.f1_at_xi
-    lam1, lam2 = lambda_coefficients(
-        xi, mu, phi1, phi2, f1_xi, mesh, kernel, denominator_floor
-    )
-    # broadcast the coefficients of a stack along the side grid
-    col1, col2 = np.expand_dims(lam1, -1), np.expand_dims(lam2, -1)
-
     t1, t2 = mesh.left, mesh.right
     h1, h2 = mesh.h_left, mesh.h_right
 
@@ -281,13 +275,18 @@ def solve_resolvent(
     sin1, cos1 = np.sin(mu * t1).astype(complex), np.cos(mu * t1).astype(complex)
     ic1 = cumulative_simpson(cos1 * phi1, h1)
     is1 = cumulative_simpson(sin1 * phi1, h1)
-    u1 = col1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
-    up1 = col1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
-
-    # right side: running integrals from 1 (cumulate from xi, shift by the total)
+    # right side: running integrals from xi, shifted below to run from 1
     sin2, cos2 = np.sin(mu * t2).astype(complex), np.cos(mu * t2).astype(complex)
     c2 = cumulative_simpson(cos2 * phi2, h2)
     s2 = cumulative_simpson(sin2 * phi2, h2)
+
+    moments = (ic1[..., -1], is1[..., -1], c2[..., -1], s2[..., -1])
+    lam1, lam2 = _interface_coefficients(xi, mu, *moments, f1_xi, kernel, denominator_floor)
+    # broadcast the coefficients of a stack along the side grid
+    col1, col2 = np.expand_dims(lam1, -1), np.expand_dims(lam2, -1)
+
+    u1 = col1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
+    up1 = col1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
     jc2 = c2 - c2[..., -1:]
     js2 = s2 - s2[..., -1:]
     u2 = col2 * np.sin(mu * (t2 - 1.0)) + (sin2 * jc2 - cos2 * js2) / mu

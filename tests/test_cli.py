@@ -179,6 +179,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "liouville_m_max=0"],
     ["classify", "--set", "k1=-1"],
     ["classify", "--set", "mu_step=1e-7"],
+    ["classify", "--set", "liouville_m_max=10000001"],
     ["simulate", "--set", "sample_every=0"],
     ["simulate", "--set", "cells=1"],
     ["simulate", "--set", "initial=fourier_mode", "--set", "mode=0"],
@@ -194,6 +195,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["resolvent-scan", "--set", "mu_min=0"],
     ["resolvent-scan", "--set", "mu_min=-1"],
     ["resolvent-scan", "--seed", "-1"],
+    ["resolvent-scan", "--set", "mu_max=1e300"],
     ["carleman-verify", "--set", "cells=2"],
     ["carleman-verify", "--set", "cells=1000001"],
     ["carleman-verify", "--set", "h_min=0"],

@@ -305,6 +305,27 @@ def test_stacked_solve_matches_single_solves(kernel):
         assert sol.jump_residual == max(r.jump_residual for r in refs)
 
 
+@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
+@pytest.mark.parametrize("cells", [(96, 80), (97, 81)], ids=["odd-samples", "even-samples"])
+def test_coefficient_routes_agree(kernel, cells):
+    # lambda_coefficients takes its four moments as simpson integrals,
+    # solve_resolvent as the end values of its running integrals; an even
+    # sample count exercises simpson's last-interval correction
+    mesh = build_mesh(GOLDEN, *cells)
+    single = random_forcing(mesh, np.random.default_rng(5))
+    stack = random_forcing(mesh, np.random.default_rng(6), count=3)
+    for forcing in (single, stack):
+        for mu in (1.5, 23.0, 61.7, 199.5):
+            sol = solve_resolvent(GOLDEN, mu, forcing, kernel)
+            phi1, phi2 = assemble_phi(forcing, mu)
+            lam1, lam2 = lambda_coefficients(
+                GOLDEN, mu, phi1, phi2, forcing.f1_at_xi, mesh, kernel
+            )
+            assert type(lam1) is type(sol.lambda1) and type(lam2) is type(sol.lambda2)
+            np.testing.assert_allclose(sol.lambda1, lam1, rtol=1e-11)
+            np.testing.assert_allclose(sol.lambda2, lam2, rtol=1e-11)
+
+
 # ------------------------------------------------------------------ traces
 
 
