@@ -7,20 +7,35 @@ arithmetic side (continued fractions and resonance conditions), the
 frequency side (closed-form resolvent, interface identity, characteristic
 roots), the semiclassical Carleman machinery behind the resolvent bound, an
 energy-exact time-domain simulator, and decay-law fitting.
+
+Submodules and their public names load on first access, so a command that
+needs one of them does not pay for the others.
 """
 
-from . import carleman, decayfit, diophantine, frequency, mesh, simulator
-from .carleman import *
-from .decayfit import *
-from .diophantine import *
-from .frequency import *
-from .mesh import *
-from .simulator import *
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__"] + [
-    name
-    for module in (mesh, diophantine, frequency, carleman, simulator, decayfit)
-    for name in module.__all__
-]
+# the submodules, in the order their public names make up __all__
+_SUBMODULES = ("mesh", "diophantine", "frequency", "carleman", "simulator", "decayfit")
+
+
+def _submodule(name: str):
+    __import__(f"{__name__}.{name}")
+    return sys.modules[f"{__name__}.{name}"]
+
+
+def __getattr__(name: str):
+    """A submodule, a submodule's public name, or __all__, loaded on first access."""
+    if name in _SUBMODULES:
+        return _submodule(name)
+    modules = [_submodule(sub) for sub in _SUBMODULES]
+    if name == "__all__":
+        value = ["__version__"] + [public for module in modules for public in module.__all__]
+    else:
+        owner = next((module for module in modules if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value

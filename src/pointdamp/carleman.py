@@ -19,6 +19,7 @@ rescaled windows (the identity being local, this is exact).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -49,6 +50,10 @@ __all__ = [
 
 # largest exponent magnitude we allow inside one rescaled window
 _EXP_WINDOW = 300.0
+# bytes of complex samples evaluated as one stack by estimate_carleman_constant:
+# two rows of the default 2048-cell grid, few enough that the stack's
+# temporaries add no resident memory
+_STACK_BYTES = 80 << 10
 
 
 @dataclass
@@ -162,10 +167,11 @@ def validate_weight(weight: WeightFunction, side: str, n_samples: int = 1001) ->
 
 
 def _d2(w: np.ndarray, dx: float) -> np.ndarray:
+    """Second derivative along the last axis."""
     out = np.empty_like(w, dtype=complex if np.iscomplexobj(w) else float)
-    out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / dx**2
-    out[0] = (2.0 * w[0] - 5.0 * w[1] + 4.0 * w[2] - w[3]) / dx**2
-    out[-1] = (2.0 * w[-1] - 5.0 * w[-2] + 4.0 * w[-3] - w[-4]) / dx**2
+    out[..., 1:-1] = (w[..., 2:] - 2.0 * w[..., 1:-1] + w[..., :-2]) / dx**2
+    out[..., 0] = (2.0 * w[..., 0] - 5.0 * w[..., 1] + 4.0 * w[..., 2] - w[..., 3]) / dx**2
+    out[..., -1] = (2.0 * w[..., -1] - 5.0 * w[..., -2] + 4.0 * w[..., -3] - w[..., -4]) / dx**2
     return out
 
 
@@ -213,8 +219,13 @@ def conjugation_route(
         if stop > n:
             stop = n
             start = max(0, n - (2 * margin + 1))
-        while stop < n and np.ptp(phi[start:stop + 1]) <= _EXP_WINDOW * h:
-            stop += 1
+        if stop < n:
+            # spread[j] = ptp(phi[start:start + j + 1]) never decreases: grow the
+            # window up to the first node that takes it past the bound
+            tail = phi[start:]
+            spread = np.maximum.accumulate(tail) - np.minimum.accumulate(tail)
+            grown = start + int(np.searchsorted(spread, _EXP_WINDOW * h, side="right"))
+            stop = min(n, max(stop, grown))
         window = slice(start, stop)
         if np.ptp(phi[window]) > 2.0 * _EXP_WINDOW * h:
             raise FloatingPointError(
@@ -393,37 +404,44 @@ def evaluate_carleman_inequality(
 
     'left' means the damped end is b and the outer (Dirichlet) end is a;
     'right' mirrors the roles.  u must vanish at the outer end.
+
+    u may stack samples on leading axes, with the grid on the last; lhs, rhs
+    and ratio then carry those axes before the h axis, and each row equals
+    the sweep of that sample alone exactly.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     u = np.asarray(u, dtype=complex)
-    x = weight.grid(u.size - 1)
+    x = weight.grid(u.shape[-1] - 1)
     dx = float(x[1] - x[0])
     phi = np.asarray(weight.d0(x), dtype=float)
     phi_max = float(np.max(phi))
     outer, damped = (0, -1) if side == "left" else (-1, 0)
-    scale = max(np.max(np.abs(u)), 1e-300)
-    if abs(u[outer]) > 1e-10 * scale:
+    scale = np.maximum(np.max(np.abs(u), axis=-1), 1e-300)
+    if np.any(np.abs(u[..., outer]) > 1e-10 * scale):
         raise ValueError("u must vanish at the outer (Dirichlet) endpoint")
 
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    lhs_arr = np.empty_like(h_values)
-    rhs_arr = np.empty_like(h_values)
+    lhs_arr = np.empty(u.shape[:-1] + h_values.shape)
+    rhs_arr = np.empty_like(lhs_arr)
     du = derivative(u, dx)
     d2u = _d2(u, dx)
+    # |u|^2, |u'|^2 and, per h, |Pu|^2, weighted by E and integrated in one pass
+    squares = np.empty((3,) + u.shape)
+    squares[0], squares[1] = np.abs(u) ** 2, np.abs(du) ** 2
+    u_sq, du_sq, pu_sq = squares
+    weighted, pu = np.empty_like(squares), np.empty_like(u)
+    exponent = 2.0 * (phi - phi_max)
     for i, h in enumerate(h_values):
-        E = np.exp(2.0 * (phi - phi_max) / h)
-        pu = d2u + u / h**2
-        lhs = (
-            h * simpson(E * np.abs(u) ** 2, dx=dx)
-            + h**3 * simpson(E * np.abs(du) ** 2, dx=dx)
-            + h**3 * abs(du[outer]) ** 2 * E[outer]
-        )
-        rhs = h**4 * simpson(E * np.abs(pu) ** 2, dx=dx) + (
-            h * abs(u[damped]) ** 2 + h**3 * abs(du[damped]) ** 2
+        E = np.exp(exponent / h)
+        np.divide(u, h**2, out=pu)
+        pu += d2u
+        np.square(np.abs(pu, out=pu_sq), out=pu_sq)
+        int_u, int_du, int_pu = simpson(np.multiply(E, squares, out=weighted), dx=dx)
+        lhs_arr[..., i] = h * int_u + h**3 * int_du + h**3 * du_sq[..., outer] * E[outer]
+        rhs_arr[..., i] = h**4 * int_pu + (
+            h * u_sq[..., damped] + h**3 * du_sq[..., damped]
         ) * E[damped]
-        lhs_arr[i] = float(lhs.real)
-        rhs_arr[i] = float(rhs.real)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs_arr > 0.0, lhs_arr / rhs_arr, 0.0)
     return InequalitySweep(h=h_values, lhs=lhs_arr, rhs=rhs_arr, ratio=ratio)
@@ -447,14 +465,25 @@ def estimate_carleman_constant(
 ) -> ConstantEstimate:
     """Empirical constant of the weighted inequality over a sample family.
 
-    For each h the sup of LHS/RHS over the samples is taken.  h0_hat is the
-    largest h up to which that sup grows tamely (log-log slope between
+    The samples share one grid and are evaluated a few at a time as one
+    stack.  For each h the sup of LHS/RHS over the samples is taken.  h0_hat
+    is the largest h up to which that sup grows tamely (log-log slope between
     consecutive grid points at most max_growth_rate; genuine breakdown shows
     up as a much steeper jump), and c_hat is the sup over that range.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     sup_ratio = np.zeros_like(h_values)
-    sweeps = [evaluate_carleman_inequality(weight, u, h_values, side) for u in samples]
+    sweeps = []
+    # a few samples at a time: one weight per h serves the whole stack
+    chunk = max(1, _STACK_BYTES // (16 * np.size(samples[0]))) if samples else 1
+    for first in range(0, len(samples), chunk):
+        stack = evaluate_carleman_inequality(
+            weight, np.stack(samples[first : first + chunk]), h_values, side
+        )
+        sweeps += [
+            InequalitySweep(h=h_values, lhs=lhs, rhs=rhs, ratio=ratio)
+            for lhs, rhs, ratio in zip(stack.lhs, stack.rhs, stack.ratio)
+        ]
     for sweep in sweeps:
         sup_ratio = np.maximum(sup_ratio, sweep.ratio)
     cut = h_values.size
@@ -473,6 +502,28 @@ def estimate_carleman_constant(
     )
 
 
+@functools.lru_cache(maxsize=4)
+def _test_basis(
+    interval: tuple[float, float], n: int, n_modes: int, pin_left: bool, pin_right: bool
+) -> np.ndarray:
+    """Read-only (n_modes, n + 1) basis of random_test_function, shared by its calls."""
+    a, b = interval
+    x = np.linspace(a, b, n + 1)
+    s = (x - a) / (b - a)
+    k = np.arange(1, n_modes + 1)
+    # incommensurate frequencies keep value and slope generic at free ends
+    if pin_left and pin_right:
+        basis = np.sin(np.outer(k, np.pi * s))
+    elif pin_left:
+        basis = np.sin(np.outer((k + 0.37) * np.pi, s))
+    elif pin_right:
+        basis = np.sin(np.outer((k + 0.37) * np.pi, 1.0 - s))
+    else:
+        basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
+    basis.flags.writeable = False
+    return basis
+
+
 def random_test_function(
     interval: tuple[float, float],
     n: int,
@@ -483,18 +534,6 @@ def random_test_function(
 ) -> np.ndarray:
     """Smooth random complex function on a uniform grid, optionally pinned to
     zero at an endpoint (quarter-wave sines keep the other endpoint free)."""
-    a, b = interval
-    x = np.linspace(a, b, n + 1)
-    s = (x - a) / (b - a)
     k = np.arange(1, n_modes + 1)
     coeff = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-    # incommensurate frequencies keep value and slope generic at free ends
-    if pin_left and pin_right:
-        basis = np.sin(np.outer(k, np.pi * s))
-    elif pin_left:
-        basis = np.sin(np.outer((k + 0.37) * np.pi, s))
-    elif pin_right:
-        basis = np.sin(np.outer((k + 0.37) * np.pi, 1.0 - s))
-    else:
-        basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
-    return coeff @ basis
+    return coeff @ _test_basis(tuple(interval), n, n_modes, pin_left, pin_right)

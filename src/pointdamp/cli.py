@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration error, 3 computation error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -26,9 +25,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
-from . import carleman, decayfit, diophantine, frequency, simulator
-from .mesh import build_mesh
+# every task parses xi through diophantine; the other layers are imported by
+# the tasks that use them, so a command loads only what it runs
+from . import __version__, diophantine
 
 CSV_SCHEMA_VERSION = 1
 
@@ -454,6 +453,8 @@ def _classify_row(result) -> dict:
 
 
 def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
+    from . import frequency
+
     value, _ = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
@@ -516,6 +517,8 @@ def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
 
 def run_spectrum(cfg: dict):
     """Returns (roots in the configured rectangle, their spectral abscissa)."""
+    from . import frequency
+
     value, _ = _parse_xi(cfg["xi"])
     rect = _rectangle(cfg)
     if not (rect[1] > rect[0] and rect[3] > rect[2]):
@@ -562,6 +565,8 @@ def _spectrum_row(result) -> dict:
 
 
 def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction]:
+    from . import carleman
+
     choice = cfg["weight"]
     sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
     weights = {}
@@ -589,6 +594,8 @@ def _verify_carleman_side(
     cfg: dict, side: str, weight: carleman.WeightFunction
 ) -> tuple[dict, carleman.ConstantEstimate]:
     """Returns (the identity checks, the constant estimate) for one side."""
+    from . import carleman
+
     check = carleman.validate_weight(weight, side)
     if not check.ok:
         raise ValueError(f"{side} weight inadmissible: {'; '.join(check.violations)}")
@@ -696,6 +703,9 @@ def run_simulate(cfg: dict):
     fits is None when fitting is off, and the InsufficientData raised when the
     trace has too few usable samples.
     """
+    from . import decayfit, simulator
+    from .mesh import build_mesh
+
     value, _ = _parse_xi(cfg["xi"])
     # dt = 0 means half the smaller mesh spacing, the simulator's default
     dt = cfg["dt"] or min(value, 1.0 - value) / cfg["cells"] / 2.0
@@ -719,6 +729,8 @@ def run_simulate(cfg: dict):
 
 
 def write_simulate(cfg: dict, result) -> list[Path]:
+    from . import decayfit
+
     final, trace, fits = result
     out = Path(cfg["out"])
     paths = []
@@ -768,6 +780,8 @@ def write_simulate(cfg: dict, result) -> list[Path]:
 
 
 def _simulate_row(result) -> dict:
+    from . import simulator
+
     trace = result[1]
     e0 = float(trace.energies[0])
     return {
@@ -811,6 +825,8 @@ def cmd_sweep(cfg: dict) -> list[Path]:
 
     jobs = [(task, v, cfg["task_config"], cfg["seed"]) for v in xi_values]
     if cfg["workers"] > 1:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:

@@ -3,7 +3,8 @@
 Solves the resolvent two-point problem on the imaginary axis in closed form
 (sine ansatz plus Duhamel integrals), checks the interface energy identity,
 estimates resolvent growth along the axis, and locates characteristic roots
-in the complex plane by the argument principle.
+in the complex plane by Newton from closed-form seeds, certified by one
+argument-principle winding count.
 
 Conventions.  The damped point xi splits (0,1) into a left side [0,xi] and a
 right side [xi,1].  At frequency mu > 0 the transformed displacement solves
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -692,104 +693,66 @@ class CharacteristicRoot:
     multiplicity: int
 
 
-def _newton_polish(xi: float, z0: complex, tol: float, max_iter: int = 100) -> complex | None:
-    # D(z) is evaluated with a rounding error of about eps*|z|; a tolerance
-    # below that is never met, and the cell is then subdivided without end
-    tol = max(tol, 2.0 * sys.float_info.epsilon * abs(z0))
-    z = z0
-    fz = characteristic_function(xi, z)
-    for _ in range(max_iter):
-        if abs(fz) <= tol:
-            return z
-        dz = characteristic_derivative(xi, z)
-        if dz == 0:
-            return None
-        step = fz / dz
-        # damped update: halve the step until the residual decreases
-        for _ in range(40):
-            z_new = z - step
-            f_new = characteristic_function(xi, z_new)
-            if abs(f_new) < abs(fz):
-                z, fz = z_new, f_new
-                break
-            step *= 0.5
-        else:
-            return None
-    return z if abs(fz) <= tol else None
-
-
-def _collect_roots(xi: float, rect, tol: float, out: list[complex], depth: int = 0) -> None:
-    w = winding_number(xi, rect)
-    if w == 0:
-        return
-    re0, re1, im0, im1 = rect
-    diag = math.hypot(re1 - re0, im1 - im0)
-    if w == 1 or diag < 1e-8:
-        center = complex(0.5 * (re0 + re1), 0.5 * (im0 + im1))
-        z = _newton_polish(xi, center, tol)
-        # only cover the boundary-nudge distance: a wider band lets this cell
-        # claim a neighbor's root and its own is then never searched for
-        slack = 1e-7 + 1e-6 * diag
-        if z is not None and (re0 - slack <= z.real <= re1 + slack) and (
-            im0 - slack <= z.imag <= im1 + slack
-        ):
-            out.append(z)
-            return
-        if diag < 1e-8:
-            raise ContourThroughRoot(f"tiny cell near {center} refused to converge")
-    if depth > 60:
-        raise ContourThroughRoot(f"subdivision exhausted on {rect}")
-    horizontal = (re1 - re0) >= (im1 - im0)
-    for frac in (0.5, 0.53, 0.47, 0.57, 0.43):
-        cut = re0 + frac * (re1 - re0) if horizontal else im0 + frac * (im1 - im0)
-        parts = (
-            [(re0, cut, im0, im1), (cut, re1, im0, im1)]
-            if horizontal
-            else [(re0, re1, im0, cut), (re0, re1, cut, im1)]
-        )
-        try:
-            marker = len(out)
-            for part in parts:
-                _collect_roots(xi, part, tol, out, depth + 1)
-            return
-        except ContourThroughRoot:
-            del out[marker:]
-            continue
-    raise ContourThroughRoot(f"no clean cut found for {rect}")
+def _distinct(roots: np.ndarray, gap: float) -> bool:
+    """Whether the roots, sorted by real part, lie pairwise more than gap apart."""
+    lag = 1
+    while lag < roots.size:
+        near = roots.real[lag:] - roots.real[:-lag] <= gap
+        if not near.any():
+            return True
+        if np.any(np.abs(roots[lag:] - roots[:-lag])[near] <= gap):
+            return False
+        lag += 1
+    return True
 
 
 def find_eigenvalues(xi: float, rect, tol: float = 1e-12) -> list[CharacteristicRoot]:
-    """All characteristic roots in a rectangle, by argument-principle bisection.
+    """All characteristic roots in a rectangle, by Newton from closed-form seeds.
 
-    Subdivides until each cell holds a single root, polishes by damped
-    Newton, and verifies that the number found matches the winding number of
-    the full contour.  Roots are returned sorted by real part.
-
-    Note the function always has a trivial zero at z = 0 (degenerate sine
-    ansatz), so rectangles should keep a margin away from the origin.
+    Near z = n*pi, D(n*pi + d) ~ (-1)^n [d - i*sin^2(n*pi*xi)], so each
+    pi-strip holds one root near z_n = n*pi + i*sin^2(n*pi*xi).  One
+    vectorised Newton starts from z_n for every integer n with n*pi in
+    [re0 - pi, re1 + pi] (n = 0 and negative n too, which give the trivial
+    root at the origin and the mirror roots -conj(z)), and iterates each root
+    until |D(z)| <= max(tol, 2 eps |z|), the accuracy to which D can be
+    evaluated.  The converged roots inside the rectangle are certified by one
+    winding number of its contour: they must lie pairwise more than 1e-8
+    apart and number exactly the winding, which makes every root simple
+    (multiplicity 1).  Raises ContourThroughRoot when the certificate fails.
+    Roots are returned sorted by real part.
     """
+    re0, re1, im0, im1 = rect
     total = winding_number(xi, rect)
-    roots: list[complex] = []
-    if total:
-        _collect_roots(xi, rect, tol, roots)
-    # dedupe Newton results that converged to the same point from two cells
-    unique: list[complex] = []
-    for z in sorted(roots, key=lambda w: (w.real, w.imag)):
-        if not unique or abs(z - unique[-1]) > 1e-8:
-            unique.append(z)
-    results = []
-    for z in unique:
-        r = 2e-7 * max(1.0, abs(z))
-        mult = winding_number(xi, (z.real - r, z.real + r, z.imag - r, z.imag + r))
-        results.append(
-            CharacteristicRoot(z=z, residual=abs(characteristic_function(xi, z)), multiplicity=mult)
-        )
-    count = sum(r.multiplicity for r in results)
-    if count != total:
+    n = np.arange(math.ceil(re0 / math.pi) - 1, math.floor(re1 / math.pi) + 2)
+    z = n * math.pi + 1j * np.sin(n * math.pi * xi) ** 2
+    value = characteristic_function(xi, z)
+    floor = 2.0 * sys.float_info.epsilon
+    live = ~(np.abs(value) <= np.maximum(tol, floor * np.abs(z)))
+    # the seeds converge in a handful of steps; one that diverges turns
+    # non-finite and stays live, to be dropped
+    with np.errstate(all="ignore"):
+        for _ in range(50):
+            if not live.any():
+                break
+            moved = z[live]
+            moved -= value[live] / characteristic_derivative(xi, moved)
+            z[live], value[live] = moved, characteristic_function(xi, moved)
+            live[live] = ~(np.abs(value[live]) <= np.maximum(tol, floor * np.abs(moved)))
+    # the contour may be nudged off a root on the boundary by this much
+    slack = 1e-9 * max(re1 - re0, im1 - im0)
+    keep = ~live & (re0 - slack <= z.real) & (z.real <= re1 + slack)
+    keep &= (im0 - slack <= z.imag) & (z.imag <= im1 + slack)
+    order = np.lexsort((z.imag[keep], z.real[keep]))
+    roots, residuals = z[keep][order], np.abs(value[keep][order])
+    if roots.size != total or not _distinct(roots, 1e-8):
         raise ContourThroughRoot(
-            f"found {count} roots but contour winding is {total} on {rect}"
+            f"Newton found {roots.size} roots where the contour winding on {rect} "
+            f"asks for {total} distinct ones"
         )
-    return results
+    return [
+        CharacteristicRoot(z=complex(root), residual=float(residual), multiplicity=1)
+        for root, residual in zip(roots, residuals)
+    ]
 
 
 def spectral_abscissa(

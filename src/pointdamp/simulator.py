@@ -22,11 +22,16 @@ with eigenvalues lambda_k = (4/h) sin^2(k pi / 2n).  The two sides meet only
 at the interface node, whose midpoint velocity comes from a scalar Schur
 complement; each sine mode then advances by the Cayley rotation
 rho_k = (1 + i kappa_k) / (1 - i kappa_k), kappa_k = (dt/2) sqrt(lambda_k / h),
-plus dt times the midpoint interface displacement along a fixed vector.  A
-step is one dot product, one in-place multiply and one add over the K modes,
-and a few float operations.  States enter and leave the sine basis only at
-the start and the end, through a real FFT of the odd extension, and energy
-samples are read from the modal coordinates.
+plus dt times the midpoint interface displacement along a fixed vector.
+
+Steps are marched in blocks of up to 64.  Within a block the interface
+velocities solve one lower-triangular Toeplitz system, the same for every
+block, whose inverse and the table of rotation powers rho^j are built once
+per run; a block then costs two products with that table (the midpoint sums
+of the block's starting modes, and the jump of the modes to the block's end
+or to an energy sample) and one with the inverse.  States enter and leave
+the sine basis only at the start and the end, through a real FFT of the odd
+extension, and energy samples are read from the modal coordinates.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .mesh import Mesh, build_mesh
+
+# steps are marched in blocks of at most _BLOCK_STEPS, fewer when the block's
+# table of rotation powers, one complex row per step, would pass _TABLE_BYTES
+_BLOCK_STEPS = 64
+_TABLE_BYTES = 2 << 20
 
 __all__ = [
     "WaveState",
@@ -269,26 +279,74 @@ def simulate(
     p_i = 2.0 * mass * float(state.v[i])
     t0 = state.t
 
-    times = [t0]
+    # Steps are marched in blocks of L.  Over a block that starts from
+    # (zeta, u, p), step k's midpoint sum is q_k = F_k + sum_{i<k} c_{k-1-i} w_i,
+    # with F_k = Im(mid_row . rho^k zeta), c_j = Im(mid_row . rho^j) and
+    # w_i = dt (u_i + dt y_i / 2) the kick of step i.  Written in the
+    # velocities y, the scalar equations of the block's steps are one lower
+    # triangular Toeplitz system, the same for every block:
+    #   T y = (-1)^k p + (dt^2 C_k - stiffness) u + dt F_k,  C_k = c_0 + ... + c_{k-1},
+    # with T's first column the denominator, then, for j >= 1,
+    #   4m (-1)^j + dt stiffness - dt^3 (C_{j-1} + c_{j-1} / 2).
+    L = max(1, min(_BLOCK_STEPS, n_steps, _TABLE_BYTES // (16 * max(1, omega.size))))
+    powers = np.empty((L + 1, omega.size), dtype=complex)  # rho^j, j = 0..L
+    powers[0] = 1.0
+    for j in range(L):
+        np.multiply(powers[j], rho, out=powers[j + 1])
+    c = (powers[:L] @ mid_row).imag
+    C = np.concatenate(([0.0], np.cumsum(c)))
+    alternating = np.where(np.arange(L) % 2, -1.0, 1.0)
+    column = np.empty(L)  # T's first column
+    column[0] = denominator
+    column[1:] = mass4 * alternating[1:] + dt * stiffness - dt**3 * (C[: L - 1] + 0.5 * c[: L - 1])
+    first = np.empty(L)  # the inverse's first column, by forward substitution
+    first[0] = 1.0 / denominator
+    for k in range(1, L):
+        first[k] = -np.dot(column[1 : k + 1], first[k - 1 :: -1]) / denominator
+    lag = np.subtract.outer(np.arange(L), np.arange(L))
+    inverse = np.where(lag >= 0, first[np.maximum(lag, 0)], 0.0)
+    u_rhs = dt**2 * C[:L] - stiffness
+
     energies = [energy(state)]
     sample_steps = [0]
     damping_times = t0 + (np.arange(n_steps) + 0.5) * dt
     interface_velocity = np.empty(n_steps)
 
-    for k in range(n_steps):
-        q = np.dot(mid_row, zeta).item().imag
-        y = (p_i + dt * q - stiffness * u_i) / denominator
-        zeta *= rho
-        zeta += dt * (u_i + half_dt * y)
-        u_i += dt * y
-        p_i = mass4 * y - p_i
-        interface_velocity[k] = y
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            modes = float(np.dot(mode_weight, zeta_pairs * zeta_pairs))
-            q_now = np.dot(now_row, zeta).item().imag
-            times.append(t0 + (k + 1) * dt)
-            energies.append(modes + p_i * p_i / (2.0 * mass4) + (0.5 * sigma * u_i - q_now) * u_i)
-            sample_steps.append(k + 1)
+    for k0 in range(0, n_steps, L):
+        steps = min(L, n_steps - k0)
+        midpoint = (powers[:steps] @ (mid_row * zeta)).imag
+        rhs = alternating[:steps] * p_i + u_rhs[:steps] * u_i + dt * midpoint
+        y = inverse[:steps, :steps] @ rhs
+        interface_velocity[k0 : k0 + steps] = y
+        # u and p after 0..steps steps of the block: u_{k+1} = u_k + dt y_k and
+        # (-1)^(k+1) p_{k+1} = (-1)^k p_k - (-1)^k 4m y_k
+        u_at = np.concatenate(([u_i], u_i + dt * np.cumsum(y)))
+        p_at = np.concatenate(([p_i], p_i - mass4 * np.cumsum(alternating[:steps] * y)))
+        p_at[1::2] *= -1.0
+        kick = dt * (u_at[:steps] + half_dt * y)  # zeta -> rho zeta + kick_k at step k
+        u_list, p_list = u_at.tolist(), p_at.tolist()  # float arithmetic per sample
+        # energy samples fall after these numbers of the block's steps; the
+        # run's last step always has one
+        stops = list(range(sample_every - k0 % sample_every, steps + 1, sample_every))
+        if k0 + steps == n_steps and stops[-1:] != [steps]:
+            stops.append(steps)
+        at = 0
+        for index, stop in enumerate(stops + [steps]):
+            if stop > at:  # carry zeta from step `at` to step `stop` of the block
+                zeta *= powers[stop - at]
+                if stop - at == 1:
+                    zeta += kick[at]  # one step's kick is a scalar: no product needed
+                else:
+                    zeta += kick[at:stop][::-1] @ powers[: stop - at]
+                at = stop
+            if index < len(stops):
+                modes = float(np.dot(mode_weight, zeta_pairs * zeta_pairs))
+                q_now = np.dot(now_row, zeta).item().imag
+                u_s, p_s = u_list[stop], p_list[stop]
+                kinetic = p_s * p_s / (2.0 * mass4)
+                energies.append(modes + kinetic + (0.5 * sigma * u_s - q_now) * u_s)
+                sample_steps.append(k0 + stop)
+        u_i, p_i = u_list[steps], p_list[steps]
     damping_power = interface_velocity**2 if damped else np.zeros(n_steps)
 
     z = zeta * forcing
@@ -300,13 +358,14 @@ def simulate(
     v[i] = p_i / (2.0 * mass)
 
     final = WaveState(mesh, t0 + n_steps * dt, u, v)
+    sample_steps = np.asarray(sample_steps)
     trace = EnergyTrace(
         dt=dt,
-        times=np.asarray(times),
+        times=t0 + sample_steps * dt,
         energies=np.asarray(energies),
         damping_times=damping_times,
         damping_power=damping_power,
-        sample_steps=np.asarray(sample_steps),
+        sample_steps=sample_steps,
     )
     return final, trace
 

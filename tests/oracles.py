@@ -6,6 +6,10 @@ boundary value problem is solved by a fourth-order finite-difference
 continuity/jump conditions via adaptive quadrature and a direct 2x2
 linear solve.  Agreement between these and the package is therefore a
 genuine cross-check, not a tautology.
+
+The conjugation-route reference shares the package's stencil but grows each
+exponential window one node at a time, recomputing the weight's spread at
+every step, where the package reads window ends off running extrema.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
+
+from pointdamp.carleman import apply_helmholtz
 
 # one-sided 5-point first-derivative stencils, O(h^4)
 _BACKWARD5 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
@@ -133,3 +139,36 @@ def interface_coefficients_quadrature(
     )
     c1, c2 = np.linalg.solve(a, b)
     return complex(c1), complex(c2)
+
+
+def conjugation_route_incremental(
+    phi: np.ndarray, h: float, w: np.ndarray, dx: float, exp_window: float = 300.0
+) -> tuple[np.ndarray, int]:
+    """-h^2 e^{phi/h} P(e^{-phi/h} w) on overlapping recentred windows.
+
+    Each window starts at five nodes and grows one node at a time while the
+    spread max - min of phi over it stays within exp_window * h; results are
+    stitched from window interiors.  Returns the stitched values and the
+    number of windows.
+    """
+    n = phi.size
+    out = np.full(n, np.nan + 0j)
+    margin, start, windows = 2, 0, 0
+    while start < n:
+        stop = start + 2 * margin + 1
+        if stop > n:
+            stop, start = n, max(0, n - (2 * margin + 1))
+        while stop < n and np.ptp(phi[start : stop + 1]) <= exp_window * h:
+            stop += 1
+        part = phi[start:stop]
+        center = 0.5 * (np.max(part) + np.min(part))
+        pv = apply_helmholtz(np.exp(-(part - center) / h) * w[start:stop], h, dx)
+        result = -(h**2) * np.exp((part - center) / h) * pv
+        lo = start + (margin if start > 0 else 0)
+        hi = stop - (margin if stop < n else 0)
+        out[lo:hi] = result[lo - start : hi - start]
+        windows += 1
+        if stop >= n:
+            break
+        start = stop - 2 * margin
+    return out, windows

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import conjugation_route_incremental
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     WeightFunction,
@@ -150,6 +151,16 @@ def test_conjugation_route_agrees_with_expansion(rng):
     assert errs[0] / errs[1] > 3.0  # second-order stencils
 
 
+@pytest.mark.parametrize("h, windows", [(5e-4, 12), (1.5e-3, 4), (0.05, 1)])
+def test_conjugation_route_windows_match_incremental_growth(h, windows):
+    weight = default_left_weight(GOLDEN)
+    x = weight.grid(600)
+    w = random_test_function((weight.a, weight.b), 600, np.random.default_rng(5))
+    expected, grown = conjugation_route_incremental(weight.d0(x), h, w, float(x[1] - x[0]))
+    assert grown == windows
+    np.testing.assert_array_equal(conjugation_route(weight, h, w, x), expected)
+
+
 def test_conjugation_route_overflow_guard():
     weight = default_left_weight(GOLDEN)
     x = weight.grid(50)
@@ -289,6 +300,26 @@ def test_constant_estimate_tame_family(rng):
         direct = evaluate_carleman_inequality(weight, u, h, "left")
         np.testing.assert_array_equal(sweep.ratio, direct.ratio)
     np.testing.assert_array_equal(est.sup_ratio, np.max([s.ratio for s in est.sweeps], axis=0))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_inequality_stack_rows_equal_single_calls(side):
+    weight = default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
+    rng = np.random.default_rng(9)
+    samples = np.stack([
+        random_test_function((weight.a, weight.b), 300, rng,
+                             pin_left=(side == "left"), pin_right=(side == "right"))
+        for _ in range(6)
+    ])
+    h = np.geomspace(1e-3, 1e-1, 7)
+    for stack in (samples, samples.reshape(2, 3, -1)):
+        swept = evaluate_carleman_inequality(weight, stack, h, side)
+        assert swept.ratio.shape == stack.shape[:-1] + h.shape
+        rows = [evaluate_carleman_inequality(weight, u, h, side) for u in samples]
+        for name in ("lhs", "rhs", "ratio"):
+            np.testing.assert_array_equal(
+                getattr(swept, name).reshape(6, -1), [getattr(r, name) for r in rows]
+            )
 
 
 # ------------------------------------------------------- random functions

@@ -52,6 +52,31 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert "'mpmath'" not in loaded
 
 
+# the layers a task imports for itself, not at start-up
+TASK_LAYERS = ("frequency", "carleman", "simulator", "decayfit", "mesh")
+
+
+def test_cli_import_loads_only_the_parsing_layer(tmp_path):
+    probe = run_python("import sys, pointdamp.cli; print(sorted(sys.modules))")
+    assert probe.returncode == 0, probe.stderr
+    loaded = probe.stdout
+    assert "'pointdamp.diophantine'" in loaded
+    for layer in TASK_LAYERS:
+        assert f"'pointdamp.{layer}'" not in loaded, layer
+    assert "'concurrent.futures'" not in loaded
+
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"code = main(['classify', '--xi', 'golden', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    for layer in ("frequency", "carleman", "simulator"):
+        assert f"'pointdamp.{layer}'" not in done.stdout, layer
+
+
 def test_simulate_runs_load_no_scipy(tmp_path):
     small = "'--set', 'cells=20', '--set', 't_final=0.5'"
     sim, sweep = str(tmp_path / "sim"), str(tmp_path / "sweep")
@@ -292,6 +317,24 @@ def test_spectrum_one_half(tmp_path):
     for root, ref in zip(roots, expected):
         assert abs(root - ref) < 1e-8
     assert all(int(r[3]) == 1 for r in rows)
+
+
+@pytest.mark.parametrize("tol", ["1e-4", "1e-3"])
+def test_spectrum_loose_tol_finds_every_root(tmp_path, tol):
+    code = run(["spectrum", "--xi", "golden", "--out", tmp_path,
+                "--set", f"tol={tol}", "--set", "re_max=30"])
+    assert code == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert report["result"]["n_roots"] == 9
+    _, _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert all(float(r[2]) <= float(tol) for r in rows)
+
+
+def test_spectrum_certificate_mismatch_is_computation_error(tmp_path, monkeypatch):
+    honest = frequency.winding_number
+    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: honest(xi, rect) + 1)
+    assert run(["spectrum", "--xi", "golden", "--out", tmp_path]) == 3
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 # ---------------------------------------------------------------- simulate

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import interface_coefficients_quadrature, numerov_interface_solve
 import pointdamp
+from pointdamp import frequency
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
@@ -600,6 +601,45 @@ def test_eigenvalues_reflection_symmetry():
     assert len(a) == len(b)
     for ra, rb in zip(a, b):
         assert abs(ra.z - rb.z) < 1e-9
+
+
+def test_eigenvalues_seeded_rectangle_around_origin():
+    # seeds at n pi for negative n and n = 0 too: the trivial root and the
+    # mirror roots -conj(z) of every root z are found
+    rect = (-20.0, 20.0, -1.0, 4.0)
+    roots = find_eigenvalues(GOLDEN, rect)
+    assert len(roots) == winding_number(GOLDEN, rect)
+    assert all(r.multiplicity == 1 for r in roots)
+    z = np.array([r.z for r in roots])
+    assert np.min(np.abs(z)) < 1e-12
+    for w in z:
+        assert np.min(np.abs(z + np.conj(w))) < 1e-12
+
+
+def test_eigenvalues_certificate_mismatch_raises(monkeypatch):
+    honest = frequency.winding_number
+    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: honest(xi, rect) + 1)
+    with pytest.raises(ContourThroughRoot):
+        find_eigenvalues(GOLDEN, (0.5, 30.0, -0.5, 3.0))
+
+
+def test_eigenvalues_certificate_refuses_duplicate_roots(monkeypatch):
+    # every seed of a function with one root converges onto it: a count that
+    # matches the winding must still be refused when the roots coincide
+    monkeypatch.setattr(frequency, "characteristic_function", lambda xi, z: np.asarray(z) - 5.0)
+    monkeypatch.setattr(frequency, "characteristic_derivative", lambda xi, z: np.ones_like(z))
+    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: 4)  # seeds n = 0..3
+    with pytest.raises(ContourThroughRoot):
+        find_eigenvalues(GOLDEN, (2.0, 8.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [144, 233, 377])
+def test_root_imaginary_part_matches_arithmetic(n):
+    # near z = n pi, D(n pi + d) ~ (-1)^n [d - i sin^2(n pi xi)]: the damping
+    # of the n-th root is read off the distance of n xi to the integers
+    roots = find_eigenvalues(GOLDEN, (n * math.pi - 1.0, n * math.pi + 1.0, -0.5, 3.0))
+    assert len(roots) == 1
+    assert abs(roots[0].z.imag / math.sin(n * math.pi * GOLDEN) ** 2 - 1.0) < 1e-3
 
 
 def test_spectral_abscissa_values():

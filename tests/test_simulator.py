@@ -295,22 +295,39 @@ def _banded_midpoint_march(state, n_steps, dt, damped):
     return u, v
 
 
-@pytest.mark.parametrize("cells, damped", [
-    # the 40/30 mesh keeps its plain ids; (2, n) leaves one interior node,
-    # hence one sine mode, on the left
-    pytest.param(
-        cells, damped, id=str(damped) if cells == (40, 30) else f"{cells[0]}x{cells[1]}-{damped}"
-    )
-    for cells in [(40, 30), (2, 2), (2, 7)]
+def _banded_case(cells, damped, sample_every):
+    # the 40/30 mesh keeps its plain ids at sample_every 1
+    if cells != (40, 30):
+        name = f"{cells[0]}x{cells[1]}-{damped}"
+    else:
+        name = str(damped) if sample_every == 1 else f"{damped}-every{sample_every}"
+    return pytest.param(cells, damped, sample_every, id=name)
+
+
+@pytest.mark.parametrize("cells, damped, sample_every", [
+    # (2, n) leaves one interior node, hence one sine mode, on the left.  The
+    # 215 steps run in blocks of 64: sampling every 7, 64, 65 or 1000 steps
+    # puts samples inside blocks, on block ends, or on the last step only
+    _banded_case(cells, damped, every)
+    for cells, every in [((40, 30), 1), ((2, 2), 1), ((2, 7), 1)]
+    + [((40, 30), every) for every in (7, 64, 65, 1000)]
     for damped in [True, False]
 ])
-def test_simulate_matches_banded_oracle(cells, damped):
+def test_simulate_matches_banded_oracle(cells, damped, sample_every):
     mesh = build_mesh(GOLDEN, *cells)
     state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
-    final, trace = simulate(state, 1.5, dt=7e-3, damped=damped)
+    final, trace = simulate(state, 1.5, dt=7e-3, damped=damped, sample_every=sample_every)
     u, v = _banded_midpoint_march(state, trace.damping_power.size, trace.dt, damped)
     assert trace.damping_power.size == 215
     np.testing.assert_allclose(final.u[1:-1], u, rtol=0, atol=1e-12)
     np.testing.assert_allclose(final.v[1:-1], v, rtol=0, atol=1e-12)
+    # samples fall every sample_every steps and on the last one, with the
+    # energies of an every-step run at those steps
+    expected = list(range(0, 216, sample_every)) + ([215] if 215 % sample_every else [])
+    np.testing.assert_array_equal(trace.sample_steps, expected)
+    _, dense = simulate(state, 1.5, dt=7e-3, damped=damped)
+    np.testing.assert_allclose(
+        trace.energies, dense.energies[expected], rtol=0, atol=1e-14 * dense.energies[0]
+    )
     # sampled energies are read from the stepper's own coordinates
     assert abs(trace.energies[-1] - energy(final)) <= 1e-14 * trace.energies[0]
