@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 computation error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -99,6 +100,7 @@ def one_of(*choices: str) -> Limit:
 
 positive = Limit("positive", lambda value: value > 0)
 nonnegative = Limit("nonnegative", lambda value: value >= 0)
+finite_positive = Limit("finite and positive", lambda value: 0 < value < math.inf)
 
 # ceilings on the work one invocation may ask for, so an absurd size exits 2
 # instead of exhausting memory
@@ -115,9 +117,9 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "rational_tol": (1e-12, _as_float, None),
         "quotient_overflow": (1e12, _as_float, None),
         "constant_type_bound": (20, _as_int, None),
-        "mu_min": (1.0, _as_float, positive),
+        "mu_min": (1.0, _as_float, finite_positive),
         "mu_max": (500.0, _as_float, None),
-        "mu_step": (0.01, _as_float, positive),
+        "mu_step": (0.01, _as_float, finite_positive),
         "k1": (1.0, _as_float, nonnegative),
         "poly_eps": (1.0, _as_float, None),
         "trend_factor": (10.0, _as_float, positive),
@@ -130,9 +132,9 @@ COMMAND_SCHEMAS: dict[str, dict] = {
     },
     "resolvent-scan": {
         "xi": (_REQUIRED, _as_str, None),
-        "mu_min": (1.0, _as_float, positive),
+        "mu_min": (1.0, _as_float, finite_positive),
         "mu_max": (60.0, _as_float, None),
-        "mu_step": (0.5, _as_float, positive),
+        "mu_step": (0.5, _as_float, finite_positive),
         "probes": (4, _as_int, at_least(1)),
         "cells": (512, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
         "kernel": ("consistent", _as_str, one_of("consistent", "verbatim")),
@@ -145,7 +147,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "re_max": (50.0, _as_float, None),
         "im_min": (-0.5, _as_float, None),
         "im_max": (3.0, _as_float, None),
-        "tol": (1e-12, _as_float, None),
+        "tol": (1e-12, _as_float, nonnegative),
         "real_tol": (1e-10, _as_float, None),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
@@ -314,15 +316,45 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+# rows formatted per %-template: enough to amortise building the template,
+# few enough that a chunk's text stays small
+_CSV_CHUNK_ROWS = 2048
+
+
+def _csv_column(values: tuple) -> tuple[str, tuple]:
+    """The %-format of one column of a chunk of rows, and the values it takes.
+
+    "%.17g" % x is f"{float(x):.17g}" for a float cell; any other column is
+    formatted cell by cell, exactly as _csv_cell does.
+    """
+    kinds = set(map(type, values))
+    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
+        return "%.17g", values
+    return "%s", tuple(map(_csv_cell, values))
+
+
+def _csv_chunk(chunk: list) -> str:
+    """The lines of a chunk of rows, formatted with one %-template."""
+    if len(set(map(len, chunk))) != 1:
+        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in chunk)
+    specs, columns = zip(*map(_csv_column, zip(*chunk)))
+    template = (",".join(specs) + "\n") * len(chunk)
+    return template % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
 def _csv_lines(schema: str, columns: list[str], rows):
     yield f"# pointdamp-csv schema={schema} version={CSV_SCHEMA_VERSION}\n"
     yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(map(_csv_cell, row)) + "\n"
+    rows = iter(rows)
+    while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK_ROWS))):
+        yield _csv_chunk(chunk)
 
 
 def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
-    """Stream the rows to the file, one line each, under a schema comment."""
+    """Stream the rows to the file a chunk at a time, under a schema comment.
+
+    Every cell reads as _csv_cell writes it.
+    """
     _write_atomic(path, _csv_lines(schema, columns, rows))
 
 
@@ -520,9 +552,14 @@ def run_spectrum(cfg: dict):
     from . import frequency
 
     value, _ = _parse_xi(cfg["xi"])
-    rect = _rectangle(cfg)
-    if not (rect[1] > rect[0] and rect[3] > rect[2]):
+    re0, re1, im0, im1 = rect = _rectangle(cfg)
+    if not (re1 > re0 and im1 > im0):
         raise ConfigError("spectrum rectangle is degenerate")
+    # the winding contour takes 4 samples per unit of perimeter, Newton one
+    # seed per pi of width; refused before either is allocated
+    contour, seeds = 8.0 * ((re1 - re0) + (im1 - im0)), (re1 - re0) / math.pi + 3.0
+    if not max(contour, seeds) <= MAX_GRID_POINTS:
+        raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
     roots = frequency.find_eigenvalues(value, rect, cfg["tol"])
     return roots, frequency.abscissa_of_roots(roots, cfg["real_tol"])
 

@@ -131,9 +131,25 @@ class ForcingData:
         return complex(value) if value.ndim == 0 else value.astype(complex)
 
 
-def assemble_phi(forcing: ForcingData, mu: float) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides Phi = g + i*mu*f of the transformed problem, per side."""
-    if mu <= 0:
+def _leading(mu, ndim: int) -> np.ndarray:
+    """mu as an array with trailing unit axes up to ndim, to broadcast over a stack.
+
+    A float gives a 0-d array; a 1-D array of frequencies lines up with the
+    first axis of the stack.
+    """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim > ndim:
+        raise ValueError("mu has more axes than the forcing's leading axes")
+    return mu.reshape(mu.shape + (1,) * (ndim - mu.ndim))
+
+
+def assemble_phi(forcing: ForcingData, mu) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides Phi = g + i*mu*f of the transformed problem, per side.
+
+    mu is a float, or an array that broadcasts over the forcing's leading axes.
+    """
+    mu = _leading(mu, np.ndim(forcing.f1))
+    if np.any(mu <= 0):
         raise ValueError("mu must be positive")
     phi1 = np.asarray(forcing.g1, dtype=complex) + 1j * mu * np.asarray(forcing.f1, dtype=complex)
     phi2 = np.asarray(forcing.g2, dtype=complex) + 1j * mu * np.asarray(forcing.f2, dtype=complex)
@@ -145,31 +161,41 @@ def assemble_phi(forcing: ForcingData, mu: float) -> tuple[np.ndarray, np.ndarra
 # ----------------------------------------------------------------------------
 
 
+def _denominator(xi: float, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sin mu, sin(xi mu) sin((1-xi) mu), their squared modulus |D(mu)|^2), elementwise."""
+    s = np.sin(mu)
+    a = np.sin(xi * mu) * np.sin((1.0 - xi) * mu)
+    return s, a, s * s + a * a
+
+
 def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi, kernel, denominator_floor):
     """(lambda1, lambda2) from the moments c = int cos(mu t) Phi, s = int sin(mu t) Phi.
 
     c1, s1 integrate Phi1 over [0, xi], c2, s2 Phi2 over [xi, 1].  Continuity
     and the derivative jump at xi form a 2x2 system with determinant
-    sin(mu) + i*sin(mu xi)sin(mu(1-xi)), solved by Cramer's rule.
+    sin(mu) + i*sin(mu xi)sin(mu(1-xi)), solved by Cramer's rule.  mu is a
+    float or an array that broadcasts against the moments.
     """
     if kernel not in ("consistent", "verbatim"):
         raise ValueError(f"unknown kernel {kernel!r}")
-    s, a = math.sin(mu), math.sin(xi * mu) * math.sin((1.0 - xi) * mu)
-    den = s * s + a * a
-    if den < denominator_floor:
-        raise ResonantDenominator(mu, den, denominator_floor)
+    mu = np.asarray(mu, dtype=float)
+    s, a, den = _denominator(xi, mu)
+    resonant = den < denominator_floor
+    if np.any(resonant):
+        first = np.flatnonzero(resonant)[0]
+        raise ResonantDenominator(float(mu.flat[first]), float(den.flat[first]), denominator_floor)
     scalar = np.ndim(c1) == 0
     # array arithmetic for one probe too, so each row of a stack rounds alike
     c1, s1, c2, s2 = np.atleast_1d(c1, s1, c2, s2)
-    sx, cx, eta = math.sin(mu * xi), math.cos(mu * xi), mu * (1.0 - xi)
-    rotation = complex(cx, sx)
+    sx, cx, eta = np.sin(mu * xi), np.cos(mu * xi), mu * (1.0 - xi)
+    rotation = cx + 1j * sx
     # int sin(mu(xi-t)) Phi over both sides, and
     # int_0^xi exp(i mu(xi-t)) Phi1 + int_xi^1 cos(mu(xi-t)) Phi2 + f1(xi)
     group_sin = (sx * (c1 + c2) - cx * (s1 + s2)) / mu
     group_jump = (rotation * (c1 - 1j * s1) + (cx * c2 + sx * s2) + f1_at_xi) / mu
     prefactor = (-s + 1j * a) / den
-    lam1 = prefactor * (math.cos(eta) * group_sin + math.sin(eta) * group_jump)
-    first = rotation if kernel == "consistent" else complex(cx, math.sin(eta))
+    lam1 = prefactor * (np.cos(eta) * group_sin + np.sin(eta) * group_jump)
+    first = rotation if kernel == "consistent" else cx + 1j * np.sin(eta)
     lam2 = prefactor * (first * group_sin - sx * group_jump)
     if scalar:
         return complex(lam1[0]), complex(lam2[0])
@@ -224,11 +250,11 @@ class ResolventSolution:
 
     For a stacked forcing the arrays carry its leading axes, lambda1,
     lambda2 and the trace_* fields are arrays, and the two residuals hold
-    the worst row.
+    the worst row.  mu is a float, or the array of frequencies solved for.
     """
 
     mesh: Mesh
-    mu: float
+    mu: float | np.ndarray
     lambda1: complex | np.ndarray
     lambda2: complex | np.ndarray
     u1: np.ndarray = field(repr=False)
@@ -245,63 +271,98 @@ class ResolventSolution:
     kernel: str = "consistent"
 
 
+def _phase(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta), filled from cos and sin (faster than a complex exp)."""
+    out = np.empty(theta.shape, dtype=complex)
+    out.real = np.cos(theta)
+    out.imag = np.sin(theta)
+    return out
+
+
+def _running_pair(phase: np.ndarray, phi: np.ndarray, h: float) -> np.ndarray:
+    """Running integrals of conj(phase) * phi and phase * phi, stacked on a new first axis."""
+    products = np.empty((2,) + phi.shape, dtype=complex)
+    np.multiply(np.conj(phase), phi, out=products[0])
+    np.multiply(phase, phi, out=products[1])
+    return cumulative_simpson(products, h)
+
+
+def _side_fields(phase, running, f, mu):
+    """(u, u', v) of one side from W+- = u' +- i mu u, with W+- held as phase^(+-1) * running.
+
+    running is overwritten.
+    """
+    running[0] *= phase
+    running[1] *= np.conj(phase)
+    w_plus, w_minus = running
+    up = w_plus + w_minus
+    up *= 0.5
+    np.subtract(w_plus, w_minus, out=w_minus)  # W+ - W- = 2 i mu u
+    u = w_minus * (-0.5j / mu)
+    v = np.multiply(w_minus, 0.5, out=w_plus)
+    v += f
+    return u, up, v
+
+
 def solve_resolvent(
     xi: float,
-    mu: float,
+    mu,
     forcing: ForcingData,
     kernel: str = "consistent",
     denominator_floor: float = DENOMINATOR_FLOOR,
 ) -> ResolventSolution:
     """Solve the transformed interface problem at frequency mu in closed form.
 
-    Uses the sine ansatz with Duhamel particular integrals; the running
-    oscillatory integrals are evaluated by cumulative Simpson after splitting
-    the kernel sin(mu(x-t)) into sin(mu x)cos(mu t) - cos(mu x)sin(mu t).
-    The end values of those four running integrals are the moments that fix
-    lambda1 and lambda2.  Raises ResonantDenominator within denominator_floor
-    of an exact resonance.  A stacked forcing is solved in one pass along the
-    last axis.
+    Uses the sine ansatz with Duhamel particular integrals, written through
+    W+- = u' +- i*mu*u.  With J-+(t) the running integrals of
+    exp(-+i mu s) Phi (cumulative Simpson, from 0 on the left side and from 1
+    on the right), W+- = exp(+-i mu t) (lambda1 mu + J-+) on the left and
+    exp(+-i mu t) (lambda2 mu exp(-+i mu) + J-+) on the right.  The end values
+    of the running integrals give the four moments int cos(mu t) Phi and
+    int sin(mu t) Phi that fix lambda1 and lambda2.  Raises
+    ResonantDenominator within denominator_floor of an exact resonance.
+
+    A stacked forcing is solved in one pass along the last axis.  mu may be
+    a 1-D array aligned with the forcing's first axis, one frequency per
+    slice; the solution then holds every slice, and ResonantDenominator is
+    raised if any of them is resonant.
     """
     mesh = forcing.mesh
     if abs(mesh.xi - xi) > 1e-14:
         raise ValueError("forcing mesh was built for a different actuator position")
     phi1, phi2 = assemble_phi(forcing, mu)
     f1_xi = forcing.f1_at_xi
-    t1, t2 = mesh.left, mesh.right
+    mu_rows = _leading(mu, phi1.ndim - 1)
+    mu_col = mu_rows[..., None]
     h1, h2 = mesh.h_left, mesh.h_right
 
-    # the kernels are cast to complex once: a real operand is cast anew in
-    # every mixed product, and the cast does not change the result
-    # left side: running integrals from 0
-    sin1, cos1 = np.sin(mu * t1).astype(complex), np.cos(mu * t1).astype(complex)
-    ic1 = cumulative_simpson(cos1 * phi1, h1)
-    is1 = cumulative_simpson(sin1 * phi1, h1)
-    # right side: running integrals from xi, shifted below to run from 1
-    sin2, cos2 = np.sin(mu * t2).astype(complex), np.cos(mu * t2).astype(complex)
-    c2 = cumulative_simpson(cos2 * phi2, h2)
-    s2 = cumulative_simpson(sin2 * phi2, h2)
+    phase1 = _phase(mu_col * mesh.left)
+    phase2 = _phase(mu_col * mesh.right)
+    # [J-, J+] from 0 on the left, from xi on the right (shifted to 1 below)
+    run1 = _running_pair(phase1, phi1, h1)
+    run2 = _running_pair(phase2, phi2, h2)
+    end1, end2 = run1[..., -1], run2[..., -1]
+    moments = (
+        0.5 * (end1[1] + end1[0]), -0.5j * (end1[1] - end1[0]),
+        0.5 * (end2[1] + end2[0]), -0.5j * (end2[1] - end2[0]),
+    )
+    lam1, lam2 = _interface_coefficients(xi, mu_rows, *moments, f1_xi, kernel, denominator_floor)
 
-    moments = (ic1[..., -1], is1[..., -1], c2[..., -1], s2[..., -1])
-    lam1, lam2 = _interface_coefficients(xi, mu, *moments, f1_xi, kernel, denominator_floor)
-    # broadcast the coefficients of a stack along the side grid
-    col1, col2 = np.expand_dims(lam1, -1), np.expand_dims(lam2, -1)
-
-    u1 = col1 * sin1 + (sin1 * ic1 - cos1 * is1) / mu
-    up1 = col1 * mu * cos1 + (cos1 * ic1 + sin1 * is1)
-    jc2 = c2 - c2[..., -1:]
-    js2 = s2 - s2[..., -1:]
-    u2 = col2 * np.sin(mu * (t2 - 1.0)) + (sin2 * jc2 - cos2 * js2) / mu
-    up2 = col2 * mu * np.cos(mu * (t2 - 1.0)) + (cos2 * jc2 + sin2 * js2)
-
-    v1 = np.asarray(forcing.f1, dtype=complex) + 1j * mu * u1
-    v2 = np.asarray(forcing.f2, dtype=complex) + 1j * mu * u2
+    run1 += (lam1 * mu_rows)[..., None]
+    # exp(-+i mu) lambda2 mu, less the end values that move the origin to 1
+    shift = (lam2 * mu_rows) * _phase(np.stack((-mu_rows, mu_rows))) - end2
+    run2 += shift[..., None]
+    u1, up1, v1 = _side_fields(phase1, run1, forcing.f1, mu_col)
+    u2, up2, v2 = _side_fields(phase2, run2, forcing.f2, mu_col)
 
     trace_u = u1[..., -1]
     scale = np.maximum(
         np.maximum(np.max(np.abs(u1), axis=-1), np.max(np.abs(u2), axis=-1)), 1e-300
     )
     continuity = np.max(np.abs(trace_u - u2[..., 0]) / scale)
-    jump = np.max(np.abs(up2[..., 0] - up1[..., -1] - f1_xi - 1j * mu * trace_u) / (mu * scale))
+    jump = np.max(
+        np.abs(up2[..., 0] - up1[..., -1] - f1_xi - 1j * mu_rows * trace_u) / (mu_rows * scale)
+    )
     trace_up_left, trace_up_right = up1[..., -1], up2[..., 0]
     if trace_u.ndim == 0:
         trace_u = complex(trace_u)
@@ -309,7 +370,7 @@ def solve_resolvent(
 
     return ResolventSolution(
         mesh=mesh,
-        mu=mu,
+        mu=np.asarray(mu, dtype=float) if np.ndim(mu) else float(mu),
         lambda1=lam1,
         lambda2=lam2,
         u1=u1,
@@ -414,6 +475,13 @@ def verify_interface_identity(
     )
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 as re^2 + im^2, without the square root abs would take."""
+    if np.iscomplexobj(z):
+        return z.real * z.real + z.imag * z.imag
+    return z * z
+
+
 def state_norm(
     mesh: Mesh,
     a1: np.ndarray,
@@ -430,10 +498,10 @@ def state_norm(
     ap1 = derivative(a1, mesh.h_left) if ap1 is None else ap1
     ap2 = derivative(a2, mesh.h_right) if ap2 is None else ap2
     total = (
-        simpson(np.abs(ap1) ** 2, mesh.h_left)
-        + simpson(np.abs(ap2) ** 2, mesh.h_right)
-        + simpson(np.abs(b1) ** 2, mesh.h_left)
-        + simpson(np.abs(b2) ** 2, mesh.h_right)
+        simpson(_abs2(ap1), mesh.h_left)
+        + simpson(_abs2(ap2), mesh.h_right)
+        + simpson(_abs2(b1), mesh.h_left)
+        + simpson(_abs2(b2), mesh.h_right)
     )
     return math.sqrt(abs(total)) if np.ndim(total) == 0 else np.sqrt(np.abs(total))
 
@@ -441,6 +509,16 @@ def state_norm(
 # ----------------------------------------------------------------------------
 # probes and growth scan
 # ----------------------------------------------------------------------------
+
+# bytes of complex probe samples solved as one block of frequencies by
+# scan_resolvent_growth: three frequencies of the default scan (4 probes on
+# 1026 nodes), so each stacked array of the solve stays under 0.2 MB.  Three
+# and four were fastest when measured, two and eight or more slower; every
+# frequency more adds about 0.6 MB to the scan's peak RSS
+_BLOCK_BYTES = 200 << 10
+
+# band limit of the random probes
+_PROBE_MODES = 8
 
 
 @functools.lru_cache(maxsize=4)
@@ -466,28 +544,46 @@ def _series_table(nodes: bytes, n_modes: int) -> np.ndarray:
     return table
 
 
+def _probe_draws(rng: np.random.Generator, count: int, n_modes: int) -> np.ndarray:
+    """(count, 6, n_modes) scaled normal draws: real and imaginary parts of af, ag, bg."""
+    return rng.standard_normal((count, 6, n_modes)) / np.arange(1, n_modes + 1)
+
+
+def _fill_series(mesh: Mesh, draws: np.ndarray, out: np.ndarray) -> None:
+    """Write the samples (f, f', g) of probes into out (..., 3 * nodes).
+
+    draws (..., 6, n_modes) are the probes' coefficients, as _probe_draws
+    gives them; one product with the series table maps all of them.
+    """
+    lead, n_modes = draws.shape[:-2], draws.shape[-1]
+    # (..., 3 * n_modes, 2): coefficient blocks down, (real, imag) across
+    coef = draws.reshape(lead + (3, 2, n_modes)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+    # real matrix products give (real, imag) pairs, read as complex samples
+    table = _series_table(mesh.nodes.tobytes(), n_modes)
+    np.matmul(table, coef, out=out.view(float).reshape(out.shape + (2,)))
+
+
+def _split_series(mesh: Mesh, series: np.ndarray) -> ForcingData:
+    """Probes from their samples (f, f', g) over all nodes, stacked on the leading axes."""
+    f, fp, g = np.split(series, 3, axis=-1)
+    f1, f2 = mesh.split(f)
+    fp1, fp2 = mesh.split(fp)
+    g1, g2 = mesh.split(g)
+    return ForcingData(mesh=mesh, f1=f1, f2=f2, g1=g1, g2=g2, fp1=fp1, fp2=fp2)
+
+
 def random_forcing(
-    mesh: Mesh, rng: np.random.Generator, n_modes: int = 8, count: int | None = None
+    mesh: Mesh, rng: np.random.Generator, n_modes: int = _PROBE_MODES, count: int | None = None
 ) -> ForcingData:
     """Band-limited random probe: global sine series for f, cosine+sine for g.
 
     count=k returns k probes stacked along a leading axis; row j equals the
     j-th of k successive single calls on the same generator.
     """
-    rows = 1 if count is None else count
-    # per probe: real and imaginary parts of af, ag, bg, each over the modes
-    draws = rng.standard_normal((rows, 6, n_modes)) / np.arange(1, n_modes + 1)
-    # (rows, 3 * n_modes, 2): coefficient blocks down, (real, imag) across
-    coef = draws.reshape(rows, 3, 2, n_modes).transpose(0, 1, 3, 2).reshape(rows, -1, 2)
-    # real matrix products give (real, imag) pairs, read as complex samples
-    series = (_series_table(mesh.nodes.tobytes(), n_modes) @ coef).view(complex)[..., 0]
-    if count is None:
-        series = series[0]
-    f, fp, g = np.split(series, 3, axis=-1)
-    f1, f2 = mesh.split(f)
-    fp1, fp2 = mesh.split(fp)
-    g1, g2 = mesh.split(g)
-    return ForcingData(mesh=mesh, f1=f1, f2=f2, g1=g1, g2=g2, fp1=fp1, fp2=fp2)
+    draws = _probe_draws(rng, 1 if count is None else count, n_modes)
+    series = np.empty((draws.shape[0], 3 * mesh.nodes.size), dtype=complex)
+    _fill_series(mesh, draws, series)
+    return _split_series(mesh, series[0] if count is None else series)
 
 
 def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
@@ -506,8 +602,8 @@ def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
 
 
 def resolvent_norm_lower_bound(
-    xi: float, mu: float, probes: list[ForcingData], kernel: str = "consistent"
-) -> float:
+    xi: float, mu, probes: list[ForcingData], kernel: str = "consistent"
+) -> float | np.ndarray:
     """Max response-to-input norm ratio over the probe set.
 
     A lower bound for the resolvent norm on the imaginary axis at height mu;
@@ -515,17 +611,26 @@ def resolvent_norm_lower_bound(
     resonance.  The probes (single or stacked, on one mesh) are solved as one
     stack; a probe of zero input norm is skipped, and 0.0 is returned when
     every probe is zero (or there is none).
+
+    mu may also be a 1-D array of frequencies aligned with the first axis of
+    every probe's arrays; the result is then one estimate per frequency, each
+    the value a float mu with that slice of the probes would give.
     """
+    scalar = np.ndim(mu) == 0
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    if mu.ndim != 1:
+        raise ValueError("mu must be a float or a 1-D array")
     if not probes:
-        return 0.0
+        return 0.0 if scalar else np.zeros(mu.shape)
     mesh = probes[0].mesh
     if any(p.mesh is not mesh and not np.array_equal(p.mesh.nodes, mesh.nodes) for p in probes):
         raise ValueError("probes must share one mesh")
 
     def rows(arrays) -> np.ndarray:
-        return np.concatenate(
-            [np.asarray(a, dtype=complex).reshape(-1, np.shape(a)[-1]) for a in arrays]
-        )
+        # (frequency, probe, grid); one stack is read in place
+        arrays = [np.asarray(a, dtype=complex) for a in arrays]
+        arrays = [a.reshape(mu.size, -1, a.shape[-1]) for a in arrays]
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
 
     f1, f2 = rows(p.f1 for p in probes), rows(p.f2 for p in probes)
     g1, g2 = rows(p.g1 for p in probes), rows(p.g2 for p in probes)
@@ -533,16 +638,19 @@ def resolvent_norm_lower_bound(
     fp2 = rows(derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
     in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
     live = in_norm != 0.0
-    if not np.any(live):
-        return 0.0
-    if not np.all(live):
-        f1, f2, g1, g2, in_norm = f1[live], f2[live], g1[live], g2[live], in_norm[live]
-    try:
+    # a frequency without a live probe gives 0.0, a resonant one +inf
+    resonant = _denominator(xi, mu)[2] < DENOMINATOR_FLOOR
+    estimates = np.where(resonant & live.any(axis=1), math.inf, 0.0)
+    solve = ~resonant & live.any(axis=1)
+    if np.any(solve):
+        if not np.all(solve):
+            mu, f1, f2, g1, g2 = mu[solve], f1[solve], f2[solve], g1[solve], g2[solve]
+            in_norm, live = in_norm[solve], live[solve]
         sol = solve_resolvent(xi, mu, ForcingData(mesh, f1, f2, g1, g2), kernel)
-    except ResonantDenominator:
-        return math.inf
-    out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
-    return float(np.max(out_norm / in_norm))
+        out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
+        ratio = np.divide(out_norm, in_norm, out=np.zeros_like(out_norm), where=live)
+        estimates[solve] = np.max(ratio, axis=1)
+    return float(estimates[0]) if scalar else estimates
 
 
 @dataclass
@@ -567,19 +675,31 @@ def scan_resolvent_growth(
 
     For each mu the probe set is the near-resonant mode plus a stack of
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
-    so scans are reproducible), solved together.  Fits log(norm) = log C +
-    K*mu by least squares over the finite estimates.  kernel selects the
-    closed form, as in solve_resolvent.
+    so scans are reproducible), solved together.  A block of frequencies is
+    solved in one call; each estimate equals resolvent_norm_lower_bound at
+    its own mu.  Fits log(norm) = log C + K*mu by least squares over the
+    finite estimates.  kernel selects the closed form, as in solve_resolvent.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
     estimates = np.empty_like(mu_grid)
-    for i, mu in enumerate(mu_grid):
-        rng = np.random.default_rng([seed, i])
-        probes = [resonant_forcing(mesh, mu)]
+    n, rows = mesh.nodes.size, max(probes_per_mu, 1)
+    # a block of frequencies at a time, each with its own probes
+    block = max(1, _BLOCK_BYTES // (16 * rows * n))
+    for first in range(0, mu_grid.size, block):
+        mus = mu_grid[first : first + block]
+        # (frequency, probe, samples of f, f' and g over all nodes); the
+        # near-resonant probe first: f = 0 and g = sin(mu x)
+        series = np.zeros((mus.size, rows, 3 * n), dtype=complex)
+        series[:, 0, 2 * n :] = np.sin(np.multiply.outer(mus, mesh.nodes))
         if probes_per_mu > 1:
-            probes.append(random_forcing(mesh, rng, count=probes_per_mu - 1))
-        estimates[i] = resolvent_norm_lower_bound(xi, mu, probes, kernel)
+            draws = [
+                _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1, _PROBE_MODES)
+                for i in range(first, first + mus.size)
+            ]
+            _fill_series(mesh, np.stack(draws), series[:, 1:])
+        probes = [_split_series(mesh, series)]
+        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes, kernel)
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

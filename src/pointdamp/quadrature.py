@@ -54,13 +54,22 @@ def cumulative_simpson(y, dx: float) -> np.ndarray:
         raise ValueError("cumulative_simpson needs at least 3 samples")
     # only the even-indexed triples are kept: triple i = 2j gives interval i
     # forward and interval i + 1 backward.  Quartering is exact, so 5 * (f / 4)
-    # rounds as 5 * f / 4 does.
+    # rounds as 5 * f / 4 does; multiplying by 0.25 rounds as dividing by 4
+    # and is cheaper on complex samples
     f0, f1, f2 = y[..., 0 : n - 2 : 2], y[..., 1 : n - 1 : 2], y[..., 2:n:2]
-    q0, q2, twice_f1 = f0 / 4, f2 / 4, 2 * f1
+    q0, q2, twice_f1 = f0 * 0.25, f2 * 0.25, 2 * f1
     out = np.empty(y.shape, dtype=np.result_type(y, float))
     out[..., 0] = 0.0
-    np.multiply(dx / 3, 5 * q0 + twice_f1 - q2, out=out[..., 1:-1:2])
-    np.multiply(dx / 3, 5 * q2 + twice_f1 - q0, out=out[..., 2::2])
+    # (5 q0 + 2 f1 - q2) dx/3 forward, (5 q2 + 2 f1 - q0) dx/3 backward, in
+    # that order, through one scratch array
+    terms = np.multiply(q0, 5)
+    terms += twice_f1
+    terms -= q2
+    np.multiply(terms, dx / 3, out=out[..., 1:-1:2])
+    np.multiply(q2, 5, out=terms)
+    terms += twice_f1
+    terms -= q0
+    np.multiply(terms, dx / 3, out=out[..., 2::2])
     if n % 2 == 0:
         # the last interval, backward from the odd triple ending there
         out[..., -1] = dx / 3 * (5 * y[..., -1] / 4 + 2 * y[..., -2] - y[..., -3] / 4)

@@ -236,6 +236,19 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "t_final=1e6"],
     ["sweep", "--set", "task=carleman-verify", "--set", "xi_list=0.3", "--set", "n_modes=0"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "depth=0"],
+    # non-finite numbers
+    ["classify", "--set", "mu_step=inf"],
+    ["classify", "--set", "mu_step=nan"],
+    ["classify", "--set", "mu_max=inf", "--set", "mu_min=inf"],
+    ["resolvent-scan", "--set", "mu_step=inf"],
+    ["spectrum", "--set", "tol=nan"],
+    # spectrum rectangles past the work ceiling
+    ["spectrum", "--set", "re_max=1e8"],
+    ["spectrum", "--set", "re_max=1e300"],
+    ["spectrum", "--set", "re_max=inf"],
+    ["spectrum", "--set", "im_max=1e300"],
+    ["spectrum", "--set", "re_min=-inf"],
+    ["sweep", "--set", "xi_list=0.3", "--set", "re_max=1e8"],
 ], ids=lambda args: f"{args[0]}:{args[-1]}")
 def test_out_of_range_number_is_config_error(tmp_path, args):
     xi = [] if args[0] == "sweep" else ["--xi", "golden"]
@@ -547,6 +560,31 @@ def test_csv_stream_failure_leaves_no_file(tmp_path):
     with pytest.raises(RuntimeError):
         write_csv(tmp_path / "partial.csv", "test", ["a", "b"], rows())
     assert list(tmp_path.iterdir()) == []
+
+
+def test_csv_chunks_match_cell_formatting(tmp_path):
+    from pointdamp.cli import _CSV_CHUNK_ROWS, _csv_cell, write_csv
+
+    specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1, -2.5e-17]
+    floats = [
+        *specials, *map(np.float64, specials), *map(np.float32, [0.1, -0.0, math.inf, 3.4e38])
+    ]
+    float_rows = [(floats[i % len(floats)], floats[(7 * i) % len(floats)], i * 0.5)
+                  for i in range(2 * _CSV_CHUNK_ROWS + 5)]
+    mixed_rows = [
+        ("left", 0, True, 0.25, np.int64(-3), np.bool_(False)),
+        ("right", 10**20, False, math.nan, np.int32(7), np.bool_(True)),
+        # a column whose cell types differ between rows
+        ("both", 1.5, 2, np.float32(0.1), True, None),
+    ]
+    ragged_rows = [(1.0, 2.0), (3.0,), (4.0, 5.0, 6)]
+    for name, rows in (("floats", float_rows), ("mixed", mixed_rows), ("ragged", ragged_rows)):
+        path = tmp_path / f"{name}.csv"
+        columns = [f"c{j}" for j in range(len(rows[0]))]
+        write_csv(path, "test", columns, (iter(row) for row in rows))
+        expected = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+        header = "# pointdamp-csv schema=test version=1\n" + ",".join(columns) + "\n"
+        assert path.read_text(encoding="utf-8") == header + expected, name
 
 
 def test_float_format_roundtrips(tmp_path):

@@ -307,6 +307,37 @@ def test_stacked_solve_matches_single_solves(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
+def test_frequency_block_solve_matches_single_solves(kernel):
+    # one frequency per slice of the forcing's first axis
+    mesh = build_mesh(GOLDEN, 96, 80)
+    mus = np.array([1.5, 23.0, 61.7])
+    block = random_forcing(mesh, np.random.default_rng(4), count=6)
+    names = ("f1", "f2", "g1", "g2")
+    block = ForcingData(mesh, *(getattr(block, name).reshape(3, 2, -1) for name in names))
+    sol = solve_resolvent(GOLDEN, mus, block, kernel)
+    refs = []
+    for b, mu in enumerate(mus):
+        rows = ForcingData(mesh, block.f1[b], block.f2[b], block.g1[b], block.g2[b])
+        ref = solve_resolvent(GOLDEN, float(mu), rows, kernel)
+        refs.append(ref)
+        for name in ("u1", "u2", "v1", "v2", "up1", "up2", "lambda1", "lambda2",
+                     "trace_u", "trace_up_left", "trace_up_right"):
+            np.testing.assert_allclose(getattr(sol, name)[b], getattr(ref, name), rtol=1e-15)
+    assert sol.continuity_residual == max(r.continuity_residual for r in refs)
+    assert sol.jump_residual == max(r.jump_residual for r in refs)
+
+
+def test_frequency_block_solve_raises_on_a_resonant_slice():
+    mesh = build_mesh(0.5, 64, 64)
+    block = random_forcing(mesh, np.random.default_rng(1), count=2)
+    with pytest.raises(ResonantDenominator) as caught:
+        solve_resolvent(0.5, np.array([5.0, 2 * math.pi]), block)
+    assert caught.value.mu == 2 * math.pi
+    with pytest.raises(ValueError):
+        solve_resolvent(0.5, np.array([5.0, 6.0]), random_forcing(mesh, np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
 @pytest.mark.parametrize("cells", [(96, 80), (97, 81)], ids=["odd-samples", "even-samples"])
 def test_coefficient_routes_agree(kernel, cells):
     # lambda_coefficients takes its four moments as simpson integrals,
@@ -518,6 +549,69 @@ def test_scan_marks_resonant_points():
     result = scan_resolvent_growth(0.5, grid, probes_per_mu=2, seed=0, cells_per_side=64)
     assert result.n_resonant >= 1
     assert not np.isfinite(result.norm_estimate[1])
+
+
+def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells, kernel):
+    """The scan's estimates the slow way: one resolvent_norm_lower_bound per mu."""
+    mesh = build_mesh(xi, cells, cells)
+    bounds = []
+    for i, mu in enumerate(grid):
+        probes = [resonant_forcing(mesh, float(mu))]
+        if probes_per_mu > 1:
+            rng = np.random.default_rng([seed, i])
+            probes.append(random_forcing(mesh, rng, count=probes_per_mu - 1))
+        bounds.append(resolvent_norm_lower_bound(xi, float(mu), probes, kernel))
+    return np.array(bounds)
+
+
+@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
+@pytest.mark.parametrize("probes", [1, 4])
+def test_scan_blocks_equal_per_frequency_bounds(monkeypatch, kernel, probes):
+    # blocks of 3 frequencies over 8 grid points: the last block is short
+    cells = 48
+    monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * probes * (2 * cells + 1))
+    grid = np.linspace(2.0, 60.0, 8)
+    scan = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells, kernel=kernel)
+    expected = _per_frequency_bounds(GOLDEN, grid, probes, 3, cells, kernel)
+    np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
+    # the default block holds the whole grid
+    monkeypatch.undo()
+    whole = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells, kernel=kernel)
+    np.testing.assert_allclose(whole.norm_estimate, expected, rtol=1e-14)
+
+
+def test_scan_block_with_a_resonant_frequency(monkeypatch):
+    # mu = 2 pi is resonant at xi = 1/2: its row alone is infinite
+    cells = 32
+    monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * 4 * (2 * cells + 1))
+    grid = np.array([5.0, 2 * math.pi, 7.0, 8.0, 9.5])
+    scan = scan_resolvent_growth(0.5, grid, 4, seed=0, cells_per_side=cells)
+    assert scan.n_resonant == 1
+    assert scan.norm_estimate[1] == math.inf
+    finite = np.delete(np.arange(grid.size), 1)
+    assert np.all(np.isfinite(scan.norm_estimate[finite]))
+    expected = _per_frequency_bounds(0.5, grid, 4, 0, cells, "consistent")
+    np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
+
+
+def test_lower_bound_over_a_frequency_block():
+    mesh = build_mesh(0.5, 64, 64)
+    mus = np.array([5.0, 2 * math.pi, 7.0])
+    stack = random_forcing(mesh, np.random.default_rng(2), count=6)
+    f1, f2, g1, g2, fp1, fp2 = (
+        getattr(stack, name).reshape(3, 2, -1) for name in ("f1", "f2", "g1", "g2", "fp1", "fp2")
+    )
+    zero = np.zeros_like(f1[0])
+    # the last frequency's probes are all zero
+    f1[2], g1[2], fp1[2] = zero, zero, zero
+    f2[2], g2[2], fp2[2] = 0.0, 0.0, 0.0
+    block = ForcingData(mesh, f1, f2, g1, g2, fp1, fp2)
+    bounds = resolvent_norm_lower_bound(0.5, mus, [block])
+    assert bounds.shape == (3,)
+    assert bounds[1] == math.inf and bounds[2] == 0.0
+    single = ForcingData(mesh, f1[0], f2[0], g1[0], g2[0], fp1[0], fp2[0])
+    assert bounds[0] == resolvent_norm_lower_bound(0.5, 5.0, [single])
+    assert np.array_equal(resolvent_norm_lower_bound(0.5, mus, []), np.zeros(3))
 
 
 # ---------------------------------------------------- characteristic roots
