@@ -24,10 +24,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-# every task parses xi through diophantine; the other layers are imported by
-# the tasks that use them, so a command loads only what it runs
+# every task parses xi through diophantine, which needs no numpy; the other
+# layers, and numpy, are imported by the tasks that use them, after their
+# configuration checks, so a command loads only what it runs
 from . import __version__, diophantine
 
 CSV_SCHEMA_VERSION = 1
@@ -100,7 +99,9 @@ def one_of(*choices: str) -> Limit:
 
 positive = Limit("positive", lambda value: value > 0)
 nonnegative = Limit("nonnegative", lambda value: value >= 0)
+finite = Limit("finite", math.isfinite)
 finite_positive = Limit("finite and positive", lambda value: 0 < value < math.inf)
+finite_nonnegative = Limit("finite and nonnegative", lambda value: 0 <= value < math.inf)
 
 # ceilings on the work one invocation may ask for, so an absurd size exits 2
 # instead of exhausting memory
@@ -120,8 +121,8 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "mu_min": (1.0, _as_float, finite_positive),
         "mu_max": (500.0, _as_float, None),
         "mu_step": (0.01, _as_float, finite_positive),
-        "k1": (1.0, _as_float, nonnegative),
-        "poly_eps": (1.0, _as_float, None),
+        "k1": (1.0, _as_float, finite_nonnegative),
+        "poly_eps": (1.0, _as_float, finite),
         "trend_factor": (10.0, _as_float, positive),
         "liouville_kappa": (0.2, _as_float, positive),
         "liouville_m_max": (1000, _as_int, all_of(at_least(1), at_most(MAX_GRID_POINTS))),
@@ -161,10 +162,10 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "cells": (2048, _as_int, all_of(at_least(12), at_most(MAX_CELLS))),
         "n_samples": (50, _as_int, at_least(1)),
         "n_modes": (8, _as_int, at_least(1)),
-        "h_min": (1e-3, _as_float, positive),
-        "h_max": (1e-1, _as_float, positive),
+        "h_min": (1e-3, _as_float, finite_positive),
+        "h_max": (1e-1, _as_float, finite_positive),
         "h_count": (13, _as_int, at_least(1)),
-        "check_h": (0.05, _as_float, positive),
+        "check_h": (0.05, _as_float, finite_positive),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
     },
@@ -172,7 +173,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "xi": (_REQUIRED, _as_str, None),
         "cells": (1000, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
         "t_final": (200.0, _as_float, positive),
-        "dt": (0.0, _as_float, nonnegative),  # 0 means the default, min spacing / 2
+        "dt": (0.0, _as_float, finite_nonnegative),  # 0 means the default, min spacing / 2
         "sample_every": (100, _as_int, at_least(1)),
         "damped": (True, _as_bool, None),
         "initial": ("smooth_bump", _as_str, one_of("smooth_bump", "fourier_mode")),
@@ -273,12 +274,11 @@ def _pyify(obj):
         return [_pyify(v) for v in obj]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+    if hasattr(obj, "dtype"):  # a numpy array or scalar, recognised without importing numpy
+        if obj.ndim:
+            return [_pyify(v) for v in obj.tolist()]
+        obj = obj.item()  # a numpy float keeps a nan as nan
+        return _pyify(obj) if isinstance(obj, complex) else obj
     if isinstance(obj, complex):
         return {"real": float(obj.real), "imag": float(obj.imag)}
     if isinstance(obj, float) and math.isnan(obj):
@@ -307,12 +307,14 @@ def write_json_report(path: Path, payload: dict) -> None:
 
 def _csv_cell(value) -> str:
     # floats first: they fill almost every cell (no bool or int is a float)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return f"{float(value):.17g}"
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
+    if hasattr(value, "dtype"):  # a numpy scalar reads as the Python number it holds
+        return _csv_cell(value.item())
     return str(value)
 
 
@@ -324,11 +326,12 @@ _CSV_CHUNK_ROWS = 2048
 def _csv_column(values: tuple) -> tuple[str, tuple]:
     """The %-format of one column of a chunk of rows, and the values it takes.
 
-    "%.17g" % x is f"{float(x):.17g}" for a float cell; any other column is
-    formatted cell by cell, exactly as _csv_cell does.
+    "%.17g" % x is f"{float(x):.17g}" for a float cell (numpy's float64 is a
+    float); any other column is formatted cell by cell, exactly as _csv_cell
+    does.
     """
     kinds = set(map(type, values))
-    if all(issubclass(kind, (float, np.floating)) for kind in kinds):
+    if all(issubclass(kind, float) for kind in kinds):
         return "%.17g", values
     return "%s", tuple(map(_csv_cell, values))
 
@@ -360,14 +363,12 @@ def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
 
 def _report_skeleton(command: str, cfg: dict) -> dict:
     echo = {k: v for k, v in cfg.items() if k != "task_config"}
-    return {
-        "command": command,
-        "config": _pyify(echo),
-        "versions": {
-            "pointdamp": __version__,
-            "numpy": np.__version__,
-        },
-    }
+    versions = {"pointdamp": __version__}
+    if command != "classify":  # every other task computes with numpy
+        import numpy
+
+        versions["numpy"] = numpy.__version__
+    return {"command": command, "config": _pyify(echo), "versions": versions}
 
 
 def _condition_dict(report: diophantine.ConditionReport) -> dict:
@@ -396,21 +397,29 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
             alpha, eps = (float(p) for p in params.split(","))
         except ValueError:
             raise ConfigError("power_log needs parameters alpha,eps") from None
-        return diophantine.GrowthFunction.power_log(alpha, eps)
+        return _growth(diophantine.GrowthFunction.power_log, alpha, eps)
     if name == "exponential":
         try:
             beta = float(params)
         except ValueError:
             raise ConfigError("exponential needs a parameter beta") from None
-        return diophantine.GrowthFunction.exponential(beta)
+        return _growth(diophantine.GrowthFunction.exponential, beta)
     raise ConfigError(f"unknown growth function {text!r}")
 
 
-def _mu_grid(cfg: dict) -> np.ndarray:
-    """The config's mu grid, refused before allocation past MAX_GRID_POINTS points."""
+def _growth(make: Callable, *params: float) -> diophantine.GrowthFunction:
+    """make(*params), a parameter that would make phi decrease being a configuration error."""
+    try:
+        return make(*params)
+    except ValueError as exc:
+        raise ConfigError(f"liouville_phi: {exc}") from None
+
+
+def _mu_grid_args(cfg: dict) -> tuple[float, float, float]:
+    """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
     if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
-    return diophantine.default_mu_grid(cfg["mu_min"], cfg["mu_max"], cfg["mu_step"])
+    return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
 
 
 def run_classify(cfg: dict):
@@ -418,7 +427,8 @@ def run_classify(cfg: dict):
     value, exact = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
-    grid = _mu_grid(cfg)
+    grid = diophantine.mu_grid_points(*_mu_grid_args(cfg))
+    phi = _growth_from_text(cfg["liouville_phi"])
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -427,7 +437,6 @@ def run_classify(cfg: dict):
         exact if exact is not None else value, settings, keep
     )
     cos_rep = diophantine.check_cos_grid(value, grid, cfg["k1"], cfg["trend_factor"], keep)
-    phi = _growth_from_text(cfg["liouville_phi"])
     liou_rep = diophantine.check_liouville_type(
         value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )
@@ -485,14 +494,15 @@ def _classify_row(result) -> dict:
 
 
 def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
-    from . import frequency
-
     value, _ = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
+    grid_args = _mu_grid_args(cfg)
+    from . import frequency
+
     return frequency.scan_resolvent_growth(
         value,
-        _mu_grid(cfg),
+        diophantine.default_mu_grid(*grid_args),
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],
         cells_per_side=cfg["cells"],
@@ -501,6 +511,8 @@ def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
 
 
 def _max_finite_norm(scan: frequency.ScanResult) -> float | None:
+    import numpy as np
+
     finite = scan.norm_estimate[np.isfinite(scan.norm_estimate)]
     return float(np.max(finite)) if finite.size else None
 
@@ -549,8 +561,6 @@ def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
 
 def run_spectrum(cfg: dict):
     """Returns (roots in the configured rectangle, their spectral abscissa)."""
-    from . import frequency
-
     value, _ = _parse_xi(cfg["xi"])
     re0, re1, im0, im1 = rect = _rectangle(cfg)
     if not (re1 > re0 and im1 > im0):
@@ -560,6 +570,8 @@ def run_spectrum(cfg: dict):
     contour, seeds = 8.0 * ((re1 - re0) + (im1 - im0)), (re1 - re0) / math.pi + 3.0
     if not max(contour, seeds) <= MAX_GRID_POINTS:
         raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
+    from . import frequency
+
     roots = frequency.find_eigenvalues(value, rect, cfg["tol"])
     return roots, frequency.abscissa_of_roots(roots, cfg["real_tol"])
 
@@ -602,9 +614,16 @@ def _spectrum_row(result) -> dict:
 
 
 def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction]:
+    choice = cfg["weight"]
+    if choice.startswith("exp:"):
+        try:
+            beta = float(choice.partition(":")[2])
+        except ValueError:
+            raise ConfigError("weight exp:<beta> needs a numeric beta") from None
+    elif choice != "default":
+        raise ConfigError(f"unknown weight {choice!r}")
     from . import carleman
 
-    choice = cfg["weight"]
     sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
     weights = {}
     for side in sides:
@@ -615,15 +634,9 @@ def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction
                 if side == "left"
                 else carleman.default_right_weight(xi)
             )
-        elif choice.startswith("exp:"):
-            try:
-                beta = float(choice.partition(":")[2])
-            except ValueError:
-                raise ConfigError("weight exp:<beta> needs a numeric beta") from None
+        else:
             signed = beta if side == "left" else -beta
             weights[side] = carleman.WeightFunction.exponential(signed, interval)
-        else:
-            raise ConfigError(f"unknown weight {choice!r}")
     return weights
 
 
@@ -631,6 +644,8 @@ def _verify_carleman_side(
     cfg: dict, side: str, weight: carleman.WeightFunction
 ) -> tuple[dict, carleman.ConstantEstimate]:
     """Returns (the identity checks, the constant estimate) for one side."""
+    import numpy as np
+
     from . import carleman
 
     check = carleman.validate_weight(weight, side)
@@ -740,14 +755,14 @@ def run_simulate(cfg: dict):
     fits is None when fitting is off, and the InsufficientData raised when the
     trace has too few usable samples.
     """
-    from . import decayfit, simulator
-    from .mesh import build_mesh
-
     value, _ = _parse_xi(cfg["xi"])
     # dt = 0 means half the smaller mesh spacing, the simulator's default
     dt = cfg["dt"] or min(value, 1.0 - value) / cfg["cells"] / 2.0
     if cfg["t_final"] / dt > MAX_SIM_STEPS:
         raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
+    from . import decayfit, simulator
+    from .mesh import build_mesh
+
     mesh = build_mesh(value, cfg["cells"], cfg["cells"])
     center = None if math.isnan(cfg["center"]) else cfg["center"]
     state = simulator.initial_data(
@@ -855,6 +870,8 @@ def cmd_sweep(cfg: dict) -> list[Path]:
     if cfg["xi_list"].strip():
         xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
     else:
+        import numpy as np
+
         xi_values = [float(v) for v in np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])]
     for v in xi_values:
         if not 0.0 < v < 1.0:
@@ -953,7 +970,11 @@ def main(argv=None) -> int:
     for path in paths:
         print(path)
     elapsed = time.monotonic() - started
-    print(f"elapsed: {elapsed:.3f}s (excludes interpreter start-up and imports)", file=sys.stderr)
+    print(
+        f"elapsed: {elapsed:.3f}s (excludes interpreter start-up and the CLI's own imports;"
+        " includes the task's)",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -10,10 +10,15 @@ genuine cross-check, not a tautology.
 The conjugation-route reference shares the package's stencil but grows each
 exponential window one node at a time, recomputing the weight's spread at
 every step, where the package reads window ends off running extrema.
+
+The diophantine checks are referenced by full scans: every grid point and
+every m is evaluated with numpy, where the package evaluates only the points
+that can hold a minimum.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,6 +27,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from pointdamp.carleman import apply_helmholtz
+from pointdamp.diophantine import ConditionReport, GrowthFunction, default_mu_grid
 
 # one-sided 5-point first-derivative stencils, O(h^4)
 _BACKWARD5 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
@@ -172,3 +178,113 @@ def conjugation_route_incremental(
             break
         start = stop - 2 * margin
     return out, windows
+
+
+# ---------------------------------------------------------------------------
+# diophantine grid and scan checks, by full scans
+# ---------------------------------------------------------------------------
+
+
+def _safe_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def libm(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    """fn applied elementwise through math.  numpy's own SIMD exp, log and pow
+    may round differently from libm in the last place, so the full-scan
+    references use libm, as the package does."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: ufunc(np.asarray(x, dtype=float)).astype(float)
+
+
+LIBM = {"sin": libm(math.sin), "cos": libm(math.cos), "log": libm(math.log), "exp": libm(_safe_exp)}
+NUMPY = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
+_RESONANCE_FLOOR = 1e-20
+
+
+def _tail_trend_check(condition_id, xi, mu_grid, expression, log_weight, constants,
+                      trend_factor, keep_trace, f):
+    mu_grid = np.asarray(mu_grid, dtype=float)
+    if mu_grid.size == 0:
+        raise ValueError("empty grid")
+    with np.errstate(divide="ignore"):
+        log_expr = np.where(
+            expression > _RESONANCE_FLOOR, f["log"](np.maximum(expression, 1e-300)), -np.inf
+        )
+    log_weighted = log_expr + log_weight
+    i_min = int(np.argmin(log_weighted))
+    log_k2 = float(log_weighted[i_min])
+    with np.errstate(over="ignore"):
+        k2 = float(f["exp"](np.array([log_k2]))[0])
+    constants = dict(constants)
+    constants.update({"inf_weighted": k2, "log_inf_weighted": log_k2})
+    trace = None
+    if keep_trace:
+        with np.errstate(over="ignore"):
+            trace = np.column_stack([mu_grid, expression, f["exp"](log_weighted)])
+    witness = float(mu_grid[i_min])
+    if not np.isfinite(log_k2):
+        return ConditionReport(condition_id, xi, "fail", witness, constants,
+                               note="exact resonance on grid", trace=trace)
+    n_tail = mu_grid.size // 4
+    if n_tail == 0 or mu_grid.size < 8:
+        return ConditionReport(condition_id, xi, "pass", witness, constants,
+                               note="grid too short for a trend test", trace=trace)
+    head_min = float(np.min(log_weighted[:-n_tail]))
+    tail_min = float(np.min(log_weighted[-n_tail:]))
+    constants["log_head_min"] = head_min
+    constants["log_tail_min"] = tail_min
+    if tail_min < head_min - math.log(trend_factor):
+        return ConditionReport(condition_id, xi, "fail", witness, constants,
+                               note="weighted infimum drains toward zero along the tail",
+                               trace=trace)
+    return ConditionReport(condition_id, xi, "pass", witness, constants,
+                           note="grid-verified on the sampled range only", trace=trace)
+
+
+def _indicator(kind: str, xi: float, mu: np.ndarray, f) -> np.ndarray:
+    if kind == "cos":
+        return f["cos"](mu) ** 2 + (f["cos"](xi * mu) * f["sin"]((1.0 - xi) * mu)) ** 2
+    return f["sin"](mu) ** 2 + (f["sin"](xi * mu) * f["sin"]((1.0 - xi) * mu)) ** 2
+
+
+def grid_check(kind: str, xi: float, mu_grid=None, weight: float = 1.0,
+               trend_factor: float = 10.0, keep_trace: bool = False, f=LIBM) -> ConditionReport:
+    """Full-scan reference of check_exp_grid (kind 'exp', weight k1),
+    check_poly_grid ('poly', weight eps) and check_cos_grid ('cos', weight k1)."""
+    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    expression = _indicator(kind, xi, mu_grid, f)
+    if kind == "poly":
+        log_weight, constants = (1.0 + weight) * f["log"](mu_grid), {"eps": weight}
+    else:
+        log_weight, constants = weight * mu_grid, {"k1": weight}
+    return _tail_trend_check(f"{kind}-grid", xi, mu_grid, expression, log_weight, constants,
+                             trend_factor, keep_trace, f)
+
+
+def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,
+                   keep_trace: bool = False) -> ConditionReport:
+    """Full-scan reference of check_liouville_type: every m <= m_max."""
+    m = np.arange(1, int(m_max) + 1, dtype=float)
+    rho = m * xi
+    weights = m if phi.kind == "identity" else phi(m)
+    with np.errstate(invalid="ignore"):
+        products = weights * np.abs(rho - np.round(rho))
+    trace = np.column_stack([m, products]) if keep_trace else None
+    violations = np.nonzero(products < kappa)[0]
+    i_min = int(np.argmin(products))
+    constants = {
+        "kappa": kappa,
+        "phi": phi.kind,
+        "min_product": float(np.min(products)),
+        "argmin_m": int(m[i_min]),
+        "first_violation_m": float(m[violations[0]]) if violations.size else None,
+    }
+    if violations.size:
+        return ConditionReport("liouville", xi, "fail", float(m[i_min]), constants,
+                               note=f"scanned m <= {int(m_max)}", trace=trace)
+    return ConditionReport("liouville", xi, "pass", float(m[i_min]), constants,
+                           note=f"scanned m <= {int(m_max)}; scan evidence only", trace=trace)

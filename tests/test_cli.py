@@ -64,17 +64,58 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     for layer in TASK_LAYERS:
         assert f"'pointdamp.{layer}'" not in loaded, layer
     assert "'concurrent.futures'" not in loaded
+    assert "'numpy'" not in loaded
 
     done = run_python(
         "import sys\n"
         "from pointdamp.cli import main\n"
-        f"code = main(['classify', '--xi', 'golden', '--out', {str(tmp_path)!r}])\n"
+        f"code = main(['classify', '--xi', 'golden', '--out', {str(tmp_path / 'a')!r}])\n"
+        f"code = code or main(['classify', '--xi', '2/5', '--out', {str(tmp_path / 'b')!r},\n"
+        "                      '--set', 'keep_trace=true', '--set', 'mu_max=50'])\n"
         "print(sorted(sys.modules))\n"
         "sys.exit(code)\n"
     )
     assert done.returncode == 0, done.stderr
     for layer in ("frequency", "carleman", "simulator"):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
+    assert "'numpy'" not in done.stdout
+    assert (tmp_path / "b" / "classify_trace_liouville.csv").exists()
+
+
+# one configuration error per subcommand, each found after the config is resolved
+EXIT_2_RUNS = [
+    ["classify", "--xi", "golden", "--set", "k1=inf"],
+    ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:-1"],
+    ["classify", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
+    ["resolvent-scan", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
+    ["spectrum", "--xi", "golden", "--set", "re_min=10", "--set", "re_max=5"],
+    ["carleman-verify", "--xi", "golden", "--set", "weight=bogus"],
+    ["simulate", "--xi", "golden", "--set", "t_final=1e6"],
+    ["sweep", "--set", "xi_list=0.3,abc"],
+]
+
+
+def test_configuration_errors_load_no_numpy(tmp_path):
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"codes = [main(args + ['--out', {str(tmp_path)!r}]) for args in {EXIT_2_RUNS!r}]\n"
+        "print(codes)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    codes, numpy_loaded = done.stdout.splitlines()[-2:]
+    assert codes == str([2] * len(EXIT_2_RUNS))
+    assert numpy_loaded == "False"
+
+
+def test_only_classify_reports_drop_the_numpy_version(tmp_path):
+    assert run(["classify", "--xi", "golden", "--out", tmp_path / "c"]) == 0
+    assert run(["spectrum", "--xi", "golden", "--out", tmp_path / "s"]) == 0
+    classify = json.loads((tmp_path / "c" / "classify_report.json").read_text())
+    spectrum = json.loads((tmp_path / "s" / "spectrum.json").read_text())
+    assert classify["versions"] == {"pointdamp": pointdamp.__version__}
+    assert spectrum["versions"] == {"pointdamp": pointdamp.__version__, "numpy": np.__version__}
 
 
 def test_simulate_runs_load_no_scipy(tmp_path):
@@ -242,6 +283,19 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "mu_max=inf", "--set", "mu_min=inf"],
     ["resolvent-scan", "--set", "mu_step=inf"],
     ["spectrum", "--set", "tol=nan"],
+    ["simulate", "--set", "dt=inf"],
+    ["carleman-verify", "--set", "check_h=inf"],
+    ["carleman-verify", "--set", "h_max=inf"],
+    ["carleman-verify", "--set", "h_min=inf"],
+    ["classify", "--set", "k1=inf"],
+    ["classify", "--set", "k1=nan"],
+    ["classify", "--set", "poly_eps=inf"],
+    ["classify", "--set", "poly_eps=nan"],
+    # growth functions that decrease
+    ["classify", "--set", "liouville_phi=exponential:-1"],
+    ["classify", "--set", "liouville_phi=exponential:inf"],
+    ["classify", "--set", "liouville_phi=power_log:-2,0.5"],
+    ["classify", "--set", "liouville_phi=power_log:1,-2"],
     # spectrum rectangles past the work ceiling
     ["spectrum", "--set", "re_max=1e8"],
     ["spectrum", "--set", "re_max=1e300"],

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import LIBM, NUMPY, grid_check, liouville_scan
 
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
@@ -18,6 +20,7 @@ from pointdamp import (
     default_mu_grid,
     dist_nearest_integer,
     expand_continued_fraction,
+    mu_grid_points,
     parse_actuator_position,
     resonance_indicator,
 )
@@ -351,3 +354,184 @@ def test_classify_golden_float_matches_string():
                  len(b.continued_fraction.partial_quotients))
     assert (a.continued_fraction.partial_quotients[:prefix]
             == b.continued_fraction.partial_quotients[:prefix])
+
+
+# ------------------------------------------ candidate search against full scans
+
+SQRT2_M1 = math.sqrt(2.0) - 1.0
+POSITIONS = [GOLDEN_RATIO_CONJUGATE, SQRT2_M1, 0.5, 0.4, 0.110001, 7 / 25] + [
+    random.Random(seed).random() for seed in (1, 2, 3)
+]
+POSITION_IDS = ["golden", "sqrt2-1", "1/2", "2/5", "0.110001", "7/25", "rand1", "rand2", "rand3"]
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b))
+
+
+def assert_reports_identical(rep, ref, trace=False):
+    for name in ("condition_id", "xi", "verdict", "witness", "note"):
+        assert getattr(rep, name) == getattr(ref, name), name
+    assert rep.fitted_constants.keys() == ref.fitted_constants.keys()
+    for key, value in rep.fitted_constants.items():
+        assert _same(value, ref.fitted_constants[key]), (key, value, ref.fitted_constants[key])
+    if trace:
+        assert rep.trace.shape == ref.trace.shape
+        np.testing.assert_array_equal(np.array(list(rep.trace)), ref.trace)
+
+
+def _library_grid_check(kind, xi, grid, weight, keep_trace=False):
+    if kind == "poly":
+        return check_poly_grid(xi, weight, grid, keep_trace=keep_trace)
+    check = check_exp_grid if kind == "exp" else check_cos_grid
+    return check(xi, grid, weight, keep_trace=keep_trace)
+
+
+GRIDS = {
+    "default": None,
+    "short": default_mu_grid(1.0, 3.5, 0.5),
+    "with-2pi": np.sort(np.append(default_mu_grid(1.0, 60.0, 0.01), 2 * math.pi)),
+}
+
+
+@pytest.mark.parametrize("k1, eps", [(0.0, -2.0), (1.0, 0.0), (3.0, 1.0)])
+@pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
+def test_grid_checks_equal_full_scan_on_default_grid(xi, k1, eps):
+    for kind, weight in (("exp", k1), ("cos", k1), ("poly", eps)):
+        rep = _library_grid_check(kind, xi, None, weight)
+        assert_reports_identical(rep, grid_check(kind, xi, None, weight))
+
+
+@pytest.mark.parametrize("grid", ["short", "with-2pi"])
+@pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
+def test_grid_checks_equal_full_scan_on_caller_grids(xi, grid):
+    for kind, weight in (("exp", 1.0), ("cos", 1.0), ("poly", 1.0)):
+        rep = _library_grid_check(kind, xi, GRIDS[grid], weight, keep_trace=True)
+        ref = grid_check(kind, xi, GRIDS[grid], weight, keep_trace=True)
+        assert_reports_identical(rep, ref, trace=True)
+
+
+def test_grid_check_traces_equal_full_scan_on_default_grid():
+    for kind in ("exp", "cos", "poly"):
+        rep = _library_grid_check(kind, GOLDEN_RATIO_CONJUGATE, None, 1.0, keep_trace=True)
+        ref = grid_check(kind, GOLDEN_RATIO_CONJUGATE, None, 1.0, keep_trace=True)
+        assert_reports_identical(rep, ref, trace=True)
+
+
+def test_classify_equals_full_scans_with_injected_resonances():
+    for xi in (Fraction(1, 2), Fraction(2, 5), "golden"):
+        cls = classify_actuator(xi, ClassifySettings(mu_max=100.0), keep_trace=True)
+        grid = np.asarray(cls.exp_grid.trace)[:, 0]
+        assert_reports_identical(cls.exp_grid, grid_check("exp", cls.xi, grid, keep_trace=True), True)
+        assert_reports_identical(cls.poly_grid, grid_check("poly", cls.xi, grid, keep_trace=True), True)
+
+
+def test_grid_checks_agree_with_numpy_ufuncs():
+    # numpy's SIMD exp and log may differ from libm in the last place
+    for xi in POSITIONS:
+        for kind in ("exp", "cos", "poly"):
+            rep = _library_grid_check(kind, xi, None, 1.0)
+            ref = grid_check(kind, xi, None, 1.0, f=NUMPY)
+            assert (rep.verdict, rep.witness, rep.note) == (ref.verdict, ref.witness, ref.note)
+            for key, value in rep.fitted_constants.items():
+                assert value == pytest.approx(ref.fitted_constants[key], rel=1e-14, abs=1e-300)
+
+
+PHIS = {
+    "identity": GrowthFunction.identity(),
+    "power_log": GrowthFunction.power_log(2.0, 0.5),
+    "power_log-sqrt": GrowthFunction.power_log(0.5, -1.0),
+    "exponential": GrowthFunction.exponential(0.01),
+    "exponential-overflow": GrowthFunction.exponential(1.0),
+}
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
+def test_liouville_records_equal_full_scan(xi, phi):
+    for m_max, kappa in ((1, 0.2), (1000, 0.2), (20_000, 0.05)):
+        rep = check_liouville_type(xi, PHIS[phi], kappa, m_max, keep_trace=m_max <= 1000)
+        ref = liouville_scan(xi, PHIS[phi], kappa, m_max, keep_trace=m_max <= 1000)
+        assert_reports_identical(rep, ref, trace=m_max <= 1000)
+
+
+@pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
+def test_liouville_records_equal_full_scan_to_a_million(xi):
+    phi = GrowthFunction.identity()
+    for kappa in (0.2, 1e-3):
+        rep = check_liouville_type(xi, phi, kappa, 10**6)
+        assert_reports_identical(rep, liouville_scan(xi, phi, kappa, 10**6))
+
+
+def test_liouville_overflowing_phi_reports_the_first_nan():
+    # exp(m) overflows past m = 709; at xi = 1/2 every even m has d = 0
+    rep = check_liouville_type(0.5, GrowthFunction.exponential(1.0), 0.2, 1000)
+    assert math.isnan(rep.fitted_constants["min_product"])
+    assert rep.witness == 710.0
+    assert rep.fitted_constants["first_violation_m"] == 2.0
+
+
+def test_mu_grid_points_equal_numpy_arange(rng):
+    configs = [(1.0, 500.0, 0.01), (1.0, 5.0, 0.5), (2.0, 2.0, 0.1), (0.3, 7.9, 3.3), (1e-3, 1.0, 1e-4)]
+    configs += [tuple(sorted(rng.uniform(0.01, 50.0, 2))) + (float(rng.uniform(1e-3, 2.0)),)
+                for _ in range(40)]
+    for mu_min, mu_max, step in configs:
+        points = mu_grid_points(mu_min, mu_max, step)
+        grid = default_mu_grid(mu_min, mu_max, step)
+        assert len(points) == grid.size
+        np.testing.assert_array_equal(np.array(list(points)), grid)
+        np.testing.assert_array_equal([points[j] for j in range(-len(points), len(points))],
+                                      np.concatenate([grid, grid]))
+
+
+def test_grid_checks_need_a_nondecreasing_grid():
+    with pytest.raises(ValueError):
+        check_exp_grid(0.3, [1.0, 3.0, 2.0])
+    with pytest.raises(ValueError):
+        check_cos_grid(0.3, [1.0, math.nan, 2.0])
+    with pytest.raises(ValueError):
+        check_poly_grid(0.3, 1.0, [1.0, 2.0, math.inf])
+    with pytest.raises(ValueError):
+        check_exp_grid(0.3, k1=math.inf)
+    with pytest.raises(ValueError):
+        check_poly_grid(0.3, eps=math.nan)
+    for args in ((5.0, 1.0, -0.5), (1.0, 5.0, 0.0), (1.0, 5.0, math.nan), (1.0, 5.0, math.inf),
+                 (math.inf, 5.0, 0.5), (1.0, math.nan, 0.5)):
+        with pytest.raises(ValueError):
+            mu_grid_points(*args)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: GrowthFunction.exponential(-1.0),
+    lambda: GrowthFunction.exponential(math.inf),
+    lambda: GrowthFunction.exponential(math.nan),
+    lambda: GrowthFunction.power_log(-2.0, 0.5),
+    lambda: GrowthFunction.power_log(1.0, -1.5),
+    lambda: GrowthFunction.power_log(math.nan, 0.0),
+])
+def test_growth_functions_must_be_nondecreasing(make):
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_growth_functions_follow_their_numpy_formulas():
+    m = np.arange(1.0, 2001.0)
+    for phi, expected in (
+        (GrowthFunction.power_log(2.0, 0.5), m**2.0 * np.log(np.maximum(m, 2.0)) ** 1.5),
+        (GrowthFunction.power_log(0.5, 1.0), np.sqrt(m) * np.log(np.maximum(m, 2.0)) ** 2),
+        (GrowthFunction.exponential(0.3), np.exp(0.3 * m)),
+    ):
+        values = phi(m)
+        assert values.shape == m.shape
+        np.testing.assert_allclose(values, expected, rtol=1e-15)
+        assert all(phi(v) == values[i] for i, v in enumerate(m.tolist()))
+        assert np.all(np.diff(values) >= 0)
+
+
+def test_scalar_helpers_equal_their_array_forms(rng):
+    x = rng.uniform(-1e6, 1e6, 500)
+    assert [dist_nearest_integer(v) for v in x.tolist()] == dist_nearest_integer(x).tolist()
+    assert dist_nearest_integer(2.5) == 0.5 and dist_nearest_integer(-3.5) == 0.5
+    mu = rng.uniform(0.0, 500.0, 500)
+    for f in (resonance_indicator, cos_resonance_indicator):
+        assert [f(0.37, v) for v in mu.tolist()] == f(0.37, mu).tolist()
