@@ -4,8 +4,8 @@ The position xi of the damped point decides everything: rational positions
 leave undamped modes, irrational ones stabilize every state, and how fast is
 a question of Diophantine approximation.  The subpackages cover the
 arithmetic side (continued fractions and resonance conditions), the
-frequency side (closed-form resolvent, interface identity, characteristic
-roots), the semiclassical Carleman machinery behind the resolvent bound, an
+characteristic roots, the frequency side (closed-form resolvent, interface
+identity), the semiclassical Carleman machinery behind the resolvent bound, an
 energy-exact time-domain simulator, and decay-law fitting.
 
 Submodules and their public names load on first access, so a command that
@@ -17,7 +17,9 @@ import sys
 __version__ = "0.1.0"
 
 # the submodules, in the order their public names make up __all__
-_SUBMODULES = ("mesh", "diophantine", "frequency", "carleman", "simulator", "decayfit")
+_SUBMODULES = (
+    "mesh", "diophantine", "characteristic", "frequency", "carleman", "simulator", "decayfit",
+)
 
 
 def _submodule(name: str):

@@ -361,10 +361,14 @@ def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
     _write_atomic(path, _csv_lines(schema, columns, rows))
 
 
+# the tasks that compute without numpy; their reports carry no numpy version
+_NUMPY_FREE_TASKS = ("classify", "spectrum")
+
+
 def _report_skeleton(command: str, cfg: dict) -> dict:
     echo = {k: v for k, v in cfg.items() if k != "task_config"}
     versions = {"pointdamp": __version__}
-    if command != "classify":  # every other task computes with numpy
+    if (cfg["task"] if command == "sweep" else command) not in _NUMPY_FREE_TASKS:
         import numpy
 
         versions["numpy"] = numpy.__version__
@@ -565,15 +569,13 @@ def run_spectrum(cfg: dict):
     re0, re1, im0, im1 = rect = _rectangle(cfg)
     if not (re1 > re0 and im1 > im0):
         raise ConfigError("spectrum rectangle is degenerate")
-    # the winding contour takes 4 samples per unit of perimeter, Newton one
-    # seed per pi of width; refused before either is allocated
-    contour, seeds = 8.0 * ((re1 - re0) + (im1 - im0)), (re1 - re0) / math.pi + 3.0
-    if not max(contour, seeds) <= MAX_GRID_POINTS:
-        raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
-    from . import frequency
+    from . import characteristic
 
-    roots = frequency.find_eigenvalues(value, rect, cfg["tol"])
-    return roots, frequency.abscissa_of_roots(roots, cfg["real_tol"])
+    # one Newton per pi-strip of the rectangle, refused before any runs
+    if not characteristic.strip_count(rect) <= MAX_GRID_POINTS:
+        raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
+    roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
+    return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
 
 
 def write_spectrum(cfg: dict, result) -> list[Path]:
@@ -865,14 +867,20 @@ def _sweep_worker(job: tuple) -> tuple[float, dict]:
     return xi_value, row(run(cfg))
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """count evenly spaced values from start to stop, bit for bit numpy.linspace's."""
+    if count == 1:
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [i * step + start for i in range(count - 1)] + [stop]
+
+
 def cmd_sweep(cfg: dict) -> list[Path]:
     task = cfg["task"]
     if cfg["xi_list"].strip():
         xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
     else:
-        import numpy as np
-
-        xi_values = [float(v) for v in np.linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])]
+        xi_values = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
     for v in xi_values:
         if not 0.0 < v < 1.0:
             raise ConfigError(f"sweep xi {v} outside (0,1)")

@@ -2,9 +2,10 @@
 
 Solves the resolvent two-point problem on the imaginary axis in closed form
 (sine ansatz plus Duhamel integrals), checks the interface energy identity,
-estimates resolvent growth along the axis, and locates characteristic roots
-in the complex plane by Newton from closed-form seeds, certified by one
-argument-principle winding count.
+and estimates resolvent growth along the axis.  The characteristic roots
+live in pointdamp.characteristic, whose names this module re-exports; the
+argument-principle winding count here is the independent check of their
+count.
 
 Conventions.  The damped point xi splits (0,1) into a left side [0,xi] and a
 right side [xi,1].  At frequency mu > 0 the transformed displacement solves
@@ -23,11 +24,20 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+# re-exported: the characteristic roots and their function, computed without numpy
+from .characteristic import (  # noqa: F401
+    CharacteristicRoot,
+    ContourThroughRoot,
+    abscissa_of_roots,
+    characteristic_derivative,
+    characteristic_function,
+    find_eigenvalues,
+    spectral_abscissa,
+)
 from .mesh import Mesh, build_mesh
 from .quadrature import cumulative_simpson, derivative, simpson
 
@@ -35,10 +45,8 @@ __all__ = [
     "ForcingData",
     "ResolventSolution",
     "InterfaceIdentityReport",
-    "CharacteristicRoot",
     "ScanResult",
     "ResonantDenominator",
-    "ContourThroughRoot",
     "assemble_phi",
     "lambda_coefficients",
     "solve_resolvent",
@@ -49,12 +57,7 @@ __all__ = [
     "resonant_forcing",
     "resolvent_norm_lower_bound",
     "scan_resolvent_growth",
-    "characteristic_function",
-    "characteristic_derivative",
     "winding_number",
-    "find_eigenvalues",
-    "spectral_abscissa",
-    "abscissa_of_roots",
 ]
 
 DENOMINATOR_FLOOR = 1e-14
@@ -70,10 +73,6 @@ class ResonantDenominator(ArithmeticError):
         self.mu = mu
         self.value = value
         self.floor = floor
-
-
-class ContourThroughRoot(RuntimeError):
-    """Raised when a winding contour cannot be nudged off a root."""
 
 
 # ----------------------------------------------------------------------------
@@ -722,26 +721,8 @@ def scan_resolvent_growth(
 
 
 # ----------------------------------------------------------------------------
-# characteristic function and roots
+# argument-principle winding count, the independent check of the root count
 # ----------------------------------------------------------------------------
-
-
-def characteristic_function(xi: float, z):
-    """sin(z) + i*sin(xi z)*sin((1-xi) z); entire, mirror-symmetric about the
-    imaginary axis, and equal in squared modulus to resonance_indicator on
-    the real axis.  Its zeros z correspond to generator eigenvalues i*z."""
-    z = np.asarray(z, dtype=complex)
-    out = np.sin(z) + 1j * np.sin(xi * z) * np.sin((1.0 - xi) * z)
-    return out if out.ndim else complex(out)
-
-
-def characteristic_derivative(xi: float, z):
-    z = np.asarray(z, dtype=complex)
-    out = np.cos(z) + 1j * (
-        xi * np.cos(xi * z) * np.sin((1.0 - xi) * z)
-        + (1.0 - xi) * np.sin(xi * z) * np.cos((1.0 - xi) * z)
-    )
-    return out if out.ndim else complex(out)
 
 
 class _BoundaryNearRoot(Exception):
@@ -804,101 +785,3 @@ def winding_number(xi: float, rect, max_nudges: int = 8) -> int:
         except _BoundaryNearRoot:
             pad = step if pad == 0.0 else pad * 37.0  # irregular growth avoids re-hits
     raise ContourThroughRoot(f"could not nudge contour off a root near {rect}")
-
-
-@dataclass
-class CharacteristicRoot:
-    z: complex
-    residual: float
-    multiplicity: int
-
-
-def _distinct(roots: np.ndarray, gap: float) -> bool:
-    """Whether the roots, sorted by real part, lie pairwise more than gap apart."""
-    lag = 1
-    while lag < roots.size:
-        near = roots.real[lag:] - roots.real[:-lag] <= gap
-        if not near.any():
-            return True
-        if np.any(np.abs(roots[lag:] - roots[:-lag])[near] <= gap):
-            return False
-        lag += 1
-    return True
-
-
-def find_eigenvalues(xi: float, rect, tol: float = 1e-12) -> list[CharacteristicRoot]:
-    """All characteristic roots in a rectangle, by Newton from closed-form seeds.
-
-    Near z = n*pi, D(n*pi + d) ~ (-1)^n [d - i*sin^2(n*pi*xi)], so each
-    pi-strip holds one root near z_n = n*pi + i*sin^2(n*pi*xi).  One
-    vectorised Newton starts from z_n for every integer n with n*pi in
-    [re0 - pi, re1 + pi] (n = 0 and negative n too, which give the trivial
-    root at the origin and the mirror roots -conj(z)), and iterates each root
-    until |D(z)| <= max(tol, 2 eps |z|), the accuracy to which D can be
-    evaluated.  The converged roots inside the rectangle are certified by one
-    winding number of its contour: they must lie pairwise more than 1e-8
-    apart and number exactly the winding, which makes every root simple
-    (multiplicity 1).  Raises ContourThroughRoot when the certificate fails.
-    Roots are returned sorted by real part.
-    """
-    re0, re1, im0, im1 = rect
-    total = winding_number(xi, rect)
-    n = np.arange(math.ceil(re0 / math.pi) - 1, math.floor(re1 / math.pi) + 2)
-    z = n * math.pi + 1j * np.sin(n * math.pi * xi) ** 2
-    value = characteristic_function(xi, z)
-    floor = 2.0 * sys.float_info.epsilon
-    live = ~(np.abs(value) <= np.maximum(tol, floor * np.abs(z)))
-    # the seeds converge in a handful of steps; one that diverges turns
-    # non-finite and stays live, to be dropped
-    with np.errstate(all="ignore"):
-        for _ in range(50):
-            if not live.any():
-                break
-            moved = z[live]
-            moved -= value[live] / characteristic_derivative(xi, moved)
-            z[live], value[live] = moved, characteristic_function(xi, moved)
-            live[live] = ~(np.abs(value[live]) <= np.maximum(tol, floor * np.abs(moved)))
-    # the contour may be nudged off a root on the boundary by this much
-    slack = 1e-9 * max(re1 - re0, im1 - im0)
-    keep = ~live & (re0 - slack <= z.real) & (z.real <= re1 + slack)
-    keep &= (im0 - slack <= z.imag) & (z.imag <= im1 + slack)
-    order = np.lexsort((z.imag[keep], z.real[keep]))
-    roots, residuals = z[keep][order], np.abs(value[keep][order])
-    if roots.size != total or not _distinct(roots, 1e-8):
-        raise ContourThroughRoot(
-            f"Newton found {roots.size} roots where the contour winding on {rect} "
-            f"asks for {total} distinct ones"
-        )
-    return [
-        CharacteristicRoot(z=complex(root), residual=float(residual), multiplicity=1)
-        for root, residual in zip(roots, residuals)
-    ]
-
-
-def spectral_abscissa(
-    xi: float, horizon: float, tol: float = 1e-12, real_tol: float = 1e-10
-) -> float:
-    """Largest generator real part over roots with real part in (0, horizon].
-
-    Eigenvalues are i*z for characteristic roots z, so the abscissa is
-    -min(Im z).  Exactly 0.0 when an (undamped) real root exists; -inf when
-    the window holds no roots.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if horizon <= 0.5:
-        return -math.inf  # every nonzero root has modulus above 1
-    return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0), tol), real_tol)
-
-
-def abscissa_of_roots(roots: list[CharacteristicRoot], real_tol: float) -> float:
-    """Largest generator real part -Im z over the given characteristic roots.
-
-    Exactly 0.0 when a root lies within real_tol of the real axis; -inf for
-    no roots.
-    """
-    if not roots:
-        return -math.inf
-    if any(abs(r.z.imag) <= real_tol for r in roots):
-        return 0.0
-    return max(-r.z.imag for r in roots)

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import pointdamp
-from pointdamp import diophantine, frequency
-from pointdamp.cli import COMMAND_SCHEMAS, main
+from pointdamp import characteristic, diophantine, frequency
+from pointdamp.cli import COMMAND_SCHEMAS, _linspace, main
 from pointdamp.mesh import build_mesh
 
 
@@ -53,7 +53,7 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 
 # the layers a task imports for itself, not at start-up
-TASK_LAYERS = ("frequency", "carleman", "simulator", "decayfit", "mesh")
+TASK_LAYERS = ("characteristic", "frequency", "carleman", "simulator", "decayfit", "mesh")
 
 
 def test_cli_import_loads_only_the_parsing_layer(tmp_path):
@@ -80,6 +80,27 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
     assert "'numpy'" not in done.stdout
     assert (tmp_path / "b" / "classify_trace_liouville.csv").exists()
+
+    # spectrum at the defaults and at the benchmark's width for its three
+    # positions, a default sweep (of spectrum, over the default grid), and a
+    # sweep of classify run without numpy or the frequency and mesh layers
+    runs = [["spectrum", "--xi", "golden"]]
+    runs += [["spectrum", "--xi", xi, "--set", "re_max=2000"]
+             for xi in ("golden", "0.41421356237309515", "1/2")]
+    runs += [["sweep"], ["sweep", "--set", "task=classify", "--set", "xi_list=0.3,golden"]]
+    runs = [args + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"print([main(args) for args in {runs!r}])\n"
+        "print(sorted(sys.modules))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = done.stdout.splitlines()[-2:]
+    assert codes == str([0] * len(runs))
+    for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh"):
+        assert f"'{module}'" not in loaded, module
+    assert (tmp_path / "run4" / "sweep_spectrum.csv").exists()
 
 
 # one configuration error per subcommand, each found after the config is resolved
@@ -109,13 +130,34 @@ def test_configuration_errors_load_no_numpy(tmp_path):
     assert numpy_loaded == "False"
 
 
-def test_only_classify_reports_drop_the_numpy_version(tmp_path):
-    assert run(["classify", "--xi", "golden", "--out", tmp_path / "c"]) == 0
-    assert run(["spectrum", "--xi", "golden", "--out", tmp_path / "s"]) == 0
-    classify = json.loads((tmp_path / "c" / "classify_report.json").read_text())
-    spectrum = json.loads((tmp_path / "s" / "spectrum.json").read_text())
-    assert classify["versions"] == {"pointdamp": pointdamp.__version__}
-    assert spectrum["versions"] == {"pointdamp": pointdamp.__version__, "numpy": np.__version__}
+def test_numpy_free_reports_drop_the_numpy_version(tmp_path):
+    # classify and spectrum compute without numpy, alone or swept; the other
+    # tasks record the numpy they computed with
+    small_sim = ["--set", "cells=20", "--set", "t_final=0.5"]
+    runs = {
+        "c/classify_report.json": ["classify", "--xi", "golden"],
+        "s/spectrum.json": ["spectrum", "--xi", "golden"],
+        "w/sweep_spectrum.json": ["sweep", "--set", "xi_list=0.3,0.6", "--set", "re_max=12"],
+        "k/sweep_classify.json": ["sweep", "--set", "task=classify", "--set", "xi_list=0.3",
+                                  "--set", "mu_max=20"],
+        "m/sweep_simulate.json": ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3",
+                                  *small_sim],
+    }
+    versions = {}
+    for report, args in runs.items():
+        assert run(args + ["--out", tmp_path / report.split("/")[0]]) == 0
+        versions[report] = json.loads((tmp_path / report).read_text())["versions"]
+    bare = {"pointdamp": pointdamp.__version__}
+    assert versions.pop("m/sweep_simulate.json") == dict(bare, numpy=np.__version__)
+    assert all(found == bare for found in versions.values()), versions
+
+
+@pytest.mark.parametrize("start, stop, count", [
+    (0.05, 0.95, 19), (0.1, 0.9, 7), (0.3, 0.3, 4), (0.2, 0.7, 1), (0.9, 0.1, 33),
+    (1e-3, 1.0 - 1e-3, 1000), (1.0 / 3.0, 2.0 / 3.0, 2),
+])
+def test_default_sweep_grid_is_numpy_linspace(start, stop, count):
+    assert _linspace(start, stop, count) == np.linspace(start, stop, count).tolist()
 
 
 def test_simulate_runs_load_no_scipy(tmp_path):
@@ -398,10 +440,26 @@ def test_spectrum_loose_tol_finds_every_root(tmp_path, tol):
 
 
 def test_spectrum_certificate_mismatch_is_computation_error(tmp_path, monkeypatch):
-    honest = frequency.winding_number
-    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: honest(xi, rect) + 1)
-    assert run(["spectrum", "--xi", "golden", "--out", tmp_path]) == 3
-    assert not (tmp_path / "spectrum.csv").exists()
+    # each way a root can fail its certificate exits 3 and writes no report:
+    # a root on the widened edge of the rectangle (its right edge plus the
+    # slack 1e-9 * 3.5 lands on the root near 2 pi) ...
+    golden = diophantine.GOLDEN_RATIO_CONJUGATE
+    root = characteristic.find_eigenvalues(golden, (5.0, 7.5, -0.5, 3.0))[0].z
+    edge = ["--set", "re_min=5", "--set", f"re_max={root.real - 3.5e-9!r}"]
+    assert run(["spectrum", "--xi", "golden", "--out", tmp_path / "edge"] + edge) == 3
+    assert not (tmp_path / "edge" / "spectrum.csv").exists()
+    # ... a disc outside its strip, from seeds one strip off ...
+    honest = characteristic.closed_form_seed
+    with monkeypatch.context() as patch:
+        patch.setattr(characteristic, "closed_form_seed", lambda xi, n: honest(xi, n + 1))
+        assert run(["spectrum", "--xi", "golden", "--out", tmp_path / "strip"]) == 3
+    assert not (tmp_path / "strip" / "spectrum.csv").exists()
+    # ... and a failed Kantorovich test, at a double root
+    monkeypatch.setattr(
+        characteristic, "_values", lambda xi, eta, z: ((z - 5.0) ** 2, 2.0 * (z - 5.0))
+    )
+    assert run(["spectrum", "--xi", "golden", "--out", tmp_path / "double"]) == 3
+    assert not (tmp_path / "double" / "spectrum.csv").exists()
 
 
 # ---------------------------------------------------------------- simulate

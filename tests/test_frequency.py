@@ -8,7 +8,7 @@ import pytest
 
 from oracles import interface_coefficients_quadrature, numerov_interface_solve
 import pointdamp
-from pointdamp import frequency
+from pointdamp import characteristic, frequency
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
@@ -711,20 +711,34 @@ def test_eigenvalues_seeded_rectangle_around_origin():
 
 
 def test_eigenvalues_certificate_mismatch_raises(monkeypatch):
-    honest = frequency.winding_number
-    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: honest(xi, rect) + 1)
-    with pytest.raises(ContourThroughRoot):
+    # seeds one strip off: Newton from the seed of strip n settles on the root
+    # of strip n + 1, whose disc lies outside the strip it has to certify
+    honest = characteristic.closed_form_seed
+    monkeypatch.setattr(characteristic, "closed_form_seed", lambda xi, n: honest(xi, n + 1))
+    with pytest.raises(ContourThroughRoot, match="inside the strip"):
         find_eigenvalues(GOLDEN, (0.5, 30.0, -0.5, 3.0))
 
 
 def test_eigenvalues_certificate_refuses_duplicate_roots(monkeypatch):
-    # every seed of a function with one root converges onto it: a count that
-    # matches the winding must still be refused when the roots coincide
-    monkeypatch.setattr(frequency, "characteristic_function", lambda xi, z: np.asarray(z) - 5.0)
-    monkeypatch.setattr(frequency, "characteristic_derivative", lambda xi, z: np.ones_like(z))
-    monkeypatch.setattr(frequency, "winding_number", lambda xi, rect: 4)  # seeds n = 0..3
-    with pytest.raises(ContourThroughRoot):
-        find_eigenvalues(GOLDEN, (2.0, 8.0, -1.0, 1.0))
+    # a double root at 5: |D'| vanishes with |D|, so h = K |D| / |D'|^2 stays
+    # at K / 4 > 1/2 and no Kantorovich disc can be certified
+    monkeypatch.setattr(
+        characteristic, "_values", lambda xi, eta, z: ((z - 5.0) ** 2, 2.0 * (z - 5.0))
+    )
+    with pytest.raises(ContourThroughRoot, match="radius inf"):
+        find_eigenvalues(GOLDEN, (4.0, 6.0, -1.0, 1.0))
+
+
+def test_eigenvalues_refuse_a_root_on_the_widened_edge():
+    # the right edge plus its slack of 1e-9 * 3.5 lands on the root near 2 pi,
+    # within the root's certified radius of a few 1e-15
+    root = find_eigenvalues(GOLDEN, (5.0, 7.5, -0.5, 3.0))[0].z
+    rect = (5.0, root.real - 3.5e-9, -0.5, 3.0)
+    with pytest.raises(ContourThroughRoot, match="edge"):
+        find_eigenvalues(GOLDEN, rect)
+    # an edge a millionth further out, or further in, decides cleanly
+    assert len(find_eigenvalues(GOLDEN, (5.0, root.real + 1e-6, -0.5, 3.0))) == 1
+    assert find_eigenvalues(GOLDEN, (5.0, root.real - 1e-6, -0.5, 3.0)) == []
 
 
 @pytest.mark.parametrize("n", [144, 233, 377])
