@@ -120,7 +120,6 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "constant_type_bound": (20, _as_int, None),
         "mu_min": (1.0, _as_float, finite_positive),
         "mu_max": (500.0, _as_float, None),
-        "mu_step": (0.01, _as_float, finite_positive),
         "k1": (1.0, _as_float, finite_nonnegative),
         "poly_eps": (1.0, _as_float, finite),
         "trend_factor": (10.0, _as_float, positive),
@@ -431,7 +430,9 @@ def run_classify(cfg: dict):
     value, exact = _parse_xi(cfg["xi"])
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
-    grid = diophantine.mu_grid_points(*_mu_grid_args(cfg))
+    # one pi-strip per pi of the range, plus a part-strip at each end
+    if (cfg["mu_max"] - cfg["mu_min"]) / math.pi + 2 > MAX_GRID_POINTS:
+        raise ConfigError(f"the mu range would span over {MAX_GRID_POINTS} pi-strips")
     phi = _growth_from_text(cfg["liouville_phi"])
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
@@ -440,7 +441,9 @@ def run_classify(cfg: dict):
     classification = diophantine.classify_actuator(
         exact if exact is not None else value, settings, keep
     )
-    cos_rep = diophantine.check_cos_grid(value, grid, cfg["k1"], cfg["trend_factor"], keep)
+    cos_rep = diophantine.check_cos_grid(
+        value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
+    )
     liou_rep = diophantine.check_liouville_type(
         value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )

@@ -3,20 +3,17 @@
 Whether the damped point at xi in (0,1) stabilizes every finite-energy state,
 and how fast, is controlled by how well xi is approximated by rationals.  This
 module provides continued-fraction expansions, distance-to-nearest-integer
-scans, and the grid/scan conditions that separate decay regimes.
+scans, and the strip/scan conditions that separate decay regimes.
 """
 
 from __future__ import annotations
 
-import bisect
 import decimal
-import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 __all__ = [
     "ContinuedFraction",
@@ -36,7 +33,6 @@ __all__ = [
     "check_liouville_type",
     "classify_actuator",
     "default_mu_grid",
-    "mu_grid_points",
 ]
 
 # (sqrt(5)-1)/2, the canonical constant-type actuator position
@@ -50,7 +46,7 @@ _PRECISION_BUDGET = 0.25 / sys.float_info.epsilon
 _GOLDEN_60 = (Fraction(decimal.Context(prec=60).sqrt(5)) - 1) / 2
 _GOLDEN_60_BUDGET = 0.25e60
 
-# grid expression values below this count as exact resonances (roundoff scale)
+# indicator values below this count as exact resonances (roundoff scale)
 _RESONANCE_FLOOR = 1e-20
 
 
@@ -264,20 +260,9 @@ class GrowthFunction:
             raise ValueError(f"exponential needs a finite beta >= 0, got {beta}")
         return GrowthFunction(f"exponential(beta={beta})", lambda m: _exp(beta * m))
 
-    @staticmethod
-    def from_table(points: Sequence[float], values: Sequence[float]) -> "GrowthFunction":
-        """Linear interpolation in the table, its end values outside it (imports numpy)."""
-        import numpy as np
-
-        points = np.asarray(points, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if np.any(values <= 0) or np.any(np.diff(values) < 0):
-            raise ValueError("table must be positive and nondecreasing")
-        return GrowthFunction("table", lambda m: np.interp(m, points, values))
-
 
 # ----------------------------------------------------------------------------
-# grid expressions and condition checks
+# resonance indicators and condition checks
 # ----------------------------------------------------------------------------
 
 
@@ -324,7 +309,8 @@ def cos_resonance_indicator(xi: float, mu):
 class ConditionReport:
     """Outcome of one lower-bound condition check.
 
-    trace, when kept, is a table of rows computed as they are read.
+    trace, when kept, is a table of rows; the Liouville scan's rows are
+    computed as they are read.
     """
 
     condition_id: str
@@ -362,65 +348,11 @@ class _Rows:
         return self._n, self._width
 
 
-class _ArangePoints:
-    """The points of numpy.arange(start, stop, step), computed when read.
-
-    numpy holds start, then start + step, then start + j*delta with
-    delta = (start + step) - start, and takes ceil((stop - start) / step)
-    points; so does this sequence, point for point.
-    """
-
-    def __init__(self, start: float, stop: float, step: float):
-        if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf):
-            raise ValueError("grid needs a finite start and stop and a finite positive step")
-        self.start = float(start)
-        self.second = self.start + step
-        self.delta = self.second - self.start
-        self.size = max(0, math.ceil((stop - start) / step))
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, j: int) -> float:
-        if not -self.size <= j < self.size:
-            raise IndexError("grid index out of range")
-        j %= self.size
-        return (self.start, self.second)[j] if j < 2 else self.start + j * self.delta
-
-    def __iter__(self):
-        head = (self.start, self.second)[: self.size]
-        rest = (self.start + j * self.delta for j in range(2, self.size))
-        return itertools.chain(head, rest)
-
-
 def default_mu_grid(mu_min: float = 1.0, mu_max: float = 500.0, step: float = 0.01):
-    """The check grid as a numpy array (imports numpy)."""
+    """An evenly spaced mu grid from mu_min to mu_max as a numpy array (imports numpy)."""
     import numpy as np
 
     return np.arange(mu_min, mu_max + 0.5 * step, step)
-
-
-def mu_grid_points(mu_min: float = 1.0, mu_max: float = 500.0, step: float = 0.01):
-    """The points of default_mu_grid, equal to them one by one, without numpy."""
-    return _ArangePoints(mu_min, mu_max + 0.5 * step, step)
-
-
-def _grid_points(mu_grid) -> Sequence[float]:
-    """The check grid: the default one for None, else the caller's points,
-    which must be finite and nondecreasing (mu_grid_points checks its own
-    arguments, so its points are)."""
-    if mu_grid is None:
-        return mu_grid_points()
-    if isinstance(mu_grid, _ArangePoints):
-        return mu_grid
-    points = [float(mu) for mu in mu_grid]
-    if points and not (
-        math.isfinite(points[0])
-        and math.isfinite(points[-1])
-        and all(map(operator.le, points, itertools.islice(points, 1, None)))
-    ):
-        raise ValueError("mu_grid must be finite and nondecreasing")
-    return points
 
 
 def _log_weighted(expression: float, log_weight: float) -> float:
@@ -428,71 +360,143 @@ def _log_weighted(expression: float, log_weight: float) -> float:
     return (math.log(expression) if expression > _RESONANCE_FLOOR else -math.inf) + log_weight
 
 
-def _reach(best: float, w_min: float, centre: float) -> float:
-    """Half-width of the window around a strip centre outside which the
-    bound log sin^2(d) + w_min exceeds best, widened against rounding.
-
-    Points whose indicator may fall to the resonance floor stay inside.
-    """
-    t = 0.0
-    if best > -math.inf:
-        gap = best - w_min + 1e-9 * (1.0 + abs(best) + abs(w_min))
-        t = 1.0 if gap >= 0 else math.exp(gap)
-    t = max(t, 1.01 * _RESONANCE_FLOOR)
-    half = math.pi / 2 if t >= 1.0 else math.asin(math.sqrt(t))
-    return half * (1.0 + 1e-9) + 8 * sys.float_info.epsilon * abs(centre)
+def _sin_derivatives(xi: float, mu: float) -> tuple[float, float, float]:
+    """The sine indicator sin^2(mu) + P^2, P = sin(xi mu) sin((1-xi) mu), and
+    its first two derivatives in mu."""
+    a, b = xi, 1.0 - xi
+    s, c = math.sin(mu), math.cos(mu)
+    sa, ca, sb, cb = math.sin(a * mu), math.cos(a * mu), math.sin(b * mu), math.cos(b * mu)
+    p, dp = sa * sb, a * ca * sb + b * sa * cb
+    ddp = 2.0 * a * b * ca * cb - (a * a + b * b) * p
+    return s * s + p * p, 2.0 * (s * c + p * dp), 2.0 * (c * c - s * s + dp * dp + p * ddp)
 
 
-def _part_minimum(
-    xi: float,
-    grid: Sequence[float],
-    lo: int,
-    hi: int,
-    indicator: Callable[[float, float], float],
-    centre: float,
-    log_weight: Callable[[float], float],
-) -> tuple[float, int]:
-    """(minimum, its first index) of the log-weighted indicator over grid[lo:hi].
+def _cos_derivatives(xi: float, mu: float) -> tuple[float, float, float]:
+    """The cosine indicator cos^2(mu) + Q^2, Q = cos(xi mu) sin((1-xi) mu), and
+    its first two derivatives in mu."""
+    a, b = xi, 1.0 - xi
+    s, c = math.sin(mu), math.cos(mu)
+    sa, ca, sb, cb = math.sin(a * mu), math.cos(a * mu), math.sin(b * mu), math.cos(b * mu)
+    q, dq = ca * sb, b * ca * cb - a * sa * sb
+    ddq = -2.0 * a * b * sa * cb - (a * a + b * b) * q
+    return c * c + q * q, 2.0 * (q * dq - s * c), 2.0 * (s * s - c * c + dq * dq + q * ddq)
 
-    Each indicator is at least sin^2 of the distance d from mu to the nearest
-    strip centre (n + centre) * pi.  On a strip whose weight is at least
-    w_min, a point can reach the running minimum only where
-    log sin^2(d) + w_min does not exceed it.  The search starts from the
-    points next to every centre, then evaluates each strip only on that
-    window, plus one index on each side.  Every point left out is above the
-    final minimum, so minimum and first index are those of the full grid.
+
+@dataclass(frozen=True)
+class _Condition:
+    """A lower bound indicator(xi, mu) * exp(w(mu)) >= k > 0, checked per pi-strip.
+
+    derivatives gives the indicator and its first two derivatives, weight
+    the log-weight w and its first two derivatives; the strip centres are
+    (n + centre) * pi.
     """
 
-    def value(j: int) -> tuple[float, int]:
-        mu = grid[j]
-        return _log_weighted(indicator(xi, mu), log_weight(mu)), j
+    indicator: Callable[[float, float], float]
+    derivatives: Callable[[float, float], tuple[float, float, float]]
+    centre: float
+    weight: Callable[[float], tuple[float, float, float]]
 
-    mu_lo, mu_hi = grid[lo], grid[hi - 1]
-    n_lo, n_hi = round(mu_lo / math.pi - centre), round(mu_hi / math.pi - centre)
-    if n_hi - n_lo + 1 >= hi - lo:  # as many strips as points: evaluate them all
-        return min(map(value, range(lo, hi)))
-    centres = [(n + centre) * math.pi for n in range(n_lo, n_hi + 1)]
-    nearest = (bisect.bisect_left(grid, c, lo, hi) for c in centres)
-    seeds = {j for k in nearest for j in (k - 1, k) if lo <= j < hi}
-    best = min(map(value, seeds))
-    for c in centres:
-        a, b = max(c - math.pi / 2, mu_lo), min(c + math.pi / 2, mu_hi)
-        reach = _reach(best[0], min(log_weight(a), log_weight(b)), c)
-        first = max(bisect.bisect_left(grid, c - reach, lo, hi) - 1, lo)
-        stop = min(bisect.bisect_left(grid, c + reach, lo, hi) + 1, hi)
-        for j in range(first, stop):
-            if j not in seeds:
-                best = min(best, value(j))
+    def log_weighted(self, xi: float, mu: float) -> float:
+        return _log_weighted(self.indicator(xi, mu), self.weight(mu)[0])
+
+    def slope(self, xi: float, mu: float) -> tuple[float, float]:
+        """g = I' + w' I, which is I times the derivative of log I + w, and g'."""
+        i, di, ddi = self.derivatives(xi, mu)
+        _, dw, ddw = self.weight(mu)
+        return di + dw * i, ddi + ddw * i + dw * di
+
+
+def _strips(mu_min: float, mu_max: float, centre: float) -> list[tuple[float, float, float]]:
+    """The pi-strips [c - pi/2, c + pi/2], c = (n + centre) * pi, that meet
+    [mu_min, mu_max], clipped to it: [(lo, hi, c)], in order, covering it."""
+    first, last = (round(mu / math.pi - centre) for mu in (mu_min, mu_max))
+    inner = (min(max((n + centre + 0.5) * math.pi, mu_min), mu_max) for n in range(first, last))
+    edges = [mu_min, *inner, mu_max]
+    centres = ((n + centre) * math.pi for n in range(first, last + 1))
+    return list(zip(edges, edges[1:], centres))
+
+
+def _upward_zero(condition: _Condition, xi: float, a: float, b: float) -> float:
+    """A zero of the slope g in [a, b], where g(a) < 0 <= g(b): Newton from
+    the midpoint, a bisection step wherever Newton leaves the bracket."""
+    mu = 0.5 * (a + b)
+    for _ in range(100):
+        g, dg = condition.slope(xi, mu)
+        if g == 0.0:
+            return mu
+        if g < 0.0:
+            a = mu
+        else:
+            b = mu
+        step = mu - g / dg if dg else math.nan
+        nxt = step if a < step < b else 0.5 * (a + b)
+        if abs(nxt - mu) <= 4.0 * sys.float_info.epsilon * abs(mu):
+            return nxt
+        mu = nxt
+    return mu
+
+
+def _strip_minimum(
+    condition: _Condition, xi: float, strip: tuple[float, float, float]
+) -> tuple[float, float]:
+    """(minimum, argmin) of log indicator + w over the strip [lo, hi] around c.
+
+    Its interior minima are where the slope g crosses zero upward.  The sign
+    of g is sampled at the ends, the strip centre and six equal interior
+    points, and each upward crossing is refined to a zero of g; the minimum
+    is the least value at those zeros and the two ends.
+    """
+    lo, hi, c = strip
+    inner = [lo + k * (hi - lo) / 7 for k in range(1, 7)]
+    points = sorted({lo, hi, *inner, *([c] if lo < c < hi else [])})
+    slopes = [condition.slope(xi, mu)[0] for mu in points]
+    candidates = [lo, hi]
+    for j in range(1, len(points)):
+        if slopes[j - 1] < 0.0 <= slopes[j]:
+            candidates.append(_upward_zero(condition, xi, points[j - 1], points[j]))
+    return min((condition.log_weighted(xi, mu), mu) for mu in candidates)
+
+
+# Each indicator is sin^2(d) + P^2 at distance d from its strip centre c,
+# with |P'| <= 1 and sin^2(d) >= (2d/pi)^2.  So anywhere in the strip it is
+# at least min over d of (2d/pi)^2 + (|P(c)| - d)^2, that is 4/(pi^2 + 4) =
+# 0.2884... of its value at c.  The bound uses a little less, so that
+# rounding cannot lift it above a strip's minimum.
+_CENTRE_FRACTION = 0.28
+
+
+def _least_strip_minimum(
+    condition: _Condition, xi: float, strips: list[tuple[float, float, float]]
+) -> tuple[float, float]:
+    """The least _strip_minimum over the strips, first argmin on ties.
+
+    The strips go in order of their lower bound, _CENTRE_FRACTION times the
+    indicator at the centre under the least weight on the strip, and the
+    search stops at the first bound at or above the least minimum so far:
+    that strip's minimum lies above its bound.  A bound that reaches the
+    resonance floor is -inf, and such strips go in order of mu, so the
+    first exact resonance is found.
+    """
+
+    def bound(strip: tuple[float, float, float]) -> float:
+        lo, hi, c = strip
+        weight = min(condition.weight(lo)[0], condition.weight(hi)[0])
+        return _log_weighted(_CENTRE_FRACTION * condition.indicator(xi, c), weight)
+
+    best = (math.inf, math.inf)
+    for least, strip in sorted(zip(map(bound, strips), strips)):
+        if least >= best[0]:
+            break
+        best = min(best, _strip_minimum(condition, xi, strip))
     return best
 
 
 def _tail_trend_check(
     condition_id: str,
+    condition: _Condition,
     xi: float,
-    grid: Sequence[float],
-    indicator: Callable[[float, float], float],
-    centre: float,
-    log_weight: Callable[[float], float],
+    mu_min: float,
+    mu_max: float,
     constants: dict,
     trend_factor: float,
     keep_trace: bool,
@@ -501,121 +505,99 @@ def _tail_trend_check(
 
     Works in log space so exponential weights cannot overflow.  The verdict
     fails on an exact resonance (expression at roundoff scale) or when the
-    last-quartile infimum of the weighted expression dips more than
-    trend_factor below the infimum over the earlier grid.  Each of the two
-    parts is searched by _part_minimum.
+    least minimum over the last quarter of the strips dips more than
+    trend_factor below the least over the earlier strips.
     """
-    n = len(grid)
-    if n == 0:
-        raise ValueError("empty grid")
-    n_tail = n // 4
-    parts = [(0, n)] if n < 8 else [(0, n - n_tail), (n - n_tail, n)]
-    minima = [_part_minimum(xi, grid, lo, hi, indicator, centre, log_weight) for lo, hi in parts]
-    log_k2, i_min = min(minima)
+    if not (math.isfinite(mu_min) and math.isfinite(mu_max) and mu_min <= mu_max):
+        raise ValueError("need finite mu_min <= mu_max")
+    strips = _strips(mu_min, mu_max, condition.centre)
+    n = len(strips)
+    parts = [strips] if n < 8 else [strips[: n - n // 4], strips[n - n // 4 :]]
+    trace = None
+    if keep_trace:
+        minima = {strip: _strip_minimum(condition, xi, strip) for strip in strips}
+        part_minima = [min(map(minima.get, part)) for part in parts]
+        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima.values()]
+        trace = _Rows(n, 3, rows.__getitem__)
+    else:
+        part_minima = [_least_strip_minimum(condition, xi, part) for part in parts]
+    log_k2, witness = min(part_minima)
     constants = dict(constants)
     constants.update({"inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2})
 
-    trace = None
-    if keep_trace:
+    def report(verdict: str, note: str) -> ConditionReport:
+        return ConditionReport(condition_id, xi, verdict, witness, constants, note, trace)
 
-        def row(j: int) -> tuple:
-            mu = grid[j]
-            expression = indicator(xi, mu)
-            return mu, expression, _exp(_log_weighted(expression, log_weight(mu)))
-
-        trace = _Rows(n, 3, row)
-
-    witness = grid[i_min]
     if not math.isfinite(log_k2):
-        return ConditionReport(
-            condition_id, xi, "fail", witness, constants,
-            note="exact resonance on grid", trace=trace,
-        )
+        return report("fail", "exact resonance")
     if n < 8:
-        return ConditionReport(
-            condition_id, xi, "pass", witness, constants,
-            note="grid too short for a trend test", trace=trace,
-        )
-    head_min, tail_min = minima[0][0], minima[1][0]
+        return report("pass", "range too short for a trend test")
+    head_min, tail_min = part_minima[0][0], part_minima[1][0]
     constants["log_head_min"] = head_min
     constants["log_tail_min"] = tail_min
     if tail_min < head_min - math.log(trend_factor):
-        return ConditionReport(
-            condition_id, xi, "fail", witness, constants,
-            note="weighted infimum drains toward zero along the tail", trace=trace,
-        )
-    return ConditionReport(
-        condition_id, xi, "pass", witness, constants,
-        note="grid-verified on the sampled range only", trace=trace,
-    )
+        return report("fail", "weighted infimum drains toward zero along the tail")
+    return report("pass", "verified on the checked range only")
 
 
-def _exp_weight_check(
-    condition_id: str,
-    indicator: Callable[[float, float], float],
-    centre: float,
-    xi: float,
-    mu_grid,
-    k1: float,
-    trend_factor: float,
-    keep_trace: bool,
-) -> ConditionReport:
-    """indicator(xi, mu) * e^(k1*mu) >= k2 > 0 on the grid (the default one if None)."""
+def _exp_weight_condition(indicator, derivatives, centre: float, k1: float) -> _Condition:
+    """indicator(xi, mu) * e^(k1*mu) >= k2 > 0."""
     if not 0.0 <= k1 < math.inf:
         raise ValueError("k1 must be finite and nonnegative")
-    return _tail_trend_check(
-        condition_id, xi, _grid_points(mu_grid), indicator, centre, lambda mu: k1 * mu,
-        {"k1": k1}, trend_factor, keep_trace,
-    )
+    return _Condition(indicator, derivatives, centre, lambda mu: (k1 * mu, k1, 0.0))
 
 
 def check_exp_grid(
     xi: float,
-    mu_grid=None,
+    mu_min: float = 1.0,
+    mu_max: float = 500.0,
     k1: float = 1.0,
     trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
-    """Exponential-weight lower bound: resonance_indicator * e^(k1*mu) >= k2 > 0.
-
-    mu_grid must be nondecreasing; only the points that can hold the
-    infimum of either part of the trend test are evaluated.
-    """
-    return _exp_weight_check(
-        "exp-grid", _sin_indicator, 0.0, xi, mu_grid, k1, trend_factor, keep_trace
+    """Exponential-weight lower bound: resonance_indicator * e^(k1*mu) >= k2 > 0,
+    on the exact minimum of each pi-strip around n*pi in [mu_min, mu_max]."""
+    condition = _exp_weight_condition(_sin_indicator, _sin_derivatives, 0.0, k1)
+    return _tail_trend_check(
+        "exp-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
     )
 
 
 def check_poly_grid(
     xi: float,
     eps: float = 1.0,
-    mu_grid=None,
+    mu_min: float = 1.0,
+    mu_max: float = 500.0,
     trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Polynomial-weight lower bound: resonance_indicator * mu^(1+eps) >= k > 0."""
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
-    grid = _grid_points(mu_grid)
-    if len(grid) and grid[0] <= 0:
+    if not mu_min > 0:
         raise ValueError("polynomial weight needs positive mu")
     power = 1.0 + eps
+    condition = _Condition(
+        _sin_indicator, _sin_derivatives, 0.0,
+        lambda mu: (power * math.log(mu), power / mu, -power / (mu * mu)),
+    )
     return _tail_trend_check(
-        "poly-grid", xi, grid, _sin_indicator, 0.0, lambda mu: power * math.log(mu),
-        {"eps": eps}, trend_factor, keep_trace,
+        "poly-grid", condition, xi, mu_min, mu_max, {"eps": eps}, trend_factor, keep_trace
     )
 
 
 def check_cos_grid(
     xi: float,
-    mu_grid=None,
+    mu_min: float = 1.0,
+    mu_max: float = 500.0,
     k1: float = 1.0,
     trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Cosine-variant exponential-weight lower bound (strip centres at (n + 1/2) pi)."""
-    return _exp_weight_check(
-        "cos-grid", _cos_indicator, 0.5, xi, mu_grid, k1, trend_factor, keep_trace
+    condition = _exp_weight_condition(_cos_indicator, _cos_derivatives, 0.5, k1)
+    return _tail_trend_check(
+        "cos-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
     )
 
 
@@ -753,7 +735,6 @@ class ClassifySettings:
     constant_type_bound: int = 20
     mu_min: float = 1.0
     mu_max: float = 500.0
-    mu_step: float = 0.01
     k1: float = 1.0
     poly_eps: float = 1.0
     trend_factor: float = 10.0
@@ -774,28 +755,21 @@ class ActuatorClassification:
 def classify_actuator(
     xi, settings: ClassifySettings | None = None, keep_trace: bool = False
 ) -> ActuatorClassification:
-    """Classify an actuator position by arithmetic type and grid conditions.
+    """Classify an actuator position by arithmetic type and strip conditions.
 
     xi may be anything expand_continued_fraction accepts (a float, a
-    Fraction, a decimal string or 'golden'); the grid checks run on the
-    float value and keep their traces when keep_trace is set.
+    Fraction, a decimal string or 'golden'); the exp and poly checks run on
+    the float value and keep their traces when keep_trace is set.
     """
     settings = settings or ClassifySettings()
     cf = expand_continued_fraction(
         xi, settings.depth, settings.rational_tol, settings.quotient_overflow
     )
     value = cf.value
-    grid = mu_grid_points(settings.mu_min, settings.mu_max, settings.mu_step)
-    if cf.is_rational and cf.convergents:
-        # for p/q the indicator vanishes exactly at multiples of pi*q; put
-        # those points on the grid so the check can witness the resonance
-        q = cf.convergents[-1][1]
-        resonances = [mu for k in range(1, 9) if (mu := math.pi * q * k) <= settings.mu_max]
-        if resonances:
-            grid = sorted([*grid, *resonances])
-    exp_report = check_exp_grid(value, grid, settings.k1, settings.trend_factor, keep_trace)
+    mu_range = settings.mu_min, settings.mu_max
+    exp_report = check_exp_grid(value, *mu_range, settings.k1, settings.trend_factor, keep_trace)
     poly_report = check_poly_grid(
-        value, settings.poly_eps, grid, settings.trend_factor, keep_trace
+        value, settings.poly_eps, *mu_range, settings.trend_factor, keep_trace
     )
     is_rational = cf.is_rational
     constant_type = (

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh
 
 # steps are marched in blocks of at most _BLOCK_STEPS, fewer when the block's
 # table of rotation powers, one complex row per step, would pass _TABLE_BYTES
@@ -57,12 +57,7 @@ __all__ = [
     "step",
     "simulate",
     "dissipation_residual",
-    "default_mesh",
 ]
-
-
-def default_mesh(xi: float, cells_per_side: int = 1000) -> Mesh:
-    return build_mesh(xi, cells_per_side, cells_per_side)
 
 
 @dataclass
@@ -148,10 +143,6 @@ class EnergyTrace:
     damping_times: np.ndarray
     damping_power: np.ndarray
     sample_steps: np.ndarray
-
-    def dissipated_energy(self, upto_step: Optional[int] = None) -> float:
-        power = self.damping_power if upto_step is None else self.damping_power[:upto_step]
-        return float(self.dt * np.sum(power))
 
     def dissipated_at_samples(self) -> np.ndarray:
         """Dissipated energy up to each energy sample, by the midpoint rule."""

@@ -11,9 +11,11 @@ The conjugation-route reference shares the package's stencil but grows each
 exponential window one node at a time, recomputing the weight's spread at
 every step, where the package reads window ends off running extrema.
 
-The diophantine checks are referenced by full scans: every grid point and
-every m is evaluated with numpy, where the package evaluates only the points
-that can hold a minimum.
+The diophantine checks are referenced by full scans.  Each pi-strip's
+minimum is found by a dense scan of the strip, where the package refines the
+sign changes of a derivative; the 0.01-grid check the package once ran is
+kept as the value a strip minimum may never exceed; and the Liouville scan
+evaluates every m, where the package evaluates only the records.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ def conjugation_route_incremental(
 
 
 # ---------------------------------------------------------------------------
-# diophantine grid and scan checks, by full scans
+# diophantine strip, grid and scan checks, by full scans
 # ---------------------------------------------------------------------------
 
 
@@ -257,12 +259,38 @@ def grid_check(kind: str, xi: float, mu_grid=None, weight: float = 1.0,
     check_poly_grid ('poly', weight eps) and check_cos_grid ('cos', weight k1)."""
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
     expression = _indicator(kind, xi, mu_grid, f)
-    if kind == "poly":
-        log_weight, constants = (1.0 + weight) * f["log"](mu_grid), {"eps": weight}
-    else:
-        log_weight, constants = weight * mu_grid, {"k1": weight}
+    log_weight = _log_weight(kind, mu_grid, weight, f)
+    constants = {"eps": weight} if kind == "poly" else {"k1": weight}
     return _tail_trend_check(f"{kind}-grid", xi, mu_grid, expression, log_weight, constants,
                              trend_factor, keep_trace, f)
+
+
+def _log_weight(kind: str, mu, weight: float, f):
+    return (1.0 + weight) * f["log"](mu) if kind == "poly" else weight * mu
+
+
+def strip_minima(kind: str, xi: float, mu_min: float = 1.0, mu_max: float = 500.0,
+                 weight: float = 1.0, step: float = 1e-4, f=NUMPY) -> list[tuple[float, float]]:
+    """Dense-scan reference of the strip minima behind check_exp_grid (kind
+    'exp', weight k1), check_poly_grid ('poly', weight eps) and check_cos_grid
+    ('cos', weight k1): [(least log-weighted indicator, its mu)] per pi-strip
+    [c - pi/2, c + pi/2] clipped to [mu_min, mu_max], c = n*pi (cos: (n + 1/2)*pi),
+    from the points lo, lo + step, ... and hi of each strip."""
+    centre = 0.5 if kind == "cos" else 0.0
+    minima = []
+    for n in range(round(mu_min / math.pi - centre), round(mu_max / math.pi - centre) + 1):
+        c = (n + centre) * math.pi
+        lo, hi = max(c - math.pi / 2, mu_min), min(c + math.pi / 2, mu_max)
+        mu = np.append(np.arange(lo, hi, step), hi)
+        expression = _indicator(kind, xi, mu, f)
+        with np.errstate(divide="ignore"):
+            log_expr = np.where(
+                expression > _RESONANCE_FLOOR, f["log"](np.maximum(expression, 1e-300)), -np.inf
+            )
+        value = log_expr + _log_weight(kind, mu, weight, f)
+        j = int(np.argmin(value))
+        minima.append((float(value[j]), float(mu[j])))
+    return minima
 
 
 def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,

@@ -67,16 +67,15 @@ def test_criterion_2_characteristic_modulus_identity(capsys):
 
 
 def test_criterion_3_exact_resonance_at_one_half(capsys):
-    """xi = 1/2 has a real characteristic root at 2*pi and fails the grid check."""
+    """xi = 1/2 has a real characteristic root at 2*pi, which the strip check finds."""
     roots = frequency.find_eigenvalues(0.5, (6.0, 6.6, -0.2, 0.2))
     gap = min(abs(r.z - 2.0 * math.pi) for r in roots)
-    grid = np.sort(np.append(diophantine.default_mu_grid(1.0, 10.0, 0.01), 2.0 * math.pi))
-    rep = diophantine.check_exp_grid(0.5, grid, 1.0, 10.0)
+    rep = diophantine.check_exp_grid(0.5, 1.0, 10.0, 1.0, 10.0)
     witness_ok = rep.witness is not None and abs(rep.witness - 2.0 * math.pi) <= 1e-12
     ok = gap <= 1e-10 and rep.verdict == "fail" and witness_ok
     _report(
         capsys, 3, ok,
-        f"root gap |z - 2pi| = {gap:.2e} (allowed 1e-10); grid check verdict "
+        f"root gap |z - 2pi| = {gap:.2e} (allowed 1e-10); strip check verdict "
         f"{rep.verdict!r} with witness {rep.witness}",
     )
 

@@ -108,6 +108,9 @@ EXIT_2_RUNS = [
     ["classify", "--xi", "golden", "--set", "k1=inf"],
     ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:-1"],
     ["classify", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
+    ["classify", "--xi", "golden", "--set", "mu_max=inf"],
+    ["classify", "--xi", "golden", "--set", "mu_max=1e300"],
+    ["classify", "--xi", "golden", "--set", "mu_step=0.01"],  # no such key: the range is checked by strips
     ["resolvent-scan", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
     ["spectrum", "--xi", "golden", "--set", "re_min=10", "--set", "re_max=5"],
     ["carleman-verify", "--xi", "golden", "--set", "weight=bogus"],
@@ -204,7 +207,7 @@ def test_classify_rational(tmp_path):
     assert result["strongly_stable"] is False
     assert set(result["conditions"]) == {"exp_grid", "poly_grid", "cos_grid", "liouville"}
     assert result["exact_form"] == "1/2"
-    # the grid holds the resonances pi*q*k, so the checks witness the one at 2*pi
+    # the strip minimum at 2*pi is an exact resonance, and the checks witness it
     library = diophantine.classify_actuator(Fraction(1, 2))
     for name, expected in (("exp_grid", library.exp_grid), ("poly_grid", library.poly_grid)):
         condition = result["conditions"][name]
@@ -230,12 +233,38 @@ def test_classify_golden_with_traces(tmp_path):
     schema, columns, rows = read_csv(tmp_path / "classify_trace_exp.csv")
     assert schema == "# pointdamp-csv schema=classify-trace version=1"
     assert columns == ["mu", "expression", "weighted_expression"]
-    assert len(rows) > 100
+    assert len(rows) == 33  # one row per pi-strip around n*pi, n = 0..32, that meets [1, 100]
     for name in ("poly", "cos"):
         assert (tmp_path / f"classify_trace_{name}.csv").exists()
     schema, columns, rows = read_csv(tmp_path / "classify_trace_liouville.csv")
     assert schema == "# pointdamp-csv schema=liouville-trace version=1"
     assert columns == ["m", "product"]
+
+
+@pytest.mark.parametrize("xi, verdict", [("1/3", "fail"), ("1/5", "fail"), ("1/2", "pass"), ("2/5", "pass")])
+def test_classify_rational_cosine_resonances(tmp_path, xi, verdict):
+    # cos(mu) and cos(xi*mu) both vanish at q*pi/2 for odd q
+    assert run(["classify", "--xi", xi, "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "classify_report.json").read_text())
+    cos_grid = report["result"]["conditions"]["cos_grid"]
+    assert cos_grid["verdict"] == verdict
+    if verdict == "fail":
+        assert cos_grid["note"] == "exact resonance"
+        q = Fraction(xi).denominator
+        assert cos_grid["witness"] == pytest.approx(q * math.pi / 2, abs=1e-12)
+
+
+def test_classify_settings_are_config_keys_echoed_in_the_report(tmp_path):
+    # a report's config echo rebuilds the settings its checks ran with
+    fields = diophantine.ClassifySettings.__dataclass_fields__
+    assert set(fields) <= set(COMMAND_SCHEMAS["classify"])
+    args = ["classify", "--xi", "golden", "--out", tmp_path,
+            "--set", "mu_max=80", "--set", "k1=0.5", "--set", "depth=12"]
+    assert run(args) == 0
+    config = json.loads((tmp_path / "classify_report.json").read_text())["config"]
+    assert set(fields) <= set(config)
+    settings = diophantine.ClassifySettings(**{k: config[k] for k in fields})
+    assert settings == diophantine.ClassifySettings(mu_max=80.0, k1=0.5, depth=12)
 
 
 def test_classify_fraction_echoed(tmp_path):
@@ -278,15 +307,12 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["classify", "--set", "mu_step=0"],
-    ["classify", "--set", "mu_step=-1"],
     ["classify", "--set", "mu_min=0"],
     ["classify", "--set", "depth=0"],
     ["classify", "--set", "trend_factor=0"],
     ["classify", "--set", "liouville_kappa=0"],
     ["classify", "--set", "liouville_m_max=0"],
     ["classify", "--set", "k1=-1"],
-    ["classify", "--set", "mu_step=1e-7"],
     ["classify", "--set", "liouville_m_max=10000001"],
     ["simulate", "--set", "sample_every=0"],
     ["simulate", "--set", "cells=1"],
@@ -320,9 +346,10 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["sweep", "--set", "task=carleman-verify", "--set", "xi_list=0.3", "--set", "n_modes=0"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "depth=0"],
     # non-finite numbers
-    ["classify", "--set", "mu_step=inf"],
-    ["classify", "--set", "mu_step=nan"],
     ["classify", "--set", "mu_max=inf", "--set", "mu_min=inf"],
+    # classify ranges past the strip ceiling
+    ["classify", "--set", "mu_max=inf"],
+    ["classify", "--set", "mu_max=1e300"],
     ["resolvent-scan", "--set", "mu_step=inf"],
     ["spectrum", "--set", "tol=nan"],
     ["simulate", "--set", "dt=inf"],

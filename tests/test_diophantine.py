@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import LIBM, NUMPY, grid_check, liouville_scan
+from oracles import LIBM, NUMPY, grid_check, liouville_scan, strip_minima
 
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
@@ -20,7 +20,6 @@ from pointdamp import (
     default_mu_grid,
     dist_nearest_integer,
     expand_continued_fraction,
-    mu_grid_points,
     parse_actuator_position,
     resonance_indicator,
 )
@@ -213,16 +212,6 @@ def test_growth_exponential():
     assert phi(10.0) == pytest.approx(math.exp(3.0))
 
 
-def test_growth_table_rejects_decreasing():
-    with pytest.raises(ValueError):
-        GrowthFunction.from_table([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
-
-
-def test_growth_table_interpolates():
-    phi = GrowthFunction.from_table([1.0, 10.0], [1.0, 19.0])
-    assert phi(5.5) == pytest.approx(10.0)
-
-
 # ------------------------------------------------------- grid expressions
 
 
@@ -257,10 +246,10 @@ def test_exp_grid_golden_passes():
 
 
 def test_exp_grid_rational_fails_on_resonance():
-    grid = np.sort(np.append(default_mu_grid(1.0, 10.0, 0.01), 2 * math.pi))
-    rep = check_exp_grid(0.5, grid)
+    rep = check_exp_grid(0.5, 1.0, 10.0)
     assert not rep.passed
-    assert rep.witness == 2 * math.pi
+    assert rep.note == "exact resonance"
+    assert rep.witness == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_poly_and_cos_grid_golden_pass():
@@ -272,22 +261,23 @@ def test_grid_checks_validate_inputs():
     with pytest.raises(ValueError):
         check_exp_grid(0.5, k1=-1.0)
     with pytest.raises(ValueError):
-        check_poly_grid(0.5, mu_grid=np.array([-1.0, 2.0]))
+        check_poly_grid(0.5, mu_min=-1.0, mu_max=2.0)
     with pytest.raises(ValueError):
-        check_exp_grid(0.5, mu_grid=np.array([]))
+        check_exp_grid(0.5, mu_min=3.0, mu_max=2.0)
 
 
 def test_short_grid_passes_with_note():
-    rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE, mu_grid=np.array([1.0, 2.0, 3.0]))
+    rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE, mu_min=1.0, mu_max=3.0)
     assert rep.passed
-    assert "short" in rep.note
+    assert rep.note == "range too short for a trend test"
 
 
 def test_keep_trace_shape():
-    grid = default_mu_grid(1.0, 20.0, 0.1)
-    rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE, mu_grid=grid, keep_trace=True)
+    # one row per pi-strip around n*pi, n = 0..6, that meets [1, 20]
+    rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE, mu_min=1.0, mu_max=20.0, keep_trace=True)
     assert rep.trace is not None
-    assert rep.trace.shape == (grid.size, 3)
+    assert rep.trace.shape == (7, 3)
+    assert rep.trace[0][0] == 1.0 and rep.trace[-1][0] <= 20.0
 
 
 def test_liouville_golden_passes():
@@ -322,7 +312,7 @@ def test_classify_one_half():
     assert cls.is_rational
     assert not cls.strongly_stable
     assert not cls.constant_type
-    # the resonance at 2*pi is placed on the grid and witnessed
+    # the resonance at 2*pi is the least strip minimum, and witnessed
     assert not cls.exp_grid.passed
     assert cls.exp_grid.witness == pytest.approx(2 * math.pi, abs=1e-12)
     assert not cls.poly_grid.passed
@@ -356,7 +346,7 @@ def test_classify_golden_float_matches_string():
             == b.continued_fraction.partial_quotients[:prefix])
 
 
-# ------------------------------------------ candidate search against full scans
+# ------------------------------------------ strip minima against full scans
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
 POSITIONS = [GOLDEN_RATIO_CONJUGATE, SQRT2_M1, 0.5, 0.4, 0.110001, 7 / 25] + [
@@ -377,64 +367,158 @@ def assert_reports_identical(rep, ref, trace=False):
         assert _same(value, ref.fitted_constants[key]), (key, value, ref.fitted_constants[key])
     if trace:
         assert rep.trace.shape == ref.trace.shape
-        np.testing.assert_array_equal(np.array(list(rep.trace)), ref.trace)
+        np.testing.assert_array_equal(np.array(list(rep.trace)), np.array(list(ref.trace)))
 
 
-def _library_grid_check(kind, xi, grid, weight, keep_trace=False):
+def _library_grid_check(kind, xi, mu_range, weight, keep_trace=False):
     if kind == "poly":
-        return check_poly_grid(xi, weight, grid, keep_trace=keep_trace)
+        return check_poly_grid(xi, weight, *mu_range, keep_trace=keep_trace)
     check = check_exp_grid if kind == "exp" else check_cos_grid
-    return check(xi, grid, weight, keep_trace=keep_trace)
+    return check(xi, *mu_range, weight, keep_trace=keep_trace)
 
 
-GRIDS = {
-    "default": None,
-    "short": default_mu_grid(1.0, 3.5, 0.5),
-    "with-2pi": np.sort(np.append(default_mu_grid(1.0, 60.0, 0.01), 2 * math.pi)),
-}
+def _expression(kind, xi, mu):
+    """The checked indicator at mu, evaluated afresh with math."""
+    if kind == "cos":
+        return math.cos(mu) ** 2 + (math.cos(xi * mu) * math.sin((1.0 - xi) * mu)) ** 2
+    return math.sin(mu) ** 2 + (math.sin(xi * mu) * math.sin((1.0 - xi) * mu)) ** 2
+
+
+def _log_weighted(kind, xi, mu, weight):
+    """The checked function at mu: log indicator + log-weight."""
+    expression = _expression(kind, xi, mu)
+    log_weight = (1.0 + weight) * math.log(mu) if kind == "poly" else weight * mu
+    return (math.log(expression) if expression > 1e-20 else -math.inf) + log_weight
+
+
+def assert_strip_minima_match(rep, kind, xi, mu_range, weight, step=1e-3):
+    """The report's minima are at most the dense scan's, to 1e-9, and are
+    attained at the reported points; the verdict follows from them."""
+    ref = strip_minima(kind, xi, *mu_range, weight, step)
+    constants = rep.fitted_constants
+    log_k2 = constants["log_inf_weighted"]
+    assert log_k2 <= min(ref)[0] + 1e-9
+    assert _log_weighted(kind, xi, rep.witness, weight) == log_k2
+    assert mu_range[0] <= rep.witness <= mu_range[1]
+    if rep.trace is not None:
+        rows = list(rep.trace)
+        assert len(rows) == len(ref)
+        for (mu, expression, weighted), (value, _) in zip(rows, ref):
+            assert expression == _expression(kind, xi, mu)
+            assert _log_weighted(kind, xi, mu, weight) <= value + 1e-9
+            assert weighted == pytest.approx(math.exp(_log_weighted(kind, xi, mu, weight)),
+                                             rel=1e-12, abs=0.0)
+    n = len(ref)
+    if not math.isfinite(log_k2):
+        assert rep.verdict == "fail" and rep.note == "exact resonance"
+    elif n < 8:
+        assert rep.passed and rep.note == "range too short for a trend test"
+    else:
+        assert constants["log_head_min"] <= min(ref[: n - n // 4])[0] + 1e-9
+        assert constants["log_tail_min"] <= min(ref[n - n // 4:])[0] + 1e-9
+        drains = constants["log_tail_min"] < constants["log_head_min"] - math.log(10.0)
+        assert rep.verdict == ("fail" if drains else "pass")
+
+
+RANGES = {"default": (1.0, 500.0), "short": (1.0, 3.5), "with-2pi": (1.0, 60.0)}
 
 
 @pytest.mark.parametrize("k1, eps", [(0.0, -2.0), (1.0, 0.0), (3.0, 1.0)])
 @pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
 def test_grid_checks_equal_full_scan_on_default_grid(xi, k1, eps):
+    # the default range [1, 500], against a dense scan of every strip
     for kind, weight in (("exp", k1), ("cos", k1), ("poly", eps)):
-        rep = _library_grid_check(kind, xi, None, weight)
-        assert_reports_identical(rep, grid_check(kind, xi, None, weight))
+        rep = _library_grid_check(kind, xi, RANGES["default"], weight)
+        assert_strip_minima_match(rep, kind, xi, RANGES["default"], weight)
 
 
 @pytest.mark.parametrize("grid", ["short", "with-2pi"])
 @pytest.mark.parametrize("xi", POSITIONS, ids=POSITION_IDS)
 def test_grid_checks_equal_full_scan_on_caller_grids(xi, grid):
-    for kind, weight in (("exp", 1.0), ("cos", 1.0), ("poly", 1.0)):
-        rep = _library_grid_check(kind, xi, GRIDS[grid], weight, keep_trace=True)
-        ref = grid_check(kind, xi, GRIDS[grid], weight, keep_trace=True)
-        assert_reports_identical(rep, ref, trace=True)
+    # caller ranges: fewer than 8 strips, and [1, 60] holding 2*pi
+    for kind in ("exp", "cos", "poly"):
+        rep = _library_grid_check(kind, xi, RANGES[grid], 1.0, keep_trace=True)
+        assert_strip_minima_match(rep, kind, xi, RANGES[grid], 1.0, step=1e-4)
+        assert_reports_identical(_library_grid_check(kind, xi, RANGES[grid], 1.0), rep)
 
 
 def test_grid_check_traces_equal_full_scan_on_default_grid():
     for kind in ("exp", "cos", "poly"):
-        rep = _library_grid_check(kind, GOLDEN_RATIO_CONJUGATE, None, 1.0, keep_trace=True)
-        ref = grid_check(kind, GOLDEN_RATIO_CONJUGATE, None, 1.0, keep_trace=True)
-        assert_reports_identical(rep, ref, trace=True)
+        rep = _library_grid_check(kind, GOLDEN_RATIO_CONJUGATE, RANGES["default"], 1.0, True)
+        assert rep.trace.shape == (160, 3)
+        assert_strip_minima_match(rep, kind, GOLDEN_RATIO_CONJUGATE, RANGES["default"], 1.0)
+        # the strips skipped by the search cannot change the report
+        plain = _library_grid_check(kind, GOLDEN_RATIO_CONJUGATE, RANGES["default"], 1.0)
+        assert_reports_identical(plain, rep)
 
 
-def test_classify_equals_full_scans_with_injected_resonances():
+def test_classify_equals_its_strip_checks():
     for xi in (Fraction(1, 2), Fraction(2, 5), "golden"):
         cls = classify_actuator(xi, ClassifySettings(mu_max=100.0), keep_trace=True)
-        grid = np.asarray(cls.exp_grid.trace)[:, 0]
-        assert_reports_identical(cls.exp_grid, grid_check("exp", cls.xi, grid, keep_trace=True), True)
-        assert_reports_identical(cls.poly_grid, grid_check("poly", cls.xi, grid, keep_trace=True), True)
+        exp_ref = check_exp_grid(cls.xi, 1.0, 100.0, keep_trace=True)
+        poly_ref = check_poly_grid(cls.xi, 1.0, 1.0, 100.0, keep_trace=True)
+        assert_reports_identical(cls.exp_grid, exp_ref, trace=True)
+        assert_reports_identical(cls.poly_grid, poly_ref, trace=True)
 
 
-def test_grid_checks_agree_with_numpy_ufuncs():
-    # numpy's SIMD exp and log may differ from libm in the last place
+def test_strip_minima_are_never_above_the_grid():
+    # the 0.01 grid the checks once ran on, with libm and with numpy's ufuncs
     for xi in POSITIONS:
         for kind in ("exp", "cos", "poly"):
-            rep = _library_grid_check(kind, xi, None, 1.0)
-            ref = grid_check(kind, xi, None, 1.0, f=NUMPY)
-            assert (rep.verdict, rep.witness, rep.note) == (ref.verdict, ref.witness, ref.note)
-            for key, value in rep.fitted_constants.items():
-                assert value == pytest.approx(ref.fitted_constants[key], rel=1e-14, abs=1e-300)
+            rep = _library_grid_check(kind, xi, RANGES["default"], 1.0)
+            for f in (LIBM, NUMPY):
+                ref = grid_check(kind, xi, None, 1.0, f=f)
+                logs = rep.fitted_constants["log_inf_weighted"], ref.fitted_constants["log_inf_weighted"]
+                assert logs[0] <= logs[1] + 1e-12
+                assert rep.fitted_constants["inf_weighted"] <= ref.fitted_constants["inf_weighted"]
+                if ref.verdict == "fail":
+                    assert rep.verdict == "fail"
+
+
+FINE_POSITIONS = {
+    "golden": GOLDEN_RATIO_CONJUGATE, "0.41421356237309515": 0.41421356237309515, "1/2": 0.5,
+    "2/5": 0.4, "1/3": 1 / 3, "0.05": 0.05, "0.01": 0.01, "0.3": 0.3, "0.123": 0.123,
+    "0.987": 0.987,
+}
+
+
+@pytest.mark.parametrize("xi", FINE_POSITIONS.values(), ids=FINE_POSITIONS.keys())
+def test_strip_minima_agree_with_a_fine_dense_scan(xi):
+    # a 1e-4 step resolves the narrow minima near the resonances, where the
+    # 0.01 grid misses them by orders of magnitude
+    for kind in ("exp", "poly", "cos"):
+        rep = _library_grid_check(kind, xi, RANGES["default"], 1.0)
+        assert_strip_minima_match(rep, kind, xi, RANGES["default"], 1.0, step=1e-4)
+
+
+def test_golden_poly_grid_finds_the_narrow_minimum():
+    rep = check_poly_grid(GOLDEN_RATIO_CONJUGATE)
+    assert rep.passed
+    assert rep.fitted_constants["inf_weighted"] == pytest.approx(1.854e-3, rel=1e-3)
+    assert rep.witness == pytest.approx(452.38934, abs=1e-5)
+    # the 0.01 grid saw 0.0904 at 452.39
+    assert grid_check("poly", GOLDEN_RATIO_CONJUGATE).fitted_constants["inf_weighted"] > 0.09
+    assert rep.fitted_constants["log_head_min"] == pytest.approx(-5.33, abs=5e-3)
+    assert rep.fitted_constants["log_tail_min"] == pytest.approx(-6.29, abs=5e-3)
+
+
+@pytest.mark.parametrize("xi, verdicts", [
+    ("golden", ("pass", "pass", "pass")),
+    (SQRT2_M1, ("pass", "pass", "pass")),
+    (Fraction(1, 2), ("fail", "fail", "pass")),
+    (Fraction(2, 5), ("fail", "fail", "pass")),
+    (Fraction(1, 3), ("fail", "fail", "fail")),
+    (Fraction(1, 5), ("fail", "fail", "fail")),
+], ids=["golden", "sqrt2-1", "1/2", "2/5", "1/3", "1/5"])
+def test_strip_verdicts(xi, verdicts):
+    # exp, poly and cos; the cosine indicator of 1/3 and 1/5 vanishes at
+    # 3*pi/2 and 5*pi/2, where cos(mu) = cos(xi*mu) = 0
+    cls = classify_actuator(xi)
+    cos_rep = check_cos_grid(cls.xi)
+    assert (cls.exp_grid.verdict, cls.poly_grid.verdict, cos_rep.verdict) == verdicts
+    if cos_rep.verdict == "fail":
+        assert cos_rep.note == "exact resonance"
+        assert cos_rep.witness == pytest.approx(math.pi / 2 * xi.denominator, abs=1e-12)
 
 
 PHIS = {
@@ -471,34 +555,22 @@ def test_liouville_overflowing_phi_reports_the_first_nan():
     assert rep.fitted_constants["first_violation_m"] == 2.0
 
 
-def test_mu_grid_points_equal_numpy_arange(rng):
-    configs = [(1.0, 500.0, 0.01), (1.0, 5.0, 0.5), (2.0, 2.0, 0.1), (0.3, 7.9, 3.3), (1e-3, 1.0, 1e-4)]
-    configs += [tuple(sorted(rng.uniform(0.01, 50.0, 2))) + (float(rng.uniform(1e-3, 2.0)),)
-                for _ in range(40)]
-    for mu_min, mu_max, step in configs:
-        points = mu_grid_points(mu_min, mu_max, step)
-        grid = default_mu_grid(mu_min, mu_max, step)
-        assert len(points) == grid.size
-        np.testing.assert_array_equal(np.array(list(points)), grid)
-        np.testing.assert_array_equal([points[j] for j in range(-len(points), len(points))],
-                                      np.concatenate([grid, grid]))
-
-
-def test_grid_checks_need_a_nondecreasing_grid():
+def test_grid_checks_need_a_finite_ordered_range():
+    for args in ((3.0, 1.0), (1.0, math.nan), (math.nan, 5.0), (1.0, math.inf), (-math.inf, 5.0)):
+        for check in (check_exp_grid, check_cos_grid):
+            with pytest.raises(ValueError):
+                check(0.3, *args)
+        with pytest.raises(ValueError):
+            check_poly_grid(0.3, 1.0, *args)
     with pytest.raises(ValueError):
-        check_exp_grid(0.3, [1.0, 3.0, 2.0])
-    with pytest.raises(ValueError):
-        check_cos_grid(0.3, [1.0, math.nan, 2.0])
-    with pytest.raises(ValueError):
-        check_poly_grid(0.3, 1.0, [1.0, 2.0, math.inf])
+        check_poly_grid(0.3, 1.0, 0.0, 5.0)
     with pytest.raises(ValueError):
         check_exp_grid(0.3, k1=math.inf)
     with pytest.raises(ValueError):
         check_poly_grid(0.3, eps=math.nan)
-    for args in ((5.0, 1.0, -0.5), (1.0, 5.0, 0.0), (1.0, 5.0, math.nan), (1.0, 5.0, math.inf),
-                 (math.inf, 5.0, 0.5), (1.0, math.nan, 0.5)):
-        with pytest.raises(ValueError):
-            mu_grid_points(*args)
+    # a one-point range is one strip of one point
+    rep = check_exp_grid(0.3, 2.0, 2.0)
+    assert rep.witness == 2.0 and rep.note == "range too short for a trend test"
 
 
 @pytest.mark.parametrize("make", [

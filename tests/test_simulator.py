@@ -6,7 +6,6 @@ import pytest
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     build_mesh,
-    default_mesh,
     dissipation_residual,
     energy,
     initial_data,
@@ -87,12 +86,6 @@ def test_energy_fourier_mode_value():
         errs.append(abs(energy(state) - math.pi**2 / 4.0))
     assert errs[0] < 1e-4
     assert 3.0 < errs[0] / errs[1] < 5.0  # second-order quadrature
-
-
-def test_default_mesh_wraps_build():
-    mesh = default_mesh(GOLDEN, 250)
-    assert mesh.n_left == 250 and mesh.n_right == 250
-    assert mesh.xi == GOLDEN
 
 
 # --------------------------------------------------------------- stepping
@@ -188,8 +181,8 @@ def test_dissipated_energy_accumulates():
     mesh = build_mesh(GOLDEN, 100, 100)
     state = initial_data(mesh, "smooth_bump", center=0.5, width=0.3)
     _, trace = simulate(state, 1.0, dt=1e-3)
-    total = trace.dissipated_energy()
-    half = trace.dissipated_energy(upto_step=trace.damping_power.size // 2)
+    dissipated = trace.dissipated_at_samples()
+    total, half = dissipated[-1], dissipated[dissipated.size // 2]
     assert 0.0 < half < total
     assert total == pytest.approx(trace.energies[0] - trace.energies[-1], rel=1e-9)
 
