@@ -54,6 +54,10 @@ _EXP_WINDOW = 300.0
 # two rows of the default 2048-cell grid, few enough that the stack's
 # temporaries add no resident memory
 _STACK_BYTES = 80 << 10
+# points at which validate_weight samples the weight's slope and convexity
+_WEIGHT_SAMPLES = 1001
+# largest log-log slope of the sampled sup ratio in h still read as tame growth
+_MAX_GROWTH_RATE = 4.0
 
 
 @dataclass
@@ -88,14 +92,15 @@ class WeightFunction:
         )
 
     @staticmethod
-    def exponential(beta: float, interval: tuple[float, float], amplitude: float = 1.0) -> "WeightFunction":
+    def exponential(beta: float, interval: tuple[float, float]) -> "WeightFunction":
+        """exp(beta x), amplitude 1; convex and monotone for beta != 0."""
         a, b = interval
 
         def deriv(order):
-            return lambda x: amplitude * beta**order * np.exp(beta * np.asarray(x, dtype=float))
+            return lambda x: beta**order * np.exp(beta * np.asarray(x, dtype=float))
 
         return WeightFunction(
-            a=a, b=b, kind=f"exponential(beta={beta}, amplitude={amplitude})",
+            a=a, b=b, kind=f"exponential(beta={beta}, amplitude=1.0)",
             d0=deriv(0), d1=deriv(1), d2=deriv(2), d3=deriv(3), d4=deriv(4),
         )
 
@@ -130,18 +135,22 @@ class WeightCheck:
     boundary_slope: float
 
 
-def validate_weight(weight: WeightFunction, side: str, n_samples: int = 1001) -> WeightCheck:
-    """Check the admissibility assumptions of the weighted estimate.
+def validate_weight(weight: WeightFunction, side: str) -> WeightCheck:
+    """Check the admissibility assumptions of the weighted estimate on _WEIGHT_SAMPLES points.
 
     'left' needs phi' > 0 at the outer (Dirichlet) endpoint a; 'right' needs
     phi' < 0 at b.  Both need nonvanishing slope and strict convexity.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    x = weight.grid(n_samples - 1)
+    x = weight.grid(_WEIGHT_SAMPLES - 1)
     slope = np.asarray(weight.d1(x), dtype=float)
     convexity = np.asarray(weight.d2(x), dtype=float)
     violations = []
+    for name, values in (("slope", slope), ("convexity", convexity)):
+        finite = np.isfinite(values)
+        if not np.all(finite):  # a nan escapes the comparisons below
+            violations.append(f"{name} is not finite near x={x[np.argmin(finite)]:.6g}")
     if np.min(np.abs(slope)) <= 0.0:
         violations.append(f"slope vanishes near x={x[np.argmin(np.abs(slope))]:.6g}")
     if np.min(convexity) <= 0.0:
@@ -461,14 +470,13 @@ def estimate_carleman_constant(
     samples: list[np.ndarray],
     h_values,
     side: str = "left",
-    max_growth_rate: float = 4.0,
 ) -> ConstantEstimate:
     """Empirical constant of the weighted inequality over a sample family.
 
     The samples share one grid and are evaluated a few at a time as one
     stack.  For each h the sup of LHS/RHS over the samples is taken.  h0_hat
     is the largest h up to which that sup grows tamely (log-log slope between
-    consecutive grid points at most max_growth_rate; genuine breakdown shows
+    consecutive grid points at most _MAX_GROWTH_RATE; genuine breakdown shows
     up as a much steeper jump), and c_hat is the sup over that range.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
@@ -492,7 +500,7 @@ def estimate_carleman_constant(
         if prev <= 0.0 or cur <= 0.0:
             continue
         slope = math.log(cur / prev) / math.log(h_values[k] / h_values[k - 1])
-        if slope > max_growth_rate:
+        if slope > _MAX_GROWTH_RATE:
             cut = k
             break
     c_hat = float(np.max(sup_ratio[:cut])) if cut else 0.0

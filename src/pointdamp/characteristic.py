@@ -23,8 +23,8 @@ scalar Newton per strip starts there.  A Kantorovich disc around the result
 certifies that it holds a root; a disc inside its own strip holds the strip's
 only root.
 
-Everything here runs on math and cmath; only an array argument of
-characteristic_function or characteristic_derivative imports numpy.
+Everything here runs on math and cmath.  Only characteristic_function also
+takes an array, and only then imports numpy.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "height_bound",
     "strip_count",
     "find_eigenvalues",
-    "spectral_abscissa",
     "abscissa_of_roots",
 ]
 
@@ -84,18 +83,9 @@ def characteristic_function(xi: float, z):
     return out if out.ndim else complex(out)
 
 
-def characteristic_derivative(xi: float, z):
-    """D'(z), a number for a number and elementwise for an array."""
-    if isinstance(z, (int, float, complex)):
-        return _values(xi, 1.0 - xi, complex(z))[1]
-    import numpy as np
-
-    z = np.asarray(z, dtype=complex)
-    out = np.cos(z) + 1j * (
-        xi * np.cos(xi * z) * np.sin((1.0 - xi) * z)
-        + (1.0 - xi) * np.sin(xi * z) * np.cos((1.0 - xi) * z)
-    )
-    return out if out.ndim else complex(out)
+def characteristic_derivative(xi: float, z: complex) -> complex:
+    """D'(z) at one point."""
+    return _values(xi, 1.0 - xi, complex(z))[1]
 
 
 def _values(xi: float, eta: float, z: complex) -> tuple[complex, complex]:
@@ -241,24 +231,10 @@ def find_eigenvalues(xi: float, rect, tol: float = 1e-12) -> list[Characteristic
     return roots
 
 
-def spectral_abscissa(
-    xi: float, horizon: float, tol: float = 1e-12, real_tol: float = 1e-10
-) -> float:
-    """Largest generator real part over roots with real part in (0, horizon].
-
-    Eigenvalues are i*z for characteristic roots z, so the abscissa is
-    -min(Im z).  Exactly 0.0 when an (undamped) real root exists; -inf when
-    the window holds no roots.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if horizon <= 0.5:
-        return -math.inf  # every nonzero root has modulus above 1
-    return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0), tol), real_tol)
-
-
 def abscissa_of_roots(roots: list[CharacteristicRoot], real_tol: float) -> float:
     """Largest generator real part -Im z over the given characteristic roots.
+
+    Eigenvalues are i*z for characteristic roots z, so the abscissa is -min(Im z).
 
     Exactly 0.0 when a root lies within real_tol of the real axis; -inf for
     no roots.

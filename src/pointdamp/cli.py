@@ -108,6 +108,14 @@ finite_nonnegative = Limit("finite and nonnegative", lambda value: 0 <= value < 
 MAX_CELLS = 10**6
 MAX_SIM_STEPS = 10**8
 MAX_GRID_POINTS = 10**7
+MAX_SWEEP_POSITIONS = 10**4
+# a process pool starts all its workers at once, however few the jobs
+MAX_WORKERS = 32
+
+_xi_list_length = Limit(
+    f"at most {MAX_SWEEP_POSITIONS} comma-separated positions",
+    lambda value: value.count(",") < MAX_SWEEP_POSITIONS,
+)
 
 # key -> (default, caster, Limit or None); _REQUIRED means the key must be provided.
 # The limits are checked right after casting, before any work starts.
@@ -115,8 +123,8 @@ COMMAND_SCHEMAS: dict[str, dict] = {
     "classify": {
         "xi": (_REQUIRED, _as_str, None),
         "depth": (40, _as_int, at_least(1)),
-        "rational_tol": (1e-12, _as_float, None),
-        "quotient_overflow": (1e12, _as_float, None),
+        "rational_tol": (1e-12, _as_float, finite_nonnegative),
+        "quotient_overflow": (1e12, _as_float, all_of(finite, at_least(1))),
         "constant_type_bound": (20, _as_int, None),
         "mu_min": (1.0, _as_float, finite_positive),
         "mu_max": (500.0, _as_float, None),
@@ -137,7 +145,6 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "mu_step": (0.5, _as_float, finite_positive),
         "probes": (4, _as_int, at_least(1)),
         "cells": (512, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
-        "kernel": ("consistent", _as_str, one_of("consistent", "verbatim")),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
     },
@@ -148,7 +155,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "im_min": (-0.5, _as_float, None),
         "im_max": (3.0, _as_float, None),
         "tol": (1e-12, _as_float, nonnegative),
-        "real_tol": (1e-10, _as_float, None),
+        "real_tol": (1e-10, _as_float, finite_nonnegative),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
     },
@@ -189,9 +196,9 @@ COMMAND_SCHEMAS: dict[str, dict] = {
                  one_of("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate")),
         "xi_min": (0.05, _as_float, None),
         "xi_max": (0.95, _as_float, None),
-        "xi_count": (19, _as_int, at_least(1)),
-        "xi_list": ("", _as_str, None),
-        "workers": (1, _as_int, at_least(1)),
+        "xi_count": (19, _as_int, all_of(at_least(1), at_most(MAX_SWEEP_POSITIONS))),
+        "xi_list": ("", _as_str, _xi_list_length),
+        "workers": (1, _as_int, all_of(at_least(1), at_most(MAX_WORKERS))),
         "out": (".", _as_str, None),
         "seed": (0, _as_int, nonnegative),
     },
@@ -513,7 +520,6 @@ def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],
         cells_per_side=cfg["cells"],
-        kernel=cfg["kernel"],
     )
 
 
@@ -625,6 +631,8 @@ def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction
             beta = float(choice.partition(":")[2])
         except ValueError:
             raise ConfigError("weight exp:<beta> needs a numeric beta") from None
+        if not math.isfinite(beta):
+            raise ConfigError(f"weight exp:<beta> needs a finite beta, got {choice!r}")
     elif choice != "default":
         raise ConfigError(f"unknown weight {choice!r}")
     from . import carleman
@@ -711,6 +719,9 @@ def _verify_carleman_side(
 def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
     value, _ = _parse_xi(cfg["xi"])
+    # the samples of one side are all built before the first evaluation
+    if cfg["n_samples"] * (cfg["cells"] + 1) > MAX_GRID_POINTS:
+        raise ConfigError(f"n_samples * (cells + 1) would exceed {MAX_GRID_POINTS} points")
     return {
         side: _verify_carleman_side(cfg, side, weight)
         for side, weight in _carleman_weights(cfg, value).items()
@@ -889,10 +900,11 @@ def cmd_sweep(cfg: dict) -> list[Path]:
             raise ConfigError(f"sweep xi {v} outside (0,1)")
 
     jobs = [(task, v, cfg["task_config"], cfg["seed"]) for v in xi_values]
-    if cfg["workers"] > 1:
+    workers = min(cfg["workers"], len(jobs))
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, jobs))
     else:
         results = [_sweep_worker(job) for job in jobs]

@@ -55,17 +55,6 @@ class FitResult:
     valid_range: tuple[float, float] = (0.0, 0.0)
     n_samples: int = 0
 
-    def evaluate(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        p = self.parameters
-        if self.kind == "logarithmic":
-            return p["C"] / np.log(2.0 + t) ** (2 * p["n"])
-        if self.kind == "polynomial":
-            return p["C"] / (1.0 + t) ** (1.0 / (1.0 + p["eps"]))
-        if self.kind == "exponential":
-            return p["M"] * np.exp(-p["rate"] * t)
-        raise ValueError(f"unknown model kind {self.kind!r}")
-
 
 def _usable_samples(trace) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(trace.times, dtype=float)

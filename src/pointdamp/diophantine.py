@@ -72,22 +72,12 @@ def parse_actuator_position(text: str) -> tuple[float, Fraction | str | None]:
     return value, None
 
 
-def dist_nearest_integer(rho):
-    """Distance from rho to the nearest integer, elementwise; range [0, 1/2].
+def dist_nearest_integer(rho: float) -> float:
+    """Distance from rho to the nearest integer, in [0, 1/2]; nan when rho is not finite.
 
-    A number gives a float without importing numpy; an array gives an array.
+    Halves round to even, as numpy.round does.
     """
-    if isinstance(rho, (int, float)):
-        return _dist(float(rho))
-    import numpy as np
-
-    rho = np.asarray(rho, dtype=float)
-    out = np.abs(rho - np.round(rho))
-    return out if out.ndim else float(out)
-
-
-def _dist(rho: float) -> float:
-    """dist_nearest_integer of one float, rounding halves to even as numpy does."""
+    rho = float(rho)
     return abs(rho - round(rho)) if math.isfinite(rho) else math.nan
 
 
@@ -219,22 +209,14 @@ def _power(x: float, p: float) -> float:
 class GrowthFunction:
     """Positive nondecreasing weight m -> phi(m) used by the scan condition.
 
-    evaluate maps one float to one float.  Called with a number the function
-    returns a float; called with an array it returns an array, evaluated
-    point by point, and only then imports numpy.
+    evaluate maps one float to one float; calling the function does the same.
     """
 
     kind: str
     evaluate: Callable[[float], float] = field(repr=False)
 
-    def __call__(self, m):
-        if isinstance(m, (int, float)):
-            return self.evaluate(float(m))
-        import numpy as np
-
-        m = np.asarray(m, dtype=float)
-        out = np.array([self.evaluate(v) for v in m.ravel().tolist()], dtype=float)
-        return out.reshape(m.shape) if m.ndim else float(out[0])
+    def __call__(self, m: float) -> float:
+        return self.evaluate(float(m))
 
     @staticmethod
     def identity() -> "GrowthFunction":
@@ -266,43 +248,23 @@ class GrowthFunction:
 # ----------------------------------------------------------------------------
 
 
-def _sin_indicator(xi: float, mu: float) -> float:
+def resonance_indicator(xi: float, mu: float) -> float:
+    """sin^2(mu) + sin^2(xi*mu)*sin^2((1-xi)*mu).
+
+    Vanishes exactly at the undamped resonances of a rational actuator
+    position; equals the squared modulus of the characteristic function on
+    the real axis.
+    """
     s = math.sin(mu)
     p = math.sin(xi * mu) * math.sin((1.0 - xi) * mu)
     return s * s + p * p
 
 
-def _cos_indicator(xi: float, mu: float) -> float:
+def cos_resonance_indicator(xi: float, mu: float) -> float:
+    """cos^2(mu) + cos^2(xi*mu)*sin^2((1-xi)*mu), the cosine-family variant."""
     c = math.cos(mu)
     p = math.cos(xi * mu) * math.sin((1.0 - xi) * mu)
     return c * c + p * p
-
-
-def resonance_indicator(xi: float, mu):
-    """sin^2(mu) + sin^2(xi*mu)*sin^2((1-xi)*mu), elementwise in mu.
-
-    Vanishes exactly at the undamped resonances of a rational actuator
-    position; equals the squared modulus of the characteristic function on
-    the real axis.  A number gives a float without importing numpy.
-    """
-    if isinstance(mu, (int, float)):
-        return _sin_indicator(xi, float(mu))
-    import numpy as np
-
-    mu = np.asarray(mu, dtype=float)
-    out = np.sin(mu) ** 2 + (np.sin(xi * mu) * np.sin((1.0 - xi) * mu)) ** 2
-    return out if out.ndim else float(out)
-
-
-def cos_resonance_indicator(xi: float, mu):
-    """cos^2(mu) + cos^2(xi*mu)*sin^2((1-xi)*mu), the cosine-family variant."""
-    if isinstance(mu, (int, float)):
-        return _cos_indicator(xi, float(mu))
-    import numpy as np
-
-    mu = np.asarray(mu, dtype=float)
-    out = np.cos(mu) ** 2 + (np.cos(xi * mu) * np.sin((1.0 - xi) * mu)) ** 2
-    return out if out.ndim else float(out)
 
 
 @dataclass
@@ -557,7 +519,7 @@ def check_exp_grid(
 ) -> ConditionReport:
     """Exponential-weight lower bound: resonance_indicator * e^(k1*mu) >= k2 > 0,
     on the exact minimum of each pi-strip around n*pi in [mu_min, mu_max]."""
-    condition = _exp_weight_condition(_sin_indicator, _sin_derivatives, 0.0, k1)
+    condition = _exp_weight_condition(resonance_indicator, _sin_derivatives, 0.0, k1)
     return _tail_trend_check(
         "exp-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
     )
@@ -578,7 +540,7 @@ def check_poly_grid(
         raise ValueError("polynomial weight needs positive mu")
     power = 1.0 + eps
     condition = _Condition(
-        _sin_indicator, _sin_derivatives, 0.0,
+        resonance_indicator, _sin_derivatives, 0.0,
         lambda mu: (power * math.log(mu), power / mu, -power / (mu * mu)),
     )
     return _tail_trend_check(
@@ -595,7 +557,7 @@ def check_cos_grid(
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Cosine-variant exponential-weight lower bound (strip centres at (n + 1/2) pi)."""
-    condition = _exp_weight_condition(_cos_indicator, _cos_derivatives, 0.5, k1)
+    condition = _exp_weight_condition(cos_resonance_indicator, _cos_derivatives, 0.5, k1)
     return _tail_trend_check(
         "cos-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
     )
@@ -625,11 +587,11 @@ def _distance_records(xi: float, m_max: int) -> list[tuple[int, float]]:
     records: list[tuple[int, float]] = []
 
     def visit(m: int) -> None:
-        d = _dist(m * xi)
+        d = dist_nearest_integer(m * xi)
         if d < records[-1][1]:
             records.append((m, d))
 
-    records.append((1, _dist(xi)))
+    records.append((1, dist_nearest_integer(xi)))
     for (p0, q0), (p1, q1) in zip(convergents, convergents[1:]):
         # a zero record cannot be beaten; the last convergent q = denominator
         # of x always gives one, because q * xi = p is then exact
@@ -691,7 +653,7 @@ def check_liouville_type(
     trace = None
     if keep_trace:
         trace = _Rows(
-            m_max, 2, lambda i: (float(i + 1), phi.evaluate(float(i + 1)) * _dist((i + 1) * xi))
+            m_max, 2, lambda i: (float(i + 1), phi(i + 1) * dist_nearest_integer((i + 1) * xi))
         )
     constants = {
         "kappa": kappa,
@@ -719,7 +681,8 @@ def _first_nan_product(
     while lo < hi:
         mid = (lo + hi) // 2
         lo, hi = (mid + 1, hi) if phi.evaluate(float(mid)) < math.inf else (lo, mid)
-    return next((m for m in range(max(lo, zero), m_max + 1) if _dist(m * xi) == 0), None)
+    zeros = (m for m in range(max(lo, zero), m_max + 1) if dist_nearest_integer(m * xi) == 0)
+    return next(zeros, None)
 
 
 # ----------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .characteristic import (  # noqa: F401
     characteristic_derivative,
     characteristic_function,
     find_eigenvalues,
-    spectral_abscissa,
 )
 from .mesh import Mesh, build_mesh
 from .quadrature import cumulative_simpson, derivative, simpson
@@ -167,7 +166,7 @@ def _denominator(xi: float, mu) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, a, s * s + a * a
 
 
-def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi, kernel, denominator_floor):
+def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi):
     """(lambda1, lambda2) from the moments c = int cos(mu t) Phi, s = int sin(mu t) Phi.
 
     c1, s1 integrate Phi1 over [0, xi], c2, s2 Phi2 over [xi, 1].  Continuity
@@ -175,14 +174,12 @@ def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi, kernel, denominato
     sin(mu) + i*sin(mu xi)sin(mu(1-xi)), solved by Cramer's rule.  mu is a
     float or an array that broadcasts against the moments.
     """
-    if kernel not in ("consistent", "verbatim"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     mu = np.asarray(mu, dtype=float)
     s, a, den = _denominator(xi, mu)
-    resonant = den < denominator_floor
+    resonant = den < DENOMINATOR_FLOOR
     if np.any(resonant):
         first = np.flatnonzero(resonant)[0]
-        raise ResonantDenominator(float(mu.flat[first]), float(den.flat[first]), denominator_floor)
+        raise ResonantDenominator(float(mu.flat[first]), float(den.flat[first]), DENOMINATOR_FLOOR)
     scalar = np.ndim(c1) == 0
     # array arithmetic for one probe too, so each row of a stack rounds alike
     c1, s1, c2, s2 = np.atleast_1d(c1, s1, c2, s2)
@@ -194,8 +191,7 @@ def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi, kernel, denominato
     group_jump = (rotation * (c1 - 1j * s1) + (cx * c2 + sx * s2) + f1_at_xi) / mu
     prefactor = (-s + 1j * a) / den
     lam1 = prefactor * (np.cos(eta) * group_sin + np.sin(eta) * group_jump)
-    first = rotation if kernel == "consistent" else cx + 1j * np.sin(eta)
-    lam2 = prefactor * (first * group_sin - sx * group_jump)
+    lam2 = prefactor * (rotation * group_sin - sx * group_jump)
     if scalar:
         return complex(lam1[0]), complex(lam2[0])
     return lam1, lam2
@@ -208,8 +204,6 @@ def lambda_coefficients(
     phi2: np.ndarray,
     f1_at_xi: complex,
     mesh: Mesh,
-    kernel: str = "consistent",
-    denominator_floor: float = DENOMINATOR_FLOOR,
 ) -> tuple[complex, complex]:
     """Coefficients of the homogeneous sine modes in the closed-form solution.
 
@@ -217,14 +211,6 @@ def lambda_coefficients(
     solution lambda2*sin(mu(x-1)) plus its Duhamel integral.  Both are fixed
     by continuity and the derivative jump at xi, through the four Simpson
     moments int cos(mu t) Phi and int sin(mu t) Phi on each side.
-
-    kernel selects the second coefficient's first factor:
-
-    * "consistent": exp(i*mu*xi), the value obtained by solving the 2x2
-      interface system (default; this is what the boundary-value oracle
-      confirms).
-    * "verbatim": cos(mu*xi) + i*sin(mu*(1-xi)), an asymmetric variant kept
-      so its interface residual can be surfaced rather than silently fixed.
 
     phi1, phi2 and f1_at_xi may be stacked over leading axes; the
     coefficients are then arrays of the leading shape.
@@ -234,7 +220,7 @@ def lambda_coefficients(
     h1, h2 = mesh.h_left, mesh.h_right
     return _interface_coefficients(
         xi, mu, simpson(cos1 * phi1, h1), simpson(sin1 * phi1, h1),
-        simpson(cos2 * phi2, h2), simpson(sin2 * phi2, h2), f1_at_xi, kernel, denominator_floor,
+        simpson(cos2 * phi2, h2), simpson(sin2 * phi2, h2), f1_at_xi,
     )
 
 
@@ -267,7 +253,6 @@ class ResolventSolution:
     trace_up_right: complex | np.ndarray = 0j
     continuity_residual: float = 0.0
     jump_residual: float = 0.0
-    kernel: str = "consistent"
 
 
 def _phase(theta: np.ndarray) -> np.ndarray:
@@ -303,13 +288,7 @@ def _side_fields(phase, running, f, mu):
     return u, up, v
 
 
-def solve_resolvent(
-    xi: float,
-    mu,
-    forcing: ForcingData,
-    kernel: str = "consistent",
-    denominator_floor: float = DENOMINATOR_FLOOR,
-) -> ResolventSolution:
+def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
     """Solve the transformed interface problem at frequency mu in closed form.
 
     Uses the sine ansatz with Duhamel particular integrals, written through
@@ -319,7 +298,7 @@ def solve_resolvent(
     exp(+-i mu t) (lambda2 mu exp(-+i mu) + J-+) on the right.  The end values
     of the running integrals give the four moments int cos(mu t) Phi and
     int sin(mu t) Phi that fix lambda1 and lambda2.  Raises
-    ResonantDenominator within denominator_floor of an exact resonance.
+    ResonantDenominator within DENOMINATOR_FLOOR of an exact resonance.
 
     A stacked forcing is solved in one pass along the last axis.  mu may be
     a 1-D array aligned with the forcing's first axis, one frequency per
@@ -345,7 +324,7 @@ def solve_resolvent(
         0.5 * (end1[1] + end1[0]), -0.5j * (end1[1] - end1[0]),
         0.5 * (end2[1] + end2[0]), -0.5j * (end2[1] - end2[0]),
     )
-    lam1, lam2 = _interface_coefficients(xi, mu_rows, *moments, f1_xi, kernel, denominator_floor)
+    lam1, lam2 = _interface_coefficients(xi, mu_rows, *moments, f1_xi)
 
     run1 += (lam1 * mu_rows)[..., None]
     # exp(-+i mu) lambda2 mu, less the end values that move the origin to 1
@@ -383,7 +362,6 @@ def solve_resolvent(
         trace_up_right=trace_up_right,
         continuity_residual=float(continuity),
         jump_residual=float(jump),
-        kernel=kernel,
     )
 
 
@@ -521,15 +499,16 @@ _PROBE_MODES = 8
 
 
 @functools.lru_cache(maxsize=4)
-def _series_table(nodes: bytes, n_modes: int) -> np.ndarray:
+def _series_table(nodes: bytes) -> np.ndarray:
     """Read-only block table that maps probe coefficients to (f, f', g).
 
-    With s_k = sin(k pi x) and c_k = cos(k pi x), k = 1..n_modes, at the
+    With s_k = sin(k pi x) and c_k = cos(k pi x), k = 1.._PROBE_MODES, at the
     given nodes, the rows are [s, 0, 0], [k pi c, 0, 0] and [0, c, s]
     against the coefficient blocks (af, ag, bg).  Keyed by the node values,
     so every probe of a scan shares one table.
     """
     x = np.frombuffer(nodes)
+    n_modes = _PROBE_MODES
     k = np.arange(1, n_modes + 1)
     theta = np.outer(np.pi * x, k)
     sin, cos = np.sin(theta), np.cos(theta)
@@ -543,22 +522,22 @@ def _series_table(nodes: bytes, n_modes: int) -> np.ndarray:
     return table
 
 
-def _probe_draws(rng: np.random.Generator, count: int, n_modes: int) -> np.ndarray:
-    """(count, 6, n_modes) scaled normal draws: real and imaginary parts of af, ag, bg."""
-    return rng.standard_normal((count, 6, n_modes)) / np.arange(1, n_modes + 1)
+def _probe_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 6, _PROBE_MODES) scaled normal draws: real and imaginary parts of af, ag, bg."""
+    return rng.standard_normal((count, 6, _PROBE_MODES)) / np.arange(1, _PROBE_MODES + 1)
 
 
 def _fill_series(mesh: Mesh, draws: np.ndarray, out: np.ndarray) -> None:
     """Write the samples (f, f', g) of probes into out (..., 3 * nodes).
 
-    draws (..., 6, n_modes) are the probes' coefficients, as _probe_draws
+    draws (..., 6, _PROBE_MODES) are the probes' coefficients, as _probe_draws
     gives them; one product with the series table maps all of them.
     """
-    lead, n_modes = draws.shape[:-2], draws.shape[-1]
-    # (..., 3 * n_modes, 2): coefficient blocks down, (real, imag) across
-    coef = draws.reshape(lead + (3, 2, n_modes)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+    lead = draws.shape[:-2]
+    # (..., 3 * _PROBE_MODES, 2): coefficient blocks down, (real, imag) across
+    coef = draws.reshape(lead + (3, 2, _PROBE_MODES)).swapaxes(-1, -2).reshape(lead + (-1, 2))
     # real matrix products give (real, imag) pairs, read as complex samples
-    table = _series_table(mesh.nodes.tobytes(), n_modes)
+    table = _series_table(mesh.nodes.tobytes())
     np.matmul(table, coef, out=out.view(float).reshape(out.shape + (2,)))
 
 
@@ -571,15 +550,13 @@ def _split_series(mesh: Mesh, series: np.ndarray) -> ForcingData:
     return ForcingData(mesh=mesh, f1=f1, f2=f2, g1=g1, g2=g2, fp1=fp1, fp2=fp2)
 
 
-def random_forcing(
-    mesh: Mesh, rng: np.random.Generator, n_modes: int = _PROBE_MODES, count: int | None = None
-) -> ForcingData:
-    """Band-limited random probe: global sine series for f, cosine+sine for g.
+def random_forcing(mesh: Mesh, rng: np.random.Generator, count: int | None = None) -> ForcingData:
+    """Band-limited random probe (_PROBE_MODES modes): global sine series for f, cosine+sine for g.
 
     count=k returns k probes stacked along a leading axis; row j equals the
     j-th of k successive single calls on the same generator.
     """
-    draws = _probe_draws(rng, 1 if count is None else count, n_modes)
+    draws = _probe_draws(rng, 1 if count is None else count)
     series = np.empty((draws.shape[0], 3 * mesh.nodes.size), dtype=complex)
     _fill_series(mesh, draws, series)
     return _split_series(mesh, series[0] if count is None else series)
@@ -600,9 +577,7 @@ def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
     )
 
 
-def resolvent_norm_lower_bound(
-    xi: float, mu, probes: list[ForcingData], kernel: str = "consistent"
-) -> float | np.ndarray:
+def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> float | np.ndarray:
     """Max response-to-input norm ratio over the probe set.
 
     A lower bound for the resolvent norm on the imaginary axis at height mu;
@@ -645,7 +620,7 @@ def resolvent_norm_lower_bound(
         if not np.all(solve):
             mu, f1, f2, g1, g2 = mu[solve], f1[solve], f2[solve], g1[solve], g2[solve]
             in_norm, live = in_norm[solve], live[solve]
-        sol = solve_resolvent(xi, mu, ForcingData(mesh, f1, f2, g1, g2), kernel)
+        sol = solve_resolvent(xi, mu, ForcingData(mesh, f1, f2, g1, g2))
         out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
         ratio = np.divide(out_norm, in_norm, out=np.zeros_like(out_norm), where=live)
         estimates[solve] = np.max(ratio, axis=1)
@@ -668,7 +643,6 @@ def scan_resolvent_growth(
     probes_per_mu: int = 4,
     seed: int = 0,
     cells_per_side: int = 512,
-    kernel: str = "consistent",
 ) -> ScanResult:
     """Estimate resolvent-norm growth along the imaginary axis.
 
@@ -677,7 +651,7 @@ def scan_resolvent_growth(
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
     its own mu.  Fits log(norm) = log C + K*mu by least squares over the
-    finite estimates.  kernel selects the closed form, as in solve_resolvent.
+    finite estimates.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
@@ -693,12 +667,12 @@ def scan_resolvent_growth(
         series[:, 0, 2 * n :] = np.sin(np.multiply.outer(mus, mesh.nodes))
         if probes_per_mu > 1:
             draws = [
-                _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1, _PROBE_MODES)
+                _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)
                 for i in range(first, first + mus.size)
             ]
             _fill_series(mesh, np.stack(draws), series[:, 1:])
         probes = [_split_series(mesh, series)]
-        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes, kernel)
+        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

@@ -54,7 +54,6 @@ __all__ = [
     "EnergyTrace",
     "initial_data",
     "energy",
-    "step",
     "simulate",
     "dissipation_residual",
 ]
@@ -359,12 +358,6 @@ def simulate(
         sample_steps=sample_steps,
     )
     return final, trace
-
-
-def step(state: WaveState, dt: float, damped: bool = True) -> WaveState:
-    """Advance the state by a single implicit midpoint step."""
-    new_state, _ = simulate(state, state.t + dt, dt=dt, damped=damped)
-    return new_state
 
 
 def dissipation_residual(

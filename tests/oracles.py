@@ -298,7 +298,7 @@ def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,
     """Full-scan reference of check_liouville_type: every m <= m_max."""
     m = np.arange(1, int(m_max) + 1, dtype=float)
     rho = m * xi
-    weights = m if phi.kind == "identity" else phi(m)
+    weights = m if phi.kind == "identity" else np.array([phi(v) for v in m.tolist()])
     with np.errstate(invalid="ignore"):
         products = weights * np.abs(rho - np.round(rho))
     trace = np.column_stack([m, products]) if keep_trace else None

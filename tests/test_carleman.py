@@ -63,6 +63,18 @@ def test_constant_weight_rejected():
     assert len(check.violations) >= 2
 
 
+def test_non_finite_weight_rejected():
+    # a nan slope passes no comparison, so it has to be flagged as not finite
+    nan_weight = WeightFunction.exponential(math.nan, (0.0, 0.5))
+    with np.errstate(over="ignore"):
+        overflowing = WeightFunction.exponential(800.0, (0.0, 1.0))
+        checks = [validate_weight(nan_weight, "left"), validate_weight(overflowing, "left")]
+    for check in checks:
+        assert not check.ok
+        assert any("slope is not finite" in v for v in check.violations)
+        assert any("convexity is not finite" in v for v in check.violations)
+
+
 def test_validate_weight_side_names():
     with pytest.raises(ValueError):
         validate_weight(default_left_weight(0.5), "middle")
@@ -73,7 +85,7 @@ def test_validate_weight_side_names():
     [
         default_left_weight(GOLDEN),
         default_right_weight(GOLDEN),
-        WeightFunction.exponential(1.5, (0.0, GOLDEN), amplitude=0.7),
+        WeightFunction.exponential(1.5, (0.0, GOLDEN)),
         WeightFunction.polynomial([0.1, 1.0, 0.5, 0.25], (0.1, 0.9)),
     ],
 )

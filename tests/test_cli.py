@@ -13,7 +13,8 @@ import pytest
 
 import pointdamp
 from pointdamp import characteristic, diophantine, frequency
-from pointdamp.cli import COMMAND_SCHEMAS, _linspace, main
+from pointdamp import cli
+from pointdamp.cli import COMMAND_SCHEMAS, ConfigError, _linspace, main, resolve_config
 from pointdamp.mesh import build_mesh
 
 
@@ -114,6 +115,7 @@ EXIT_2_RUNS = [
     ["resolvent-scan", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
     ["spectrum", "--xi", "golden", "--set", "re_min=10", "--set", "re_max=5"],
     ["carleman-verify", "--xi", "golden", "--set", "weight=bogus"],
+    ["carleman-verify", "--xi", "golden", "--set", "weight=exp:nan"],
     ["simulate", "--xi", "golden", "--set", "t_final=1e6"],
     ["sweep", "--set", "xi_list=0.3,abc"],
 ]
@@ -372,9 +374,21 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["spectrum", "--set", "im_max=1e300"],
     ["spectrum", "--set", "re_min=-inf"],
     ["sweep", "--set", "xi_list=0.3", "--set", "re_max=1e8"],
+    # tolerances that would report a wrong answer or fail mid-computation
+    ["spectrum", "--xi", "1/2", "--set", "real_tol=nan"],
+    ["spectrum", "--xi", "1/2", "--set", "real_tol=-1"],
+    ["classify", "--xi", "0.5", "--set", "rational_tol=nan"],
+    ["classify", "--xi", "0.5", "--set", "rational_tol=-1"],
+    ["classify", "--set", "quotient_overflow=nan"],
+    ["classify", "--set", "quotient_overflow=inf"],
+    ["classify", "--set", "quotient_overflow=0.5"],
+    ["carleman-verify", "--set", "weight=exp:nan"],
+    ["carleman-verify", "--set", "weight=exp:inf"],
+    # the samples of one side would pass the grid ceiling before any is evaluated
+    ["carleman-verify", "--set", "side=left", "--set", "n_samples=5000"],
 ], ids=lambda args: f"{args[0]}:{args[-1]}")
 def test_out_of_range_number_is_config_error(tmp_path, args):
-    xi = [] if args[0] == "sweep" else ["--xi", "golden"]
+    xi = [] if args[0] == "sweep" or "--xi" in args else ["--xi", "golden"]
     assert run(args + xi + ["--out", tmp_path]) == 2
 
 
@@ -400,6 +414,43 @@ def test_readme_key_tables_match_schemas():
     assert set(tables) == set(COMMAND_SCHEMAS)
     for command, schema in COMMAND_SCHEMAS.items():
         assert tables[command] - common == set(schema) - common, command
+
+
+class _ReadRecorder(dict):
+    """A resolved config that records the keys read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# (command, raw config at small sizes, schema keys it leaves unread); seed is
+# accepted by every task, so that --seed works alike, but only some draw
+# random numbers; the two sweeps cover the xi_list and the xi grid branches
+KEY_READ_RUNS = [
+    ("classify", {"xi": "golden", "mu_max": "50", "liouville_m_max": "100"}, {"seed"}),
+    ("resolvent-scan", {"xi": "golden", "mu_max": "3", "cells": "16", "probes": "2"}, set()),
+    ("spectrum", {"xi": "golden", "re_max": "10"}, {"seed"}),
+    ("carleman-verify", {"xi": "golden", "cells": "64", "n_samples": "2", "h_count": "3"}, set()),
+    ("simulate", {"xi": "golden", "cells": "16", "t_final": "0.2"}, {"seed"}),
+    ("sweep", {"xi_list": "0.3,0.6", "re_max": "8"}, {"xi_min", "xi_max", "xi_count"}),
+    ("sweep", {"xi_min": "0.3", "xi_max": "0.6", "xi_count": "2", "re_max": "8"}, set()),
+]
+
+
+def test_every_config_key_is_read_by_its_task(tmp_path):
+    for i, (command, raw, unread) in enumerate(KEY_READ_RUNS):
+        cfg = _ReadRecorder(resolve_config(command, dict(raw, out=str(tmp_path / str(i)))))
+        if command == "sweep":
+            cli.cmd_sweep(cfg)
+        else:
+            run_task, write, _ = cli._TASKS[command]
+            write(cfg, run_task(cfg))
+        assert set(COMMAND_SCHEMAS[command]) - cfg.read == unread, command
 
 
 def test_inadmissible_weight_is_computation_error(tmp_path):
@@ -573,28 +624,6 @@ def test_resolvent_scan_single_probe(tmp_path):
         assert float(norm) == frequency.resolvent_norm_lower_bound(xi, float(mu), [probe])
 
 
-def test_resolvent_scan_verbatim_kernel(tmp_path):
-    args = [
-        "resolvent-scan", "--xi", "golden", "--set", "mu_min=3", "--set", "mu_max=20",
-        "--set", "mu_step=1", "--set", "cells=64", "--set", "probes=2", "--seed", "2",
-    ]
-    assert run(args + ["--out", tmp_path / "consistent"]) == 0
-    assert run(args + ["--out", tmp_path / "verbatim", "--set", "kernel=verbatim"]) == 0
-    consistent = (tmp_path / "consistent" / "resolvent_scan.csv").read_text()
-    verbatim = (tmp_path / "verbatim" / "resolvent_scan.csv").read_text()
-    assert verbatim != consistent
-
-    _, _, rows = read_csv(tmp_path / "verbatim" / "resolvent_scan.csv")
-    i = 9
-    mu = float(rows[i][0])
-    xi, _ = diophantine.parse_actuator_position("golden")
-    mesh = build_mesh(xi, 64, 64)
-    rng = np.random.default_rng([2, i])
-    probes = [frequency.resonant_forcing(mesh, mu), frequency.random_forcing(mesh, rng)]
-    expected = frequency.resolvent_norm_lower_bound(xi, mu, probes, kernel="verbatim")
-    assert float(rows[i][1]) == expected
-
-
 # ---------------------------------------------------------- carleman verify
 
 
@@ -609,7 +638,9 @@ def test_carleman_verify_left(tmp_path):
     side = report["result"]["left"]
     assert side["c_hat"] > 0.0
     assert all(o > 1.5 for o in side["dual_route_orders"])
-    # the default weight is quadratic, so both boundary readings agree
+    # the default weight has phi'' = 2, so the two boundary readings differ;
+    # on this mesh both residuals stay below 1e-4 (at the default 2048 cells
+    # the plain one is ~28x the curvature one)
     assert side["square_identity_residual_curvature"] < 1e-4
     assert side["square_identity_residual_plain"] < 1e-4
     _, columns, rows = read_csv(tmp_path / "carleman_sweep.csv")
@@ -655,6 +686,49 @@ def test_sweep_unknown_task_is_config_error(tmp_path):
 def test_sweep_bad_xi_list_is_config_error(tmp_path):
     assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,abc"]) == 2
     assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,1/0"]) == 2
+
+
+def test_sweep_workers_have_a_ceiling():
+    # checked while the config resolves, so a larger pool is never started
+    assert cli.MAX_WORKERS >= 4
+    assert resolve_config("sweep", {"workers": str(cli.MAX_WORKERS)})["workers"] == cli.MAX_WORKERS
+    for workers in (cli.MAX_WORKERS + 1, 100_000):
+        with pytest.raises(ConfigError, match="workers"):
+            resolve_config("sweep", {"workers": str(workers)})
+
+
+def test_sweep_position_counts_have_a_ceiling():
+    limit = cli.MAX_SWEEP_POSITIONS
+    resolve_config("sweep", {"xi_count": str(limit), "xi_list": ",".join(["0.5"] * limit)})
+    for raw in ({"xi_count": str(limit + 1)}, {"xi_list": ",".join(["0.5"] * (limit + 1))}):
+        with pytest.raises(ConfigError, match=next(iter(raw))):
+            resolve_config("sweep", raw)
+
+
+def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert run([
+        "sweep", "--out", tmp_path, "--set", "task=classify", "--set", "xi_list=0.2,0.3,0.4",
+        "--set", "workers=8", "--set", "mu_max=20",
+    ]) == 0
+    assert sizes == [3]
 
 
 # ------------------------------------------------------------- determinism

@@ -74,17 +74,6 @@ def test_fit_exp_growing_trace_reports_negative_rate():
     assert fit.parameters["rate"] == pytest.approx(-0.1, rel=1e-10)
 
 
-def test_evaluate_roundtrip():
-    t = _times()
-    for make, fitter in [
-        (lambda t: 4.0 / np.log(2.0 + t) ** 2, lambda tr: fit_log(tr, 1)),
-        (lambda t: 2.0 / (1.0 + t), lambda tr: fit_poly(tr, 0.0)),
-        (lambda t: 3.0 * np.exp(-0.5 * t), fit_exp),
-    ]:
-        fit = fitter(_samples(t, make(t)))
-        np.testing.assert_allclose(fit.evaluate(t), make(t), rtol=1e-9)
-
-
 # ----------------------------------------------------------------- noise
 
 

@@ -60,12 +60,14 @@ def test_dist_nearest_integer_scalars():
     assert dist_nearest_integer(1.25) == 0.25
     assert dist_nearest_integer(3.0) == 0.0
     assert dist_nearest_integer(-0.3) == pytest.approx(0.3)
+    # halves round to even, as numpy.round does
+    assert dist_nearest_integer(2.5) == 0.5 and dist_nearest_integer(-3.5) == 0.5
+    assert math.isnan(dist_nearest_integer(math.inf))
 
 
 def test_dist_nearest_integer_array_range(rng):
     x = rng.uniform(-50, 50, size=1000)
-    d = dist_nearest_integer(x)
-    assert d.shape == x.shape
+    d = np.array([dist_nearest_integer(v) for v in x.tolist()])
     assert np.all(d >= 0.0) and np.all(d <= 0.5)
     np.testing.assert_allclose(d, np.minimum(x % 1.0, 1.0 - x % 1.0), atol=1e-12)
 
@@ -185,8 +187,7 @@ def test_cf_recurrence_and_straddling(rng):
 def test_cf_convergents_are_best_approximations():
     xi = GOLDEN_RATIO_CONJUGATE
     cf = expand_continued_fraction(xi, depth=12)
-    m = np.arange(1, 101, dtype=float)
-    d = dist_nearest_integer(m * xi)
+    d = np.array([dist_nearest_integer(m * xi) for m in range(1, 101)])
     for _, q in cf.convergents:
         if q < 2 or q > 100:
             continue
@@ -198,13 +199,13 @@ def test_cf_convergents_are_best_approximations():
 
 def test_growth_identity():
     phi = GrowthFunction.identity()
-    np.testing.assert_allclose(phi([1.0, 5.0, 10.0]), [1.0, 5.0, 10.0])
+    assert [phi(m) for m in (1.0, 5.0, 10)] == [1.0, 5.0, 10.0]
 
 
 def test_growth_power_log():
     phi = GrowthFunction.power_log(2.0, 0.5)
-    m = np.array([3.0, 10.0])
-    np.testing.assert_allclose(phi(m), m**2 * np.log(m) ** 1.5)
+    for m in (3.0, 10.0):
+        assert phi(m) == pytest.approx(m**2 * math.log(m) ** 1.5, rel=1e-15)
 
 
 def test_growth_exponential():
@@ -220,13 +221,6 @@ def test_resonance_indicator_known_values():
     assert resonance_indicator(0.5, math.pi / 2) == pytest.approx(1.25, abs=1e-14)
     assert resonance_indicator(0.5, 2 * math.pi) == pytest.approx(0.0, abs=1e-28)
     assert cos_resonance_indicator(0.5, math.pi / 2) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_resonance_indicator_vectorized(rng):
-    mu = rng.uniform(1, 100, size=64)
-    vals = resonance_indicator(0.3, mu)
-    expect = np.sin(mu) ** 2 + (np.sin(0.3 * mu) * np.sin(0.7 * mu)) ** 2
-    np.testing.assert_allclose(vals, expect, atol=1e-15)
 
 
 def test_default_mu_grid_covers_range():
@@ -593,17 +587,7 @@ def test_growth_functions_follow_their_numpy_formulas():
         (GrowthFunction.power_log(0.5, 1.0), np.sqrt(m) * np.log(np.maximum(m, 2.0)) ** 2),
         (GrowthFunction.exponential(0.3), np.exp(0.3 * m)),
     ):
-        values = phi(m)
-        assert values.shape == m.shape
+        values = np.array([phi(v) for v in m.tolist()])
         np.testing.assert_allclose(values, expected, rtol=1e-15)
-        assert all(phi(v) == values[i] for i, v in enumerate(m.tolist()))
         assert np.all(np.diff(values) >= 0)
 
-
-def test_scalar_helpers_equal_their_array_forms(rng):
-    x = rng.uniform(-1e6, 1e6, 500)
-    assert [dist_nearest_integer(v) for v in x.tolist()] == dist_nearest_integer(x).tolist()
-    assert dist_nearest_integer(2.5) == 0.5 and dist_nearest_integer(-3.5) == 0.5
-    mu = rng.uniform(0.0, 500.0, 500)
-    for f in (resonance_indicator, cos_resonance_indicator):
-        assert [f(0.37, v) for v in mu.tolist()] == f(0.37, mu).tolist()

@@ -15,6 +15,7 @@ from pointdamp import (
     ForcingData,
     ResolventSolution,
     ResonantDenominator,
+    abscissa_of_roots,
     assemble_phi,
     build_mesh,
     characteristic_derivative,
@@ -27,7 +28,6 @@ from pointdamp import (
     resonant_forcing,
     scan_resolvent_growth,
     solve_resolvent,
-    spectral_abscissa,
     state_norm,
     trace_derivatives,
     verify_interface_identity,
@@ -265,35 +265,14 @@ def test_solve_ode_residual_second_order(rng):
     assert 2.5 < errs[1] / errs[2] < 6.5
 
 
-def test_verbatim_kernel_breaks_jump_condition(rng):
-    # the alternative second-coefficient kernel is kept for comparison; it
-    # violates the derivative jump at order one while the default satisfies
-    # it to quadrature accuracy
-    mesh = build_mesh(GOLDEN, 512, 512)
-    forcing = random_forcing(mesh, rng)
-    consistent = solve_resolvent(GOLDEN, 23.0, forcing, kernel="consistent")
-    verbatim = solve_resolvent(GOLDEN, 23.0, forcing, kernel="verbatim")
-    assert consistent.jump_residual < 1e-9
-    assert verbatim.jump_residual > 1e-3
-    assert abs(consistent.lambda2 - verbatim.lambda2) > 1e-8
-
-
-def test_solve_rejects_unknown_kernel(rng):
-    mesh = build_mesh(GOLDEN, 32, 32)
-    forcing = random_forcing(mesh, rng)
-    with pytest.raises(ValueError):
-        solve_resolvent(GOLDEN, 10.0, forcing, kernel="other")
-
-
-@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
-def test_stacked_solve_matches_single_solves(kernel):
+def test_stacked_solve_matches_single_solves():
     mesh = build_mesh(GOLDEN, 96, 80)
     stack = random_forcing(mesh, np.random.default_rng(4), count=3)
     rng = np.random.default_rng(4)
     singles = [random_forcing(mesh, rng) for _ in range(3)]
     for mu in (1.5, 23.0, 61.7):
-        sol = solve_resolvent(GOLDEN, mu, stack, kernel)
-        refs = [solve_resolvent(GOLDEN, mu, single, kernel) for single in singles]
+        sol = solve_resolvent(GOLDEN, mu, stack)
+        refs = [solve_resolvent(GOLDEN, mu, single) for single in singles]
         for j, ref in enumerate(refs):
             for name in ("u1", "u2", "v1", "v2", "up1", "up2"):
                 np.testing.assert_allclose(getattr(sol, name)[j], getattr(ref, name), rtol=1e-15)
@@ -306,19 +285,18 @@ def test_stacked_solve_matches_single_solves(kernel):
         assert sol.jump_residual == max(r.jump_residual for r in refs)
 
 
-@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
-def test_frequency_block_solve_matches_single_solves(kernel):
+def test_frequency_block_solve_matches_single_solves():
     # one frequency per slice of the forcing's first axis
     mesh = build_mesh(GOLDEN, 96, 80)
     mus = np.array([1.5, 23.0, 61.7])
     block = random_forcing(mesh, np.random.default_rng(4), count=6)
     names = ("f1", "f2", "g1", "g2")
     block = ForcingData(mesh, *(getattr(block, name).reshape(3, 2, -1) for name in names))
-    sol = solve_resolvent(GOLDEN, mus, block, kernel)
+    sol = solve_resolvent(GOLDEN, mus, block)
     refs = []
     for b, mu in enumerate(mus):
         rows = ForcingData(mesh, block.f1[b], block.f2[b], block.g1[b], block.g2[b])
-        ref = solve_resolvent(GOLDEN, float(mu), rows, kernel)
+        ref = solve_resolvent(GOLDEN, float(mu), rows)
         refs.append(ref)
         for name in ("u1", "u2", "v1", "v2", "up1", "up2", "lambda1", "lambda2",
                      "trace_u", "trace_up_left", "trace_up_right"):
@@ -337,9 +315,8 @@ def test_frequency_block_solve_raises_on_a_resonant_slice():
         solve_resolvent(0.5, np.array([5.0, 6.0]), random_forcing(mesh, np.random.default_rng(1)))
 
 
-@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
 @pytest.mark.parametrize("cells", [(96, 80), (97, 81)], ids=["odd-samples", "even-samples"])
-def test_coefficient_routes_agree(kernel, cells):
+def test_coefficient_routes_agree(cells):
     # lambda_coefficients takes its four moments as simpson integrals,
     # solve_resolvent as the end values of its running integrals; an even
     # sample count exercises simpson's last-interval correction
@@ -348,11 +325,9 @@ def test_coefficient_routes_agree(kernel, cells):
     stack = random_forcing(mesh, np.random.default_rng(6), count=3)
     for forcing in (single, stack):
         for mu in (1.5, 23.0, 61.7, 199.5):
-            sol = solve_resolvent(GOLDEN, mu, forcing, kernel)
+            sol = solve_resolvent(GOLDEN, mu, forcing)
             phi1, phi2 = assemble_phi(forcing, mu)
-            lam1, lam2 = lambda_coefficients(
-                GOLDEN, mu, phi1, phi2, forcing.f1_at_xi, mesh, kernel
-            )
+            lam1, lam2 = lambda_coefficients(GOLDEN, mu, phi1, phi2, forcing.f1_at_xi, mesh)
             assert type(lam1) is type(sol.lambda1) and type(lam2) is type(sol.lambda2)
             np.testing.assert_allclose(sol.lambda1, lam1, rtol=1e-11)
             np.testing.assert_allclose(sol.lambda2, lam2, rtol=1e-11)
@@ -551,7 +526,7 @@ def test_scan_marks_resonant_points():
     assert not np.isfinite(result.norm_estimate[1])
 
 
-def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells, kernel):
+def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells):
     """The scan's estimates the slow way: one resolvent_norm_lower_bound per mu."""
     mesh = build_mesh(xi, cells, cells)
     bounds = []
@@ -560,23 +535,22 @@ def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells, kernel):
         if probes_per_mu > 1:
             rng = np.random.default_rng([seed, i])
             probes.append(random_forcing(mesh, rng, count=probes_per_mu - 1))
-        bounds.append(resolvent_norm_lower_bound(xi, float(mu), probes, kernel))
+        bounds.append(resolvent_norm_lower_bound(xi, float(mu), probes))
     return np.array(bounds)
 
 
-@pytest.mark.parametrize("kernel", ["consistent", "verbatim"])
 @pytest.mark.parametrize("probes", [1, 4])
-def test_scan_blocks_equal_per_frequency_bounds(monkeypatch, kernel, probes):
+def test_scan_blocks_equal_per_frequency_bounds(monkeypatch, probes):
     # blocks of 3 frequencies over 8 grid points: the last block is short
     cells = 48
     monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * probes * (2 * cells + 1))
     grid = np.linspace(2.0, 60.0, 8)
-    scan = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells, kernel=kernel)
-    expected = _per_frequency_bounds(GOLDEN, grid, probes, 3, cells, kernel)
+    scan = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells)
+    expected = _per_frequency_bounds(GOLDEN, grid, probes, 3, cells)
     np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
     # the default block holds the whole grid
     monkeypatch.undo()
-    whole = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells, kernel=kernel)
+    whole = scan_resolvent_growth(GOLDEN, grid, probes, seed=3, cells_per_side=cells)
     np.testing.assert_allclose(whole.norm_estimate, expected, rtol=1e-14)
 
 
@@ -590,7 +564,7 @@ def test_scan_block_with_a_resonant_frequency(monkeypatch):
     assert scan.norm_estimate[1] == math.inf
     finite = np.delete(np.arange(grid.size), 1)
     assert np.all(np.isfinite(scan.norm_estimate[finite]))
-    expected = _per_frequency_bounds(0.5, grid, 4, 0, cells, "consistent")
+    expected = _per_frequency_bounds(0.5, grid, 4, 0, cells)
     np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
 
 
@@ -632,7 +606,8 @@ def test_characteristic_matches_indicator_on_real_axis(rng):
     xi = float(rng.uniform(0.1, 0.9))
     mu = rng.uniform(0.5, 200.0, size=256)
     lhs = np.abs(characteristic_function(xi, mu.astype(complex))) ** 2
-    np.testing.assert_allclose(lhs, resonance_indicator(xi, mu), atol=1e-12)
+    rhs = [resonance_indicator(xi, m) for m in mu.tolist()]
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_characteristic_derivative_fd_check(rng):
@@ -751,12 +726,16 @@ def test_root_imaginary_part_matches_arithmetic(n):
 
 
 def test_spectral_abscissa_values():
-    assert spectral_abscissa(0.5, 10.0) == 0.0
-    golden = spectral_abscissa(GOLDEN, 30.0)
-    assert golden < 0.0
-    assert spectral_abscissa(0.3, 0.4) == -math.inf
+    # the abscissa is -min(Im z): exactly 0.0 with a real root, -inf with none
+    def abscissa(xi, horizon):
+        return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0)), 1e-10)
+
+    assert abscissa(0.5, 10.0) == 0.0
+    golden = find_eigenvalues(GOLDEN, (0.5, 30.0, -0.5, 3.0))
+    assert abscissa(GOLDEN, 30.0) == -min(r.z.imag for r in golden) < 0.0
+    assert abscissa_of_roots([], 1e-10) == -math.inf
     with pytest.raises(ValueError):
-        spectral_abscissa(0.5, -1.0)
+        find_eigenvalues(0.5, (0.5, -1.0, -0.5, 3.0))
 
 
 def test_eigenvalues_far_out_terminate():

@@ -10,7 +10,6 @@ from pointdamp import (
     energy,
     initial_data,
     simulate,
-    step,
 )
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE
@@ -94,18 +93,9 @@ def test_energy_fourier_mode_value():
 def test_zero_state_stays_zero():
     mesh = build_mesh(GOLDEN, 64, 64)
     state = initial_data(mesh, "custom")
-    out = step(state, 0.01)
+    out, _ = simulate(state, 0.01, dt=0.01)
     assert np.all(out.u == 0.0) and np.all(out.v == 0.0)
     assert out.t == pytest.approx(0.01)
-
-
-def test_step_matches_single_step_simulate():
-    mesh = build_mesh(GOLDEN, 128, 128)
-    state = initial_data(mesh, "smooth_bump")
-    a = step(state, 1e-3)
-    b, _ = simulate(state, 1e-3, dt=1e-3)
-    np.testing.assert_array_equal(a.u, b.u)
-    np.testing.assert_array_equal(a.v, b.v)
 
 
 def test_simulate_zero_span_returns_single_sample():
