@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CharacteristicRoot",
@@ -59,8 +59,7 @@ class ContourThroughRoot(RuntimeError):
     """Raised when a root cannot be certified, or sits on the rectangle's edge."""
 
 
-@dataclass
-class CharacteristicRoot:
+class CharacteristicRoot(NamedTuple):
     z: complex
     residual: float
     multiplicity: int

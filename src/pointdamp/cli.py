@@ -20,14 +20,14 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-# every task parses xi through diophantine, which needs no numpy; the other
-# layers, and numpy, are imported by the tasks that use them, after their
-# configuration checks, so a command loads only what it runs
-from . import __version__, diophantine
+# every task parses xi with the standard library alone; the layers that
+# compute, numpy among them, are imported by the tasks that use them, after
+# their configuration checks, so a command loads only what it runs
+from . import __version__
+from .inputs import default_mu_grid, parse_actuator_position
 
 CSV_SCHEMA_VERSION = 1
 
@@ -263,7 +263,7 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
 def _parse_xi(text: str):
     """Returns (float value, exact form or None) from an xi config string."""
     try:
-        return diophantine.parse_actuator_position(text)
+        return parse_actuator_position(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad xi: {exc}") from None
 
@@ -278,7 +278,8 @@ def _pyify(obj):
         return {str(k): _pyify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_pyify(v) for v in obj]
-    if isinstance(obj, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists before fractions loads
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     if hasattr(obj, "dtype"):  # a numpy array or scalar, recognised without importing numpy
         if obj.ndim:
@@ -398,6 +399,8 @@ def _condition_dict(report: diophantine.ConditionReport) -> dict:
 
 
 def _growth_from_text(text: str) -> diophantine.GrowthFunction:
+    from . import diophantine
+
     name, _, params = text.partition(":")
     name = name.strip().lower()
     if name == "identity":
@@ -425,22 +428,22 @@ def _growth(make: Callable, *params: float) -> diophantine.GrowthFunction:
         raise ConfigError(f"liouville_phi: {exc}") from None
 
 
-def _mu_grid_args(cfg: dict) -> tuple[float, float, float]:
-    """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
-    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
-        raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
-    return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
-
-
-def run_classify(cfg: dict):
-    """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
-    value, exact = _parse_xi(cfg["xi"])
+def _check_classify(cfg: dict, xi: float) -> diophantine.GrowthFunction:
+    """The Liouville weight phi, once the mu range is known to be admissible."""
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
     # one pi-strip per pi of the range, plus a part-strip at each end
     if (cfg["mu_max"] - cfg["mu_min"]) / math.pi + 2 > MAX_GRID_POINTS:
         raise ConfigError(f"the mu range would span over {MAX_GRID_POINTS} pi-strips")
-    phi = _growth_from_text(cfg["liouville_phi"])
+    return _growth_from_text(cfg["liouville_phi"])
+
+
+def run_classify(cfg: dict):
+    """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
+    value, exact = _parse_xi(cfg["xi"])
+    phi = _check_classify(cfg, value)
+    from . import diophantine
+
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
@@ -507,16 +510,23 @@ def _classify_row(result) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
-    value, _ = _parse_xi(cfg["xi"])
+def _check_resolvent_scan(cfg: dict, xi: float) -> tuple[float, float, float]:
+    """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
-    grid_args = _mu_grid_args(cfg)
+    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
+    return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
+
+
+def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
+    value, _ = _parse_xi(cfg["xi"])
+    grid_args = _check_resolvent_scan(cfg, value)
     from . import frequency
 
     return frequency.scan_resolvent_growth(
         value,
-        diophantine.default_mu_grid(*grid_args),
+        default_mu_grid(*grid_args),
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],
         cells_per_side=cfg["cells"],
@@ -572,9 +582,8 @@ def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
     return cfg["re_min"], cfg["re_max"], cfg["im_min"], cfg["im_max"]
 
 
-def run_spectrum(cfg: dict):
-    """Returns (roots in the configured rectangle, their spectral abscissa)."""
-    value, _ = _parse_xi(cfg["xi"])
+def _check_spectrum(cfg: dict, xi: float) -> tuple[float, float, float, float]:
+    """The configured rectangle, refused when degenerate or too wide."""
     re0, re1, im0, im1 = rect = _rectangle(cfg)
     if not (re1 > re0 and im1 > im0):
         raise ConfigError("spectrum rectangle is degenerate")
@@ -583,6 +592,15 @@ def run_spectrum(cfg: dict):
     # one Newton per pi-strip of the rectangle, refused before any runs
     if not characteristic.strip_count(rect) <= MAX_GRID_POINTS:
         raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
+    return rect
+
+
+def run_spectrum(cfg: dict):
+    """Returns (roots in the configured rectangle, their spectral abscissa)."""
+    value, _ = _parse_xi(cfg["xi"])
+    rect = _check_spectrum(cfg, value)
+    from . import characteristic
+
     roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
     return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
 
@@ -624,24 +642,35 @@ def _spectrum_row(result) -> dict:
 # ----------------------------------------------------------------------------
 
 
-def _carleman_weights(cfg: dict, xi: float) -> dict[str, carleman.WeightFunction]:
+def _check_carleman_verify(cfg: dict, xi: float) -> float | None:
+    """beta of a weight=exp:<beta> config, None for the default weights."""
+    # the samples of one side are all built before the first evaluation
+    if cfg["n_samples"] * (cfg["cells"] + 1) > MAX_GRID_POINTS:
+        raise ConfigError(f"n_samples * (cells + 1) would exceed {MAX_GRID_POINTS} points")
     choice = cfg["weight"]
-    if choice.startswith("exp:"):
-        try:
-            beta = float(choice.partition(":")[2])
-        except ValueError:
-            raise ConfigError("weight exp:<beta> needs a numeric beta") from None
-        if not math.isfinite(beta):
-            raise ConfigError(f"weight exp:<beta> needs a finite beta, got {choice!r}")
-    elif choice != "default":
+    if choice == "default":
+        return None
+    if not choice.startswith("exp:"):
         raise ConfigError(f"unknown weight {choice!r}")
+    try:
+        beta = float(choice.partition(":")[2])
+    except ValueError:
+        raise ConfigError("weight exp:<beta> needs a numeric beta") from None
+    if not math.isfinite(beta):
+        raise ConfigError(f"weight exp:<beta> needs a finite beta, got {choice!r}")
+    return beta
+
+
+def _carleman_weights(
+    cfg: dict, xi: float, beta: float | None
+) -> dict[str, carleman.WeightFunction]:
     from . import carleman
 
     sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
     weights = {}
     for side in sides:
         interval = (0.0, xi) if side == "left" else (xi, 1.0)
-        if choice == "default":
+        if beta is None:
             weights[side] = (
                 carleman.default_left_weight(xi)
                 if side == "left"
@@ -719,12 +748,10 @@ def _verify_carleman_side(
 def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
     value, _ = _parse_xi(cfg["xi"])
-    # the samples of one side are all built before the first evaluation
-    if cfg["n_samples"] * (cfg["cells"] + 1) > MAX_GRID_POINTS:
-        raise ConfigError(f"n_samples * (cells + 1) would exceed {MAX_GRID_POINTS} points")
+    beta = _check_carleman_verify(cfg, value)
     return {
         side: _verify_carleman_side(cfg, side, weight)
-        for side, weight in _carleman_weights(cfg, value).items()
+        for side, weight in _carleman_weights(cfg, value, beta).items()
     }
 
 
@@ -765,6 +792,15 @@ def _carleman_row(sides: dict) -> dict:
 # ----------------------------------------------------------------------------
 
 
+def _check_simulate(cfg: dict, xi: float) -> float:
+    """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
+    # dt = 0 means half the smaller mesh spacing, the simulator's default
+    dt = cfg["dt"] or min(xi, 1.0 - xi) / cfg["cells"] / 2.0
+    if cfg["t_final"] / dt > MAX_SIM_STEPS:
+        raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
+    return dt
+
+
 def run_simulate(cfg: dict):
     """Returns (final state, energy trace, fits).
 
@@ -772,10 +808,7 @@ def run_simulate(cfg: dict):
     trace has too few usable samples.
     """
     value, _ = _parse_xi(cfg["xi"])
-    # dt = 0 means half the smaller mesh spacing, the simulator's default
-    dt = cfg["dt"] or min(value, 1.0 - value) / cfg["cells"] / 2.0
-    if cfg["t_final"] / dt > MAX_SIM_STEPS:
-        raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
+    dt = _check_simulate(cfg, value)
     from . import decayfit, simulator
     from .mesh import build_mesh
 
@@ -873,6 +906,16 @@ _TASKS = {
     "simulate": (run_simulate, write_simulate, _simulate_row),
 }
 
+# task -> the checks across its keys at one position, which run_<task> runs
+# first; a sweep runs them at every position before its first job
+_CHECKS = {
+    "classify": _check_classify,
+    "resolvent-scan": _check_resolvent_scan,
+    "spectrum": _check_spectrum,
+    "carleman-verify": _check_carleman_verify,
+    "simulate": _check_simulate,
+}
+
 
 def _sweep_worker(job: tuple) -> tuple[float, dict]:
     task, xi_value, task_cfg, seed = job
@@ -898,6 +941,7 @@ def cmd_sweep(cfg: dict) -> list[Path]:
     for v in xi_values:
         if not 0.0 < v < 1.0:
             raise ConfigError(f"sweep xi {v} outside (0,1)")
+        _CHECKS[task](cfg["task_config"], v)
 
     jobs = [(task, v, cfg["task_config"], cfg["seed"]) for v in xi_values]
     workers = min(cfg["workers"], len(jobs))

@@ -15,6 +15,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+# the parser and the grid live apart so the command line can read a position
+# without this module
+from .inputs import GOLDEN_RATIO_CONJUGATE, default_mu_grid, parse_actuator_position
+
 __all__ = [
     "ContinuedFraction",
     "ConditionReport",
@@ -35,9 +39,6 @@ __all__ = [
     "default_mu_grid",
 ]
 
-# (sqrt(5)-1)/2, the canonical constant-type actuator position
-GOLDEN_RATIO_CONJUGATE = (math.sqrt(5.0) - 1.0) / 2.0
-
 # convergents of a double are meaningless once q_k*q_{k+1} ~ 1/eps
 _PRECISION_BUDGET = 0.25 / sys.float_info.epsilon
 
@@ -48,28 +49,6 @@ _GOLDEN_60_BUDGET = 0.25e60
 
 # indicator values below this count as exact resonances (roundoff scale)
 _RESONANCE_FLOOR = 1e-20
-
-
-def parse_actuator_position(text: str) -> tuple[float, Fraction | str | None]:
-    """Parse an actuator position given as decimal, 'p/q', or 'golden'.
-
-    Returns (float value, exact form).  The exact form is a Fraction for
-    'p/q' inputs, the string 'golden' for the named constant, and None for
-    plain decimals.
-    """
-    text = text.strip().lower()
-    if text == "golden":
-        return GOLDEN_RATIO_CONJUGATE, "golden"
-    if "/" in text:
-        num, _, den = text.partition("/")
-        frac = Fraction(int(num), int(den))
-        if not 0 < frac < 1:
-            raise ValueError(f"actuator position must lie in (0,1), got {frac}")
-        return float(frac), frac
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"actuator position must lie in (0,1), got {value}")
-    return value, None
 
 
 def dist_nearest_integer(rho: float) -> float:
@@ -308,13 +287,6 @@ class _Rows:
     @property
     def shape(self) -> tuple[int, int]:
         return self._n, self._width
-
-
-def default_mu_grid(mu_min: float = 1.0, mu_max: float = 500.0, step: float = 0.01):
-    """An evenly spaced mu grid from mu_min to mu_max as a numpy array (imports numpy)."""
-    import numpy as np
-
-    return np.arange(mu_min, mu_max + 0.5 * step, step)
 
 
 def _log_weighted(expression: float, log_weight: float) -> float:

@@ -494,6 +494,17 @@ def state_norm(
 # frequency more adds about 0.6 MB to the scan's peak RSS
 _BLOCK_BYTES = 200 << 10
 
+# The temporaries of one block come to about ten times _BLOCK_BYTES (1.9 MB
+# in the default scan), all freed before the next block.  glibc returns the
+# top of its heap to the system once more than its trim threshold is free,
+# and raises that threshold to twice the size of any mmapped block freed
+# (mallopt(3), M_MMAP_THRESHOLD).  Unless whatever ran before the scan happened
+# to free such a block, every block's temporaries would be faulted in afresh
+# (~46,000 minor faults in a default resolvent-scan run against ~6,000).  So
+# the scan allocates and drops one block of this size first; under another
+# allocator that costs one allocation and nothing more
+_ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
+
 # band limit of the random probes
 _PROBE_MODES = 8
 
@@ -659,6 +670,7 @@ def scan_resolvent_growth(
     n, rows = mesh.nodes.size, max(probes_per_mu, 1)
     # a block of frequencies at a time, each with its own probes
     block = max(1, _BLOCK_BYTES // (16 * rows * n))
+    np.empty(_ALLOCATOR_PRIME_BYTES // 8)  # dropped at once: see _ALLOCATOR_PRIME_BYTES
     for first in range(0, mu_grid.size, block):
         mus = mu_grid[first : first + block]
         # (frequency, probe, samples of f, f' and g over all nodes); the

@@ -55,40 +55,52 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 
 # the layers a task imports for itself, not at start-up
 TASK_LAYERS = ("characteristic", "frequency", "carleman", "simulator", "decayfit", "mesh")
+# the arithmetic layer and the standard modules it alone brings in; only
+# classify computes with them
+ARITHMETIC = ("pointdamp.diophantine", "fractions", "decimal", "dataclasses")
 
 
 def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     probe = run_python("import sys, pointdamp.cli; print(sorted(sys.modules))")
     assert probe.returncode == 0, probe.stderr
     loaded = probe.stdout
-    assert "'pointdamp.diophantine'" in loaded
-    for layer in TASK_LAYERS:
-        assert f"'pointdamp.{layer}'" not in loaded, layer
+    assert "'pointdamp.inputs'" in loaded
+    for module in ARITHMETIC + tuple(f"pointdamp.{layer}" for layer in TASK_LAYERS):
+        assert f"'{module}'" not in loaded, module
     assert "'concurrent.futures'" not in loaded
     assert "'numpy'" not in loaded
 
+    # classify, alone and swept, runs without numpy or the other layers; a
+    # p/q position still comes back as its exact form
     done = run_python(
         "import sys\n"
         "from pointdamp.cli import main\n"
         f"code = main(['classify', '--xi', 'golden', '--out', {str(tmp_path / 'a')!r}])\n"
         f"code = code or main(['classify', '--xi', '2/5', '--out', {str(tmp_path / 'b')!r},\n"
         "                      '--set', 'keep_trace=true', '--set', 'mu_max=50'])\n"
+        f"code = code or main(['sweep', '--out', {str(tmp_path / 'c')!r},\n"
+        "                      '--set', 'task=classify', '--set', 'xi_list=0.3,golden'])\n"
         "print(sorted(sys.modules))\n"
         "sys.exit(code)\n"
     )
     assert done.returncode == 0, done.stderr
-    for layer in ("frequency", "carleman", "simulator"):
+    for layer in ("frequency", "carleman", "simulator", "mesh"):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
     assert "'numpy'" not in done.stdout
     assert (tmp_path / "b" / "classify_trace_liouville.csv").exists()
+    report = json.loads((tmp_path / "b" / "classify_report.json").read_text())
+    assert report["result"]["exact_form"] == "2/5"
+    assert (tmp_path / "c" / "sweep_classify.csv").exists()
 
     # spectrum at the defaults and at the benchmark's width for its three
-    # positions, a default sweep (of spectrum, over the default grid), and a
-    # sweep of classify run without numpy or the frequency and mesh layers
+    # positions, and a default sweep (of spectrum, over the default grid), run
+    # without numpy, the frequency and mesh layers or diophantine; with no
+    # dataclass left on their path they load no inspect either (1/2 is read
+    # as a Fraction, so fractions and decimal load)
     runs = [["spectrum", "--xi", "golden"]]
     runs += [["spectrum", "--xi", xi, "--set", "re_max=2000"]
              for xi in ("golden", "0.41421356237309515", "1/2")]
-    runs += [["sweep"], ["sweep", "--set", "task=classify", "--set", "xi_list=0.3,golden"]]
+    runs += [["sweep"]]
     runs = [args + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
     done = run_python(
         "import sys\n"
@@ -99,7 +111,8 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     assert done.returncode == 0, done.stderr
     codes, loaded = done.stdout.splitlines()[-2:]
     assert codes == str([0] * len(runs))
-    for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh"):
+    for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh", "pointdamp.diophantine",
+                   "dataclasses", "inspect"):
         assert f"'{module}'" not in loaded, module
     assert (tmp_path / "run4" / "sweep_spectrum.csv").exists()
 
@@ -133,6 +146,29 @@ def test_configuration_errors_load_no_numpy(tmp_path):
     codes, numpy_loaded = done.stdout.splitlines()[-2:]
     assert codes == str([2] * len(EXIT_2_RUNS))
     assert numpy_loaded == "False"
+
+
+def test_tasks_without_arithmetic_load_no_diophantine(tmp_path):
+    # only classify computes with the arithmetic layer; liouville_phi is the
+    # one configuration check made by diophantine itself (GrowthFunction)
+    errors = [args for args in EXIT_2_RUNS if not any("liouville_phi" in a for a in args)]
+    runs = [
+        ["resolvent-scan", "--xi", "golden", "--set", "mu_max=3", "--set", "cells=16"],
+        ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
+        ["carleman-verify", "--xi", "1/3", "--set", "cells=64", "--set", "n_samples=2",
+         "--set", "h_count=3"],
+    ]
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"codes = [main(args + ['--out', {str(tmp_path)!r}]) for args in {runs + errors!r}]\n"
+        "print(codes)\n"
+        "print('pointdamp.diophantine' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = done.stdout.splitlines()[-2:]
+    assert codes == str([0] * len(runs) + [2] * len(errors))
+    assert loaded == "False"
 
 
 def test_numpy_free_reports_drop_the_numpy_version(tmp_path):
@@ -705,7 +741,9 @@ def test_sweep_position_counts_have_a_ceiling():
             resolve_config("sweep", raw)
 
 
-def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every process pool built, each running its jobs in-process."""
     import concurrent.futures
 
     sizes = []
@@ -724,11 +762,34 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, monkeypatch):
             return map(fn, jobs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
+def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
     assert run([
         "sweep", "--out", tmp_path, "--set", "task=classify", "--set", "xi_list=0.2,0.3,0.4",
         "--set", "workers=8", "--set", "mu_max=20",
     ]) == 0
-    assert sizes == [3]
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize("task_args", [
+    ["task=classify", "mu_min=5", "mu_max=2"],
+    ["task=classify", "liouville_phi=exponential:-1"],
+    ["task=resolvent-scan", "mu_step=1e-9"],
+    ["task=spectrum", "re_max=1e9"],
+    ["task=carleman-verify", "n_samples=10000"],
+    ["task=carleman-verify", "weight=bogus"],
+    # at dt = 0 the step count depends on the position: 0.4 is fine, 1e-4 is not
+    ["task=simulate", "cells=1000", "t_final=10", "dt=0"],
+], ids=lambda args: "-".join(args))
+def test_sweep_checks_every_position_before_any_job(tmp_path, pool_sizes, task_args):
+    settings = [item for pair in zip(itertools.repeat("--set"), task_args) for item in pair]
+    assert run([
+        "sweep", "--out", tmp_path, "--set", "xi_list=0.4,1e-4", "--set", "workers=2", *settings,
+    ]) == 2
+    assert pool_sizes == []
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------- determinism

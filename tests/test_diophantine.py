@@ -52,6 +52,16 @@ def test_parse_rejects_out_of_range(bad):
         parse_actuator_position(bad)
 
 
+def test_parser_names_are_the_inputs_modules_own():
+    # the command line parses xi through pointdamp.inputs without loading this
+    # module; diophantine hands out the same objects, not copies
+    from pointdamp import diophantine, inputs
+
+    assert diophantine.parse_actuator_position is inputs.parse_actuator_position
+    assert diophantine.GOLDEN_RATIO_CONJUGATE is inputs.GOLDEN_RATIO_CONJUGATE
+    assert diophantine.default_mu_grid is inputs.default_mu_grid
+
+
 # ------------------------------------------------- nearest-integer distance
 
 
