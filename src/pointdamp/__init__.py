@@ -16,10 +16,47 @@ import sys
 
 __version__ = "0.1.0"
 
-# the submodules, in the order their public names make up __all__
-_SUBMODULES = (
-    "mesh", "diophantine", "characteristic", "frequency", "carleman", "simulator", "decayfit",
-)
+# each submodule's __all__, in the order that makes up the package's __all__;
+# a name is resolved here without importing anything
+_EXPORTS = {
+    "mesh": ("Mesh", "build_mesh"),
+    "diophantine": (
+        "ContinuedFraction", "ConditionReport", "GrowthFunction", "ActuatorClassification",
+        "ClassifySettings", "GOLDEN_RATIO_CONJUGATE", "parse_actuator_position",
+        "dist_nearest_integer", "expand_continued_fraction", "resonance_indicator",
+        "cos_resonance_indicator", "check_exp_grid", "check_poly_grid", "check_cos_grid",
+        "check_liouville_type", "classify_actuator", "default_mu_grid",
+    ),
+    "characteristic": (
+        "CharacteristicRoot", "ContourThroughRoot", "characteristic_function",
+        "characteristic_derivative", "closed_form_seed", "height_bound", "strip_count",
+        "find_eigenvalues", "abscissa_of_roots",
+    ),
+    "frequency": (
+        "ForcingData", "ResolventSolution", "InterfaceIdentityReport", "ScanResult",
+        "ResonantDenominator", "assemble_phi", "lambda_coefficients", "solve_resolvent",
+        "trace_derivatives", "verify_interface_identity", "state_norm", "random_forcing",
+        "resonant_forcing", "resolvent_norm_lower_bound", "scan_resolvent_growth",
+        "winding_number",
+    ),
+    "carleman": (
+        "WeightFunction", "WeightCheck", "SquareExpansionReport", "InequalitySweep",
+        "ConstantEstimate", "default_left_weight", "default_right_weight", "validate_weight",
+        "apply_helmholtz", "apply_conjugated_operator", "conjugation_route",
+        "split_conjugated_operator", "ibp_residuals", "square_expansion_residual",
+        "evaluate_carleman_inequality", "inequality_forms", "estimate_carleman_constant",
+        "sample_basis", "random_coefficients", "random_test_function",
+    ),
+    "simulator": (
+        "WaveState", "EnergyTrace", "initial_data", "energy", "simulate",
+        "dissipation_residual",
+    ),
+    "decayfit": (
+        "InsufficientData", "FitResult", "DecaySamples", "ENERGY_FLOOR_FACTOR", "MIN_SAMPLES",
+        "fit_log", "fit_poly", "fit_exp", "model_select",
+    ),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 
 
 def _submodule(name: str):
@@ -29,15 +66,13 @@ def _submodule(name: str):
 
 def __getattr__(name: str):
     """A submodule, a submodule's public name, or __all__, loaded on first access."""
-    if name in _SUBMODULES:
+    if name in _EXPORTS:
         return _submodule(name)
-    modules = [_submodule(sub) for sub in _SUBMODULES]
     if name == "__all__":
-        value = ["__version__"] + [public for module in modules for public in module.__all__]
+        value = ["__version__"] + [public for names in _EXPORTS.values() for public in names]
+    elif name in _OWNERS:
+        value = getattr(_submodule(_OWNERS[name]), name)
     else:
-        owner = next((module for module in modules if name in module.__all__), None)
-        if owner is None:
-            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-        value = getattr(owner, name)
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value

@@ -9,7 +9,8 @@ conjugation
 The module verifies the operator algebra numerically (dual-route
 conjugation, symmetric/antisymmetric split, the expanded-square identity
 with all boundary terms) and sweeps the weighted lower-bound inequality to
-estimate its constant.
+estimate its constant, pointwise for any u or as Hermitian forms on the span
+of a real basis.
 
 Exponentials are always taken relative to a local reference value of the
 weight so no admissible h can overflow; when e^{phi/h} spans more than the
@@ -26,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import derivative, simpson
+from .quadrature import derivative, simpson, simpson_weights
 
 __all__ = [
     "WeightFunction",
@@ -44,16 +45,15 @@ __all__ = [
     "ibp_residuals",
     "square_expansion_residual",
     "evaluate_carleman_inequality",
+    "inequality_forms",
     "estimate_carleman_constant",
+    "sample_basis",
+    "random_coefficients",
     "random_test_function",
 ]
 
 # largest exponent magnitude we allow inside one rescaled window
 _EXP_WINDOW = 300.0
-# bytes of complex samples evaluated as one stack by estimate_carleman_constant:
-# two rows of the default 2048-cell grid, few enough that the stack's
-# temporaries add no resident memory
-_STACK_BYTES = 80 << 10
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
 # largest log-log slope of the sampled sup ratio in h still read as tame growth
@@ -462,38 +462,98 @@ class ConstantEstimate:
     h0_hat: float
     h: np.ndarray
     sup_ratio: np.ndarray
-    sweeps: list[InequalitySweep]  # one per sample, over the sorted h
+    sweep: InequalitySweep  # row i is the sweep of sample i, over the sorted h
+
+
+def _gram(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j weights_j X[:, j] X[:, j]^T."""
+    return (X * weights) @ X.T
+
+
+def inequality_forms(
+    weight: WeightFunction,
+    basis: np.ndarray,
+    h_values,
+    side: str = "left",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the weighted inequality as Hermitian forms on a real basis.
+
+    basis is (m, n + 1), real, on weight.grid(n).  Returns L and R, each
+    (len(h_values), m, m): for u = c @ basis with c = a + i b,
+
+      LHS(h) = a.L[h].a + b.L[h].b,   RHS(h) = a.R[h].a + b.R[h].b,
+
+    the quantities of evaluate_carleman_inequality up to rounding.  With q
+    the Simpson weights, E as there and G(X) = (X * E q) @ X.T:
+
+      L = h G(B) + h^3 G(B') + h^3 E(outer) b'_o b'_o^T
+      R = h^4 G(P B) + E(damped) (h b_d b_d^T + h^3 b'_d b'_d^T)
+
+    P B is formed for each h: expanding G(P B) into G(B)/h^4 plus cross terms
+    cancels catastrophically near a resonance h^-2 = k^2.  Every row of the
+    basis must vanish at the outer (Dirichlet) end.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    basis = np.asarray(basis, dtype=float)
+    x = weight.grid(basis.shape[-1] - 1)
+    dx = float(x[1] - x[0])
+    phi = np.asarray(weight.d0(x), dtype=float)
+    outer, damped = (0, -1) if side == "left" else (-1, 0)
+    scale = np.maximum(np.max(np.abs(basis), axis=-1), 1e-300)
+    if np.any(np.abs(basis[:, outer]) > 1e-10 * scale):
+        raise ValueError("every basis row must vanish at the outer (Dirichlet) endpoint")
+
+    h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+    m = basis.shape[0]
+    lhs_forms = np.empty(h_values.shape + (m, m))
+    rhs_forms = np.empty_like(lhs_forms)
+    d_basis = derivative(basis, dx)
+    d2_basis = _d2(basis, dx)
+    q = simpson_weights(x.size, dx)
+    exponent = 2.0 * (phi - float(np.max(phi)))
+    b_d, db_o, db_d = basis[:, damped], d_basis[:, outer], d_basis[:, damped]
+    for i, h in enumerate(h_values):
+        E = np.exp(exponent / h)
+        Eq = E * q
+        p_basis = basis / h**2
+        p_basis += d2_basis
+        lhs_forms[i] = h * _gram(basis, Eq) + h**3 * _gram(d_basis, Eq)
+        lhs_forms[i] += h**3 * E[outer] * np.outer(db_o, db_o)
+        rhs_forms[i] = h**4 * _gram(p_basis, Eq)
+        rhs_forms[i] += E[damped] * (h * np.outer(b_d, b_d) + h**3 * np.outer(db_d, db_d))
+    return lhs_forms, rhs_forms
 
 
 def estimate_carleman_constant(
     weight: WeightFunction,
-    samples: list[np.ndarray],
+    coefficients: np.ndarray,
+    basis: np.ndarray,
     h_values,
     side: str = "left",
 ) -> ConstantEstimate:
     """Empirical constant of the weighted inequality over a sample family.
 
-    The samples share one grid and are evaluated a few at a time as one
-    stack.  For each h the sup of LHS/RHS over the samples is taken.  h0_hat
-    is the largest h up to which that sup grows tamely (log-log slope between
-    consecutive grid points at most _MAX_GROWTH_RATE; genuine breakdown shows
-    up as a much steeper jump), and c_hat is the sup over that range.
+    coefficients is (n_samples, m) and basis (m, n + 1), as in
+    inequality_forms.  Sample i is coefficients[i] @ basis, never formed on
+    the grid: both sides come from the forms of inequality_forms, so the cost
+    per h does not grow with the number of samples.  For each h the sup of
+    LHS/RHS over the samples is taken.  h0_hat is the largest h up to which
+    that sup grows tamely (log-log slope between consecutive grid points at
+    most _MAX_GROWTH_RATE; genuine breakdown shows up as a much steeper
+    jump), and c_hat is the sup over that range.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
-    sup_ratio = np.zeros_like(h_values)
-    sweeps = []
-    # a few samples at a time: one weight per h serves the whole stack
-    chunk = max(1, _STACK_BYTES // (16 * np.size(samples[0]))) if samples else 1
-    for first in range(0, len(samples), chunk):
-        stack = evaluate_carleman_inequality(
-            weight, np.stack(samples[first : first + chunk]), h_values, side
-        )
-        sweeps += [
-            InequalitySweep(h=h_values, lhs=lhs, rhs=rhs, ratio=ratio)
-            for lhs, rhs, ratio in zip(stack.lhs, stack.rhs, stack.ratio)
-        ]
-    for sweep in sweeps:
-        sup_ratio = np.maximum(sup_ratio, sweep.ratio)
+    lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
+    # a + i b laid out as (a_0, b_0, a_1, b_1, ...), so one real form kron(F, I2)
+    # gives a.F.a + b.F.b; einsum contracts it without a per-sample temporary
+    parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
+    pair = np.eye(2)
+    lhs = np.einsum("si,hij,sj->sh", parts, np.kron(lhs_forms, pair), parts)
+    rhs = np.einsum("si,hij,sj->sh", parts, np.kron(rhs_forms, pair), parts)
+    ratio = np.zeros_like(lhs)
+    np.divide(lhs, rhs, out=ratio, where=rhs > 0.0)
+    sup_ratio = np.max(ratio, axis=0, initial=0.0)
     cut = h_values.size
     for k in range(1, h_values.size):
         prev, cur = sup_ratio[k - 1], sup_ratio[k]
@@ -506,15 +566,19 @@ def estimate_carleman_constant(
     c_hat = float(np.max(sup_ratio[:cut])) if cut else 0.0
     h0_hat = float(h_values[cut - 1]) if cut else 0.0
     return ConstantEstimate(
-        c_hat=c_hat, h0_hat=h0_hat, h=h_values, sup_ratio=sup_ratio, sweeps=sweeps
+        c_hat=c_hat,
+        h0_hat=h0_hat,
+        h=h_values,
+        sup_ratio=sup_ratio,
+        sweep=InequalitySweep(h=h_values, lhs=lhs, rhs=rhs, ratio=ratio),
     )
 
 
 @functools.lru_cache(maxsize=4)
-def _test_basis(
+def sample_basis(
     interval: tuple[float, float], n: int, n_modes: int, pin_left: bool, pin_right: bool
 ) -> np.ndarray:
-    """Read-only (n_modes, n + 1) basis of random_test_function, shared by its calls."""
+    """Read-only (n_modes, n + 1) real basis of random_test_function, shared by its calls."""
     a, b = interval
     x = np.linspace(a, b, n + 1)
     s = (x - a) / (b - a)
@@ -532,6 +596,13 @@ def _test_basis(
     return basis
 
 
+def random_coefficients(rng: np.random.Generator, n_modes: int = 8) -> np.ndarray:
+    """Complex coefficients of one random_test_function on sample_basis, from
+    the same draws: standard normal real and imaginary parts, mode k scaled by 1/k."""
+    k = np.arange(1, n_modes + 1)
+    return (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
+
+
 def random_test_function(
     interval: tuple[float, float],
     n: int,
@@ -542,6 +613,5 @@ def random_test_function(
 ) -> np.ndarray:
     """Smooth random complex function on a uniform grid, optionally pinned to
     zero at an endpoint (quarter-wave sines keep the other endpoint free)."""
-    k = np.arange(1, n_modes + 1)
-    coeff = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-    return coeff @ _test_basis(tuple(interval), n, n_modes, pin_left, pin_right)
+    coeff = random_coefficients(rng, n_modes)
+    return coeff @ sample_basis(tuple(interval), n, n_modes, pin_left, pin_right)

@@ -644,7 +644,9 @@ def _spectrum_row(result) -> dict:
 
 def _check_carleman_verify(cfg: dict, xi: float) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
-    # the samples of one side are all built before the first evaluation
+    # the estimate never builds the samples on the grid, only their m x m forms
+    # (carleman.inequality_forms); this ceiling on their combined size stays so
+    # that the same configs are accepted
     if cfg["n_samples"] * (cfg["cells"] + 1) > MAX_GRID_POINTS:
         raise ConfigError(f"n_samples * (cells + 1) would exceed {MAX_GRID_POINTS} points")
     choice = cfg["weight"]
@@ -720,18 +722,16 @@ def _verify_carleman_side(
     sq_plain = carleman.square_expansion_residual(weight, h_ref, w, x, "plain")
 
     h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
-    samples = [
-        carleman.random_test_function(
-            interval,
-            cells,
-            np.random.default_rng([cfg["seed"], 0 if side == "left" else 1, i]),
-            cfg["n_modes"],
-            pin_left=(side == "left"),
-            pin_right=(side == "right"),
+    basis = carleman.sample_basis(
+        interval, cells, cfg["n_modes"], pin_left=(side == "left"), pin_right=(side == "right")
+    )
+    coefficients = np.array([
+        carleman.random_coefficients(
+            np.random.default_rng([cfg["seed"], 0 if side == "left" else 1, i]), cfg["n_modes"]
         )
         for i in range(cfg["n_samples"])
-    ]
-    estimate = carleman.estimate_carleman_constant(weight, samples, h_grid, side)
+    ])
+    estimate = carleman.estimate_carleman_constant(weight, coefficients, basis, h_grid, side)
 
     checks = {
         "weight": weight.kind,
@@ -768,8 +768,9 @@ def write_carleman_verify(cfg: dict, sides: dict) -> list[Path]:
                 f"{h:.6g}": float(r) for h, r in zip(estimate.h, estimate.sup_ratio)
             },
         )
-        for i, sweep in enumerate(estimate.sweeps):
-            for h, lhs, rhs, ratio in zip(sweep.h, sweep.lhs, sweep.rhs, sweep.ratio):
+        sweep = estimate.sweep
+        for i, sample in enumerate(zip(sweep.lhs, sweep.rhs, sweep.ratio)):
+            for h, lhs, rhs, ratio in zip(sweep.h, *sample):
                 rows.append((side, i, h, lhs, rhs, ratio))
     out = Path(cfg["out"])
     csv_path = out / "carleman_sweep.csv"

@@ -10,13 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["simpson", "cumulative_simpson", "derivative"]
+__all__ = ["simpson", "simpson_weights", "cumulative_simpson", "derivative"]
 
 
 def _composite(y: np.ndarray, stop: int, dx: float):
     """Plain composite Simpson over y[..., :stop + 1], stop even."""
     terms = y[..., 0:stop:2] + 4.0 * y[..., 1 : stop + 1 : 2] + y[..., 2 : stop + 2 : 2]
     return terms.sum(axis=-1) * (dx / 3.0)
+
+
+def _last_interval(dx: float) -> tuple[float, float, float]:
+    """scipy's last-interval weights at equal spacing (5dx/12, 2dx/3, dx/12) of
+    the final, second-last and third-last samples (the last one subtracted),
+    evaluated the way scipy evaluates them so the sums round the same."""
+    alpha = (2 * dx**2 + 3 * dx * dx) / (6 * (dx + dx))
+    beta = (dx**2 + 3.0 * dx * dx) / (6 * dx)
+    eta = dx**3 / (6 * dx * (dx + dx))
+    return alpha, beta, eta
 
 
 def simpson(y, dx: float):
@@ -32,13 +42,25 @@ def simpson(y, dx: float):
         raise ValueError("simpson needs at least 3 samples")
     if n % 2:
         return _composite(y, n - 2, dx)
-    # scipy's last-interval weights at equal spacing (5dx/12, 2dx/3, dx/12),
-    # evaluated the way scipy evaluates them so the sums round the same
-    alpha = (2 * dx**2 + 3 * dx * dx) / (6 * (dx + dx))
-    beta = (dx**2 + 3.0 * dx * dx) / (6 * dx)
-    eta = dx**3 / (6 * dx * (dx + dx))
+    alpha, beta, eta = _last_interval(dx)
     last = alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return _composite(y, n - 3, dx) + last
+
+
+def simpson_weights(n: int, dx: float) -> np.ndarray:
+    """The n weights q with q @ y equal to simpson(y, dx) up to rounding."""
+    if n < 3:
+        raise ValueError("simpson needs at least 3 samples")
+    odd = n if n % 2 else n - 1  # samples under the composite rule
+    q = np.zeros(n)
+    q[1:odd:2] = 4.0
+    q[2 : odd - 1 : 2] = 2.0
+    q[0] = q[odd - 1] = 1.0
+    q[:odd] *= dx / 3.0
+    if not n % 2:
+        alpha, beta, eta = _last_interval(dx)
+        q[-3:] += (-eta, beta, alpha)
+    return q
 
 
 def cumulative_simpson(y, dx: float) -> np.ndarray:

@@ -169,15 +169,14 @@ def test_criterion_7_weighted_inequality_checks(capsys):
     for cells in (2048, 4096):
         sup = 0.0
         for side, weight in sides.items():
-            interval = (weight.a, weight.b)
-            samples = [
-                carleman.random_test_function(
-                    interval, cells, np.random.default_rng([77, i]), 8,
-                    pin_left=(side == "left"), pin_right=(side == "right"),
-                )
+            basis = carleman.sample_basis(
+                (weight.a, weight.b), cells, 8, side == "left", side == "right"
+            )
+            coefficients = np.array([
+                carleman.random_coefficients(np.random.default_rng([77, i]), 8)
                 for i in range(50)
-            ]
-            est = carleman.estimate_carleman_constant(weight, samples, h_grid, side)
+            ])
+            est = carleman.estimate_carleman_constant(weight, coefficients, basis, h_grid, side)
             sup = max(sup, float(np.max(est.sup_ratio)))
         sups[cells] = sup
     variation = abs(sups[2048] / sups[4096] - 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from pointdamp import (
     estimate_carleman_constant,
     evaluate_carleman_inequality,
     ibp_residuals,
+    inequality_forms,
+    random_coefficients,
     random_test_function,
+    sample_basis,
     split_conjugated_operator,
     square_expansion_residual,
     validate_weight,
@@ -289,29 +293,109 @@ def test_inequality_right_side_orientation(rng):
     assert np.isfinite(sweep.ratio[0]) and sweep.ratio[0] > 0.0
 
 
+def _side_weight(side, kind):
+    if kind == "default":
+        return default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
+    interval = (0.0, GOLDEN) if side == "left" else (GOLDEN, 1.0)
+    return WeightFunction.exponential(3.0 if side == "left" else -3.0, interval)
+
+
+def _pinned_basis(weight, side, cells, n_modes=8):
+    return sample_basis((weight.a, weight.b), cells, n_modes, side == "left", side == "right")
+
+
+def _coefficients(count, n_modes=8, seed=0):
+    return np.array([random_coefficients(np.random.default_rng([seed, i]), n_modes)
+                     for i in range(count)]).reshape(count, n_modes)
+
+
 def test_constant_estimate_no_samples():
     weight = default_left_weight(GOLDEN)
-    est = estimate_carleman_constant(weight, [], np.geomspace(1e-3, 1e-1, 5))
+    basis = _pinned_basis(weight, "left", 128)
+    est = estimate_carleman_constant(
+        weight, _coefficients(0), basis, np.geomspace(1e-3, 1e-1, 5), "left"
+    )
     assert est.c_hat == 0.0
+    assert est.sweep.ratio.shape == (0, 5)
 
 
-def test_constant_estimate_tame_family(rng):
+def test_constant_estimate_tame_family():
     weight = default_left_weight(GOLDEN)
-    samples = [
-        random_test_function((weight.a, weight.b), 512, rng, pin_left=True)
-        for _ in range(5)
-    ]
     h = np.geomspace(1e-3, 1e-1, 9)
-    est = estimate_carleman_constant(weight, samples, h, "left")
+    est = estimate_carleman_constant(
+        weight, _coefficients(5), _pinned_basis(weight, "left", 512), h, "left"
+    )
     assert est.c_hat > 0.0
     assert est.h0_hat == pytest.approx(h[-1])
     assert np.all(np.isfinite(est.sup_ratio))
-    # the per-sample sweeps are the ones the sup is taken over
-    assert len(est.sweeps) == len(samples)
-    for u, sweep in zip(samples, est.sweeps):
-        direct = evaluate_carleman_inequality(weight, u, h, "left")
-        np.testing.assert_array_equal(sweep.ratio, direct.ratio)
-    np.testing.assert_array_equal(est.sup_ratio, np.max([s.ratio for s in est.sweeps], axis=0))
+    # one row per sample, and the sup is taken over them
+    assert est.sweep.ratio.shape == (5, h.size)
+    np.testing.assert_array_equal(est.sup_ratio, np.max(est.sweep.ratio, axis=0))
+
+
+# cells 511 and 512 give an even and an odd sample count, so both Simpson endings
+@pytest.mark.parametrize("cells", [511, 512])
+@pytest.mark.parametrize("kind", ["default", "exp"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_constant_estimate_matches_pointwise_oracle(side, kind, cells):
+    weight = _side_weight(side, kind)
+    basis = _pinned_basis(weight, side, cells)
+    coefficients = _coefficients(7, seed=cells)
+    h = np.geomspace(1e-3, 1e-1, 13)[::-1]  # sorted by the estimate
+    est = estimate_carleman_constant(weight, coefficients, basis, h, side)
+    np.testing.assert_array_equal(est.h, np.sort(h))
+    for c, lhs, rhs, ratio in zip(coefficients, est.sweep.lhs, est.sweep.rhs, est.sweep.ratio):
+        direct = evaluate_carleman_inequality(weight, c @ basis, est.h, side)
+        np.testing.assert_allclose(lhs, direct.lhs, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(rhs, direct.rhs, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(ratio, direct.ratio, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_inequality_forms_are_the_pointwise_sides(side):
+    weight = default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
+    basis = _pinned_basis(weight, side, 300, n_modes=5)
+    h = np.array([0.004, 0.05])
+    lhs_forms, rhs_forms = inequality_forms(weight, basis, h, side)
+    assert lhs_forms.shape == rhs_forms.shape == (2, 5, 5)
+    for k in range(5):  # a unit coefficient picks the diagonal entry
+        direct = evaluate_carleman_inequality(weight, basis[k], h, side)
+        np.testing.assert_allclose(lhs_forms[:, k, k], direct.lhs, rtol=1e-10)
+        np.testing.assert_allclose(rhs_forms[:, k, k], direct.rhs, rtol=1e-10)
+
+
+def test_constant_estimate_requires_pinned_basis_and_matching_coefficients():
+    weight = default_left_weight(GOLDEN)
+    h = [0.05]
+    for basis in (
+        sample_basis((weight.a, weight.b), 256, 8, False, False),  # free at both ends
+        sample_basis((weight.a, weight.b), 256, 8, False, True),  # pinned at the damped end
+    ):
+        with pytest.raises(ValueError, match="outer"):
+            estimate_carleman_constant(weight, _coefficients(3), basis, h, "left")
+    basis = _pinned_basis(weight, "left", 256)
+    with pytest.raises(ValueError):
+        inequality_forms(weight, basis, h, "up")
+    with pytest.raises(ValueError):  # 6 coefficients for an 8-row basis
+        estimate_carleman_constant(weight, _coefficients(3, n_modes=6), basis, h, "left")
+
+
+def test_constant_estimate_memory_does_not_grow_with_the_grid():
+    """5,000 samples at 2048 cells would be 164 MB on the grid; the estimate
+    holds its (samples, h) results and m x m forms only."""
+    weight = default_left_weight(GOLDEN)
+    basis = _pinned_basis(weight, "left", 2048)
+    coefficients = _coefficients(5000)
+    h = np.geomspace(1e-3, 1e-1, 13)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        est = estimate_carleman_constant(weight, coefficients, basis, h, "left")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.sweep.ratio.shape == (5000, 13)
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -351,6 +435,13 @@ def test_random_test_function_pinning(rng):
     assert abs(u_b[-1]) < 1e-12 * np.max(np.abs(u_b))
     assert abs(u_n[0]) > 1e-6 * np.max(np.abs(u_n))
     assert abs(u_n[-1]) > 1e-6 * np.max(np.abs(u_n))
+
+
+@pytest.mark.parametrize("pins", [(False, False), (True, False), (False, True), (True, True)])
+def test_random_test_function_is_coefficients_on_the_basis(pins):
+    u = random_test_function((0.2, 0.7), 300, np.random.default_rng(31), 6, *pins)
+    c = random_coefficients(np.random.default_rng(31), 6)
+    np.testing.assert_array_equal(u, c @ sample_basis((0.2, 0.7), 300, 6, *pins))
 
 
 def test_random_test_function_seed_reproducible():

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import simpson as scipy_simpson
 
-from pointdamp.quadrature import cumulative_simpson, derivative, simpson
+from pointdamp.quadrature import cumulative_simpson, derivative, simpson, simpson_weights
 
 
 def _samples(rng, n, kind):
@@ -58,6 +58,21 @@ def test_polynomials_integrated_exactly(n):
     np.testing.assert_allclose(running[::2], cubic_integral[::2], rtol=1e-13, atol=1e-14)
     running = cumulative_simpson(quadratic, dx)
     np.testing.assert_allclose(running, quadratic_integral, rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 2049, 2050])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_weights_reproduce_simpson(rng, n, kind):
+    # a dot product sums in another order than the rule, so the error is
+    # relative to the integral of |y|: the scale of the rounding in either sum
+    for _ in range(5):
+        y = _samples(rng, n, kind)
+        dx = rng.uniform(1e-3, 1.0)
+        q = simpson_weights(n, dx)
+        assert q.shape == (n,)
+        assert abs(q @ y - simpson(y, dx)) <= 1e-14 * simpson(np.abs(y), dx)
+    with pytest.raises(ValueError):
+        simpson_weights(2, 0.5)
 
 
 @pytest.mark.parametrize("rule", [simpson, cumulative_simpson])
