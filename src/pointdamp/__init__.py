@@ -4,9 +4,10 @@ The position xi of the damped point decides everything: rational positions
 leave undamped modes, irrational ones stabilize every state, and how fast is
 a question of Diophantine approximation.  The subpackages cover the
 arithmetic side (continued fractions and resonance conditions), the
-characteristic roots, the frequency side (closed-form resolvent, interface
-identity), the semiclassical Carleman machinery behind the resolvent bound, an
-energy-exact time-domain simulator, and decay-law fitting.
+characteristic roots, the frequency side (closed-form resolvent and
+resolvent-norm scans), the semiclassical Carleman machinery behind the
+resolvent bound, an energy-exact time-domain simulator, and decay-law
+fitting.
 
 Submodules and their public names load on first access, so a command that
 needs one of them does not pay for the others.
@@ -33,11 +34,9 @@ _EXPORTS = {
         "find_eigenvalues", "abscissa_of_roots",
     ),
     "frequency": (
-        "ForcingData", "ResolventSolution", "InterfaceIdentityReport", "ScanResult",
-        "ResonantDenominator", "assemble_phi", "lambda_coefficients", "solve_resolvent",
-        "trace_derivatives", "verify_interface_identity", "state_norm", "random_forcing",
-        "resonant_forcing", "resolvent_norm_lower_bound", "scan_resolvent_growth",
-        "winding_number",
+        "ForcingData", "ResolventSolution", "ScanResult", "ResonantDenominator",
+        "assemble_phi", "solve_resolvent", "state_norm", "random_forcing", "resonant_forcing",
+        "resolvent_norm_lower_bound", "scan_resolvent_growth", "winding_number",
     ),
     "carleman": (
         "WeightFunction", "WeightCheck", "SquareExpansionReport", "InequalitySweep",

@@ -412,45 +412,35 @@ def evaluate_carleman_inequality(
       RHS(h) = h^4 int E|Pu|^2 + [h |u|^2 + h^3 |u'|^2] E  at the damped end
 
     'left' means the damped end is b and the outer (Dirichlet) end is a;
-    'right' mirrors the roles.  u must vanish at the outer end.
-
-    u may stack samples on leading axes, with the grid on the last; lhs, rhs
-    and ratio then carry those axes before the h axis, and each row equals
-    the sweep of that sample alone exactly.
+    'right' mirrors the roles.  u is one sample on the grid and must vanish
+    at the outer end.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     u = np.asarray(u, dtype=complex)
-    x = weight.grid(u.shape[-1] - 1)
+    if u.ndim != 1:
+        raise ValueError("u must be one sample, a 1-D array on the grid")
+    x = weight.grid(u.size - 1)
     dx = float(x[1] - x[0])
     phi = np.asarray(weight.d0(x), dtype=float)
     phi_max = float(np.max(phi))
     outer, damped = (0, -1) if side == "left" else (-1, 0)
-    scale = np.maximum(np.max(np.abs(u), axis=-1), 1e-300)
-    if np.any(np.abs(u[..., outer]) > 1e-10 * scale):
+    if abs(u[outer]) > 1e-10 * max(float(np.max(np.abs(u))), 1e-300):
         raise ValueError("u must vanish at the outer (Dirichlet) endpoint")
 
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    lhs_arr = np.empty(u.shape[:-1] + h_values.shape)
+    lhs_arr = np.empty(h_values.shape)
     rhs_arr = np.empty_like(lhs_arr)
     du = derivative(u, dx)
     d2u = _d2(u, dx)
-    # |u|^2, |u'|^2 and, per h, |Pu|^2, weighted by E and integrated in one pass
-    squares = np.empty((3,) + u.shape)
-    squares[0], squares[1] = np.abs(u) ** 2, np.abs(du) ** 2
-    u_sq, du_sq, pu_sq = squares
-    weighted, pu = np.empty_like(squares), np.empty_like(u)
+    u_sq, du_sq = np.abs(u) ** 2, np.abs(du) ** 2
     exponent = 2.0 * (phi - phi_max)
     for i, h in enumerate(h_values):
         E = np.exp(exponent / h)
-        np.divide(u, h**2, out=pu)
-        pu += d2u
-        np.square(np.abs(pu, out=pu_sq), out=pu_sq)
-        int_u, int_du, int_pu = simpson(np.multiply(E, squares, out=weighted), dx=dx)
-        lhs_arr[..., i] = h * int_u + h**3 * int_du + h**3 * du_sq[..., outer] * E[outer]
-        rhs_arr[..., i] = h**4 * int_pu + (
-            h * u_sq[..., damped] + h**3 * du_sq[..., damped]
-        ) * E[damped]
+        pu_sq = np.abs(u / h**2 + d2u) ** 2
+        int_u, int_du, int_pu = (simpson(E * sq, dx=dx) for sq in (u_sq, du_sq, pu_sq))
+        lhs_arr[i] = h * int_u + h**3 * int_du + h**3 * du_sq[outer] * E[outer]
+        rhs_arr[i] = h**4 * int_pu + (h * u_sq[damped] + h**3 * du_sq[damped]) * E[damped]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(rhs_arr > 0.0, lhs_arr / rhs_arr, 0.0)
     return InequalitySweep(h=h_values, lhs=lhs_arr, rhs=rhs_arr, ratio=ratio)

@@ -510,12 +510,21 @@ def _classify_row(result) -> dict:
 # ----------------------------------------------------------------------------
 
 
+def _check_sizes(sizes: dict[str, int]) -> None:
+    """Refuse a config when an array it sizes, named by its formula, would pass MAX_GRID_POINTS."""
+    for formula, size in sizes.items():
+        if size > MAX_GRID_POINTS:
+            raise ConfigError(f"{formula} would exceed {MAX_GRID_POINTS}")
+
+
 def _check_resolvent_scan(cfg: dict, xi: float) -> tuple[float, float, float]:
     """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
     if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
         raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
+    # the probes of one frequency, over all nodes
+    _check_sizes({"probes * (2 * cells + 1)": cfg["probes"] * (2 * cfg["cells"] + 1)})
     return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
 
 
@@ -644,11 +653,13 @@ def _spectrum_row(result) -> dict:
 
 def _check_carleman_verify(cfg: dict, xi: float) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
-    # the estimate never builds the samples on the grid, only their m x m forms
-    # (carleman.inequality_forms); this ceiling on their combined size stays so
-    # that the same configs are accepted
-    if cfg["n_samples"] * (cfg["cells"] + 1) > MAX_GRID_POINTS:
-        raise ConfigError(f"n_samples * (cells + 1) would exceed {MAX_GRID_POINTS} points")
+    # the basis on the grid, the forms of every h once paired into real
+    # 2m x 2m blocks, and the (n_samples, h_count) results and CSV rows
+    _check_sizes({
+        "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
+        "h_count * (2 * n_modes)**2": cfg["h_count"] * (2 * cfg["n_modes"]) ** 2,
+        "n_samples * h_count": cfg["n_samples"] * cfg["h_count"],
+    })
     choice = cfg["weight"]
     if choice == "default":
         return None

@@ -1,10 +1,10 @@
 """Frequency-domain analysis of the point-damped string.
 
 Solves the resolvent two-point problem on the imaginary axis in closed form
-(sine ansatz plus Duhamel integrals), checks the interface energy identity,
-and estimates resolvent growth along the axis.  The characteristic roots
-live in pointdamp.characteristic, whose names this module re-exports; the
-argument-principle winding count here is the independent check of their
+(sine ansatz plus Duhamel integrals) and estimates resolvent growth along
+the axis.  The characteristic roots live in pointdamp.characteristic, of
+which this module re-exports the function, the root finder and its error;
+the argument-principle winding count here is the independent check of their
 count.
 
 Conventions.  The damped point xi splits (0,1) into a left side [0,xi] and a
@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# re-exported: the characteristic roots and their function, computed without numpy
+# re-exported: the characteristic function and root finder, computed without numpy
 from .characteristic import (  # noqa: F401
-    CharacteristicRoot,
     ContourThroughRoot,
-    abscissa_of_roots,
-    characteristic_derivative,
     characteristic_function,
     find_eigenvalues,
 )
@@ -43,14 +40,10 @@ from .quadrature import cumulative_simpson, derivative, simpson
 __all__ = [
     "ForcingData",
     "ResolventSolution",
-    "InterfaceIdentityReport",
     "ScanResult",
     "ResonantDenominator",
     "assemble_phi",
-    "lambda_coefficients",
     "solve_resolvent",
-    "trace_derivatives",
-    "verify_interface_identity",
     "state_norm",
     "random_forcing",
     "resonant_forcing",
@@ -197,33 +190,6 @@ def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi):
     return lam1, lam2
 
 
-def lambda_coefficients(
-    xi: float,
-    mu: float,
-    phi1: np.ndarray,
-    phi2: np.ndarray,
-    f1_at_xi: complex,
-    mesh: Mesh,
-) -> tuple[complex, complex]:
-    """Coefficients of the homogeneous sine modes in the closed-form solution.
-
-    The left solution is lambda1*sin(mu x) plus a Duhamel integral, the right
-    solution lambda2*sin(mu(x-1)) plus its Duhamel integral.  Both are fixed
-    by continuity and the derivative jump at xi, through the four Simpson
-    moments int cos(mu t) Phi and int sin(mu t) Phi on each side.
-
-    phi1, phi2 and f1_at_xi may be stacked over leading axes; the
-    coefficients are then arrays of the leading shape.
-    """
-    cos1, sin1 = np.cos(mu * mesh.left), np.sin(mu * mesh.left)
-    cos2, sin2 = np.cos(mu * mesh.right), np.sin(mu * mesh.right)
-    h1, h2 = mesh.h_left, mesh.h_right
-    return _interface_coefficients(
-        xi, mu, simpson(cos1 * phi1, h1), simpson(sin1 * phi1, h1),
-        simpson(cos2 * phi2, h2), simpson(sin2 * phi2, h2), f1_at_xi,
-    )
-
-
 # ----------------------------------------------------------------------------
 # resolvent solve
 # ----------------------------------------------------------------------------
@@ -365,91 +331,9 @@ def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
     )
 
 
-def trace_derivatives(
-    sol: ResolventSolution, phi1: np.ndarray, phi2: np.ndarray
-) -> tuple[complex, complex]:
-    """One-sided derivatives at the damped point from the coefficient formulas.
-
-    Recomputed directly (Simpson over the cosine kernels) rather than read
-    off the solution arrays, so they can cross-check the solve.
-    """
-    mesh, mu = sol.mesh, sol.mu
-    xi = mesh.xi
-    t1, t2 = mesh.left, mesh.right
-    left = sol.lambda1 * mu * math.cos(mu * xi) + simpson(
-        np.cos(mu * (xi - t1)) * phi1, mesh.h_left
-    )
-    # right-side integral runs from 1 down to xi
-    right = sol.lambda2 * mu * math.cos(mu * (xi - 1.0)) - simpson(
-        np.cos(mu * (xi - t2)) * phi2, mesh.h_right
-    )
-    return complex(left), complex(right)
-
-
 # ----------------------------------------------------------------------------
-# interface identity and norms
+# norms
 # ----------------------------------------------------------------------------
-
-
-@dataclass
-class InterfaceIdentityReport:
-    identity_residual: float
-    relative_residual: float
-    bound_ratio: float
-    bound_holds: bool
-    c_bound: float
-
-
-def verify_interface_identity(
-    sol: ResolventSolution, forcing: ForcingData, c_bound: float = 3.0
-) -> InterfaceIdentityReport:
-    """Check the pairing identity behind the trace bound at the damped point.
-
-    Pairing Phi against u and integrating by parts on each side gives
-
-      int Phi1 conj(u1) + int Phi2 conj(u2)
-        = mu^2 ||u||^2 - ||u'||^2 - i*mu*|u(xi)|^2 - f1(xi) conj(u(xi)),
-
-    whose imaginary part bounds mu*|u(xi)|^2 by the forcing data (Young's
-    inequality).  Returns the quadrature residual of the identity and the
-    observed constant of the trace bound.
-    """
-    mesh, mu = sol.mesh, sol.mu
-    h1, h2 = mesh.h_left, mesh.h_right
-    phi1, phi2 = assemble_phi(forcing, mu)
-
-    lhs = simpson(phi1 * np.conj(sol.u1), h1) + simpson(
-        phi2 * np.conj(sol.u2), h2
-    )
-    norm_u_sq = simpson(np.abs(sol.u1) ** 2, h1) + simpson(
-        np.abs(sol.u2) ** 2, h2
-    )
-    norm_up_sq = simpson(np.abs(sol.up1) ** 2, h1) + simpson(
-        np.abs(sol.up2) ** 2, h2
-    )
-    f1_xi = forcing.f1_at_xi
-    rhs = (
-        mu**2 * norm_u_sq
-        - norm_up_sq
-        - 1j * mu * abs(sol.trace_u) ** 2
-        - f1_xi * np.conj(sol.trace_u)
-    )
-    residual = abs(lhs - rhs)
-    scale = abs(lhs) + abs(rhs) + 1e-300
-    trace_lhs = mu * abs(sol.trace_u) ** 2
-    norm_phi1 = math.sqrt(abs(simpson(np.abs(phi1) ** 2, h1)))
-    norm_phi2 = math.sqrt(abs(simpson(np.abs(phi2) ** 2, h2)))
-    norm_u1 = math.sqrt(abs(simpson(np.abs(sol.u1) ** 2, h1)))
-    norm_u2 = math.sqrt(abs(simpson(np.abs(sol.u2) ** 2, h2)))
-    trace_rhs = abs(f1_xi) ** 2 + norm_phi1 * norm_u1 + norm_phi2 * norm_u2
-    ratio = trace_lhs / trace_rhs if trace_rhs > 0 else 0.0
-    return InterfaceIdentityReport(
-        identity_residual=float(residual),
-        relative_residual=float(residual / scale),
-        bound_ratio=float(ratio),
-        bound_holds=bool(trace_lhs <= c_bound * trace_rhs),
-        c_bound=c_bound,
-    )
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -552,6 +436,17 @@ def _fill_series(mesh: Mesh, draws: np.ndarray, out: np.ndarray) -> None:
     np.matmul(table, coef, out=out.view(float).reshape(out.shape + (2,)))
 
 
+def _fill_resonant(mesh: Mesh, mu, out: np.ndarray) -> None:
+    """Write the samples (f, f', g) of near-resonant probes into out (..., 3 * nodes).
+
+    f = f' = 0 and g = sin(mu x), with mu a float or an array of frequencies
+    along out's leading axes.
+    """
+    n = mesh.nodes.size
+    out[..., : 2 * n] = 0.0
+    out[..., 2 * n :] = np.sin(np.multiply.outer(mu, mesh.nodes))
+
+
 def _split_series(mesh: Mesh, series: np.ndarray) -> ForcingData:
     """Probes from their samples (f, f', g) over all nodes, stacked on the leading axes."""
     f, fp, g = np.split(series, 3, axis=-1)
@@ -575,17 +470,9 @@ def random_forcing(mesh: Mesh, rng: np.random.Generator, count: int | None = Non
 
 def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
     """Near-resonant probe: f = 0, g the mode sin(mu x) restricted to each side."""
-    zeros_l = np.zeros(mesh.n_left + 1, dtype=complex)
-    zeros_r = np.zeros(mesh.n_right + 1, dtype=complex)
-    return ForcingData(
-        mesh=mesh,
-        f1=zeros_l,
-        f2=zeros_r,
-        g1=np.sin(mu * mesh.left).astype(complex),
-        g2=np.sin(mu * mesh.right).astype(complex),
-        fp1=zeros_l.copy(),
-        fp2=zeros_r.copy(),
-    )
+    series = np.empty(3 * mesh.nodes.size, dtype=complex)
+    _fill_resonant(mesh, mu, series)
+    return _split_series(mesh, series)
 
 
 def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> float | np.ndarray:
@@ -673,10 +560,10 @@ def scan_resolvent_growth(
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)  # dropped at once: see _ALLOCATOR_PRIME_BYTES
     for first in range(0, mu_grid.size, block):
         mus = mu_grid[first : first + block]
-        # (frequency, probe, samples of f, f' and g over all nodes); the
-        # near-resonant probe first: f = 0 and g = sin(mu x)
-        series = np.zeros((mus.size, rows, 3 * n), dtype=complex)
-        series[:, 0, 2 * n :] = np.sin(np.multiply.outer(mus, mesh.nodes))
+        # (frequency, probe, samples of f, f' and g over all nodes), the
+        # near-resonant probe first
+        series = np.empty((mus.size, rows, 3 * n), dtype=complex)
+        _fill_resonant(mesh, mus, series[:, 0])
         if probes_per_mu > 1:
             draws = [
                 _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)

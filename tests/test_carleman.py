@@ -284,6 +284,9 @@ def test_inequality_requires_outer_zero(rng):
         evaluate_carleman_inequality(weight, u, [0.05], "left")
     with pytest.raises(ValueError):
         evaluate_carleman_inequality(weight, u, [0.05], "up")
+    pinned = random_test_function((weight.a, weight.b), 256, rng, pin_left=True)
+    with pytest.raises(ValueError, match="one sample"):  # a stack of samples
+        evaluate_carleman_inequality(weight, np.stack([pinned, pinned]), [0.05], "left")
 
 
 def test_inequality_right_side_orientation(rng):
@@ -396,26 +399,6 @@ def test_constant_estimate_memory_does_not_grow_with_the_grid():
         tracemalloc.stop()
     assert est.sweep.ratio.shape == (5000, 13)
     assert peak < 2_000_000, peak
-
-
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_inequality_stack_rows_equal_single_calls(side):
-    weight = default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
-    rng = np.random.default_rng(9)
-    samples = np.stack([
-        random_test_function((weight.a, weight.b), 300, rng,
-                             pin_left=(side == "left"), pin_right=(side == "right"))
-        for _ in range(6)
-    ])
-    h = np.geomspace(1e-3, 1e-1, 7)
-    for stack in (samples, samples.reshape(2, 3, -1)):
-        swept = evaluate_carleman_inequality(weight, stack, h, side)
-        assert swept.ratio.shape == stack.shape[:-1] + h.shape
-        rows = [evaluate_carleman_inequality(weight, u, h, side) for u in samples]
-        for name in ("lhs", "rhs", "ratio"):
-            np.testing.assert_array_equal(
-                getattr(swept, name).reshape(6, -1), [getattr(r, name) for r in rows]
-            )
 
 
 # ------------------------------------------------------- random functions

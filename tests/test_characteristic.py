@@ -83,9 +83,8 @@ def test_scalar_and_array_evaluations_agree():
 def test_frequency_and_the_package_re_export_the_same_objects():
     for name in characteristic.__all__:
         assert getattr(pointdamp, name) is getattr(characteristic, name), name
-    for name in ("find_eigenvalues", "characteristic_function", "characteristic_derivative",
-                 "abscissa_of_roots", "CharacteristicRoot",
-                 "ContourThroughRoot"):
+    # the names frequency still takes from characteristic
+    for name in ("find_eigenvalues", "characteristic_function", "ContourThroughRoot"):
         assert getattr(frequency, name) is getattr(characteristic, name), name
 
 

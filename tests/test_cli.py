@@ -420,8 +420,15 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "quotient_overflow=0.5"],
     ["carleman-verify", "--set", "weight=exp:nan"],
     ["carleman-verify", "--set", "weight=exp:inf"],
-    # the samples of one side would pass the grid ceiling before any is evaluated
-    ["carleman-verify", "--set", "side=left", "--set", "n_samples=5000"],
+    # arrays past the grid ceiling, refused before any is allocated: the
+    # (n_samples, h_count) results, the basis, the paired forms, and the
+    # probes of one frequency
+    ["carleman-verify", "--set", "side=left", "--set", "n_samples=800000"],
+    ["carleman-verify", "--set", "n_modes=1000000000000"],
+    ["carleman-verify", "--set", "h_count=10000000000000"],
+    ["resolvent-scan", "--set", "probes=1000000000000"],
+    ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3",
+     "--set", "probes=1000000000000"],
 ], ids=lambda args: f"{args[0]}:{args[-1]}")
 def test_out_of_range_number_is_config_error(tmp_path, args):
     xi = [] if args[0] == "sweep" or "--xi" in args else ["--xi", "golden"]
@@ -778,7 +785,7 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
     ["task=classify", "liouville_phi=exponential:-1"],
     ["task=resolvent-scan", "mu_step=1e-9"],
     ["task=spectrum", "re_max=1e9"],
-    ["task=carleman-verify", "n_samples=10000"],
+    ["task=carleman-verify", "n_samples=1000000"],
     ["task=carleman-verify", "weight=bogus"],
     # at dt = 0 the step count depends on the position: 0.4 is fine, 1e-4 is not
     ["task=simulate", "cells=1000", "t_final=10", "dt=0"],

@@ -6,14 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import interface_coefficients_quadrature, numerov_interface_solve
+from oracles import (
+    _BACKWARD5,
+    _FORWARD5,
+    interface_coefficients_quadrature,
+    numerov_interface_solve,
+    verify_interface_identity,
+)
 import pointdamp
 from pointdamp import characteristic, frequency
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
     ForcingData,
-    ResolventSolution,
     ResonantDenominator,
     abscissa_of_roots,
     assemble_phi,
@@ -21,7 +26,6 @@ from pointdamp import (
     characteristic_derivative,
     characteristic_function,
     find_eigenvalues,
-    lambda_coefficients,
     random_forcing,
     resolvent_norm_lower_bound,
     resonance_indicator,
@@ -29,8 +33,6 @@ from pointdamp import (
     scan_resolvent_growth,
     solve_resolvent,
     state_norm,
-    trace_derivatives,
-    verify_interface_identity,
     winding_number,
 )
 
@@ -41,6 +43,15 @@ def _zero_forcing(mesh):
     zl = np.zeros(mesh.n_left + 1, dtype=complex)
     zr = np.zeros(mesh.n_right + 1, dtype=complex)
     return ForcingData(mesh, zl, zr, zl.copy(), zr.copy(), zl.copy(), zr.copy())
+
+
+def _hat_forcing(mesh, mu, phi1, phi2, f1x):
+    """Forcing with Phi = (phi1, phi2) and f1(xi) = f1x: f is the hat through f1x at xi."""
+    f1 = f1x * (mesh.left / mesh.xi)
+    f2 = f1x * ((1.0 - mesh.right) / (1.0 - mesh.xi))
+    fp1 = np.full(f1.shape, f1x / mesh.xi)
+    fp2 = np.full(f2.shape, -f1x / (1.0 - mesh.xi))
+    return ForcingData(mesh, f1, f2, phi1 - 1j * mu * f1, phi2 - 1j * mu * f2, fp1, fp2)
 
 
 # ----------------------------------------------------------------- forcing
@@ -158,13 +169,16 @@ def test_resonant_forcing_structure():
 
 def test_lambda_zero_forcing_is_zero():
     mesh = build_mesh(GOLDEN, 64, 64)
-    z1 = np.zeros(65, dtype=complex)
-    lam1, lam2 = lambda_coefficients(GOLDEN, 10.0, z1, z1.copy(), 0j, mesh)
-    assert lam1 == 0j and lam2 == 0j
+    sol = solve_resolvent(GOLDEN, 10.0, _zero_forcing(mesh))
+    assert sol.lambda1 == 0j and sol.lambda2 == 0j
+
+
+# 2000 cells a side give an odd sample count, 2001 an even one: the running
+# integrals then end on their last-interval correction
+ORACLE_CELLS = (2000, 2001)
 
 
 def test_lambda_matches_quadrature_oracle():
-    mesh = build_mesh(GOLDEN, 2000, 2000)
     mu = 10.0
 
     def phi1f(t):
@@ -174,33 +188,35 @@ def test_lambda_matches_quadrature_oracle():
         return complex(np.cos(2 * t), t * t)
 
     f1x = 0.7 - 0.2j
-    p1 = np.array([phi1f(t) for t in mesh.left])
-    p2 = np.array([phi2f(t) for t in mesh.right])
-    lam1, lam2 = lambda_coefficients(GOLDEN, mu, p1, p2, f1x, mesh)
     o1, o2 = interface_coefficients_quadrature(GOLDEN, mu, phi1f, phi2f, f1x)
-    assert abs(lam1 - o1) < 1e-8
-    assert abs(lam2 - o2) < 1e-8
+    for cells in ORACLE_CELLS:
+        mesh = build_mesh(GOLDEN, cells, cells)
+        p1 = np.array([phi1f(t) for t in mesh.left])
+        p2 = np.array([phi2f(t) for t in mesh.right])
+        sol = solve_resolvent(GOLDEN, mu, _hat_forcing(mesh, mu, p1, p2, f1x))
+        assert abs(sol.lambda1 - o1) < 1e-8
+        assert abs(sol.lambda2 - o2) < 1e-8
 
 
 def test_lambda_constant_forcing_against_oracle():
     # piecewise-constant transformed forcing: phi1 = 1, phi2 = 0
-    mesh = build_mesh(GOLDEN, 2000, 2000)
     mu = 17.0
-    p1 = np.ones(mesh.n_left + 1, dtype=complex)
-    p2 = np.zeros(mesh.n_right + 1, dtype=complex)
-    lam1, lam2 = lambda_coefficients(GOLDEN, mu, p1, p2, 0j, mesh)
     o1, o2 = interface_coefficients_quadrature(
         GOLDEN, mu, lambda t: 1.0 + 0j, lambda t: 0j, 0j
     )
-    assert abs(lam1 - o1) < 1e-8
-    assert abs(lam2 - o2) < 1e-8
+    for cells in ORACLE_CELLS:
+        mesh = build_mesh(GOLDEN, cells, cells)
+        p1 = np.ones(mesh.n_left + 1, dtype=complex)
+        p2 = np.zeros(mesh.n_right + 1, dtype=complex)
+        sol = solve_resolvent(GOLDEN, mu, _hat_forcing(mesh, mu, p1, p2, 0j))
+        assert abs(sol.lambda1 - o1) < 1e-8
+        assert abs(sol.lambda2 - o2) < 1e-8
 
 
 def test_resonant_denominator_raises():
     mesh = build_mesh(0.5, 64, 64)
-    z = np.zeros(65, dtype=complex)
     with pytest.raises(ResonantDenominator):
-        lambda_coefficients(0.5, 2 * math.pi, z, z.copy(), 0j, mesh)
+        solve_resolvent(0.5, 2 * math.pi, _zero_forcing(mesh))
 
 
 # ------------------------------------------------------------------- solve
@@ -315,50 +331,22 @@ def test_frequency_block_solve_raises_on_a_resonant_slice():
         solve_resolvent(0.5, np.array([5.0, 6.0]), random_forcing(mesh, np.random.default_rng(1)))
 
 
-@pytest.mark.parametrize("cells", [(96, 80), (97, 81)], ids=["odd-samples", "even-samples"])
-def test_coefficient_routes_agree(cells):
-    # lambda_coefficients takes its four moments as simpson integrals,
-    # solve_resolvent as the end values of its running integrals; an even
-    # sample count exercises simpson's last-interval correction
-    mesh = build_mesh(GOLDEN, *cells)
-    single = random_forcing(mesh, np.random.default_rng(5))
-    stack = random_forcing(mesh, np.random.default_rng(6), count=3)
-    for forcing in (single, stack):
-        for mu in (1.5, 23.0, 61.7, 199.5):
-            sol = solve_resolvent(GOLDEN, mu, forcing)
-            phi1, phi2 = assemble_phi(forcing, mu)
-            lam1, lam2 = lambda_coefficients(GOLDEN, mu, phi1, phi2, forcing.f1_at_xi, mesh)
-            assert type(lam1) is type(sol.lambda1) and type(lam2) is type(sol.lambda2)
-            np.testing.assert_allclose(sol.lambda1, lam1, rtol=1e-11)
-            np.testing.assert_allclose(sol.lambda2, lam2, rtol=1e-11)
-
-
 # ------------------------------------------------------------------ traces
 
 
-def test_trace_derivatives_closed_form():
-    # pure homogeneous left mode: u1 = sin(mu x), so u1'(xi) = mu cos(mu xi)
-    mesh = build_mesh(0.5, 16, 16)
-    mu = math.pi / 2
-    zeros_l = np.zeros(17, dtype=complex)
-    zeros_r = np.zeros(17, dtype=complex)
-    sol = ResolventSolution(
-        mesh=mesh, mu=mu, lambda1=1.0 + 0j, lambda2=0j,
-        u1=zeros_l, u2=zeros_r, v1=zeros_l, v2=zeros_r,
-        up1=zeros_l, up2=zeros_r,
-    )
-    left, right = trace_derivatives(sol, zeros_l, zeros_r)
-    assert left == pytest.approx(mu * math.cos(mu * 0.5), abs=1e-14)
-    assert right == pytest.approx(0.0, abs=1e-14)
-
-
 def test_trace_derivatives_match_solution_arrays(rng):
-    mesh = build_mesh(GOLDEN, 512, 512)
+    # u'(xi-) and u'(xi+) read off the solution arrays against the one-sided
+    # 5-point derivatives of the Numerov solution
+    mesh = build_mesh(GOLDEN, 1000, 1000)
     forcing = random_forcing(mesh, rng)
-    mu = 14.0
+    mu = 20.0
     sol = solve_resolvent(GOLDEN, mu, forcing)
     phi1, phi2 = assemble_phi(forcing, mu)
-    left, right = trace_derivatives(sol, phi1, phi2)
+    o1, o2 = numerov_interface_solve(
+        GOLDEN, mu, mesh.left, phi1, mesh.right, phi2, forcing.f1_at_xi
+    )
+    left = _BACKWARD5 @ o1[:-6:-1] / mesh.h_left
+    right = _FORWARD5 @ o2[:5] / mesh.h_right
     scale = max(abs(left), abs(right), 1.0)
     assert abs(left - sol.trace_up_left) / scale < 1e-8
     assert abs(right - sol.trace_up_right) / scale < 1e-8

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -32,3 +36,48 @@ def test_unknown_names_fail_without_importing_the_submodules():
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------- names the benchmark reads
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_tracer_names_resolve():
+    # loaded by path and not run: the tracer patches each (module, attr) by attribute
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for module, attr, *_ in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"pointdamp.{module}"), attr)), (
+            module, attr)
+
+
+def test_benchmark_workload_calls_resolve():
+    # every pointdamp name perfbench/workloads.py reads exists, and every call
+    # of one binds to its signature
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("pointdamp"):
+            for alias in node.names:
+                if node.module == "pointdamp":
+                    modules[alias.asname or alias.name] = importlib.import_module(
+                        f"pointdamp.{alias.name}")
+                else:
+                    assert hasattr(importlib.import_module(node.module), alias.name), alias.name
+    assert modules
+    read = 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            assert hasattr(modules[node.value.id], node.attr), (node.value.id, node.attr)
+            read += 1
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+                and not any(isinstance(a, ast.Starred) for a in node.args)
+                and all(k.arg is not None for k in node.keywords)):
+            fn = getattr(modules[node.func.value.id], node.func.attr)
+            inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+    assert read
