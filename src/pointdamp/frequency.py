@@ -2,9 +2,13 @@
 
 Solves the resolvent two-point problem on the imaginary axis in closed form
 (sine ansatz plus Duhamel integrals) and estimates resolvent growth along
-the axis.  The characteristic roots live in pointdamp.characteristic, of
-which this module re-exports the function, the root finder and its error;
-the argument-principle winding count here is the independent check of their
+the axis.  The solve and the norm estimate share one computation up to
+W+- = u' +- i*mu*u on each side: solve_resolvent forms u, u', v and the
+interface residuals from it, while resolvent_norm_lower_bound integrates
+|u'|^2 + |v|^2 straight from it, with no u and no residual.  The
+characteristic roots live in pointdamp.characteristic, of which this module
+re-exports the function, the root finder and its error; the
+argument-principle winding count here is the independent check of their
 count.
 
 Conventions.  The damped point xi splits (0,1) into a left side [0,xi] and a
@@ -35,7 +39,8 @@ from .characteristic import (  # noqa: F401
     find_eigenvalues,
 )
 from .mesh import Mesh, build_mesh
-from .quadrature import cumulative_simpson, derivative, simpson
+# simpson stays importable here: tools that trace this module's quadrature patch it by name
+from .quadrature import cumulative_simpson, derivative, simpson, simpson_weights  # noqa: F401
 
 __all__ = [
     "ForcingData",
@@ -229,27 +234,63 @@ def _phase(theta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _running_pair(phase: np.ndarray, phi: np.ndarray, h: float) -> np.ndarray:
-    """Running integrals of conj(phase) * phi and phase * phi, stacked on a new first axis."""
-    products = np.empty((2,) + phi.shape, dtype=complex)
-    np.multiply(np.conj(phase), phi, out=products[0])
-    np.multiply(phase, phi, out=products[1])
-    return cumulative_simpson(products, h)
+def _interface_waves(xi: float, mu, forcing: ForcingData):
+    """W+- = u' +- i mu u on each side, with lambda1, lambda2 and mu over the rows.
 
-
-def _side_fields(phase, running, f, mu):
-    """(u, u', v) of one side from W+- = u' +- i mu u, with W+- held as phase^(+-1) * running.
-
-    running is overwritten.
+    The closed form that solve_resolvent and resolvent_norm_lower_bound share:
+    returns (waves1, waves2, lambda1, lambda2, mu_rows), each waves array
+    holding W+ and W- of its side stacked on a new first axis.
     """
-    running[0] *= phase
-    running[1] *= np.conj(phase)
-    w_plus, w_minus = running
-    up = w_plus + w_minus
-    up *= 0.5
+    mesh = forcing.mesh
+    if abs(mesh.xi - xi) > 1e-14:
+        raise ValueError("forcing mesh was built for a different actuator position")
+    phi1, phi2 = assemble_phi(forcing, mu)
+    mu_rows = _leading(mu, phi1.ndim - 1)
+    phase = _phase(mu_rows[..., None] * mesh.nodes)
+    # exp(-+i mu t) stacked, so one product and one cumulative Simpson call
+    # give [J-, J+] of a side: from 0 on the left, from xi on the right
+    # (shifted to 1 below)
+    turns1, turns2 = mesh.split(np.stack((np.conj(phase), phase)))
+    # each temporary goes at its last use: Phi once its products exist, the
+    # products once their running integrals exist
+    del phase
+    products = turns1 * phi1
+    del phi1
+    run1 = cumulative_simpson(products, mesh.h_left)
+    del products
+    products = turns2 * phi2
+    del phi2
+    run2 = cumulative_simpson(products, mesh.h_right)
+    del products
+    end1, end2 = run1[..., -1], run2[..., -1]
+    moments = (
+        0.5 * (end1[1] + end1[0]), -0.5j * (end1[1] - end1[0]),
+        0.5 * (end2[1] + end2[0]), -0.5j * (end2[1] - end2[0]),
+    )
+    lam1, lam2 = _interface_coefficients(xi, mu_rows, *moments, forcing.f1_at_xi)
+
+    run1 += (lam1 * mu_rows)[..., None]
+    # exp(-+i mu) lambda2 mu, less the end values that move the origin to 1
+    shift = (lam2 * mu_rows) * _phase(np.stack((-mu_rows, mu_rows))) - end2
+    run2 += shift[..., None]
+    # W+- = exp(+-i mu t) times the shifted running integrals
+    run1 *= turns1[::-1]
+    run2 *= turns2[::-1]
+    return run1, run2, lam1, lam2, mu_rows
+
+
+def _side_fields(waves, f, mu=None):
+    """(u, u', v) of one side from its waves W+-, with u' and v written over W+ and W-.
+
+    u is None without mu: the norm reads u' and v alone.
+    """
+    w_plus, w_minus = waves
+    twice_up = w_plus + w_minus
     np.subtract(w_plus, w_minus, out=w_minus)  # W+ - W- = 2 i mu u
-    u = w_minus * (-0.5j / mu)
-    v = np.multiply(w_minus, 0.5, out=w_plus)
+    up = np.multiply(twice_up, 0.5, out=w_plus)
+    u = None if mu is None else w_minus * (-0.5j / mu)
+    v = w_minus
+    v *= 0.5
     v += f
     return u, up, v
 
@@ -272,32 +313,11 @@ def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
     raised if any of them is resonant.
     """
     mesh = forcing.mesh
-    if abs(mesh.xi - xi) > 1e-14:
-        raise ValueError("forcing mesh was built for a different actuator position")
-    phi1, phi2 = assemble_phi(forcing, mu)
+    waves1, waves2, lam1, lam2, mu_rows = _interface_waves(xi, mu, forcing)
     f1_xi = forcing.f1_at_xi
-    mu_rows = _leading(mu, phi1.ndim - 1)
     mu_col = mu_rows[..., None]
-    h1, h2 = mesh.h_left, mesh.h_right
-
-    phase1 = _phase(mu_col * mesh.left)
-    phase2 = _phase(mu_col * mesh.right)
-    # [J-, J+] from 0 on the left, from xi on the right (shifted to 1 below)
-    run1 = _running_pair(phase1, phi1, h1)
-    run2 = _running_pair(phase2, phi2, h2)
-    end1, end2 = run1[..., -1], run2[..., -1]
-    moments = (
-        0.5 * (end1[1] + end1[0]), -0.5j * (end1[1] - end1[0]),
-        0.5 * (end2[1] + end2[0]), -0.5j * (end2[1] - end2[0]),
-    )
-    lam1, lam2 = _interface_coefficients(xi, mu_rows, *moments, f1_xi)
-
-    run1 += (lam1 * mu_rows)[..., None]
-    # exp(-+i mu) lambda2 mu, less the end values that move the origin to 1
-    shift = (lam2 * mu_rows) * _phase(np.stack((-mu_rows, mu_rows))) - end2
-    run2 += shift[..., None]
-    u1, up1, v1 = _side_fields(phase1, run1, forcing.f1, mu_col)
-    u2, up2, v2 = _side_fields(phase2, run2, forcing.f2, mu_col)
+    u1, up1, v1 = _side_fields(waves1, forcing.f1, mu_col)
+    u2, up2, v2 = _side_fields(waves2, forcing.f2, mu_col)
 
     trace_u = u1[..., -1]
     scale = np.maximum(
@@ -336,11 +356,37 @@ def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
 # ----------------------------------------------------------------------------
 
 
-def _abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2 as re^2 + im^2, without the square root abs would take."""
-    if np.iscomplexobj(z):
-        return z.real * z.real + z.imag * z.imag
-    return z * z
+@functools.lru_cache(maxsize=8)
+def _weights(n: int, dx: float, pairs: bool) -> np.ndarray:
+    """Read-only simpson_weights(n, dx), each one repeated for a (re, im) pair when pairs."""
+    q = simpson_weights(n, dx)
+    if pairs:
+        q = np.repeat(q, 2)
+    q.flags.writeable = False
+    return q
+
+
+def _abs2_integral(z, dx: float, in_place: bool = False) -> np.ndarray:
+    """Simpson integral of |z|^2 along the last axis, z real or complex.
+
+    Squares the float view of z, in which a complex sample is a (re, im) pair
+    under one weight, weights it and sums each row.  A row is summed on its
+    own, so it rounds the same alone and inside any stack (a matrix-vector
+    product blocks across rows, and einsum's buffered loop splits a row past
+    8192 floats differently in a stack).  in_place squares z's own buffer:
+    for a temporary of the caller.
+    """
+    z = np.asarray(z, dtype=np.result_type(z, float))
+    if z.strides[-1] != z.itemsize:
+        z, in_place = np.ascontiguousarray(z), True
+    x = z.view(float)
+    x = np.multiply(x, x, out=x if in_place else None)
+    x *= _weights(z.shape[-1], dx, x.shape[-1] != z.shape[-1])
+    return x.sum(axis=-1)
+
+
+def _root(total: np.ndarray) -> float | np.ndarray:
+    return math.sqrt(abs(total)) if np.ndim(total) == 0 else np.sqrt(np.abs(total))
 
 
 def state_norm(
@@ -358,13 +404,27 @@ def state_norm(
     """
     ap1 = derivative(a1, mesh.h_left) if ap1 is None else ap1
     ap2 = derivative(a2, mesh.h_right) if ap2 is None else ap2
-    total = (
-        simpson(_abs2(ap1), mesh.h_left)
-        + simpson(_abs2(ap2), mesh.h_right)
-        + simpson(_abs2(b1), mesh.h_left)
-        + simpson(_abs2(b2), mesh.h_right)
+    return _root(
+        _abs2_integral(ap1, mesh.h_left)
+        + _abs2_integral(ap2, mesh.h_right)
+        + _abs2_integral(b1, mesh.h_left)
+        + _abs2_integral(b2, mesh.h_right)
     )
-    return math.sqrt(abs(total)) if np.ndim(total) == 0 else np.sqrt(np.abs(total))
+
+
+def _response_norm(xi: float, mu, forcing: ForcingData) -> np.ndarray:
+    """state_norm of the (u, v) that solve_resolvent gives, without forming u.
+
+    u' and v are written over the waves W+- of each side and integrated
+    there, squared in place; no residual is formed.
+    """
+    mesh = forcing.mesh
+    waves1, waves2, *_ = _interface_waves(xi, mu, forcing)
+    _side_fields(waves1, forcing.f1)
+    _side_fields(waves2, forcing.f2)
+    slope1, speed1 = _abs2_integral(waves1, mesh.h_left, True)
+    slope2, speed2 = _abs2_integral(waves2, mesh.h_right, True)
+    return _root(slope1 + slope2 + speed1 + speed2)
 
 
 # ----------------------------------------------------------------------------
@@ -373,20 +433,22 @@ def state_norm(
 
 # bytes of complex probe samples solved as one block of frequencies by
 # scan_resolvent_growth: three frequencies of the default scan (4 probes on
-# 1026 nodes), so each stacked array of the solve stays under 0.2 MB.  Three
-# and four were fastest when measured, two and eight or more slower; every
-# frequency more adds about 0.6 MB to the scan's peak RSS
+# 1026 nodes), so each stacked array of the solve stays under 0.2 MB.  Each
+# frequency of a block holds ~0.6 MB at the block's peak (tracemalloc: 0.61,
+# 1.20, 1.79 and 2.38 MB for blocks of 1 to 4 in the default scan).  Blocks
+# of 4 were ~7% faster than 3 when measured, but lift the scan's peak past
+# the allocator prime below, and its peak RSS with it; 2 were ~17% slower
 _BLOCK_BYTES = 200 << 10
 
-# The temporaries of one block come to about ten times _BLOCK_BYTES (1.9 MB
-# in the default scan), all freed before the next block.  glibc returns the
-# top of its heap to the system once more than its trim threshold is free,
-# and raises that threshold to twice the size of any mmapped block freed
-# (mallopt(3), M_MMAP_THRESHOLD).  Unless whatever ran before the scan happened
-# to free such a block, every block's temporaries would be faulted in afresh
-# (~46,000 minor faults in a default resolvent-scan run against ~6,000).  So
-# the scan allocates and drops one block of this size first; under another
-# allocator that costs one allocation and nothing more
+# A block's allocations peak at about nine times _BLOCK_BYTES (1.8 MB in the
+# default scan), all freed before the next block.  glibc returns the top of
+# its heap to the system once more than its trim threshold is free, and
+# raises that threshold to twice the size of any mmapped block freed
+# (mallopt(3), M_MMAP_THRESHOLD).  Unless whatever ran before the scan
+# happened to free such a block, every block's temporaries would be faulted
+# in afresh (~11,600 minor faults in a default resolvent-scan run against
+# ~5,700).  So the scan allocates and drops one block of this size first;
+# under another allocator that costs one allocation and nothing more
 _ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
 
 # band limit of the random probes
@@ -518,8 +580,7 @@ def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> floa
         if not np.all(solve):
             mu, f1, f2, g1, g2 = mu[solve], f1[solve], f2[solve], g1[solve], g2[solve]
             in_norm, live = in_norm[solve], live[solve]
-        sol = solve_resolvent(xi, mu, ForcingData(mesh, f1, f2, g1, g2))
-        out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
+        out_norm = _response_norm(xi, mu, ForcingData(mesh, f1, f2, g1, g2))
         ratio = np.divide(out_norm, in_norm, out=np.zeros_like(out_norm), where=live)
         estimates[solve] = np.max(ratio, axis=1)
     return float(estimates[0]) if scalar else estimates

@@ -667,6 +667,29 @@ def test_resolvent_scan_single_probe(tmp_path):
         assert float(norm) == frequency.resolvent_norm_lower_bound(xi, float(mu), [probe])
 
 
+@pytest.mark.parametrize("args", [
+    ["resolvent-scan", "--xi", "golden"],
+    ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=golden"],
+], ids=lambda args: args[0])
+def test_resolvent_scan_refuses_the_trivial_root(tmp_path, args):
+    # |D(mu)|^2 falls under the resonance floor near mu = 0, where the
+    # resolvent is bounded, so a scan from there would write inf
+    assert run(args + ["--set", "mu_min=1e-8", "--set", "mu_max=1", "--out", tmp_path]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_resolvent_scan_from_the_lowest_frequency(tmp_path):
+    assert run([
+        "resolvent-scan", "--xi", "golden", "--out", tmp_path,
+        "--set", "mu_min=1e-3", "--set", "mu_max=1",
+    ]) == 0
+    _, _, rows = read_csv(tmp_path / "resolvent_scan.csv")
+    assert float(rows[0][0]) == 1e-3
+    assert all(0.0 < float(norm) < math.inf for _, norm in rows)
+    report = json.loads((tmp_path / "resolvent_scan.json").read_text())
+    assert report["result"]["n_resonant"] == 0
+
+
 # ---------------------------------------------------------- carleman verify
 
 

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -574,6 +575,93 @@ def test_lower_bound_over_a_frequency_block():
     single = ForcingData(mesh, f1[0], f2[0], g1[0], g2[0], fp1[0], fp2[0])
     assert bounds[0] == resolvent_norm_lower_bound(0.5, 5.0, [single])
     assert np.array_equal(resolvent_norm_lower_bound(0.5, mus, []), np.zeros(3))
+
+
+def _bound_from_the_solution(xi, mu, probe):
+    """Each row's response over input norm, from solve_resolvent's arrays: the slow way."""
+    mesh = probe.mesh
+    in_norm = state_norm(mesh, probe.f1, probe.f2, probe.g1, probe.g2, probe.fp1, probe.fp2)
+    sol = solve_resolvent(xi, mu, ForcingData(mesh, probe.f1, probe.f2, probe.g1, probe.g2))
+    out_norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
+    return np.divide(out_norm, in_norm, out=np.zeros_like(out_norm), where=in_norm != 0.0)
+
+
+@pytest.mark.parametrize("cells", [47, 48])
+def test_lower_bound_is_the_norm_ratio_of_the_solution(cells):
+    # 48 samples a side (cells 47) take the last-interval Simpson weights
+    mesh = build_mesh(GOLDEN, cells, cells)
+    stack = random_forcing(mesh, np.random.default_rng(cells), count=3)
+    single = random_forcing(mesh, np.random.default_rng(cells + 1))
+    no_fp = ForcingData(mesh, single.f1, single.f2, single.g1, single.g2)
+    for mu in (3.0, 18.0, 44.5):
+        resonant = resonant_forcing(mesh, mu)
+        probes = [resonant, stack, no_fp, _zero_forcing(mesh)]
+        ratios = [np.atleast_1d(_bound_from_the_solution(GOLDEN, mu, p)) for p in probes]
+        for probe, ratio in zip(probes, ratios):
+            assert resolvent_norm_lower_bound(GOLDEN, mu, [probe]) == pytest.approx(
+                ratio.max(), rel=1e-13, abs=0.0
+            )
+        expected = np.concatenate(ratios).max()
+        assert resolvent_norm_lower_bound(GOLDEN, mu, probes) == pytest.approx(expected, rel=1e-13)
+    assert ratios[-1].max() == 0.0 < ratios[2].max()
+
+
+@pytest.mark.parametrize("cells", [47, 48])
+def test_lower_bound_over_a_block_is_the_norm_ratio_of_the_solution(cells):
+    # the middle frequency is resonant at xi = 1/2: inf for its row only
+    mesh = build_mesh(0.5, cells, cells)
+    mus = np.array([5.0, 2 * math.pi, 7.0])
+    block = random_forcing(mesh, np.random.default_rng(4), count=12)
+    names = ("f1", "f2", "g1", "g2", "fp1", "fp2")
+    rows = [getattr(block, name).reshape(3, 4, -1) for name in names]
+    bounds = resolvent_norm_lower_bound(0.5, mus, [ForcingData(mesh, *rows)])
+    assert bounds[1] == math.inf
+    for k in (0, 2):
+        expected = _bound_from_the_solution(0.5, mus[k], ForcingData(mesh, *(r[k] for r in rows)))
+        assert bounds[k] == pytest.approx(expected.max(), rel=1e-13)
+
+
+@pytest.mark.parametrize("cells", [47, 48, 4100])
+def test_each_probe_bound_is_the_same_alone_in_a_stack_and_in_a_block(cells):
+    # the bound of probe (k, j) of a 3-frequency, 4-probe block, with every
+    # other probe zero, reads that probe's own ratio bit for bit.  At 4100
+    # cells a side holds more than 8192 floats, where einsum's buffered
+    # reduction splits a stacked row differently from a lone one
+    mesh = build_mesh(GOLDEN, cells, cells)
+    mus = np.array([3.0, 18.0, 44.5])
+    block = random_forcing(mesh, np.random.default_rng(6), count=12)
+    names = ("f1", "f2", "g1", "g2", "fp1", "fp2")
+    rows = [getattr(block, name).reshape(3, 4, -1) for name in names]
+    for k, mu in enumerate(mus):
+        for j in range(4):
+            probe = ForcingData(mesh, *(r[k, j] for r in rows))
+            only = [np.zeros_like(r) for r in rows]
+            for r, o in zip(rows, only):
+                o[k, j] = r[k, j]
+            alone = resolvent_norm_lower_bound(GOLDEN, mu, [probe])
+            stack = ForcingData(mesh, *(o[k] for o in only))
+            in_stack = resolvent_norm_lower_bound(GOLDEN, mu, [stack])
+            in_block = resolvent_norm_lower_bound(GOLDEN, mus, [ForcingData(mesh, *only)])
+            assert alone > 0.0
+            assert in_stack == alone
+            assert in_block[k] == alone
+            assert np.count_nonzero(in_block) == 1
+
+
+def test_scan_memory_does_not_grow_with_the_grid():
+    # the default golden scan (512 cells, 4 probes); a first call fills the
+    # probe table and weight caches, which outlive the scan
+    scan_resolvent_growth(GOLDEN, [1.0, 1.5], 4, seed=5)
+    peaks = []
+    for count in (40, 400):
+        tracemalloc.start()
+        try:
+            scan_resolvent_growth(GOLDEN, 1.0 + 0.5 * np.arange(count), 4, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.95e6
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 # ---------------------------------------------------- characteristic roots
