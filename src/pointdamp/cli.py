@@ -9,11 +9,20 @@ atomically (temp file plus rename).  Outputs are byte-identical for
 identical (config, seed) on one platform; wall-clock goes to stderr only.
 
 Exit codes: 0 success, 2 configuration error, 3 computation error.
+
+This module is the task-agnostic core: the configuration schemas and their
+checks, the report and CSV writers, the sweep, the parser and main.  Each
+subcommand lives in its own module, pointdamp.tasks.<name> (the command with
+"_" for "-"), which defines _check_<name>, run_<name>, write_<name> and
+_<name>_row and is imported on first use, so an invocation compiles the core
+and its own task only.  The tasks call write_csv and write_json_report
+through this module at each call, so replacing either here sees every file.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import itertools
 import json
 import math
@@ -27,7 +36,7 @@ from typing import Callable, NamedTuple
 # compute, numpy among them, are imported by the tasks that use them, after
 # their configuration checks, so a command loads only what it runs
 from . import __version__
-from .inputs import default_mu_grid, parse_actuator_position
+from .inputs import parse_actuator_position
 
 CSV_SCHEMA_VERSION = 1
 
@@ -116,6 +125,11 @@ MAX_WORKERS = 32
 # would read inf.  At golden and 512 cells the interface residuals are 7e-14
 # at 1e-3, 1.4e-12 at 1e-4 and 2e-10 at 1e-6
 SCAN_MU_MIN = 1e-3
+# lowest classify frequency: the exp_grid and poly_grid indicators share that
+# trivial zero, so below about one their infimum is the lobe around mu = 0,
+# whatever xi is (golden exp_grid: 1e-16 at mu_min = 1e-8, 0.011 at 0.1,
+# 0.38 at 0.5, 2.05 at 1)
+CLASSIFY_MU_MIN = 1.0
 
 _xi_list_length = Limit(
     f"at most {MAX_SWEEP_POSITIONS} comma-separated positions",
@@ -131,7 +145,7 @@ COMMAND_SCHEMAS: dict[str, dict] = {
         "rational_tol": (1e-12, _as_float, finite_nonnegative),
         "quotient_overflow": (1e12, _as_float, all_of(finite, at_least(1))),
         "constant_type_bound": (20, _as_int, None),
-        "mu_min": (1.0, _as_float, finite_positive),
+        "mu_min": (1.0, _as_float, all_of(finite, at_least(CLASSIFY_MU_MIN))),
         "mu_max": (500.0, _as_float, None),
         "k1": (1.0, _as_float, finite_nonnegative),
         "poly_eps": (1.0, _as_float, finite),
@@ -387,131 +401,8 @@ def _report_skeleton(command: str, cfg: dict) -> dict:
     return {"command": command, "config": _pyify(echo), "versions": versions}
 
 
-def _condition_dict(report: diophantine.ConditionReport) -> dict:
-    return {
-        "condition_id": report.condition_id,
-        "xi": report.xi,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "fitted_constants": report.fitted_constants,
-        "note": report.note,
-    }
-
-
 # ----------------------------------------------------------------------------
-# classify
-# ----------------------------------------------------------------------------
-
-
-def _growth_from_text(text: str) -> diophantine.GrowthFunction:
-    from . import diophantine
-
-    name, _, params = text.partition(":")
-    name = name.strip().lower()
-    if name == "identity":
-        return diophantine.GrowthFunction.identity()
-    if name == "power_log":
-        try:
-            alpha, eps = (float(p) for p in params.split(","))
-        except ValueError:
-            raise ConfigError("power_log needs parameters alpha,eps") from None
-        return _growth(diophantine.GrowthFunction.power_log, alpha, eps)
-    if name == "exponential":
-        try:
-            beta = float(params)
-        except ValueError:
-            raise ConfigError("exponential needs a parameter beta") from None
-        return _growth(diophantine.GrowthFunction.exponential, beta)
-    raise ConfigError(f"unknown growth function {text!r}")
-
-
-def _growth(make: Callable, *params: float) -> diophantine.GrowthFunction:
-    """make(*params), a parameter that would make phi decrease being a configuration error."""
-    try:
-        return make(*params)
-    except ValueError as exc:
-        raise ConfigError(f"liouville_phi: {exc}") from None
-
-
-def _check_classify(cfg: dict, xi: float) -> diophantine.GrowthFunction:
-    """The Liouville weight phi, once the mu range is known to be admissible."""
-    if not cfg["mu_min"] <= cfg["mu_max"]:
-        raise ConfigError("need mu_min <= mu_max")
-    # one pi-strip per pi of the range, plus a part-strip at each end
-    if (cfg["mu_max"] - cfg["mu_min"]) / math.pi + 2 > MAX_GRID_POINTS:
-        raise ConfigError(f"the mu range would span over {MAX_GRID_POINTS} pi-strips")
-    return _growth_from_text(cfg["liouville_phi"])
-
-
-def run_classify(cfg: dict):
-    """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
-    value, exact = _parse_xi(cfg["xi"])
-    phi = _check_classify(cfg, value)
-    from . import diophantine
-
-    settings = diophantine.ClassifySettings(
-        **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
-    )
-    keep = cfg["keep_trace"]
-    classification = diophantine.classify_actuator(
-        exact if exact is not None else value, settings, keep
-    )
-    cos_rep = diophantine.check_cos_grid(
-        value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
-    )
-    liou_rep = diophantine.check_liouville_type(
-        value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
-    )
-    return classification, cos_rep, liou_rep, exact
-
-
-def write_classify(cfg: dict, result) -> list[Path]:
-    classification, cos_rep, liou_rep, exact = result
-    out = Path(cfg["out"])
-    cf = classification.continued_fraction
-    grid_reps = {"exp": classification.exp_grid, "poly": classification.poly_grid, "cos": cos_rep}
-    payload = _report_skeleton("classify", cfg)
-    payload["result"] = {
-        "xi": classification.xi,
-        "exact_form": exact,
-        "is_rational": classification.is_rational,
-        "strongly_stable": classification.strongly_stable,
-        "constant_type": classification.constant_type,
-        "max_partial_quotient": classification.max_partial_quotient,
-        "partial_quotients": cf.partial_quotients,
-        "convergents": [[p, q] for p, q in cf.convergents],
-        "truncated_by_precision": cf.truncated_by_precision,
-        "conditions": {
-            **{f"{name}_grid": _condition_dict(rep) for name, rep in grid_reps.items()},
-            "liouville": _condition_dict(liou_rep),
-        },
-    }
-    paths = [out / "classify_report.json"]
-    write_json_report(paths[0], payload)
-    if cfg["keep_trace"]:
-        for name, rep in grid_reps.items():
-            p = out / f"classify_trace_{name}.csv"
-            write_csv(p, "classify-trace", ["mu", "expression", "weighted_expression"], rep.trace)
-            paths.append(p)
-        p = out / "classify_trace_liouville.csv"
-        write_csv(p, "liouville-trace", ["m", "product"], liou_rep.trace)
-        paths.append(p)
-    return paths
-
-
-def _classify_row(result) -> dict:
-    cls = result[0]
-    return {
-        "is_rational": cls.is_rational,
-        "constant_type": cls.constant_type,
-        "max_partial_quotient": cls.max_partial_quotient,
-        "exp_grid_verdict": cls.exp_grid.verdict,
-        "poly_grid_verdict": cls.poly_grid.verdict,
-    }
-
-
-# ----------------------------------------------------------------------------
-# resolvent scan
+# tasks
 # ----------------------------------------------------------------------------
 
 
@@ -522,422 +413,29 @@ def _check_sizes(sizes: dict[str, int]) -> None:
             raise ConfigError(f"{formula} would exceed {MAX_GRID_POINTS}")
 
 
-def _check_resolvent_scan(cfg: dict, xi: float) -> tuple[float, float, float]:
-    """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
-    if not cfg["mu_min"] < cfg["mu_max"]:
-        raise ConfigError("need mu_min < mu_max")
-    if (cfg["mu_max"] - cfg["mu_min"]) / cfg["mu_step"] + 1 > MAX_GRID_POINTS:
-        raise ConfigError(f"the mu grid would exceed {MAX_GRID_POINTS} points")
-    # the probes of one frequency, over all nodes
-    _check_sizes({"probes * (2 * cells + 1)": cfg["probes"] * (2 * cfg["cells"] + 1)})
-    return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
+def _task(command: str) -> tuple[Callable, Callable, Callable, Callable]:
+    """The task's (check, run, write, row) functions, its module imported on first use.
 
-
-def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
-    value, _ = _parse_xi(cfg["xi"])
-    grid_args = _check_resolvent_scan(cfg, value)
-    from . import frequency
-
-    return frequency.scan_resolvent_growth(
-        value,
-        default_mu_grid(*grid_args),
-        probes_per_mu=cfg["probes"],
-        seed=cfg["seed"],
-        cells_per_side=cfg["cells"],
-    )
-
-
-def _max_finite_norm(scan: frequency.ScanResult) -> float | None:
-    import numpy as np
-
-    finite = scan.norm_estimate[np.isfinite(scan.norm_estimate)]
-    return float(np.max(finite)) if finite.size else None
-
-
-def write_resolvent_scan(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
-    out = Path(cfg["out"])
-    csv_path = out / "resolvent_scan.csv"
-    write_csv(
-        csv_path,
-        "resolvent-scan",
-        ["mu", "norm_estimate"],
-        zip(scan.mu, scan.norm_estimate),
-    )
-    payload = _report_skeleton("resolvent-scan", cfg)
-    payload["result"] = {
-        "growth_constant": scan.growth_constant,
-        "growth_rate": scan.growth_rate,
-        "log_residual": scan.log_residual,
-        "n_resonant": scan.n_resonant,
-        "n_grid": int(scan.mu.size),
-        "max_finite_norm": _max_finite_norm(scan),
-    }
-    json_path = out / "resolvent_scan.json"
-    write_json_report(json_path, payload)
-    return [csv_path, json_path]
-
-
-def _resolvent_scan_row(scan: frequency.ScanResult) -> dict:
-    max_norm = _max_finite_norm(scan)
-    return {
-        "growth_rate": scan.growth_rate,
-        "growth_constant": scan.growth_constant,
-        "max_norm": math.inf if max_norm is None else max_norm,
-        "n_resonant": scan.n_resonant,
-    }
-
-
-# ----------------------------------------------------------------------------
-# spectrum
-# ----------------------------------------------------------------------------
-
-
-def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
-    return cfg["re_min"], cfg["re_max"], cfg["im_min"], cfg["im_max"]
-
-
-def _check_spectrum(cfg: dict, xi: float) -> tuple[float, float, float, float]:
-    """The configured rectangle, refused when degenerate or too wide."""
-    re0, re1, im0, im1 = rect = _rectangle(cfg)
-    if not (re1 > re0 and im1 > im0):
-        raise ConfigError("spectrum rectangle is degenerate")
-    from . import characteristic
-
-    # one Newton per pi-strip of the rectangle, refused before any runs
-    if not characteristic.strip_count(rect) <= MAX_GRID_POINTS:
-        raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
-    return rect
-
-
-def run_spectrum(cfg: dict):
-    """Returns (roots in the configured rectangle, their spectral abscissa)."""
-    value, _ = _parse_xi(cfg["xi"])
-    rect = _check_spectrum(cfg, value)
-    from . import characteristic
-
-    roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
-    return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
-
-
-def write_spectrum(cfg: dict, result) -> list[Path]:
-    roots, abscissa = result
-    out = Path(cfg["out"])
-    csv_path = out / "spectrum.csv"
-    write_csv(
-        csv_path,
-        "spectrum-roots",
-        ["re_z", "im_z", "residual", "multiplicity"],
-        ((r.z.real, r.z.imag, r.residual, r.multiplicity) for r in roots),
-    )
-    payload = _report_skeleton("spectrum", cfg)
-    payload["result"] = {
-        "rectangle": list(_rectangle(cfg)),
-        "n_roots": len(roots),
-        "total_multiplicity": sum(r.multiplicity for r in roots),
-        "spectral_abscissa": abscissa if math.isfinite(abscissa) else None,
-        "has_real_root": bool(any(abs(r.z.imag) <= cfg["real_tol"] for r in roots)),
-    }
-    json_path = out / "spectrum.json"
-    write_json_report(json_path, payload)
-    return [csv_path, json_path]
-
-
-def _spectrum_row(result) -> dict:
-    roots, abscissa = result
-    return {
-        "n_roots": len(roots),
-        "spectral_abscissa": abscissa if math.isfinite(abscissa) else math.nan,
-        "min_im": min((r.z.imag for r in roots), default=math.nan),
-    }
-
-
-# ----------------------------------------------------------------------------
-# carleman verify
-# ----------------------------------------------------------------------------
-
-
-def _check_carleman_verify(cfg: dict, xi: float) -> float | None:
-    """beta of a weight=exp:<beta> config, None for the default weights."""
-    # the basis on the grid, the forms of every h once paired into real
-    # 2m x 2m blocks, and the (n_samples, h_count) results and CSV rows
-    _check_sizes({
-        "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
-        "h_count * (2 * n_modes)**2": cfg["h_count"] * (2 * cfg["n_modes"]) ** 2,
-        "n_samples * h_count": cfg["n_samples"] * cfg["h_count"],
-    })
-    choice = cfg["weight"]
-    if choice == "default":
-        return None
-    if not choice.startswith("exp:"):
-        raise ConfigError(f"unknown weight {choice!r}")
-    try:
-        beta = float(choice.partition(":")[2])
-    except ValueError:
-        raise ConfigError("weight exp:<beta> needs a numeric beta") from None
-    if not math.isfinite(beta):
-        raise ConfigError(f"weight exp:<beta> needs a finite beta, got {choice!r}")
-    return beta
-
-
-def _carleman_weights(
-    cfg: dict, xi: float, beta: float | None
-) -> dict[str, carleman.WeightFunction]:
-    from . import carleman
-
-    sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
-    weights = {}
-    for side in sides:
-        interval = (0.0, xi) if side == "left" else (xi, 1.0)
-        if beta is None:
-            weights[side] = (
-                carleman.default_left_weight(xi)
-                if side == "left"
-                else carleman.default_right_weight(xi)
-            )
-        else:
-            signed = beta if side == "left" else -beta
-            weights[side] = carleman.WeightFunction.exponential(signed, interval)
-    return weights
-
-
-def _verify_carleman_side(
-    cfg: dict, side: str, weight: carleman.WeightFunction
-) -> tuple[dict, carleman.ConstantEstimate]:
-    """Returns (the identity checks, the constant estimate) for one side."""
-    import numpy as np
-
-    from . import carleman
-
-    check = carleman.validate_weight(weight, side)
-    if not check.ok:
-        raise ValueError(f"{side} weight inadmissible: {'; '.join(check.violations)}")
-    interval = (weight.a, weight.b)
-    cells = cfg["cells"]
-    h_ref = cfg["check_h"]
-
-    # dual-route convergence over 3 refinements
-    route_errors = []
-    for n in (cells // 4, cells // 2, cells):
-        x = weight.grid(n)
-        rng = np.random.default_rng([cfg["seed"], 7])
-        w = carleman.random_test_function(interval, n, rng, cfg["n_modes"])
-        diff = carleman.conjugation_route(weight, h_ref, w, x) - carleman.apply_conjugated_operator(
-            weight, h_ref, w, x
-        )
-        route_errors.append(float(np.max(np.abs(diff))))
-    orders = [
-        math.log2(route_errors[i] / route_errors[i + 1]) for i in range(len(route_errors) - 1)
-    ]
-
-    x = weight.grid(cells)
-    rng = np.random.default_rng([cfg["seed"], 11])
-    w = carleman.random_test_function(interval, cells, rng, cfg["n_modes"])
-    v = carleman.random_test_function(interval, cells, rng, cfg["n_modes"])
-    ibp1, ibp2 = carleman.ibp_residuals(weight, h_ref, v, w, x)
-    sq_curv = carleman.square_expansion_residual(weight, h_ref, w, x, "curvature")
-    sq_plain = carleman.square_expansion_residual(weight, h_ref, w, x, "plain")
-
-    h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
-    basis = carleman.sample_basis(
-        interval, cells, cfg["n_modes"], pin_left=(side == "left"), pin_right=(side == "right")
-    )
-    coefficients = np.array([
-        carleman.random_coefficients(
-            np.random.default_rng([cfg["seed"], 0 if side == "left" else 1, i]), cfg["n_modes"]
-        )
-        for i in range(cfg["n_samples"])
-    ])
-    estimate = carleman.estimate_carleman_constant(weight, coefficients, basis, h_grid, side)
-
-    checks = {
-        "weight": weight.kind,
-        "interval": [weight.a, weight.b],
-        "dual_route_errors": route_errors,
-        "dual_route_orders": orders,
-        "ibp_residuals": [ibp1, ibp2],
-        "square_identity_residual_curvature": sq_curv.relative_residual,
-        "square_identity_residual_plain": sq_plain.relative_residual,
-    }
-    return checks, estimate
-
-
-def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
-    """Returns side -> (identity checks, constant estimate)."""
-    value, _ = _parse_xi(cfg["xi"])
-    beta = _check_carleman_verify(cfg, value)
-    return {
-        side: _verify_carleman_side(cfg, side, weight)
-        for side, weight in _carleman_weights(cfg, value, beta).items()
-    }
-
-
-def write_carleman_verify(cfg: dict, sides: dict) -> list[Path]:
-    payload = _report_skeleton("carleman-verify", cfg)
-    payload["result"] = {}
-    rows: list[tuple] = []
-    for side, (checks, estimate) in sides.items():
-        payload["result"][side] = dict(
-            checks,
-            c_hat=estimate.c_hat,
-            h0_hat=estimate.h0_hat,
-            sup_ratio_by_h={
-                f"{h:.6g}": float(r) for h, r in zip(estimate.h, estimate.sup_ratio)
-            },
-        )
-        sweep = estimate.sweep
-        for i, sample in enumerate(zip(sweep.lhs, sweep.rhs, sweep.ratio)):
-            for h, lhs, rhs, ratio in zip(sweep.h, *sample):
-                rows.append((side, i, h, lhs, rhs, ratio))
-    out = Path(cfg["out"])
-    csv_path = out / "carleman_sweep.csv"
-    write_csv(csv_path, "carleman-sweep", ["side", "sample", "h", "lhs", "rhs", "ratio"], rows)
-    json_path = out / "carleman_report.json"
-    write_json_report(json_path, payload)
-    return [csv_path, json_path]
-
-
-def _carleman_row(sides: dict) -> dict:
-    row: dict = {}
-    for side, (_, estimate) in sides.items():
-        row[f"c_hat_{side}"] = estimate.c_hat
-        row[f"h0_hat_{side}"] = estimate.h0_hat
-    return row
-
-
-# ----------------------------------------------------------------------------
-# simulate
-# ----------------------------------------------------------------------------
-
-
-def _check_simulate(cfg: dict, xi: float) -> float:
-    """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
-    # dt = 0 means half the smaller mesh spacing, the simulator's default
-    dt = cfg["dt"] or min(xi, 1.0 - xi) / cfg["cells"] / 2.0
-    if cfg["t_final"] / dt > MAX_SIM_STEPS:
-        raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
-    return dt
-
-
-def run_simulate(cfg: dict):
-    """Returns (final state, energy trace, fits).
-
-    fits is None when fitting is off, and the InsufficientData raised when the
-    trace has too few usable samples.
+    check(cfg, xi) makes the checks across the task's keys at one position,
+    which run(cfg) makes first and a sweep makes at every position before its
+    first job; write(cfg, result) writes the task's files from run's result
+    and row(result) picks its sweep row from it.
     """
-    value, _ = _parse_xi(cfg["xi"])
-    dt = _check_simulate(cfg, value)
-    from . import decayfit, simulator
-    from .mesh import build_mesh
-
-    mesh = build_mesh(value, cfg["cells"], cfg["cells"])
-    center = None if math.isnan(cfg["center"]) else cfg["center"]
-    state = simulator.initial_data(
-        mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]
-    )
-    final, trace = simulator.simulate(
-        state, cfg["t_final"], dt=dt, damped=cfg["damped"], sample_every=cfg["sample_every"]
-    )
-    fits = None
-    if cfg["fit"]:
-        try:
-            fits = decayfit.model_select(trace)
-        except decayfit.InsufficientData as exc:
-            fits = exc
-    return final, trace, fits
-
-
-def write_simulate(cfg: dict, result) -> list[Path]:
-    from . import decayfit
-
-    final, trace, fits = result
-    out = Path(cfg["out"])
-    paths = []
-
-    p = out / "energy_trace.csv"
-    write_csv(
-        p,
-        "energy-trace",
-        ["t", "energy", "dissipated"],
-        zip(trace.times, trace.energies, trace.dissipated_at_samples()),
-    )
-    paths.append(p)
-    p = out / "damping_record.csv"
-    write_csv(p, "damping-record", ["t", "power"], zip(trace.damping_times, trace.damping_power))
-    paths.append(p)
-    if cfg["save_state"]:
-        p = out / "final_state.csv"
-        write_csv(
-            p, "state-snapshot", ["x", "u", "v"], zip(final.mesh.nodes, final.u, final.v)
-        )
-        paths.append(p)
-
-    payload = _report_skeleton("simulate", cfg)
-    payload["result"] = {
-        "dt": trace.dt,
-        "n_steps": int(trace.damping_power.size),
-        **_simulate_row(result),
-    }
-    if isinstance(fits, decayfit.InsufficientData):
-        payload["result"]["fits"] = None
-        payload["result"]["fit_note"] = str(fits)
-    elif fits is not None:
-        payload["result"]["fits"] = [
-            {
-                "kind": f.kind,
-                "parameters": f.parameters,
-                "residual": f.residual,
-                "valid_range": list(f.valid_range),
-                "n_samples": f.n_samples,
-            }
-            for f in fits
-        ]
-    p = out / "simulate_report.json"
-    write_json_report(p, payload)
-    paths.append(p)
-    return paths
-
-
-def _simulate_row(result) -> dict:
-    from . import simulator
-
-    trace = result[1]
-    e0 = float(trace.energies[0])
-    return {
-        "energy_initial": e0,
-        "energy_final": float(trace.energies[-1]),
-        "energy_ratio": float(trace.energies[-1] / e0) if e0 > 0 else math.nan,
-        "dissipation_residual": simulator.dissipation_residual(trace),
-    }
+    name = command.replace("-", "_")
+    module = importlib.import_module(f"pointdamp.tasks.{name}")
+    return (getattr(module, f"_check_{name}"), getattr(module, f"run_{name}"),
+            getattr(module, f"write_{name}"), getattr(module, f"_{name}_row"))
 
 
 # ----------------------------------------------------------------------------
 # sweep
 # ----------------------------------------------------------------------------
 
-# task -> (compute its result, write its files from it, pick its sweep row from it)
-_TASKS = {
-    "classify": (run_classify, write_classify, _classify_row),
-    "resolvent-scan": (run_resolvent_scan, write_resolvent_scan, _resolvent_scan_row),
-    "spectrum": (run_spectrum, write_spectrum, _spectrum_row),
-    "carleman-verify": (run_carleman_verify, write_carleman_verify, _carleman_row),
-    "simulate": (run_simulate, write_simulate, _simulate_row),
-}
-
-# task -> the checks across its keys at one position, which run_<task> runs
-# first; a sweep runs them at every position before its first job
-_CHECKS = {
-    "classify": _check_classify,
-    "resolvent-scan": _check_resolvent_scan,
-    "spectrum": _check_spectrum,
-    "carleman-verify": _check_carleman_verify,
-    "simulate": _check_simulate,
-}
-
 
 def _sweep_worker(job: tuple) -> tuple[float, dict]:
     task, xi_value, task_cfg, seed = job
     cfg = dict(task_cfg, xi=repr(xi_value), seed=seed)
-    run, _, row = _TASKS[task]
+    _, run, _, row = _task(task)
     return xi_value, row(run(cfg))
 
 
@@ -955,10 +453,11 @@ def cmd_sweep(cfg: dict) -> list[Path]:
         xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
     else:
         xi_values = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
+    check = _task(task)[0]
     for v in xi_values:
         if not 0.0 < v < 1.0:
             raise ConfigError(f"sweep xi {v} outside (0,1)")
-        _CHECKS[task](cfg["task_config"], v)
+        check(cfg["task_config"], v)
 
     jobs = [(task, v, cfg["task_config"], cfg["seed"]) for v in xi_values]
     workers = min(cfg["workers"], len(jobs))
@@ -998,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a string damped at one interior point.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*_TASKS, "sweep"]:
+    for name in COMMAND_SCHEMAS:
         p = sub.add_parser(name, help=f"run the {name} task")
         p.add_argument("--config", help="flat key=value configuration file")
         p.add_argument(
@@ -1042,7 +541,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             paths = cmd_sweep(cfg)
         else:
-            run, write, _ = _TASKS[args.command]
+            _, run, write, _ = _task(args.command)
             paths = write(cfg, run(cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -1063,4 +562,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # run as python -m pointdamp.cli: the task modules import this module as
+    # pointdamp.cli, which would otherwise load (and compile) a second copy
+    # with its own ConfigError
+    sys.modules.setdefault("pointdamp.cli", sys.modules[__name__])
     sys.exit(main())

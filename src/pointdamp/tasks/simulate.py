@@ -1,0 +1,118 @@
+"""The simulate task: one energy-exact run of the damped string, and its decay fits.
+
+Computes with pointdamp.simulator, pointdamp.decayfit and numpy, imported
+after its configuration checks.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+# write_csv and write_json_report are looked up on cli at each call, so a
+# replacement there sees every file the task writes
+from .. import cli
+from ..cli import MAX_SIM_STEPS, ConfigError, _parse_xi, _report_skeleton
+
+
+def _check_simulate(cfg: dict, xi: float) -> float:
+    """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
+    # dt = 0 means half the smaller mesh spacing, the simulator's default
+    dt = cfg["dt"] or min(xi, 1.0 - xi) / cfg["cells"] / 2.0
+    if cfg["t_final"] / dt > MAX_SIM_STEPS:
+        raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
+    return dt
+
+
+def run_simulate(cfg: dict):
+    """Returns (final state, energy trace, fits).
+
+    fits is None when fitting is off, and the InsufficientData raised when the
+    trace has too few usable samples.
+    """
+    value, _ = _parse_xi(cfg["xi"])
+    dt = _check_simulate(cfg, value)
+    from .. import decayfit, simulator
+    from ..mesh import build_mesh
+
+    mesh = build_mesh(value, cfg["cells"], cfg["cells"])
+    center = None if math.isnan(cfg["center"]) else cfg["center"]
+    state = simulator.initial_data(
+        mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]
+    )
+    final, trace = simulator.simulate(
+        state, cfg["t_final"], dt=dt, damped=cfg["damped"], sample_every=cfg["sample_every"]
+    )
+    fits = None
+    if cfg["fit"]:
+        try:
+            fits = decayfit.model_select(trace)
+        except decayfit.InsufficientData as exc:
+            fits = exc
+    return final, trace, fits
+
+
+def write_simulate(cfg: dict, result) -> list[Path]:
+    from .. import decayfit
+
+    final, trace, fits = result
+    out = Path(cfg["out"])
+    paths = []
+
+    p = out / "energy_trace.csv"
+    cli.write_csv(
+        p,
+        "energy-trace",
+        ["t", "energy", "dissipated"],
+        zip(trace.times, trace.energies, trace.dissipated_at_samples()),
+    )
+    paths.append(p)
+    p = out / "damping_record.csv"
+    cli.write_csv(
+        p, "damping-record", ["t", "power"], zip(trace.damping_times, trace.damping_power)
+    )
+    paths.append(p)
+    if cfg["save_state"]:
+        p = out / "final_state.csv"
+        cli.write_csv(
+            p, "state-snapshot", ["x", "u", "v"], zip(final.mesh.nodes, final.u, final.v)
+        )
+        paths.append(p)
+
+    payload = _report_skeleton("simulate", cfg)
+    payload["result"] = {
+        "dt": trace.dt,
+        "n_steps": int(trace.damping_power.size),
+        **_simulate_row(result),
+    }
+    if isinstance(fits, decayfit.InsufficientData):
+        payload["result"]["fits"] = None
+        payload["result"]["fit_note"] = str(fits)
+    elif fits is not None:
+        payload["result"]["fits"] = [
+            {
+                "kind": f.kind,
+                "parameters": f.parameters,
+                "residual": f.residual,
+                "valid_range": list(f.valid_range),
+                "n_samples": f.n_samples,
+            }
+            for f in fits
+        ]
+    p = out / "simulate_report.json"
+    cli.write_json_report(p, payload)
+    paths.append(p)
+    return paths
+
+
+def _simulate_row(result) -> dict:
+    from .. import simulator
+
+    trace = result[1]
+    e0 = float(trace.energies[0])
+    return {
+        "energy_initial": e0,
+        "energy_final": float(trace.energies[-1]),
+        "energy_ratio": float(trace.energies[-1] / e0) if e0 > 0 else math.nan,
+        "dissipation_residual": simulator.dissipation_residual(trace),
+    }

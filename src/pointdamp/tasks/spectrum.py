@@ -1,0 +1,74 @@
+"""The spectrum task: the certified roots of D(z) in a rectangle.
+
+Computes with pointdamp.characteristic alone (standard library), which its
+configuration check already needs for the strip count; no numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from pathlib import Path
+
+# write_csv and write_json_report are looked up on cli at each call, so a
+# replacement there sees every file the task writes
+from .. import cli
+from ..cli import MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton
+
+
+def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
+    return cfg["re_min"], cfg["re_max"], cfg["im_min"], cfg["im_max"]
+
+
+def _check_spectrum(cfg: dict, xi: float) -> tuple[float, float, float, float]:
+    """The configured rectangle, refused when degenerate or too wide."""
+    re0, re1, im0, im1 = rect = _rectangle(cfg)
+    if not (re1 > re0 and im1 > im0):
+        raise ConfigError("spectrum rectangle is degenerate")
+    from .. import characteristic
+
+    # one Newton per pi-strip of the rectangle, refused before any runs
+    if not characteristic.strip_count(rect) <= MAX_GRID_POINTS:
+        raise ConfigError(f"the spectrum rectangle would need over {MAX_GRID_POINTS} points")
+    return rect
+
+
+def run_spectrum(cfg: dict):
+    """Returns (roots in the configured rectangle, their spectral abscissa)."""
+    value, _ = _parse_xi(cfg["xi"])
+    rect = _check_spectrum(cfg, value)
+    from .. import characteristic
+
+    roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
+    return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
+
+
+def write_spectrum(cfg: dict, result) -> list[Path]:
+    roots, abscissa = result
+    out = Path(cfg["out"])
+    csv_path = out / "spectrum.csv"
+    cli.write_csv(
+        csv_path,
+        "spectrum-roots",
+        ["re_z", "im_z", "residual", "multiplicity"],
+        ((r.z.real, r.z.imag, r.residual, r.multiplicity) for r in roots),
+    )
+    payload = _report_skeleton("spectrum", cfg)
+    payload["result"] = {
+        "rectangle": list(_rectangle(cfg)),
+        "n_roots": len(roots),
+        "total_multiplicity": sum(r.multiplicity for r in roots),
+        "spectral_abscissa": abscissa if math.isfinite(abscissa) else None,
+        "has_real_root": bool(any(abs(r.z.imag) <= cfg["real_tol"] for r in roots)),
+    }
+    json_path = out / "spectrum.json"
+    cli.write_json_report(json_path, payload)
+    return [csv_path, json_path]
+
+
+def _spectrum_row(result) -> dict:
+    roots, abscissa = result
+    return {
+        "n_roots": len(roots),
+        "spectral_abscissa": abscissa if math.isfinite(abscissa) else math.nan,
+        "min_im": min((r.z.imag for r in roots), default=math.nan),
+    }

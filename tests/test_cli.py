@@ -60,11 +60,17 @@ TASK_LAYERS = ("characteristic", "frequency", "carleman", "simulator", "decayfit
 ARITHMETIC = ("pointdamp.diophantine", "fractions", "decimal", "dataclasses")
 
 
+def task_modules(loaded: str) -> set[str]:
+    """The pointdamp.tasks.* modules named in a printed sorted(sys.modules)."""
+    return set(re.findall(r"'pointdamp\.tasks\.(\w+)'", loaded))
+
+
 def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     probe = run_python("import sys, pointdamp.cli; print(sorted(sys.modules))")
     assert probe.returncode == 0, probe.stderr
     loaded = probe.stdout
     assert "'pointdamp.inputs'" in loaded
+    assert "'pointdamp.tasks" not in loaded
     for module in ARITHMETIC + tuple(f"pointdamp.{layer}" for layer in TASK_LAYERS):
         assert f"'{module}'" not in loaded, module
     assert "'concurrent.futures'" not in loaded
@@ -87,6 +93,8 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     for layer in ("frequency", "carleman", "simulator", "mesh"):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
     assert "'numpy'" not in done.stdout
+    # each task loads its own module, alone or swept, and no other
+    assert task_modules(done.stdout) == {"classify"}
     assert (tmp_path / "b" / "classify_trace_liouville.csv").exists()
     report = json.loads((tmp_path / "b" / "classify_report.json").read_text())
     assert report["result"]["exact_form"] == "2/5"
@@ -114,7 +122,24 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh", "pointdamp.diophantine",
                    "dataclasses", "inspect"):
         assert f"'{module}'" not in loaded, module
+    assert task_modules(loaded) == {"spectrum"}
     assert (tmp_path / "run4" / "sweep_spectrum.csv").exists()
+
+
+def test_module_run_loads_the_cli_once(tmp_path):
+    # python -m pointdamp.cli runs the core as __main__; the task modules must
+    # reach that module, not import a second copy, whose ConfigError main
+    # would not catch
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pointdamp.cli", "carleman-verify",
+         "--xi", "golden", "--set", "weight=bogus", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "unknown weight" in done.stderr
+    assert not re.search(r"\| +pointdamp\.cli$", done.stderr, re.M)
 
 
 # one configuration error per subcommand, each found after the config is resolved
@@ -346,6 +371,10 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["classify", "--set", "mu_min=0"],
+    # inside the lobe of the trivial zero D(0) = 0 (CLASSIFY_MU_MIN)
+    ["classify", "--set", "mu_min=0.5"],
+    ["classify", "--set", "mu_min=1e-8"],
+    ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "mu_min=0.5"],
     ["classify", "--set", "depth=0"],
     ["classify", "--set", "trend_factor=0"],
     ["classify", "--set", "liouville_kappa=0"],
@@ -491,9 +520,39 @@ def test_every_config_key_is_read_by_its_task(tmp_path):
         if command == "sweep":
             cli.cmd_sweep(cfg)
         else:
-            run_task, write, _ = cli._TASKS[command]
+            _, run_task, write, _ = cli._task(command)
             write(cfg, run_task(cfg))
         assert set(COMMAND_SCHEMAS[command]) - cfg.read == unread, command
+
+
+def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
+    # perfbench/tracer.py replaces write_csv and write_json_report on
+    # pointdamp.cli by attribute, so the task modules must look both up there
+    written = []
+
+    def recording(writer):
+        def record(path, *args):
+            written.append(Path(path))
+            writer(path, *args)
+
+        return record
+
+    runs = {
+        "sim": ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
+        "car": ["carleman-verify", "--xi", "golden", "--set", "cells=64", "--set", "n_samples=2",
+                "--set", "h_count=3"],
+    }
+    # the task modules load before the patch, so a writer they bound at
+    # import would miss it
+    for args in runs.values():
+        cli._task(args[0])
+    for name in ("write_csv", "write_json_report"):
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    for out, args in runs.items():
+        assert run(args + ["--out", tmp_path / out]) == 0
+        files = sorted((tmp_path / out).iterdir())
+        assert len(files) >= 2, out
+        assert sorted(p for p in written if p.parent == tmp_path / out) == files, out
 
 
 def test_inadmissible_weight_is_computation_error(tmp_path):
