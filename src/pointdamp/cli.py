@@ -22,7 +22,6 @@ through this module at each call, so replacing either here sees every file.
 from __future__ import annotations
 
 import argparse
-import importlib
 import itertools
 import json
 import math
@@ -422,7 +421,11 @@ def _task(command: str) -> tuple[Callable, Callable, Callable, Callable]:
     and row(result) picks its sweep row from it.
     """
     name = command.replace("-", "_")
-    module = importlib.import_module(f"pointdamp.tasks.{name}")
+    # __import__ runs the import in C, which python -X importtime logs;
+    # importlib.import_module's pure-Python path goes unlisted
+    module_name = f"pointdamp.tasks.{name}"
+    __import__(module_name)
+    module = sys.modules[module_name]
     return (getattr(module, f"_check_{name}"), getattr(module, f"run_{name}"),
             getattr(module, f"write_{name}"), getattr(module, f"_{name}_row"))
 
@@ -562,8 +565,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    # run as python -m pointdamp.cli: the task modules import this module as
-    # pointdamp.cli, which would otherwise load (and compile) a second copy
-    # with its own ConfigError
-    sys.modules.setdefault("pointdamp.cli", sys.modules[__name__])
+    if vars(sys.modules[__name__]) is globals():
+        # run as python -m pointdamp.cli: the task modules import this module
+        # as pointdamp.cli, which would otherwise load (and compile) a second
+        # copy with its own ConfigError
+        sys.modules.setdefault("pointdamp.cli", sys.modules[__name__])
+    else:
+        # run by a tool that keeps its own module as __main__ (python -m
+        # cProfile -m pointdamp.cli, for one): run the imported module, whose
+        # ConfigError the task modules raise
+        from pointdamp.cli import main
     sys.exit(main())

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,6 +456,10 @@ _ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
 # band limit of the random probes
 _PROBE_MODES = 8
 
+# fewest blocks of a scan worth a process of their own: below this, forking
+# and the child's first touches of its pages cost more than its share saves
+_MIN_BLOCKS_PER_PROCESS = 16
+
 
 @functools.lru_cache(maxsize=4)
 def _series_table(nodes: bytes) -> np.ndarray:
@@ -596,6 +602,100 @@ class ScanResult:
     n_resonant: int
 
 
+def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, estimates, start, stop):
+    """Fill estimates[start:stop] a block of frequencies at a time, start on a block boundary."""
+    n, rows = mesh.nodes.size, max(probes_per_mu, 1)
+    for first in range(start, stop, block):
+        mus = mu_grid[first : min(first + block, stop)]
+        # (frequency, probe, samples of f, f' and g over all nodes), the
+        # near-resonant probe first
+        series = np.empty((mus.size, rows, 3 * n), dtype=complex)
+        _fill_resonant(mesh, mus, series[:, 0])
+        if probes_per_mu > 1:
+            draws = [
+                _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)
+                for i in range(first, first + mus.size)
+            ]
+            _fill_series(mesh, np.stack(draws), series[:, 1:])
+        probes = [_split_series(mesh, series)]
+        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
+
+
+def _scan_processes(n_blocks: int) -> int:
+    """How many processes share a scan of n_blocks blocks.
+
+    One, so the scan stays serial, without os.sched_getaffinity (not Linux),
+    on one usable CPU, below 2 * _MIN_BLOCKS_PER_PROCESS blocks, and inside a
+    multiprocessing worker: a sweep's pool then has no more busy processes
+    than workers.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // _MIN_BLOCKS_PER_PROCESS))
+
+
+def _fill_forked(fill, estimates: np.ndarray, runs: list[tuple[int, int]]) -> None:
+    """fill(start, stop) for each run of estimates: the first here, each other in a forked child.
+
+    A single run forks nothing.  A child sends its float64 values down a pipe and leaves through os._exit,
+    so it never returns into the caller, runs no atexit hook and flushes no
+    inherited stdio buffer.  The parent reads every pipe before it reaps the
+    child, so no child blocks on a full pipe, and raises if a child fails.
+    If the parent raises, or is interrupted, while children run, it kills and
+    reaps each of them: no process outlives the call.
+    """
+    pipes = {}  # pid -> (its pipe's read end, start, stop) for each child not yet reaped
+    try:
+        for start, stop in runs[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    fill(start, stop)
+                    with open(write, "wb") as pipe:
+                        pipe.write(estimates[start:stop].tobytes())
+                    code = 0
+                except BaseException as exc:
+                    os.write(2, f"resolvent scan process: {type(exc).__name__}: {exc}\n".encode())
+                finally:
+                    os._exit(code)
+            os.close(write)
+            pipes[pid] = (open(read, "rb"), start, stop)
+        fill(*runs[0])
+        for pid, (pipe, start, stop) in list(pipes.items()):
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del pipes[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or len(payload) != 8 * (stop - start):
+                raise RuntimeError(
+                    f"resolvent scan of grid points {start} to {stop - 1} failed in process"
+                    f" {pid}: exit status {code}, {len(payload)} of {8 * (stop - start)} bytes"
+                )
+            estimates[start:stop] = np.frombuffer(payload)
+    except BaseException:
+        import signal
+
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe, _, _ in pipes.values():
+            pipe.close()
+
+
 def scan_resolvent_growth(
     xi: float,
     mu_grid,
@@ -609,30 +709,26 @@ def scan_resolvent_growth(
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
-    its own mu.  Fits log(norm) = log C + K*mu by least squares over the
-    finite estimates.
+    its own mu.  On Linux, a long grid's blocks are dealt out in contiguous
+    runs to up to one process per usable CPU (_scan_processes), forked
+    here; every block computes as it would alone, so the estimates are the
+    same bit for bit.  Fits log(norm) = log C + K*mu by least squares over
+    the finite estimates in this process.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
     estimates = np.empty_like(mu_grid)
-    n, rows = mesh.nodes.size, max(probes_per_mu, 1)
     # a block of frequencies at a time, each with its own probes
-    block = max(1, _BLOCK_BYTES // (16 * rows * n))
-    np.empty(_ALLOCATOR_PRIME_BYTES // 8)  # dropped at once: see _ALLOCATOR_PRIME_BYTES
-    for first in range(0, mu_grid.size, block):
-        mus = mu_grid[first : first + block]
-        # (frequency, probe, samples of f, f' and g over all nodes), the
-        # near-resonant probe first
-        series = np.empty((mus.size, rows, 3 * n), dtype=complex)
-        _fill_resonant(mesh, mus, series[:, 0])
-        if probes_per_mu > 1:
-            draws = [
-                _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)
-                for i in range(first, first + mus.size)
-            ]
-            _fill_series(mesh, np.stack(draws), series[:, 1:])
-        probes = [_split_series(mesh, series)]
-        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
+    block = max(1, _BLOCK_BYTES // (16 * max(probes_per_mu, 1) * mesh.nodes.size))
+    fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block, estimates)
+    # dropped at once, before any fork, so the children inherit the allocator's
+    # threshold too: see _ALLOCATOR_PRIME_BYTES
+    np.empty(_ALLOCATOR_PRIME_BYTES // 8)
+    # one contiguous run of whole blocks per process
+    n_blocks = -(-mu_grid.size // block)
+    processes = _scan_processes(n_blocks)
+    ends = [min(k * n_blocks // processes * block, mu_grid.size) for k in range(processes + 1)]
+    _fill_forked(fill, estimates, list(zip(ends, ends[1:])))
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

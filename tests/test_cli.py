@@ -31,13 +31,17 @@ def read_csv(path):
     return schema, columns, rows
 
 
-def run_python(code):
-    """Run code in a fresh interpreter that imports pointdamp from this tree."""
+def run_interpreter(*args):
+    """python args... in a fresh interpreter that imports pointdamp from this tree."""
     src = str(Path(pointdamp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports pointdamp from this tree."""
+    return run_interpreter("-c", code)
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -141,6 +145,25 @@ def test_module_run_loads_the_cli_once(tmp_path):
     assert "unknown weight" in done.stderr
     assert not re.search(r"\| +pointdamp\.cli$", done.stderr, re.M)
 
+
+
+def test_module_runs_under_the_profiler(tmp_path):
+    # cProfile runs the module as __main__ but keeps its own module in
+    # sys.modules["__main__"]; the CLI must not pass that off as pointdamp.cli.
+    # cProfile exits 0 whatever main returns, so the reports are the check
+    done = run_interpreter("-m", "cProfile", "-o", tmp_path / "profile", "-m", "pointdamp.cli",
+                           "spectrum", "--xi", "golden", "--set", "re_max=12", "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert "error" not in done.stderr
+    assert (tmp_path / "spectrum.csv").is_file() and (tmp_path / "spectrum.json").is_file()
+    assert (tmp_path / "profile").stat().st_size > 0
+
+
+def test_importtime_lists_the_task_module(tmp_path):
+    done = run_interpreter("-X", "importtime", "-m", "pointdamp.cli", "spectrum", "--xi", "golden",
+                           "--set", "re_max=12", "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"\| +pointdamp\.tasks\.spectrum$", done.stderr, re.M)
 
 # one configuration error per subcommand, each found after the config is resolved
 EXIT_2_RUNS = [
@@ -749,6 +772,24 @@ def test_resolvent_scan_from_the_lowest_frequency(tmp_path):
     assert report["result"]["n_resonant"] == 0
 
 
+
+def test_resolvent_scan_with_a_failing_child_exits_3(tmp_path, monkeypatch, capsys):
+    # 3 blocks of 48 frequencies at 32 cells, split over 2 processes
+    parent = os.getpid()
+    bound = frequency.resolvent_norm_lower_bound
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room")
+        return bound(*args)
+
+    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
+    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert run(["resolvent-scan", "--xi", "golden", "--out", tmp_path, "--set", "cells=32"]) == 3
+    assert "computation error: RuntimeError" in capsys.readouterr().err
+    assert not (tmp_path / "resolvent_scan.csv").exists()
+
 # ---------------------------------------------------------- carleman verify
 
 
@@ -802,6 +843,18 @@ def test_sweep_parallel_matches_serial(tmp_path):
     a = (out_a / "sweep_classify.csv").read_text()
     b = (out_b / "sweep_classify.csv").read_text()
     assert a == b
+
+
+def test_resolvent_scan_sweep_in_a_pool_matches_serial(tmp_path):
+    # 40 blocks per position: each scan would split in a process of its own,
+    # and runs serially in a pool worker
+    args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden",
+            "--set", "mu_max=120"]
+    assert run(args + ["--out", tmp_path / "serial", "--set", "workers=1"]) == 0
+    assert run(args + ["--out", tmp_path / "pool", "--set", "workers=2"]) == 0
+    serial = (tmp_path / "serial" / "sweep_resolvent-scan.csv").read_text()
+    assert serial == (tmp_path / "pool" / "sweep_resolvent-scan.csv").read_text()
+    assert len(serial.splitlines()) == 4
 
 
 def test_sweep_unknown_task_is_config_error(tmp_path):

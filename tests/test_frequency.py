@@ -1,6 +1,9 @@
+import concurrent.futures
 import math
+import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -646,6 +649,130 @@ def test_each_probe_bound_is_the_same_alone_in_a_stack_and_in_a_block(cells):
             assert in_stack == alone
             assert in_block[k] == alone
             assert np.count_nonzero(in_block) == 1
+
+
+def _scan_on_cpus(monkeypatch, cpus, xi, grid, seed, cells=32):
+    """The scan with its blocks of 3 frequencies split over up to cpus processes."""
+    monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * 4 * (2 * cells + 1))
+    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return scan_resolvent_growth(xi, grid, 4, seed=seed, cells_per_side=cells)
+
+
+def _record_forks(monkeypatch) -> list[int]:
+    """The pids of the children that os.fork starts from here on."""
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_split_scan_equals_the_serial_scan(monkeypatch):
+    # 8 frequencies in blocks of 3 over 3 processes: the last child's block is short
+    grid = np.linspace(2.0, 60.0, 8)
+    forked = _record_forks(monkeypatch)
+    split = _scan_on_cpus(monkeypatch, 3, GOLDEN, grid, seed=3)
+    assert len(forked) == 2
+    _assert_reaped(forked)
+    serial = _scan_on_cpus(monkeypatch, 1, GOLDEN, grid, seed=3)
+    assert len(forked) == 2
+    assert np.array_equal(split.norm_estimate, serial.norm_estimate)
+    assert (split.growth_constant, split.growth_rate, split.log_residual) == (
+        serial.growth_constant, serial.growth_rate, serial.log_residual
+    )
+
+
+def test_split_scan_with_a_resonant_frequency_in_a_child(monkeypatch):
+    # mu = 2 pi, resonant at xi = 1/2, falls in the first child's run; the
+    # last block holds one frequency
+    grid = np.array([5.0, 5.5, 6.0, 2 * math.pi, 7.0, 8.0, 9.5])
+    forked = _record_forks(monkeypatch)
+    split = _scan_on_cpus(monkeypatch, 3, 0.5, grid, seed=0)
+    assert len(forked) == 2
+    assert split.n_resonant == 1
+    assert split.norm_estimate[3] == math.inf
+    assert np.all(np.isfinite(np.delete(split.norm_estimate, 3)))
+    serial = _scan_on_cpus(monkeypatch, 1, 0.5, grid, seed=0)
+    assert np.array_equal(split.norm_estimate, serial.norm_estimate)
+
+
+def test_scan_on_one_cpu_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    scan = _scan_on_cpus(monkeypatch, 1, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
+    assert np.all(np.isfinite(scan.norm_estimate))
+
+
+def test_scan_process_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    least = 2 * frequency._MIN_BLOCKS_PER_PROCESS
+    assert frequency._scan_processes(least - 1) == 1
+    assert frequency._scan_processes(least) == 2
+    assert frequency._scan_processes(100 * least) == 2
+    # a sweep's pool worker scans serially
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(frequency._scan_processes, 100 * least).result(timeout=60) == 1
+
+
+def test_a_failing_child_fails_the_scan(monkeypatch):
+    parent = os.getpid()
+    bound = frequency.resolvent_norm_lower_bound
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise MemoryError("no room")
+        return bound(*args)
+
+    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
+    forked = _record_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="exit status 1, 0 of"):
+        _scan_on_cpus(monkeypatch, 3, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
+    assert len(forked) == 2
+    _assert_reaped(forked)
+
+
+def test_a_child_exit_status_fails_the_scan_after_a_full_payload(monkeypatch):
+    parent = os.getpid()
+    leave = os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: leave(7 if os.getpid() != parent else code))
+    forked = _record_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="exit status 7, 24 of 24 bytes"):
+        _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 6), seed=3)
+    assert len(forked) == 1
+    _assert_reaped(forked)
+
+
+def test_an_interrupted_parent_kills_its_children(monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # unless the parent kills it
+
+    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", interrupted)
+    forked = _record_forks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _scan_on_cpus(monkeypatch, 3, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
+    assert time.monotonic() - started < 30.0
+    assert len(forked) == 2
+    _assert_reaped(forked)
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
