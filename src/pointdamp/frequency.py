@@ -30,6 +30,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,9 +457,13 @@ _ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
 # band limit of the random probes
 _PROBE_MODES = 8
 
-# fewest blocks of a scan worth a process of their own: below this, forking
-# and the child's first touches of its pages cost more than its share saves
-_MIN_BLOCKS_PER_PROCESS = 16
+# fewest blocks of each half of a split scan.  As whole `resolvent-scan
+# --xi golden` invocations on 2 vCPUs, split scans of 16 to 32 blocks tied
+# with serial ones or lost in one series of 11 pairs, and 32 to 48 blocks
+# won by 3-7 ms of median wall in another, each paying ~15-35 ms more CPU
+# for the fork and the copy-on-write faults of both processes; 64 blocks won
+# in both series (8 and 11 of 11 pairs)
+_MIN_BLOCKS_PER_PROCESS = 32
 
 
 @functools.lru_cache(maxsize=4)
@@ -621,79 +626,73 @@ def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, estimates, start
         estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
 
 
-def _scan_processes(n_blocks: int) -> int:
-    """How many processes share a scan of n_blocks blocks.
+def _scan_forks(n_blocks: int) -> bool:
+    """Whether a scan of n_blocks blocks forks a child for the second half of them.
 
-    One, so the scan stays serial, without os.sched_getaffinity (not Linux),
-    on one usable CPU, below 2 * _MIN_BLOCKS_PER_PROCESS blocks, and inside a
-    multiprocessing worker: a sweep's pool then has no more busy processes
-    than workers.
+    Not without os.sched_getaffinity (not Linux), on one usable CPU, below
+    2 * _MIN_BLOCKS_PER_PROCESS blocks, while another Python thread runs
+    (it may hold a lock the child needs, and Python 3.12 warns of such a
+    fork), and inside a multiprocessing worker: a sweep's pool then has no
+    more busy processes than workers.  Never more than one child: a split
+    over more processes has not been measured.
     """
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return False
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing is not None and multiprocessing.parent_process() is not None:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_blocks // _MIN_BLOCKS_PER_PROCESS))
+        return False
+    return n_blocks >= 2 * _MIN_BLOCKS_PER_PROCESS and len(os.sched_getaffinity(0)) > 1
 
 
-def _fill_forked(fill, estimates: np.ndarray, runs: list[tuple[int, int]]) -> None:
-    """fill(start, stop) for each run of estimates: the first here, each other in a forked child.
+def _fill_split(fill, estimates: np.ndarray, middle: int) -> None:
+    """fill(0, middle) here and fill(middle, estimates.size) in a forked child.
 
-    A single run forks nothing.  A child sends its float64 values down a pipe and leaves through os._exit,
-    so it never returns into the caller, runs no atexit hook and flushes no
-    inherited stdio buffer.  The parent reads every pipe before it reaps the
-    child, so no child blocks on a full pipe, and raises if a child fails.
-    If the parent raises, or is interrupted, while children run, it kills and
-    reaps each of them: no process outlives the call.
+    The child sends its float64 values down a pipe and leaves through
+    os._exit, so it never returns into the caller, runs no atexit hook and
+    flushes no inherited stdio buffer.  The parent reads the pipe before it
+    reaps the child, so the child never blocks on a full pipe, and raises if
+    the child fails.  If the parent raises, or is interrupted, while the
+    child runs, it kills and reaps it: no process outlives the call.
     """
-    pipes = {}  # pid -> (its pipe's read end, start, stop) for each child not yet reaped
+    read, write = os.pipe()
     try:
-        for start, stop in runs[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read)
-                    fill(start, stop)
-                    with open(write, "wb") as pipe:
-                        pipe.write(estimates[start:stop].tobytes())
-                    code = 0
-                except BaseException as exc:
-                    os.write(2, f"resolvent scan process: {type(exc).__name__}: {exc}\n".encode())
-                finally:
-                    os._exit(code)
-            os.close(write)
-            pipes[pid] = (open(read, "rb"), start, stop)
-        fill(*runs[0])
-        for pid, (pipe, start, stop) in list(pipes.items()):
-            payload = pipe.read()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            del pipes[pid]
-            code = os.waitstatus_to_exitcode(status)
-            if code != 0 or len(payload) != 8 * (stop - start):
-                raise RuntimeError(
-                    f"resolvent scan of grid points {start} to {stop - 1} failed in process"
-                    f" {pid}: exit status {code}, {len(payload)} of {8 * (stop - start)} bytes"
-                )
-            estimates[start:stop] = np.frombuffer(payload)
+        pid = os.fork()
     except BaseException:
-        import signal
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            fill(middle, estimates.size)
+            with open(write, "wb") as pipe:
+                pipe.write(estimates[middle:].tobytes())
+            code = 0
+        except BaseException as exc:
+            os.write(2, f"resolvent scan process: {type(exc).__name__}: {exc}\n".encode())
+        finally:
+            os._exit(code)
+    os.close(write)
+    status = None
+    try:
+        with open(read, "rb") as pipe:
+            fill(0, middle)
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            import signal
 
-        for pid in pipes:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        raise
-    finally:
-        for pipe, _, _ in pipes.values():
-            pipe.close()
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0 or len(payload) != estimates[middle:].nbytes:
+        raise RuntimeError(
+            f"resolvent scan of grid points {middle} to {estimates.size - 1} failed in process"
+            f" {pid}: exit status {code}, {len(payload)} of {estimates[middle:].nbytes} bytes"
+        )
+    estimates[middle:] = np.frombuffer(payload)
 
 
 def scan_resolvent_growth(
@@ -709,11 +708,11 @@ def scan_resolvent_growth(
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
-    its own mu.  On Linux, a long grid's blocks are dealt out in contiguous
-    runs to up to one process per usable CPU (_scan_processes), forked
-    here; every block computes as it would alone, so the estimates are the
-    same bit for bit.  Fits log(norm) = log C + K*mu by least squares over
-    the finite estimates in this process.
+    its own mu.  On Linux with two usable CPUs or more, a long grid's
+    second half of blocks runs in a child forked here (_scan_forks); every
+    block computes as it would alone, so the estimates are the same bit for
+    bit.  Fits log(norm) = log C + K*mu by least squares over the finite
+    estimates in this process.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
@@ -721,14 +720,14 @@ def scan_resolvent_growth(
     # a block of frequencies at a time, each with its own probes
     block = max(1, _BLOCK_BYTES // (16 * max(probes_per_mu, 1) * mesh.nodes.size))
     fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block, estimates)
-    # dropped at once, before any fork, so the children inherit the allocator's
+    # dropped at once, before any fork, so a child inherits the allocator's
     # threshold too: see _ALLOCATOR_PRIME_BYTES
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
-    # one contiguous run of whole blocks per process
     n_blocks = -(-mu_grid.size // block)
-    processes = _scan_processes(n_blocks)
-    ends = [min(k * n_blocks // processes * block, mu_grid.size) for k in range(processes + 1)]
-    _fill_forked(fill, estimates, list(zip(ends, ends[1:])))
+    if _scan_forks(n_blocks):
+        _fill_split(fill, estimates, n_blocks // 2 * block)
+    else:
+        fill(0, mu_grid.size)
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

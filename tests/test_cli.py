@@ -845,11 +845,25 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert a == b
 
 
-def test_resolvent_scan_sweep_in_a_pool_matches_serial(tmp_path):
-    # 40 blocks per position: each scan would split in a process of its own,
-    # and runs serially in a pool worker
+def test_resolvent_scan_sweep_scans_serially_in_its_pool_workers(tmp_path, monkeypatch):
+    # each scan (5 blocks at 32 cells) splits when run here; a pool worker
+    # that forked would fail its row
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patches below only when forked")
+    fork = os.fork
+
+    def fork_outside_workers():
+        if multiprocessing.parent_process() is not None:
+            raise AssertionError("a sweep's pool worker forked")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_outside_workers)
+    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden",
-            "--set", "mu_max=120"]
+            "--set", "mu_max=120", "--set", "cells=32"]
     assert run(args + ["--out", tmp_path / "serial", "--set", "workers=1"]) == 0
     assert run(args + ["--out", tmp_path / "pool", "--set", "workers=2"]) == 0
     serial = (tmp_path / "serial" / "sweep_resolvent-scan.csv").read_text()
