@@ -1,22 +1,23 @@
 """Batch front end for the laboratory.
 
-Subcommands: classify | resolvent-scan | spectrum | carleman-verify |
-simulate | sweep.  Configuration comes from an optional flat key=value file
-plus repeatable --set KEY=VALUE overrides; a few common keys (--xi, --out,
---seed) have direct flags.  Reports are JSON with sorted keys, tables are
-CSV with a schema-version header comment, and every file is written
-atomically (temp file plus rename).  Outputs are byte-identical for
-identical (config, seed) on one platform; wall-clock goes to stderr only.
+One subcommand per task (COMMANDS), and a sweep of any of them over xi.
+Configuration comes from an optional flat key=value file plus repeatable
+--set KEY=VALUE overrides; a few common keys (--xi, --out, --seed) have
+direct flags.  Reports are JSON with sorted keys, tables are CSV with a
+schema-version header comment, and every file is written atomically (temp
+file plus rename).  Outputs are byte-identical for identical (config, seed)
+on one platform; wall-clock goes to stderr only.
 
 Exit codes: 0 success, 2 configuration error, 3 computation error.
 
-This module is the task-agnostic core: the configuration schemas and their
-checks, the report and CSV writers, the sweep, the parser and main.  Each
-subcommand lives in its own module, pointdamp.tasks.<name> (the command with
-"_" for "-"), which defines _check_<name>, run_<name>, write_<name> and
-_<name>_row and is imported on first use, so an invocation compiles the core
-and its own task only.  The tasks call write_csv and write_json_report
-through this module at each call, so replacing either here sees every file.
+This module is the task-agnostic core: the casters and limits that schemas
+are made of, config resolution, the report and CSV writers, the parser and
+main.  Each subcommand, the sweep included, lives in its own module,
+pointdamp.tasks.<name> (the command with "_" for "-"), which holds its keys
+and their limits and is imported on first use (see _task), so an invocation
+compiles the core and its own task only.  The tasks call write_csv and
+write_json_report through this module at each call, so replacing either here
+sees every file.
 """
 
 from __future__ import annotations
@@ -72,11 +73,9 @@ def _as_int(text) -> int:
         raise ConfigError(f"expected an integer, got {text!r}") from None
 
 
-def _as_str(text) -> str:
-    return str(text)
-
-
 _REQUIRED = object()
+# a key's text is cast by the type of its default; a required key is text
+_CASTERS = {bool: _as_bool, int: _as_int, float: _as_float}
 
 
 class Limit(NamedTuple):
@@ -116,120 +115,14 @@ finite_nonnegative = Limit("finite and nonnegative", lambda value: 0 <= value < 
 MAX_CELLS = 10**6
 MAX_SIM_STEPS = 10**8
 MAX_GRID_POINTS = 10**7
-MAX_SWEEP_POSITIONS = 10**4
-# a process pool starts all its workers at once, however few the jobs
-MAX_WORKERS = 32
-# lowest resolvent-scan frequency: D(mu) has a trivial zero at mu = 0, and
-# below ~1e-7 |D|^2 falls under the resonance floor, so a bounded resolvent
-# would read inf.  At golden and 512 cells the interface residuals are 7e-14
-# at 1e-3, 1.4e-12 at 1e-4 and 2e-10 at 1e-6
-SCAN_MU_MIN = 1e-3
-# lowest classify frequency: the exp_grid and poly_grid indicators share that
-# trivial zero, so below about one their infimum is the lobe around mu = 0,
-# whatever xi is (golden exp_grid: 1e-16 at mu_min = 1e-8, 0.011 at 0.1,
-# 0.38 at 0.5, 2.05 at 1)
-CLASSIFY_MU_MIN = 1.0
 
-_xi_list_length = Limit(
-    f"at most {MAX_SWEEP_POSITIONS} comma-separated positions",
-    lambda value: value.count(",") < MAX_SWEEP_POSITIONS,
-)
+# the subcommands, each the module pointdamp.tasks.<name> with "_" for "-"
+COMMANDS = ("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate", "sweep")
 
-# key -> (default, caster, Limit or None); _REQUIRED means the key must be provided.
-# The limits are checked right after casting, before any work starts.
-COMMAND_SCHEMAS: dict[str, dict] = {
-    "classify": {
-        "xi": (_REQUIRED, _as_str, None),
-        "depth": (40, _as_int, at_least(1)),
-        "rational_tol": (1e-12, _as_float, finite_nonnegative),
-        "quotient_overflow": (1e12, _as_float, all_of(finite, at_least(1))),
-        "constant_type_bound": (20, _as_int, None),
-        "mu_min": (1.0, _as_float, all_of(finite, at_least(CLASSIFY_MU_MIN))),
-        "mu_max": (500.0, _as_float, None),
-        "k1": (1.0, _as_float, finite_nonnegative),
-        "poly_eps": (1.0, _as_float, finite),
-        "trend_factor": (10.0, _as_float, positive),
-        "liouville_kappa": (0.2, _as_float, positive),
-        "liouville_m_max": (1000, _as_int, all_of(at_least(1), at_most(MAX_GRID_POINTS))),
-        "liouville_phi": ("identity", _as_str, None),
-        "keep_trace": (False, _as_bool, None),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-    "resolvent-scan": {
-        "xi": (_REQUIRED, _as_str, None),
-        "mu_min": (1.0, _as_float, all_of(finite, at_least(SCAN_MU_MIN))),
-        "mu_max": (60.0, _as_float, None),
-        "mu_step": (0.5, _as_float, finite_positive),
-        "probes": (4, _as_int, at_least(1)),
-        "cells": (512, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-    "spectrum": {
-        "xi": (_REQUIRED, _as_str, None),
-        "re_min": (0.5, _as_float, None),
-        "re_max": (50.0, _as_float, None),
-        "im_min": (-0.5, _as_float, None),
-        "im_max": (3.0, _as_float, None),
-        "tol": (1e-12, _as_float, nonnegative),
-        "real_tol": (1e-10, _as_float, finite_nonnegative),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-    "carleman-verify": {
-        "xi": (_REQUIRED, _as_str, None),
-        "side": ("both", _as_str, one_of("both", "left", "right")),
-        "weight": ("default", _as_str, None),
-        # the coarsest identity-check grid has cells // 4 cells, and its
-        # one-sided second-derivative stencil needs at least 3 of them
-        "cells": (2048, _as_int, all_of(at_least(12), at_most(MAX_CELLS))),
-        "n_samples": (50, _as_int, at_least(1)),
-        "n_modes": (8, _as_int, at_least(1)),
-        "h_min": (1e-3, _as_float, finite_positive),
-        "h_max": (1e-1, _as_float, finite_positive),
-        "h_count": (13, _as_int, at_least(1)),
-        "check_h": (0.05, _as_float, finite_positive),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-    "simulate": {
-        "xi": (_REQUIRED, _as_str, None),
-        "cells": (1000, _as_int, all_of(at_least(2), at_most(MAX_CELLS))),
-        "t_final": (200.0, _as_float, positive),
-        "dt": (0.0, _as_float, finite_nonnegative),  # 0 means the default, min spacing / 2
-        "sample_every": (100, _as_int, at_least(1)),
-        "damped": (True, _as_bool, None),
-        "initial": ("smooth_bump", _as_str, one_of("smooth_bump", "fourier_mode")),
-        "mode": (2, _as_int, at_least(1)),
-        "center": (math.nan, _as_float, None),  # NaN means the damped point
-        "width": (0.1, _as_float, positive),
-        "fit": (True, _as_bool, None),
-        "save_state": (True, _as_bool, None),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-    "sweep": {
-        "task": ("spectrum", _as_str,
-                 one_of("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate")),
-        "xi_min": (0.05, _as_float, None),
-        "xi_max": (0.95, _as_float, None),
-        "xi_count": (19, _as_int, all_of(at_least(1), at_most(MAX_SWEEP_POSITIONS))),
-        "xi_list": ("", _as_str, _xi_list_length),
-        "workers": (1, _as_int, all_of(at_least(1), at_most(MAX_WORKERS))),
-        "out": (".", _as_str, None),
-        "seed": (0, _as_int, nonnegative),
-    },
-}
-
-# lighter forwarded defaults so a default sweep finishes at desk scale
-_SWEEP_TASK_OVERRIDES = {
-    "simulate": {"cells": "300", "t_final": "50", "dt": "0.002", "sample_every": "100",
-                 "save_state": "false", "fit": "false"},
-    "carleman-verify": {"cells": "1024", "n_samples": "10"},
-    "resolvent-scan": {"mu_max": "40", "cells": "256"},
-    "classify": {"mu_max": "200", "keep_trace": "false"},
-}
+# the keys of every subcommand besides its module's SCHEMA, where each key
+# maps to (default, Limit or None) and a _REQUIRED default means the key must
+# be provided; the limits are checked right after casting, before any work
+COMMON_SCHEMA = {"out": (".", None), "seed": (0, nonnegative)}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -245,33 +138,36 @@ def load_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def _setting(key: str, spec: tuple, text: str | None):
-    """The value of one key: its default when text is None, else text cast and checked."""
-    default, caster, limit = spec
-    if text is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} (e.g. --xi or --set {key}=...)")
-        return default
-    value = caster(text)
-    if limit is not None and not limit.admits(value):
-        raise ConfigError(f"{key} must be {limit.text}, got {text!r}")
-    return value
+def _settings(schema: dict, raw: dict[str, str]) -> dict:
+    """The value of each key of the schema: its text in raw, cast and checked, else its default."""
+    cfg = {}
+    for key, (default, limit) in schema.items():
+        text = raw.get(key)
+        if text is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {key!r} (e.g. --xi or --set {key}=...)")
+            cfg[key] = default
+            continue
+        cfg[key] = _CASTERS.get(type(default), str)(text)
+        if limit is not None and not limit.admits(cfg[key]):
+            raise ConfigError(f"{key} must be {limit.text}, got {text!r}")
+    return cfg
 
 
 def resolve_config(command: str, raw: dict[str, str]) -> dict:
-    schema = COMMAND_SCHEMAS[command]
-    cfg = {key: _setting(key, spec, raw.get(key)) for key, spec in schema.items()}
+    """The command's settings from raw, each key cast and checked.
+
+    A command with a task key (the sweep) takes that task's own keys as well,
+    under the task's SWEEP_DEFAULTS, into task_config; xi, out and seed come
+    from the command itself.
+    """
+    schema = _task(command).SCHEMA | COMMON_SCHEMA
+    cfg = _settings(schema, raw)
     forwarded = {}
-    if command == "sweep":
-        # the swept task's own keys, under lighter defaults; xi, out and seed
-        # come from the sweep itself
-        lighter = _SWEEP_TASK_OVERRIDES.get(cfg["task"], {})
-        forwarded = {
-            key: _setting(key, spec, raw.get(key, lighter.get(key)))
-            for key, spec in COMMAND_SCHEMAS[cfg["task"]].items()
-            if key not in ("xi", "out", "seed")
-        }
-        cfg["task_config"] = forwarded
+    if "task" in cfg:
+        task = _task(cfg["task"])
+        forwarded = {key: spec for key, spec in task.SCHEMA.items() if key != "xi"}
+        cfg["task_config"] = _settings(forwarded, task.SWEEP_DEFAULTS | raw)
     unknown = set(raw) - set(schema) - set(forwarded)
     if unknown:
         raise ConfigError(f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
@@ -284,6 +180,28 @@ def _parse_xi(text: str):
         return parse_actuator_position(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad xi: {exc}") from None
+
+
+def _check_sizes(sizes: dict[str, int]) -> None:
+    """Refuse a config when an array it sizes, named by its formula, would pass MAX_GRID_POINTS."""
+    for formula, size in sizes.items():
+        if size > MAX_GRID_POINTS:
+            raise ConfigError(f"{formula} would exceed {MAX_GRID_POINTS}")
+
+
+def _task(command: str):
+    """The subcommand's module, imported on first use.
+
+    It defines SCHEMA; check, the checks across its keys, which run(cfg)
+    makes first; and write(cfg, result), which writes run's result.  A task
+    the sweep runs also defines USES_NUMPY, its lighter SWEEP_DEFAULTS and
+    row(result), and takes check(cfg, xi) at each position before any job.
+    """
+    # __import__ runs the import in C, which python -X importtime logs;
+    # importlib.import_module's pure-Python path goes unlisted
+    name = f"pointdamp.tasks.{command.replace('-', '_')}"
+    __import__(name)
+    return sys.modules[name]
 
 
 # ----------------------------------------------------------------------------
@@ -386,108 +304,13 @@ def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
     _write_atomic(path, _csv_lines(schema, columns, rows))
 
 
-# the tasks that compute without numpy; their reports carry no numpy version
-_NUMPY_FREE_TASKS = ("classify", "spectrum")
-
-
-def _report_skeleton(command: str, cfg: dict) -> dict:
-    echo = {k: v for k, v in cfg.items() if k != "task_config"}
+def _report_skeleton(command: str, cfg: dict, uses_numpy: bool) -> dict:
     versions = {"pointdamp": __version__}
-    if (cfg["task"] if command == "sweep" else command) not in _NUMPY_FREE_TASKS:
+    if uses_numpy:
         import numpy
 
         versions["numpy"] = numpy.__version__
-    return {"command": command, "config": _pyify(echo), "versions": versions}
-
-
-# ----------------------------------------------------------------------------
-# tasks
-# ----------------------------------------------------------------------------
-
-
-def _check_sizes(sizes: dict[str, int]) -> None:
-    """Refuse a config when an array it sizes, named by its formula, would pass MAX_GRID_POINTS."""
-    for formula, size in sizes.items():
-        if size > MAX_GRID_POINTS:
-            raise ConfigError(f"{formula} would exceed {MAX_GRID_POINTS}")
-
-
-def _task(command: str) -> tuple[Callable, Callable, Callable, Callable]:
-    """The task's (check, run, write, row) functions, its module imported on first use.
-
-    check(cfg, xi) makes the checks across the task's keys at one position,
-    which run(cfg) makes first and a sweep makes at every position before its
-    first job; write(cfg, result) writes the task's files from run's result
-    and row(result) picks its sweep row from it.
-    """
-    name = command.replace("-", "_")
-    # __import__ runs the import in C, which python -X importtime logs;
-    # importlib.import_module's pure-Python path goes unlisted
-    module_name = f"pointdamp.tasks.{name}"
-    __import__(module_name)
-    module = sys.modules[module_name]
-    return (getattr(module, f"_check_{name}"), getattr(module, f"run_{name}"),
-            getattr(module, f"write_{name}"), getattr(module, f"_{name}_row"))
-
-
-# ----------------------------------------------------------------------------
-# sweep
-# ----------------------------------------------------------------------------
-
-
-def _sweep_worker(job: tuple) -> tuple[float, dict]:
-    task, xi_value, task_cfg, seed = job
-    cfg = dict(task_cfg, xi=repr(xi_value), seed=seed)
-    _, run, _, row = _task(task)
-    return xi_value, row(run(cfg))
-
-
-def _linspace(start: float, stop: float, count: int) -> list[float]:
-    """count evenly spaced values from start to stop, bit for bit numpy.linspace's."""
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    return [i * step + start for i in range(count - 1)] + [stop]
-
-
-def cmd_sweep(cfg: dict) -> list[Path]:
-    task = cfg["task"]
-    if cfg["xi_list"].strip():
-        xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
-    else:
-        xi_values = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
-    check = _task(task)[0]
-    for v in xi_values:
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"sweep xi {v} outside (0,1)")
-        check(cfg["task_config"], v)
-
-    jobs = [(task, v, cfg["task_config"], cfg["seed"]) for v in xi_values]
-    workers = min(cfg["workers"], len(jobs))
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
-    else:
-        results = [_sweep_worker(job) for job in jobs]
-    results.sort(key=lambda pair: pair[0])
-
-    columns = ["xi"] + list(results[0][1].keys())
-    rows = [[v] + [summary[c] for c in columns[1:]] for v, summary in results]
-    out = Path(cfg["out"])
-    csv_path = out / f"sweep_{task}.csv"
-    write_csv(csv_path, f"sweep-{task}", columns, rows)
-    payload = _report_skeleton("sweep", cfg)
-    payload["config"]["task_config"] = _pyify(cfg["task_config"])
-    payload["result"] = {
-        "task": task,
-        "n_points": len(results),
-        "rows": [dict(summary, xi=v) for v, summary in results],
-    }
-    json_path = out / f"sweep_{task}.json"
-    write_json_report(json_path, payload)
-    return [csv_path, json_path]
+    return {"command": command, "config": _pyify(cfg), "versions": versions}
 
 
 # ----------------------------------------------------------------------------
@@ -500,17 +323,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical laboratory for a string damped at one interior point.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMAND_SCHEMAS:
+    for name in COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} task")
         p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument(
-            "--set",
-            action="append",
-            dest="overrides",
-            default=[],
-            metavar="KEY=VALUE",
-            help="override one configuration key (repeatable)",
-        )
+        p.add_argument("--set", action="append", dest="overrides", default=[], metavar="KEY=VALUE",
+                       help="override one configuration key (repeatable)")
         p.add_argument("--xi", help="actuator position: decimal, p/q, or 'golden'")
         p.add_argument("--out", help="output directory (default '.')")
         p.add_argument("--seed", type=int, help="seed for randomized probes/samples")
@@ -529,23 +346,17 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
-        if args.xi is not None:
-            raw["xi"] = args.xi
-        if args.out is not None:
-            raw["out"] = args.out
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
+        for key in ("xi", "out", "seed"):  # the keys with a flag of their own
+            if getattr(args, key) is not None:
+                raw[key] = str(getattr(args, key))
         cfg = resolve_config(args.command, raw)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        if args.command == "sweep":
-            paths = cmd_sweep(cfg)
-        else:
-            _, run, write, _ = _task(args.command)
-            paths = write(cfg, run(cfg))
+        task = _task(args.command)
+        paths = task.write(cfg, task.run(cfg))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -767,9 +767,13 @@ def _rect_corners(rect) -> np.ndarray:
     )
 
 
-def _winding_raw(
-    xi: float, rect, samples_per_unit: float = 4.0, max_passes: int = 48
-) -> int:
+# first-pass samples per unit length, bisection passes, and nudges off a root
+_WINDING_SAMPLES_PER_UNIT = 4.0
+_WINDING_MAX_PASSES = 48
+_WINDING_MAX_NUDGES = 8
+
+
+def _winding_raw(xi: float, rect) -> int:
     """Winding number of the characteristic function around a rectangle.
 
     Samples the boundary, then bisects every segment whose phase step
@@ -780,13 +784,13 @@ def _winding_raw(
     pts: list[complex] = []
     for i in range(4):
         a, b = corners[i], corners[(i + 1) % 4]
-        n = max(4, int(abs(b - a) * samples_per_unit))
+        n = max(4, int(abs(b - a) * _WINDING_SAMPLES_PER_UNIT))
         pts.extend(a + (b - a) * np.arange(n) / n)
     points = np.array(pts + [pts[0]], dtype=complex)
     values = characteristic_function(xi, points)
 
     scale = max(float(np.max(np.abs(values))), 1e-300)
-    for _ in range(max_passes):
+    for _ in range(_WINDING_MAX_PASSES):
         if np.min(np.abs(values)) < 1e-12 * scale:
             raise _BoundaryNearRoot
         dphi = np.angle(values[1:] / values[:-1])
@@ -803,12 +807,12 @@ def _winding_raw(
     raise ContourThroughRoot(f"phase did not settle on rectangle {rect}")
 
 
-def winding_number(xi: float, rect, max_nudges: int = 8) -> int:
+def winding_number(xi: float, rect) -> int:
     """Winding number with outward nudging when a root sits on the boundary."""
     re0, re1, im0, im1 = rect
     pad = 0.0
     step = 1e-9 * max(re1 - re0, im1 - im0)
-    for _ in range(max_nudges):
+    for _ in range(_WINDING_MAX_NUDGES):
         try:
             return _winding_raw(xi, (re0 - pad, re1 + pad, im0 - pad, im1 + pad))
         except _BoundaryNearRoot:

@@ -9,13 +9,31 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-# write_csv and write_json_report are looked up on cli at each call, so a
-# replacement there sees every file the task writes
-from .. import cli
-from ..cli import ConfigError, _check_sizes, _parse_xi, _report_skeleton
+from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from ..cli import (
+    _REQUIRED, MAX_CELLS, ConfigError, _check_sizes, _parse_xi, _report_skeleton, all_of,
+    at_least, at_most, finite_positive, one_of,
+)
+
+SCHEMA = {
+    "xi": (_REQUIRED, None),
+    "side": ("both", one_of("both", "left", "right")),
+    "weight": ("default", None),
+    # the coarsest identity-check grid has cells // 4 cells, and its
+    # one-sided second-derivative stencil needs at least 3 of them
+    "cells": (2048, all_of(at_least(12), at_most(MAX_CELLS))),
+    "n_samples": (50, at_least(1)),
+    "n_modes": (8, at_least(1)),
+    "h_min": (1e-3, finite_positive),
+    "h_max": (1e-1, finite_positive),
+    "h_count": (13, at_least(1)),
+    "check_h": (0.05, finite_positive),
+}
+SWEEP_DEFAULTS = {"cells": "1024", "n_samples": "10"}
+USES_NUMPY = True
 
 
-def _check_carleman_verify(cfg: dict, xi: float) -> float | None:
+def check(cfg: dict, xi: float) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
     # the basis on the grid, the forms of every h once paired into real
     # 2m x 2m blocks, and the (n_samples, h_count) results and CSV rows
@@ -67,9 +85,9 @@ def _verify_carleman_side(
 
     from .. import carleman
 
-    check = carleman.validate_weight(weight, side)
-    if not check.ok:
-        raise ValueError(f"{side} weight inadmissible: {'; '.join(check.violations)}")
+    admissible = carleman.validate_weight(weight, side)
+    if not admissible.ok:
+        raise ValueError(f"{side} weight inadmissible: {'; '.join(admissible.violations)}")
     interval = (weight.a, weight.b)
     cells = cfg["cells"]
     h_ref = cfg["check_h"]
@@ -120,18 +138,18 @@ def _verify_carleman_side(
     return checks, estimate
 
 
-def run_carleman_verify(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
+def run(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
     value, _ = _parse_xi(cfg["xi"])
-    beta = _check_carleman_verify(cfg, value)
+    beta = check(cfg, value)
     return {
         side: _verify_carleman_side(cfg, side, weight)
         for side, weight in _carleman_weights(cfg, value, beta).items()
     }
 
 
-def write_carleman_verify(cfg: dict, sides: dict) -> list[Path]:
-    payload = _report_skeleton("carleman-verify", cfg)
+def write(cfg: dict, sides: dict) -> list[Path]:
+    payload = _report_skeleton("carleman-verify", cfg, USES_NUMPY)
     payload["result"] = {}
     rows: list[tuple] = []
     for side, (checks, estimate) in sides.items():
@@ -155,9 +173,9 @@ def write_carleman_verify(cfg: dict, sides: dict) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _carleman_verify_row(sides: dict) -> dict:
-    row: dict = {}
+def row(sides: dict) -> dict:
+    summary: dict = {}
     for side, (_, estimate) in sides.items():
-        row[f"c_hat_{side}"] = estimate.c_hat
-        row[f"h0_hat_{side}"] = estimate.h0_hat
-    return row
+        summary[f"c_hat_{side}"] = estimate.c_hat
+        summary[f"h0_hat_{side}"] = estimate.h0_hat
+    return summary

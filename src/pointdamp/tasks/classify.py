@@ -8,12 +8,37 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Callable
 
-# write_csv and write_json_report are looked up on cli at each call, so a
-# replacement there sees every file the task writes
-from .. import cli
-from ..cli import MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton
+from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from ..cli import (
+    _REQUIRED, MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton, all_of, at_least,
+    at_most, finite, finite_nonnegative, positive,
+)
+
+# lowest classify frequency: the exp_grid and poly_grid indicators share the
+# trivial zero D(0) = 0, so below about one their infimum is the lobe around
+# mu = 0, whatever xi is (golden exp_grid: 1e-16 at mu_min = 1e-8, 0.011 at
+# 0.1, 0.38 at 0.5, 2.05 at 1)
+MU_MIN = 1.0
+
+SCHEMA = {
+    "xi": (_REQUIRED, None),
+    "depth": (40, at_least(1)),
+    "rational_tol": (1e-12, finite_nonnegative),
+    "quotient_overflow": (1e12, all_of(finite, at_least(1))),
+    "constant_type_bound": (20, None),
+    "mu_min": (1.0, all_of(finite, at_least(MU_MIN))),
+    "mu_max": (500.0, None),
+    "k1": (1.0, finite_nonnegative),
+    "poly_eps": (1.0, finite),
+    "trend_factor": (10.0, positive),
+    "liouville_kappa": (0.2, positive),
+    "liouville_m_max": (1000, all_of(at_least(1), at_most(MAX_GRID_POINTS))),
+    "liouville_phi": ("identity", None),
+    "keep_trace": (False, None),
+}
+SWEEP_DEFAULTS = {"mu_max": "200"}
+USES_NUMPY = False
 
 
 def _condition_dict(report: diophantine.ConditionReport) -> dict:
@@ -28,36 +53,34 @@ def _condition_dict(report: diophantine.ConditionReport) -> dict:
 
 
 def _growth_from_text(text: str) -> diophantine.GrowthFunction:
-    from .. import diophantine
-
+    """The growth function liouville_phi names, read before the arithmetic layer loads."""
     name, _, params = text.partition(":")
     name = name.strip().lower()
     if name == "identity":
-        return diophantine.GrowthFunction.identity()
-    if name == "power_log":
+        args = ()
+    elif name == "power_log":
         try:
             alpha, eps = (float(p) for p in params.split(","))
         except ValueError:
             raise ConfigError("power_log needs parameters alpha,eps") from None
-        return _growth(diophantine.GrowthFunction.power_log, alpha, eps)
-    if name == "exponential":
+        args = (alpha, eps)
+    elif name == "exponential":
         try:
-            beta = float(params)
+            args = (float(params),)
         except ValueError:
             raise ConfigError("exponential needs a parameter beta") from None
-        return _growth(diophantine.GrowthFunction.exponential, beta)
-    raise ConfigError(f"unknown growth function {text!r}")
+    else:
+        raise ConfigError(f"unknown growth function {text!r}")
+    from .. import diophantine
 
-
-def _growth(make: Callable, *params: float) -> diophantine.GrowthFunction:
-    """make(*params), a parameter that would make phi decrease being a configuration error."""
+    # a parameter that would make phi decrease is a configuration error
     try:
-        return make(*params)
+        return getattr(diophantine.GrowthFunction, name)(*args)
     except ValueError as exc:
         raise ConfigError(f"liouville_phi: {exc}") from None
 
 
-def _check_classify(cfg: dict, xi: float) -> diophantine.GrowthFunction:
+def check(cfg: dict, xi: float) -> diophantine.GrowthFunction:
     """The Liouville weight phi, once the mu range is known to be admissible."""
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
@@ -67,10 +90,10 @@ def _check_classify(cfg: dict, xi: float) -> diophantine.GrowthFunction:
     return _growth_from_text(cfg["liouville_phi"])
 
 
-def run_classify(cfg: dict):
+def run(cfg: dict):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
     value, exact = _parse_xi(cfg["xi"])
-    phi = _check_classify(cfg, value)
+    phi = check(cfg, value)
     from .. import diophantine
 
     settings = diophantine.ClassifySettings(
@@ -89,12 +112,12 @@ def run_classify(cfg: dict):
     return classification, cos_rep, liou_rep, exact
 
 
-def write_classify(cfg: dict, result) -> list[Path]:
+def write(cfg: dict, result) -> list[Path]:
     classification, cos_rep, liou_rep, exact = result
     out = Path(cfg["out"])
     cf = classification.continued_fraction
     grid_reps = {"exp": classification.exp_grid, "poly": classification.poly_grid, "cos": cos_rep}
-    payload = _report_skeleton("classify", cfg)
+    payload = _report_skeleton("classify", cfg, USES_NUMPY)
     payload["result"] = {
         "xi": classification.xi,
         "exact_form": exact,
@@ -125,7 +148,7 @@ def write_classify(cfg: dict, result) -> list[Path]:
     return paths
 
 
-def _classify_row(result) -> dict:
+def row(result) -> dict:
     cls = result[0]
     return {
         "is_rational": cls.is_rational,

@@ -9,14 +9,32 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-# write_csv and write_json_report are looked up on cli at each call, so a
-# replacement there sees every file the task writes
-from .. import cli
-from ..cli import MAX_GRID_POINTS, ConfigError, _check_sizes, _parse_xi, _report_skeleton
+from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from ..cli import (
+    _REQUIRED, MAX_CELLS, MAX_GRID_POINTS, ConfigError, _check_sizes, _parse_xi,
+    _report_skeleton, all_of, at_least, at_most, finite, finite_positive,
+)
 from ..inputs import default_mu_grid
 
+# lowest resolvent-scan frequency: D(mu) has a trivial zero at mu = 0, and
+# below ~1e-7 |D|^2 falls under the resonance floor, so a bounded resolvent
+# would read inf.  At golden and 512 cells the interface residuals are 7e-14
+# at 1e-3, 1.4e-12 at 1e-4 and 2e-10 at 1e-6
+MU_MIN = 1e-3
 
-def _check_resolvent_scan(cfg: dict, xi: float) -> tuple[float, float, float]:
+SCHEMA = {
+    "xi": (_REQUIRED, None),
+    "mu_min": (1.0, all_of(finite, at_least(MU_MIN))),
+    "mu_max": (60.0, None),
+    "mu_step": (0.5, finite_positive),
+    "probes": (4, at_least(1)),
+    "cells": (512, all_of(at_least(2), at_most(MAX_CELLS))),
+}
+SWEEP_DEFAULTS = {"mu_max": "40", "cells": "256"}
+USES_NUMPY = True
+
+
+def check(cfg: dict, xi: float) -> tuple[float, float, float]:
     """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
@@ -27,9 +45,9 @@ def _check_resolvent_scan(cfg: dict, xi: float) -> tuple[float, float, float]:
     return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
 
 
-def run_resolvent_scan(cfg: dict) -> frequency.ScanResult:
+def run(cfg: dict) -> frequency.ScanResult:
     value, _ = _parse_xi(cfg["xi"])
-    grid_args = _check_resolvent_scan(cfg, value)
+    grid_args = check(cfg, value)
     from .. import frequency
 
     return frequency.scan_resolvent_growth(
@@ -48,7 +66,7 @@ def _max_finite_norm(scan: frequency.ScanResult) -> float | None:
     return float(np.max(finite)) if finite.size else None
 
 
-def write_resolvent_scan(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
+def write(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
     out = Path(cfg["out"])
     csv_path = out / "resolvent_scan.csv"
     cli.write_csv(
@@ -57,7 +75,7 @@ def write_resolvent_scan(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
         ["mu", "norm_estimate"],
         zip(scan.mu, scan.norm_estimate),
     )
-    payload = _report_skeleton("resolvent-scan", cfg)
+    payload = _report_skeleton("resolvent-scan", cfg, USES_NUMPY)
     payload["result"] = {
         "growth_constant": scan.growth_constant,
         "growth_rate": scan.growth_rate,
@@ -71,7 +89,7 @@ def write_resolvent_scan(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _resolvent_scan_row(scan: frequency.ScanResult) -> dict:
+def row(scan: frequency.ScanResult) -> dict:
     max_norm = _max_finite_norm(scan)
     return {
         "growth_rate": scan.growth_rate,

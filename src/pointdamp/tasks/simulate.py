@@ -9,13 +9,33 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-# write_csv and write_json_report are looked up on cli at each call, so a
-# replacement there sees every file the task writes
-from .. import cli
-from ..cli import MAX_SIM_STEPS, ConfigError, _parse_xi, _report_skeleton
+from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from ..cli import (
+    _REQUIRED, MAX_CELLS, MAX_SIM_STEPS, ConfigError, _parse_xi, _report_skeleton, all_of,
+    at_least, at_most, finite_nonnegative, one_of, positive,
+)
+
+SCHEMA = {
+    "xi": (_REQUIRED, None),
+    "cells": (1000, all_of(at_least(2), at_most(MAX_CELLS))),
+    "t_final": (200.0, positive),
+    "dt": (0.0, finite_nonnegative),  # 0 means the default, min spacing / 2
+    "sample_every": (100, at_least(1)),
+    "damped": (True, None),
+    "initial": ("smooth_bump", one_of("smooth_bump", "fourier_mode")),
+    "mode": (2, at_least(1)),
+    "center": (math.nan, None),  # NaN means the damped point
+    "width": (0.1, positive),
+    "fit": (True, None),
+    "save_state": (True, None),
+}
+# lighter than the defaults, so a default sweep finishes at desk scale
+SWEEP_DEFAULTS = {"cells": "300", "t_final": "50", "dt": "0.002", "save_state": "false",
+                  "fit": "false"}
+USES_NUMPY = True
 
 
-def _check_simulate(cfg: dict, xi: float) -> float:
+def check(cfg: dict, xi: float) -> float:
     """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
     # dt = 0 means half the smaller mesh spacing, the simulator's default
     dt = cfg["dt"] or min(xi, 1.0 - xi) / cfg["cells"] / 2.0
@@ -24,14 +44,14 @@ def _check_simulate(cfg: dict, xi: float) -> float:
     return dt
 
 
-def run_simulate(cfg: dict):
+def run(cfg: dict):
     """Returns (final state, energy trace, fits).
 
     fits is None when fitting is off, and the InsufficientData raised when the
     trace has too few usable samples.
     """
     value, _ = _parse_xi(cfg["xi"])
-    dt = _check_simulate(cfg, value)
+    dt = check(cfg, value)
     from .. import decayfit, simulator
     from ..mesh import build_mesh
 
@@ -52,7 +72,7 @@ def run_simulate(cfg: dict):
     return final, trace, fits
 
 
-def write_simulate(cfg: dict, result) -> list[Path]:
+def write(cfg: dict, result) -> list[Path]:
     from .. import decayfit
 
     final, trace, fits = result
@@ -79,11 +99,11 @@ def write_simulate(cfg: dict, result) -> list[Path]:
         )
         paths.append(p)
 
-    payload = _report_skeleton("simulate", cfg)
+    payload = _report_skeleton("simulate", cfg, USES_NUMPY)
     payload["result"] = {
         "dt": trace.dt,
         "n_steps": int(trace.damping_power.size),
-        **_simulate_row(result),
+        **row(result),
     }
     if isinstance(fits, decayfit.InsufficientData):
         payload["result"]["fits"] = None
@@ -105,7 +125,7 @@ def write_simulate(cfg: dict, result) -> list[Path]:
     return paths
 
 
-def _simulate_row(result) -> dict:
+def row(result) -> dict:
     from .. import simulator
 
     trace = result[1]

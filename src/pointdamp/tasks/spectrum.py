@@ -9,17 +9,30 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-# write_csv and write_json_report are looked up on cli at each call, so a
-# replacement there sees every file the task writes
-from .. import cli
-from ..cli import MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton
+from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from ..cli import (
+    _REQUIRED, MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton, finite_nonnegative,
+    nonnegative,
+)
+
+SCHEMA = {
+    "xi": (_REQUIRED, None),
+    "re_min": (0.5, None),
+    "re_max": (50.0, None),
+    "im_min": (-0.5, None),
+    "im_max": (3.0, None),
+    "tol": (1e-12, nonnegative),
+    "real_tol": (1e-10, finite_nonnegative),
+}
+SWEEP_DEFAULTS: dict[str, str] = {}
+USES_NUMPY = False
 
 
 def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
     return cfg["re_min"], cfg["re_max"], cfg["im_min"], cfg["im_max"]
 
 
-def _check_spectrum(cfg: dict, xi: float) -> tuple[float, float, float, float]:
+def check(cfg: dict, xi: float) -> tuple[float, float, float, float]:
     """The configured rectangle, refused when degenerate or too wide."""
     re0, re1, im0, im1 = rect = _rectangle(cfg)
     if not (re1 > re0 and im1 > im0):
@@ -32,17 +45,17 @@ def _check_spectrum(cfg: dict, xi: float) -> tuple[float, float, float, float]:
     return rect
 
 
-def run_spectrum(cfg: dict):
+def run(cfg: dict):
     """Returns (roots in the configured rectangle, their spectral abscissa)."""
     value, _ = _parse_xi(cfg["xi"])
-    rect = _check_spectrum(cfg, value)
+    rect = check(cfg, value)
     from .. import characteristic
 
     roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
     return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
 
 
-def write_spectrum(cfg: dict, result) -> list[Path]:
+def write(cfg: dict, result) -> list[Path]:
     roots, abscissa = result
     out = Path(cfg["out"])
     csv_path = out / "spectrum.csv"
@@ -52,7 +65,7 @@ def write_spectrum(cfg: dict, result) -> list[Path]:
         ["re_z", "im_z", "residual", "multiplicity"],
         ((r.z.real, r.z.imag, r.residual, r.multiplicity) for r in roots),
     )
-    payload = _report_skeleton("spectrum", cfg)
+    payload = _report_skeleton("spectrum", cfg, USES_NUMPY)
     payload["result"] = {
         "rectangle": list(_rectangle(cfg)),
         "n_roots": len(roots),
@@ -65,7 +78,7 @@ def write_spectrum(cfg: dict, result) -> list[Path]:
     return [csv_path, json_path]
 
 
-def _spectrum_row(result) -> dict:
+def row(result) -> dict:
     roots, abscissa = result
     return {
         "n_roots": len(roots),

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,9 +14,13 @@ import pytest
 
 import pointdamp
 from pointdamp import characteristic, diophantine, frequency
-from pointdamp import cli
-from pointdamp.cli import COMMAND_SCHEMAS, ConfigError, _linspace, main, resolve_config
+from pointdamp import cli, tasks
+from pointdamp.cli import COMMANDS, COMMON_SCHEMA, ConfigError, main, resolve_config
 from pointdamp.mesh import build_mesh
+from pointdamp.tasks import sweep
+from pointdamp.tasks.sweep import _linspace
+
+from report_digests import INVOCATIONS, digests
 
 
 def run(args):
@@ -42,6 +47,11 @@ def run_interpreter(*args):
 def run_python(code):
     """Run code in a fresh interpreter that imports pointdamp from this tree."""
     return run_interpreter("-c", code)
+
+
+def schema(command):
+    """Every key the command takes, from its task module and the core."""
+    return cli._task(command).SCHEMA | COMMON_SCHEMA
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -97,8 +107,8 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     for layer in ("frequency", "carleman", "simulator", "mesh"):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
     assert "'numpy'" not in done.stdout
-    # each task loads its own module, alone or swept, and no other
-    assert task_modules(done.stdout) == {"classify"}
+    # each task loads its own module, alone or swept (with the sweep's), and no other
+    assert task_modules(done.stdout) == {"classify", "sweep"}
     assert (tmp_path / "b" / "classify_trace_liouville.csv").exists()
     report = json.loads((tmp_path / "b" / "classify_report.json").read_text())
     assert report["result"]["exact_form"] == "2/5"
@@ -126,7 +136,7 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh", "pointdamp.diophantine",
                    "dataclasses", "inspect"):
         assert f"'{module}'" not in loaded, module
-    assert task_modules(loaded) == {"spectrum"}
+    assert task_modules(loaded) == {"spectrum", "sweep"}
     assert (tmp_path / "run4" / "sweep_spectrum.csv").exists()
 
 
@@ -164,6 +174,25 @@ def test_importtime_lists_the_task_module(tmp_path):
                            "--set", "re_max=12", "--out", tmp_path)
     assert done.returncode == 0, done.stderr
     assert re.search(r"\| +pointdamp\.tasks\.spectrum$", done.stderr, re.M)
+
+def test_bad_growth_function_loads_no_arithmetic(tmp_path):
+    # a liouville_phi that names no growth function, or lacks its parameters,
+    # is refused before the arithmetic layer loads
+    runs = [["classify", "--xi", "golden", "--set", f"liouville_phi={phi}"]
+            for phi in ("bogus", "power_log:1", "exponential:x")]
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"print([main(args + ['--out', {str(tmp_path)!r}]) for args in {runs!r}])\n"
+        "print(sorted(sys.modules))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = done.stdout.splitlines()[-2:]
+    assert codes == str([2] * len(runs))
+    for module in ARITHMETIC:
+        assert f"'{module}'" not in loaded, module
+    assert not list(tmp_path.iterdir())
+
 
 # one configuration error per subcommand, each found after the config is resolved
 EXIT_2_RUNS = [
@@ -343,7 +372,7 @@ def test_classify_rational_cosine_resonances(tmp_path, xi, verdict):
 def test_classify_settings_are_config_keys_echoed_in_the_report(tmp_path):
     # a report's config echo rebuilds the settings its checks ran with
     fields = diophantine.ClassifySettings.__dataclass_fields__
-    assert set(fields) <= set(COMMAND_SCHEMAS["classify"])
+    assert set(fields) <= set(schema("classify"))
     args = ["classify", "--xi", "golden", "--out", tmp_path,
             "--set", "mu_max=80", "--set", "k1=0.5", "--set", "depth=12"]
     assert run(args) == 0
@@ -379,6 +408,8 @@ def test_unknown_key_is_config_error(tmp_path):
     assert run([
         "classify", "--xi", "0.5", "--out", tmp_path, "--set", "no_such_key=1",
     ]) == 2
+    # the sweep's resolved task_config is no key a user may set
+    assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
 
 
 def test_malformed_set_is_config_error(tmp_path):
@@ -394,7 +425,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["classify", "--set", "mu_min=0"],
-    # inside the lobe of the trivial zero D(0) = 0 (CLASSIFY_MU_MIN)
+    # inside the lobe of the trivial zero D(0) = 0 (classify.MU_MIN)
     ["classify", "--set", "mu_min=0.5"],
     ["classify", "--set", "mu_min=1e-8"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "mu_min=0.5"],
@@ -506,9 +537,29 @@ def _readme_key_tables():
 def test_readme_key_tables_match_schemas():
     common = {"xi", "out", "seed"}
     tables = _readme_key_tables()
-    assert set(tables) == set(COMMAND_SCHEMAS)
-    for command, schema in COMMAND_SCHEMAS.items():
-        assert tables[command] - common == set(schema) - common, command
+    assert set(tables) == set(COMMANDS)
+    for command in COMMANDS:
+        assert tables[command] - common == set(schema(command)) - common, command
+
+
+def test_commands_are_the_task_modules():
+    # each subcommand is one module of pointdamp.tasks, imported by name
+    modules = {info.name for info in pkgutil.iter_modules(tasks.__path__)}
+    assert modules == {command.replace("-", "_") for command in COMMANDS}
+    for command in COMMANDS:
+        task = cli._task(command)
+        assert all(callable(getattr(task, name)) for name in ("check", "run", "write")), command
+        assert not set(task.SCHEMA) & set(COMMON_SCHEMA), command
+    # the sweep runs every other command, each through the same protocol
+    swept = [command for command in COMMANDS if command != "sweep"]
+    assert sweep.SCHEMA["task"][1].text == f"one of {', '.join(swept)}"
+    for command in swept:
+        task = cli._task(command)
+        assert callable(task.row) and isinstance(task.USES_NUMPY, bool), command
+        assert set(task.SWEEP_DEFAULTS) <= set(task.SCHEMA) - {"xi"}, command
+        for key, text in task.SWEEP_DEFAULTS.items():
+            # a sweep default that equals the task's own default is redundant
+            assert resolve_config(command, {"xi": "golden", key: text})[key] != task.SCHEMA[key][0]
 
 
 class _ReadRecorder(dict):
@@ -540,12 +591,9 @@ KEY_READ_RUNS = [
 def test_every_config_key_is_read_by_its_task(tmp_path):
     for i, (command, raw, unread) in enumerate(KEY_READ_RUNS):
         cfg = _ReadRecorder(resolve_config(command, dict(raw, out=str(tmp_path / str(i)))))
-        if command == "sweep":
-            cli.cmd_sweep(cfg)
-        else:
-            _, run_task, write, _ = cli._task(command)
-            write(cfg, run_task(cfg))
-        assert set(COMMAND_SCHEMAS[command]) - cfg.read == unread, command
+        task = cli._task(command)
+        task.write(cfg, task.run(cfg))
+        assert set(schema(command)) - cfg.read == unread, command
 
 
 def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
@@ -882,15 +930,16 @@ def test_sweep_bad_xi_list_is_config_error(tmp_path):
 
 def test_sweep_workers_have_a_ceiling():
     # checked while the config resolves, so a larger pool is never started
-    assert cli.MAX_WORKERS >= 4
-    assert resolve_config("sweep", {"workers": str(cli.MAX_WORKERS)})["workers"] == cli.MAX_WORKERS
-    for workers in (cli.MAX_WORKERS + 1, 100_000):
+    assert sweep.MAX_WORKERS >= 4
+    limit = sweep.MAX_WORKERS
+    assert resolve_config("sweep", {"workers": str(limit)})["workers"] == limit
+    for workers in (limit + 1, 100_000):
         with pytest.raises(ConfigError, match="workers"):
             resolve_config("sweep", {"workers": str(workers)})
 
 
 def test_sweep_position_counts_have_a_ceiling():
-    limit = cli.MAX_SWEEP_POSITIONS
+    limit = sweep.MAX_SWEEP_POSITIONS
     resolve_config("sweep", {"xi_count": str(limit), "xi_list": ",".join(["0.5"] * limit)})
     for raw in ({"xi_count": str(limit + 1)}, {"xi_list": ",".join(["0.5"] * (limit + 1))}):
         with pytest.raises(ConfigError, match=next(iter(raw))):
@@ -970,6 +1019,28 @@ def test_reports_are_deterministic(tmp_path, args):
     assert len(first) >= 2
     assert run(args) == 0
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
+
+def test_report_digests_repeat(tmp_path):
+    invocations = [
+        ["spectrum", "--xi", "golden", "--set", "re_max=12", "--seed", "3"],
+        ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,1/2", "--set", "cells=20",
+         "--set", "t_final=0.5"],
+    ]
+    first = digests(tmp_path / "a", invocations)
+    assert len(first) == 4
+    assert digests(tmp_path / "b", invocations) == first
+
+
+def test_report_digest_invocations_resolve():
+    # the fixed list stays valid as the schemas change
+    parser = cli._build_parser()
+    for args in INVOCATIONS:
+        parsed = parser.parse_args(args)
+        raw = dict(item.split("=", 1) for item in parsed.overrides)
+        if parsed.xi is not None:
+            raw["xi"] = parsed.xi
+        resolve_config(parsed.command, raw)
 
 
 def test_no_temp_files_left_behind(tmp_path):
