@@ -38,8 +38,6 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .inputs import parse_actuator_position
 
-CSV_SCHEMA_VERSION = 1
-
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration."""
@@ -288,20 +286,21 @@ def _csv_chunk(chunk: list) -> str:
     return template % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
-def _csv_lines(schema: str, columns: list[str], rows):
-    yield f"# pointdamp-csv schema={schema} version={CSV_SCHEMA_VERSION}\n"
+def _csv_lines(schema: str, version: int, columns: list[str], rows):
+    yield f"# pointdamp-csv schema={schema} version={version}\n"
     yield ",".join(columns) + "\n"
     rows = iter(rows)
     while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK_ROWS))):
         yield _csv_chunk(chunk)
 
 
-def write_csv(path: Path, schema: str, columns: list[str], rows) -> None:
+def write_csv(path: Path, schema: str, columns: list[str], rows, *, version: int = 1) -> None:
     """Stream the rows to the file a chunk at a time, under a schema comment.
 
+    Each schema carries its own version, raised when its columns change.
     Every cell reads as _csv_cell writes it.
     """
-    _write_atomic(path, _csv_lines(schema, columns, rows))
+    _write_atomic(path, _csv_lines(schema, version, columns, rows))
 
 
 def _report_skeleton(command: str, cfg: dict, uses_numpy: bool) -> dict:

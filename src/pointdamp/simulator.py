@@ -130,8 +130,8 @@ def energy(state: WaveState) -> float:
 class EnergyTrace:
     """Sampled energies plus the per-step damping power record.
 
-    damping_times sit at step midpoints; damping_power is the squared
-    midpoint interface velocity, so its midpoint-rule integral matches the
+    damping_power[k] is the squared interface velocity at the midpoint of
+    step k, time t0 + (k + 1/2) dt, so its midpoint-rule integral matches the
     energy drop exactly.  sample_steps maps each energy sample to the number
     of completed steps, aligning the two records.
     """
@@ -139,13 +139,15 @@ class EnergyTrace:
     dt: float
     times: np.ndarray
     energies: np.ndarray
-    damping_times: np.ndarray
     damping_power: np.ndarray
     sample_steps: np.ndarray
 
     def dissipated_at_samples(self) -> np.ndarray:
         """Dissipated energy up to each energy sample, by the midpoint rule."""
-        cumulative = np.concatenate(([0.0], np.cumsum(self.damping_power))) * self.dt
+        # concatenate(([0.0], cumsum(power))) * dt, bit for bit, in one array
+        cumulative = np.zeros(self.damping_power.size + 1)
+        np.cumsum(self.damping_power, out=cumulative[1:])
+        cumulative *= self.dt
         return cumulative[self.sample_steps]
 
 
@@ -219,7 +221,6 @@ def simulate(
             dt=dt,
             times=np.array([state.t]),
             energies=np.array([energy(state)]),
-            damping_times=np.empty(0),
             damping_power=np.empty(0),
             sample_steps=np.array([0]),
         )
@@ -299,7 +300,6 @@ def simulate(
 
     energies = [energy(state)]
     sample_steps = [0]
-    damping_times = t0 + (np.arange(n_steps) + 0.5) * dt
     interface_velocity = np.empty(n_steps)
 
     for k0 in range(0, n_steps, L):
@@ -337,7 +337,10 @@ def simulate(
                 energies.append(modes + kinetic + (0.5 * sigma * u_s - q_now) * u_s)
                 sample_steps.append(k0 + stop)
         u_i, p_i = u_list[steps], p_list[steps]
-    damping_power = interface_velocity**2 if damped else np.zeros(n_steps)
+    if damped:  # squared in place: the velocities are not kept
+        damping_power = np.square(interface_velocity, out=interface_velocity)
+    else:
+        damping_power = np.zeros(n_steps)
 
     z = zeta * forcing
     u = np.zeros_like(state.u)
@@ -353,7 +356,6 @@ def simulate(
         dt=dt,
         times=t0 + sample_steps * dt,
         energies=np.asarray(energies),
-        damping_times=damping_times,
         damping_power=damping_power,
         sample_steps=sample_steps,
     )

@@ -87,10 +87,9 @@ def write(cfg: dict, result) -> list[Path]:
         zip(trace.times, trace.energies, trace.dissipated_at_samples()),
     )
     paths.append(p)
+    # one row per step k, at its midpoint t = (k + 1/2) dt with the report's dt
     p = out / "damping_record.csv"
-    cli.write_csv(
-        p, "damping-record", ["t", "power"], zip(trace.damping_times, trace.damping_power)
-    )
+    cli.write_csv(p, "damping-record", ["power"], zip(trace.damping_power), version=2)
     paths.append(p)
     if cfg["save_state"]:
         p = out / "final_state.csv"

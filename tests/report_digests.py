@@ -2,9 +2,10 @@
 
 Runs each invocation in this process through ``pointdamp.cli.main``, with a
 relative ``--out`` (``run00``, ``run01``, ...) under one directory, since the
-reports echo their ``--out``; then prints ``sha256  path`` for every file
-written, paths relative to that directory, in sorted order.  Two trees whose
-reports and tables are byte-identical print the same lines:
+reports echo their ``--out``; then prints ``sha256  bytes  path`` for every
+file written, paths relative to that directory, in sorted order.  Two trees
+whose reports and tables are byte-identical print the same lines, and where
+they differ the sizes show by how much:
 
     PYTHONPATH=src python3 tests/report_digests.py DIRECTORY > digests.txt
 
@@ -39,7 +40,7 @@ INVOCATIONS = (
 
 
 def digests(directory: Path, invocations: list[list[str]]) -> list[str]:
-    """Run each invocation with --out runNN inside directory; "sha256  path" of each file."""
+    """Run each invocation with --out runNN inside directory; a line per file written."""
     from pointdamp.cli import main
 
     directory = Path(directory)
@@ -53,11 +54,13 @@ def digests(directory: Path, invocations: list[list[str]]) -> list[str]:
                 raise RuntimeError(f"exit {code}: {' '.join(args)}")
     finally:
         os.chdir(cwd)
-    return [
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(directory)}"
-        for path in sorted(directory.rglob("*"))
-        if path.is_file()
-    ]
+    lines = []
+    for path in sorted(directory.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            digest = hashlib.sha256(data).hexdigest()
+            lines.append(f"{digest}  {len(data)}  {path.relative_to(directory)}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -602,9 +602,9 @@ def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
     written = []
 
     def recording(writer):
-        def record(path, *args):
+        def record(path, *args, **kwargs):
             written.append(Path(path))
-            writer(path, *args)
+            writer(path, *args, **kwargs)
 
         return record
 
@@ -736,9 +736,29 @@ def test_simulate_produces_monotone_energies(tmp_path):
     assert report["result"]["energy_final"] < report["result"]["energy_initial"]
     assert (tmp_path / "final_state.csv").exists()
     schema, columns, rows = read_csv(tmp_path / "damping_record.csv")
-    assert schema == "# pointdamp-csv schema=damping-record version=1"
-    assert columns == ["t", "power"]
+    assert schema == "# pointdamp-csv schema=damping-record version=2"
+    assert columns == ["power"]
     assert len(rows) == report["result"]["n_steps"]
+
+
+def test_damping_record_and_dt_reproduce_the_dissipated_column(tmp_path):
+    # the record has no time column: row k is the midpoint (k + 1/2) dt of step k
+    assert run([
+        "simulate", "--xi", "golden", "--out", tmp_path,
+        "--set", "cells=150", "--set", "t_final=5", "--set", "dt=0.002",
+        "--set", "sample_every=50", "--set", "fit=false",
+    ]) == 0
+    result = json.loads((tmp_path / "simulate_report.json").read_text())["result"]
+    schema, columns, rows = read_csv(tmp_path / "damping_record.csv")
+    assert (schema, columns) == ("# pointdamp-csv schema=damping-record version=2", ["power"])
+    assert len(rows) == result["n_steps"]
+    power = np.array([float(cell) for (cell,) in rows])
+    _, _, samples = read_csv(tmp_path / "energy_trace.csv")
+    times, dissipated = (np.array([float(r[i]) for r in samples]) for i in (0, 2))
+    steps = np.rint(times / result["dt"]).astype(int)
+    assert steps[-1] == result["n_steps"]
+    cumulative = np.concatenate(([0.0], np.cumsum(power))) * result["dt"]
+    assert np.array_equal(cumulative[steps], dissipated)
 
 
 def test_simulate_undamped_conserves(tmp_path):
@@ -1029,6 +1049,9 @@ def test_report_digests_repeat(tmp_path):
     ]
     first = digests(tmp_path / "a", invocations)
     assert len(first) == 4
+    for line in first:
+        _, size, path = line.split("  ")
+        assert int(size) == (tmp_path / "a" / path).stat().st_size
     assert digests(tmp_path / "b", invocations) == first
 
 

@@ -8,7 +8,10 @@ import sys
 from pathlib import Path
 
 import pointdamp
-from pointdamp import carleman, characteristic, decayfit, diophantine, frequency, mesh, simulator
+from pointdamp import carleman, characteristic, cli, decayfit, diophantine, frequency, mesh
+from pointdamp import simulator
+
+from report_digests import BENCHMARK
 
 
 def test_package_exports_are_the_submodule_exports():
@@ -43,11 +46,19 @@ def test_unknown_names_fail_without_importing_the_submodules():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_benchmark_tracer_names_resolve():
+def _load_perfbench(name, monkeypatch):
+    """perfbench/<name>.py, loaded by path; registered while the test runs, as
+    dataclasses look their module up."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
     # loaded by path and not run: the tracer patches each (module, attr) by attribute
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load_perfbench("tracer", monkeypatch)
     assert tracer.TRACED
     for module, attr, *_ in tracer.TRACED:
         assert callable(getattr(importlib.import_module(f"pointdamp.{module}"), attr)), (
@@ -81,3 +92,15 @@ def test_benchmark_workload_calls_resolve():
             fn = getattr(modules[node.func.value.id], node.func.attr)
             inspect.signature(fn).bind(*node.args, **{k.arg: k.value for k in node.keywords})
     assert read
+
+
+def test_benchmark_invocations_pass_their_output_checks(tmp_path, monkeypatch):
+    # an output format change fails here, before the benchmark refuses the outputs
+    workloads = _load_perfbench("workloads", monkeypatch)
+    invocations = [inv for group in workloads.WORKLOADS.values() for inv in group]
+    assert [list(inv.argv) for inv in invocations] == BENCHMARK  # report_digests keeps a copy
+    seed = 1
+    for i, inv in enumerate(invocations):
+        out = tmp_path / f"run{i:02d}"
+        assert cli.main([*inv.argv, "--out", str(out), "--seed", str(seed)]) == 0, inv.label
+        assert inv.check(out, seed).problems == [], inv.label
