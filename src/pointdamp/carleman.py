@@ -535,6 +535,10 @@ def estimate_carleman_constant(
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
+    # at an extreme h a power of h overflows or underflows; inf or nan would read as ratio 0
+    bad = h_values[~(np.isfinite(lhs_forms) & np.isfinite(rhs_forms)).all(axis=(1, 2))]
+    if bad.size:
+        raise FloatingPointError(f"the inequality's forms are not finite at h = {bad[0]:g}")
     # a + i b laid out as (a_0, b_0, a_1, b_1, ...), so one real form kron(F, I2)
     # gives a.F.a + b.F.b; einsum contracts it without a per-sample temporary
     parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)

@@ -12,12 +12,12 @@ Exit codes: 0 success, 2 configuration error, 3 computation error.
 
 This module is the task-agnostic core: the casters and limits that schemas
 are made of, config resolution, the report and CSV writers, the parser and
-main.  Each subcommand, the sweep included, lives in its own module,
-pointdamp.tasks.<name> (the command with "_" for "-"), which holds its keys
-and their limits and is imported on first use (see _task), so an invocation
-compiles the core and its own task only.  The tasks call write_csv and
-write_json_report through this module at each call, so replacing either here
-sees every file.
+main, and the position xi, parsed once here for the task.  Each subcommand,
+the sweep included, lives in its own module, pointdamp.tasks.<name> (the
+command with "_" for "-"), which holds its other keys and is imported on
+first use (see _task), so an invocation compiles the core and its own task
+only.  The tasks call write_csv and write_json_report through this module at
+each call, so replacing either here sees every file.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ import time
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-# every task parses xi with the standard library alone; the layers that
+# the core parses xi with the standard library alone; the layers that
 # compute, numpy among them, are imported by the tasks that use them, after
 # their configuration checks, so a command loads only what it runs
 from . import __version__
-from .inputs import parse_actuator_position
+from .inputs import Position, parse_actuator_position
 
 
 class ConfigError(ValueError):
@@ -117,10 +117,11 @@ MAX_GRID_POINTS = 10**7
 # the subcommands, each the module pointdamp.tasks.<name> with "_" for "-"
 COMMANDS = ("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate", "sweep")
 
-# the keys of every subcommand besides its module's SCHEMA, where each key
-# maps to (default, Limit or None) and a _REQUIRED default means the key must
+# the keys of every subcommand (xi: but the sweep) besides its module's SCHEMA,
+# each (default, Limit or None), where a _REQUIRED default means the key must
 # be provided; the limits are checked right after casting, before any work
 COMMON_SCHEMA = {"out": (".", None), "seed": (0, nonnegative)}
+POSITION_SCHEMA = {"xi": (_REQUIRED, None)}
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -156,24 +157,24 @@ def resolve_config(command: str, raw: dict[str, str]) -> dict:
     """The command's settings from raw, each key cast and checked.
 
     A command with a task key (the sweep) takes that task's own keys as well,
-    under the task's SWEEP_DEFAULTS, into task_config; xi, out and seed come
-    from the command itself.
+    under the task's SWEEP_DEFAULTS, into task_config.  xi stays its text.
     """
     schema = _task(command).SCHEMA | COMMON_SCHEMA
+    if command != "sweep":  # the sweep runs its task at positions of its own
+        schema = POSITION_SCHEMA | schema
     cfg = _settings(schema, raw)
-    forwarded = {}
     if "task" in cfg:
         task = _task(cfg["task"])
-        forwarded = {key: spec for key, spec in task.SCHEMA.items() if key != "xi"}
-        cfg["task_config"] = _settings(forwarded, task.SWEEP_DEFAULTS | raw)
-    unknown = set(raw) - set(schema) - set(forwarded)
+        cfg["task_config"] = _settings(task.SCHEMA, task.SWEEP_DEFAULTS | raw)
+        schema = schema | task.SCHEMA
+    unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
     return cfg
 
 
-def _parse_xi(text: str):
-    """Returns (float value, exact form or None) from an xi config string."""
+def parse_position(text: str) -> Position:
+    """The actuator position an xi text names (decimal, p/q or golden), else a ConfigError."""
     try:
         return parse_actuator_position(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -190,10 +191,9 @@ def _check_sizes(sizes: dict[str, int]) -> None:
 def _task(command: str):
     """The subcommand's module, imported on first use.
 
-    It defines SCHEMA; check, the checks across its keys, which run(cfg)
-    makes first; and write(cfg, result), which writes run's result.  A task
-    the sweep runs also defines USES_NUMPY, its lighter SWEEP_DEFAULTS and
-    row(result), and takes check(cfg, xi) at each position before any job.
+    It defines SCHEMA; check(cfg, xi), the checks across its keys at the
+    Position xi, which run(cfg, xi) makes first; and write(cfg, result).  A
+    task the sweep runs also defines USES_NUMPY, SWEEP_DEFAULTS and row(result).
     """
     # __import__ runs the import in C, which python -X importtime logs;
     # importlib.import_module's pure-Python path goes unlisted
@@ -355,7 +355,8 @@ def main(argv=None) -> int:
 
     try:
         task = _task(args.command)
-        paths = task.write(cfg, task.run(cfg))
+        xi = parse_position(cfg["xi"]) if "xi" in cfg else None
+        paths = task.write(cfg, task.run(cfg, xi))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,11 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    _REQUIRED, MAX_CELLS, ConfigError, _check_sizes, _parse_xi, _report_skeleton, all_of,
-    at_least, at_most, finite_positive, one_of,
+    MAX_CELLS, ConfigError, Position, _check_sizes, _report_skeleton, all_of, at_least,
+    at_most, finite_positive, one_of,
 )
 
 SCHEMA = {
-    "xi": (_REQUIRED, None),
     "side": ("both", one_of("both", "left", "right")),
     "weight": ("default", None),
     # the coarsest identity-check grid has cells // 4 cells, and its
@@ -33,7 +32,7 @@ SWEEP_DEFAULTS = {"cells": "1024", "n_samples": "10"}
 USES_NUMPY = True
 
 
-def check(cfg: dict, xi: float) -> float | None:
+def check(cfg: dict, xi: Position) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
     # the basis on the grid, the forms of every h once paired into real
     # 2m x 2m blocks, and the (n_samples, h_count) results and CSV rows
@@ -138,13 +137,12 @@ def _verify_carleman_side(
     return checks, estimate
 
 
-def run(cfg: dict) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
+def run(cfg: dict, xi: Position) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate)."""
-    value, _ = _parse_xi(cfg["xi"])
-    beta = check(cfg, value)
+    beta = check(cfg, xi)
     return {
         side: _verify_carleman_side(cfg, side, weight)
-        for side, weight in _carleman_weights(cfg, value, beta).items()
+        for side, weight in _carleman_weights(cfg, xi.value, beta).items()
     }
 
 

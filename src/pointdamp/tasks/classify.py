@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    _REQUIRED, MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton, all_of, at_least,
-    at_most, finite, finite_nonnegative, positive,
+    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, all_of, at_least, at_most,
+    finite, finite_nonnegative, positive,
 )
 
 # lowest classify frequency: the exp_grid and poly_grid indicators share the
@@ -22,7 +22,6 @@ from ..cli import (
 MU_MIN = 1.0
 
 SCHEMA = {
-    "xi": (_REQUIRED, None),
     "depth": (40, at_least(1)),
     "rational_tol": (1e-12, finite_nonnegative),
     "quotient_overflow": (1e12, all_of(finite, at_least(1))),
@@ -80,7 +79,7 @@ def _growth_from_text(text: str) -> diophantine.GrowthFunction:
         raise ConfigError(f"liouville_phi: {exc}") from None
 
 
-def check(cfg: dict, xi: float) -> diophantine.GrowthFunction:
+def check(cfg: dict, xi: Position) -> diophantine.GrowthFunction:
     """The Liouville weight phi, once the mu range is known to be admissible."""
     if not cfg["mu_min"] <= cfg["mu_max"]:
         raise ConfigError("need mu_min <= mu_max")
@@ -90,26 +89,23 @@ def check(cfg: dict, xi: float) -> diophantine.GrowthFunction:
     return _growth_from_text(cfg["liouville_phi"])
 
 
-def run(cfg: dict):
+def run(cfg: dict, xi: Position):
     """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
-    value, exact = _parse_xi(cfg["xi"])
-    phi = check(cfg, value)
+    phi = check(cfg, xi)
     from .. import diophantine
 
     settings = diophantine.ClassifySettings(
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
     keep = cfg["keep_trace"]
-    classification = diophantine.classify_actuator(
-        exact if exact is not None else value, settings, keep
-    )
+    classification = diophantine.classify_actuator(xi.exact or xi.value, settings, keep)
     cos_rep = diophantine.check_cos_grid(
-        value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
+        xi.value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
     )
     liou_rep = diophantine.check_liouville_type(
-        value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
+        xi.value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )
-    return classification, cos_rep, liou_rep, exact
+    return classification, cos_rep, liou_rep, xi.exact
 
 
 def write(cfg: dict, result) -> list[Path]:

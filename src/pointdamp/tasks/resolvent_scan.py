@@ -11,8 +11,8 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    _REQUIRED, MAX_CELLS, MAX_GRID_POINTS, ConfigError, _check_sizes, _parse_xi,
-    _report_skeleton, all_of, at_least, at_most, finite, finite_positive,
+    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, _report_skeleton, all_of,
+    at_least, at_most, finite, finite_positive,
 )
 from ..inputs import default_mu_grid
 
@@ -23,7 +23,6 @@ from ..inputs import default_mu_grid
 MU_MIN = 1e-3
 
 SCHEMA = {
-    "xi": (_REQUIRED, None),
     "mu_min": (1.0, all_of(finite, at_least(MU_MIN))),
     "mu_max": (60.0, None),
     "mu_step": (0.5, finite_positive),
@@ -34,7 +33,7 @@ SWEEP_DEFAULTS = {"mu_max": "40", "cells": "256"}
 USES_NUMPY = True
 
 
-def check(cfg: dict, xi: float) -> tuple[float, float, float]:
+def check(cfg: dict, xi: Position) -> tuple[float, float, float]:
     """(mu_min, mu_max, mu_step) of the config's mu grid, refused past MAX_GRID_POINTS points."""
     if not cfg["mu_min"] < cfg["mu_max"]:
         raise ConfigError("need mu_min < mu_max")
@@ -45,13 +44,12 @@ def check(cfg: dict, xi: float) -> tuple[float, float, float]:
     return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
 
 
-def run(cfg: dict) -> frequency.ScanResult:
-    value, _ = _parse_xi(cfg["xi"])
-    grid_args = check(cfg, value)
+def run(cfg: dict, xi: Position) -> frequency.ScanResult:
+    grid_args = check(cfg, xi)
     from .. import frequency
 
     return frequency.scan_resolvent_growth(
-        value,
+        xi.value,
         default_mu_grid(*grid_args),
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],

@@ -11,12 +11,11 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    _REQUIRED, MAX_CELLS, MAX_SIM_STEPS, ConfigError, _parse_xi, _report_skeleton, all_of,
-    at_least, at_most, finite_nonnegative, one_of, positive,
+    MAX_CELLS, MAX_SIM_STEPS, ConfigError, Position, _report_skeleton, all_of, at_least,
+    at_most, finite_nonnegative, one_of, positive,
 )
 
 SCHEMA = {
-    "xi": (_REQUIRED, None),
     "cells": (1000, all_of(at_least(2), at_most(MAX_CELLS))),
     "t_final": (200.0, positive),
     "dt": (0.0, finite_nonnegative),  # 0 means the default, min spacing / 2
@@ -35,27 +34,26 @@ SWEEP_DEFAULTS = {"cells": "300", "t_final": "50", "dt": "0.002", "save_state": 
 USES_NUMPY = True
 
 
-def check(cfg: dict, xi: float) -> float:
+def check(cfg: dict, xi: Position) -> float:
     """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
     # dt = 0 means half the smaller mesh spacing, the simulator's default
-    dt = cfg["dt"] or min(xi, 1.0 - xi) / cfg["cells"] / 2.0
+    dt = cfg["dt"] or min(xi.value, 1.0 - xi.value) / cfg["cells"] / 2.0
     if cfg["t_final"] / dt > MAX_SIM_STEPS:
         raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")
     return dt
 
 
-def run(cfg: dict):
+def run(cfg: dict, xi: Position):
     """Returns (final state, energy trace, fits).
 
     fits is None when fitting is off, and the InsufficientData raised when the
     trace has too few usable samples.
     """
-    value, _ = _parse_xi(cfg["xi"])
-    dt = check(cfg, value)
+    dt = check(cfg, xi)
     from .. import decayfit, simulator
     from ..mesh import build_mesh
 
-    mesh = build_mesh(value, cfg["cells"], cfg["cells"])
+    mesh = build_mesh(xi.value, cfg["cells"], cfg["cells"])
     center = None if math.isnan(cfg["center"]) else cfg["center"]
     state = simulator.initial_data(
         mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]

@@ -11,12 +11,10 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    _REQUIRED, MAX_GRID_POINTS, ConfigError, _parse_xi, _report_skeleton, finite_nonnegative,
-    nonnegative,
+    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, finite_nonnegative, nonnegative,
 )
 
 SCHEMA = {
-    "xi": (_REQUIRED, None),
     "re_min": (0.5, None),
     "re_max": (50.0, None),
     "im_min": (-0.5, None),
@@ -32,7 +30,7 @@ def _rectangle(cfg: dict) -> tuple[float, float, float, float]:
     return cfg["re_min"], cfg["re_max"], cfg["im_min"], cfg["im_max"]
 
 
-def check(cfg: dict, xi: float) -> tuple[float, float, float, float]:
+def check(cfg: dict, xi: Position) -> tuple[float, float, float, float]:
     """The configured rectangle, refused when degenerate or too wide."""
     re0, re1, im0, im1 = rect = _rectangle(cfg)
     if not (re1 > re0 and im1 > im0):
@@ -45,13 +43,12 @@ def check(cfg: dict, xi: float) -> tuple[float, float, float, float]:
     return rect
 
 
-def run(cfg: dict):
+def run(cfg: dict, xi: Position):
     """Returns (roots in the configured rectangle, their spectral abscissa)."""
-    value, _ = _parse_xi(cfg["xi"])
-    rect = check(cfg, value)
+    rect = check(cfg, xi)
     from .. import characteristic
 
-    roots = characteristic.find_eigenvalues(value, rect, cfg["tol"])
+    roots = characteristic.find_eigenvalues(xi.value, rect, cfg["tol"])
     return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
 
 

@@ -1,7 +1,7 @@
 """The sweep task: one task's summary row at each of a list or a grid of positions.
 
-Checks every position with the swept task's own check before the first job;
-the swept task imports the layers it computes with.
+Checks every position, exact form kept, with the swept task's own check before
+the first job hands it to the task's run; that task imports its own layers.
 """
 
 from __future__ import annotations
@@ -9,7 +9,9 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
-from ..cli import ConfigError, Limit, _parse_xi, _report_skeleton, all_of, at_least, at_most, one_of
+from ..cli import (
+    ConfigError, Limit, Position, _report_skeleton, all_of, at_least, at_most, one_of,
+)
 
 MAX_SWEEP_POSITIONS = 10**4
 # a process pool starts all its workers at once, however few the jobs
@@ -31,9 +33,9 @@ SCHEMA = {
 
 
 def _sweep_worker(job: tuple) -> tuple[float, dict]:
-    name, xi_value, task_cfg, seed = job
+    name, xi, task_cfg, seed = job
     task = cli._task(name)
-    return xi_value, task.row(task.run(dict(task_cfg, xi=repr(xi_value), seed=seed)))
+    return xi.value, task.row(task.run(dict(task_cfg, seed=seed), xi))
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -44,23 +46,24 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return [i * step + start for i in range(count - 1)] + [stop]
 
 
-def check(cfg: dict) -> list[float]:
-    """The positions, each checked by the swept task."""
+def check(cfg: dict, xi: None) -> list[Position]:
+    """The positions, each checked by the swept task; the sweep has no xi of its own."""
     if cfg["xi_list"].strip():
-        xi_values = [_parse_xi(token)[0] for token in cfg["xi_list"].split(",")]
+        positions = [cli.parse_position(token) for token in cfg["xi_list"].split(",")]
     else:
-        xi_values = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
+        grid = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
+        positions = [Position(v, None) for v in grid]
     task = cli._task(cfg["task"])
-    for v in xi_values:
-        if not 0.0 < v < 1.0:
-            raise ConfigError(f"sweep xi {v} outside (0,1)")
-        task.check(cfg["task_config"], v)
-    return xi_values
+    for position in positions:
+        if not 0.0 < position.value < 1.0:
+            raise ConfigError(f"sweep xi {position.value} outside (0,1)")
+        task.check(cfg["task_config"], position)
+    return positions
 
 
-def run(cfg: dict) -> list[tuple[float, dict]]:
+def run(cfg: dict, xi: None) -> list[tuple[float, dict]]:
     """(xi, the task's sweep row) at each position, in increasing xi."""
-    jobs = [(cfg["task"], v, cfg["task_config"], cfg["seed"]) for v in check(cfg)]
+    jobs = [(cfg["task"], p, cfg["task_config"], cfg["seed"]) for p in check(cfg, xi)]
     workers = min(cfg["workers"], len(jobs))
     if workers > 1:
         import concurrent.futures

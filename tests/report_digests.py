@@ -10,7 +10,9 @@ they differ the sizes show by how much:
     PYTHONPATH=src python3 tests/report_digests.py DIRECTORY > digests.txt
 
 The list covers the benchmark's invocations (perfbench/workloads.py) at two
-seeds, each task at its defaults and one sweep of each task.
+seeds, each task at its defaults, one sweep of each task over its default
+grid, and a classify sweep of positions with an exact form (golden, 1/3,
+355/1131), which the sweep must hand to its jobs exactly.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ INVOCATIONS = (
     [args + ["--seed", str(seed)] for seed in (1, 2) for args in BENCHMARK]
     + [[task, "--xi", "golden"] for task in TASKS]
     + [["sweep", "--set", f"task={task}"] for task in TASKS]
+    + [["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"]]
 )
 
 

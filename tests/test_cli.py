@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -15,7 +16,9 @@ import pytest
 import pointdamp
 from pointdamp import characteristic, diophantine, frequency
 from pointdamp import cli, tasks
-from pointdamp.cli import COMMANDS, COMMON_SCHEMA, ConfigError, main, resolve_config
+from pointdamp.cli import (
+    COMMANDS, COMMON_SCHEMA, POSITION_SCHEMA, ConfigError, main, resolve_config,
+)
 from pointdamp.mesh import build_mesh
 from pointdamp.tasks import sweep
 from pointdamp.tasks.sweep import _linspace
@@ -50,8 +53,9 @@ def run_python(code):
 
 
 def schema(command):
-    """Every key the command takes, from its task module and the core."""
-    return cli._task(command).SCHEMA | COMMON_SCHEMA
+    """Every key the command takes, from its task module and the core (xi but for the sweep)."""
+    position = {} if command == "sweep" else POSITION_SCHEMA
+    return position | cli._task(command).SCHEMA | COMMON_SCHEMA
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
@@ -549,14 +553,23 @@ def test_commands_are_the_task_modules():
     for command in COMMANDS:
         task = cli._task(command)
         assert all(callable(getattr(task, name)) for name in ("check", "run", "write")), command
-        assert not set(task.SCHEMA) & set(COMMON_SCHEMA), command
+        # the core parses xi and hands every check and run the Position
+        for name in ("check", "run"):
+            assert list(inspect.signature(getattr(task, name)).parameters) == ["cfg", "xi"], command
+        assert list(inspect.signature(task.write).parameters)[0] == "cfg", command
+        assert not set(task.SCHEMA) & (set(COMMON_SCHEMA) | set(POSITION_SCHEMA)), command
     # the sweep runs every other command, each through the same protocol
     swept = [command for command in COMMANDS if command != "sweep"]
     assert sweep.SCHEMA["task"][1].text == f"one of {', '.join(swept)}"
+    # the core requires xi of every swept command, and the sweep takes none
+    with pytest.raises(ConfigError, match="unknown key.*xi"):
+        resolve_config("sweep", {"xi": "0.3"})
     for command in swept:
+        with pytest.raises(ConfigError, match="missing key 'xi'"):
+            resolve_config(command, {})
         task = cli._task(command)
         assert callable(task.row) and isinstance(task.USES_NUMPY, bool), command
-        assert set(task.SWEEP_DEFAULTS) <= set(task.SCHEMA) - {"xi"}, command
+        assert set(task.SWEEP_DEFAULTS) <= set(task.SCHEMA), command
         for key, text in task.SWEEP_DEFAULTS.items():
             # a sweep default that equals the task's own default is redundant
             assert resolve_config(command, {"xi": "golden", key: text})[key] != task.SCHEMA[key][0]
@@ -592,7 +605,9 @@ def test_every_config_key_is_read_by_its_task(tmp_path):
     for i, (command, raw, unread) in enumerate(KEY_READ_RUNS):
         cfg = _ReadRecorder(resolve_config(command, dict(raw, out=str(tmp_path / str(i)))))
         task = cli._task(command)
-        task.write(cfg, task.run(cfg))
+        # as main does, the core reads and parses xi, and the task gets the Position
+        xi = cli.parse_position(cfg["xi"]) if command != "sweep" else None
+        task.write(cfg, task.run(cfg, xi))
         assert set(schema(command)) - cfg.read == unread, command
 
 
@@ -632,6 +647,19 @@ def test_inadmissible_weight_is_computation_error(tmp_path):
         "--set", "weight=exp:-2", "--set", "side=left",
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("setting", ["h_min=1e-100", "h_max=1e80"])
+def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
+    # h**4 underflows while (basis / h**2)**2 overflows, or h**4 overflows:
+    # the forms hold nan or inf, whose ratios would be written as 0
+    with np.errstate(all="ignore"):
+        code = run([
+            "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
+            "--set", "n_samples=2", "--set", "h_count=3", "--set", setting,
+        ])
+    assert code == 3
+    assert not list(tmp_path.iterdir())
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -903,7 +931,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     out_a = tmp_path / "serial"
     out_b = tmp_path / "parallel"
     args = [
-        "sweep", "--set", "task=classify", "--set", "xi_list=0.3,0.7",
+        "sweep", "--set", "task=classify", "--set", "xi_list=0.3,0.7,355/1131",
         "--set", "mu_max=50",
     ]
     assert run(args + ["--out", out_a, "--set", "workers=1"]) == 0
@@ -911,6 +939,29 @@ def test_sweep_parallel_matches_serial(tmp_path):
     a = (out_a / "sweep_classify.csv").read_text()
     b = (out_b / "sweep_classify.csv").read_text()
     assert a == b
+    # the exact position reaches the pool workers as its Fraction
+    _, columns, rows = read_csv(out_b / "sweep_classify.csv")
+    assert dict(zip(columns, rows[0]))["is_rational"] == "true"
+
+
+@pytest.mark.parametrize("xi", ["golden", "1/3", "355/1131", "0.41421356237309515"])
+def test_swept_classify_row_matches_the_single_run(tmp_path, xi):
+    # the sweep hands each job the position the core parsed, exact form and
+    # all, so a swept 355/1131 is as rational as a single one
+    assert run(["classify", "--xi", xi, "--set", "mu_max=50", "--out", tmp_path / "one"]) == 0
+    assert run(["sweep", "--set", "task=classify", "--set", f"xi_list={xi}",
+                "--set", "mu_max=50", "--out", tmp_path / "swept"]) == 0
+    single = json.loads((tmp_path / "one" / "classify_report.json").read_text())["result"]
+    [row] = json.loads((tmp_path / "swept" / "sweep_classify.json").read_text())["result"]["rows"]
+    conditions = single["conditions"]
+    assert row == {
+        "xi": single["xi"],
+        "is_rational": single["is_rational"],
+        "constant_type": single["constant_type"],
+        "max_partial_quotient": single["max_partial_quotient"],
+        "exp_grid_verdict": conditions["exp_grid"]["verdict"],
+        "poly_grid_verdict": conditions["poly_grid"]["verdict"],
+    }
 
 
 def test_resolvent_scan_sweep_scans_serially_in_its_pool_workers(tmp_path, monkeypatch):
