@@ -44,7 +44,7 @@ _EXPORTS = {
         "apply_helmholtz", "apply_conjugated_operator", "conjugation_route",
         "split_conjugated_operator", "ibp_residuals", "square_expansion_residual",
         "evaluate_carleman_inequality", "inequality_forms", "estimate_carleman_constant",
-        "sample_basis", "random_coefficients", "random_test_function",
+        "sample_basis",
     ),
     "simulator": (
         "WaveState", "EnergyTrace", "initial_data", "energy", "simulate",

@@ -8,9 +8,9 @@ conjugation
 
 The module verifies the operator algebra numerically (dual-route
 conjugation, symmetric/antisymmetric split, the expanded-square identity
-with all boundary terms) and sweeps the weighted lower-bound inequality to
-estimate its constant, pointwise for any u or as Hermitian forms on the span
-of a real basis.
+with all boundary terms) and evaluates the weighted lower-bound inequality,
+pointwise for any u or as Hermitian forms on the span of a real basis.  The
+constant on that span is the top eigenvalue of the forms' pencil.
 
 Exponentials are always taken relative to a local reference value of the
 weight so no admissible h can overflow; when e^{phi/h} spans more than the
@@ -48,16 +48,17 @@ __all__ = [
     "inequality_forms",
     "estimate_carleman_constant",
     "sample_basis",
-    "random_coefficients",
-    "random_test_function",
 ]
 
 # largest exponent magnitude we allow inside one rescaled window
 _EXP_WINDOW = 300.0
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
-# largest log-log slope of the sampled sup ratio in h still read as tame growth
+# largest log-log slope of the sup ratio in h still read as tame growth
 _MAX_GROWTH_RATE = 4.0
+# eigenvalues of the inequality's right-hand form below this fraction of its
+# largest are rounding: their directions are dropped from the pencil
+RHS_RANK_CUTOFF = 1e-13
 
 
 @dataclass
@@ -451,8 +452,9 @@ class ConstantEstimate:
     c_hat: float
     h0_hat: float
     h: np.ndarray
-    sup_ratio: np.ndarray
-    sweep: InequalitySweep  # row i is the sweep of sample i, over the sorted h
+    sup_ratio: np.ndarray  # the maximum of LHS/RHS over the span, per sorted h
+    discarded_rank: np.ndarray  # span directions dropped from the pencil, per h
+    coefficients: np.ndarray  # (h, m) real maximiser per h, scaled to RHS = 1
 
 
 def _gram(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -515,23 +517,41 @@ def inequality_forms(
     return lhs_forms, rhs_forms
 
 
+def _span_maximum(lhs_form: np.ndarray, rhs_form: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """Top eigenvalue of the pencil (L, R) on the numerical range of R.
+
+    R is reduced to its eigenvectors above RHS_RANK_CUTOFF times its largest
+    eigenvalue and whitened there, so the pencil becomes one symmetric
+    eigenproblem.  Returns the eigenvalue, the number of directions dropped
+    and its eigenvector as coefficients on the basis, with RHS = 1.
+    """
+    values, vectors = np.linalg.eigh(rhs_form)
+    if not values[-1] > 0.0:  # R = 0: no direction has a ratio
+        return 0.0, values.size, np.zeros(values.size)
+    keep = values > RHS_RANK_CUTOFF * values[-1]
+    whiten = vectors[:, keep] / np.sqrt(values[keep])
+    top, vector = np.linalg.eigh(whiten.T @ lhs_form @ whiten)
+    return float(top[-1]), int(values.size - np.count_nonzero(keep)), whiten @ vector[:, -1]
+
+
 def estimate_carleman_constant(
     weight: WeightFunction,
-    coefficients: np.ndarray,
     basis: np.ndarray,
     h_values,
     side: str = "left",
 ) -> ConstantEstimate:
-    """Empirical constant of the weighted inequality over a sample family.
+    """Constant of the weighted inequality over the span of a real basis.
 
-    coefficients is (n_samples, m) and basis (m, n + 1), as in
-    inequality_forms.  Sample i is coefficients[i] @ basis, never formed on
-    the grid: both sides come from the forms of inequality_forms, so the cost
-    per h does not grow with the number of samples.  For each h the sup of
-    LHS/RHS over the samples is taken.  h0_hat is the largest h up to which
-    that sup grows tamely (log-log slope between consecutive grid points at
-    most _MAX_GROWTH_RATE; genuine breakdown shows up as a much steeper
-    jump), and c_hat is the sup over that range.
+    basis is (m, n + 1), as in inequality_forms.  Both sides are Hermitian
+    forms on the span, and a complex coefficient vector a + i b gives a ratio
+    between those of a and b, so the largest LHS/RHS at each h is the top
+    eigenvalue of the real pencil (L_h, R_h), reduced to the directions R_h
+    resolves above rounding (_span_maximum; for h below ~0.03, cond(R_h)
+    reaches 1e17 and the unreduced pencil gives spikes).  h0_hat is the
+    largest h up to which that maximum grows tamely (log-log slope between
+    consecutive grid points at most _MAX_GROWTH_RATE; genuine breakdown
+    shows up as a much steeper jump), and c_hat is the maximum over that
+    range.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
@@ -539,15 +559,12 @@ def estimate_carleman_constant(
     bad = h_values[~(np.isfinite(lhs_forms) & np.isfinite(rhs_forms)).all(axis=(1, 2))]
     if bad.size:
         raise FloatingPointError(f"the inequality's forms are not finite at h = {bad[0]:g}")
-    # a + i b laid out as (a_0, b_0, a_1, b_1, ...), so one real form kron(F, I2)
-    # gives a.F.a + b.F.b; einsum contracts it without a per-sample temporary
-    parts = np.ascontiguousarray(coefficients, dtype=complex).view(float)
-    pair = np.eye(2)
-    lhs = np.einsum("si,hij,sj->sh", parts, np.kron(lhs_forms, pair), parts)
-    rhs = np.einsum("si,hij,sj->sh", parts, np.kron(rhs_forms, pair), parts)
-    ratio = np.zeros_like(lhs)
-    np.divide(lhs, rhs, out=ratio, where=rhs > 0.0)
-    sup_ratio = np.max(ratio, axis=0, initial=0.0)
+    m = lhs_forms.shape[-1]
+    sup_ratio = np.zeros(h_values.size)
+    discarded_rank = np.zeros(h_values.size, dtype=int)
+    coefficients = np.zeros((h_values.size, m))
+    for i, (lhs_form, rhs_form) in enumerate(zip(lhs_forms, rhs_forms)):
+        sup_ratio[i], discarded_rank[i], coefficients[i] = _span_maximum(lhs_form, rhs_form)
     cut = h_values.size
     for k in range(1, h_values.size):
         prev, cur = sup_ratio[k - 1], sup_ratio[k]
@@ -564,7 +581,8 @@ def estimate_carleman_constant(
         h0_hat=h0_hat,
         h=h_values,
         sup_ratio=sup_ratio,
-        sweep=InequalitySweep(h=h_values, lhs=lhs, rhs=rhs, ratio=ratio),
+        discarded_rank=discarded_rank,
+        coefficients=coefficients,
     )
 
 
@@ -572,7 +590,11 @@ def estimate_carleman_constant(
 def sample_basis(
     interval: tuple[float, float], n: int, n_modes: int, pin_left: bool, pin_right: bool
 ) -> np.ndarray:
-    """Read-only (n_modes, n + 1) real basis of random_test_function, shared by its calls."""
+    """Read-only (n_modes, n + 1) real basis on a uniform grid, shared by its calls.
+
+    Row k - 1 is the k-th mode: sin(k pi s) pinned at both ends, quarter-wave
+    sines pinned at one end and free at the other, shifted cosines free at both.
+    """
     a, b = interval
     x = np.linspace(a, b, n + 1)
     s = (x - a) / (b - a)
@@ -588,24 +610,3 @@ def sample_basis(
         basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
     basis.flags.writeable = False
     return basis
-
-
-def random_coefficients(rng: np.random.Generator, n_modes: int = 8) -> np.ndarray:
-    """Complex coefficients of one random_test_function on sample_basis, from
-    the same draws: standard normal real and imaginary parts, mode k scaled by 1/k."""
-    k = np.arange(1, n_modes + 1)
-    return (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
-
-
-def random_test_function(
-    interval: tuple[float, float],
-    n: int,
-    rng: np.random.Generator,
-    n_modes: int = 8,
-    pin_left: bool = False,
-    pin_right: bool = False,
-) -> np.ndarray:
-    """Smooth random complex function on a uniform grid, optionally pinned to
-    zero at an endpoint (quarter-wave sines keep the other endpoint free)."""
-    coeff = random_coefficients(rng, n_modes)
-    return coeff @ sample_basis(tuple(interval), n, n_modes, pin_left, pin_right)

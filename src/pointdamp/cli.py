@@ -329,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override one configuration key (repeatable)")
         p.add_argument("--xi", help="actuator position: decimal, p/q, or 'golden'")
         p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--seed", type=int, help="seed for randomized probes/samples")
+        p.add_argument("--seed", type=int, help="seed for resolvent-scan's random probes")
     return parser
 
 

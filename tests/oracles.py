@@ -16,6 +16,10 @@ The conjugation-route reference shares the package's stencil but grows each
 exponential window one node at a time, recomputing the weight's spread at
 every step, where the package reads window ends off running extrema.
 
+The random test functions are seeded combinations of the package's sample
+basis.  The Carleman constant on a span is the top eigenvalue of a pencil;
+no draw from the span may exceed it.
+
 The diophantine checks are referenced by full scans.  Each pi-strip's
 minimum is found by a dense scan of the strip, where the package refines the
 sign changes of a derivative; the 0.01-grid check the package once ran is
@@ -34,7 +38,7 @@ from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from pointdamp.carleman import apply_helmholtz
+from pointdamp.carleman import apply_helmholtz, sample_basis
 from pointdamp.diophantine import ConditionReport, GrowthFunction, default_mu_grid
 from pointdamp.frequency import ForcingData, ResolventSolution, assemble_phi
 from pointdamp.quadrature import simpson
@@ -254,6 +258,27 @@ def conjugation_route_incremental(
             break
         start = stop - 2 * margin
     return out, windows
+
+
+def random_coefficients(rng: np.random.Generator, n_modes: int = 8) -> np.ndarray:
+    """Complex coefficients of one random_test_function on sample_basis, from
+    the same draws: standard normal real and imaginary parts, mode k scaled by 1/k."""
+    k = np.arange(1, n_modes + 1)
+    return (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
+
+
+def random_test_function(
+    interval: tuple[float, float],
+    n: int,
+    rng: np.random.Generator,
+    n_modes: int = 8,
+    pin_left: bool = False,
+    pin_right: bool = False,
+) -> np.ndarray:
+    """Smooth random complex function on a uniform grid, optionally pinned to
+    zero at an endpoint (quarter-wave sines keep the other endpoint free)."""
+    coeff = random_coefficients(rng, n_modes)
+    return coeff @ sample_basis(tuple(interval), n, n_modes, pin_left, pin_right)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ they differ the sizes show by how much:
 
 The list covers the benchmark's invocations (perfbench/workloads.py) at two
 seeds, each task at its defaults, one sweep of each task over its default
-grid, and a classify sweep of positions with an exact form (golden, 1/3,
-355/1131), which the sweep must hand to its jobs exactly.
+grid, a classify sweep of positions with an exact form (golden, 1/3,
+355/1131), which the sweep must hand to its jobs exactly, and carleman-verify
+with the exponential weight.  Only resolvent-scan draws random numbers, so
+at the two seeds every other task's files differ in the echoed seed alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ INVOCATIONS = (
     + [[task, "--xi", "golden"] for task in TASKS]
     + [["sweep", "--set", f"task={task}"] for task in TASKS]
     + [["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"]]
+    + [["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"]]
 )
 
 

@@ -71,6 +71,27 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     assert "'mpmath'" not in loaded
 
 
+def test_carleman_verify_loads_no_random_generator(tmp_path):
+    # numpy.random imports secrets, hmac and _hashlib, which maps OpenSSL's
+    # libcrypto: ~5.7 MiB of resident memory that carleman-verify has no use for
+    argv = ["pointdamp", "carleman-verify", "--xi", "golden", "--out", str(tmp_path),
+            "--set", "cells=64", "--set", "h_count=3"]
+    probe = run_python(
+        "import runpy, sys\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('pointdamp.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    print(done.code, sorted(sys.modules))\n"
+    )
+    assert probe.returncode == 0, probe.stderr
+    code, loaded = probe.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert "'pointdamp.carleman'" in loaded
+    assert "'numpy.random'" not in loaded
+    assert "'_hashlib'" not in loaded
+
+
 # the layers a task imports for itself, not at start-up
 TASK_LAYERS = ("characteristic", "frequency", "carleman", "simulator", "decayfit", "mesh")
 # the arithmetic layer and the standard modules it alone brings in; only
@@ -236,8 +257,7 @@ def test_tasks_without_arithmetic_load_no_diophantine(tmp_path):
     runs = [
         ["resolvent-scan", "--xi", "golden", "--set", "mu_max=3", "--set", "cells=16"],
         ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
-        ["carleman-verify", "--xi", "1/3", "--set", "cells=64", "--set", "n_samples=2",
-         "--set", "h_count=3"],
+        ["carleman-verify", "--xi", "1/3", "--set", "cells=64", "--set", "h_count=3"],
     ]
     done = run_python(
         "import sys\n"
@@ -416,6 +436,15 @@ def test_unknown_key_is_config_error(tmp_path):
     assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
 
 
+def test_carleman_sample_count_is_no_longer_a_key(tmp_path):
+    # the constant is the span maximum, so there are no samples to count
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path,
+                "--set", "n_samples=5"]) == 2
+    assert run(["sweep", "--out", tmp_path, "--set", "task=carleman-verify",
+                "--set", "n_samples=5"]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_malformed_set_is_config_error(tmp_path):
     assert run(["classify", "--xi", "0.5", "--out", tmp_path, "--set", "oops"]) == 2
 
@@ -463,7 +492,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--set", "n_modes=0"],
     ["carleman-verify", "--set", "n_modes=-1"],
     ["carleman-verify", "--set", "h_count=0"],
-    ["carleman-verify", "--set", "n_samples=0"],
+    ["carleman-verify", "--set", "cells=11"],
     ["carleman-verify", "--seed", "-1"],
     ["sweep", "--set", "xi_list=0.3", "--set", "workers=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
@@ -508,9 +537,9 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--set", "weight=exp:nan"],
     ["carleman-verify", "--set", "weight=exp:inf"],
     # arrays past the grid ceiling, refused before any is allocated: the
-    # (n_samples, h_count) results, the basis, the paired forms, and the
-    # probes of one frequency
-    ["carleman-verify", "--set", "side=left", "--set", "n_samples=800000"],
+    # forms (n_modes alone, at a basis within its ceiling), the basis, the
+    # forms again, and the probes of one frequency
+    ["carleman-verify", "--set", "side=left", "--set", "n_modes=1000"],
     ["carleman-verify", "--set", "n_modes=1000000000000"],
     ["carleman-verify", "--set", "h_count=10000000000000"],
     ["resolvent-scan", "--set", "probes=1000000000000"],
@@ -594,7 +623,7 @@ KEY_READ_RUNS = [
     ("classify", {"xi": "golden", "mu_max": "50", "liouville_m_max": "100"}, {"seed"}),
     ("resolvent-scan", {"xi": "golden", "mu_max": "3", "cells": "16", "probes": "2"}, set()),
     ("spectrum", {"xi": "golden", "re_max": "10"}, {"seed"}),
-    ("carleman-verify", {"xi": "golden", "cells": "64", "n_samples": "2", "h_count": "3"}, set()),
+    ("carleman-verify", {"xi": "golden", "cells": "64", "h_count": "3"}, {"seed"}),
     ("simulate", {"xi": "golden", "cells": "16", "t_final": "0.2"}, {"seed"}),
     ("sweep", {"xi_list": "0.3,0.6", "re_max": "8"}, {"xi_min", "xi_max", "xi_count"}),
     ("sweep", {"xi_min": "0.3", "xi_max": "0.6", "xi_count": "2", "re_max": "8"}, set()),
@@ -625,8 +654,7 @@ def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
 
     runs = {
         "sim": ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
-        "car": ["carleman-verify", "--xi", "golden", "--set", "cells=64", "--set", "n_samples=2",
-                "--set", "h_count=3"],
+        "car": ["carleman-verify", "--xi", "golden", "--set", "cells=64", "--set", "h_count=3"],
     }
     # the task modules load before the patch, so a writer they bound at
     # import would miss it
@@ -656,7 +684,7 @@ def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
     with np.errstate(all="ignore"):
         code = run([
             "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
-            "--set", "n_samples=2", "--set", "h_count=3", "--set", setting,
+            "--set", "h_count=3", "--set", setting,
         ])
     assert code == 3
     assert not list(tmp_path.iterdir())
@@ -892,8 +920,7 @@ def test_resolvent_scan_with_a_failing_child_exits_3(tmp_path, monkeypatch, caps
 def test_carleman_verify_left(tmp_path):
     code = run([
         "carleman-verify", "--xi", "golden", "--out", tmp_path,
-        "--set", "side=left", "--set", "cells=512", "--set", "n_samples=4",
-        "--set", "h_count=5",
+        "--set", "side=left", "--set", "cells=512", "--set", "h_count=5",
     ])
     assert code == 0
     report = json.loads((tmp_path / "carleman_report.json").read_text())
@@ -902,13 +929,18 @@ def test_carleman_verify_left(tmp_path):
     assert all(o > 1.5 for o in side["dual_route_orders"])
     # the default weight has phi'' = 2, so the two boundary readings differ;
     # on this mesh both residuals stay below 1e-4 (at the default 2048 cells
-    # the plain one is ~28x the curvature one)
+    # the plain one is ~52x the curvature one)
     assert side["square_identity_residual_curvature"] < 1e-4
     assert side["square_identity_residual_plain"] < 1e-4
-    _, columns, rows = read_csv(tmp_path / "carleman_sweep.csv")
-    assert columns == ["side", "sample", "h", "lhs", "rhs", "ratio"]
+    # one row per h: the span maximum and the span directions the cutoff dropped
+    header, columns, rows = read_csv(tmp_path / "carleman_sweep.csv")
+    assert header == "# pointdamp-csv schema=carleman-sweep version=2"
+    assert columns == ["side", "h", "sup_ratio", "discarded_rank"]
     assert all(r[0] == "left" for r in rows)
-    assert len(rows) == 4 * 5
+    assert len(rows) == 5
+    assert side["rhs_rank_cutoff"] == 1e-13
+    assert {f"{float(h):.6g}": float(r) for _, h, r, _ in rows} == side["sup_ratio_by_h"]
+    assert {f"{float(h):.6g}": int(d) for _, h, _, d in rows} == side["discarded_rank_by_h"]
 
 
 # -------------------------------------------------------------------- sweep
@@ -1054,7 +1086,7 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
     ["task=classify", "liouville_phi=exponential:-1"],
     ["task=resolvent-scan", "mu_step=1e-9"],
     ["task=spectrum", "re_max=1e9"],
-    ["task=carleman-verify", "n_samples=1000000"],
+    ["task=carleman-verify", "h_count=1000000"],
     ["task=carleman-verify", "weight=bogus"],
     # at dt = 0 the step count depends on the position: 0.4 is fine, 1e-4 is not
     ["task=simulate", "cells=1000", "t_final=10", "dt=0"],
@@ -1076,8 +1108,7 @@ def test_sweep_checks_every_position_before_any_job(tmp_path, pool_sizes, task_a
     ["resolvent-scan", "--xi", "0.3", "--set", "mu_min=3", "--set", "mu_max=8",
      "--set", "mu_step=1", "--set", "cells=64", "--set", "probes=2"],
     ["spectrum", "--xi", "0.3", "--set", "re_max=12"],
-    ["carleman-verify", "--xi", "0.3", "--set", "cells=256", "--set", "n_samples=3",
-     "--set", "h_count=4"],
+    ["carleman-verify", "--xi", "0.3", "--set", "cells=256", "--set", "h_count=4"],
     ["simulate", "--xi", "0.3", "--set", "cells=60", "--set", "t_final=2",
      "--set", "sample_every=10"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,0.6", "--set", "cells=40",
