@@ -364,9 +364,15 @@ def test_constant_estimate_matches_pointwise_oracle(side, kind, cells):
     for c, h_i, sup in zip(est.coefficients, est.h, est.sup_ratio):
         direct = evaluate_carleman_inequality(weight, c @ basis, [h_i], side)
         assert direct.ratio[0] == pytest.approx(sup, rel=1e-3)
-    # and no sample beats it
-    for c in _coefficients(7, seed=cells):
+    # the forms give each sample's pointwise sides, and no sample beats the maximum
+    coefficients = _coefficients(7, seed=cells)
+    lhs_forms, rhs_forms = inequality_forms(weight, basis, est.h, side)
+    lhs, rhs = _form_values(lhs_forms, coefficients), _form_values(rhs_forms, coefficients)
+    for c, c_lhs, c_rhs in zip(coefficients, lhs, rhs):
         direct = evaluate_carleman_inequality(weight, c @ basis, est.h, side)
+        np.testing.assert_allclose(c_lhs, direct.lhs, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(c_rhs, direct.rhs, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(c_lhs / c_rhs, direct.ratio, rtol=1e-10, atol=0)
         assert np.all(direct.ratio <= est.sup_ratio * (1.0 + 1e-9))
 
 

@@ -434,10 +434,7 @@ def test_unknown_key_is_config_error(tmp_path):
     ]) == 2
     # the sweep's resolved task_config is no key a user may set
     assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
-
-
-def test_carleman_sample_count_is_no_longer_a_key(tmp_path):
-    # the constant is the span maximum, so there are no samples to count
+    # the Carleman constant is the span maximum, so there are no samples to count
     assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path,
                 "--set", "n_samples=5"]) == 2
     assert run(["sweep", "--out", tmp_path, "--set", "task=carleman-verify",
