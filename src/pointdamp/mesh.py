@@ -16,6 +16,11 @@ class Mesh:
 
     nodes[0] == 0, nodes[i_xi] == xi, nodes[-1] == 1.  Spacing is uniform on
     each side but generally differs between sides.
+
+    build_mesh fixes every node bit for bit from xi, n_left and n_right:
+    nodes[j] == j * (xi / n_left) for j < n_left, nodes[n_left] == xi,
+    nodes[n_left + j] == xi + j * ((1 - xi) / n_right) for 0 < j < n_right,
+    and nodes[-1] == 1.0.
     """
 
     xi: float

@@ -89,17 +89,18 @@ def write(cfg: dict, result) -> list[Path]:
     p = out / "damping_record.csv"
     cli.write_csv(p, "damping-record", ["power"], zip(trace.damping_power), version=2)
     paths.append(p)
+    # one row per mesh node, in node order: build_mesh(result.xi, cells, cells) gives
+    # the nodes bit for bit, by the rule in the Mesh docstring
     if cfg["save_state"]:
         p = out / "final_state.csv"
-        cli.write_csv(
-            p, "state-snapshot", ["x", "u", "v"], zip(final.mesh.nodes, final.u, final.v)
-        )
+        cli.write_csv(p, "state-snapshot", ["u", "v"], zip(final.u, final.v), version=2)
         paths.append(p)
 
     payload = _report_skeleton("simulate", cfg, USES_NUMPY)
     payload["result"] = {
         "dt": trace.dt,
         "n_steps": int(trace.damping_power.size),
+        "xi": final.mesh.xi,
         **row(result),
     }
     if isinstance(fits, decayfit.InsufficientData):

@@ -9,6 +9,12 @@ they differ the sizes show by how much:
 
     PYTHONPATH=src python3 tests/report_digests.py DIRECTORY > digests.txt
 
+With ``--compare``, it reads two such listings instead and prints
+``path  old bytes -> new bytes (change)`` for each file whose digest moved,
+``-`` standing for a file that one listing lacks; it exits 1 when any moved:
+
+    python3 tests/report_digests.py --compare parent.txt change.txt
+
 The list covers the benchmark's invocations (perfbench/workloads.py) at two
 seeds, each task at its defaults, one sweep of each task over its default
 grid, a classify sweep of positions with an exact form (golden, 1/3,
@@ -69,9 +75,33 @@ def digests(directory: Path, invocations: list[list[str]]) -> list[str]:
     return lines
 
 
+def compare(old: list[str], new: list[str]) -> list[str]:
+    """A line per file whose digest moved between two listings, with its byte change."""
+
+    def entries(lines):
+        return {path: (digest, int(size))
+                for digest, size, path in (line.split("  ", 2) for line in lines if line)}
+
+    before, after = entries(old), entries(new)
+    moved = []
+    for path in sorted(before.keys() | after.keys()):
+        a, b = before.get(path), after.get(path)
+        if a == b:
+            continue
+        size_a, size_b = (str(entry[1]) if entry else "-" for entry in (a, b))
+        change = f" ({b[1] - a[1]:+d})" if a and b else ""
+        moved.append(f"{path}  {size_a} -> {size_b}{change}")
+    return moved
+
+
 if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        moved = compare(*(Path(name).read_text().splitlines() for name in sys.argv[2:]))
+        if moved:
+            print("\n".join(moved))
+        sys.exit(1 if moved else 0)
     if len(sys.argv) != 2:
-        sys.exit("usage: report_digests.py DIRECTORY")
+        sys.exit("usage: report_digests.py DIRECTORY | --compare OLD NEW")
     # main prints the paths it wrote on stdout; keep stdout for the digests
     with contextlib.redirect_stdout(sys.stderr):
         lines = digests(Path(sys.argv[1]), INVOCATIONS)

@@ -23,7 +23,7 @@ from pointdamp.mesh import build_mesh
 from pointdamp.tasks import sweep
 from pointdamp.tasks.sweep import _linspace
 
-from report_digests import INVOCATIONS, digests
+from report_digests import INVOCATIONS, compare, digests
 
 
 def run(args):
@@ -787,11 +787,61 @@ def test_simulate_produces_monotone_energies(tmp_path):
     report = json.loads((tmp_path / "simulate_report.json").read_text())
     assert report["result"]["energy_initial"] > 0.0
     assert report["result"]["energy_final"] < report["result"]["energy_initial"]
-    assert (tmp_path / "final_state.csv").exists()
+    schema, columns, rows = read_csv(tmp_path / "final_state.csv")
+    assert schema == "# pointdamp-csv schema=state-snapshot version=2"
+    assert columns == ["u", "v"]
+    assert len(rows) == 2 * 150 + 1
     schema, columns, rows = read_csv(tmp_path / "damping_record.csv")
     assert schema == "# pointdamp-csv schema=damping-record version=2"
     assert columns == ["power"]
     assert len(rows) == report["result"]["n_steps"]
+
+
+def snapshot_nodes(xi, cells):
+    """The node of each final_state.csv row, by the Mesh docstring's rule."""
+    left = [j * (xi / cells) for j in range(cells)]
+    right = [xi + j * ((1.0 - xi) / cells) for j in range(1, cells)]
+    return np.array(left + [xi] + right + [1.0])
+
+
+def test_final_state_rows_are_the_simulated_state_bit_for_bit(tmp_path):
+    from pointdamp import simulator
+
+    # the sampling stride splits the march, so it moves the state in the last bits
+    cells, t_final, dt, sample_every = 40, 0.5, 0.002, 30
+    assert run([
+        "simulate", "--xi", "golden", "--out", tmp_path, "--set", f"cells={cells}",
+        "--set", f"t_final={t_final}", "--set", f"dt={dt}",
+        "--set", f"sample_every={sample_every}", "--set", "fit=false",
+    ]) == 0
+    mesh = build_mesh(cli.parse_position("golden").value, cells, cells)
+    state = simulator.initial_data(mesh, "smooth_bump", mode=2, center=None, width=0.1)
+    final, _ = simulator.simulate(state, t_final, dt=dt, damped=True, sample_every=sample_every)
+    _, _, rows = read_csv(tmp_path / "final_state.csv")
+    u, v = np.array([[float(cell) for cell in r] for r in rows]).T
+    assert u.size == mesh.nodes.size
+    assert np.array_equal(u, final.u) and np.array_equal(v, final.v)
+    # a writer that swapped the columns would fail above
+    assert np.count_nonzero(final.u) and not np.array_equal(final.u, final.v)
+
+
+@pytest.mark.parametrize("xi", [
+    "golden", "1/2", repr(float(np.random.default_rng(33).uniform(0.05, 0.95)))
+])
+@pytest.mark.parametrize("cells", [2, 7, 1000])
+def test_report_fixes_the_snapshot_nodes(tmp_path, xi, cells):
+    # the x column is gone: result.xi and config.cells rebuild it bit for bit
+    assert run([
+        "simulate", "--xi", xi, "--out", tmp_path, "--set", f"cells={cells}",
+        "--set", "t_final=1e-3", "--set", "fit=false",
+    ]) == 0
+    report = json.loads((tmp_path / "simulate_report.json").read_text())
+    value = cli.parse_position(xi).value
+    assert report["result"]["xi"] == value
+    nodes = snapshot_nodes(report["result"]["xi"], report["config"]["cells"])
+    assert nodes.tobytes() == build_mesh(value, cells, cells).nodes.tobytes()
+    _, _, rows = read_csv(tmp_path / "final_state.csv")
+    assert len(rows) == nodes.size
 
 
 def test_damping_record_and_dt_reproduce_the_dissipated_column(tmp_path):
@@ -1143,6 +1193,65 @@ def test_report_digest_invocations_resolve():
         if parsed.xi is not None:
             raw["xi"] = parsed.xi
         resolve_config(parsed.command, raw)
+
+
+def test_report_digests_compare(tmp_path):
+    old = ["a" * 64 + "  120  run00/final_state.csv", "b" * 64 + "  40  run00/report.json",
+           "c" * 64 + "  7  run01/gone.csv"]
+    new = ["d" * 64 + "  80  run00/final_state.csv", "b" * 64 + "  40  run00/report.json",
+           "e" * 64 + "  9  run02/new.csv"]
+    assert compare(old, new) == [
+        "run00/final_state.csv  120 -> 80 (-40)", "run01/gone.csv  7 -> -", "run02/new.csv  - -> 9",
+    ]
+    # same size, other bytes: still moved
+    assert compare(old[:1], ["f" * 64 + "  120  run00/final_state.csv"]) == [
+        "run00/final_state.csv  120 -> 120 (+0)",
+    ]
+    assert compare(old, list(reversed(old))) == []
+    script = Path(__file__).with_name("report_digests.py")
+    for name, lines in (("old.txt", old), ("new.txt", new)):
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    moved = run_interpreter(script, "--compare", tmp_path / "old.txt", tmp_path / "new.txt")
+    assert moved.returncode == 1
+    assert moved.stdout.splitlines() == compare(old, new)
+    same = run_interpreter(script, "--compare", tmp_path / "old.txt", tmp_path / "old.txt")
+    assert (same.returncode, same.stdout) == (0, "")
+
+
+# every CSV schema the tasks write, at its version: raise a version with its columns
+CSV_SCHEMA_VERSIONS = {
+    "classify-trace": 1, "liouville-trace": 1, "resolvent-scan": 1, "spectrum-roots": 1,
+    "carleman-sweep": 2, "energy-trace": 1, "damping-record": 2, "state-snapshot": 2,
+    **{f"sweep-{task}": 1 for task in COMMANDS if task != "sweep"},
+}
+SMALL_TASK_CONFIGS = {
+    "classify": ["--set", "mu_max=20", "--set", "keep_trace=true"],
+    "resolvent-scan": ["--set", "mu_max=3", "--set", "cells=16"],
+    "spectrum": ["--set", "re_max=12"],
+    "carleman-verify": ["--set", "cells=64", "--set", "h_count=3"],
+    "simulate": ["--set", "cells=20", "--set", "t_final=0.5"],
+}
+
+
+def test_csv_schema_versions(tmp_path):
+    runs = [[task, "--xi", "golden", *small] for task, small in SMALL_TASK_CONFIGS.items()]
+    runs += [["sweep", "--set", f"task={task}", "--set", "xi_list=0.3", *small]
+             for task, small in SMALL_TASK_CONFIGS.items()]
+    for i, args in enumerate(runs):
+        assert run([*args, "--out", tmp_path / f"run{i:02d}"]) == 0, args
+    found = {}
+    for path in tmp_path.rglob("*.csv"):
+        header = path.read_text().partition("\n")[0]
+        schema, version = re.fullmatch(r"# pointdamp-csv schema=(\S+) version=(\d+)", header).groups()
+        assert found.setdefault(schema, int(version)) == int(version), path
+    assert found == CSV_SCHEMA_VERSIONS
+    # the README names the schemas above version 1
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    named = re.search(r"\(((?:`[a-z-]+`,? (?:and )?)+)are at 2, every other schema at 1\)", readme)
+    assert set(re.findall(r"`([a-z-]+)`", named.group(1))) == {
+        schema for schema, version in CSV_SCHEMA_VERSIONS.items() if version == 2
+    }
+    assert set(CSV_SCHEMA_VERSIONS.values()) == {1, 2}
 
 
 def test_no_temp_files_left_behind(tmp_path):
