@@ -81,35 +81,36 @@ class ContinuedFraction:
         return max(tail) if tail else 0
 
 
-def _cf_expand(
-    x, depth: int, rational_tol: float, quotient_overflow: float, budget: float | None
-) -> ContinuedFraction:
-    """Expansion loop shared by floats and exact Fractions."""
+def _cf_expand(x, depth: int, quotient_overflow: float, budget: float) -> ContinuedFraction:
+    """Euclid on the integer pair n/d of x (a float or a Fraction), up to
+    q_k*q_{k+1} <= budget; an overflow after [..., a, 1] ends as [..., a + 1]."""
     quotients: list[int] = []
     convergents: list[tuple[int, int]] = []
     terminated = False
     truncated = False
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
-    y = x
+    n, d = x.as_integer_ratio()
     for _ in range(depth):
-        a = math.floor(y)
+        a, r = divmod(n, d)
         if quotients and a > quotient_overflow:
             terminated = True  # numerically rational: the tail is noise
+            if len(quotients) >= 3 and quotients[-1] == 1:
+                quotients[-2:] = [quotients[-2] + 1]
+                del convergents[-2]
             break
         q_next = a * q_cur + q_prev
-        if budget is not None and quotients and q_next * q_cur > budget:
+        if q_next * q_cur > budget:
             truncated = True
             break
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, q_next
         quotients.append(a)
         convergents.append((p_cur, q_cur))
-        frac = y - a
-        if frac <= rational_tol:
+        if r == 0:
             terminated = True
             break
-        y = 1 / frac
+        n, d = d, r
     return ContinuedFraction(
         value=float(x),
         partial_quotients=quotients,
@@ -120,31 +121,27 @@ def _cf_expand(
 
 
 def expand_continued_fraction(
-    x,
-    depth: int = 40,
-    rational_tol: float = 1e-12,
-    quotient_overflow: float = 1e12,
+    x, depth: int = 40, quotient_overflow: float = 1e12
 ) -> ContinuedFraction:
-    """Expand x in (0,1) as a continued fraction.
+    """Expand x in (0,1) as a continued fraction, by exact Euclid.
 
     Accepts:
       - a float: its exact binary value, truncated once the convergent
         denominators exhaust the 53-bit budget (q_k*q_{k+1} > 2**50);
-      - a Fraction: exact Euclid, so rational_tol and quotient_overflow
-        do not apply;
+      - a Fraction: exact, with no cutoff, so quotient_overflow does not
+        apply;
       - a decimal string such as '0.375': exactly the rational the digits
         denote, with no budget;
       - 'golden': (sqrt(5)-1)/2 to 60 significant digits, truncated once
         q_k*q_{k+1} > 0.25e60, where those digits run out.
 
     Anything else goes through float().  Floats, decimal strings and
-    'golden' whose expansion hits a partial quotient above quotient_overflow,
-    or whose remainder drops to rational_tol or below, are reported as
-    rational.
+    'golden' whose expansion hits a partial quotient above quotient_overflow
+    are reported as rational, ending on the quotients before it.
     """
-    budget = None
+    budget = math.inf
     if isinstance(x, Fraction):
-        rational_tol, quotient_overflow = 0.0, math.inf
+        quotient_overflow = math.inf
     elif isinstance(x, str):
         text = x.strip().lower()
         if text == "golden":
@@ -155,7 +152,7 @@ def expand_continued_fraction(
         x, budget = float(x), _PRECISION_BUDGET
     if not 0 < x < 1:
         raise ValueError("value must lie in (0,1)")
-    return _cf_expand(x, depth, rational_tol, quotient_overflow, budget)
+    return _cf_expand(x, depth, quotient_overflow, budget)
 
 
 # ----------------------------------------------------------------------------
@@ -555,7 +552,7 @@ def _distance_records(xi: float, m_max: int) -> list[tuple[int, float]]:
     record so far, so no computed record is missed.
     """
     x = Fraction(xi)
-    convergents = _cf_expand(x, sys.maxsize, 0.0, math.inf, None).convergents
+    convergents = _cf_expand(x, sys.maxsize, math.inf, math.inf).convergents
     records: list[tuple[int, float]] = []
 
     def visit(m: int) -> None:
@@ -665,7 +662,6 @@ def _first_nan_product(
 @dataclass
 class ClassifySettings:
     depth: int = 40
-    rational_tol: float = 1e-12
     quotient_overflow: float = 1e12
     constant_type_bound: int = 20
     mu_min: float = 1.0
@@ -697,9 +693,7 @@ def classify_actuator(
     the float value and keep their traces when keep_trace is set.
     """
     settings = settings or ClassifySettings()
-    cf = expand_continued_fraction(
-        xi, settings.depth, settings.rational_tol, settings.quotient_overflow
-    )
+    cf = expand_continued_fraction(xi, settings.depth, settings.quotient_overflow)
     value = cf.value
     mu_range = settings.mu_min, settings.mu_max
     exp_report = check_exp_grid(value, *mu_range, settings.k1, settings.trend_factor, keep_trace)

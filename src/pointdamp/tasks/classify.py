@@ -23,7 +23,6 @@ MU_MIN = 1.0
 
 SCHEMA = {
     "depth": (40, at_least(1)),
-    "rational_tol": (1e-12, finite_nonnegative),
     "quotient_overflow": (1e12, all_of(finite, at_least(1))),
     "constant_type_bound": (20, None),
     "mu_min": (1.0, all_of(finite, at_least(MU_MIN))),

@@ -24,13 +24,16 @@ The diophantine checks are referenced by full scans.  Each pi-strip's
 minimum is found by a dense scan of the strip, where the package refines the
 sign changes of a derivative; the 0.01-grid check the package once ran is
 kept as the value a strip minimum may never exceed; and the Liouville scan
-evaluates every m, where the package evaluates only the records.
+evaluates every m, where the package evaluates only the records.  The
+continued fraction of a double is referenced by Fraction arithmetic on its
+complete quotients, where the package runs Euclid on its integer pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -415,3 +418,27 @@ def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,
                                note=f"scanned m <= {int(m_max)}", trace=trace)
     return ConditionReport("liouville", xi, "pass", float(m[i_min]), constants,
                            note=f"scanned m <= {int(m_max)}; scan evidence only", trace=trace)
+
+
+def continued_fraction(x: Fraction, budget: int) -> tuple[list[int], list[tuple[int, int]], bool]:
+    """Reference expansion of x in (0,1): (partial quotients, convergents
+    (p_k, q_k), whether the budget cut it short).
+
+    Each quotient is the floor of the complete quotient y, which then
+    becomes 1/(y - a), all in Fractions; a quotient is kept while
+    q_k q_{k+1} <= budget.
+    """
+    quotients, convergents = [], []
+    (p0, q0), (p1, q1) = (0, 1), (1, 0)
+    y = x
+    while True:
+        a = math.floor(y)
+        p, q = a * p1 + p0, a * q1 + q0
+        if q * q1 > budget:
+            return quotients, convergents, True
+        quotients.append(a)
+        convergents.append((p, q))
+        if y == a:
+            return quotients, convergents, False
+        (p0, q0), (p1, q1) = (p1, q1), (p, q)
+        y = 1 / (y - a)

@@ -18,9 +18,11 @@ With ``--compare``, it reads two such listings instead and prints
 The list covers the benchmark's invocations (perfbench/workloads.py) at two
 seeds, each task at its defaults, one sweep of each task over its default
 grid, a classify sweep of positions with an exact form (golden, 1/3,
-355/1131), which the sweep must hand to its jobs exactly, and carleman-verify
-with the exponential weight.  Only resolvent-scan draws random numbers, so
-at the two seeds every other task's files differ in the echoed seed alone.
+355/1131), which the sweep must hand to its jobs exactly, carleman-verify
+with the exponential weight, and a classify sweep of typed decimals (0.1,
+0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings.
+Only resolvent-scan draws random numbers, so at the two seeds every other
+task's files differ in the echoed seed alone.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ INVOCATIONS = (
     + [["sweep", "--set", f"task={task}"] for task in TASKS]
     + [["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"]]
     + [["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"]]
+    + [["sweep", "--set", "task=classify", "--set", "xi_list=0.1,0.3,0.375,0.9,0.011"]]
 )
 
 

@@ -428,10 +428,17 @@ def test_missing_xi_is_config_error(tmp_path):
     assert run(["classify", "--out", tmp_path]) == 2
 
 
-def test_unknown_key_is_config_error(tmp_path):
+def test_unknown_key_is_config_error(tmp_path, capsys):
     assert run([
         "classify", "--xi", "0.5", "--out", tmp_path, "--set", "no_such_key=1",
     ]) == 2
+    # exact Euclid reads a remainder below a tolerance as a quotient above
+    # quotient_overflow, so classify has no remainder tolerance
+    capsys.readouterr()
+    assert run([
+        "classify", "--xi", "0.5", "--out", tmp_path, "--set", "rational_tol=1e-12",
+    ]) == 2
+    assert "unknown key(s) for classify: rational_tol" in capsys.readouterr().err
     # the sweep's resolved task_config is no key a user may set
     assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
     # the Carleman constant is the span maximum, so there are no samples to count
@@ -526,6 +533,8 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     # tolerances that would report a wrong answer or fail mid-computation
     ["spectrum", "--xi", "1/2", "--set", "real_tol=nan"],
     ["spectrum", "--xi", "1/2", "--set", "real_tol=-1"],
+    # classify has no remainder tolerance any more, so these are refused as
+    # an unknown key rather than computed with
     ["classify", "--xi", "0.5", "--set", "rational_tol=nan"],
     ["classify", "--xi", "0.5", "--set", "rational_tol=-1"],
     ["classify", "--set", "quotient_overflow=nan"],

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import LIBM, NUMPY, grid_check, liouville_scan, strip_minima
+from oracles import (
+    LIBM, NUMPY, continued_fraction, grid_check, liouville_scan, strip_minima,
+)
 
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
@@ -99,11 +101,20 @@ def test_cf_two_fifths_exact():
     assert cf.is_rational
 
 
-def test_cf_float_detects_simple_rational():
-    cf = expand_continued_fraction(0.375)
-    assert cf.is_rational
-    p, q = cf.convergents[-1]
-    assert (p, q) == (3, 8)
+@pytest.mark.parametrize("x, quotients", [
+    (0.375, [0, 2, 1, 2]),  # 3/8, a double exactly
+    # the doubles nearest these decimals end on a quotient above
+    # quotient_overflow; the expansion before it ends canonically, not on 1
+    (0.3, [0, 3, 3]),
+    (0.9, [0, 1, 9]),
+    (0.1, [0, 10]),
+    (0.011, [0, 90, 1, 10]),
+], ids=["0.375", "0.3", "0.9", "0.1", "0.011"])
+def test_cf_float_detects_simple_rational(x, quotients):
+    cf = expand_continued_fraction(x)
+    assert cf.is_rational and not cf.truncated_by_precision
+    assert cf.partial_quotients == quotients
+    assert cf.convergents[-1] == Fraction(str(x)).as_integer_ratio()
 
 
 def test_cf_golden_all_ones():
@@ -125,8 +136,8 @@ def test_cf_decimal_string_is_exact():
 
 
 def test_cf_decimal_strings_match_their_fractions(rng):
-    # at most 11 digits, no remainder falls below rational_tol and no
-    # quotient exceeds quotient_overflow, so both routes are exact Euclid
+    # at most 11 digits, no quotient exceeds quotient_overflow, so both
+    # routes end where Euclid does
     texts = ["0.375", "0.1", "0.99999999999", "0.00000000001"]
     for x in rng.uniform(0.0, 1.0, size=300):
         texts += [f"{x:.6f}", f"{x:.11f}", f"{x:.3g}"]
@@ -157,11 +168,31 @@ def test_cf_float_golden_hits_precision_budget():
 
 
 def test_cf_quotient_overflow_reads_as_rational():
-    # float(1/3) is a dyadic rational; with rational_tol disabled the huge
-    # quotient in its exact expansion must trip the overflow cutoff
-    cf = expand_continued_fraction(1.0 / 3.0, rational_tol=0.0)
+    # float(1/3) is a dyadic rational; the huge quotient in its exact
+    # expansion must trip the overflow cutoff
+    cf = expand_continued_fraction(1.0 / 3.0)
     assert cf.terminated
     assert cf.partial_quotients == [0, 3]
+
+
+def test_cf_float_is_the_exact_expansion_of_its_double():
+    # a double is a rational; its quotients, convergents and cut point are
+    # those of Fraction(x) under the same rule, q_k q_{k+1} <= 2**50
+    draw = random.Random(1).random
+    wrong = []
+    for _ in range(20_000):
+        x = draw()
+        cf = expand_continued_fraction(x, depth=200)
+        got = cf.partial_quotients, cf.convergents, cf.truncated_by_precision
+        if got != continued_fraction(Fraction(x), 2**50):
+            wrong.append(x)
+    assert not wrong, f"{len(wrong)} of 20000 differ, first {wrong[:3]}"
+    # the last kept quotient is exact at q_k ~ 1e8, where rounded complete
+    # quotients would read 9
+    cf = expand_continued_fraction(0.8375779756625729, depth=200)
+    assert cf.partial_quotients[-3:] == [15, 1, 10]
+    assert cf.convergents[-1] == (88266649, 105383202)
+    assert cf.truncated_by_precision
 
 
 @pytest.mark.parametrize("bad", [0.0, 1.0, 1.2, -0.5])
