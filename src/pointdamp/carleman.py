@@ -317,7 +317,6 @@ class SquareExpansionReport:
     rhs: float
     residual: float
     relative_residual: float
-    boundary_reading: str
 
 
 def square_expansion_residual(
@@ -325,24 +324,22 @@ def square_expansion_residual(
     h: float,
     w: np.ndarray,
     x: np.ndarray,
-    boundary_reading: str = "curvature",
-) -> SquareExpansionReport:
+) -> tuple[SquareExpansionReport, SquareExpansionReport]:
     """Numeric check of the expanded square of the conjugated operator.
 
     int |P_w w|^2 is expanded into the square of the symmetric part, positive
-    commutator volume terms, and boundary terms.  Two readings of the
-    mixed boundary term are supported:
+    commutator volume terms, and boundary terms.  Returns the reports of the
+    two readings of the mixed boundary term, (curvature, plain):
 
-    * "curvature": coefficient 2 h^2 phi''(endpoint), the value produced by
+    * curvature: coefficient 2 h^2 phi''(endpoint), the value produced by
       integrating the cross term by parts;
-    * "plain": coefficient 2 h^2 (no curvature factor), as the expansion is
+    * plain: coefficient 2 h^2 (no curvature factor), as the expansion is
       sometimes displayed.
 
-    The report carries both sides so a refinement study can measure which
+    The readings share the left side and the volume terms, computed once.
+    Each report carries both sides so a refinement study can measure which
     reading converges.
     """
-    if boundary_reading not in ("curvature", "plain"):
-        raise ValueError("boundary_reading must be 'curvature' or 'plain'")
     x = np.asarray(x, dtype=float)
     dx = float(x[1] - x[0])
     w = np.asarray(w, dtype=complex)
@@ -366,23 +363,24 @@ def square_expansion_residual(
         + 4.0 * h * simpson(p1 * p2 * (w * np.conj(dw)).imag, dx=dx)
     )
 
-    def boundary(idx: int) -> float:
-        curvature = p2[idx] if boundary_reading == "curvature" else 1.0
+    def boundary(idx: int, curvature: float) -> float:
         return (
             -2.0 * h * p1[idx] * abs(dw[idx]) ** 2
             - 2.0 * h**2 * curvature * (w[idx] * np.conj(dw[idx])).imag
             - h * (2.0 * p1[idx] * (1.0 + p1[idx] ** 2) - h**2 * p3[idx]) * abs(w[idx]) ** 2
         )
 
-    rhs = float(volume.real) + boundary(-1) - boundary(0)
-    residual = abs(lhs - rhs)
-    return SquareExpansionReport(
-        lhs=lhs,
-        rhs=rhs,
-        residual=float(residual),
-        relative_residual=float(residual / (abs(lhs) + abs(rhs) + 1e-300)),
-        boundary_reading=boundary_reading,
-    )
+    def reading(curvature_left: float, curvature_right: float) -> SquareExpansionReport:
+        rhs = float(volume.real) + boundary(-1, curvature_right) - boundary(0, curvature_left)
+        residual = abs(lhs - rhs)
+        return SquareExpansionReport(
+            lhs=lhs,
+            rhs=rhs,
+            residual=float(residual),
+            relative_residual=float(residual / (abs(lhs) + abs(rhs) + 1e-300)),
+        )
+
+    return reading(p2[0], p2[-1]), reading(1.0, 1.0)
 
 
 # ----------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Exit codes: 0 success, 2 configuration error, 3 computation error.
 
 This module is the task-agnostic core: the casters and limits that schemas
 are made of, config resolution, the report and CSV writers, the parser and
-main, and the position xi, parsed once here for the task.  Each subcommand,
+main, and the position xi, parsed once here for the task, whose check main
+runs once, handing the plan it returns to the task's run.  Each subcommand,
 the sweep included, lives in its own module, pointdamp.tasks.<name> (the
 command with "_" for "-"), which holds its other keys and is imported on
 first use (see _task), so an invocation compiles the core and its own task
@@ -117,10 +118,20 @@ MAX_GRID_POINTS = 10**7
 # the subcommands, each the module pointdamp.tasks.<name> with "_" for "-"
 COMMANDS = ("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate", "sweep")
 
+
+def _can_hold_reports(text: str) -> bool:
+    """Whether the path is a directory or can be made one: its nearest existing ancestor is one."""
+    path = Path(text)
+    return next(p for p in (path, *path.parents) if p.exists()).is_dir()
+
+
 # the keys of every subcommand (xi: but the sweep) besides its module's SCHEMA,
 # each (default, Limit or None), where a _REQUIRED default means the key must
 # be provided; the limits are checked right after casting, before any work
-COMMON_SCHEMA = {"out": (".", None), "seed": (0, nonnegative)}
+COMMON_SCHEMA = {
+    "out": (".", Limit("a directory or a new path under one", _can_hold_reports)),
+    "seed": (0, nonnegative),
+}
 POSITION_SCHEMA = {"xi": (_REQUIRED, None)}
 
 
@@ -192,8 +203,10 @@ def _task(command: str):
     """The subcommand's module, imported on first use.
 
     It defines SCHEMA; check(cfg, xi), the checks across its keys at the
-    Position xi, which run(cfg, xi) makes first; and write(cfg, result).  A
-    task the sweep runs also defines USES_NUMPY, SWEEP_DEFAULTS and row(result).
+    Position xi, which returns the plan they settle; run(cfg, xi, plan), its
+    one compute path, which computes from that plan and checks nothing again;
+    and write(cfg, result).  A task the sweep runs also defines USES_NUMPY,
+    SWEEP_DEFAULTS and row(result).
     """
     # __import__ runs the import in C, which python -X importtime logs;
     # importlib.import_module's pure-Python path goes unlisted
@@ -356,7 +369,8 @@ def main(argv=None) -> int:
     try:
         task = _task(args.command)
         xi = parse_position(cfg["xi"]) if "xi" in cfg else None
-        paths = task.write(cfg, task.run(cfg, xi))
+        plan = task.check(cfg, xi)
+        paths = task.write(cfg, task.run(cfg, xi, plan))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

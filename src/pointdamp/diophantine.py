@@ -9,6 +9,7 @@ scans, and the strip/scan conditions that separate decay regimes.
 from __future__ import annotations
 
 import decimal
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -181,11 +182,26 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
+def _identity(m: float) -> float:
+    return m
+
+
+def _power_log(alpha: float, eps: float, m: float) -> float:
+    return _power(m, alpha) * _power(math.log(max(m, 2.0)), 1.0 + eps)
+
+
+def _exponential(beta: float, m: float) -> float:
+    return _exp(beta * m)
+
+
 @dataclass
 class GrowthFunction:
     """Positive nondecreasing weight m -> phi(m) used by the scan condition.
 
     evaluate maps one float to one float; calling the function does the same.
+    The constructors' evaluators are module-level functions, their parameters
+    bound by functools.partial, so a GrowthFunction pickles (a sweep hands one
+    to each pool worker).
     """
 
     kind: str
@@ -196,7 +212,7 @@ class GrowthFunction:
 
     @staticmethod
     def identity() -> "GrowthFunction":
-        return GrowthFunction("identity", lambda m: m)
+        return GrowthFunction("identity", _identity)
 
     @staticmethod
     def power_log(alpha: float, eps: float) -> "GrowthFunction":
@@ -205,18 +221,16 @@ class GrowthFunction:
             raise ValueError(
                 f"power_log needs finite alpha >= 0 and eps >= -1, got alpha={alpha}, eps={eps}"
             )
-
-        def f(m):
-            return _power(m, alpha) * _power(math.log(max(m, 2.0)), 1.0 + eps)
-
-        return GrowthFunction(f"power_log(alpha={alpha}, eps={eps})", f)
+        return GrowthFunction(
+            f"power_log(alpha={alpha}, eps={eps})", functools.partial(_power_log, alpha, eps)
+        )
 
     @staticmethod
     def exponential(beta: float) -> "GrowthFunction":
         """exp(beta * m); nondecreasing needs beta >= 0."""
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"exponential needs a finite beta >= 0, got {beta}")
-        return GrowthFunction(f"exponential(beta={beta})", lambda m: _exp(beta * m))
+        return GrowthFunction(f"exponential(beta={beta})", functools.partial(_exponential, beta))
 
 
 # ----------------------------------------------------------------------------

@@ -27,7 +27,11 @@ class Mesh:
     n_left: int
     n_right: int
     nodes: np.ndarray = field(repr=False)
-    i_xi: int = 0
+
+    @property
+    def i_xi(self) -> int:
+        """Index of the xi node: the n_left cells of [0, xi] precede it."""
+        return self.n_left
 
     @property
     def h_left(self) -> float:
@@ -81,4 +85,4 @@ def build_mesh(xi: float, n_left: int, n_right: int) -> Mesh:
     left = np.linspace(0.0, xi, n_left + 1)
     right = np.linspace(xi, 1.0, n_right + 1)
     nodes = np.concatenate([left, right[1:]])
-    return Mesh(xi=float(xi), n_left=n_left, n_right=n_right, nodes=nodes, i_xi=n_left)
+    return Mesh(xi=float(xi), n_left=n_left, n_right=n_right, nodes=nodes)

@@ -129,8 +129,7 @@ def _verify_carleman_side(
     w = on_grid(w_coefficients, cells)
     v = on_grid(v_coefficients, cells)
     ibp1, ibp2 = carleman.ibp_residuals(weight, h_ref, v, w, x)
-    sq_curv = carleman.square_expansion_residual(weight, h_ref, w, x, "curvature")
-    sq_plain = carleman.square_expansion_residual(weight, h_ref, w, x, "plain")
+    sq_curv, sq_plain = carleman.square_expansion_residual(weight, h_ref, w, x)
 
     h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
     basis = carleman.sample_basis(
@@ -150,12 +149,13 @@ def _verify_carleman_side(
     return checks, estimate
 
 
-def run(cfg: dict, xi: Position) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
-    """Returns side -> (identity checks, constant estimate)."""
-    beta = check(cfg, xi)
+def run(
+    cfg: dict, xi: Position, plan: float | None
+) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
+    """Returns side -> (identity checks, constant estimate), weighted by check's beta."""
     return {
         side: _verify_carleman_side(cfg, side, weight)
-        for side, weight in _carleman_weights(cfg, xi.value, beta).items()
+        for side, weight in _carleman_weights(cfg, xi.value, plan).items()
     }
 
 

@@ -88,9 +88,11 @@ def check(cfg: dict, xi: Position) -> diophantine.GrowthFunction:
     return _growth_from_text(cfg["liouville_phi"])
 
 
-def run(cfg: dict, xi: Position):
-    """Returns (classification, cos-grid report, Liouville report, exact xi or None)."""
-    phi = check(cfg, xi)
+def run(cfg: dict, xi: Position, plan: diophantine.GrowthFunction):
+    """Returns (classification, cos-grid report, Liouville report, exact xi or None).
+
+    plan is check's Liouville weight phi.
+    """
     from .. import diophantine
 
     settings = diophantine.ClassifySettings(
@@ -102,7 +104,7 @@ def run(cfg: dict, xi: Position):
         xi.value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
     )
     liou_rep = diophantine.check_liouville_type(
-        xi.value, phi, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
+        xi.value, plan, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )
     return classification, cos_rep, liou_rep, xi.exact
 

@@ -44,13 +44,13 @@ def check(cfg: dict, xi: Position) -> tuple[float, float, float]:
     return cfg["mu_min"], cfg["mu_max"], cfg["mu_step"]
 
 
-def run(cfg: dict, xi: Position) -> frequency.ScanResult:
-    grid_args = check(cfg, xi)
+def run(cfg: dict, xi: Position, plan: tuple[float, float, float]) -> frequency.ScanResult:
+    """The scan over the mu grid of check's (mu_min, mu_max, mu_step)."""
     from .. import frequency
 
     return frequency.scan_resolvent_growth(
         xi.value,
-        default_mu_grid(*grid_args),
+        default_mu_grid(*plan),
         probes_per_mu=cfg["probes"],
         seed=cfg["seed"],
         cells_per_side=cfg["cells"],

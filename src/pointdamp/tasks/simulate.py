@@ -43,13 +43,12 @@ def check(cfg: dict, xi: Position) -> float:
     return dt
 
 
-def run(cfg: dict, xi: Position):
-    """Returns (final state, energy trace, fits).
+def run(cfg: dict, xi: Position, plan: float):
+    """Returns (final state, energy trace, fits), stepping at check's time step.
 
     fits is None when fitting is off, and the InsufficientData raised when the
     trace has too few usable samples.
     """
-    dt = check(cfg, xi)
     from .. import decayfit, simulator
     from ..mesh import build_mesh
 
@@ -59,7 +58,7 @@ def run(cfg: dict, xi: Position):
         mesh, cfg["initial"], mode=cfg["mode"], center=center, width=cfg["width"]
     )
     final, trace = simulator.simulate(
-        state, cfg["t_final"], dt=dt, damped=cfg["damped"], sample_every=cfg["sample_every"]
+        state, cfg["t_final"], dt=plan, damped=cfg["damped"], sample_every=cfg["sample_every"]
     )
     fits = None
     if cfg["fit"]:

@@ -43,12 +43,11 @@ def check(cfg: dict, xi: Position) -> tuple[float, float, float, float]:
     return rect
 
 
-def run(cfg: dict, xi: Position):
-    """Returns (roots in the configured rectangle, their spectral abscissa)."""
-    rect = check(cfg, xi)
+def run(cfg: dict, xi: Position, plan: tuple[float, float, float, float]):
+    """Returns (roots in check's rectangle, their spectral abscissa)."""
     from .. import characteristic
 
-    roots = characteristic.find_eigenvalues(xi.value, rect, cfg["tol"])
+    roots = characteristic.find_eigenvalues(xi.value, plan, cfg["tol"])
     return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
 
 

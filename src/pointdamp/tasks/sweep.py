@@ -1,7 +1,9 @@
 """The sweep task: one task's summary row at each of a list or a grid of positions.
 
 Checks every position, exact form kept, with the swept task's own check before
-the first job hands it to the task's run; that task imports its own layers.
+the first job starts; each job hands the task's run its position and the plan
+that check returned there, so no position is checked twice.  The task imports
+its own layers.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ SCHEMA = {
 
 
 def _sweep_worker(job: tuple) -> tuple[float, dict]:
-    name, xi, task_cfg, seed = job
+    name, xi, plan, task_cfg, seed = job
     task = cli._task(name)
-    return xi.value, task.row(task.run(dict(task_cfg, seed=seed), xi))
+    return xi.value, task.row(task.run(dict(task_cfg, seed=seed), xi, plan))
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -46,24 +48,26 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return [i * step + start for i in range(count - 1)] + [stop]
 
 
-def check(cfg: dict, xi: None) -> list[Position]:
-    """The positions, each checked by the swept task; the sweep has no xi of its own."""
+def check(cfg: dict, xi: None) -> list[tuple[Position, object]]:
+    """(position, the swept task's plan there) for each position; the sweep has no xi of its own."""
     if cfg["xi_list"].strip():
         positions = [cli.parse_position(token) for token in cfg["xi_list"].split(",")]
     else:
         grid = _linspace(cfg["xi_min"], cfg["xi_max"], cfg["xi_count"])
         positions = [Position(v, None) for v in grid]
     task = cli._task(cfg["task"])
+    plans = []
     for position in positions:
         if not 0.0 < position.value < 1.0:
             raise ConfigError(f"sweep xi {position.value} outside (0,1)")
-        task.check(cfg["task_config"], position)
-    return positions
+        plans.append((position, task.check(cfg["task_config"], position)))
+    return plans
 
 
-def run(cfg: dict, xi: None) -> list[tuple[float, dict]]:
-    """(xi, the task's sweep row) at each position, in increasing xi."""
-    jobs = [(cfg["task"], p, cfg["task_config"], cfg["seed"]) for p in check(cfg, xi)]
+def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[float, dict]]:
+    """(xi, the task's sweep row) at each of check's positions, in increasing xi."""
+    jobs = [(cfg["task"], position, task_plan, cfg["task_config"], cfg["seed"])
+            for position, task_plan in plan]
     workers = min(cfg["workers"], len(jobs))
     if workers > 1:
         import concurrent.futures

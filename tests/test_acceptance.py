@@ -158,7 +158,7 @@ def test_criterion_7_weighted_inequality_checks(capsys):
             gap = carleman.conjugation_route(weight, h_ref, w, x) - \
                 carleman.apply_conjugated_operator(weight, h_ref, w, x)
             errs_route.append(float(np.max(np.abs(gap))))
-            rep = carleman.square_expansion_residual(weight, h_ref, w, x, "curvature")
+            rep, _ = carleman.square_expansion_residual(weight, h_ref, w, x)
             errs_sq.append(rep.relative_residual)
         for errs in (errs_route, errs_sq):
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

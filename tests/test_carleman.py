@@ -216,7 +216,7 @@ def test_square_expansion_curvature_reading_converges():
         w = random_test_function(
             (weight.a, weight.b), n, np.random.default_rng(6), pin_left=True
         )
-        rep = square_expansion_residual(weight, h, w, x, "curvature")
+        rep, _ = square_expansion_residual(weight, h, w, x)
         residuals.append(rep.relative_residual)
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[0] / residuals[2] > 8.0
@@ -233,8 +233,7 @@ def test_square_expansion_discriminates_readings():
     w = random_test_function(
         (weight.a, weight.b), n, np.random.default_rng(6), pin_left=True
     )
-    curv = square_expansion_residual(weight, h, w, x, "curvature")
-    plain = square_expansion_residual(weight, h, w, x, "plain")
+    curv, plain = square_expansion_residual(weight, h, w, x)
     assert plain.relative_residual > 10.0 * curv.relative_residual
 
 
@@ -243,17 +242,8 @@ def test_square_expansion_readings_coincide_when_curvature_is_one(rng):
     weight = WeightFunction.polynomial([0.0, 1.0, 0.5], (0.0, 0.6))
     x = weight.grid(800)
     w = random_test_function((0.0, 0.6), 800, rng, pin_left=True)
-    a = square_expansion_residual(weight, 0.4, w, x, "curvature")
-    b = square_expansion_residual(weight, 0.4, w, x, "plain")
+    a, b = square_expansion_residual(weight, 0.4, w, x)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
-
-
-def test_square_expansion_validates_reading(rng):
-    weight = default_left_weight(GOLDEN)
-    x = weight.grid(100)
-    w = random_test_function((weight.a, weight.b), 100, rng)
-    with pytest.raises(ValueError):
-        square_expansion_residual(weight, 0.3, w, x, "middle")
 
 
 # ---------------------------------------------------------- the inequality

@@ -588,9 +588,10 @@ def test_commands_are_the_task_modules():
     for command in COMMANDS:
         task = cli._task(command)
         assert all(callable(getattr(task, name)) for name in ("check", "run", "write")), command
-        # the core parses xi and hands every check and run the Position
-        for name in ("check", "run"):
-            assert list(inspect.signature(getattr(task, name)).parameters) == ["cfg", "xi"], command
+        # the core parses xi and hands check the Position, and run the
+        # Position with the plan that check returned
+        assert list(inspect.signature(task.check).parameters) == ["cfg", "xi"], command
+        assert list(inspect.signature(task.run).parameters) == ["cfg", "xi", "plan"], command
         assert list(inspect.signature(task.write).parameters)[0] == "cfg", command
         assert not set(task.SCHEMA) & (set(COMMON_SCHEMA) | set(POSITION_SCHEMA)), command
     # the sweep runs every other command, each through the same protocol
@@ -640,9 +641,10 @@ def test_every_config_key_is_read_by_its_task(tmp_path):
     for i, (command, raw, unread) in enumerate(KEY_READ_RUNS):
         cfg = _ReadRecorder(resolve_config(command, dict(raw, out=str(tmp_path / str(i)))))
         task = cli._task(command)
-        # as main does, the core reads and parses xi, and the task gets the Position
+        # as main does, the core reads and parses xi, and the task gets the
+        # Position, checked once
         xi = cli.parse_position(cfg["xi"]) if command != "sweep" else None
-        task.write(cfg, task.run(cfg, xi))
+        task.write(cfg, task.run(cfg, xi, task.check(cfg, xi)))
         assert set(schema(command)) - cfg.read == unread, command
 
 
@@ -712,6 +714,15 @@ def test_config_file_and_override_precedence(tmp_path):
 
 def test_missing_config_file_is_config_error(tmp_path):
     assert run(["classify", "--config", tmp_path / "absent.cfg"]) == 2
+
+
+@pytest.mark.parametrize("out", ["report", "report/sub"])
+def test_out_that_cannot_be_a_directory_is_config_error(tmp_path, out, monkeypatch):
+    # refused before the task runs, which here would fail the test
+    (tmp_path / "report").write_text("not a directory\n")
+    monkeypatch.setattr(cli._task("classify"), "run", None)
+    assert run(["classify", "--xi", "0.3", "--out", tmp_path / out]) == 2
+    assert (tmp_path / "report").read_text() == "not a directory\n"
 
 
 # ----------------------------------------------------------------- spectrum
@@ -851,6 +862,21 @@ def test_report_fixes_the_snapshot_nodes(tmp_path, xi, cells):
     assert nodes.tobytes() == build_mesh(value, cells, cells).nodes.tobytes()
     _, _, rows = read_csv(tmp_path / "final_state.csv")
     assert len(rows) == nodes.size
+
+
+@pytest.mark.parametrize("xi", ["golden", "1/3", "0.9"])
+@pytest.mark.parametrize("cells", [2, 7, 1000])
+def test_default_time_step_is_the_simulators(xi, cells):
+    # the task's check and simulator.simulate each write the dt = 0 step down
+    from pointdamp import simulator
+    from pointdamp.tasks import simulate as simulate_task
+
+    position = cli.parse_position(xi)
+    cfg = resolve_config("simulate", {"xi": xi, "cells": str(cells)})
+    state = simulator.initial_data(build_mesh(position.value, cells, cells), "smooth_bump")
+    # a run of no time reports its step as chosen, before any adjustment
+    _, trace = simulator.simulate(state, state.t)
+    assert trace.dt == simulate_task.check(cfg, position)
 
 
 def test_damping_record_and_dt_reproduce_the_dissipated_column(tmp_path):
@@ -1018,9 +1044,10 @@ def test_sweep_serial_ordering(tmp_path):
 def test_sweep_parallel_matches_serial(tmp_path):
     out_a = tmp_path / "serial"
     out_b = tmp_path / "parallel"
+    # a growth function other than the identity is part of every job's plan
     args = [
         "sweep", "--set", "task=classify", "--set", "xi_list=0.3,0.7,355/1131",
-        "--set", "mu_max=50",
+        "--set", "mu_max=50", "--set", "liouville_phi=power_log:1,0.5",
     ]
     assert run(args + ["--out", out_a, "--set", "workers=1"]) == 0
     assert run(args + ["--out", out_b, "--set", "workers=2"]) == 0
@@ -1154,6 +1181,44 @@ def test_sweep_checks_every_position_before_any_job(tmp_path, pool_sizes, task_a
     ]) == 2
     assert pool_sizes == []
     assert not list(tmp_path.iterdir())
+
+
+# each task at desk-scale sizes
+SMALL_RUNS = {
+    "classify": ["mu_max=20", "liouville_m_max=100"],
+    "resolvent-scan": ["mu_max=3", "cells=16", "probes=2"],
+    "spectrum": ["re_max=8"],
+    "carleman-verify": ["cells=64", "h_count=3"],
+    "simulate": ["cells=16", "t_final=0.2"],
+}
+
+
+@pytest.mark.parametrize("command", SMALL_RUNS)
+def test_each_position_is_checked_once(tmp_path, monkeypatch, pool_sizes, command):
+    # main checks a run's position, the sweep each of its positions, and the
+    # task's run computes from the plan that check returned
+    task = cli._task(command)
+    checked = []
+    check = task.check
+
+    def counting_check(cfg, xi):
+        checked.append(xi.value)
+        return check(cfg, xi)
+
+    monkeypatch.setattr(task, "check", counting_check)
+    settings = [
+        item for pair in zip(itertools.repeat("--set"), SMALL_RUNS[command]) for item in pair
+    ]
+    assert run([command, "--xi", "0.3", "--out", tmp_path / "one", *settings]) == 0
+    assert checked == [0.3]
+    for workers in (1, 2):
+        checked.clear()
+        assert run([
+            "sweep", "--out", tmp_path / f"sweep{workers}", "--set", f"task={command}",
+            "--set", "xi_list=0.6,0.3", "--set", f"workers={workers}", *settings,
+        ]) == 0
+        assert checked == [0.6, 0.3]
+    assert pool_sizes == [2]
 
 
 # ------------------------------------------------------------- determinism

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -252,6 +253,20 @@ def test_growth_power_log():
 def test_growth_exponential():
     phi = GrowthFunction.exponential(0.3)
     assert phi(10.0) == pytest.approx(math.exp(3.0))
+
+
+@pytest.mark.parametrize("make", [
+    GrowthFunction.identity,
+    lambda: GrowthFunction.power_log(1.0, 0.5),
+    lambda: GrowthFunction.exponential(0.3),
+])
+def test_growth_functions_pickle(make):
+    # a sweep's pool worker gets classify's growth function in its job
+    phi = make()
+    copy = pickle.loads(pickle.dumps(phi))
+    assert copy.kind == phi.kind
+    for m in (1.0, 2.0, 7.5, 1000.0, 1e6):
+        assert copy(m) == phi(m)
 
 
 # ------------------------------------------------------- grid expressions

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointdamp import build_mesh
+from pointdamp import Mesh, build_mesh
 
 
 def test_uniform_halves():
@@ -42,6 +42,17 @@ def test_split_grid_function():
     np.testing.assert_array_equal(np.concatenate([lo, hi[1:]]), values)
     with pytest.raises(ValueError):
         mesh.split(values[:-1])
+
+
+def test_mesh_built_directly_splits_at_xi():
+    # the xi node's index is n_left however the Mesh is built, so split and
+    # the side views never fall back to node 0
+    nodes = build_mesh(0.25, 5, 9).nodes
+    mesh = Mesh(0.25, 5, 9, nodes)
+    assert mesh.i_xi == 5
+    assert mesh.nodes[mesh.i_xi] == 0.25
+    lo, hi = mesh.split(nodes)
+    assert lo.size == 6 and hi.size == 10
 
 
 def test_irrational_interface_spacing():
