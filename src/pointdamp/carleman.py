@@ -8,8 +8,10 @@ conjugation
 
 The module verifies the operator algebra numerically (dual-route
 conjugation, symmetric/antisymmetric split, the expanded-square identity
-with all boundary terms) and evaluates the weighted lower-bound inequality,
-pointwise for any u or as Hermitian forms on the span of a real basis.  The
+with all boundary terms) and evaluates the weighted inequality, stated at
+evaluate_carleman_inequality (its outer term carries no factor phi'), for
+one u or as Hermitian forms on the span of a real basis of the conjugated
+variable w = e^{(phi - max phi)/h} u, in which no exponential appears.  The
 constant on that span is the top eigenvalue of the forms' pencil.
 
 Exponentials are always taken relative to a local reference value of the
@@ -21,7 +23,6 @@ rescaled windows (the identity being local, this is exact).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -54,11 +55,6 @@ __all__ = [
 _EXP_WINDOW = 300.0
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
-# largest log-log slope of the sup ratio in h still read as tame growth
-_MAX_GROWTH_RATE = 4.0
-# eigenvalues of the inequality's right-hand form below this fraction of its
-# largest are rounding: their directions are dropped from the pencil
-RHS_RANK_CUTOFF = 1e-13
 
 
 @dataclass
@@ -447,11 +443,11 @@ def evaluate_carleman_inequality(
 
 @dataclass
 class ConstantEstimate:
-    c_hat: float
-    h0_hat: float
+    c_hat: float  # the largest span maximum over the h grid
     h: np.ndarray
     sup_ratio: np.ndarray  # the maximum of LHS/RHS over the span, per sorted h
-    discarded_rank: np.ndarray  # span directions dropped from the pencil, per h
+    sup_ratio_half_modes: np.ndarray  # the same over the span of the first m // 2 rows
+    outer_share: np.ndarray  # the outer boundary term's share of the maximiser's LHS
     coefficients: np.ndarray  # (h, m) real maximiser per h, scaled to RHS = 1
 
 
@@ -466,29 +462,32 @@ def inequality_forms(
     h_values,
     side: str = "left",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the weighted inequality as Hermitian forms on a real basis.
+    """Both sides of the weighted inequality as Hermitian forms on a real basis of w.
 
-    basis is (m, n + 1), real, on weight.grid(n).  Returns L and R, each
-    (len(h_values), m, m): for u = c @ basis with c = a + i b,
+    basis is (m, n + 1), real, on weight.grid(n); its rows are the
+    conjugated variable w = e^{(phi - max phi)/h} u.  Returns L and R, each
+    (len(h_values), m, m): for w = c @ basis with c = a + i b,
 
       LHS(h) = a.L[h].a + b.L[h].b,   RHS(h) = a.R[h].a + b.R[h].b,
 
-    the quantities of evaluate_carleman_inequality up to rounding.  With q
-    the Simpson weights, E as there and G(X) = (X * E q) @ X.T:
+    the sides of evaluate_carleman_inequality for that u, discretised in w.
+    With q the Simpson weights, G(X) = (X * q) @ X.T, S = h B' - phi' B and
+    P_w B the conjugated operator applied row by row:
 
-      L = h G(B) + h^3 G(B') + h^3 E(outer) b'_o b'_o^T
-      R = h^4 G(P B) + E(damped) (h b_d b_d^T + h^3 b'_d b'_d^T)
+      L = h G(B) + h G(S) + h^3 b'_o b'_o^T
+      R = G(P_w B) + h (b_d b_d^T + s_d s_d^T)
 
-    P B is formed for each h: expanding G(P B) into G(B)/h^4 plus cross terms
-    cancels catastrophically near a resonance h^-2 = k^2.  Every row of the
-    basis must vanish at the outer (Dirichlet) end.
+    P_w B is formed for each h: expanding G(P_w B) in powers of h cancels
+    catastrophically near a resonance.  Every row of the basis must vanish
+    at the outer (Dirichlet) end.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     basis = np.asarray(basis, dtype=float)
     x = weight.grid(basis.shape[-1] - 1)
     dx = float(x[1] - x[0])
-    phi = np.asarray(weight.d0(x), dtype=float)
+    p1 = np.asarray(weight.d1(x), dtype=float)
+    p2 = np.asarray(weight.d2(x), dtype=float)
     outer, damped = (0, -1) if side == "left" else (-1, 0)
     scale = np.maximum(np.max(np.abs(basis), axis=-1), 1e-300)
     if np.any(np.abs(basis[:, outer]) > 1e-10 * scale):
@@ -501,35 +500,33 @@ def inequality_forms(
     d_basis = derivative(basis, dx)
     d2_basis = _d2(basis, dx)
     q = simpson_weights(x.size, dx)
-    exponent = 2.0 * (phi - float(np.max(phi)))
-    b_d, db_o, db_d = basis[:, damped], d_basis[:, outer], d_basis[:, damped]
+    gram_basis = _gram(basis, q)
+    # P_w B = h (2 phi' B' + phi'' B - h B'') - (phi'^2 + 1) B
+    first_order = 2.0 * p1 * d_basis + p2 * basis
+    zeroth_order = (p1**2 + 1.0) * basis
+    b_d, db_o = basis[:, damped], d_basis[:, outer]
     for i, h in enumerate(h_values):
-        E = np.exp(exponent / h)
-        Eq = E * q
-        p_basis = basis / h**2
-        p_basis += d2_basis
-        lhs_forms[i] = h * _gram(basis, Eq) + h**3 * _gram(d_basis, Eq)
-        lhs_forms[i] += h**3 * E[outer] * np.outer(db_o, db_o)
-        rhs_forms[i] = h**4 * _gram(p_basis, Eq)
-        rhs_forms[i] += E[damped] * (h * np.outer(b_d, b_d) + h**3 * np.outer(db_d, db_d))
+        s_basis = h * d_basis - p1 * basis
+        p_basis = h * (first_order - h * d2_basis) - zeroth_order
+        lhs_forms[i] = h * (gram_basis + _gram(s_basis, q)) + h**3 * np.outer(db_o, db_o)
+        s_d = s_basis[:, damped]
+        rhs_forms[i] = _gram(p_basis, q) + h * (np.outer(b_d, b_d) + np.outer(s_d, s_d))
     return lhs_forms, rhs_forms
 
 
-def _span_maximum(lhs_form: np.ndarray, rhs_form: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Top eigenvalue of the pencil (L, R) on the numerical range of R.
+def _span_maximum(lhs_form: np.ndarray, rhs_form: np.ndarray) -> tuple[float, np.ndarray]:
+    """Top eigenvalue of the pencil (L, R) and its eigenvector, scaled to RHS = 1.
 
-    R is reduced to its eigenvectors above RHS_RANK_CUTOFF times its largest
-    eigenvalue and whitened there, so the pencil becomes one symmetric
-    eigenproblem.  Returns the eigenvalue, the number of directions dropped
-    and its eigenvector as coefficients on the basis, with RHS = 1.
+    The Cholesky factor R = C C^T makes the pencil the symmetric eigenproblem
+    of C^-1 L C^-T.  A zero R (a null or empty span) gives 0; an R that is
+    not positive definite raises numpy.linalg.LinAlgError.
     """
-    values, vectors = np.linalg.eigh(rhs_form)
-    if not values[-1] > 0.0:  # R = 0: no direction has a ratio
-        return 0.0, values.size, np.zeros(values.size)
-    keep = values > RHS_RANK_CUTOFF * values[-1]
-    whiten = vectors[:, keep] / np.sqrt(values[keep])
-    top, vector = np.linalg.eigh(whiten.T @ lhs_form @ whiten)
-    return float(top[-1]), int(values.size - np.count_nonzero(keep)), whiten @ vector[:, -1]
+    if not rhs_form.any():
+        return 0.0, np.zeros(rhs_form.shape[0])
+    factor = np.linalg.cholesky(rhs_form)
+    half = np.linalg.solve(factor, lhs_form)  # C^-1 L
+    top, vectors = np.linalg.eigh(np.linalg.solve(factor, half.T))
+    return float(top[-1]), np.linalg.solve(factor.T, vectors[:, -1])
 
 
 def estimate_carleman_constant(
@@ -538,48 +535,44 @@ def estimate_carleman_constant(
     h_values,
     side: str = "left",
 ) -> ConstantEstimate:
-    """Constant of the weighted inequality over the span of a real basis.
+    """Constant of the weighted inequality over the span of a real basis of w.
 
     basis is (m, n + 1), as in inequality_forms.  Both sides are Hermitian
     forms on the span, and a complex coefficient vector a + i b gives a ratio
     between those of a and b, so the largest LHS/RHS at each h is the top
-    eigenvalue of the real pencil (L_h, R_h), reduced to the directions R_h
-    resolves above rounding (_span_maximum; for h below ~0.03, cond(R_h)
-    reaches 1e17 and the unreduced pencil gives spikes).  h0_hat is the
-    largest h up to which that maximum grows tamely (log-log slope between
-    consecutive grid points at most _MAX_GROWTH_RATE; genuine breakdown
-    shows up as a much steeper jump), and c_hat is the maximum over that
-    range.
+    eigenvalue of the real pencil (L_h, R_h); R_h is positive definite on
+    independent rows.  The maximum over the first m // 2 rows comes from the
+    leading blocks of the same forms (0 for m = 1), and the outer share is
+    h^3 (b'_o . c)^2 / LHS at the maximiser c.  c_hat is the largest maximum
+    over h_values.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
-    # at an extreme h a power of h overflows or underflows; inf or nan would read as ratio 0
+    # at an extreme h a power of h overflows; inf or nan would read as ratio 0
     bad = h_values[~(np.isfinite(lhs_forms) & np.isfinite(rhs_forms)).all(axis=(1, 2))]
     if bad.size:
         raise FloatingPointError(f"the inequality's forms are not finite at h = {bad[0]:g}")
-    m = lhs_forms.shape[-1]
     sup_ratio = np.zeros(h_values.size)
-    discarded_rank = np.zeros(h_values.size, dtype=int)
-    coefficients = np.zeros((h_values.size, m))
-    for i, (lhs_form, rhs_form) in enumerate(zip(lhs_forms, rhs_forms)):
-        sup_ratio[i], discarded_rank[i], coefficients[i] = _span_maximum(lhs_form, rhs_form)
-    cut = h_values.size
-    for k in range(1, h_values.size):
-        prev, cur = sup_ratio[k - 1], sup_ratio[k]
-        if prev <= 0.0 or cur <= 0.0:
-            continue
-        slope = math.log(cur / prev) / math.log(h_values[k] / h_values[k - 1])
-        if slope > _MAX_GROWTH_RATE:
-            cut = k
-            break
-    c_hat = float(np.max(sup_ratio[:cut])) if cut else 0.0
-    h0_hat = float(h_values[cut - 1]) if cut else 0.0
+    coefficients = np.zeros(lhs_forms.shape[:2])
+    for i, (h, lhs_form, rhs_form) in enumerate(zip(h_values, lhs_forms, rhs_forms)):
+        try:
+            sup_ratio[i], coefficients[i] = _span_maximum(lhs_form, rhs_form)
+        except np.linalg.LinAlgError:
+            raise FloatingPointError(f"the right-hand form is singular at h = {h:g}") from None
+    # leading blocks of positive definite forms are positive definite
+    half = lhs_forms.shape[-1] // 2
+    half_modes = [_span_maximum(lhs[:half, :half], rhs[:half, :half])[0]
+                  for lhs, rhs in zip(lhs_forms, rhs_forms)]
+    x = weight.grid(np.shape(basis)[-1] - 1)
+    outer_slope = derivative(basis, float(x[1] - x[0]))[:, 0 if side == "left" else -1]
+    outer_term = h_values**3 * (coefficients @ outer_slope) ** 2
     return ConstantEstimate(
-        c_hat=c_hat,
-        h0_hat=h0_hat,
+        c_hat=float(np.max(sup_ratio, initial=0.0)),
         h=h_values,
         sup_ratio=sup_ratio,
-        discarded_rank=discarded_rank,
+        sup_ratio_half_modes=np.array(half_modes),
+        outer_share=np.divide(outer_term, sup_ratio, out=np.zeros_like(sup_ratio),
+                              where=sup_ratio > 0.0),
         coefficients=coefficients,
     )
 

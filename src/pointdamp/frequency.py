@@ -313,8 +313,10 @@ def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
     A stacked forcing is solved in one pass along the last axis.  mu may be
     a 1-D array aligned with the forcing's first axis, one frequency per
     slice; the solution then holds every slice, and ResonantDenominator is
-    raised if any of them is resonant.
+    raised if any of them is resonant.  A forcing that ForcingData.validate
+    refuses raises its ValueError.
     """
+    forcing.validate()
     mesh = forcing.mesh
     waves1, waves2, lam1, lam2, mu_rows = _interface_waves(xi, mu, forcing)
     f1_xi = forcing.f1_at_xi

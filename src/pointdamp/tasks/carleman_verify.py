@@ -33,6 +33,8 @@ USES_NUMPY = True
 
 def check(cfg: dict, xi: Position) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
+    if not cfg["h_min"] <= cfg["h_max"]:
+        raise ConfigError("need h_min <= h_max")
     # the basis on the grid and each side's forms of every h
     _check_sizes({
         "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
@@ -160,34 +162,26 @@ def run(
 
 
 def write(cfg: dict, sides: dict) -> list[Path]:
-    from ..carleman import RHS_RANK_CUTOFF
-
     payload = _report_skeleton("carleman-verify", cfg, USES_NUMPY)
     payload["result"] = {}
     rows: list[tuple] = []
     for side, (checks, estimate) in sides.items():
-        per_h = list(zip(estimate.h, estimate.sup_ratio, estimate.discarded_rank))
+        per_h = zip(estimate.h, estimate.sup_ratio, estimate.sup_ratio_half_modes,
+                    estimate.outer_share)
         payload["result"][side] = dict(
             checks,
             c_hat=estimate.c_hat,
-            h0_hat=estimate.h0_hat,
-            sup_ratio_by_h={f"{h:.6g}": float(r) for h, r, _ in per_h},
-            discarded_rank_by_h={f"{h:.6g}": int(d) for h, _, d in per_h},
-            rhs_rank_cutoff=RHS_RANK_CUTOFF,
+            c_hat_half_modes=float(estimate.sup_ratio_half_modes.max()),
         )
-        rows.extend((side, h, r, d) for h, r, d in per_h)
+        rows.extend((side, *values) for values in per_h)
     out = Path(cfg["out"])
     csv_path = out / "carleman_sweep.csv"
-    cli.write_csv(csv_path, "carleman-sweep", ["side", "h", "sup_ratio", "discarded_rank"], rows,
-                  version=2)
+    columns = ["side", "h", "sup_ratio", "sup_ratio_half_modes", "outer_share"]
+    cli.write_csv(csv_path, "carleman-sweep", columns, rows, version=3)
     json_path = out / "carleman_report.json"
     cli.write_json_report(json_path, payload)
     return [csv_path, json_path]
 
 
 def row(sides: dict) -> dict:
-    summary: dict = {}
-    for side, (_, estimate) in sides.items():
-        summary[f"c_hat_{side}"] = estimate.c_hat
-        summary[f"h0_hat_{side}"] = estimate.h0_hat
-    return summary
+    return {f"c_hat_{side}": estimate.c_hat for side, (_, estimate) in sides.items()}

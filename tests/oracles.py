@@ -18,7 +18,9 @@ every step, where the package reads window ends off running extrema.
 
 The random test functions are seeded combinations of the package's sample
 basis.  The Carleman constant on a span is the top eigenvalue of a pencil;
-no draw from the span may exceed it.
+no draw from the span may exceed it.  The sides of the weighted inequality
+are evaluated pointwise in the conjugated variable w, one function at a
+time, where the package assembles them as forms on a whole basis.
 
 The diophantine checks are referenced by full scans.  Each pi-strip's
 minimum is found by a dense scan of the strip, where the package refines the
@@ -41,10 +43,10 @@ from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from pointdamp.carleman import apply_helmholtz, sample_basis
+from pointdamp.carleman import apply_conjugated_operator, apply_helmholtz, sample_basis
 from pointdamp.diophantine import ConditionReport, GrowthFunction, default_mu_grid
 from pointdamp.frequency import ForcingData, ResolventSolution, assemble_phi
-from pointdamp.quadrature import simpson
+from pointdamp.quadrature import derivative, simpson
 
 # one-sided 5-point first-derivative stencils, O(h^4)
 _BACKWARD5 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
@@ -261,6 +263,34 @@ def conjugation_route_incremental(
             break
         start = stop - 2 * margin
     return out, windows
+
+
+def conjugated_inequality_sides(
+    weight, w: np.ndarray, h_values, side: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(LHS, RHS) per h of the weighted inequality for u = e^{-(phi - max phi)/h} w.
+
+    w is one complex sample on weight.grid, zero at the outer end.  With
+    S = h w' - phi' w, which is h e^{(phi - max phi)/h} u':
+
+      LHS(h) = h int |w|^2 + h int |S|^2 + h^3 |w'(outer)|^2
+      RHS(h) = int |P_w w|^2 + h (|w|^2 + |S|^2) at the damped end
+
+    by Simpson quadrature, P_w w from apply_conjugated_operator.
+    """
+    w = np.asarray(w, dtype=complex)
+    x = weight.grid(w.size - 1)
+    dx = float(x[1] - x[0])
+    outer, damped = (0, -1) if side == "left" else (-1, 0)
+    dw = derivative(w, dx)
+    lhs, rhs = [], []
+    for h in np.atleast_1d(h_values):
+        s = h * dw - weight.d1(x) * w
+        pw = apply_conjugated_operator(weight, h, w, x)
+        lhs.append(h * simpson(np.abs(w) ** 2, dx) + h * simpson(np.abs(s) ** 2, dx)
+                   + h**3 * abs(dw[outer]) ** 2)
+        rhs.append(simpson(np.abs(pw) ** 2, dx) + h * (abs(w[damped]) ** 2 + abs(s[damped]) ** 2))
+    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)
 
 
 def random_coefficients(rng: np.random.Generator, n_modes: int = 8) -> np.ndarray:

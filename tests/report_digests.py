@@ -20,7 +20,9 @@ seeds, each task at its defaults, one sweep of each task over its default
 grid, a classify sweep of positions with an exact form (golden, 1/3,
 355/1131), which the sweep must hand to its jobs exactly, carleman-verify
 with the exponential weight, and a classify sweep of typed decimals (0.1,
-0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings.
+0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings,
+and carleman-verify at golden over 32 modes.  New invocations go at the
+end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
 """
@@ -51,6 +53,7 @@ INVOCATIONS = (
     + [["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"]]
     + [["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"]]
     + [["sweep", "--set", "task=classify", "--set", "xi_list=0.1,0.3,0.375,0.9,0.011"]]
+    + [["carleman-verify", "--xi", "golden", "--set", "n_modes=32"]]
 )
 
 

@@ -229,6 +229,7 @@ EXIT_2_RUNS = [
     ["classify", "--xi", "golden", "--set", "mu_step=0.01"],  # no such key: the range is checked by strips
     ["resolvent-scan", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
     ["spectrum", "--xi", "golden", "--set", "re_min=10", "--set", "re_max=5"],
+    ["carleman-verify", "--xi", "golden", "--set", "h_min=0.2", "--set", "h_max=0.1"],
     ["carleman-verify", "--xi", "golden", "--set", "weight=bogus"],
     ["carleman-verify", "--xi", "golden", "--set", "weight=exp:nan"],
     ["simulate", "--xi", "golden", "--set", "t_final=1e6"],
@@ -498,6 +499,8 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--set", "h_count=0"],
     ["carleman-verify", "--set", "cells=11"],
     ["carleman-verify", "--seed", "-1"],
+    # an inverted h range, which would be swept the right way round
+    ["carleman-verify", "--set", "h_min=0.2", "--set", "h_max=0.1"],
     ["sweep", "--set", "xi_list=0.3", "--set", "workers=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "t_final=1e6"],
@@ -685,10 +688,10 @@ def test_inadmissible_weight_is_computation_error(tmp_path):
     assert code == 3
 
 
-@pytest.mark.parametrize("setting", ["h_min=1e-100", "h_max=1e80"])
+@pytest.mark.parametrize("setting", ["h_max=1e80"])
 def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
-    # h**4 underflows while (basis / h**2)**2 overflows, or h**4 overflows:
-    # the forms hold nan or inf, whose ratios would be written as 0
+    # (h**2 basis'')**2 overflows: the forms hold inf or nan, whose ratios
+    # would be written as 0
     with np.errstate(all="ignore"):
         code = run([
             "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
@@ -696,6 +699,20 @@ def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
         ])
     assert code == 3
     assert not list(tmp_path.iterdir())
+
+
+def test_carleman_tiny_h_gives_finite_ratios(tmp_path):
+    # no exponential and no negative power of h enters the forms in w, so at
+    # h = 1e-100 both sides are finite and the span maximum is O(h)
+    assert run([
+        "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
+        "--set", "h_count=3", "--set", "h_min=1e-100",
+    ]) == 0
+    _, _, rows = read_csv(tmp_path / "carleman_sweep.csv")
+    for side in ("left", "right"):
+        h, sup = np.array([[float(r[1]), float(r[2])] for r in rows if r[0] == side]).T
+        assert np.all(sup > 0.0)
+        assert sup[0] / h[0] == pytest.approx(sup[1] / h[1], rel=1e-3)
 
 
 def test_config_file_and_override_precedence(tmp_path):
@@ -1007,22 +1024,46 @@ def test_carleman_verify_left(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "carleman_report.json").read_text())
     side = report["result"]["left"]
-    assert side["c_hat"] > 0.0
+    assert side["c_hat"] > side["c_hat_half_modes"] > 0.0
     assert all(o > 1.5 for o in side["dual_route_orders"])
     # the default weight has phi'' = 2, so the two boundary readings differ;
     # on this mesh both residuals stay below 1e-4 (at the default 2048 cells
     # the plain one is ~52x the curvature one)
     assert side["square_identity_residual_curvature"] < 1e-4
     assert side["square_identity_residual_plain"] < 1e-4
-    # one row per h: the span maximum and the span directions the cutoff dropped
+    # one row per h: the span maximum, that of the leading half of the modes,
+    # and the outer boundary term's share of the maximiser's left-hand side
     header, columns, rows = read_csv(tmp_path / "carleman_sweep.csv")
-    assert header == "# pointdamp-csv schema=carleman-sweep version=2"
-    assert columns == ["side", "h", "sup_ratio", "discarded_rank"]
+    assert header == "# pointdamp-csv schema=carleman-sweep version=3"
+    assert columns == ["side", "h", "sup_ratio", "sup_ratio_half_modes", "outer_share"]
     assert all(r[0] == "left" for r in rows)
     assert len(rows) == 5
-    assert side["rhs_rank_cutoff"] == 1e-13
-    assert {f"{float(h):.6g}": float(r) for _, h, r, _ in rows} == side["sup_ratio_by_h"]
-    assert {f"{float(h):.6g}": int(d) for _, h, _, d in rows} == side["discarded_rank_by_h"]
+    sup, half, share = np.array([[float(v) for v in r[2:]] for r in rows]).T
+    assert side["c_hat"] == max(sup)
+    assert side["c_hat_half_modes"] == max(half)
+    assert np.all((0.0 < share) & (share < 1.0))
+
+
+def test_carleman_constant_does_not_fall_with_more_modes(tmp_path):
+    # the 8 modes are the leading rows of the 32, so the span maximum can only grow
+    c_hat = {}
+    for n_modes in (8, 32):
+        out = tmp_path / str(n_modes)
+        assert run(["carleman-verify", "--xi", "golden", "--out", out,
+                    "--set", f"n_modes={n_modes}"]) == 0
+        result = json.loads((out / "carleman_report.json").read_text())["result"]
+        c_hat[n_modes] = {side: result[side]["c_hat"] for side in ("left", "right")}
+    for side in ("left", "right"):
+        assert c_hat[32][side] >= c_hat[8][side], side
+
+
+def test_readme_names_the_carleman_report_keys(tmp_path):
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path,
+                *SMALL_TASK_CONFIGS["carleman-verify"]]) == 0
+    result = json.loads((tmp_path / "carleman_report.json").read_text())["result"]
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    named = re.search(r"`carleman_report.json` carries, per side, ([^.]*)\.", readme).group(1)
+    assert set(re.findall(r"`([a-z_]+)`", named)) == set(result["left"]) == set(result["right"])
 
 
 # -------------------------------------------------------------------- sweep
@@ -1170,6 +1211,7 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
     ["task=resolvent-scan", "mu_step=1e-9"],
     ["task=spectrum", "re_max=1e9"],
     ["task=carleman-verify", "h_count=1000000"],
+    ["task=carleman-verify", "h_min=0.2", "h_max=0.1"],
     ["task=carleman-verify", "weight=bogus"],
     # at dt = 0 the step count depends on the position: 0.4 is fine, 1e-4 is not
     ["task=simulate", "cells=1000", "t_final=10", "dt=0"],
@@ -1295,7 +1337,7 @@ def test_report_digests_compare(tmp_path):
 # every CSV schema the tasks write, at its version: raise a version with its columns
 CSV_SCHEMA_VERSIONS = {
     "classify-trace": 1, "liouville-trace": 1, "resolvent-scan": 1, "spectrum-roots": 1,
-    "carleman-sweep": 2, "energy-trace": 1, "damping-record": 2, "state-snapshot": 2,
+    "carleman-sweep": 3, "energy-trace": 1, "damping-record": 2, "state-snapshot": 2,
     **{f"sweep-{task}": 1 for task in COMMANDS if task != "sweep"},
 }
 SMALL_TASK_CONFIGS = {
@@ -1319,13 +1361,19 @@ def test_csv_schema_versions(tmp_path):
         schema, version = re.fullmatch(r"# pointdamp-csv schema=(\S+) version=(\d+)", header).groups()
         assert found.setdefault(schema, int(version)) == int(version), path
     assert found == CSV_SCHEMA_VERSIONS
-    # the README names the schemas above version 1
+    # the README names the schemas above version 1, each at its version
     readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
-    named = re.search(r"\(((?:`[a-z-]+`,? (?:and )?)+)are at 2, every other schema at 1\)", readme)
-    assert set(re.findall(r"`([a-z-]+)`", named.group(1))) == {
-        schema for schema, version in CSV_SCHEMA_VERSIONS.items() if version == 2
+    named = re.search(r"\(((?:(?:`[a-z-]+`,? (?:and )?)+(?:is |are )?at \d+, )+)"
+                      r"every other schema at 1\)", readme)
+    readme_versions = {
+        schema: int(version)
+        for schemas, version in re.findall(r"((?:`[a-z-]+`,? (?:and )?)+)(?:is |are )?at (\d+)",
+                                           named.group(1))
+        for schema in re.findall(r"`([a-z-]+)`", schemas)
     }
-    assert set(CSV_SCHEMA_VERSIONS.values()) == {1, 2}
+    assert readme_versions == {
+        schema: version for schema, version in CSV_SCHEMA_VERSIONS.items() if version > 1
+    }
 
 
 def test_no_temp_files_left_behind(tmp_path):

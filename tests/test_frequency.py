@@ -251,6 +251,23 @@ def test_solve_mesh_position_mismatch(rng):
         solve_resolvent(0.4, 10.0, forcing)
 
 
+@pytest.mark.parametrize("defect", ["outer_ends", "jump_at_xi"])
+def test_solve_refuses_a_forcing_outside_its_contract(defect):
+    # f = 1 is non-zero at both outer ends; two hats of heights 1 and 1/2
+    # jump at xi.  Solved regardless, both gave continuity and jump residuals
+    # of ~1e-16
+    mesh = build_mesh(GOLDEN, 64, 64)
+    zero = _zero_forcing(mesh)
+    if defect == "outer_ends":
+        f1, f2 = np.ones_like(zero.f1), np.ones_like(zero.f2)
+    else:
+        f1, f2 = mesh.left / mesh.xi, 0.5 * (1.0 - mesh.right) / (1.0 - mesh.xi)
+    forcing = ForcingData(mesh, f1 + 0j, f2 + 0j, zero.g1, zero.g2)
+    with pytest.raises(ValueError, match="outer boundaries" if defect == "outer_ends" else
+                       "continuous"):
+        solve_resolvent(GOLDEN, 12.0, forcing)
+
+
 def test_solve_matches_numerov_oracle(rng):
     mesh = build_mesh(GOLDEN, 1000, 1000)
     forcing = random_forcing(mesh, rng)
