@@ -540,12 +540,16 @@ def estimate_carleman_constant(
     basis is (m, n + 1), as in inequality_forms.  Both sides are Hermitian
     forms on the span, and a complex coefficient vector a + i b gives a ratio
     between those of a and b, so the largest LHS/RHS at each h is the top
-    eigenvalue of the real pencil (L_h, R_h); R_h is positive definite on
-    independent rows.  The maximum over the first m // 2 rows comes from the
-    leading blocks of the same forms (0 for m = 1), and the outer share is
-    h^3 (b'_o . c)^2 / LHS at the maximiser c.  c_hat is the largest maximum
-    over h_values.
+    eigenvalue of the real pencil (L_h, R_h); R_h is positive definite only on
+    independent rows, so dependent rows are a FloatingPointError naming the
+    rank, whatever rounding makes of R_h (a null span, of rank 0, gives 0).
+    The maximum over the first m // 2 rows comes from the leading blocks of
+    the same forms (0 for m = 1), and the outer share is h^3 (b'_o . c)^2 / LHS
+    at the maximiser c.  c_hat is the largest maximum over h_values.
     """
+    rows, rank = len(basis), np.linalg.matrix_rank(basis)
+    if 0 < rank < rows:
+        raise FloatingPointError(f"the basis rows are dependent: rank {rank} of {rows}")
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
     lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
     # at an extreme h a power of h overflows; inf or nan would read as ratio 0

@@ -436,53 +436,50 @@ def _least_strip_minimum(
     return best
 
 
-def _tail_trend_check(
+# A sine-indicator check whose weight W grows slower than mu^4 holds for no
+# xi: at mu = q*pi the indicator is sin^4(pi*q*xi) <= (pi*||q*xi||)^4, so the
+# checked function is 0 at a rational's denominator and, at Dirichlet's
+# infinitely many q with ||q*xi|| < 1/q, below pi^4 q^-4 W(q*pi) -> 0.
+_REFUTED = "refuted for every xi: the weight grows slower than mu^4 (Dirichlet)"
+
+
+def _strip_check(
     condition_id: str,
     condition: _Condition,
     xi: float,
     mu_min: float,
     mu_max: float,
     constants: dict,
-    trend_factor: float,
+    refuted: bool,
     keep_trace: bool,
 ) -> ConditionReport:
-    """Shared verdict logic: positive infimum that is not draining to zero.
+    """Shared verdict logic: the least strip minimum, and a fail only where
+    the condition is refuted.
 
     Works in log space so exponential weights cannot overflow.  The verdict
-    fails on an exact resonance (expression at roundoff scale) or when the
-    least minimum over the last quarter of the strips dips more than
-    trend_factor below the least over the earlier strips.
+    fails on an exact resonance (expression at roundoff scale) on the range,
+    or for every xi when the caller's weight is refuted (_REFUTED); any other
+    check passes on the checked range only.
     """
     if not (math.isfinite(mu_min) and math.isfinite(mu_max) and mu_min <= mu_max):
         raise ValueError("need finite mu_min <= mu_max")
     strips = _strips(mu_min, mu_max, condition.centre)
-    n = len(strips)
-    parts = [strips] if n < 8 else [strips[: n - n // 4], strips[n - n // 4 :]]
     trace = None
     if keep_trace:
-        minima = {strip: _strip_minimum(condition, xi, strip) for strip in strips}
-        part_minima = [min(map(minima.get, part)) for part in parts]
-        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima.values()]
-        trace = _Rows(n, 3, rows.__getitem__)
+        minima = [_strip_minimum(condition, xi, strip) for strip in strips]
+        log_k2, witness = min(minima)
+        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
+        trace = _Rows(len(rows), 3, rows.__getitem__)
     else:
-        part_minima = [_least_strip_minimum(condition, xi, part) for part in parts]
-    log_k2, witness = min(part_minima)
-    constants = dict(constants)
-    constants.update({"inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2})
-
-    def report(verdict: str, note: str) -> ConditionReport:
-        return ConditionReport(condition_id, xi, verdict, witness, constants, note, trace)
-
+        log_k2, witness = _least_strip_minimum(condition, xi, strips)
+    constants = {**constants, "inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2}
     if not math.isfinite(log_k2):
-        return report("fail", "exact resonance")
-    if n < 8:
-        return report("pass", "range too short for a trend test")
-    head_min, tail_min = part_minima[0][0], part_minima[1][0]
-    constants["log_head_min"] = head_min
-    constants["log_tail_min"] = tail_min
-    if tail_min < head_min - math.log(trend_factor):
-        return report("fail", "weighted infimum drains toward zero along the tail")
-    return report("pass", "verified on the checked range only")
+        verdict, note = "fail", "exact resonance"
+    elif refuted:
+        verdict, note = "fail", _REFUTED
+    else:
+        verdict, note = "pass", "verified on the checked range only"
+    return ConditionReport(condition_id, xi, verdict, witness, constants, note, trace)
 
 
 def _exp_weight_condition(indicator, derivatives, centre: float, k1: float) -> _Condition:
@@ -497,14 +494,14 @@ def check_exp_grid(
     mu_min: float = 1.0,
     mu_max: float = 500.0,
     k1: float = 1.0,
-    trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
     """Exponential-weight lower bound: resonance_indicator * e^(k1*mu) >= k2 > 0,
-    on the exact minimum of each pi-strip around n*pi in [mu_min, mu_max]."""
+    on the exact minimum of each pi-strip around n*pi in [mu_min, mu_max];
+    refuted for every xi at k1 = 0."""
     condition = _exp_weight_condition(resonance_indicator, _sin_derivatives, 0.0, k1)
-    return _tail_trend_check(
-        "exp-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
+    return _strip_check(
+        "exp-grid", condition, xi, mu_min, mu_max, {"k1": k1}, k1 == 0.0, keep_trace
     )
 
 
@@ -513,10 +510,10 @@ def check_poly_grid(
     eps: float = 1.0,
     mu_min: float = 1.0,
     mu_max: float = 500.0,
-    trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
-    """Polynomial-weight lower bound: resonance_indicator * mu^(1+eps) >= k > 0."""
+    """Polynomial-weight lower bound: resonance_indicator * mu^(1+eps) >= k > 0;
+    refuted for every xi at eps < 3."""
     if not math.isfinite(eps):
         raise ValueError("eps must be finite")
     if not mu_min > 0:
@@ -526,8 +523,8 @@ def check_poly_grid(
         resonance_indicator, _sin_derivatives, 0.0,
         lambda mu: (power * math.log(mu), power / mu, -power / (mu * mu)),
     )
-    return _tail_trend_check(
-        "poly-grid", condition, xi, mu_min, mu_max, {"eps": eps}, trend_factor, keep_trace
+    return _strip_check(
+        "poly-grid", condition, xi, mu_min, mu_max, {"eps": eps}, power < 4.0, keep_trace
     )
 
 
@@ -536,13 +533,15 @@ def check_cos_grid(
     mu_min: float = 1.0,
     mu_max: float = 500.0,
     k1: float = 1.0,
-    trend_factor: float = 10.0,
     keep_trace: bool = False,
 ) -> ConditionReport:
-    """Cosine-variant exponential-weight lower bound (strip centres at (n + 1/2) pi)."""
+    """Cosine-variant exponential-weight lower bound (strip centres at (n + 1/2) pi).
+
+    No weight is refuted for every xi here: an even-q rational satisfies it.
+    """
     condition = _exp_weight_condition(cos_resonance_indicator, _cos_derivatives, 0.5, k1)
-    return _tail_trend_check(
-        "cos-grid", condition, xi, mu_min, mu_max, {"k1": k1}, trend_factor, keep_trace
+    return _strip_check(
+        "cos-grid", condition, xi, mu_min, mu_max, {"k1": k1}, False, keep_trace
     )
 
 
@@ -682,7 +681,6 @@ class ClassifySettings:
     mu_max: float = 500.0
     k1: float = 1.0
     poly_eps: float = 1.0
-    trend_factor: float = 10.0
 
 
 @dataclass
@@ -710,10 +708,8 @@ def classify_actuator(
     cf = expand_continued_fraction(xi, settings.depth, settings.quotient_overflow)
     value = cf.value
     mu_range = settings.mu_min, settings.mu_max
-    exp_report = check_exp_grid(value, *mu_range, settings.k1, settings.trend_factor, keep_trace)
-    poly_report = check_poly_grid(
-        value, settings.poly_eps, *mu_range, settings.trend_factor, keep_trace
-    )
+    exp_report = check_exp_grid(value, *mu_range, settings.k1, keep_trace)
+    poly_report = check_poly_grid(value, settings.poly_eps, *mu_range, keep_trace)
     is_rational = cf.is_rational
     constant_type = (
         not is_rational

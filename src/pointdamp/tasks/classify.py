@@ -29,7 +29,6 @@ SCHEMA = {
     "mu_max": (500.0, None),
     "k1": (1.0, finite_nonnegative),
     "poly_eps": (1.0, finite),
-    "trend_factor": (10.0, positive),
     "liouville_kappa": (0.2, positive),
     "liouville_m_max": (1000, all_of(at_least(1), at_most(MAX_GRID_POINTS))),
     "liouville_phi": ("identity", None),
@@ -100,9 +99,7 @@ def run(cfg: dict, xi: Position, plan: diophantine.GrowthFunction):
     )
     keep = cfg["keep_trace"]
     classification = diophantine.classify_actuator(xi.exact or xi.value, settings, keep)
-    cos_rep = diophantine.check_cos_grid(
-        xi.value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], cfg["trend_factor"], keep
-    )
+    cos_rep = diophantine.check_cos_grid(xi.value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], keep)
     liou_rep = diophantine.check_liouville_type(
         xi.value, plan, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )

@@ -339,8 +339,8 @@ NUMPY = {"sin": np.sin, "cos": np.cos, "log": np.log, "exp": np.exp}
 _RESONANCE_FLOOR = 1e-20
 
 
-def _tail_trend_check(condition_id, xi, mu_grid, expression, log_weight, constants,
-                      trend_factor, keep_trace, f):
+def _grid_verdict(condition_id, xi, mu_grid, expression, log_weight, constants,
+                  refuted, keep_trace, f):
     mu_grid = np.asarray(mu_grid, dtype=float)
     if mu_grid.size == 0:
         raise ValueError("empty grid")
@@ -359,24 +359,14 @@ def _tail_trend_check(condition_id, xi, mu_grid, expression, log_weight, constan
     if keep_trace:
         with np.errstate(over="ignore"):
             trace = np.column_stack([mu_grid, expression, f["exp"](log_weighted)])
-    witness = float(mu_grid[i_min])
     if not np.isfinite(log_k2):
-        return ConditionReport(condition_id, xi, "fail", witness, constants,
-                               note="exact resonance on grid", trace=trace)
-    n_tail = mu_grid.size // 4
-    if n_tail == 0 or mu_grid.size < 8:
-        return ConditionReport(condition_id, xi, "pass", witness, constants,
-                               note="grid too short for a trend test", trace=trace)
-    head_min = float(np.min(log_weighted[:-n_tail]))
-    tail_min = float(np.min(log_weighted[-n_tail:]))
-    constants["log_head_min"] = head_min
-    constants["log_tail_min"] = tail_min
-    if tail_min < head_min - math.log(trend_factor):
-        return ConditionReport(condition_id, xi, "fail", witness, constants,
-                               note="weighted infimum drains toward zero along the tail",
-                               trace=trace)
-    return ConditionReport(condition_id, xi, "pass", witness, constants,
-                           note="grid-verified on the sampled range only", trace=trace)
+        verdict, note = "fail", "exact resonance on grid"
+    elif refuted:
+        verdict, note = "fail", "refuted for every xi: weight below mu^4"
+    else:
+        verdict, note = "pass", "grid-verified on the sampled range only"
+    return ConditionReport(condition_id, xi, verdict, float(mu_grid[i_min]), constants,
+                           note=note, trace=trace)
 
 
 def _indicator(kind: str, xi: float, mu: np.ndarray, f) -> np.ndarray:
@@ -385,16 +375,24 @@ def _indicator(kind: str, xi: float, mu: np.ndarray, f) -> np.ndarray:
     return f["sin"](mu) ** 2 + (f["sin"](xi * mu) * f["sin"]((1.0 - xi) * mu)) ** 2
 
 
+def refuted_for_every_xi(kind: str, weight: float) -> bool:
+    """Whether the strip condition holds for no xi: a sine indicator under a
+    weight that grows slower than mu^4 (poly eps < 3, exp k1 = 0), which at
+    mu = q*pi is at most (pi ||q xi||)^4 times the weight, below pi^4 q^-4
+    times it at Dirichlet's q."""
+    return (kind == "poly" and 1.0 + weight < 4.0) or (kind == "exp" and weight == 0.0)
+
+
 def grid_check(kind: str, xi: float, mu_grid=None, weight: float = 1.0,
-               trend_factor: float = 10.0, keep_trace: bool = False, f=LIBM) -> ConditionReport:
+               keep_trace: bool = False, f=LIBM) -> ConditionReport:
     """Full-scan reference of check_exp_grid (kind 'exp', weight k1),
     check_poly_grid ('poly', weight eps) and check_cos_grid ('cos', weight k1)."""
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
     expression = _indicator(kind, xi, mu_grid, f)
     log_weight = _log_weight(kind, mu_grid, weight, f)
     constants = {"eps": weight} if kind == "poly" else {"k1": weight}
-    return _tail_trend_check(f"{kind}-grid", xi, mu_grid, expression, log_weight, constants,
-                             trend_factor, keep_trace, f)
+    return _grid_verdict(f"{kind}-grid", xi, mu_grid, expression, log_weight, constants,
+                         refuted_for_every_xi(kind, weight), keep_trace, f)
 
 
 def _log_weight(kind: str, mu, weight: float, f):

@@ -21,8 +21,10 @@ grid, a classify sweep of positions with an exact form (golden, 1/3,
 355/1131), which the sweep must hand to its jobs exactly, carleman-verify
 with the exponential weight, and a classify sweep of typed decimals (0.1,
 0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings,
-and carleman-verify at golden over 32 modes.  New invocations go at the
-end, so the run numbers of the earlier ones hold.
+carleman-verify at golden over 32 modes, and classify at golden with
+poly_eps=3 (a strip check that is not refuted) and with k1=0 (an exp_grid
+refuted for every position).  New invocations go at the end, so the run
+numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
 """
@@ -54,6 +56,8 @@ INVOCATIONS = (
     + [["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"]]
     + [["sweep", "--set", "task=classify", "--set", "xi_list=0.1,0.3,0.375,0.9,0.011"]]
     + [["carleman-verify", "--xi", "golden", "--set", "n_modes=32"]]
+    + [["classify", "--xi", "golden", "--set", "poly_eps=3"]]
+    + [["classify", "--xi", "golden", "--set", "k1=0"]]
 )
 
 

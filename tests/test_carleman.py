@@ -329,8 +329,18 @@ def test_constant_estimate_singular_rhs_is_an_error():
     # a zero row next to live ones: the right-hand form is singular but not 0
     weight = default_left_weight(GOLDEN)
     basis = _pinned_basis(weight, "left", 256)
-    with pytest.raises(FloatingPointError, match="singular at h = 0.05"):
+    with pytest.raises(FloatingPointError, match="rank 8 of 9"):
         estimate_carleman_constant(weight, np.vstack([basis, 0.0 * basis[:1]]), [0.05], "left")
+
+
+@pytest.mark.parametrize("h", [0.001, 0.01, 0.05, 0.1])
+def test_constant_estimate_refuses_a_repeated_row_at_every_h(h):
+    # Cholesky of the exactly singular right-hand form failed at 0.001 and 0.1
+    # but returned the 8-row maximum at 0.01 and 0.05, by rounding alone
+    weight = default_left_weight(GOLDEN)
+    basis = _pinned_basis(weight, "left", 256)
+    with pytest.raises(FloatingPointError, match="rank 8 of 9"):
+        estimate_carleman_constant(weight, np.vstack([basis, basis[:1]]), [h], "left")
 
 
 def test_constant_estimate_tame_family():

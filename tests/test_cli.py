@@ -368,8 +368,12 @@ def test_classify_golden_with_traces(tmp_path):
     assert result["strongly_stable"] is True
     assert result["constant_type"] is True
     assert result["max_partial_quotient"] == 1
-    for check in result["conditions"].values():
-        assert check["verdict"] == "pass"
+    # the default poly_eps = 1 weights below mu^4, which no position satisfies
+    for name, check in result["conditions"].items():
+        assert check["verdict"] == ("fail" if name == "poly_grid" else "pass"), name
+    assert result["conditions"]["poly_grid"]["note"].startswith("refuted for every xi")
+    assert set(result["conditions"]["poly_grid"]["fitted_constants"]) == {
+        "eps", "inf_weighted", "log_inf_weighted"}
     schema, columns, rows = read_csv(tmp_path / "classify_trace_exp.csv")
     assert schema == "# pointdamp-csv schema=classify-trace version=1"
     assert columns == ["mu", "expression", "weighted_expression"]
@@ -440,6 +444,11 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
         "classify", "--xi", "0.5", "--out", tmp_path, "--set", "rational_tol=1e-12",
     ]) == 2
     assert "unknown key(s) for classify: rational_tol" in capsys.readouterr().err
+    # a strip check fails only where it is refuted, so it has no drain factor
+    assert run([
+        "classify", "--xi", "golden", "--out", tmp_path, "--set", "trend_factor=10",
+    ]) == 2
+    assert "unknown key(s) for classify: trend_factor" in capsys.readouterr().err
     # the sweep's resolved task_config is no key a user may set
     assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
     # the Carleman constant is the span maximum, so there are no samples to count
@@ -468,6 +477,7 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["classify", "--set", "mu_min=1e-8"],
     ["sweep", "--set", "task=classify", "--set", "xi_list=0.3", "--set", "mu_min=0.5"],
     ["classify", "--set", "depth=0"],
+    # classify has no trend test any more, so this is refused as an unknown key
     ["classify", "--set", "trend_factor=0"],
     ["classify", "--set", "liouville_kappa=0"],
     ["classify", "--set", "liouville_m_max=0"],
