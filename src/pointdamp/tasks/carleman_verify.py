@@ -40,6 +40,11 @@ def check(cfg: dict, xi: Position) -> float | None:
         "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
         "h_count * n_modes**2": cfg["h_count"] * cfg["n_modes"] ** 2,
     })
+    # a side's basis samples cells + 1 nodes with one pinned, so it has rank
+    # cells at most
+    if cfg["n_modes"] > cfg["cells"]:
+        raise ConfigError(f"need n_modes <= cells, got n_modes={cfg['n_modes']} > "
+                          f"cells={cfg['cells']}")
     choice = cfg["weight"]
     if choice == "default":
         return None

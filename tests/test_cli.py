@@ -74,22 +74,13 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
 def test_carleman_verify_loads_no_random_generator(tmp_path):
     # numpy.random imports secrets, hmac and _hashlib, which maps OpenSSL's
     # libcrypto: ~5.7 MiB of resident memory that carleman-verify has no use for
-    argv = ["pointdamp", "carleman-verify", "--xi", "golden", "--out", str(tmp_path),
-            "--set", "cells=64", "--set", "h_count=3"]
-    probe = run_python(
-        "import runpy, sys\n"
-        f"sys.argv = {argv!r}\n"
-        "try:\n"
-        "    runpy.run_module('pointdamp.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as done:\n"
-        "    print(done.code, sorted(sys.modules))\n"
-    )
-    assert probe.returncode == 0, probe.stderr
-    code, loaded = probe.stdout.splitlines()[-1].split(" ", 1)
-    assert code == "0"
-    assert "'pointdamp.carleman'" in loaded
-    assert "'numpy.random'" not in loaded
-    assert "'_hashlib'" not in loaded
+    done = run_interpreter("-X", "importtime", "-m", "pointdamp.cli", "carleman-verify",
+                           "--xi", "golden", "--out", tmp_path,
+                           "--set", "cells=64", "--set", "h_count=3")
+    assert done.returncode == 0, done.stderr
+    assert re.search(r"\| +pointdamp\.carleman$", done.stderr, re.M)
+    assert not re.search(r"\| +numpy\.random$", done.stderr, re.M)
+    assert not re.search(r"\| +_hashlib$", done.stderr, re.M)
 
 
 # the layers a task imports for itself, not at start-up
@@ -192,6 +183,48 @@ def test_module_runs_under_the_profiler(tmp_path):
     assert "error" not in done.stderr
     assert (tmp_path / "spectrum.csv").is_file() and (tmp_path / "spectrum.json").is_file()
     assert (tmp_path / "profile").stat().st_size > 0
+
+
+def test_module_run_keeps_every_output(tmp_path):
+    # python -m pointdamp.cli leaves through os._exit: what main printed and
+    # wrote must all be there
+    done = run_interpreter("-m", "pointdamp.cli", "spectrum", "--xi", "golden",
+                           "--set", "re_max=12", "--out", tmp_path)
+    assert done.returncode == 0, done.stderr
+    written = sorted(str(path) for path in tmp_path.iterdir())
+    assert sorted(done.stdout.splitlines()) == written
+    assert len(written) == 2
+    assert re.search(r"^elapsed: ", done.stderr, re.M)
+
+
+def test_module_run_keeps_its_exit_codes(tmp_path):
+    done = run_interpreter("-m", "pointdamp.cli", "spectrum", "--xi", "golden",
+                           "--set", "bogus=1", "--out", tmp_path)
+    assert done.returncode == 2
+    assert "configuration error" in done.stderr and "bogus" in done.stderr
+    done = run_interpreter("-m", "pointdamp.cli", "carleman-verify", "--xi", "0.5",
+                           "--set", "weight=exp:-2", "--set", "side=left", "--out", tmp_path)
+    assert done.returncode == 3
+    assert "computation error" in done.stderr
+
+
+def test_module_run_under_a_trace_hook_exits_normally(tmp_path):
+    # coverage-style tools set a trace hook and wait for SystemExit to write
+    # their data; the fast exit must leave them that
+    argv = ["pointdamp", "spectrum", "--xi", "golden", "--set", "re_max=12",
+            "--out", str(tmp_path)]
+    probe = run_python(
+        "import runpy, sys\n"
+        "sys.settrace(lambda *args: None)\n"
+        f"sys.argv = {argv!r}\n"
+        "try:\n"
+        "    runpy.run_module('pointdamp.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n"
+        "    print('SystemExit', done.code)\n"
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines()[-1] == "SystemExit 0"
+    assert (tmp_path / "spectrum.csv").is_file() and (tmp_path / "spectrum.json").is_file()
 
 
 def test_importtime_lists_the_task_module(tmp_path):
@@ -709,6 +742,22 @@ def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
         ])
     assert code == 3
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("cells, n_modes, code", [
+    (12, 13, 2), (64, 65, 2), (12, 12, 0), (64, 64, 0),
+])
+def test_carleman_modes_past_the_basis_rank_are_config_errors(tmp_path, capsys, cells, n_modes,
+                                                              code):
+    # a side's basis has cells + 1 nodes, one pinned, so rank cells at most
+    assert run([
+        "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", f"cells={cells}",
+        "--set", f"n_modes={n_modes}",
+    ]) == code
+    if code == 2:
+        err = capsys.readouterr().err
+        assert "n_modes" in err and "cells" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_carleman_tiny_h_gives_finite_ratios(tmp_path):
