@@ -338,15 +338,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pointdamp",
         description="Numerical laboratory for a string damped at one interior point.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} task")
-        p.add_argument("--config", help="flat key=value configuration file")
-        p.add_argument("--set", action="append", dest="overrides", default=[], metavar="KEY=VALUE",
-                       help="override one configuration key (repeatable)")
-        p.add_argument("--xi", help="actuator position: decimal, p/q, or 'golden'")
-        p.add_argument("--out", help="output directory (default '.')")
-        p.add_argument("--seed", type=int, help="seed for resolvent-scan's random probes")
+    parser.add_argument("command", choices=COMMANDS, help="the task to run")
+    parser.add_argument("--config", help="flat key=value configuration file")
+    parser.add_argument("--set", action="append", dest="overrides", default=[],
+                        metavar="KEY=VALUE", help="override one configuration key (repeatable)")
+    parser.add_argument("--xi", help="actuator position: decimal, p/q, or 'golden'")
+    parser.add_argument("--out", help="output directory (default '.')")
+    parser.add_argument("--seed", type=int, help="seed for resolvent-scan's random probes")
     return parser
 
 
@@ -400,9 +398,9 @@ if __name__ == "__main__":
         # copy with its own ConfigError
         sys.modules.setdefault("pointdamp.cli", sys.modules[__name__])
         code = main()
-        # main has closed every report, reaped the scan's child and shut a
-        # sweep's pool down, and nothing here registers an atexit hook: skip the
-        # teardown (~6 ms with numpy) unless a tracer or another thread needs it
+        # main has closed every report and reaped every child it forked, and
+        # nothing here registers an atexit hook: skip the teardown (~6 ms
+        # with numpy) unless a tracer or another thread needs it
         if sys.gettrace() is None and sys.getprofile() is None and threading.active_count() == 1:
             try:
                 sys.stdout.flush()

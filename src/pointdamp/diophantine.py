@@ -200,8 +200,7 @@ class GrowthFunction:
 
     evaluate maps one float to one float; calling the function does the same.
     The constructors' evaluators are module-level functions, their parameters
-    bound by functools.partial, so a GrowthFunction pickles (a sweep hands one
-    to each pool worker).
+    bound by functools.partial, so a GrowthFunction pickles.
     """
 
     kind: str

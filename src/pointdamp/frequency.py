@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-import sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import processes
 
 # re-exported: the characteristic function and root finder, computed without numpy
 from .characteristic import (  # noqa: F401
@@ -631,70 +631,15 @@ def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, estimates, start
 def _scan_forks(n_blocks: int) -> bool:
     """Whether a scan of n_blocks blocks forks a child for the second half of them.
 
-    Not without os.sched_getaffinity (not Linux), on one usable CPU, below
-    2 * _MIN_BLOCKS_PER_PROCESS blocks, while another Python thread runs
-    (it may hold a lock the child needs, and Python 3.12 warns of such a
-    fork), and inside a multiprocessing worker: a sweep's pool then has no
-    more busy processes than workers.  Never more than one child: a split
+    Only where processes.may_fork() allows it, from 2 * _MIN_BLOCKS_PER_PROCESS
+    blocks and on two usable CPUs or more.  Never more than one child: a split
     over more processes has not been measured.
     """
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return False
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.parent_process() is not None:
-        return False
-    return n_blocks >= 2 * _MIN_BLOCKS_PER_PROCESS and len(os.sched_getaffinity(0)) > 1
-
-
-def _fill_split(fill, estimates: np.ndarray, middle: int) -> None:
-    """fill(0, middle) here and fill(middle, estimates.size) in a forked child.
-
-    The child sends its float64 values down a pipe and leaves through
-    os._exit, so it never returns into the caller, runs no atexit hook and
-    flushes no inherited stdio buffer.  The parent reads the pipe before it
-    reaps the child, so the child never blocks on a full pipe, and raises if
-    the child fails.  If the parent raises, or is interrupted, while the
-    child runs, it kills and reaps it: no process outlives the call.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            fill(middle, estimates.size)
-            with open(write, "wb") as pipe:
-                pipe.write(estimates[middle:].tobytes())
-            code = 0
-        except BaseException as exc:
-            os.write(2, f"resolvent scan process: {type(exc).__name__}: {exc}\n".encode())
-        finally:
-            os._exit(code)
-    os.close(write)
-    status = None
-    try:
-        with open(read, "rb") as pipe:
-            fill(0, middle)
-            payload = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-    finally:
-        if status is None:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or len(payload) != estimates[middle:].nbytes:
-        raise RuntimeError(
-            f"resolvent scan of grid points {middle} to {estimates.size - 1} failed in process"
-            f" {pid}: exit status {code}, {len(payload)} of {estimates[middle:].nbytes} bytes"
-        )
-    estimates[middle:] = np.frombuffer(payload)
+    return (
+        processes.may_fork()
+        and n_blocks >= 2 * _MIN_BLOCKS_PER_PROCESS
+        and len(os.sched_getaffinity(0)) > 1
+    )
 
 
 def scan_resolvent_growth(
@@ -711,10 +656,11 @@ def scan_resolvent_growth(
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
     its own mu.  On Linux with two usable CPUs or more, a long grid's
-    second half of blocks runs in a child forked here (_scan_forks); every
-    block computes as it would alone, so the estimates are the same bit for
-    bit.  Fits log(norm) = log C + K*mu by least squares over the finite
-    estimates in this process.
+    second half of blocks runs in a child that processes.split forks
+    (_scan_forks), which sends its float64 estimates back; every block
+    computes as it would alone, so the estimates are the same bit for bit.
+    Fits log(norm) = log C + K*mu by least squares over the finite estimates
+    in this process.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
@@ -727,7 +673,14 @@ def scan_resolvent_growth(
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
     n_blocks = -(-mu_grid.size // block)
     if _scan_forks(n_blocks):
-        _fill_split(fill, estimates, n_blocks // 2 * block)
+        middle = n_blocks // 2 * block
+
+        def half(part: int) -> bytes:
+            start, stop = (0, middle) if part == 0 else (middle, mu_grid.size)
+            fill(start, stop)
+            return estimates[start:stop].tobytes()
+
+        estimates[middle:] = np.frombuffer(processes.split(2, half)[1])
     else:
         fill(0, mu_grid.size)
     finite = np.isfinite(estimates) & (estimates > 0)

@@ -1,0 +1,110 @@
+"""Parts of one computation in forked child processes: the scan's halves and a sweep's jobs.
+
+split(parts, work) runs work(0) in this process and work(1) .. work(parts - 1)
+each in a child forked here, which sends the bytes its work returns down a
+pipe.  may_fork() says whether this process may fork at all.  The standard
+library alone, and not part of the package's public names.
+"""
+
+from __future__ import annotations
+
+import os
+import threading
+from typing import Callable
+
+# true while this process runs a part of a split, and in every child one
+# forks: a split then runs no more processes at once than its parts
+_in_split = False
+
+
+def may_fork() -> bool:
+    """Whether split may fork here.
+
+    Not without os.sched_getaffinity (not Linux), while another Python thread
+    runs (it may hold a lock the child needs, and Python 3.12 warns of such a
+    fork), nor inside a split: in a child it started, or while this process
+    runs its own part.
+    """
+    return hasattr(os, "sched_getaffinity") and not _in_split and threading.active_count() == 1
+
+
+def _serve(part: int, work: Callable[[int], object], write: int, reads: list[int]) -> None:
+    """In a forked child: work(part) down the write end, or the text of what it raised.
+
+    Leaves through os._exit, status 0 once the result is sent and 1 otherwise,
+    so it never returns into the caller, runs no atexit hook and flushes no
+    inherited stdio buffer.  _in_split is already set: the parent set it
+    before it forked.
+    """
+    code = 1
+    try:
+        for read in reads:  # this child's and every earlier child's read end
+            os.close(read)
+        try:
+            payload, status = work(part), 0
+        except BaseException as exc:
+            payload, status = f"{type(exc).__name__}: {exc}".encode(), 1
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = status
+    finally:
+        os._exit(code)
+
+
+def _read_all(read: int) -> bytes:
+    with open(read, "rb", closefd=False) as pipe:
+        return pipe.read()
+
+
+def split(parts: int, work: Callable[[int], object]) -> list:
+    """[work(0), then the bytes work(i) returned in its child, for i = 1 .. parts - 1].
+
+    The children fork first and work(0) runs here meanwhile; may_fork() is
+    false here until it returns, as in every child, so split(1, work) runs
+    work(0) with no fork beneath it.  The parent reads every pipe before it
+    reaps, so no child blocks on a full pipe.  A child that fails, by raising
+    or by any exit status but 0, makes split raise a RuntimeError naming the
+    part, the pid, the exit status and the bytes it sent, and the text of what
+    it raised.  If this process raises, or is interrupted, before it has
+    reaped them, it kills and reaps every child: no process outlives the call.
+    """
+    global _in_split
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    statuses: list[int] = []
+    _in_split = True
+    try:
+        for part in range(1, parts):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _serve(part, work, write, [fd for _, fd in children] + [read])
+            children.append((pid, read))
+            os.close(write)
+        first = work(0)
+        payloads = [_read_all(read) for _, read in children]
+        for pid, _ in children:
+            statuses.append(os.waitpid(pid, 0)[1])
+    finally:
+        _in_split = False
+        if len(statuses) < len(children):
+            import signal
+
+            for pid, _ in children[len(statuses):]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for _, read in children:
+            os.close(read)
+    for part, ((pid, _), status, payload) in enumerate(zip(children, statuses, payloads), 1):
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raised = f": {payload.decode(errors='replace')}" if code == 1 else ""
+            raise RuntimeError(
+                f"part {part} of {parts} failed in process {pid}: exit status {code},"
+                f" {len(payload)} bytes sent{raised}"
+            )
+    return [first, *payloads]

@@ -35,7 +35,17 @@ USES_NUMPY = True
 
 
 def check(cfg: dict, xi: Position) -> float:
-    """The time step, refused when the run would take over MAX_SIM_STEPS steps."""
+    """The time step, refused when the run would take over MAX_SIM_STEPS steps.
+
+    A smooth bump whose support misses the string, which would start the run
+    from zero data, is refused too.
+    """
+    if cfg["initial"] == "smooth_bump" and not math.isnan(cfg["center"]):
+        low, high = cfg["center"] - cfg["width"], cfg["center"] + cfg["width"]
+        if not (low < 1.0 and high > 0.0):
+            raise ConfigError(
+                f"center and width put the bump's support ({low:g}, {high:g}) off the string (0, 1)"
+            )
     # dt = 0 means half the smaller mesh spacing, the simulator's default
     dt = cfg["dt"] or min(xi.value, 1.0 - xi.value) / cfg["cells"] / 2.0
     if cfg["t_final"] / dt > MAX_SIM_STEPS:

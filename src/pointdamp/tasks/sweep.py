@@ -11,12 +11,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
+from .. import processes
 from ..cli import (
     ConfigError, Limit, Position, _report_skeleton, all_of, at_least, at_most, one_of,
 )
 
 MAX_SWEEP_POSITIONS = 10**4
-# a process pool starts all its workers at once, however few the jobs
+# the most processes a sweep runs at once, itself included
 MAX_WORKERS = 32
 
 _xi_list_length = Limit(
@@ -32,12 +33,6 @@ SCHEMA = {
     "xi_list": ("", _xi_list_length),
     "workers": (1, all_of(at_least(1), at_most(MAX_WORKERS))),
 }
-
-
-def _sweep_worker(job: tuple) -> tuple[float, dict]:
-    name, xi, plan, task_cfg, seed = job
-    task = cli._task(name)
-    return xi.value, task.row(task.run(dict(task_cfg, seed=seed), xi, plan))
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -65,17 +60,39 @@ def check(cfg: dict, xi: None) -> list[tuple[Position, object]]:
 
 
 def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[float, dict]]:
-    """(xi, the task's sweep row) at each of check's positions, in increasing xi."""
-    jobs = [(cfg["task"], position, task_plan, cfg["task_config"], cfg["seed"])
-            for position, task_plan in plan]
-    workers = min(cfg["workers"], len(jobs))
-    if workers > 1:
-        import concurrent.futures
+    """(xi, the task's sweep row) at each of check's positions, in increasing xi.
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_worker, jobs))
+    With workers = k > 1, where processes.may_fork() allows it, the first job
+    runs here alone; the other jobs then split into min(k, jobs - 1)
+    contiguous parts, the first run here and each other in a forked child,
+    which sends its (xi, row) pairs back pickled.  Nothing a job calls then
+    forks, so no more than k processes compute at once.
+    """
+    task = cli._task(cfg["task"])
+    task_cfg = dict(cfg["task_config"], seed=cfg["seed"])
+
+    def rows(start: int, stop: int) -> list[tuple[float, dict]]:
+        return [(position.value, task.row(task.run(task_cfg, position, task_plan)))
+                for position, task_plan in plan[start:stop]]
+
+    parts = min(cfg["workers"], len(plan) - 1) if processes.may_fork() else 1
+    if parts <= 1:
+        results = rows(0, len(plan))
     else:
-        results = [_sweep_worker(job) for job in jobs]
+        import pickle
+
+        # the first job runs before any fork, as a part of its own: the
+        # children inherit the layers it imports (numpy's ~80 ms among them)
+        # instead of importing them each
+        [results] = processes.split(1, lambda part: rows(0, 1))
+        bounds = [1 + (len(plan) - 1) * part // parts for part in range(parts + 1)]
+
+        def part_rows(part: int):
+            found = rows(bounds[part], bounds[part + 1])
+            return found if part == 0 else pickle.dumps(found)
+
+        here, *sent = processes.split(parts, part_rows)
+        results += here + [pair for payload in sent for pair in pickle.loads(payload)]
     return sorted(results, key=lambda pair: pair[0])
 
 

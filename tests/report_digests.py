@@ -23,8 +23,10 @@ with the exponential weight, and a classify sweep of typed decimals (0.1,
 0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings,
 carleman-verify at golden over 32 modes, and classify at golden with
 poly_eps=3 (a strip check that is not refuted) and with k1=0 (an exp_grid
-refuted for every position).  New invocations go at the end, so the run
-numbers of the earlier ones hold.
+refuted for every position), then each task's default sweep again in two
+processes and the simulate sweep in three, which write what one process
+writes but for the echoed ``workers``.  New invocations go at the end, so the
+run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
 """
@@ -58,6 +60,8 @@ INVOCATIONS = (
     + [["carleman-verify", "--xi", "golden", "--set", "n_modes=32"]]
     + [["classify", "--xi", "golden", "--set", "poly_eps=3"]]
     + [["classify", "--xi", "golden", "--set", "k1=0"]]
+    + [["sweep", "--set", f"task={task}", "--set", "workers=2"] for task in TASKS]
+    + [["sweep", "--set", "task=simulate", "--set", "workers=3"]]
 )
 
 

@@ -7,6 +7,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 import pointdamp
 from pointdamp import characteristic, diophantine, frequency
-from pointdamp import cli, tasks
+from pointdamp import cli, processes, tasks
 from pointdamp.cli import (
     COMMANDS, COMMON_SCHEMA, POSITION_SCHEMA, ConfigError, main, resolve_config,
 )
@@ -23,6 +24,7 @@ from pointdamp.mesh import build_mesh
 from pointdamp.tasks import sweep
 from pointdamp.tasks.sweep import _linspace
 
+from forks import assert_reaped, record_forks
 from report_digests import INVOCATIONS, compare, digests
 
 
@@ -603,6 +605,20 @@ def test_out_of_range_number_is_config_error(tmp_path, args):
     assert run(args + xi + ["--out", tmp_path]) == 2
 
 
+def test_simulate_refuses_a_bump_off_the_string(tmp_path, capsys):
+    args = ["simulate", "--xi", "golden", "--set", "t_final=1", "--set", "cells=20"]
+    for center in ("2", "-0.2"):
+        assert run(args + ["--set", f"center={center}", "--out", tmp_path / "off"]) == 2
+        error = capsys.readouterr().err
+        assert "center" in error and "width" in error
+    assert not (tmp_path / "off").exists()
+    # a bump that reaches over the end of the string still starts it moving
+    end = ["--set", "center=1.05", "--set", "width=0.1", "--out", tmp_path / "end"]
+    assert run(args + end) == 0
+    report = json.loads((tmp_path / "end" / "simulate_report.json").read_text())
+    assert report["result"]["energy_initial"] > 0.0
+
+
 def _readme_key_tables():
     """Command -> the keys named in the first column of its README key table."""
     lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -1154,7 +1170,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
     a = (out_a / "sweep_classify.csv").read_text()
     b = (out_b / "sweep_classify.csv").read_text()
     assert a == b
-    # the exact position reaches the pool workers as its Fraction
+    # the exact position reaches the sweep's child as its Fraction
     _, columns, rows = read_csv(out_b / "sweep_classify.csv")
     assert dict(zip(columns, rows[0]))["is_rational"] == "true"
 
@@ -1179,30 +1195,76 @@ def test_swept_classify_row_matches_the_single_run(tmp_path, xi):
     }
 
 
-def test_resolvent_scan_sweep_scans_serially_in_its_pool_workers(tmp_path, monkeypatch):
-    # each scan (5 blocks at 32 cells) splits when run here; a pool worker
-    # that forked would fail its row
-    import multiprocessing
-
-    if multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers inherit the patches below only when forked")
+def test_resolvent_scan_sweep_forks_only_at_the_sweep_level(tmp_path, monkeypatch):
+    # each scan (5 blocks at 32 cells) splits when the sweep runs in one
+    # process; a scan that forked beside the sweep's children would fail its row
+    parent = os.getpid()
     fork = os.fork
 
-    def fork_outside_workers():
-        if multiprocessing.parent_process() is not None:
-            raise AssertionError("a sweep's pool worker forked")
+    def fork_in_the_parent_only():
+        if os.getpid() != parent:
+            raise AssertionError("a sweep's child forked")
         return fork()
 
-    monkeypatch.setattr(os, "fork", fork_outside_workers)
+    monkeypatch.setattr(os, "fork", fork_in_the_parent_only)
+    forked = record_forks(monkeypatch)
     monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden",
+    args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden,0.7",
             "--set", "mu_max=120", "--set", "cells=32"]
     assert run(args + ["--out", tmp_path / "serial", "--set", "workers=1"]) == 0
-    assert run(args + ["--out", tmp_path / "pool", "--set", "workers=2"]) == 0
+    assert len(forked) == 3
+    assert run(args + ["--out", tmp_path / "split", "--set", "workers=2"]) == 0
+    assert len(forked) == 4
+    assert_reaped(forked)
     serial = (tmp_path / "serial" / "sweep_resolvent-scan.csv").read_text()
-    assert serial == (tmp_path / "pool" / "sweep_resolvent-scan.csv").read_text()
-    assert len(serial.splitlines()) == 4
+    assert serial == (tmp_path / "split" / "sweep_resolvent-scan.csv").read_text()
+    assert len(serial.splitlines()) == 5
+
+
+def test_a_job_that_fails_in_a_child_fails_the_sweep(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    task = cli._task("classify")
+    run_task = task.run
+
+    def fails_in_a_child(cfg, xi, plan):
+        if os.getpid() != parent:
+            raise ArithmeticError(f"no verdict at {xi.value}")
+        return run_task(cfg, xi, plan)
+
+    monkeypatch.setattr(task, "run", fails_in_a_child)
+    forked = record_forks(monkeypatch)
+    assert run(["sweep", "--out", tmp_path, "--set", "task=classify", "--set", "mu_max=20",
+                "--set", "xi_list=0.3,0.4,0.7", "--set", "workers=2"]) == 3
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert "ArithmeticError: no verdict at 0.7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_interrupted_sweep_leaves_no_child(tmp_path, monkeypatch):
+    # the first job runs alone, the second is the parent's part and the last
+    # two are the child's
+    parent = os.getpid()
+    task = cli._task("classify")
+    run_task = task.run
+
+    def interrupted(cfg, xi, plan):
+        if os.getpid() != parent:
+            time.sleep(60)  # unless the parent kills it
+        elif xi.value == 0.4:
+            raise KeyboardInterrupt
+        return run_task(cfg, xi, plan)
+
+    monkeypatch.setattr(task, "run", interrupted)
+    forked = record_forks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run(["sweep", "--out", tmp_path, "--set", "task=classify", "--set", "mu_max=20",
+             "--set", "xi_list=0.3,0.4,0.5,0.6", "--set", "workers=2"])
+    assert time.monotonic() - started < 30.0
+    assert len(forked) == 1
+    assert_reaped(forked)
 
 
 def test_sweep_unknown_task_is_config_error(tmp_path):
@@ -1215,7 +1277,7 @@ def test_sweep_bad_xi_list_is_config_error(tmp_path):
 
 
 def test_sweep_workers_have_a_ceiling():
-    # checked while the config resolves, so a larger pool is never started
+    # checked while the config resolves, before any process starts
     assert sweep.MAX_WORKERS >= 4
     limit = sweep.MAX_WORKERS
     assert resolve_config("sweep", {"workers": str(limit)})["workers"] == limit
@@ -1233,35 +1295,26 @@ def test_sweep_position_counts_have_a_ceiling():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The max_workers of every process pool built, each running its jobs in-process."""
-    import concurrent.futures
+def split_parts(monkeypatch):
+    """The part count of every processes.split call, each run as it would be."""
+    parts = []
+    split = processes.split
 
-    sizes = []
+    def recording_split(count, work):
+        parts.append(count)
+        return split(count, work)
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    return sizes
+    monkeypatch.setattr(processes, "split", recording_split)
+    return parts
 
 
-def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
+def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, split_parts):
     assert run([
         "sweep", "--out", tmp_path, "--set", "task=classify", "--set", "xi_list=0.2,0.3,0.4",
         "--set", "workers=8", "--set", "mu_max=20",
     ]) == 0
-    assert pool_sizes == [3]
+    # the first job alone, then the other two in min(workers, 2) parts
+    assert split_parts == [1, 2]
 
 
 @pytest.mark.parametrize("task_args", [
@@ -1275,12 +1328,12 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, pool_sizes):
     # at dt = 0 the step count depends on the position: 0.4 is fine, 1e-4 is not
     ["task=simulate", "cells=1000", "t_final=10", "dt=0"],
 ], ids=lambda args: "-".join(args))
-def test_sweep_checks_every_position_before_any_job(tmp_path, pool_sizes, task_args):
+def test_sweep_checks_every_position_before_any_job(tmp_path, split_parts, task_args):
     settings = [item for pair in zip(itertools.repeat("--set"), task_args) for item in pair]
     assert run([
         "sweep", "--out", tmp_path, "--set", "xi_list=0.4,1e-4", "--set", "workers=2", *settings,
     ]) == 2
-    assert pool_sizes == []
+    assert split_parts == []
     assert not list(tmp_path.iterdir())
 
 
@@ -1295,7 +1348,7 @@ SMALL_RUNS = {
 
 
 @pytest.mark.parametrize("command", SMALL_RUNS)
-def test_each_position_is_checked_once(tmp_path, monkeypatch, pool_sizes, command):
+def test_each_position_is_checked_once(tmp_path, monkeypatch, split_parts, command):
     # main checks a run's position, the sweep each of its positions, and the
     # task's run computes from the plan that check returned
     task = cli._task(command)
@@ -1316,10 +1369,10 @@ def test_each_position_is_checked_once(tmp_path, monkeypatch, pool_sizes, comman
         checked.clear()
         assert run([
             "sweep", "--out", tmp_path / f"sweep{workers}", "--set", f"task={command}",
-            "--set", "xi_list=0.6,0.3", "--set", f"workers={workers}", *settings,
+            "--set", "xi_list=0.6,0.3,0.45", "--set", f"workers={workers}", *settings,
         ]) == 0
-        assert checked == [0.6, 0.3]
-    assert pool_sizes == [2]
+        assert checked == [0.6, 0.3, 0.45]
+    assert split_parts == [1, 2]
 
 
 # ------------------------------------------------------------- determinism
@@ -1368,6 +1421,35 @@ def test_report_digest_invocations_resolve():
         if parsed.xi is not None:
             raw["xi"] = parsed.xi
         resolve_config(parsed.command, raw)
+
+
+def test_report_digest_sweeps_match_across_workers(tmp_path, monkeypatch):
+    # each sweep the list runs in several processes writes, byte for byte,
+    # what its twin in one process writes, but for the echoed workers
+
+    def written(args, where):
+        # the same relative --out everywhere, as the reports echo it
+        where.mkdir(parents=True)
+        monkeypatch.chdir(where)
+        assert run([*args, "--out", "run"]) == 0
+        return {path.name: path.read_text() for path in (where / "run").iterdir()}
+
+    several = [args for args in INVOCATIONS if args[-1].startswith("workers=")]
+    assert len(several) == 6
+    twins = {}
+    for i, args in enumerate(several):
+        twin, workers = args[:-2], args[-1].removeprefix("workers=")
+        assert twin in INVOCATIONS
+        key = tuple(twin)
+        if key not in twins:
+            twins[key] = written(twin, tmp_path / f"one{len(twins)}")
+        files = written(args, tmp_path / f"several{i}")
+        assert files.keys() == twins[key].keys()
+        for name, text in twins[key].items():
+            if name.endswith(".json"):
+                assert text.count('"workers": 1,') == 1
+                text = text.replace('"workers": 1,', f'"workers": {workers},')
+            assert files[name] == text, (args, name)
 
 
 def test_report_digests_compare(tmp_path):

@@ -262,7 +262,6 @@ def test_growth_exponential():
     lambda: GrowthFunction.exponential(0.3),
 ])
 def test_growth_functions_pickle(make):
-    # a sweep's pool worker gets classify's growth function in its job
     phi = make()
     copy = pickle.loads(pickle.dumps(phi))
     assert copy.kind == phi.kind

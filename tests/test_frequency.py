@@ -1,4 +1,3 @@
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from forks import assert_reaped, record_forks
 from oracles import (
     _BACKWARD5,
     _FORWARD5,
@@ -19,7 +19,7 @@ from oracles import (
     verify_interface_identity,
 )
 import pointdamp
-from pointdamp import characteristic, frequency
+from pointdamp import characteristic, frequency, processes
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
@@ -677,35 +677,14 @@ def _scan_on_cpus(monkeypatch, cpus, xi, grid, seed, cells=32):
     return scan_resolvent_growth(xi, grid, 4, seed=seed, cells_per_side=cells)
 
 
-def _record_forks(monkeypatch) -> list[int]:
-    """The pids of the children that os.fork starts from here on."""
-    forked = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return forked
-
-
-def _assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
-
-
 def test_split_scan_equals_the_serial_scan(monkeypatch):
     # 8 frequencies in blocks of 3: the child's second block is short; 8 CPUs
     # still fork one child
     grid = np.linspace(2.0, 60.0, 8)
-    forked = _record_forks(monkeypatch)
+    forked = record_forks(monkeypatch)
     split = _scan_on_cpus(monkeypatch, 8, GOLDEN, grid, seed=3)
     assert len(forked) == 1
-    _assert_reaped(forked)
+    assert_reaped(forked)
     serial = _scan_on_cpus(monkeypatch, 1, GOLDEN, grid, seed=3)
     assert len(forked) == 1
     assert np.array_equal(split.norm_estimate, serial.norm_estimate)
@@ -718,7 +697,7 @@ def test_split_scan_with_a_resonant_frequency_in_a_child(monkeypatch):
     # mu = 2 pi, resonant at xi = 1/2, falls in the child's half; its last
     # block holds one frequency
     grid = np.array([5.0, 5.5, 6.0, 2 * math.pi, 7.0, 8.0, 9.5])
-    forked = _record_forks(monkeypatch)
+    forked = record_forks(monkeypatch)
     split = _scan_on_cpus(monkeypatch, 2, 0.5, grid, seed=0)
     assert len(forked) == 1
     assert split.n_resonant == 1
@@ -746,9 +725,10 @@ def test_when_a_scan_forks(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
     assert not frequency._scan_forks(100 * least)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    # a sweep's pool worker scans serially
-    with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
-        assert not pool.submit(frequency._scan_forks, 100 * least).result(timeout=60)
+    # nor inside a split, in the parent's part or in a child
+    forks = processes.split(2, lambda part: bytes([frequency._scan_forks(100 * least)]))
+    assert forks == [b"\x00", b"\x00"]
+    assert frequency._scan_forks(100 * least)
 
 
 def test_scan_never_forks_while_another_thread_runs(monkeypatch):
@@ -799,22 +779,26 @@ def test_a_failing_child_fails_the_scan(monkeypatch):
         return bound(*args)
 
     monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
-    forked = _record_forks(monkeypatch)
-    with pytest.raises(RuntimeError, match="exit status 1, 0 of"):
+    forked = record_forks(monkeypatch)
+    # the child sends the 20 bytes of what it raised
+    failed = (r"part 1 of 2 failed in process \d+: exit status 1, 20 bytes sent:"
+              r" MemoryError: no room$")
+    with pytest.raises(RuntimeError, match=failed):
         _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
     assert len(forked) == 1
-    _assert_reaped(forked)
+    assert_reaped(forked)
 
 
 def test_a_child_exit_status_fails_the_scan_after_a_full_payload(monkeypatch):
     parent = os.getpid()
     leave = os._exit
     monkeypatch.setattr(os, "_exit", lambda code: leave(7 if os.getpid() != parent else code))
-    forked = _record_forks(monkeypatch)
-    with pytest.raises(RuntimeError, match="exit status 7, 24 of 24 bytes"):
+    forked = record_forks(monkeypatch)
+    failed = r"part 1 of 2 failed in process \d+: exit status 7, 24 bytes sent$"
+    with pytest.raises(RuntimeError, match=failed):
         _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 6), seed=3)
     assert len(forked) == 1
-    _assert_reaped(forked)
+    assert_reaped(forked)
 
 
 def test_an_interrupted_parent_kills_its_children(monkeypatch):
@@ -826,13 +810,13 @@ def test_an_interrupted_parent_kills_its_children(monkeypatch):
         time.sleep(60)  # unless the parent kills it
 
     monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", interrupted)
-    forked = _record_forks(monkeypatch)
+    forked = record_forks(monkeypatch)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
     assert time.monotonic() - started < 30.0
     assert len(forked) == 1
-    _assert_reaped(forked)
+    assert_reaped(forked)
 
 
 def test_scan_memory_does_not_grow_with_the_grid():
