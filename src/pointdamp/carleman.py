@@ -10,9 +10,9 @@ The module verifies the operator algebra numerically (dual-route
 conjugation, symmetric/antisymmetric split, the expanded-square identity
 with all boundary terms) and evaluates the weighted inequality, stated at
 evaluate_carleman_inequality (its outer term carries no factor phi'), for
-one u or as Hermitian forms on the span of a real basis of the conjugated
-variable w = e^{(phi - max phi)/h} u, in which no exponential appears.  The
-constant on that span is the top eigenvalue of the forms' pencil.
+one u or as exact Gauss-Legendre forms on the span of Legendre rows of the
+conjugated variable w = e^{(phi - max phi)/h} u, in which no exponential
+appears.  The constant on that span is the top eigenvalue of their pencil.
 
 Exponentials are always taken relative to a local reference value of the
 weight so no admissible h can overflow; when e^{phi/h} spans more than the
@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quadrature import derivative, simpson, simpson_weights
+from .quadrature import derivative, simpson
 
 __all__ = [
     "WeightFunction",
@@ -55,6 +55,8 @@ __all__ = [
 _EXP_WINDOW = 300.0
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
+# inequality_forms doubles its n_modes + 3 Gauss nodes at most this often
+_NODE_DOUBLINGS = 6
 
 
 @dataclass
@@ -451,67 +453,109 @@ class ConstantEstimate:
     coefficients: np.ndarray  # (h, m) real maximiser per h, scaled to RHS = 1
 
 
-def _gram(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights_j X[:, j] X[:, j]^T."""
-    return (X * weights) @ X.T
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [-1, 1], increasing, and their weights
+    2 / ((1 - s^2) P_n'(s)^2), by Newton's method on the recurrence for P_n from
+    the asymptotic nodes cos(pi (j - 1/4) / (n + 1/2))."""
+    s = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(100):
+        low, high = 1.0, s  # P_{k-1} and P_k, up to k = n
+        for k in range(1, n):
+            low, high = high, ((2 * k + 1) * s * high - k * low) / (k + 1)
+        slope = n * (low - s * high) / (1.0 - s * s)
+        step = high / slope
+        s = s - step
+        if np.max(np.abs(step)) <= 1e-15:
+            break
+    return s, 2.0 / ((1.0 - s * s) * slope**2)
 
 
-def inequality_forms(
-    weight: WeightFunction,
-    basis: np.ndarray,
-    h_values,
-    side: str = "left",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of the weighted inequality as Hermitian forms on a real basis of w.
+def _gauss_forms(
+    weight: WeightFunction, n_modes: int, h_values: np.ndarray, side: str, nodes: int
+) -> np.ndarray:
+    """inequality_forms' L and R, stacked, by the Gauss-Legendre rule on the given nodes."""
+    s, q = _gauss_legendre(nodes)
+    half = 0.5 * (weight.b - weight.a)
+    s = np.append(s, [-1.0, 1.0])  # the nodes, then the ends a and b
+    x = weight.a + half * (s + 1.0)
+    outer, damped = (-2, -1) if side == "left" else (-1, -2)
+    # P_k, P_k' and P_k'' by (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1} and,
+    # differentiated, P_{k+1}^(d) = P_{k-1}^(d) + (2k + 1) P_k^(d - 1)
+    legendre = np.zeros((3, n_modes + 2, s.size))
+    legendre[0, 0], legendre[0, 1], legendre[1, 1] = 1.0, s, 1.0
+    for k in range(1, n_modes):
+        legendre[0, k + 1] = ((2 * k + 1) * s * legendre[0, k] - k * legendre[0, k - 1]) / (k + 1)
+        legendre[1:, k + 1] = legendre[1:, k - 1] + (2 * k + 1) * legendre[:2, k]
+    p, dp, d2p = legendre[:, :n_modes]
+    r = x - x[outer]  # the rows w_k = (x - outer) P_k(s) and their x-derivatives
+    basis, d_basis, d2_basis = r * p, p + r * dp / half, (2.0 * dp + r * d2p / half) / half
+    p1, p2 = np.asarray(weight.d1(x), dtype=float), np.asarray(weight.d2(x), dtype=float)
+    q = q * half
 
-    basis is (m, n + 1), real, on weight.grid(n); its rows are the
-    conjugated variable w = e^{(phi - max phi)/h} u.  Returns L and R, each
-    (len(h_values), m, m): for w = c @ basis with c = a + i b,
+    def gram(X):  # sum_j q_j X[:, j] X[:, j]^T over the nodes
+        return (X[:, :nodes] * q) @ X[:, :nodes].T
 
-      LHS(h) = a.L[h].a + b.L[h].b,   RHS(h) = a.R[h].a + b.R[h].b,
-
-    the sides of evaluate_carleman_inequality for that u, discretised in w.
-    With q the Simpson weights, G(X) = (X * q) @ X.T, S = h B' - phi' B and
-    P_w B the conjugated operator applied row by row:
-
-      L = h G(B) + h G(S) + h^3 b'_o b'_o^T
-      R = G(P_w B) + h (b_d b_d^T + s_d s_d^T)
-
-    P_w B is formed for each h: expanding G(P_w B) in powers of h cancels
-    catastrophically near a resonance.  Every row of the basis must vanish
-    at the outer (Dirichlet) end.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    basis = np.asarray(basis, dtype=float)
-    x = weight.grid(basis.shape[-1] - 1)
-    dx = float(x[1] - x[0])
-    p1 = np.asarray(weight.d1(x), dtype=float)
-    p2 = np.asarray(weight.d2(x), dtype=float)
-    outer, damped = (0, -1) if side == "left" else (-1, 0)
-    scale = np.maximum(np.max(np.abs(basis), axis=-1), 1e-300)
-    if np.any(np.abs(basis[:, outer]) > 1e-10 * scale):
-        raise ValueError("every basis row must vanish at the outer (Dirichlet) endpoint")
-
-    h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
-    m = basis.shape[0]
-    lhs_forms = np.empty(h_values.shape + (m, m))
-    rhs_forms = np.empty_like(lhs_forms)
-    d_basis = derivative(basis, dx)
-    d2_basis = _d2(basis, dx)
-    q = simpson_weights(x.size, dx)
-    gram_basis = _gram(basis, q)
+    forms = np.empty((2,) + h_values.shape + (n_modes, n_modes))
+    gram_basis = gram(basis)
     # P_w B = h (2 phi' B' + phi'' B - h B'') - (phi'^2 + 1) B
     first_order = 2.0 * p1 * d_basis + p2 * basis
     zeroth_order = (p1**2 + 1.0) * basis
     b_d, db_o = basis[:, damped], d_basis[:, outer]
     for i, h in enumerate(h_values):
         s_basis = h * d_basis - p1 * basis
-        p_basis = h * (first_order - h * d2_basis) - zeroth_order
-        lhs_forms[i] = h * (gram_basis + _gram(s_basis, q)) + h**3 * np.outer(db_o, db_o)
         s_d = s_basis[:, damped]
-        rhs_forms[i] = _gram(p_basis, q) + h * (np.outer(b_d, b_d) + np.outer(s_d, s_d))
-    return lhs_forms, rhs_forms
+        forms[0, i] = h * (gram_basis + gram(s_basis)) + h**3 * np.outer(db_o, db_o)
+        forms[1, i] = (gram(h * (first_order - h * d2_basis) - zeroth_order)
+                       + h * (np.outer(b_d, b_d) + np.outer(s_d, s_d)))
+    return forms
+
+
+def inequality_forms(
+    weight: WeightFunction,
+    n_modes: int,
+    h_values,
+    side: str = "left",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of the weighted inequality as Hermitian forms on n_modes rows of w.
+
+    Row k is w_k = (x - outer) P_k(s), P_k the Legendre polynomial and s
+    mapping [weight.a, weight.b] onto [-1, 1], in the conjugated variable
+    w = e^{(phi - max phi)/h} u.  Returns L and R, each (len(h_values),
+    n_modes, n_modes): for w = c @ rows with c = a + i b, the sides of
+    evaluate_carleman_inequality for that u are a.L[h].a + b.L[h].b and
+    a.R[h].a + b.R[h].b.  With G(X) the Gauss-Legendre sum of X X^T,
+    S = h B' - phi' B and P_w B the conjugated operator applied row by row:
+
+      L = h G(B) + h G(S) + h^3 b'_o b'_o^T
+      R = G(P_w B) + h (b_d b_d^T + s_d s_d^T)
+
+    The rule starts at n_modes + 3 nodes, exact for a quadratic weight, and
+    doubles them until no form moves by more than 1e-12 of its largest
+    entry, or by more than rounding can when that is larger.  Forms that do
+    not settle in _NODE_DOUBLINGS doublings, or are not finite, raise
+    FloatingPointError.  P_w B is formed for each h: expanding G(P_w B) in
+    powers of h cancels catastrophically near a resonance.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
+    # Markov's inequality bounds a degree-D integrand's slope by D^2 times its
+    # size, so nodes rounded by eps move the sums by up to D^2 eps of it
+    tolerance = max(1e-12, (2 * n_modes + 4) ** 2 * np.finfo(float).eps)
+    nodes, forms = n_modes + 3, None
+    while True:
+        finer = _gauss_forms(weight, n_modes, h_values, side, nodes)
+        # at an extreme h a power of h overflows; inf or nan would read as ratio 0
+        bad = h_values[~np.isfinite(finer).all(axis=(0, 2, 3))]
+        if bad.size:
+            raise FloatingPointError(f"the inequality's forms are not finite at h = {bad[0]:g}")
+        scale = np.max(np.abs(finer), axis=(2, 3), initial=0.0)
+        if forms is not None and np.all(
+                np.max(np.abs(finer - forms), axis=(2, 3), initial=0.0) <= tolerance * scale):
+            return finer[0], finer[1]
+        if nodes == (n_modes + 3) << _NODE_DOUBLINGS:
+            raise FloatingPointError(f"the inequality's forms did not settle on {nodes} nodes")
+        forms, nodes = finer, 2 * nodes
 
 
 def _span_maximum(lhs_form: np.ndarray, rhs_form: np.ndarray) -> tuple[float, np.ndarray]:
@@ -531,31 +575,22 @@ def _span_maximum(lhs_form: np.ndarray, rhs_form: np.ndarray) -> tuple[float, np
 
 def estimate_carleman_constant(
     weight: WeightFunction,
-    basis: np.ndarray,
+    n_modes: int,
     h_values,
     side: str = "left",
 ) -> ConstantEstimate:
-    """Constant of the weighted inequality over the span of a real basis of w.
+    """Constant of the weighted inequality over the span of inequality_forms' n_modes rows.
 
-    basis is (m, n + 1), as in inequality_forms.  Both sides are Hermitian
-    forms on the span, and a complex coefficient vector a + i b gives a ratio
-    between those of a and b, so the largest LHS/RHS at each h is the top
-    eigenvalue of the real pencil (L_h, R_h); R_h is positive definite only on
-    independent rows, so dependent rows are a FloatingPointError naming the
-    rank, whatever rounding makes of R_h (a null span, of rank 0, gives 0).
-    The maximum over the first m // 2 rows comes from the leading blocks of
-    the same forms (0 for m = 1), and the outer share is h^3 (b'_o . c)^2 / LHS
-    at the maximiser c.  c_hat is the largest maximum over h_values.
+    A complex coefficient vector a + i b gives a ratio between those of a and
+    b, so the largest LHS/RHS at each h is the top eigenvalue of the real
+    pencil (L_h, R_h); R_h is positive definite (0 rows give 0).  The maximum
+    over the first n_modes // 2 rows comes from the leading blocks (0 for one
+    row), and the outer share is h^3 (b'_o . c)^2 / LHS at the maximiser c,
+    with b'_o = P_k(-1) = (-1)^k on the left and P_k(1) = 1 on the right.
+    c_hat is the largest maximum over h_values.
     """
-    rows, rank = len(basis), np.linalg.matrix_rank(basis)
-    if 0 < rank < rows:
-        raise FloatingPointError(f"the basis rows are dependent: rank {rank} of {rows}")
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
-    lhs_forms, rhs_forms = inequality_forms(weight, basis, h_values, side)
-    # at an extreme h a power of h overflows; inf or nan would read as ratio 0
-    bad = h_values[~(np.isfinite(lhs_forms) & np.isfinite(rhs_forms)).all(axis=(1, 2))]
-    if bad.size:
-        raise FloatingPointError(f"the inequality's forms are not finite at h = {bad[0]:g}")
+    lhs_forms, rhs_forms = inequality_forms(weight, n_modes, h_values, side)
     sup_ratio = np.zeros(h_values.size)
     coefficients = np.zeros(lhs_forms.shape[:2])
     for i, (h, lhs_form, rhs_form) in enumerate(zip(h_values, lhs_forms, rhs_forms)):
@@ -564,11 +599,10 @@ def estimate_carleman_constant(
         except np.linalg.LinAlgError:
             raise FloatingPointError(f"the right-hand form is singular at h = {h:g}") from None
     # leading blocks of positive definite forms are positive definite
-    half = lhs_forms.shape[-1] // 2
+    half = n_modes // 2
     half_modes = [_span_maximum(lhs[:half, :half], rhs[:half, :half])[0]
                   for lhs, rhs in zip(lhs_forms, rhs_forms)]
-    x = weight.grid(np.shape(basis)[-1] - 1)
-    outer_slope = derivative(basis, float(x[1] - x[0]))[:, 0 if side == "left" else -1]
+    outer_slope = (-1.0) ** np.arange(n_modes) if side == "left" else np.ones(n_modes)
     outer_term = h_values**3 * (coefficients @ outer_slope) ** 2
     return ConstantEstimate(
         c_hat=float(np.max(sup_ratio, initial=0.0)),
@@ -582,26 +616,15 @@ def estimate_carleman_constant(
 
 
 @functools.lru_cache(maxsize=4)
-def sample_basis(
-    interval: tuple[float, float], n: int, n_modes: int, pin_left: bool, pin_right: bool
-) -> np.ndarray:
+def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndarray:
     """Read-only (n_modes, n + 1) real basis on a uniform grid, shared by its calls.
 
-    Row k - 1 is the k-th mode: sin(k pi s) pinned at both ends, quarter-wave
-    sines pinned at one end and free at the other, shifted cosines free at both.
+    Row k - 1 is the k-th mode, a shifted cosine free at both ends: the
+    incommensurate frequencies keep its value and slope generic there.
     """
     a, b = interval
-    x = np.linspace(a, b, n + 1)
-    s = (x - a) / (b - a)
+    s = (np.linspace(a, b, n + 1) - a) / (b - a)
     k = np.arange(1, n_modes + 1)
-    # incommensurate frequencies keep value and slope generic at free ends
-    if pin_left and pin_right:
-        basis = np.sin(np.outer(k, np.pi * s))
-    elif pin_left:
-        basis = np.sin(np.outer((k + 0.37) * np.pi, s))
-    elif pin_right:
-        basis = np.sin(np.outer((k + 0.37) * np.pi, 1.0 - s))
-    else:
-        basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
+    basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
     basis.flags.writeable = False
     return basis

@@ -67,7 +67,7 @@ def write(cfg: dict, result) -> list[Path]:
         "n_roots": len(roots),
         "total_multiplicity": sum(r.multiplicity for r in roots),
         "spectral_abscissa": abscissa if math.isfinite(abscissa) else None,
-        "has_real_root": bool(any(abs(r.z.imag) <= cfg["real_tol"] for r in roots)),
+        "has_real_root": abscissa == 0.0,  # exactly when a root lies within real_tol
     }
     json_path = out / "spectrum.json"
     cli.write_json_report(json_path, payload)

@@ -8,6 +8,8 @@ its own layers.
 
 from __future__ import annotations
 
+import os
+import sys
 from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
@@ -70,6 +72,10 @@ def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[
     """
     task = cli._task(cfg["task"])
     task_cfg = dict(cfg["task_config"], seed=cfg["seed"])
+    if task.USES_NUMPY and "numpy" not in sys.modules:
+        # one OpenBLAS thread per process, whatever workers: pools of one thread per CPU
+        # contend, and simulate's rows depend on the count.  Read as the first job loads numpy
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
     def rows(start: int, stop: int) -> list[tuple[float, dict]]:
         return [(position.value, task.row(task.run(task_cfg, position, task_plan)))

@@ -17,10 +17,12 @@ exponential window one node at a time, recomputing the weight's spread at
 every step, where the package reads window ends off running extrema.
 
 The random test functions are seeded combinations of the package's sample
-basis.  The Carleman constant on a span is the top eigenvalue of a pencil;
-no draw from the span may exceed it.  The sides of the weighted inequality
-are evaluated pointwise in the conjugated variable w, one function at a
-time, where the package assembles them as forms on a whole basis.
+basis, or of pinned sines.  The Carleman constant on a span is the top
+eigenvalue of a pencil; no draw from the span may exceed it.  The sides of
+the weighted inequality are evaluated for one function w of the conjugated
+variable at a time, where the package assembles them as forms on its
+Legendre rows by one Gauss rule: exactly, by numpy.polynomial's Legendre
+series algebra and antiderivatives, or by composite Gauss on many panels.
 
 The diophantine checks are referenced by full scans.  Each pi-strip's
 minimum is found by a dense scan of the strip, where the package refines the
@@ -39,14 +41,15 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Legendre
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from pointdamp.carleman import apply_conjugated_operator, apply_helmholtz, sample_basis
+from pointdamp.carleman import apply_helmholtz, sample_basis
 from pointdamp.diophantine import ConditionReport, GrowthFunction, default_mu_grid
 from pointdamp.frequency import ForcingData, ResolventSolution, assemble_phi
-from pointdamp.quadrature import derivative, simpson
+from pointdamp.quadrature import simpson
 
 # one-sided 5-point first-derivative stencils, O(h^4)
 _BACKWARD5 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
@@ -265,39 +268,111 @@ def conjugation_route_incremental(
     return out, windows
 
 
-def conjugated_inequality_sides(
-    weight, w: np.ndarray, h_values, side: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(LHS, RHS) per h of the weighted inequality for u = e^{-(phi - max phi)/h} w.
+def legendre_rows(weight, side: str, n_modes: int) -> list[Legendre]:
+    """The rows w_k = (x - outer) P_k(s), k < n_modes, of the package's forms, as
+    Legendre series on the side's interval, built and differentiated by
+    numpy.polynomial where the package runs the recurrence on nodes."""
+    domain = [weight.a, weight.b]
+    outer = weight.a if side == "left" else weight.b
+    x = Legendre.identity(domain=domain)
+    return [(x - outer) * Legendre.basis(k, domain=domain) for k in range(n_modes)]
 
-    w is one complex sample on weight.grid, zero at the outer end.  With
-    S = h w' - phi' w, which is h e^{(phi - max phi)/h} u':
 
-      LHS(h) = h int |w|^2 + h int |S|^2 + h^3 |w'(outer)|^2
-      RHS(h) = int |P_w w|^2 + h (|w|^2 + |S|^2) at the damped end
+def _sides(h, w, dw, d2w, phi1, phi2, integral, outer, damped):
+    """(LHS, RHS) at h of one real w, its values and integrals given by the callers.
 
-    by Simpson quadrature, P_w w from apply_conjugated_operator.
+    With S = h w' - phi' w, which is h e^{(phi - max phi)/h} u':
+
+      LHS(h) = h int w^2 + h int S^2 + h^3 w'(outer)^2
+      RHS(h) = int (P_w w)^2 + h (w^2 + S^2) at the damped end
     """
-    w = np.asarray(w, dtype=complex)
-    x = weight.grid(w.size - 1)
-    dx = float(x[1] - x[0])
-    outer, damped = (0, -1) if side == "left" else (-1, 0)
-    dw = derivative(w, dx)
-    lhs, rhs = [], []
-    for h in np.atleast_1d(h_values):
-        s = h * dw - weight.d1(x) * w
-        pw = apply_conjugated_operator(weight, h, w, x)
-        lhs.append(h * simpson(np.abs(w) ** 2, dx) + h * simpson(np.abs(s) ** 2, dx)
-                   + h**3 * abs(dw[outer]) ** 2)
-        rhs.append(simpson(np.abs(pw) ** 2, dx) + h * (abs(w[damped]) ** 2 + abs(s[damped]) ** 2))
-    return np.array(lhs, dtype=float), np.array(rhs, dtype=float)
+    s = h * dw - phi1 * w
+    pw = -(h**2) * d2w + 2.0 * h * phi1 * dw + h * phi2 * w - (phi1 * phi1 + 1.0) * w
+    lhs = h * integral(w * w) + h * integral(s * s) + h**3 * outer(dw) ** 2
+    rhs = integral(pw * pw) + h * (damped(w) ** 2 + damped(s) ** 2)
+    return lhs, rhs
+
+
+def exact_inequality_sides(weight, side: str, coefficients, h_values):
+    """(LHS, RHS) per h of the weighted inequality for w = coefficients @ legendre_rows.
+
+    For a quadratic weight: phi' and phi'' are read off its ends as Legendre
+    series of degree 1 and 0, P_w w is formed symbolically, and each integral is
+    .integ() taken between the ends.  The real and imaginary parts of w add.
+    """
+    domain = [weight.a, weight.b]
+    ends = np.array(domain)
+    phi1 = Legendre.fit(ends, weight.d1(ends), 1, domain=domain)
+    phi2 = Legendre.fit(ends, weight.d2(ends), 0, domain=domain)
+    outer, damped = (weight.a, weight.b) if side == "left" else (weight.b, weight.a)
+    rows = legendre_rows(weight, side, len(coefficients))
+
+    def integral(f):
+        antiderivative = f.integ()
+        return antiderivative(weight.b) - antiderivative(weight.a)
+
+    lhs = np.zeros(len(h_values))
+    rhs = np.zeros(len(h_values))
+    for part in (np.real(coefficients), np.imag(coefficients)):
+        w = sum((c * row for c, row in zip(part, rows)), Legendre([0.0], domain=domain))
+        dw, d2w = w.deriv(), w.deriv(2)
+        for i, h in enumerate(h_values):
+            sides = _sides(h, w, dw, d2w, phi1, phi2, integral, lambda f: f(outer),
+                           lambda f: f(damped))
+            lhs[i] += sides[0]
+            rhs[i] += sides[1]
+    return lhs, rhs
+
+
+def gauss_inequality_sides(weight, side: str, coefficients, h_values, panels: int):
+    """The same sides for any weight, by 8-point Gauss-Legendre on equal panels.
+
+    The rows come from legendre_rows, evaluated by numpy.polynomial, and phi'
+    and phi'' from the weight at each point; the package sums over the nodes
+    of one rule on the whole side.
+    """
+    t, q = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(weight.a, weight.b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = np.append((edges[:-1, None] + half * (t + 1.0)).ravel(), [weight.a, weight.b])
+    q = (half * q).ravel()
+    outer, damped = (-2, -1) if side == "left" else (-1, -2)
+    rows = legendre_rows(weight, side, len(coefficients))
+    phi1, phi2 = weight.d1(x), weight.d2(x)
+    lhs = np.zeros(len(h_values))
+    rhs = np.zeros(len(h_values))
+    for part in (np.real(coefficients), np.imag(coefficients)):
+        w, dw, d2w = (part @ np.array([row.deriv(m)(x) for row in rows]) for m in range(3))
+        for i, h in enumerate(h_values):
+            sides = _sides(h, w, dw, d2w, phi1, phi2, lambda f: q @ f[:-2],
+                           lambda f: f[outer], lambda f: f[damped])
+            lhs[i] += sides[0]
+            rhs[i] += sides[1]
+    return lhs, rhs
 
 
 def random_coefficients(rng: np.random.Generator, n_modes: int = 8) -> np.ndarray:
-    """Complex coefficients of one random_test_function on sample_basis, from
+    """Complex coefficients of one random_test_function on its basis, from
     the same draws: standard normal real and imaginary parts, mode k scaled by 1/k."""
     k = np.arange(1, n_modes + 1)
     return (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k
+
+
+def pinned_basis(
+    interval: tuple[float, float], n: int, n_modes: int, pin_left: bool, pin_right: bool
+) -> np.ndarray:
+    """(n_modes, n + 1) real basis on a uniform grid, row k - 1 the k-th mode:
+    sin(k pi s) pinned at both ends, quarter-wave sines pinned at one end and
+    free at the other, and the package's sample_basis free at both."""
+    if not (pin_left or pin_right):
+        return sample_basis(tuple(interval), n, n_modes)
+    a, b = interval
+    s = (np.linspace(a, b, n + 1) - a) / (b - a)
+    k = np.arange(1, n_modes + 1)
+    if pin_left and pin_right:
+        return np.sin(np.outer(k, np.pi * s))
+    # incommensurate frequencies keep value and slope generic at the free end
+    return np.sin(np.outer((k + 0.37) * np.pi, s if pin_left else 1.0 - s))
 
 
 def random_test_function(
@@ -311,7 +386,7 @@ def random_test_function(
     """Smooth random complex function on a uniform grid, optionally pinned to
     zero at an endpoint (quarter-wave sines keep the other endpoint free)."""
     coeff = random_coefficients(rng, n_modes)
-    return coeff @ sample_basis(tuple(interval), n, n_modes, pin_left, pin_right)
+    return coeff @ pinned_basis(interval, n, n_modes, pin_left, pin_right)
 
 
 # ---------------------------------------------------------------------------

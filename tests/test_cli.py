@@ -85,6 +85,22 @@ def test_carleman_verify_loads_no_random_generator(tmp_path):
     assert not re.search(r"\| +_hashlib$", done.stderr, re.M)
 
 
+def test_carleman_verify_loads_no_numpy_polynomial(tmp_path):
+    # the constant's Gauss nodes and Legendre rows come from numpy alone;
+    # importing numpy.polynomial would cost ~2.7 ms of start-up
+    done = run_python(
+        "import sys\n"
+        "from pointdamp.cli import main\n"
+        f"print(main(['carleman-verify', '--xi', 'golden', '--out', {str(tmp_path)!r}]))\n"
+        "print(sorted(sys.modules))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = done.stdout.splitlines()[-2:]
+    assert code == "0"
+    assert "'pointdamp.carleman'" in loaded
+    assert "'numpy.polynomial'" not in loaded
+
+
 # the layers a task imports for itself, not at start-up
 TASK_LAYERS = ("characteristic", "frequency", "carleman", "simulator", "decayfit", "mesh")
 # the arithmetic layer and the standard modules it alone brings in; only
@@ -760,20 +776,31 @@ def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("cells, n_modes, code", [
-    (12, 13, 2), (64, 65, 2), (12, 12, 0), (64, 64, 0),
-])
-def test_carleman_modes_past_the_basis_rank_are_config_errors(tmp_path, capsys, cells, n_modes,
-                                                              code):
-    # a side's basis has cells + 1 nodes, one pinned, so rank cells at most
-    assert run([
-        "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", f"cells={cells}",
-        "--set", f"n_modes={n_modes}",
-    ]) == code
-    if code == 2:
-        err = capsys.readouterr().err
-        assert "n_modes" in err and "cells" in err
-        assert not list(tmp_path.iterdir())
+def test_carleman_rows_on_the_most_gauss_nodes_are_sized_before_the_run(tmp_path, capsys):
+    # the node rule doubles n_modes + 3 nodes at most carleman._NODE_DOUBLINGS
+    # times, and the size check must name that same count: 400 rows would
+    # reach 403 * 64 nodes, past the ceiling with every other array within it
+    from pointdamp import carleman
+
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "h_count=1",
+                "--set", "n_modes=400"]) == 2
+    err = capsys.readouterr().err
+    assert f"n_modes * (n_modes + 3) * 2**{carleman._NODE_DOUBLINGS}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_carleman_columns_do_not_depend_on_cells(tmp_path):
+    # cells is the identity checks' grid alone: the constant's columns are the
+    # same bytes on 512 cells and on 4096
+    columns = {}
+    for cells in (512, 4096):
+        out = tmp_path / str(cells)
+        assert run(["carleman-verify", "--xi", "golden", "--out", out,
+                    "--set", f"cells={cells}"]) == 0
+        _, names, rows = read_csv(out / "carleman_sweep.csv")
+        assert names == ["side", "h", "sup_ratio", "sup_ratio_half_modes", "outer_share"]
+        columns[cells] = [row[:5] for row in rows]
+    assert columns[512] == columns[4096]
 
 
 def test_carleman_tiny_h_gives_finite_ratios(tmp_path):
@@ -1306,6 +1333,37 @@ def split_parts(monkeypatch):
 
     monkeypatch.setattr(processes, "split", recording_split)
     return parts
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_sweep_runs_on_one_blas_thread(tmp_path, preset):
+    # a pool of one OpenBLAS thread per CPU in each process of a sweep would
+    # contend for the CPUs, and simulate's rows depend on the thread count:
+    # from the command line the sweep runs on one thread, unless the
+    # environment says otherwise
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    probe = (
+        "import ctypes, glob, os\n"
+        "from pointdamp.cli import main\n"
+        f"code = main(['sweep', '--out', {str(tmp_path)!r}, '--set', 'task=carleman-verify',\n"
+        "             '--set', 'xi_list=0.3,0.5,0.6', '--set', 'cells=64',\n"
+        "             '--set', 'h_count=3', '--set', 'workers=2'])\n"
+        "import numpy\n"
+        "libraries = glob.glob(numpy.__path__[0] + '.libs/libscipy_openblas*')\n"
+        "threads = (ctypes.CDLL(libraries[0]).scipy_openblas_get_num_threads64_()\n"
+        "           if libraries else None)\n"
+        "print(code, os.environ['OPENBLAS_NUM_THREADS'], threads)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    code, variable, threads = done.stdout.split()[-3:]
+    assert (code, variable) == ("0", preset or "1")
+    assert threads in (variable, "None")
 
 
 def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, split_parts):
