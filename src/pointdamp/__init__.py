@@ -24,7 +24,7 @@ _EXPORTS = {
     "diophantine": (
         "ContinuedFraction", "ConditionReport", "GrowthFunction", "ActuatorClassification",
         "ClassifySettings", "GOLDEN_RATIO_CONJUGATE", "parse_actuator_position",
-        "dist_nearest_integer", "expand_continued_fraction", "resonance_indicator",
+        "dist_nearest_integer", "expand_continued_fraction", "settle", "resonance_indicator",
         "cos_resonance_indicator", "check_exp_grid", "check_poly_grid", "check_cos_grid",
         "check_liouville_type", "classify_actuator", "default_mu_grid",
     ),

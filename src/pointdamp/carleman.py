@@ -129,9 +129,6 @@ def default_right_weight(xi: float) -> WeightFunction:
 class WeightCheck:
     ok: bool
     violations: list[str]
-    min_abs_slope: float
-    min_convexity: float
-    boundary_slope: float
 
 
 def validate_weight(weight: WeightFunction, side: str) -> WeightCheck:
@@ -159,13 +156,7 @@ def validate_weight(weight: WeightFunction, side: str) -> WeightCheck:
         violations.append("slope at the left endpoint must be positive")
     if side == "right" and boundary_slope >= 0.0:
         violations.append("slope at the right endpoint must be negative")
-    return WeightCheck(
-        ok=not violations,
-        violations=violations,
-        min_abs_slope=float(np.min(np.abs(slope))),
-        min_convexity=float(np.min(convexity)),
-        boundary_slope=boundary_slope,
-    )
+    return WeightCheck(ok=not violations, violations=violations)
 
 
 # ----------------------------------------------------------------------------

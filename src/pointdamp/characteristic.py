@@ -230,16 +230,18 @@ def find_eigenvalues(xi: float, rect, tol: float = 1e-12) -> list[Characteristic
     return roots
 
 
-def abscissa_of_roots(roots: list[CharacteristicRoot], real_tol: float) -> float:
+def abscissa_of_roots(roots: list[CharacteristicRoot], rational: tuple[int, int] | None) -> float:
     """Largest generator real part -Im z over the given characteristic roots.
 
     Eigenvalues are i*z for characteristic roots z, so the abscissa is -min(Im z).
 
-    Exactly 0.0 when a root lies within real_tol of the real axis; -inf for
-    no roots.
+    Exactly 0.0 when a root is real: the root of strip n = round(Re z / pi)
+    is real iff n = 0 (the trivial zero) or, for xi = p/q given as rational
+    = (p, q), q | n; there sin z = sin(xi z) = 0.  -inf for no roots.
     """
     if not roots:
         return -math.inf
-    if any(abs(r.z.imag) <= real_tol for r in roots):
+    q = rational[1] if rational else 0
+    if any(n == 0 or q and n % q == 0 for n in (round(r.z.real / math.pi) for r in roots)):
         return 0.0
     return max(-r.z.imag for r in roots)

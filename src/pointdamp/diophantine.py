@@ -3,11 +3,15 @@
 Whether the damped point at xi in (0,1) stabilizes every finite-energy state,
 and how fast, is controlled by how well xi is approximated by rationals.  This
 module provides continued-fraction expansions, distance-to-nearest-integer
-scans, and the strip/scan conditions that separate decay regimes.
+scans, and the strip/scan conditions that separate decay regimes.  Each
+check reads its xi (a float, a Fraction, decimal text or 'golden') as one
+exact number, by settle at the default quotient_overflow, or takes the
+Position that settle returned.
 """
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import functools
 import math
@@ -16,9 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .expansion import PRECISION_BUDGET, expand, rational_form
+
 # the parser and the grid live apart so the command line can read a position
 # without this module
-from .inputs import GOLDEN_RATIO_CONJUGATE, default_mu_grid, parse_actuator_position
+from .inputs import GOLDEN_RATIO_CONJUGATE, Position, default_mu_grid, parse_actuator_position
 
 __all__ = [
     "ContinuedFraction",
@@ -30,6 +36,7 @@ __all__ = [
     "parse_actuator_position",
     "dist_nearest_integer",
     "expand_continued_fraction",
+    "settle",
     "resonance_indicator",
     "cos_resonance_indicator",
     "check_exp_grid",
@@ -40,16 +47,10 @@ __all__ = [
     "default_mu_grid",
 ]
 
-# convergents of a double are meaningless once q_k*q_{k+1} ~ 1/eps
-_PRECISION_BUDGET = 0.25 / sys.float_info.epsilon
-
 # the string 'golden' expands (sqrt(5)-1)/2 held to 60 significant digits,
 # with the same budget rule at that precision
 _GOLDEN_60 = (Fraction(decimal.Context(prec=60).sqrt(5)) - 1) / 2
 _GOLDEN_60_BUDGET = 0.25e60
-
-# indicator values below this count as exact resonances (roundoff scale)
-_RESONANCE_FLOOR = 1e-20
 
 
 def dist_nearest_integer(rho: float) -> float:
@@ -82,45 +83,6 @@ class ContinuedFraction:
         return max(tail) if tail else 0
 
 
-def _cf_expand(x, depth: int, quotient_overflow: float, budget: float) -> ContinuedFraction:
-    """Euclid on the integer pair n/d of x (a float or a Fraction), up to
-    q_k*q_{k+1} <= budget; an overflow after [..., a, 1] ends as [..., a + 1]."""
-    quotients: list[int] = []
-    convergents: list[tuple[int, int]] = []
-    terminated = False
-    truncated = False
-    p_prev, p_cur = 0, 1
-    q_prev, q_cur = 1, 0
-    n, d = x.as_integer_ratio()
-    for _ in range(depth):
-        a, r = divmod(n, d)
-        if quotients and a > quotient_overflow:
-            terminated = True  # numerically rational: the tail is noise
-            if len(quotients) >= 3 and quotients[-1] == 1:
-                quotients[-2:] = [quotients[-2] + 1]
-                del convergents[-2]
-            break
-        q_next = a * q_cur + q_prev
-        if q_next * q_cur > budget:
-            truncated = True
-            break
-        p_prev, p_cur = p_cur, a * p_cur + p_prev
-        q_prev, q_cur = q_cur, q_next
-        quotients.append(a)
-        convergents.append((p_cur, q_cur))
-        if r == 0:
-            terminated = True
-            break
-        n, d = d, r
-    return ContinuedFraction(
-        value=float(x),
-        partial_quotients=quotients,
-        convergents=convergents,
-        terminated=terminated,
-        truncated_by_precision=truncated,
-    )
-
-
 def expand_continued_fraction(
     x, depth: int = 40, quotient_overflow: float = 1e12
 ) -> ContinuedFraction:
@@ -150,10 +112,29 @@ def expand_continued_fraction(
         else:
             x = Fraction(text)
     else:
-        x, budget = float(x), _PRECISION_BUDGET
+        x, budget = float(x), PRECISION_BUDGET
     if not 0 < x < 1:
         raise ValueError("value must lie in (0,1)")
-    return _cf_expand(x, depth, quotient_overflow, budget)
+    expansion = expand(*x.as_integer_ratio(), depth, quotient_overflow, budget)
+    return ContinuedFraction(float(x), *expansion)
+
+
+def settle(xi, quotient_overflow: float = 1e12) -> Position:
+    """xi as one exact number: Position(double, the rational it settles on).
+
+    A Fraction and decimal text are exact; a float settles where its
+    expansion ends (expansion.rational_form).  Otherwise the exact form is
+    'golden', for its 60 digits, or None, for the double's own value.  A
+    Position is taken as settled already.
+    """
+    if isinstance(xi, Position):
+        return xi
+    if isinstance(xi, str):
+        if xi.strip().lower() == "golden":
+            return Position(GOLDEN_RATIO_CONJUGATE, "golden")
+        xi = Fraction(xi.strip())
+    form = rational_form(xi if isinstance(xi, Fraction) else float(xi), quotient_overflow)
+    return Position(float(xi), form and Fraction(*form))
 
 
 # ----------------------------------------------------------------------------
@@ -300,8 +281,8 @@ class _Rows:
 
 
 def _log_weighted(expression: float, log_weight: float) -> float:
-    """log(expression) + log_weight, with an expression at roundoff scale read as 0."""
-    return (math.log(expression) if expression > _RESONANCE_FLOOR else -math.inf) + log_weight
+    """log(expression) + log_weight, -inf where the expression is 0."""
+    return (math.log(expression) if expression > 0.0 else -math.inf) + log_weight
 
 
 def _sin_derivatives(xi: float, mu: float) -> tuple[float, float, float]:
@@ -417,9 +398,7 @@ def _least_strip_minimum(
     The strips go in order of their lower bound, _CENTRE_FRACTION times the
     indicator at the centre under the least weight on the strip, and the
     search stops at the first bound at or above the least minimum so far:
-    that strip's minimum lies above its bound.  A bound that reaches the
-    resonance floor is -inf, and such strips go in order of mu, so the
-    first exact resonance is found.
+    that strip's minimum lies above its bound.
     """
 
     def bound(strip: tuple[float, float, float]) -> float:
@@ -442,10 +421,30 @@ def _least_strip_minimum(
 _REFUTED = "refuted for every xi: the weight grows slower than mu^4 (Dirichlet)"
 
 
+def _first_resonance(
+    centre: float, position: Position, mu_min: float, mu_max: float
+) -> float | None:
+    """The first strip centre (n + centre) pi in [mu_min, mu_max] where the
+    indicator of the position's rational p/q vanishes, as a double, or None:
+    the sine indicator's n pi, n >= 1, with q | n, or the cosine indicator's
+    (n + 1/2) pi, with p and q odd and q | 2n + 1 (cos mu = cos(xi mu) = 0)."""
+    if position.exact in (None, "golden"):
+        return None
+    p, q = position.exact.as_integer_ratio()
+    if centre and (p % 2 == 0 or q % 2 == 0):
+        return None
+    first, residue = max(round(mu_min / math.pi - centre), 1), (q - 1) // 2 if centre else 0
+    n = first + (residue - first) % q
+    if (n + centre) * math.pi < mu_min:
+        n += q
+    mu = (n + centre) * math.pi
+    return mu if mu <= mu_max else None
+
+
 def _strip_check(
     condition_id: str,
     condition: _Condition,
-    xi: float,
+    xi,
     mu_min: float,
     mu_max: float,
     constants: dict,
@@ -455,22 +454,28 @@ def _strip_check(
     """Shared verdict logic: the least strip minimum, and a fail only where
     the condition is refuted.
 
-    Works in log space so exponential weights cannot overflow.  The verdict
-    fails on an exact resonance (expression at roundoff scale) on the range,
-    or for every xi when the caller's weight is refuted (_REFUTED); any other
-    check passes on the checked range only.
+    Works in log space so exponential weights cannot overflow.  xi is
+    settled (settle); the strip minima are evaluated at its double.  The
+    verdict fails on an exact resonance of its rational on the range
+    (_first_resonance), found before any strip is searched, or for every xi
+    when the caller's weight is refuted (_REFUTED); any other check passes
+    on the checked range only.
     """
     if not (math.isfinite(mu_min) and math.isfinite(mu_max) and mu_min <= mu_max):
         raise ValueError("need finite mu_min <= mu_max")
-    strips = _strips(mu_min, mu_max, condition.centre)
+    position = settle(xi)
+    xi, centre = position.value, condition.centre
+    resonance = _first_resonance(centre, position, mu_min, mu_max)
     trace = None
     if keep_trace:
-        minima = [_strip_minimum(condition, xi, strip) for strip in strips]
+        minima = [_strip_minimum(condition, xi, s) for s in _strips(mu_min, mu_max, centre)]
         log_k2, witness = min(minima)
         rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
         trace = _Rows(len(rows), 3, rows.__getitem__)
-    else:
-        log_k2, witness = _least_strip_minimum(condition, xi, strips)
+    if resonance is not None:
+        log_k2, witness = -math.inf, resonance
+    elif not keep_trace:
+        log_k2, witness = _least_strip_minimum(condition, xi, _strips(mu_min, mu_max, centre))
     constants = {**constants, "inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2}
     if not math.isfinite(log_k2):
         verdict, note = "fail", "exact resonance"
@@ -489,7 +494,7 @@ def _exp_weight_condition(indicator, derivatives, centre: float, k1: float) -> _
 
 
 def check_exp_grid(
-    xi: float,
+    xi,
     mu_min: float = 1.0,
     mu_max: float = 500.0,
     k1: float = 1.0,
@@ -505,7 +510,7 @@ def check_exp_grid(
 
 
 def check_poly_grid(
-    xi: float,
+    xi,
     eps: float = 1.0,
     mu_min: float = 1.0,
     mu_max: float = 500.0,
@@ -528,7 +533,7 @@ def check_poly_grid(
 
 
 def check_cos_grid(
-    xi: float,
+    xi,
     mu_min: float = 1.0,
     mu_max: float = 500.0,
     k1: float = 1.0,
@@ -544,98 +549,53 @@ def check_cos_grid(
     )
 
 
-# unit roundoff: |fl(m * xi) - m * xi| <= _UNIT_ROUNDOFF * m * xi, plus
-# _SUBNORMAL_ERROR where the product is subnormal
-_UNIT_ROUNDOFF = Fraction(1, 2**53)
-_SUBNORMAL_ERROR = Fraction(1, 2**1075)
-
-
-def _distance_records(xi: float, m_max: int) -> list[tuple[int, float]]:
-    """The strict records of d(m) = dist_nearest_integer(m * xi), as computed
-    in floating point, over 1 <= m <= m_max: [(m, d(m))] with d decreasing.
-
-    In exact arithmetic the records are the convergent denominators q_k of
-    x = Fraction(xi).  Between consecutive ones, write m = a q_k + b q_{k+1};
-    m x - n = a delta_k + b delta_{k+1}, where delta = q x - p alternates in
-    sign.  So every m in (q_k, q_{k+1}) has ||m x|| >= j |delta_k| if
-    m = j q_k, >= a |delta_k| + |delta_{k+1}| if m = q_{k+1} - a q_k, and
-    >= (q_{k+1} // q_k + 1) |delta_k| + |delta_{k+1}| otherwise.  Each gap
-    visits only the m whose bound, less the rounding of m * xi, is below the
-    record so far, so no computed record is missed.
-    """
-    x = Fraction(xi)
-    convergents = _cf_expand(x, sys.maxsize, math.inf, math.inf).convergents
-    records: list[tuple[int, float]] = []
-
-    def visit(m: int) -> None:
-        d = dist_nearest_integer(m * xi)
-        if d < records[-1][1]:
-            records.append((m, d))
-
-    records.append((1, dist_nearest_integer(xi)))
-    for (p0, q0), (p1, q1) in zip(convergents, convergents[1:]):
-        # a zero record cannot be beaten; the last convergent q = denominator
-        # of x always gives one, because q * xi = p is then exact
-        if q0 > m_max or records[-1][1] == 0:
-            break
-        hi = min(q1 - 1, m_max)
-        if hi > q0:
-            d0, d1 = abs(q0 * x - p0), abs(q1 * x - p1)
-            # an m is visited when its bound is below the record plus the rounding of m * xi
-            reach = Fraction(records[-1][1]) + _UNIT_ROUNDOFF * hi * x + _SUBNORMAL_ERROR
-            if (q1 // q0 + 1) * d0 + d1 < reach:
-                gap = range(q0 + 1, hi + 1)  # no certificate for this gap: visit all of it
-            else:
-                multiples = range(2 * q0, min(hi, (math.ceil(reach / d0) - 1) * q0) + 1, q0)
-                below = math.ceil((reach - d1) / d0) - 1 if reach > d1 else 0
-                a_min = max(1, -((hi - q1) // q0))
-                near = range(q1 - min(below, (q1 - q0 - 1) // q0) * q0, q1 - a_min * q0 + 1, q0)
-                gap = sorted({*multiples, *near})
-            for m in gap:
-                visit(m)
-                if records[-1][1] == 0:
-                    break
-        if q1 <= m_max:
-            visit(q1)
-    return records
-
-
 def check_liouville_type(
-    xi: float,
+    xi,
     phi: GrowthFunction,
     kappa: float,
     m_max: int,
     keep_trace: bool = False,
 ) -> ConditionReport:
-    """Scan condition phi(m) * dist_nearest_integer(m*xi) >= kappa for m <= m_max.
+    """Scan condition phi(m) * ||m x|| >= kappa for m <= m_max.
 
-    The witness is the m achieving the infimum of the scanned products; on
+    x is the exact number xi settles on (settle), and each distance ||m x||
+    to the nearest integer comes from its integers, rounded once.  The
+    witness is the m achieving the infimum of the scanned products; on
     failure it therefore also violates the bound, by the largest margin.
 
     phi must be nondecreasing.  Then both the first minimiser and the first
-    violation are strict records of dist_nearest_integer(m*xi), and only
-    those are evaluated: a product phi(m) d(m) at or below that of a later m
-    needs d(m) at or below the later d.  As in a scan of every m, the first
-    product that is nan (phi infinite where d is 0) is the minimum.
+    violation are strict records of ||m x||, and only those are evaluated:
+    m = 1 and the convergent denominators q_k <= m_max of x (Lagrange).  As
+    in a scan of every m, the first product that is nan (phi infinite where
+    ||m x|| = 0, that is at a multiple of x's denominator) is the minimum.
     """
     if kappa <= 0:
         raise ValueError("kappa must be positive")
     m_max = int(m_max)
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    records = _distance_records(xi, m_max)
-    products = [(phi.evaluate(float(m)) * d, m) for m, d in records]
+    position = settle(xi)
+    exact = position.exact or position.value
+    n, d = (_GOLDEN_60 if exact == "golden" else exact).as_integer_ratio()
+
+    def distance(m: int) -> float:
+        r = m * n % d
+        return min(r, d - r) / d
+
+    records = [1] + [q for _, q in expand(n, d, sys.maxsize, math.inf, math.inf)[1]
+                     if 1 < q <= m_max]
+    products = [(phi.evaluate(float(m)) * distance(m), m) for m in records]
     min_product, argmin = min(products)
-    nan_m = _first_nan_product(xi, phi, m_max, records)
-    if nan_m is not None:
-        min_product, argmin = math.nan, nan_m
+    # phi is nondecreasing: bisect the multiples of d for the first infinite phi
+    zeros = range(d, m_max + 1, d)
+    k = bisect.bisect_left(zeros, math.inf, key=lambda m: phi.evaluate(float(m)))
+    if k < len(zeros):
+        min_product, argmin = math.nan, zeros[k]
     violation = next((m for product, m in products if product < kappa), None)
 
     trace = None
     if keep_trace:
-        trace = _Rows(
-            m_max, 2, lambda i: (float(i + 1), phi(i + 1) * dist_nearest_integer((i + 1) * xi))
-        )
+        trace = _Rows(m_max, 2, lambda i: (float(i + 1), phi(i + 1) * distance(i + 1)))
     constants = {
         "kappa": kappa,
         "phi": phi.kind,
@@ -648,22 +608,9 @@ def check_liouville_type(
         if violation is not None
         else ("pass", f"scanned m <= {m_max}; scan evidence only")
     )
-    return ConditionReport("liouville", xi, verdict, float(argmin), constants, note=note, trace=trace)
-
-
-def _first_nan_product(
-    xi: float, phi: GrowthFunction, m_max: int, records: list[tuple[int, float]]
-) -> int | None:
-    """The first m <= m_max where phi(m) is infinite and d(m) is 0, or None."""
-    zero = records[-1][0] if records[-1][1] == 0 else None
-    if zero is None or phi.evaluate(float(m_max)) < math.inf:
-        return None
-    lo, hi = 1, m_max  # phi is nondecreasing: bisect for its first infinite value
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (mid + 1, hi) if phi.evaluate(float(mid)) < math.inf else (lo, mid)
-    zeros = (m for m in range(max(lo, zero), m_max + 1) if dist_nearest_integer(m * xi) == 0)
-    return next(zeros, None)
+    return ConditionReport(
+        "liouville", position.value, verdict, float(argmin), constants, note=note, trace=trace
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -700,15 +647,17 @@ def classify_actuator(
     """Classify an actuator position by arithmetic type and strip conditions.
 
     xi may be anything expand_continued_fraction accepts (a float, a
-    Fraction, a decimal string or 'golden'); the exp and poly checks run on
-    the float value and keep their traces when keep_trace is set.
+    Fraction, a decimal string or 'golden').  The exp and poly checks read
+    the exact number it settles on under settings.quotient_overflow
+    (settle), evaluate at its double, and keep their traces when keep_trace
+    is set.
     """
     settings = settings or ClassifySettings()
     cf = expand_continued_fraction(xi, settings.depth, settings.quotient_overflow)
-    value = cf.value
+    position = settle(xi, settings.quotient_overflow)
     mu_range = settings.mu_min, settings.mu_max
-    exp_report = check_exp_grid(value, *mu_range, settings.k1, keep_trace)
-    poly_report = check_poly_grid(value, settings.poly_eps, *mu_range, keep_trace)
+    exp_report = check_exp_grid(position, *mu_range, settings.k1, keep_trace)
+    poly_report = check_poly_grid(position, settings.poly_eps, *mu_range, keep_trace)
     is_rational = cf.is_rational
     constant_type = (
         not is_rational
@@ -716,7 +665,7 @@ def classify_actuator(
         and cf.max_partial_quotient <= settings.constant_type_bound
     )
     return ActuatorClassification(
-        xi=value,
+        xi=cf.value,
         is_rational=is_rational,
         strongly_stable=not is_rational,
         constant_type=constant_type,

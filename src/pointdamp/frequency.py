@@ -60,16 +60,15 @@ __all__ = [
     "winding_number",
 ]
 
-DENOMINATOR_FLOOR = 1e-14
+_EPS = np.finfo(float).eps
 
 
 class ResonantDenominator(ArithmeticError):
-    """Raised when the closed-form denominator falls below the safe floor."""
+    """Raised where |D(mu)|^2 is at or below floor = (eps mu)^2, the rounding
+    of its own evaluation, so that a resonance cannot be told from rounding."""
 
     def __init__(self, mu: float, value: float, floor: float):
-        super().__init__(
-            f"resolvent denominator {value:.3e} at mu={mu} below floor {floor:.1e}"
-        )
+        super().__init__(f"|D|^2 = {value:.3e} at mu={mu} is within its rounding {floor:.1e}")
         self.mu = mu
         self.value = value
         self.floor = floor
@@ -177,10 +176,10 @@ def _interface_coefficients(xi, mu, c1, s1, c2, s2, f1_at_xi):
     """
     mu = np.asarray(mu, dtype=float)
     s, a, den = _denominator(xi, mu)
-    resonant = den < DENOMINATOR_FLOOR
-    if np.any(resonant):
-        first = np.flatnonzero(resonant)[0]
-        raise ResonantDenominator(float(mu.flat[first]), float(den.flat[first]), DENOMINATOR_FLOOR)
+    floor = np.broadcast_to((_EPS * mu) ** 2, den.shape)
+    if np.any(den <= floor):
+        i = np.flatnonzero(den <= floor)[0]
+        raise ResonantDenominator(float(mu.flat[i]), float(den.flat[i]), float(floor.flat[i]))
     scalar = np.ndim(c1) == 0
     # array arithmetic for one probe too, so each row of a stack rounds alike
     c1, s1, c2, s2 = np.atleast_1d(c1, s1, c2, s2)
@@ -308,7 +307,7 @@ def solve_resolvent(xi: float, mu, forcing: ForcingData) -> ResolventSolution:
     exp(+-i mu t) (lambda2 mu exp(-+i mu) + J-+) on the right.  The end values
     of the running integrals give the four moments int cos(mu t) Phi and
     int sin(mu t) Phi that fix lambda1 and lambda2.  Raises
-    ResonantDenominator within DENOMINATOR_FLOOR of an exact resonance.
+    ResonantDenominator where |D(mu)|^2 <= (eps mu)^2, its rounding.
 
     A stacked forcing is solved in one pass along the last axis.  mu may be
     a 1-D array aligned with the forcing's first axis, one frequency per
@@ -554,10 +553,10 @@ def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> floa
     """Max response-to-input norm ratio over the probe set.
 
     A lower bound for the resolvent norm on the imaginary axis at height mu;
-    +inf when the closed form sits within the denominator floor of an exact
-    resonance.  The probes (single or stacked, on one mesh) are solved as one
-    stack; a probe of zero input norm is skipped, and 0.0 is returned when
-    every probe is zero (or there is none).
+    +inf where |D(mu)|^2 <= (eps mu)^2, its rounding (ResonantDenominator).
+    The probes (single or stacked, on one mesh) are solved as one stack; a
+    probe of zero input norm is skipped, and 0.0 is returned when every
+    probe is zero (or there is none).
 
     mu may also be a 1-D array of frequencies aligned with the first axis of
     every probe's arrays; the result is then one estimate per frequency, each
@@ -586,7 +585,7 @@ def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> floa
     in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
     live = in_norm != 0.0
     # a frequency without a live probe gives 0.0, a resonant one +inf
-    resonant = _denominator(xi, mu)[2] < DENOMINATOR_FLOOR
+    resonant = _denominator(xi, mu)[2] <= (_EPS * mu) ** 2
     estimates = np.where(resonant & live.any(axis=1), math.inf, 0.0)
     solve = ~resonant & live.any(axis=1)
     if np.any(solve):

@@ -99,9 +99,11 @@ def run(cfg: dict, xi: Position, plan: diophantine.GrowthFunction):
     )
     keep = cfg["keep_trace"]
     classification = diophantine.classify_actuator(xi.exact or xi.value, settings, keep)
-    cos_rep = diophantine.check_cos_grid(xi.value, cfg["mu_min"], cfg["mu_max"], cfg["k1"], keep)
+    # the one exact number that classify_actuator's checks read
+    number = diophantine.settle(xi.exact or xi.value, settings.quotient_overflow)
+    cos_rep = diophantine.check_cos_grid(number, cfg["mu_min"], cfg["mu_max"], cfg["k1"], keep)
     liou_rep = diophantine.check_liouville_type(
-        xi.value, plan, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
+        number, plan, cfg["liouville_kappa"], cfg["liouville_m_max"], keep
     )
     return classification, cos_rep, liou_rep, xi.exact
 

@@ -16,10 +16,9 @@ from ..cli import (
 )
 from ..inputs import default_mu_grid
 
-# lowest resolvent-scan frequency: D(mu) has a trivial zero at mu = 0, and
-# below ~1e-7 |D|^2 falls under the resonance floor, so a bounded resolvent
-# would read inf.  At golden and 512 cells the interface residuals are 7e-14
-# at 1e-3, 1.4e-12 at 1e-4 and 2e-10 at 1e-6
+# lowest resolvent-scan frequency: D(mu) has a trivial zero at mu = 0, near
+# which the closed form loses accuracy.  At golden and 512 cells the
+# interface residuals are 7e-14 at 1e-3, 1.4e-12 at 1e-4 and 2e-10 at 1e-6
 MU_MIN = 1e-3
 
 SCHEMA = {

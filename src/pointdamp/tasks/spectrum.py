@@ -1,7 +1,8 @@
 """The spectrum task: the certified roots of D(z) in a rectangle.
 
-Computes with pointdamp.characteristic alone (standard library), which its
-configuration check already needs for the strip count; no numpy.
+Computes with pointdamp.characteristic (standard library), which its
+configuration check already needs for the strip count, and decides real
+roots from pointdamp.expansion's rational form of xi; no numpy.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, finite_nonnegative, nonnegative,
+    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, nonnegative,
 )
 
 SCHEMA = {
@@ -20,7 +21,6 @@ SCHEMA = {
     "im_min": (-0.5, None),
     "im_max": (3.0, None),
     "tol": (1e-12, nonnegative),
-    "real_tol": (1e-10, finite_nonnegative),
 }
 SWEEP_DEFAULTS: dict[str, str] = {}
 USES_NUMPY = False
@@ -45,10 +45,11 @@ def check(cfg: dict, xi: Position) -> tuple[float, float, float, float]:
 
 def run(cfg: dict, xi: Position, plan: tuple[float, float, float, float]):
     """Returns (roots in check's rectangle, their spectral abscissa)."""
-    from .. import characteristic
+    from .. import characteristic, expansion
 
     roots = characteristic.find_eigenvalues(xi.value, plan, cfg["tol"])
-    return roots, characteristic.abscissa_of_roots(roots, cfg["real_tol"])
+    form = None if xi.exact == "golden" else expansion.rational_form(xi.exact or xi.value)
+    return roots, characteristic.abscissa_of_roots(roots, form)
 
 
 def write(cfg: dict, result) -> list[Path]:
@@ -67,7 +68,7 @@ def write(cfg: dict, result) -> list[Path]:
         "n_roots": len(roots),
         "total_multiplicity": sum(r.multiplicity for r in roots),
         "spectral_abscissa": abscissa if math.isfinite(abscissa) else None,
-        "has_real_root": abscissa == 0.0,  # exactly when a root lies within real_tol
+        "has_real_root": abscissa == 0.0,  # exactly when a root is real (abscissa_of_roots)
     }
     json_path = out / "spectrum.json"
     cli.write_json_report(json_path, payload)

@@ -47,7 +47,9 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
 from pointdamp.carleman import apply_helmholtz, sample_basis
-from pointdamp.diophantine import ConditionReport, GrowthFunction, default_mu_grid
+from pointdamp.diophantine import (
+    _GOLDEN_60, ConditionReport, GrowthFunction, default_mu_grid, settle,
+)
 from pointdamp.frequency import ForcingData, ResolventSolution, assemble_phi
 from pointdamp.quadrature import simpson
 
@@ -498,14 +500,36 @@ def strip_minima(kind: str, xi: float, mu_min: float = 1.0, mu_max: float = 500.
     return minima
 
 
-def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,
+def settled_distances(xi, m_max: int) -> np.ndarray:
+    """||m x|| for m = 1..m_max, each from the integers of the exact number
+    x that xi settles on (diophantine.settle), rounded once.
+
+    The residues m n mod d run in uint64 where that is exact (d a power of
+    two up to 2**63, whose mod wraps with the product, or m_max n below
+    2**63), and in Python integers otherwise.
+    """
+    position = settle(xi)
+    exact = position.exact or position.value
+    n, d = (_GOLDEN_60 if exact == "golden" else exact).as_integer_ratio()
+    m_max = int(m_max)
+    if d & (d - 1) == 0 and d <= 2**63 or m_max * n < 2**63 and d < 2**53:
+        m = np.arange(1, m_max + 1, dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            r = m * np.uint64(n)
+            r = r & np.uint64(d - 1) if d & (d - 1) == 0 else r % np.uint64(d)
+        return np.minimum(r, np.uint64(d) - r).astype(float) / float(d)
+    residues = (m * n % d for m in range(1, m_max + 1))
+    return np.array([min(r, d - r) / d for r in residues])
+
+
+def liouville_scan(xi, phi: GrowthFunction, kappa: float, m_max: int,
                    keep_trace: bool = False) -> ConditionReport:
-    """Full-scan reference of check_liouville_type: every m <= m_max."""
+    """Full-scan reference of check_liouville_type: every m <= m_max, on
+    settled_distances."""
     m = np.arange(1, int(m_max) + 1, dtype=float)
-    rho = m * xi
     weights = m if phi.kind == "identity" else np.array([phi(v) for v in m.tolist()])
     with np.errstate(invalid="ignore"):
-        products = weights * np.abs(rho - np.round(rho))
+        products = weights * settled_distances(xi, m_max)
     trace = np.column_stack([m, products]) if keep_trace else None
     violations = np.nonzero(products < kappa)[0]
     i_min = int(np.argmin(products))
@@ -516,6 +540,7 @@ def liouville_scan(xi: float, phi: GrowthFunction, kappa: float, m_max: int,
         "argmin_m": int(m[i_min]),
         "first_violation_m": float(m[violations[0]]) if violations.size else None,
     }
+    xi = settle(xi).value
     if violations.size:
         return ConditionReport("liouville", xi, "fail", float(m[i_min]), constants,
                                note=f"scanned m <= {int(m_max)}", trace=trace)

@@ -121,6 +121,7 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     assert "'pointdamp.tasks" not in loaded
     for module in ARITHMETIC + tuple(f"pointdamp.{layer}" for layer in TASK_LAYERS):
         assert f"'{module}'" not in loaded, module
+    assert "'pointdamp.expansion'" not in loaded
     assert "'concurrent.futures'" not in loaded
     assert "'numpy'" not in loaded
 
@@ -148,30 +149,44 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     assert report["result"]["exact_form"] == "2/5"
     assert (tmp_path / "c" / "sweep_classify.csv").exists()
 
-    # spectrum at the defaults and at the benchmark's width for its three
-    # positions, and a default sweep (of spectrum, over the default grid), run
+    # spectrum at the defaults and at the benchmark's width for its
+    # positions, at two decimals (one that settles on 2/5 and one that does
+    # not), and a default sweep (of spectrum, over the default grid), run
     # without numpy, the frequency and mesh layers or diophantine; with no
-    # dataclass left on their path they load no inspect either (1/2 is read
-    # as a Fraction, so fractions and decimal load)
-    runs = [["spectrum", "--xi", "golden"]]
-    runs += [["spectrum", "--xi", xi, "--set", "re_max=2000"]
-             for xi in ("golden", "0.41421356237309515", "1/2")]
-    runs += [["sweep"]]
-    runs = [args + ["--out", str(tmp_path / f"run{i}")] for i, args in enumerate(runs)]
-    done = run_python(
-        "import sys\n"
-        "from pointdamp.cli import main\n"
-        f"print([main(args) for args in {runs!r}])\n"
-        "print(sorted(sys.modules))\n"
-    )
-    assert done.returncode == 0, done.stderr
-    codes, loaded = done.stdout.splitlines()[-2:]
-    assert codes == str([0] * len(runs))
-    for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh", "pointdamp.diophantine",
-                   "dataclasses", "inspect"):
+    # dataclass left on their path they load no inspect either, and deciding
+    # the real roots loads neither fractions nor decimal (a p/q position
+    # loads both, since the parser reads it as a Fraction)
+    def spectrum_probe(name, runs):
+        runs = [args + ["--out", str(tmp_path / f"{name}{i}")] for i, args in enumerate(runs)]
+        done = run_python(
+            "import sys\n"
+            "from pointdamp.cli import main\n"
+            f"print([main(args) for args in {runs!r}])\n"
+            "print(sorted(sys.modules))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        codes, loaded = done.stdout.splitlines()[-2:]
+        assert codes == str([0] * len(runs))
+        for module in ("numpy", "pointdamp.frequency", "pointdamp.mesh", "pointdamp.diophantine",
+                       "dataclasses", "inspect"):
+            assert f"'{module}'" not in loaded, module
+        assert "'pointdamp.expansion'" in loaded
+        return loaded
+
+    loaded = spectrum_probe("run", [
+        ["spectrum", "--xi", "golden"],
+        ["spectrum", "--xi", "0.4"],
+        ["spectrum", "--xi", "0.41421356237309515"],
+        ["spectrum", "--xi", "golden", "--set", "re_max=2000"],
+        ["spectrum", "--xi", "0.41421356237309515", "--set", "re_max=2000"],
+        ["sweep"],
+    ])
+    for module in ("fractions", "decimal"):
         assert f"'{module}'" not in loaded, module
     assert task_modules(loaded) == {"spectrum", "sweep"}
-    assert (tmp_path / "run4" / "sweep_spectrum.csv").exists()
+    assert (tmp_path / "run5" / "sweep_spectrum.csv").exists()
+    loaded = spectrum_probe("half", [["spectrum", "--xi", "1/2", "--set", "re_max=2000"]])
+    assert task_modules(loaded) == {"spectrum"}
 
 
 def test_module_run_loads_the_cli_once(tmp_path):
@@ -507,6 +522,10 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
                 "--set", "n_samples=5"]) == 2
     assert run(["sweep", "--out", tmp_path, "--set", "task=carleman-verify",
                 "--set", "n_samples=5"]) == 2
+    # spectrum decides a real root exactly, so it has no tolerance for it
+    capsys.readouterr()
+    assert run(["spectrum", "--xi", "golden", "--out", tmp_path, "--set", "real_tol=1e-10"]) == 2
+    assert "unknown key(s) for spectrum: real_tol" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -594,7 +613,8 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["spectrum", "--set", "im_max=1e300"],
     ["spectrum", "--set", "re_min=-inf"],
     ["sweep", "--set", "xi_list=0.3", "--set", "re_max=1e8"],
-    # tolerances that would report a wrong answer or fail mid-computation
+    # spectrum decides real roots exactly and has no tolerance for it, so
+    # these are refused as an unknown key rather than computed with
     ["spectrum", "--xi", "1/2", "--set", "real_tol=nan"],
     ["spectrum", "--xi", "1/2", "--set", "real_tol=-1"],
     # classify has no remainder tolerance any more, so these are refused as
@@ -871,6 +891,25 @@ def test_spectrum_one_half(tmp_path):
     assert all(int(r[3]) == 1 for r in rows)
 
 
+@pytest.mark.parametrize("xi, re_range, real", [
+    # Im z of golden's root at 317,811 pi is 1.954e-11: small, not real
+    ("golden", ("998430", "998436"), False),
+    ("0.4", ("0.5", "50"), True),
+    # classify's expansion reads 0.4 as 2/5 and this double as irrational
+    ("0.400000000001", ("0.5", "50"), False),
+], ids=["golden-317811", "0.4", "0.4+1e-12"])
+def test_spectrum_real_roots_are_those_of_the_rational_form(tmp_path, xi, re_range, real):
+    code = run(["spectrum", "--xi", xi, "--out", tmp_path,
+                "--set", f"re_min={re_range[0]}", "--set", f"re_max={re_range[1]}"])
+    assert code == 0
+    result = json.loads((tmp_path / "spectrum.json").read_text())["result"]
+    assert result["n_roots"] >= 1
+    assert result["has_real_root"] is real
+    assert (result["spectral_abscissa"] == 0.0) is real
+    if not real:
+        assert result["spectral_abscissa"] < 0.0
+
+
 @pytest.mark.parametrize("tol", ["1e-4", "1e-3"])
 def test_spectrum_loose_tol_finds_every_root(tmp_path, tol):
     code = run(["spectrum", "--xi", "golden", "--out", tmp_path,
@@ -1079,8 +1118,8 @@ def test_resolvent_scan_single_probe(tmp_path):
     ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=golden"],
 ], ids=lambda args: args[0])
 def test_resolvent_scan_refuses_the_trivial_root(tmp_path, args):
-    # |D(mu)|^2 falls under the resonance floor near mu = 0, where the
-    # resolvent is bounded, so a scan from there would write inf
+    # near the trivial zero mu = 0 the closed form loses accuracy (the
+    # interface residuals grow as mu falls), so a scan may not start there
     assert run(args + ["--set", "mu_min=1e-8", "--set", "mu_max=1", "--out", tmp_path]) == 2
     assert not list(tmp_path.iterdir())
 

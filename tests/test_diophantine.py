@@ -10,6 +10,7 @@ from oracles import (
     strip_minima,
 )
 
+from pointdamp import diophantine, expansion
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ActuatorClassification,
@@ -26,6 +27,7 @@ from pointdamp import (
     expand_continued_fraction,
     parse_actuator_position,
     resonance_indicator,
+    settle,
 )
 
 GOLDEN_INDEPENDENT = (math.sqrt(5.0) - 1.0) / 2.0
@@ -308,6 +310,62 @@ def test_poly_and_cos_grid_golden_pass():
     assert check_cos_grid(GOLDEN_RATIO_CONJUGATE).passed
 
 
+def test_golden_passes_at_its_convergents_far_out():
+    # the strip minima at 317,811 pi (sine) and 257,114.5 pi (cosine) are
+    # about 4e-22: small, and not an exact resonance
+    assert check_poly_grid(GOLDEN_RATIO_CONJUGATE, 3.0, 998_000.0, 999_000.0).passed
+    assert check_exp_grid(GOLDEN_RATIO_CONJUGATE, 998_000.0, 999_000.0).passed
+    assert check_cos_grid(GOLDEN_RATIO_CONJUGATE, 807_000.0, 808_500.0).passed
+
+
+@pytest.mark.parametrize("xi", [1e-6, 0.999999])
+def test_exp_grid_near_the_ends_passes(xi):
+    # the indicator at pi is about 1e-21, and no rational is near
+    rep = check_exp_grid(xi, 1.0, 10.0)
+    assert rep.passed
+    assert 0.0 < rep.fitted_constants["inf_weighted"] < 1e-20
+
+
+def test_exact_resonance_is_found_without_a_strip_search(monkeypatch):
+    def no_strips(*args):
+        raise AssertionError("strips searched")
+
+    monkeypatch.setattr(diophantine, "_strips", no_strips)
+    rep = check_exp_grid(Fraction(1, 999_983), 1.0, 3.2e6)
+    assert rep.note == "exact resonance"
+    assert rep.witness == 999_983 * math.pi
+    assert rep.fitted_constants["inf_weighted"] == 0.0
+
+
+def test_exact_resonances_of_every_small_rational():
+    # closed form against the strip-by-strip Fraction search, for p/q with
+    # q <= 25 on a range that starts past a strip centre
+    for q in range(2, 26):
+        for p in range(1, q):
+            if math.gcd(p, q) > 1:
+                continue
+            for kind, check in (("exp", check_exp_grid), ("cos", check_cos_grid)):
+                rep = check(Fraction(p, q), 3.2, 100.0)
+                resonance = _resonance_by_search(kind, Fraction(p, q), (3.2, 100.0))
+                assert (rep.note == "exact resonance") == (resonance is not None), (p, q, kind)
+                assert resonance is None or rep.witness == resonance, (p, q, kind)
+
+
+@pytest.mark.parametrize("xi, form", [
+    (0.4, (2, 5)), (0.4 + 1e-12, None), (0.5 + 1e-13, (1, 2)), (GOLDEN_RATIO_CONJUGATE, None),
+    (0.375, (3, 8)), (Fraction(1, 999_983), (1, 999_983)),
+])
+def test_rational_form_is_where_the_expansion_ends(xi, form):
+    assert expansion.rational_form(xi) == form
+    cf = expand_continued_fraction(xi)
+    assert cf.is_rational == (form is not None)
+    if form is not None:
+        assert cf.convergents[-1] == form
+        assert settle(xi) == (float(xi), Fraction(*form))
+    else:
+        assert settle(xi) == (xi, None)
+
+
 def test_grid_checks_validate_inputs():
     with pytest.raises(ValueError):
         check_exp_grid(0.5, k1=-1.0)
@@ -347,6 +405,30 @@ def test_liouville_near_rational_fails_at_infimum():
     assert rep.witness == 100.0
     # the witness reproduces the violation
     assert rep.witness * dist_nearest_integer(rep.witness * 0.110001) < 0.2
+
+
+def test_liouville_reads_the_rational_a_double_settles_on():
+    # 0.28 is 7/25, so ||25 x|| = 0; in floats 25 * 0.28 is 7.000000000000001
+    rep = check_liouville_type(0.28, GrowthFunction.identity(), 0.2, 1000)
+    assert rep.witness == 25.0
+    assert rep.fitted_constants["min_product"] == 0.0
+
+
+def test_liouville_reads_an_unsettled_double_exactly():
+    # 0.110001's expansion does not end, so ||10^6 x|| is small but not 0;
+    # in floats 10^6 * 0.110001 is 110001.0
+    phi = GrowthFunction.power_log(2.0, 0.5)
+    rep = check_liouville_type(0.110001, phi, 1e-3, 10**6)
+    assert rep.passed
+    assert rep.fitted_constants["min_product"] > 1e-3
+
+
+def test_liouville_reads_golden_to_60_digits():
+    rep = check_liouville_type("golden", GrowthFunction.identity(), 0.2, 1000)
+    assert rep.xi == GOLDEN_RATIO_CONJUGATE
+    assert rep.fitted_constants["min_product"] == 0.38196601125010515
+    assert check_liouville_type(GOLDEN_RATIO_CONJUGATE, GrowthFunction.identity(), 0.2,
+                                1000).fitted_constants["min_product"] == 0.3819660112501051
 
 
 def test_liouville_rejects_bad_kappa():
@@ -438,21 +520,49 @@ def _expression(kind, xi, mu):
 
 
 def _log_weighted(kind, xi, mu, weight):
-    """The checked function at mu: log indicator + log-weight."""
+    """The checked function at mu: log indicator + log-weight, -inf where the indicator is 0."""
     expression = _expression(kind, xi, mu)
     log_weight = (1.0 + weight) * math.log(mu) if kind == "poly" else weight * mu
-    return (math.log(expression) if expression > 1e-20 else -math.inf) + log_weight
+    return (math.log(expression) if expression > 0.0 else -math.inf) + log_weight
+
+
+def _resonance_by_search(kind, xi, mu_range):
+    """The first strip centre in the range where the indicator of the
+    rational that xi expands to vanishes, found strip by strip in Fractions,
+    or None."""
+    cf = expand_continued_fraction(xi)
+    if not cf.is_rational:
+        return None
+    x = Fraction(*cf.convergents[-1])
+    centre = 0.5 if kind == "cos" else 0.0
+    for n in range(round(mu_range[0] / math.pi - centre), round(mu_range[1] / math.pi) + 1):
+        mu = (n + centre) * math.pi
+        if not mu_range[0] <= mu <= mu_range[1]:
+            continue
+        # sin(mu) = sin(x mu) = 0, or cos(mu) = cos(x mu) = 0
+        if kind != "cos" and n >= 1 and (n * x).denominator == 1:
+            return mu
+        if kind == "cos" and ((2 * n + 1) * x).denominator == 1 and ((2 * n + 1) * x) % 2 == 1:
+            return mu
+    return None
 
 
 def assert_strip_minima_match(rep, kind, xi, mu_range, weight, step=1e-3):
     """The report's minima are at most the dense scan's, to 1e-9, and are
-    attained at the reported points; the verdict fails on an exact resonance
-    or a weight refuted for every xi, and passes otherwise."""
+    attained at the reported points; an exact resonance is witnessed at the
+    first strip centre where the rational's indicator vanishes; the verdict
+    fails on an exact resonance or a weight refuted for every xi, and passes
+    otherwise."""
     ref = strip_minima(kind, xi, *mu_range, weight, step)
     constants = rep.fitted_constants
     log_k2 = constants["log_inf_weighted"]
     assert log_k2 <= min(ref)[0] + 1e-9
-    assert _log_weighted(kind, xi, rep.witness, weight) == log_k2
+    resonance = _resonance_by_search(kind, xi, mu_range)
+    if resonance is not None:
+        assert rep.note == "exact resonance" and rep.witness == resonance
+        assert log_k2 == -math.inf and constants["inf_weighted"] == 0.0
+    else:
+        assert _log_weighted(kind, xi, rep.witness, weight) == log_k2
     assert mu_range[0] <= rep.witness <= mu_range[1]
     if rep.trace is not None:
         rows = list(rep.trace)

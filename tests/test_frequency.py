@@ -30,6 +30,7 @@ from pointdamp import (
     build_mesh,
     characteristic_derivative,
     characteristic_function,
+    check_exp_grid,
     find_eigenvalues,
     random_forcing,
     resolvent_norm_lower_bound,
@@ -222,6 +223,19 @@ def test_resonant_denominator_raises():
     mesh = build_mesh(0.5, 64, 64)
     with pytest.raises(ResonantDenominator):
         solve_resolvent(0.5, 2 * math.pi, _zero_forcing(mesh))
+
+
+@pytest.mark.parametrize("q", [6765, 17711, 46368])
+def test_golden_solves_at_its_strip_minima(q):
+    # |D(mu)|^2 at golden's strip minimum near q pi is 1.9e-15, 4.0e-17 and
+    # 8.6e-19, far above its rounding (eps mu)^2; the resolvent is bounded
+    # there, and the resonant probe's response is 1 / (2 |D|)
+    mu = check_exp_grid(GOLDEN, (q - 0.5) * math.pi, (q + 0.5) * math.pi, k1=0.0).witness
+    mesh = build_mesh(GOLDEN, 2**15, 2**15)
+    sol = solve_resolvent(GOLDEN, mu, resonant_forcing(mesh, mu))
+    norm = state_norm(mesh, sol.u1, sol.u2, sol.v1, sol.v2, sol.up1, sol.up2)
+    assert norm * abs(characteristic_function(GOLDEN, mu)) == pytest.approx(0.5, abs=1e-3)
+    assert sol.jump_residual <= 1e-13
 
 
 # ------------------------------------------------------------------- solve
@@ -974,13 +988,13 @@ def test_root_imaginary_part_matches_arithmetic(n):
 
 def test_spectral_abscissa_values():
     # the abscissa is -min(Im z): exactly 0.0 with a real root, -inf with none
-    def abscissa(xi, horizon):
-        return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0)), 1e-10)
+    def abscissa(xi, horizon, rational):
+        return abscissa_of_roots(find_eigenvalues(xi, (0.5, horizon, -0.5, 3.0)), rational)
 
-    assert abscissa(0.5, 10.0) == 0.0
+    assert abscissa(0.5, 10.0, (1, 2)) == 0.0
     golden = find_eigenvalues(GOLDEN, (0.5, 30.0, -0.5, 3.0))
-    assert abscissa(GOLDEN, 30.0) == -min(r.z.imag for r in golden) < 0.0
-    assert abscissa_of_roots([], 1e-10) == -math.inf
+    assert abscissa(GOLDEN, 30.0, None) == -min(r.z.imag for r in golden) < 0.0
+    assert abscissa_of_roots([], None) == -math.inf
     with pytest.raises(ValueError):
         find_eigenvalues(0.5, (0.5, -1.0, -0.5, 3.0))
 
