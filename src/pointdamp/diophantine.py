@@ -647,10 +647,11 @@ def classify_actuator(
     """Classify an actuator position by arithmetic type and strip conditions.
 
     xi may be anything expand_continued_fraction accepts (a float, a
-    Fraction, a decimal string or 'golden').  The exp and poly checks read
-    the exact number it settles on under settings.quotient_overflow
-    (settle), evaluate at its double, and keep their traces when keep_trace
-    is set.
+    Fraction, a decimal string or 'golden').  The verdicts and the exp and
+    poly checks read the exact number it settles on under
+    settings.quotient_overflow (settle): it is rational when that number is
+    a Fraction.  The checks evaluate at its double and keep their traces when
+    keep_trace is set; settings.depth truncates only the reported expansion.
     """
     settings = settings or ClassifySettings()
     cf = expand_continued_fraction(xi, settings.depth, settings.quotient_overflow)
@@ -658,7 +659,7 @@ def classify_actuator(
     mu_range = settings.mu_min, settings.mu_max
     exp_report = check_exp_grid(position, *mu_range, settings.k1, keep_trace)
     poly_report = check_poly_grid(position, settings.poly_eps, *mu_range, keep_trace)
-    is_rational = cf.is_rational
+    is_rational = isinstance(position.exact, Fraction)
     constant_type = (
         not is_rational
         and len(cf.partial_quotients) > 1

@@ -24,14 +24,20 @@ complement; each sine mode then advances by the Cayley rotation
 rho_k = (1 + i kappa_k) / (1 - i kappa_k), kappa_k = (dt/2) sqrt(lambda_k / h),
 plus dt times the midpoint interface displacement along a fixed vector.
 
-Steps are marched in blocks of up to 64.  Within a block the interface
-velocities solve one lower-triangular Toeplitz system, the same for every
-block, whose inverse and the table of rotation powers rho^j are built once
-per run; a block then costs two products with that table (the midpoint sums
-of the block's starting modes, and the jump of the modes to the block's end
-or to an energy sample) and one with the inverse.  States enter and leave
-the sine basis only at the start and the end, through a real FFT of the odd
-extension, and energy samples are read from the modal coordinates.
+Steps are marched in blocks of up to 64, fewer where the table of rotation
+powers rho^j, one complex row per step, would pass 1 MiB, so that it stays
+in a core's L2 cache.  Within a block the interface velocities solve one
+lower-triangular Toeplitz system, the same for every block.  From its
+inverse, built once per run, one map gives all a block yields besides its
+modes (the velocities, the interface displacement and momentum after each
+step, and the kicks) from its midpoint sums and starting interface state.
+A block then costs two products with the power table, for the midpoint sums
+of its starting modes and for the carry of the modes to its end, and one
+small product with the map.  Energy samples inside a block are chained from
+a copy of its starting modes, so the final state does not depend on where
+they fall.  States enter and leave the sine basis only at the start and the
+end, through a real FFT of the odd extension, and energy samples are read
+from the modal coordinates.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .mesh import Mesh
 # steps are marched in blocks of at most _BLOCK_STEPS, fewer when the block's
 # table of rotation powers, one complex row per step, would pass _TABLE_BYTES
 _BLOCK_STEPS = 64
-_TABLE_BYTES = 2 << 20
+_TABLE_BYTES = 1 << 20
 
 __all__ = [
     "WaveState",
@@ -206,10 +212,10 @@ def simulate(
     t_final; the dt actually used is reported on the trace.  The string is
     clamped at both ends: boundary values are held at zero.
 
-    sample_every chooses where energy is sampled, and the modes are carried
-    from one sample to the next, so it also moves the final state's last
-    bits (up to 2e-14 in v at golden, 40 cells a side, between 1 and 100):
-    final states match bit for bit only at the same sample_every.
+    sample_every chooses where energy is sampled and nothing else: the
+    modes are carried from block end to block end whatever the samples, so
+    the final state and the damping record match bit for bit at every
+    sample_every.
     """
     mesh = state.mesh
     if dt is None:
@@ -253,8 +259,11 @@ def simulate(
     # step's own forcing, it is Im(mid_row . zeta)
     now_row = coupling * forcing / omega
     mid_row = now_row / tau
-    # kinetic plus potential energy of the modes, on the float pairs of zeta
-    mode_weight = np.repeat(0.5 * spacing * np.abs(forcing) ** 2, 2)
+    # on the float pairs of zeta, kinetic plus potential energy of the modes is
+    # the squared norm of the pairs times mode_scale, and Im(now_row . zeta)
+    # is their dot product with now_pairs, the float pairs of i conj(now_row)
+    mode_scale = np.repeat(np.sqrt(0.5 * spacing) * np.abs(forcing), 2)
+    now_pairs = (1j * np.conj(now_row)).view(np.float64)
 
     # Interface node: mass m and stiffness sigma to its two neighbours.  Its
     # midpoint velocity y adds gamma * ubar to the midpoint sum_k g_k a_k, so
@@ -271,8 +280,6 @@ def simulate(
 
     zeta = (_to_modes(mesh, state.v) + 1j * omega * _to_modes(mesh, state.u)) / forcing
     zeta_pairs = zeta.view(np.float64)
-    u_i = float(state.u[i])
-    p_i = 2.0 * mass * float(state.v[i])
     t0 = state.t
 
     # Steps are marched in blocks of L.  Over a block that starts from
@@ -303,45 +310,73 @@ def simulate(
     inverse = np.where(lag >= 0, first[np.maximum(lag, 0)], 0.0)
     u_rhs = dt**2 * C[:L] - stiffness
 
+    # Everything a block yields but its modes is linear in its inputs
+    # x = (F_0, ..., F_{L-1}, u, p), so one (4L + 2) x (L + 2) map, built once,
+    # gives its velocities y_k, u and p after k = 0..L steps, from
+    # u_{k+1} = u_k + dt y_k and (-1)^(k+1) p_{k+1} = (-1)^k p_k - (-1)^k 4m y_k,
+    # and its kicks dt (u_k + dt y_k / 2), last first.  The map is lower
+    # triangular in the F_k, so a short last block, its missing F_k set to
+    # zero, reads the first rows of each kind.
+    block_map = np.zeros((4 * L + 2, L + 2))
+    y_rows, u_rows, p_rows, kick_rows = np.split(block_map, [L, 2 * L + 1, 3 * L + 2])
+    y_rows[:, :L] = dt * inverse
+    y_rows[:, L] = inverse @ u_rhs
+    y_rows[:, L + 1] = inverse @ alternating
+    np.cumsum(dt * y_rows, axis=0, out=u_rows[1:])
+    u_rows[:, L] += 1.0
+    np.cumsum(-mass4 * alternating[:, None] * y_rows, axis=0, out=p_rows[1:])
+    p_rows[:, L + 1] += 1.0
+    p_rows[1::2] *= -1.0
+    kick_rows[::-1] = dt * (u_rows[:L] + half_dt * y_rows)
+    inputs = np.zeros(L + 2)
+    inputs[L], inputs[L + 1] = state.u[i], 2.0 * mass * state.v[i]  # u and p = 2 m v
+    outputs = np.empty(4 * L + 2)
+    y_at, u_at, p_at, kicks = np.split(outputs, [L, 2 * L + 1, 3 * L + 2])
+    power_pairs = powers.view(np.float64)  # real kicks @ power_pairs: pairs of sum_j kick_j rho^j
+    scaled = np.empty(2 * omega.size)
+
+    def sample(pairs: np.ndarray, stop: int) -> float:
+        """The energy after `stop` of the block's steps, from the float pairs of its modes."""
+        u_s, p_s = u_at.item(stop), p_at.item(stop)
+        q_now = float(np.dot(now_pairs, pairs))
+        np.multiply(pairs, mode_scale, out=scaled)
+        kinetic = p_s * p_s / (2.0 * mass4)
+        return float(np.dot(scaled, scaled)) + kinetic + (0.5 * sigma * u_s - q_now) * u_s
+
     energies = [energy(state)]
     sample_steps = [0]
     interface_velocity = np.empty(n_steps)
 
     for k0 in range(0, n_steps, L):
         steps = min(L, n_steps - k0)
-        midpoint = (powers[:steps] @ (mid_row * zeta)).imag
-        rhs = alternating[:steps] * p_i + u_rhs[:steps] * u_i + dt * midpoint
-        y = inverse[:steps, :steps] @ rhs
-        interface_velocity[k0 : k0 + steps] = y
-        # u and p after 0..steps steps of the block: u_{k+1} = u_k + dt y_k and
-        # (-1)^(k+1) p_{k+1} = (-1)^k p_k - (-1)^k 4m y_k
-        u_at = np.concatenate(([u_i], u_i + dt * np.cumsum(y)))
-        p_at = np.concatenate(([p_i], p_i - mass4 * np.cumsum(alternating[:steps] * y)))
-        p_at[1::2] *= -1.0
-        kick = dt * (u_at[:steps] + half_dt * y)  # zeta -> rho zeta + kick_k at step k
-        u_list, p_list = u_at.tolist(), p_at.tolist()  # float arithmetic per sample
-        # energy samples fall after these numbers of the block's steps; the
-        # run's last step always has one
-        stops = list(range(sample_every - k0 % sample_every, steps + 1, sample_every))
-        if k0 + steps == n_steps and stops[-1:] != [steps]:
-            stops.append(steps)
-        at = 0
-        for index, stop in enumerate(stops + [steps]):
-            if stop > at:  # carry zeta from step `at` to step `stop` of the block
-                zeta *= powers[stop - at]
+        inputs[:steps] = (powers[:steps] @ (mid_row * zeta)).imag
+        inputs[steps:L] = 0.0
+        np.matmul(block_map, inputs, out=outputs)
+        interface_velocity[k0 : k0 + steps] = y_at[:steps]
+        # Energy samples fall every sample_every steps and after the run's
+        # last.  Those inside the block chain stop to stop from a copy of its
+        # starting modes, so that where they fall never moves the carry.
+        inside = range(sample_every - k0 % sample_every, steps, sample_every)
+        if inside:
+            modes = zeta.copy()
+            modes_pairs = modes.view(np.float64)
+            at = 0
+            for stop in inside:
+                modes *= powers[stop - at]
                 if stop - at == 1:
-                    zeta += kick[at]  # one step's kick is a scalar: no product needed
+                    modes += kicks.item(L - 1 - at)  # one step's kick is a scalar
                 else:
-                    zeta += kick[at:stop][::-1] @ powers[: stop - at]
+                    modes_pairs += kicks[L - stop : L - at] @ power_pairs[: stop - at]
                 at = stop
-            if index < len(stops):
-                modes = float(np.dot(mode_weight, zeta_pairs * zeta_pairs))
-                q_now = np.dot(now_row, zeta).item().imag
-                u_s, p_s = u_list[stop], p_list[stop]
-                kinetic = p_s * p_s / (2.0 * mass4)
-                energies.append(modes + kinetic + (0.5 * sigma * u_s - q_now) * u_s)
+                energies.append(sample(modes_pairs, stop))
                 sample_steps.append(k0 + stop)
-        u_i, p_i = u_list[steps], p_list[steps]
+        # the carry to the block's end: zeta -> rho^steps zeta + sum_k kick_k rho^(steps-1-k)
+        zeta *= powers[steps]
+        zeta_pairs += kicks[L - steps :] @ power_pairs[:steps]
+        if (k0 + steps) % sample_every == 0 or k0 + steps == n_steps:
+            energies.append(sample(zeta_pairs, steps))
+            sample_steps.append(k0 + steps)
+        inputs[L], inputs[L + 1] = u_at[steps], p_at[steps]
     if damped:  # squared in place: the velocities are not kept
         damping_power = np.square(interface_velocity, out=interface_velocity)
     else:
@@ -352,8 +387,8 @@ def simulate(
     v = np.zeros_like(state.v)
     _from_modes(mesh, z.imag / omega, u)
     _from_modes(mesh, z.real, v)
-    u[i] = u_i
-    v[i] = p_i / (2.0 * mass)
+    u[i] = inputs[L]
+    v[i] = inputs[L + 1] / (2.0 * mass)
 
     final = WaveState(mesh, t0 + n_steps * dt, u, v)
     sample_steps = np.asarray(sample_steps)

@@ -25,8 +25,9 @@ carleman-verify at golden over 32 modes, and classify at golden with
 poly_eps=3 (a strip check that is not refuted) and with k1=0 (an exp_grid
 refuted for every position), then each task's default sweep again in two
 processes and the simulate sweep in three, which write what one process
-writes but for the echoed ``workers``.  New invocations go at the end, so the
-run numbers of the earlier ones hold.
+writes but for the echoed ``workers``, and two small simulate runs that differ
+only in ``sample_every`` (1 and 100), whose ``final_state.csv`` is the same.
+New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
 """
@@ -62,6 +63,8 @@ INVOCATIONS = (
     + [["classify", "--xi", "golden", "--set", "k1=0"]]
     + [["sweep", "--set", f"task={task}", "--set", "workers=2"] for task in TASKS]
     + [["sweep", "--set", "task=simulate", "--set", "workers=3"]]
+    + [["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
+        "--set", f"sample_every={every}"] for every in (1, 100)]
 )
 
 

@@ -1509,6 +1509,17 @@ def test_report_digests_repeat(tmp_path):
     assert digests(tmp_path / "b", invocations) == first
 
 
+def test_report_digest_final_state_ignores_sample_every(tmp_path):
+    # the list's two simulate runs that differ only in sample_every write
+    # the same final state, byte for byte
+    pair = [args for args in INVOCATIONS if args[-1].startswith("sample_every=")]
+    assert [args[-1] for args in pair] == ["sample_every=1", "sample_every=100"]
+    assert pair[0][:-1] == pair[1][:-1]
+    states = [line.split("  ")[0] for line in digests(tmp_path, pair)
+              if line.endswith("/final_state.csv")]
+    assert len(states) == 2 and states[0] == states[1]
+
+
 def test_report_digest_invocations_resolve():
     # the fixed list stays valid as the schemas change
     parser = cli._build_parser()

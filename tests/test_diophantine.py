@@ -690,6 +690,24 @@ def test_strip_verdicts(xi, verdicts):
         assert cos_rep.witness == pytest.approx(math.pi / 2 * xi.denominator, abs=1e-12)
 
 
+@pytest.mark.parametrize("xi, rational", [
+    (0.4, True), (Fraction(3, 10), True), ("golden", False), (SQRT2_M1, False),
+], ids=["0.4", "3/10", "golden", "sqrt2-1"])
+def test_classify_verdicts_ignore_depth(xi, rational):
+    # depth truncates the reported expansion only: 0.4 = [0; 2, 2] and 3/10 =
+    # [0; 3, 3] stay rational at depth 2, where their exp_grid still fails on
+    # the exact resonance
+    shallow = classify_actuator(xi, ClassifySettings(depth=2))
+    assert len(shallow.continued_fraction.partial_quotients) == 2
+    assert (shallow.is_rational, shallow.strongly_stable) == (rational, not rational)
+    assert shallow.exp_grid.passed is not rational
+    if rational:
+        assert not shallow.constant_type
+        assert shallow.exp_grid.note == "exact resonance"
+    full = classify_actuator(xi)
+    assert (full.is_rational, full.constant_type) == (rational, shallow.constant_type)
+
+
 @pytest.mark.parametrize("xi", [GOLDEN_RATIO_CONJUGATE, SQRT2_M1], ids=["golden", "sqrt2-1"])
 def test_poly_grid_below_mu4_fails_on_every_range(xi):
     # the drain below mu^4 is a power law, too slow for any finite range to show

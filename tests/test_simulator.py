@@ -10,6 +10,7 @@ from pointdamp import (
     energy,
     initial_data,
     simulate,
+    simulator,
 )
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE
@@ -278,25 +279,35 @@ def _banded_midpoint_march(state, n_steps, dt, damped):
     return u, v
 
 
-def _banded_case(cells, damped, sample_every):
+def _banded_case(cells, damped, sample_every, table_steps=None):
     # the 40/30 mesh keeps its plain ids at sample_every 1
-    if cells != (40, 30):
+    if table_steps is not None:
+        name = f"table{table_steps}-{damped}"
+    elif cells != (40, 30):
         name = f"{cells[0]}x{cells[1]}-{damped}"
     else:
         name = str(damped) if sample_every == 1 else f"{damped}-every{sample_every}"
-    return pytest.param(cells, damped, sample_every, id=name)
+    return pytest.param(cells, damped, sample_every, table_steps, id=name)
 
 
-@pytest.mark.parametrize("cells, damped, sample_every", [
+@pytest.mark.parametrize("cells, damped, sample_every, table_steps", [
     # (2, n) leaves one interior node, hence one sine mode, on the left.  The
     # 215 steps run in blocks of 64: sampling every 7, 64, 65 or 1000 steps
-    # puts samples inside blocks, on block ends, or on the last step only
-    _banded_case(cells, damped, every)
-    for cells, every in [((40, 30), 1), ((2, 2), 1), ((2, 7), 1)]
-    + [((40, 30), every) for every in (7, 64, 65, 1000)]
+    # puts samples inside blocks, on block ends, or on the last step only.
+    # With table_steps, the table of powers is sized for that many steps of
+    # the mesh's modes, so the table, not _BLOCK_STEPS, sets the block length
+    # (as on meshes of over 1,024 modes, where the float64 oracle itself
+    # drifts by ~2e-12 in v within 10 steps)
+    _banded_case(cells, damped, every, table_steps)
+    for cells, every, table_steps in [((40, 30), 1, None), ((2, 2), 1, None),
+                                      ((2, 7), 1, None), ((40, 30), 7, 23)]
+    + [((40, 30), every, None) for every in (7, 64, 65, 1000)]
     for damped in [True, False]
 ])
-def test_simulate_matches_banded_oracle(cells, damped, sample_every):
+def test_simulate_matches_banded_oracle(cells, damped, sample_every, table_steps, monkeypatch):
+    if table_steps is not None:
+        modes = cells[0] + cells[1] - 2
+        monkeypatch.setattr(simulator, "_TABLE_BYTES", 16 * modes * table_steps)
     mesh = build_mesh(GOLDEN, *cells)
     state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
     final, trace = simulate(state, 1.5, dt=7e-3, damped=damped, sample_every=sample_every)
@@ -314,3 +325,26 @@ def test_simulate_matches_banded_oracle(cells, damped, sample_every):
     )
     # sampled energies are read from the stepper's own coordinates
     assert abs(trace.energies[-1] - energy(final)) <= 1e-14 * trace.energies[0]
+
+
+# 700 cells a side give 1,398 sine modes, more than a table of _BLOCK_STEPS
+# powers holds within _TABLE_BYTES: the table sets the block length there
+TABLE_LIMITED = (700, 700)
+
+
+@pytest.mark.parametrize("cells", [(40, 30), TABLE_LIMITED], ids=["40x30", "table-limited"])
+def test_final_state_ignores_sample_every(cells):
+    # samples never move the carry of the modes: the final state and the
+    # damping record are the same bit for bit wherever the samples fall
+    modes = cells[0] + cells[1] - 2
+    table_steps = simulator._TABLE_BYTES // (16 * modes)
+    assert (table_steps < simulator._BLOCK_STEPS) == (cells == TABLE_LIMITED)
+    mesh = build_mesh(GOLDEN, *cells)
+    state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
+    runs = [simulate(state, 1.5, dt=7e-3, sample_every=every) for every in (1, 7, 64, 65, 1000)]
+    final, trace = runs[0]
+    assert trace.damping_power.size == 215
+    for other, other_trace in runs[1:]:
+        np.testing.assert_array_equal(other.u, final.u)
+        np.testing.assert_array_equal(other.v, final.v)
+        np.testing.assert_array_equal(other_trace.damping_power, trace.damping_power)
