@@ -233,14 +233,11 @@ def _pyify(obj):
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
     if hasattr(obj, "dtype"):  # a numpy array or scalar, recognised without importing numpy
-        if obj.ndim:
-            return [_pyify(v) for v in obj.tolist()]
-        obj = obj.item()  # a numpy float keeps a nan as nan
-        return _pyify(obj) if isinstance(obj, complex) else obj
+        return _pyify(obj.tolist())
     if isinstance(obj, complex):
-        return {"real": float(obj.real), "imag": float(obj.imag)}
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+        return {"real": _pyify(obj.real), "imag": _pyify(obj.imag)}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # JSON has no nan or infinity
     return obj
 
 
@@ -259,7 +256,8 @@ def _write_atomic(path: Path, chunks) -> None:
 
 
 def write_json_report(path: Path, payload: dict) -> None:
-    body = json.dumps(_pyify(payload), sort_keys=True, indent=2, ensure_ascii=False)
+    body = json.dumps(_pyify(payload), sort_keys=True, indent=2, ensure_ascii=False,
+                      allow_nan=False)
     _write_atomic(path, [body, "\n"])
 
 
@@ -368,6 +366,10 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
+    if _task(cfg.get("task", args.command)).USES_NUMPY and "numpy" not in sys.modules:
+        # OpenBLAS on one thread, unless the environment names a count: a
+        # report then does not follow the host's CPUs (read as numpy loads)
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         task = _task(args.command)
         xi = parse_position(cfg["xi"]) if "xi" in cfg else None

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,7 +457,7 @@ _ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
 # band limit of the random probes
 _PROBE_MODES = 8
 
-# fewest blocks of each half of a split scan.  As whole `resolvent-scan
+# fewest blocks of each part of a split scan.  As whole `resolvent-scan
 # --xi golden` invocations on 2 vCPUs, split scans of 16 to 32 blocks tied
 # with serial ones or lost in one series of 11 pairs, and 32 to 48 blocks
 # won by 3-7 ms of median wall in another, each paying ~15-35 ms more CPU
@@ -608,11 +607,12 @@ class ScanResult:
     n_resonant: int
 
 
-def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, estimates, start, stop):
-    """Fill estimates[start:stop] a block of frequencies at a time, start on a block boundary."""
+def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -> bytes:
+    """The float64 estimates at the frequencies of a run of blocks, a block at a time."""
     n, rows = mesh.nodes.size, max(probes_per_mu, 1)
-    for first in range(start, stop, block):
-        mus = mu_grid[first : min(first + block, stop)]
+    estimates = []
+    for first in range(blocks.start * block, min(blocks.stop * block, mu_grid.size), block):
+        mus = mu_grid[first : first + block]
         # (frequency, probe, samples of f, f' and g over all nodes), the
         # near-resonant probe first
         series = np.empty((mus.size, rows, 3 * n), dtype=complex)
@@ -624,21 +624,8 @@ def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, estimates, start
             ]
             _fill_series(mesh, np.stack(draws), series[:, 1:])
         probes = [_split_series(mesh, series)]
-        estimates[first : first + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
-
-
-def _scan_forks(n_blocks: int) -> bool:
-    """Whether a scan of n_blocks blocks forks a child for the second half of them.
-
-    Only where processes.may_fork() allows it, from 2 * _MIN_BLOCKS_PER_PROCESS
-    blocks and on two usable CPUs or more.  Never more than one child: a split
-    over more processes has not been measured.
-    """
-    return (
-        processes.may_fork()
-        and n_blocks >= 2 * _MIN_BLOCKS_PER_PROCESS
-        and len(os.sched_getaffinity(0)) > 1
-    )
+        estimates.append(resolvent_norm_lower_bound(xi, mus, probes).tobytes())
+    return b"".join(estimates)
 
 
 def scan_resolvent_growth(
@@ -654,34 +641,25 @@ def scan_resolvent_growth(
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
-    its own mu.  On Linux with two usable CPUs or more, a long grid's
-    second half of blocks runs in a child that processes.split forks
-    (_scan_forks), which sends its float64 estimates back; every block
-    computes as it would alone, so the estimates are the same bit for bit.
+    its own mu.  The blocks split into the contiguous parts of
+    processes.divide, at least _MIN_BLOCKS_PER_PROCESS each, and every part
+    but the first runs in a child that processes.split forks, which sends
+    its float64 estimates back; every block computes as it would alone, so
+    the estimates are the same bit for bit in any number of processes.
     Fits log(norm) = log C + K*mu by least squares over the finite estimates
     in this process.
     """
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
-    estimates = np.empty_like(mu_grid)
     # a block of frequencies at a time, each with its own probes
     block = max(1, _BLOCK_BYTES // (16 * max(probes_per_mu, 1) * mesh.nodes.size))
-    fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block, estimates)
+    fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block)
     # dropped at once, before any fork, so a child inherits the allocator's
     # threshold too: see _ALLOCATOR_PRIME_BYTES
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
-    n_blocks = -(-mu_grid.size // block)
-    if _scan_forks(n_blocks):
-        middle = n_blocks // 2 * block
-
-        def half(part: int) -> bytes:
-            start, stop = (0, middle) if part == 0 else (middle, mu_grid.size)
-            fill(start, stop)
-            return estimates[start:stop].tobytes()
-
-        estimates[middle:] = np.frombuffer(processes.split(2, half)[1])
-    else:
-        fill(0, mu_grid.size)
+    blocks = processes.divide(-(-mu_grid.size // block), _MIN_BLOCKS_PER_PROCESS)
+    parts = processes.split(len(blocks), lambda part: fill(blocks[part]))
+    estimates = np.frombuffer(b"".join(parts)).copy()
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

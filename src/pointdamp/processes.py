@@ -1,14 +1,17 @@
-"""Parts of one computation in forked child processes: the scan's halves and a sweep's jobs.
+"""Parts of one computation in forked child processes: the scan's blocks and a sweep's jobs.
 
-split(parts, work) runs work(0) in this process and work(1) .. work(parts - 1)
-each in a child forked here, which sends the bytes its work returns down a
-pipe.  may_fork() says whether this process may fork at all.  The standard
-library alone, and not part of the package's public names.
+divide(units, least) is the one rule for how many processes a computation
+runs in and which contiguous units each takes.  split(parts, work) runs
+work(0) here and each other part in a child forked here, which sends the
+bytes its work returns down a pipe, every process on one BLAS thread.
+may_fork() says whether this process may fork at all.  The standard library
+alone, and not part of the package's public names.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from typing import Callable
 
@@ -26,6 +29,37 @@ def may_fork() -> bool:
     runs its own part.
     """
     return hasattr(os, "sched_getaffinity") and not _in_split and threading.active_count() == 1
+
+
+def divide(units: int, least: int) -> list[range]:
+    """The contiguous runs of units 0 .. units - 1 a computation splits into, one per process.
+
+    As many as the usable CPUs (os.sched_getaffinity; a CPU quota is not
+    read) but at most units // least, so each holds least units or more;
+    one, all of them, where may_fork() is false.
+    """
+    count = max(1, min(len(os.sched_getaffinity(0)), units // least)) if may_fork() else 1
+    return [range(units * part // count, units * (part + 1) // count) for part in range(count)]
+
+
+def _one_blas_thread() -> Callable[[], object]:
+    """Set numpy's OpenBLAS, once loaded, to one thread; return what sets back its count."""
+    core = sys.modules.get("numpy._core._multiarray_umath")
+    if core is None:
+        return lambda: None
+    import ctypes  # numpy has loaded it already
+
+    try:  # the names of the libraries numpy's core links resolve through its handle
+        library = ctypes.CDLL(core.__file__)
+        get_threads = library.scipy_openblas_get_num_threads64_
+        set_threads = library.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):  # a numpy that links no scipy-openblas
+        return lambda: None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    count = get_threads()
+    set_threads(1)
+    return lambda: set_threads(count)
 
 
 def _serve(part: int, work: Callable[[int], object], write: int, reads: list[int]) -> None:
@@ -61,16 +95,20 @@ def split(parts: int, work: Callable[[int], object]) -> list:
 
     The children fork first and work(0) runs here meanwhile; may_fork() is
     false here until it returns, as in every child, so split(1, work) runs
-    work(0) with no fork beneath it.  The parent reads every pipe before it
-    reaps, so no child blocks on a full pipe.  A child that fails, by raising
-    or by any exit status but 0, makes split raise a RuntimeError naming the
-    part, the pid, the exit status and the bytes it sent, and the text of what
-    it raised.  If this process raises, or is interrupted, before it has
-    reaped them, it kills and reaps every child: no process outlives the call.
+    work(0) with no fork beneath it.  Where numpy is loaded, its OpenBLAS
+    runs on one thread here, and so in every child, until split returns:
+    pools of one thread per CPU in each process would contend for the CPUs.
+    The parent reads every pipe before it reaps, so no child blocks on a full
+    pipe.  A child that fails, by raising or by any exit status but 0, makes
+    split raise a RuntimeError naming the part, the pid, the exit status and
+    the bytes it sent, and the text of what it raised.  If this process
+    raises, or is interrupted, before it has reaped them, it kills and reaps
+    every child: no process outlives the call.
     """
     global _in_split
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     statuses: list[int] = []
+    restore_blas = _one_blas_thread()
     _in_split = True
     try:
         for part in range(1, parts):
@@ -91,6 +129,7 @@ def split(parts: int, work: Callable[[int], object]) -> list:
             statuses.append(os.waitpid(pid, 0)[1])
     finally:
         _in_split = False
+        restore_blas()
         if len(statuses) < len(children):
             import signal
 

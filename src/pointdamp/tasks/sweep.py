@@ -8,8 +8,6 @@ its own layers.
 
 from __future__ import annotations
 
-import os
-import sys
 from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
@@ -19,8 +17,6 @@ from ..cli import (
 )
 
 MAX_SWEEP_POSITIONS = 10**4
-# the most processes a sweep runs at once, itself included
-MAX_WORKERS = 32
 
 _xi_list_length = Limit(
     f"at most {MAX_SWEEP_POSITIONS} comma-separated positions",
@@ -33,7 +29,6 @@ SCHEMA = {
     "xi_max": (0.95, None),
     "xi_count": (19, all_of(at_least(1), at_most(MAX_SWEEP_POSITIONS))),
     "xi_list": ("", _xi_list_length),
-    "workers": (1, all_of(at_least(1), at_most(MAX_WORKERS))),
 }
 
 
@@ -64,42 +59,28 @@ def check(cfg: dict, xi: None) -> list[tuple[Position, object]]:
 def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[float, dict]]:
     """(xi, the task's sweep row) at each of check's positions, in increasing xi.
 
-    With workers = k > 1, where processes.may_fork() allows it, the first job
-    runs here alone; the other jobs then split into min(k, jobs - 1)
-    contiguous parts, the first run here and each other in a forked child,
-    which sends its (xi, row) pairs back pickled.  Nothing a job calls then
-    forks, so no more than k processes compute at once.
+    The first job runs here alone, in a split of its own, so the layers it
+    imports (numpy's ~80 ms among them) load once and every child inherits
+    them; the other jobs then split into the parts of processes.divide, one
+    job or more each.  Every job runs inside a split: nothing it calls forks,
+    and once numpy has loaded it computes on one BLAS thread, so the rows
+    are the same bit for bit in any number of processes.
     """
+    import pickle
+
     task = cli._task(cfg["task"])
     task_cfg = dict(cfg["task_config"], seed=cfg["seed"])
-    if task.USES_NUMPY and "numpy" not in sys.modules:
-        # one OpenBLAS thread per process, whatever workers: pools of one thread per CPU
-        # contend, and simulate's rows depend on the count.  Read as the first job loads numpy
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-    def rows(start: int, stop: int) -> list[tuple[float, dict]]:
-        return [(position.value, task.row(task.run(task_cfg, position, task_plan)))
-                for position, task_plan in plan[start:stop]]
+    def rows(jobs: list[tuple[Position, object]]) -> bytes:
+        return pickle.dumps([(position.value, task.row(task.run(task_cfg, position, task_plan)))
+                             for position, task_plan in jobs])
 
-    parts = min(cfg["workers"], len(plan) - 1) if processes.may_fork() else 1
-    if parts <= 1:
-        results = rows(0, len(plan))
-    else:
-        import pickle
-
-        # the first job runs before any fork, as a part of its own: the
-        # children inherit the layers it imports (numpy's ~80 ms among them)
-        # instead of importing them each
-        [results] = processes.split(1, lambda part: rows(0, 1))
-        bounds = [1 + (len(plan) - 1) * part // parts for part in range(parts + 1)]
-
-        def part_rows(part: int):
-            found = rows(bounds[part], bounds[part + 1])
-            return found if part == 0 else pickle.dumps(found)
-
-        here, *sent = processes.split(parts, part_rows)
-        results += here + [pair for payload in sent for pair in pickle.loads(payload)]
-    return sorted(results, key=lambda pair: pair[0])
+    first, rest = plan[:1], plan[1:]
+    parts = processes.divide(len(rest), 1)
+    payloads = processes.split(1, lambda part: rows(first))
+    payloads += processes.split(len(parts), lambda part: rows([rest[j] for j in parts[part]]))
+    return sorted((pair for payload in payloads for pair in pickle.loads(payload)),
+                  key=lambda pair: pair[0])
 
 
 def write(cfg: dict, results: list[tuple[float, dict]]) -> list[Path]:

@@ -2,8 +2,11 @@
 
 Runs each invocation in this process through ``pointdamp.cli.main``, with a
 relative ``--out`` (``run00``, ``run01``, ...) under one directory, since the
-reports echo their ``--out``; then prints ``sha256  bytes  path`` for every
-file written, paths relative to that directory, in sorted order.  Two trees
+reports echo their ``--out``, and where the list names a count, with
+``os.sched_getaffinity`` reading that many usable CPUs; then prints ``sha256  bytes  path`` for every
+file written, paths relative to that directory, in sorted order.  A JSON
+file that is not standard JSON (a NaN or an Infinity in it) stops it with a
+ValueError.  Two trees
 whose reports and tables are byte-identical print the same lines, and where
 they differ the sizes show by how much:
 
@@ -23,10 +26,10 @@ with the exponential weight, and a classify sweep of typed decimals (0.1,
 0.3, 0.375, 0.9, 0.011), whose doubles expand to their canonical endings,
 carleman-verify at golden over 32 modes, and classify at golden with
 poly_eps=3 (a strip check that is not refuted) and with k1=0 (an exp_grid
-refuted for every position), then each task's default sweep again in two
-processes and the simulate sweep in three, which write what one process
-writes but for the echoed ``workers``, and two small simulate runs that differ
-only in ``sample_every`` (1 and 100), whose ``final_state.csv`` is the same.
+refuted for every position), then each task's default sweep again on two
+usable CPUs and the simulate sweep on three, which write what the first
+copies, run on one, write, and two small simulate runs that differ only in
+``sample_every`` (1 and 100), whose ``final_state.csv`` is the same.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -51,45 +55,59 @@ BENCHMARK = (
     + [["sweep", "--set", "task=simulate", "--set", "xi_list=" + ",".join(POSITIONS)]]
 )
 TASKS = ("classify", "resolvent-scan", "spectrum", "carleman-verify", "simulate")
+SWEEPS = [["sweep", "--set", f"task={task}"] for task in TASKS]
+# (usable CPUs, or None for the host's own, and the arguments)
 INVOCATIONS = (
-    [args + ["--seed", str(seed)] for seed in (1, 2) for args in BENCHMARK]
-    + [[task, "--xi", "golden"] for task in TASKS]
-    + [["sweep", "--set", f"task={task}"] for task in TASKS]
-    + [["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"]]
-    + [["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"]]
-    + [["sweep", "--set", "task=classify", "--set", "xi_list=0.1,0.3,0.375,0.9,0.011"]]
-    + [["carleman-verify", "--xi", "golden", "--set", "n_modes=32"]]
-    + [["classify", "--xi", "golden", "--set", "poly_eps=3"]]
-    + [["classify", "--xi", "golden", "--set", "k1=0"]]
-    + [["sweep", "--set", f"task={task}", "--set", "workers=2"] for task in TASKS]
-    + [["sweep", "--set", "task=simulate", "--set", "workers=3"]]
-    + [["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
-        "--set", f"sample_every={every}"] for every in (1, 100)]
+    [(None, args + ["--seed", str(seed)]) for seed in (1, 2) for args in BENCHMARK]
+    + [(None, [task, "--xi", "golden"]) for task in TASKS]
+    + [(1, args) for args in SWEEPS]
+    + [(None, args) for args in (
+        ["sweep", "--set", "task=classify", "--set", "xi_list=golden,1/3,355/1131"],
+        ["carleman-verify", "--xi", "1/3", "--set", "weight=exp:3"],
+        ["sweep", "--set", "task=classify", "--set", "xi_list=0.1,0.3,0.375,0.9,0.011"],
+        ["carleman-verify", "--xi", "golden", "--set", "n_modes=32"],
+        ["classify", "--xi", "golden", "--set", "poly_eps=3"],
+        ["classify", "--xi", "golden", "--set", "k1=0"],
+    )]
+    + [(2, args) for args in SWEEPS]
+    + [(3, SWEEPS[-1])]
+    + [(None, ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
+               "--set", f"sample_every={every}"]) for every in (1, 100)]
 )
 
 
-def digests(directory: Path, invocations: list[list[str]]) -> list[str]:
-    """Run each invocation with --out runNN inside directory; a line per file written."""
+def digests(directory: Path, invocations: list[tuple[int | None, list[str]]]) -> list[str]:
+    """Run each (cpus, args) with --out runNN inside directory; a line per file written."""
     from pointdamp.cli import main
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    cwd = os.getcwd()
+    cwd, affinity = os.getcwd(), os.sched_getaffinity
     os.chdir(directory)
     try:
-        for i, args in enumerate(invocations):
+        for i, (cpus, args) in enumerate(invocations):
+            if cpus is not None:
+                os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
             code = main([*args, "--out", f"run{i:02d}"])
+            os.sched_getaffinity = affinity
             if code != 0:
                 raise RuntimeError(f"exit {code}: {' '.join(args)}")
     finally:
         os.chdir(cwd)
+        os.sched_getaffinity = affinity
     lines = []
     for path in sorted(directory.rglob("*")):
         if path.is_file():
             data = path.read_bytes()
+            if path.suffix == ".json":
+                json.loads(data, parse_constant=_refuse)
             digest = hashlib.sha256(data).hexdigest()
             lines.append(f"{digest}  {len(data)}  {path.relative_to(directory)}")
     return lines
+
+
+def _refuse(constant: str):
+    raise ValueError(f"not standard JSON: {constant}")
 
 
 def compare(old: list[str], new: list[str]) -> list[str]:

@@ -25,7 +25,7 @@ from pointdamp.tasks import sweep
 from pointdamp.tasks.sweep import _linspace
 
 from forks import assert_reaped, record_forks
-from report_digests import INVOCATIONS, compare, digests
+from report_digests import INVOCATIONS, SWEEPS, compare, digests
 
 
 def run(args):
@@ -517,6 +517,10 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
     assert "unknown key(s) for classify: trend_factor" in capsys.readouterr().err
     # the sweep's resolved task_config is no key a user may set
     assert run(["sweep", "--out", tmp_path, "--set", "task_config=1"]) == 2
+    # nor its process count, which comes from the usable CPUs
+    capsys.readouterr()
+    assert run(["sweep", "--out", tmp_path, "--set", "workers=2"]) == 2
+    assert "unknown key(s) for sweep: workers" in capsys.readouterr().err
     # the Carleman constant is the span maximum, so there are no samples to count
     assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path,
                 "--set", "n_samples=5"]) == 2
@@ -581,6 +585,8 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["carleman-verify", "--seed", "-1"],
     # an inverted h range, which would be swept the right way round
     ["carleman-verify", "--set", "h_min=0.2", "--set", "h_max=0.1"],
+    # a sweep's process count comes from the usable CPUs, so this is
+    # refused as an unknown key
     ["sweep", "--set", "xi_list=0.3", "--set", "workers=0"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "cells=1"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "t_final=1e6"],
@@ -1223,7 +1229,12 @@ def test_sweep_serial_ordering(tmp_path):
     assert xis == [0.2, 0.3, 0.4]
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
+def _on_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity, and so processes.divide, read count usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
     out_a = tmp_path / "serial"
     out_b = tmp_path / "parallel"
     # a growth function other than the identity is part of every job's plan
@@ -1231,8 +1242,10 @@ def test_sweep_parallel_matches_serial(tmp_path):
         "sweep", "--set", "task=classify", "--set", "xi_list=0.3,0.7,355/1131",
         "--set", "mu_max=50", "--set", "liouville_phi=power_log:1,0.5",
     ]
-    assert run(args + ["--out", out_a, "--set", "workers=1"]) == 0
-    assert run(args + ["--out", out_b, "--set", "workers=2"]) == 0
+    _on_cpus(monkeypatch, 1)
+    assert run(args + ["--out", out_a]) == 0
+    _on_cpus(monkeypatch, 2)
+    assert run(args + ["--out", out_b]) == 0
     a = (out_a / "sweep_classify.csv").read_text()
     b = (out_b / "sweep_classify.csv").read_text()
     assert a == b
@@ -1262,8 +1275,9 @@ def test_swept_classify_row_matches_the_single_run(tmp_path, xi):
 
 
 def test_resolvent_scan_sweep_forks_only_at_the_sweep_level(tmp_path, monkeypatch):
-    # each scan (5 blocks at 32 cells) splits when the sweep runs in one
-    # process; a scan that forked beside the sweep's children would fail its row
+    # each scan (5 blocks at 32 cells) would split on its own; inside the
+    # sweep's parts it runs in one process, and a scan that forked beside
+    # the sweep's children would fail its row
     parent = os.getpid()
     fork = os.fork
 
@@ -1275,13 +1289,14 @@ def test_resolvent_scan_sweep_forks_only_at_the_sweep_level(tmp_path, monkeypatc
     monkeypatch.setattr(os, "fork", fork_in_the_parent_only)
     forked = record_forks(monkeypatch)
     monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden,0.7",
             "--set", "mu_max=120", "--set", "cells=32"]
-    assert run(args + ["--out", tmp_path / "serial", "--set", "workers=1"]) == 0
-    assert len(forked) == 3
-    assert run(args + ["--out", tmp_path / "split", "--set", "workers=2"]) == 0
-    assert len(forked) == 4
+    _on_cpus(monkeypatch, 1)
+    assert run(args + ["--out", tmp_path / "serial"]) == 0
+    assert len(forked) == 0
+    _on_cpus(monkeypatch, 2)
+    assert run(args + ["--out", tmp_path / "split"]) == 0
+    assert len(forked) == 1
     assert_reaped(forked)
     serial = (tmp_path / "serial" / "sweep_resolvent-scan.csv").read_text()
     assert serial == (tmp_path / "split" / "sweep_resolvent-scan.csv").read_text()
@@ -1300,8 +1315,9 @@ def test_a_job_that_fails_in_a_child_fails_the_sweep(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(task, "run", fails_in_a_child)
     forked = record_forks(monkeypatch)
+    _on_cpus(monkeypatch, 2)
     assert run(["sweep", "--out", tmp_path, "--set", "task=classify", "--set", "mu_max=20",
-                "--set", "xi_list=0.3,0.4,0.7", "--set", "workers=2"]) == 3
+                "--set", "xi_list=0.3,0.4,0.7"]) == 3
     assert len(forked) == 1
     assert_reaped(forked)
     assert "ArithmeticError: no verdict at 0.7" in capsys.readouterr().err
@@ -1324,10 +1340,11 @@ def test_an_interrupted_sweep_leaves_no_child(tmp_path, monkeypatch):
 
     monkeypatch.setattr(task, "run", interrupted)
     forked = record_forks(monkeypatch)
+    _on_cpus(monkeypatch, 2)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run(["sweep", "--out", tmp_path, "--set", "task=classify", "--set", "mu_max=20",
-             "--set", "xi_list=0.3,0.4,0.5,0.6", "--set", "workers=2"])
+             "--set", "xi_list=0.3,0.4,0.5,0.6"])
     assert time.monotonic() - started < 30.0
     assert len(forked) == 1
     assert_reaped(forked)
@@ -1340,16 +1357,6 @@ def test_sweep_unknown_task_is_config_error(tmp_path):
 def test_sweep_bad_xi_list_is_config_error(tmp_path):
     assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,abc"]) == 2
     assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.3,1/0"]) == 2
-
-
-def test_sweep_workers_have_a_ceiling():
-    # checked while the config resolves, before any process starts
-    assert sweep.MAX_WORKERS >= 4
-    limit = sweep.MAX_WORKERS
-    assert resolve_config("sweep", {"workers": str(limit)})["workers"] == limit
-    for workers in (limit + 1, 100_000):
-        with pytest.raises(ConfigError, match="workers"):
-            resolve_config("sweep", {"workers": str(workers)})
 
 
 def test_sweep_position_counts_have_a_ceiling():
@@ -1377,9 +1384,9 @@ def split_parts(monkeypatch):
 @pytest.mark.parametrize("preset", [None, "2"])
 def test_sweep_runs_on_one_blas_thread(tmp_path, preset):
     # a pool of one OpenBLAS thread per CPU in each process of a sweep would
-    # contend for the CPUs, and simulate's rows depend on the thread count:
-    # from the command line the sweep runs on one thread, unless the
-    # environment says otherwise
+    # contend for the CPUs: from the command line numpy loads on one thread,
+    # unless the environment says otherwise, and the sweep's split sets back
+    # the count it found
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
     if preset:
         env["OPENBLAS_NUM_THREADS"] = preset
@@ -1388,9 +1395,10 @@ def test_sweep_runs_on_one_blas_thread(tmp_path, preset):
     probe = (
         "import ctypes, glob, os\n"
         "from pointdamp.cli import main\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"code = main(['sweep', '--out', {str(tmp_path)!r}, '--set', 'task=carleman-verify',\n"
         "             '--set', 'xi_list=0.3,0.5,0.6', '--set', 'cells=64',\n"
-        "             '--set', 'h_count=3', '--set', 'workers=2'])\n"
+        "             '--set', 'h_count=3'])\n"
         "import numpy\n"
         "libraries = glob.glob(numpy.__path__[0] + '.libs/libscipy_openblas*')\n"
         "threads = (ctypes.CDLL(libraries[0]).scipy_openblas_get_num_threads64_()\n"
@@ -1405,12 +1413,50 @@ def test_sweep_runs_on_one_blas_thread(tmp_path, preset):
     assert threads in (variable, "None")
 
 
-def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, split_parts):
+def test_numpy_tasks_run_on_one_blas_thread(tmp_path):
+    # carleman-verify's residuals follow OpenBLAS's thread count (at 1 and 2
+    # threads its golden report differs in the last digits), so from the
+    # command line a numpy task loads numpy on one thread, unless the
+    # environment names a count
+    probe = (
+        "import ctypes, glob, hashlib, os, sys\n"
+        "from pathlib import Path\n"
+        "from pointdamp.cli import main\n"
+        "os.chdir(sys.argv[1])\n"
+        "for args in (['simulate', '--set', 'cells=40', '--set', 't_final=1'],\n"
+        "             ['carleman-verify']):\n"
+        "    assert main([*args, '--xi', 'golden', '--out', 'run']) == 0\n"
+        "import numpy\n"
+        "[library] = glob.glob(numpy.__path__[0] + '.libs/libscipy_openblas*')\n"
+        "print(ctypes.CDLL(library).scipy_openblas_get_num_threads64_(),\n"
+        "      *(hashlib.sha256(path.read_bytes()).hexdigest()\n"
+        "        for path in sorted(Path('run').iterdir())))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    printed = {}
+    for preset in ("unset", "1", "2"):
+        (tmp_path / preset).mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", probe, tmp_path / preset], capture_output=True, text=True,
+            env=env if preset == "unset" else dict(env, OPENBLAS_NUM_THREADS=preset), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        threads, *files = done.stdout.splitlines()[-1].split()
+        printed[preset] = int(threads), files
+    assert len(printed["1"][1]) == 6
+    assert printed["unset"] == printed["1"] == (1, printed["1"][1])
+    assert printed["2"][0] == 2
+
+
+def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, monkeypatch, split_parts):
+    _on_cpus(monkeypatch, 8)
     assert run([
         "sweep", "--out", tmp_path, "--set", "task=classify", "--set", "xi_list=0.2,0.3,0.4",
-        "--set", "workers=8", "--set", "mu_max=20",
+        "--set", "mu_max=20",
     ]) == 0
-    # the first job alone, then the other two in min(workers, 2) parts
+    # the first job alone, then the other two in min(CPUs, 2) parts
     assert split_parts == [1, 2]
 
 
@@ -1427,9 +1473,7 @@ def test_sweep_pool_has_no_more_workers_than_positions(tmp_path, split_parts):
 ], ids=lambda args: "-".join(args))
 def test_sweep_checks_every_position_before_any_job(tmp_path, split_parts, task_args):
     settings = [item for pair in zip(itertools.repeat("--set"), task_args) for item in pair]
-    assert run([
-        "sweep", "--out", tmp_path, "--set", "xi_list=0.4,1e-4", "--set", "workers=2", *settings,
-    ]) == 2
+    assert run(["sweep", "--out", tmp_path, "--set", "xi_list=0.4,1e-4", *settings]) == 2
     assert split_parts == []
     assert not list(tmp_path.iterdir())
 
@@ -1462,14 +1506,18 @@ def test_each_position_is_checked_once(tmp_path, monkeypatch, split_parts, comma
     ]
     assert run([command, "--xi", "0.3", "--out", tmp_path / "one", *settings]) == 0
     assert checked == [0.3]
-    for workers in (1, 2):
+    for cpus in (1, 2):
         checked.clear()
+        split_parts.clear()
+        _on_cpus(monkeypatch, cpus)
         assert run([
-            "sweep", "--out", tmp_path / f"sweep{workers}", "--set", f"task={command}",
-            "--set", "xi_list=0.6,0.3,0.45", "--set", f"workers={workers}", *settings,
+            "sweep", "--out", tmp_path / f"sweep{cpus}", "--set", f"task={command}",
+            "--set", "xi_list=0.6,0.3,0.45", *settings,
         ]) == 0
         assert checked == [0.6, 0.3, 0.45]
-    assert split_parts == [1, 2]
+        # in one process, or the other two jobs in a part each (a scan's
+        # own split runs in one part inside the sweep's)
+        assert split_parts[0] == 1 and max(split_parts) == cpus
 
 
 # ------------------------------------------------------------- determinism
@@ -1497,9 +1545,9 @@ def test_reports_are_deterministic(tmp_path, args):
 
 def test_report_digests_repeat(tmp_path):
     invocations = [
-        ["spectrum", "--xi", "golden", "--set", "re_max=12", "--seed", "3"],
-        ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,1/2", "--set", "cells=20",
-         "--set", "t_final=0.5"],
+        (None, ["spectrum", "--xi", "golden", "--set", "re_max=12", "--seed", "3"]),
+        (2, ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,1/2", "--set", "cells=20",
+             "--set", "t_final=0.5"]),
     ]
     first = digests(tmp_path / "a", invocations)
     assert len(first) == 4
@@ -1512,18 +1560,41 @@ def test_report_digests_repeat(tmp_path):
 def test_report_digest_final_state_ignores_sample_every(tmp_path):
     # the list's two simulate runs that differ only in sample_every write
     # the same final state, byte for byte
-    pair = [args for args in INVOCATIONS if args[-1].startswith("sample_every=")]
-    assert [args[-1] for args in pair] == ["sample_every=1", "sample_every=100"]
-    assert pair[0][:-1] == pair[1][:-1]
+    pair = [(cpus, args) for cpus, args in INVOCATIONS if args[-1].startswith("sample_every=")]
+    assert [args[-1] for _, args in pair] == ["sample_every=1", "sample_every=100"]
+    assert pair[0][1][:-1] == pair[1][1][:-1]
     states = [line.split("  ")[0] for line in digests(tmp_path, pair)
               if line.endswith("/final_state.csv")]
     assert len(states) == 2 and states[0] == states[1]
 
 
+def test_report_digest_json_files_parse_strictly(tmp_path):
+    # JSON has no NaN or Infinity, and digests refuses a file that holds
+    # one: classify at 1/2 (exact resonances, log weights of -inf) among
+    # them.  The default sweeps, each run on a set number of CPUs, go
+    # through digests in test_report_digest_sweeps_match_across_workers; the
+    # default simulate (t_final=200, ~3 s) writes its report as the
+    # benchmark's t_final=5 runs do
+    default_simulate = (None, ["simulate", "--xi", "golden"])
+    assert default_simulate in INVOCATIONS
+    entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
+    lines = digests(tmp_path, entries)
+    assert sum(line.endswith(".json") for line in lines) == 36
+    half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
+    report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
+    for name in ("exp_grid", "poly_grid"):
+        assert report["result"]["conditions"][name]["fitted_constants"]["log_inf_weighted"] is None
+    refused = tmp_path / "refused"
+    refused.mkdir()
+    (refused / "report.json").write_text('{"log_inf_weighted": -Infinity}\n')
+    with pytest.raises(ValueError, match="not standard JSON: -Infinity"):
+        digests(refused, [])
+
+
 def test_report_digest_invocations_resolve():
     # the fixed list stays valid as the schemas change
     parser = cli._build_parser()
-    for args in INVOCATIONS:
+    for _, args in INVOCATIONS:
         parsed = parser.parse_args(args)
         raw = dict(item.split("=", 1) for item in parsed.overrides)
         if parsed.xi is not None:
@@ -1531,33 +1602,20 @@ def test_report_digest_invocations_resolve():
         resolve_config(parsed.command, raw)
 
 
-def test_report_digest_sweeps_match_across_workers(tmp_path, monkeypatch):
-    # each sweep the list runs in several processes writes, byte for byte,
-    # what its twin in one process writes, but for the echoed workers
-
-    def written(args, where):
-        # the same relative --out everywhere, as the reports echo it
-        where.mkdir(parents=True)
-        monkeypatch.chdir(where)
-        assert run([*args, "--out", "run"]) == 0
-        return {path.name: path.read_text() for path in (where / "run").iterdir()}
-
-    several = [args for args in INVOCATIONS if args[-1].startswith("workers=")]
-    assert len(several) == 6
-    twins = {}
-    for i, args in enumerate(several):
-        twin, workers = args[:-2], args[-1].removeprefix("workers=")
-        assert twin in INVOCATIONS
-        key = tuple(twin)
-        if key not in twins:
-            twins[key] = written(twin, tmp_path / f"one{len(twins)}")
-        files = written(args, tmp_path / f"several{i}")
-        assert files.keys() == twins[key].keys()
-        for name, text in twins[key].items():
-            if name.endswith(".json"):
-                assert text.count('"workers": 1,') == 1
-                text = text.replace('"workers": 1,', f'"workers": {workers},')
-            assert files[name] == text, (args, name)
+def test_report_digest_sweeps_match_across_workers(tmp_path):
+    # each default sweep writes the same files, byte for byte, on one, two
+    # and three usable CPUs: one process, or the first job alone and then a
+    # part in each process
+    counts = {}
+    for cpus, args in INVOCATIONS:
+        if cpus is not None:
+            counts.setdefault(tuple(args), []).append(cpus)
+    assert list(counts) == [tuple(args) for args in SWEEPS]
+    assert list(counts.values()) == [[1, 2]] * 4 + [[1, 2, 3]]
+    for i, (args, cpus) in enumerate(counts.items()):
+        written = [digests(tmp_path / f"{i}-{count}", [(count, list(args))]) for count in cpus]
+        assert len(written[0]) == 2
+        assert all(lines == written[0] for lines in written[1:]), args
 
 
 def test_report_digests_compare(tmp_path):

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from oracles import (
 )
 import pointdamp
 from pointdamp import characteristic, frequency, processes
+from pointdamp.inputs import default_mu_grid
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     ContourThroughRoot,
@@ -684,7 +684,7 @@ def test_each_probe_bound_is_the_same_alone_in_a_stack_and_in_a_block(cells):
 
 
 def _scan_on_cpus(monkeypatch, cpus, xi, grid, seed, cells=32):
-    """The scan in blocks of 3 frequencies, its second half forked off if cpus > 1."""
+    """The scan in blocks of 3 frequencies, in as many processes as blocks, up to cpus."""
     monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * 4 * (2 * cells + 1))
     monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -692,15 +692,15 @@ def _scan_on_cpus(monkeypatch, cpus, xi, grid, seed, cells=32):
 
 
 def test_split_scan_equals_the_serial_scan(monkeypatch):
-    # 8 frequencies in blocks of 3: the child's second block is short; 8 CPUs
-    # still fork one child
+    # 8 frequencies in blocks of 3, on 8 CPUs: a block in each of 3
+    # processes, the last child's short
     grid = np.linspace(2.0, 60.0, 8)
     forked = record_forks(monkeypatch)
     split = _scan_on_cpus(monkeypatch, 8, GOLDEN, grid, seed=3)
-    assert len(forked) == 1
+    assert len(forked) == 2
     assert_reaped(forked)
     serial = _scan_on_cpus(monkeypatch, 1, GOLDEN, grid, seed=3)
-    assert len(forked) == 1
+    assert len(forked) == 2
     assert np.array_equal(split.norm_estimate, serial.norm_estimate)
     assert (split.growth_constant, split.growth_rate, split.log_residual) == (
         serial.growth_constant, serial.growth_rate, serial.log_residual
@@ -731,18 +731,24 @@ def test_scan_on_one_cpu_never_forks(monkeypatch):
 
 
 def test_when_a_scan_forks(monkeypatch):
+    # the scan's parts are processes.divide's over its blocks, at least
+    # _MIN_BLOCKS_PER_PROCESS each: on 2 CPUs the benchmark's golden scan
+    # (mu_max=200, 133 blocks of 3 frequencies) splits 66/67
+    divided = []
+    divide = processes.divide
+
+    def recording_divide(units, least):
+        divided.append((units, least, divide(units, least)))
+        return divided[-1][-1]
+
+    monkeypatch.setattr(processes, "divide", recording_divide)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    least = 2 * frequency._MIN_BLOCKS_PER_PROCESS
-    assert not frequency._scan_forks(least - 1)
-    assert frequency._scan_forks(least)
-    assert frequency._scan_forks(100 * least)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
-    assert not frequency._scan_forks(100 * least)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    # nor inside a split, in the parent's part or in a child
-    forks = processes.split(2, lambda part: bytes([frequency._scan_forks(100 * least)]))
-    assert forks == [b"\x00", b"\x00"]
-    assert frequency._scan_forks(100 * least)
+    forked = record_forks(monkeypatch)
+    scan = scan_resolvent_growth(GOLDEN, default_mu_grid(1.0, 200.0, 0.5), 4, seed=1)
+    assert divided == [(133, 32, [range(0, 66), range(66, 133)])]
+    assert len(forked) == 1
+    assert_reaped(forked)
+    assert scan.norm_estimate.size == 399 and scan.n_resonant == 0
 
 
 def test_scan_never_forks_while_another_thread_runs(monkeypatch):
@@ -781,56 +787,6 @@ def test_the_scanning_process_has_one_thread_when_it_forks(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
     assert counts == [1]
-
-
-def test_a_failing_child_fails_the_scan(monkeypatch):
-    parent = os.getpid()
-    bound = frequency.resolvent_norm_lower_bound
-
-    def fails_in_a_child(*args):
-        if os.getpid() != parent:
-            raise MemoryError("no room")
-        return bound(*args)
-
-    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
-    forked = record_forks(monkeypatch)
-    # the child sends the 20 bytes of what it raised
-    failed = (r"part 1 of 2 failed in process \d+: exit status 1, 20 bytes sent:"
-              r" MemoryError: no room$")
-    with pytest.raises(RuntimeError, match=failed):
-        _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
-    assert len(forked) == 1
-    assert_reaped(forked)
-
-
-def test_a_child_exit_status_fails_the_scan_after_a_full_payload(monkeypatch):
-    parent = os.getpid()
-    leave = os._exit
-    monkeypatch.setattr(os, "_exit", lambda code: leave(7 if os.getpid() != parent else code))
-    forked = record_forks(monkeypatch)
-    failed = r"part 1 of 2 failed in process \d+: exit status 7, 24 bytes sent$"
-    with pytest.raises(RuntimeError, match=failed):
-        _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 6), seed=3)
-    assert len(forked) == 1
-    assert_reaped(forked)
-
-
-def test_an_interrupted_parent_kills_its_children(monkeypatch):
-    parent = os.getpid()
-
-    def interrupted(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)  # unless the parent kills it
-
-    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", interrupted)
-    forked = record_forks(monkeypatch)
-    started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        _scan_on_cpus(monkeypatch, 2, GOLDEN, np.linspace(2.0, 60.0, 8), seed=3)
-    assert time.monotonic() - started < 30.0
-    assert len(forked) == 1
-    assert_reaped(forked)
 
 
 def test_scan_memory_does_not_grow_with_the_grid():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import midpoint_march_long_double
 from pointdamp import (
     GOLDEN_RATIO_CONJUGATE,
     build_mesh,
@@ -325,6 +326,38 @@ def test_simulate_matches_banded_oracle(cells, damped, sample_every, table_steps
     )
     # sampled energies are read from the stepper's own coordinates
     assert abs(trace.energies[-1] - energy(final)) <= 1e-14 * trace.energies[0]
+
+
+@pytest.mark.parametrize("damped", [True, False])
+def test_table_limited_stepper_matches_long_double_march(damped):
+    # 514 cells a side give 1,026 sine modes, of which the table holds 63
+    # steps, fewer than _BLOCK_STEPS: the 215 steps run in blocks of 63, 63,
+    # 63 and 26.  The float64 banded march drifts from the scheme by more
+    # than 1e-12 in v on such a mesh, so the reference is the same scheme
+    # marched in long double, whose own rounding is ~2,000 times smaller.
+    #
+    # Tolerance, argued from the 40/30 test above.  There v is held to
+    # 1e-12 with smallest cell h_ref = (1 - xi)/30.  The stepper and the
+    # march differ by the stepper's rounding alone: a relative eps in a
+    # mode's amplitude, which shows in u as eps |u| and, since v = u_t, in v
+    # as up to w eps |u| for a mode of frequency w.  The lumped P1
+    # Laplacian's top frequency is w_max = 2/h_min, so the bound in u holds
+    # on any mesh and the bound in v grows like 1/h_min:
+    # atol_v = 1e-12 * h_ref / h_min, here 1e-12 * 514/30 = 1.7e-11.
+    cells = (514, 514)
+    modes = cells[0] + cells[1] - 2
+    assert modes >= 1024
+    assert simulator._TABLE_BYTES // (16 * modes) == 63 < simulator._BLOCK_STEPS
+    mesh = build_mesh(GOLDEN, *cells)
+    state = initial_data(mesh, "smooth_bump", center=0.55, width=0.3)
+    final, trace = simulate(state, 1.5, dt=7e-3, damped=damped)
+    assert trace.damping_power.size == 215
+    u, v = midpoint_march_long_double(mesh.nodes, mesh.i_xi, state.u, state.v, 215, trace.dt,
+                                      damped)
+    h_ref = (1.0 - GOLDEN) / 30
+    h_min = float(np.min(np.diff(mesh.nodes)))
+    np.testing.assert_allclose(final.u[1:-1], u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.v[1:-1], v, rtol=0, atol=1e-12 * h_ref / h_min)
 
 
 # 700 cells a side give 1,398 sine modes, more than a table of _BLOCK_STEPS
