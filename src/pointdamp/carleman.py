@@ -6,12 +6,14 @@ conjugation
 
     P_w = -h^2 e^{phi/h} P e^{-phi/h} = -h^2 w'' + 2h phi' w' + h phi'' w - ((phi')^2 + 1) w.
 
-The module verifies the operator algebra numerically (dual-route
-conjugation, symmetric/antisymmetric split, the expanded-square identity
-with all boundary terms) and evaluates the weighted inequality, stated at
-evaluate_carleman_inequality (its outer term carries no factor phi'), for
-one u or as exact Gauss-Legendre forms on the span of Legendre rows of the
-conjugated variable w = e^{(phi - max phi)/h} u, in which no exponential
+The module verifies the operator algebra numerically: the dual-route
+conjugation on a uniform grid, at second order, and to rounding on Legendre
+series at Gauss-Legendre nodes the symmetric/antisymmetric split, the
+integration-by-parts identities and the expanded square with all boundary
+terms.  It evaluates the weighted inequality, stated at
+evaluate_carleman_inequality (its outer term carries no factor phi'), for one
+u on the grid or as exact Gauss-Legendre forms on the span of Legendre rows of
+the conjugated variable w = e^{(phi - max phi)/h} u, in which no exponential
 appears.  The constant on that span is the top eigenvalue of their pencil.
 
 Exponentials are always taken relative to a local reference value of the
@@ -160,8 +162,8 @@ def validate_weight(weight: WeightFunction, side: str) -> WeightCheck:
 
 
 # ----------------------------------------------------------------------------
-# second grid derivative (second order including one-sided ends; the first
-# derivative is quadrature.derivative)
+# the dual route's grid and its second derivative (second order including
+# one-sided ends; the first derivative is quadrature.derivative)
 # ----------------------------------------------------------------------------
 
 
@@ -244,132 +246,19 @@ def conjugation_route(
     return out
 
 
-def split_conjugated_operator(
-    weight: WeightFunction, h: float, w: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric and antisymmetric parts (P_w = sym + i * antisym).
+@functools.lru_cache(maxsize=4)
+def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndarray:
+    """Read-only (n_modes, n + 1) real basis on a uniform grid, shared by its calls.
 
-    sym  = delta^2 w - ((phi')^2 + 1) w           (delta = -i h d/dx)
-    anti = 2 phi' delta w - i h phi'' w
+    Row k - 1 is the k-th mode, a shifted cosine free at both ends: the
+    incommensurate frequencies keep its value and slope generic there.
     """
-    dx = float(x[1] - x[0])
-    p1 = np.asarray(weight.d1(x), dtype=float)
-    p2 = np.asarray(weight.d2(x), dtype=float)
-    w = np.asarray(w, dtype=complex)
-    sym = -(h**2) * _d2(w, dx) - (p1**2 + 1.0) * w
-    anti = -1j * h * (2.0 * p1 * derivative(w, dx) + p2 * w)
-    return sym, anti
-
-
-def ibp_residuals(
-    weight: WeightFunction,
-    h: float,
-    v: np.ndarray,
-    w: np.ndarray,
-    x: np.ndarray,
-) -> tuple[float, float]:
-    """Residuals of the two integration-by-parts transfer identities.
-
-    First:   int v conj(Q2 w) = int (Q2 v) conj(w)
-             + i h [v conj(delta w) + (delta v) conj(w)] evaluated b minus a.
-    Second:  int v conj(Q1 w) = int (Q1 v) conj(w)
-             + 2 i h [phi' v conj(w)] evaluated b minus a.
-
-    Both residuals are normalized by the magnitude of the left side.
-    """
-    dx = float(x[1] - x[0])
-    v = np.asarray(v, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    q2w, q1w = split_conjugated_operator(weight, h, w, x)
-    q2v, q1v = split_conjugated_operator(weight, h, v, x)
-    dv = -1j * h * derivative(v, dx)
-    dw = -1j * h * derivative(w, dx)
-    p1 = np.asarray(weight.d1(x), dtype=float)
-
-    lhs1 = simpson(v * np.conj(q2w), dx=dx)
-    rhs1 = simpson(q2v * np.conj(w), dx=dx) + 1j * h * (
-        (v[-1] * np.conj(dw[-1]) + dv[-1] * np.conj(w[-1]))
-        - (v[0] * np.conj(dw[0]) + dv[0] * np.conj(w[0]))
-    )
-    lhs2 = simpson(v * np.conj(q1w), dx=dx)
-    rhs2 = simpson(q1v * np.conj(w), dx=dx) + 2j * h * (
-        p1[-1] * v[-1] * np.conj(w[-1]) - p1[0] * v[0] * np.conj(w[0])
-    )
-    s1 = abs(lhs1) + abs(rhs1) + 1e-300
-    s2 = abs(lhs2) + abs(rhs2) + 1e-300
-    return float(abs(lhs1 - rhs1) / s1), float(abs(lhs2 - rhs2) / s2)
-
-
-@dataclass
-class SquareExpansionReport:
-    lhs: float
-    rhs: float
-    residual: float
-    relative_residual: float
-
-
-def square_expansion_residual(
-    weight: WeightFunction,
-    h: float,
-    w: np.ndarray,
-    x: np.ndarray,
-) -> tuple[SquareExpansionReport, SquareExpansionReport]:
-    """Numeric check of the expanded square of the conjugated operator.
-
-    int |P_w w|^2 is expanded into the square of the symmetric part, positive
-    commutator volume terms, and boundary terms.  Returns the reports of the
-    two readings of the mixed boundary term, (curvature, plain):
-
-    * curvature: coefficient 2 h^2 phi''(endpoint), the value produced by
-      integrating the cross term by parts;
-    * plain: coefficient 2 h^2 (no curvature factor), as the expansion is
-      sometimes displayed.
-
-    The readings share the left side and the volume terms, computed once.
-    Each report carries both sides so a refinement study can measure which
-    reading converges.
-    """
-    x = np.asarray(x, dtype=float)
-    dx = float(x[1] - x[0])
-    w = np.asarray(w, dtype=complex)
-    p1 = np.asarray(weight.d1(x), dtype=float)
-    p2 = np.asarray(weight.d2(x), dtype=float)
-    p3 = np.asarray(weight.d3(x), dtype=float)
-    p4 = np.asarray(weight.d4(x), dtype=float)
-
-    sym, anti = split_conjugated_operator(weight, h, w, x)
-    pw = sym + 1j * anti
-    dw = -1j * h * derivative(w, dx)
-
-    lhs = float(simpson(np.abs(pw) ** 2, dx=dx).real)
-    volume = (
-        simpson(np.abs(sym) ** 2, dx=dx)
-        + 4.0 * simpson(p1**2 * np.abs(dw) ** 2, dx=dx)
-        + 4.0 * h * simpson(p2 * np.abs(dw) ** 2, dx=dx)
-        + h**2 * simpson(p2**2 * np.abs(w) ** 2, dx=dx)
-        + 4.0 * h * simpson(p2 * p1**2 * np.abs(w) ** 2, dx=dx)
-        - h**3 * simpson(p4 * np.abs(w) ** 2, dx=dx)
-        + 4.0 * h * simpson(p1 * p2 * (w * np.conj(dw)).imag, dx=dx)
-    )
-
-    def boundary(idx: int, curvature: float) -> float:
-        return (
-            -2.0 * h * p1[idx] * abs(dw[idx]) ** 2
-            - 2.0 * h**2 * curvature * (w[idx] * np.conj(dw[idx])).imag
-            - h * (2.0 * p1[idx] * (1.0 + p1[idx] ** 2) - h**2 * p3[idx]) * abs(w[idx]) ** 2
-        )
-
-    def reading(curvature_left: float, curvature_right: float) -> SquareExpansionReport:
-        rhs = float(volume.real) + boundary(-1, curvature_right) - boundary(0, curvature_left)
-        residual = abs(lhs - rhs)
-        return SquareExpansionReport(
-            lhs=lhs,
-            rhs=rhs,
-            residual=float(residual),
-            relative_residual=float(residual / (abs(lhs) + abs(rhs) + 1e-300)),
-        )
-
-    return reading(p2[0], p2[-1]), reading(1.0, 1.0)
+    a, b = interval
+    s = (np.linspace(a, b, n + 1) - a) / (b - a)
+    k = np.arange(1, n_modes + 1)
+    basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
+    basis.flags.writeable = False
+    return basis
 
 
 # ----------------------------------------------------------------------------
@@ -442,6 +331,7 @@ class ConstantEstimate:
     sup_ratio_half_modes: np.ndarray  # the same over the span of the first m // 2 rows
     outer_share: np.ndarray  # the outer boundary term's share of the maximiser's LHS
     coefficients: np.ndarray  # (h, m) real maximiser per h, scaled to RHS = 1
+    nodes: int  # the Gauss-Legendre nodes on which the forms settled
 
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,27 +351,35 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return s, 2.0 / ((1.0 - s * s) * slope**2)
 
 
+def _legendre_rule(weight: WeightFunction, nodes: int, count: int):
+    """(s, x, q, half, legendre): s in [-1, 1] and x in [a, b] at the nodes of
+    the Gauss-Legendre rule and then at the ends a and b, the rule's weights on
+    [a, b], half the length of [a, b], and P_k, P_k' and P_k'' at s for
+    k < count, (3, count, s.size), by
+    (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1} and, differentiated,
+    P_{k+1}^(d) = P_{k-1}^(d) + (2k + 1) P_k^(d - 1)."""
+    s, q = _gauss_legendre(nodes)
+    half = 0.5 * (weight.b - weight.a)
+    s = np.append(s, [-1.0, 1.0])
+    legendre = np.zeros((3, count + 2, s.size))
+    legendre[0, 0], legendre[0, 1], legendre[1, 1] = 1.0, s, 1.0
+    for k in range(1, count):
+        legendre[0, k + 1] = ((2 * k + 1) * s * legendre[0, k] - k * legendre[0, k - 1]) / (k + 1)
+        legendre[1:, k + 1] = legendre[1:, k - 1] + (2 * k + 1) * legendre[:2, k]
+    return s, weight.a + half * (s + 1.0), q * half, half, legendre[:, :count]
+
+
 def _gauss_forms(
     weight: WeightFunction, n_modes: int, h_values: np.ndarray, side: str, nodes: int
 ) -> np.ndarray:
     """inequality_forms' L and R, stacked, by the Gauss-Legendre rule on the given nodes."""
-    s, q = _gauss_legendre(nodes)
-    half = 0.5 * (weight.b - weight.a)
-    s = np.append(s, [-1.0, 1.0])  # the nodes, then the ends a and b
-    x = weight.a + half * (s + 1.0)
+    s, x, q, half, (p, dp, d2p) = _legendre_rule(weight, nodes, n_modes)
     outer, damped = (-2, -1) if side == "left" else (-1, -2)
-    # P_k, P_k' and P_k'' by (k + 1) P_{k+1} = (2k + 1) s P_k - k P_{k-1} and,
-    # differentiated, P_{k+1}^(d) = P_{k-1}^(d) + (2k + 1) P_k^(d - 1)
-    legendre = np.zeros((3, n_modes + 2, s.size))
-    legendre[0, 0], legendre[0, 1], legendre[1, 1] = 1.0, s, 1.0
-    for k in range(1, n_modes):
-        legendre[0, k + 1] = ((2 * k + 1) * s * legendre[0, k] - k * legendre[0, k - 1]) / (k + 1)
-        legendre[1:, k + 1] = legendre[1:, k - 1] + (2 * k + 1) * legendre[:2, k]
-    p, dp, d2p = legendre[:, :n_modes]
-    r = x - x[outer]  # the rows w_k = (x - outer) P_k(s) and their x-derivatives
+    # the rows w_k = (x - outer) P_k(s) and their x-derivatives; the offset is
+    # taken in s, as x - x[outer] cancels when the side is short
+    r = half * (s - s[outer])
     basis, d_basis, d2_basis = r * p, p + r * dp / half, (2.0 * dp + r * d2p / half) / half
     p1, p2 = np.asarray(weight.d1(x), dtype=float), np.asarray(weight.d2(x), dtype=float)
-    q = q * half
 
     def gram(X):  # sum_j q_j X[:, j] X[:, j]^T over the nodes
         return (X[:, :nodes] * q) @ X[:, :nodes].T
@@ -527,6 +425,14 @@ def inequality_forms(
     FloatingPointError.  P_w B is formed for each h: expanding G(P_w B) in
     powers of h cancels catastrophically near a resonance.
     """
+    forms, _ = _settled_forms(weight, n_modes, h_values, side)
+    return forms[0], forms[1]
+
+
+def _settled_forms(
+    weight: WeightFunction, n_modes: int, h_values, side: str
+) -> tuple[np.ndarray, int]:
+    """inequality_forms' L and R, stacked, and the node count on which they settled."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
@@ -543,7 +449,7 @@ def inequality_forms(
         scale = np.max(np.abs(finer), axis=(2, 3), initial=0.0)
         if forms is not None and np.all(
                 np.max(np.abs(finer - forms), axis=(2, 3), initial=0.0) <= tolerance * scale):
-            return finer[0], finer[1]
+            return finer, nodes
         if nodes == (n_modes + 3) << _NODE_DOUBLINGS:
             raise FloatingPointError(f"the inequality's forms did not settle on {nodes} nodes")
         forms, nodes = finer, 2 * nodes
@@ -578,10 +484,11 @@ def estimate_carleman_constant(
     over the first n_modes // 2 rows comes from the leading blocks (0 for one
     row), and the outer share is h^3 (b'_o . c)^2 / LHS at the maximiser c,
     with b'_o = P_k(-1) = (-1)^k on the left and P_k(1) = 1 on the right.
-    c_hat is the largest maximum over h_values.
+    c_hat is the largest maximum over h_values, and nodes the Gauss-Legendre
+    node count on which the forms settled.
     """
     h_values = np.sort(np.atleast_1d(np.asarray(h_values, dtype=float)))
-    lhs_forms, rhs_forms = inequality_forms(weight, n_modes, h_values, side)
+    (lhs_forms, rhs_forms), nodes = _settled_forms(weight, n_modes, h_values, side)
     sup_ratio = np.zeros(h_values.size)
     coefficients = np.zeros(lhs_forms.shape[:2])
     for i, (h, lhs_form, rhs_form) in enumerate(zip(h_values, lhs_forms, rhs_forms)):
@@ -603,19 +510,111 @@ def estimate_carleman_constant(
         outer_share=np.divide(outer_term, sup_ratio, out=np.zeros_like(sup_ratio),
                               where=sup_ratio > 0.0),
         coefficients=coefficients,
+        nodes=nodes,
     )
 
 
-@functools.lru_cache(maxsize=4)
-def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndarray:
-    """Read-only (n_modes, n + 1) real basis on a uniform grid, shared by its calls.
+# ----------------------------------------------------------------------------
+# the operator identities on Gauss-Legendre nodes
+# ----------------------------------------------------------------------------
 
-    Row k - 1 is the k-th mode, a shifted cosine free at both ends: the
-    incommensurate frequencies keep its value and slope generic there.
+
+def _series(weight: WeightFunction, coefficients, nodes: int):
+    """(x, q, w): x and q of _legendre_rule, and (w, w', w'') at x, exact, of
+    w = sum_k c_k P_{k-1}(s) for each row c of the coefficients."""
+    _, x, q, half, legendre = _legendre_rule(weight, nodes, np.shape(coefficients)[-1])
+    return x, q, np.asarray(coefficients) @ (legendre / half ** np.arange(3.0)[:, None, None])
+
+
+def split_conjugated_operator(
+    weight: WeightFunction, h: float, w: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric and antisymmetric parts (P_w = sym + i * antisym) at the points
+    x, from w = (w, w', w'') there.
+
+    sym  = delta^2 w - ((phi')^2 + 1) w           (delta = -i h d/dx)
+    anti = 2 phi' delta w - i h phi'' w
     """
-    a, b = interval
-    s = (np.linspace(a, b, n + 1) - a) / (b - a)
-    k = np.arange(1, n_modes + 1)
-    basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
-    basis.flags.writeable = False
-    return basis
+    p1 = np.asarray(weight.d1(x), dtype=float)
+    p2 = np.asarray(weight.d2(x), dtype=float)
+    sym = -(h**2) * w[2] - (p1**2 + 1.0) * w[0]
+    anti = -1j * h * (2.0 * p1 * w[1] + p2 * w[0])
+    return sym, anti
+
+
+def ibp_residuals(
+    weight: WeightFunction, h: float, v_coefficients, w_coefficients, nodes: int
+) -> tuple[float, float]:
+    """Residuals of the two integration-by-parts transfer identities.
+
+    First:   int v conj(Q2 w) = int (Q2 v) conj(w)
+             + i h [v conj(delta w) + (delta v) conj(w)] evaluated b minus a.
+    Second:  int v conj(Q1 w) = int (Q1 v) conj(w)
+             + 2 i h [phi' v conj(w)] evaluated b minus a.
+
+    v = sum_k v_k P_{k-1}(s) and w likewise, integrated by the Gauss-Legendre
+    rule on the given nodes.  Both residuals are normalized by the two sides.
+    """
+    x, q, vw = _series(weight, [v_coefficients, w_coefficients], nodes)
+    q2, q1 = split_conjugated_operator(weight, h, vw, x)  # rows v and w
+    (v, w), (dv, dw) = vw[0], -1j * h * vw[1]
+    p1 = np.asarray(weight.d1(x), dtype=float)
+    lhs = q @ (v * np.conj([q2[1], q1[1]]))[:, :-2].T
+    rhs = q @ (np.array([q2[0], q1[0]]) * np.conj(w))[:, :-2].T
+    ends = np.array([1j * h * (v * np.conj(dw) + dv * np.conj(w)), 2j * h * p1 * v * np.conj(w)])
+    rhs = rhs + ends[:, -1] - ends[:, -2]
+    residual = np.abs(lhs - rhs) / (np.abs(lhs) + np.abs(rhs) + 1e-300)
+    return float(residual[0]), float(residual[1])
+
+
+@dataclass
+class SquareExpansionReport:
+    lhs: float
+    rhs: float
+    relative_residual: float
+    volume: np.ndarray  # the seven volume integrals that rhs sums
+
+
+def square_expansion_residual(
+    weight: WeightFunction, h: float, coefficients, nodes: int
+) -> tuple[SquareExpansionReport, SquareExpansionReport]:
+    """Check of the expanded square of the conjugated operator on w = sum_k c_k P_{k-1}(s).
+
+    int |P_w w|^2 is expanded into the square of the symmetric part, positive
+    commutator volume terms, and boundary terms.  Returns the reports of the
+    two readings of the mixed boundary term, (curvature, plain):
+
+    * curvature: coefficient 2 h^2 phi''(endpoint), the value produced by
+      integrating the cross term by parts;
+    * plain: coefficient 2 h^2 (no curvature factor), as the expansion is
+      sometimes displayed.
+
+    The Gauss-Legendre rule on the given nodes is exact for a quadratic weight
+    from n_modes + 2 nodes on, where the curvature reading's residual is
+    rounding.  The readings share the left side and the volume terms.
+    """
+    x, q, w = _series(weight, coefficients, nodes)
+    sym, anti = split_conjugated_operator(weight, h, w, x)
+    dw, w = -1j * h * w[1], w[0]
+    p1, p2, p3, p4 = (np.asarray(d(x), dtype=float)
+                      for d in (weight.d1, weight.d2, weight.d3, weight.d4))
+    w_sq, dw_sq, mixed = np.abs(w) ** 2, np.abs(dw) ** 2, (w * np.conj(dw)).imag
+    lhs = float(q @ np.abs(sym + 1j * anti)[:-2] ** 2)
+    volume = np.array([
+        np.abs(sym) ** 2,
+        4.0 * p1**2 * dw_sq,
+        4.0 * h * p2 * dw_sq,
+        h**2 * p2**2 * w_sq,
+        4.0 * h * p2 * p1**2 * w_sq,
+        -(h**3) * p4 * w_sq,
+        4.0 * h * p1 * p2 * mixed,
+    ])[:, :-2] @ q
+    # the boundary terms at a and b, but for the mixed one's curvature factor
+    ends = (-2.0 * h * p1 * dw_sq - h * (2.0 * p1 * (1.0 + p1**2) - h**2 * p3) * w_sq)[-2:]
+    reports = []
+    for curvature in (p2[-2:], 1.0):
+        boundary = ends - 2.0 * h**2 * curvature * mixed[-2:]
+        rhs = float(np.sum(volume) + boundary[1] - boundary[0])
+        reports.append(SquareExpansionReport(
+            lhs, rhs, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300), volume))
+    return reports[0], reports[1]

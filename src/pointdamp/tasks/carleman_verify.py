@@ -18,7 +18,7 @@ from ..cli import (
 SCHEMA = {
     "side": ("both", one_of("both", "left", "right")),
     "weight": ("default", None),
-    # the coarsest identity-check grid has cells // 4 cells, and its
+    # the dual route's coarsest grid has cells // 4 cells, and its
     # one-sided second-derivative stencil needs at least 3 of them
     "cells": (2048, all_of(at_least(12), at_most(MAX_CELLS))),
     "n_modes": (8, at_least(1)),
@@ -35,7 +35,7 @@ def check(cfg: dict, xi: Position) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
     if not cfg["h_min"] <= cfg["h_max"]:
         raise ConfigError("need h_min <= h_max")
-    # the identity checks' basis on the grid, each side's forms of every h, and the
+    # the dual route's basis on its grid, each side's forms of every h, and the
     # rows on the most Gauss nodes: n_modes + 3 doubled carleman._NODE_DOUBLINGS times
     _check_sizes({
         "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
@@ -83,11 +83,11 @@ def identity_check_coefficients(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     Mode k of w is exp(i theta k^2) / k and of v exp(2 i theta k^2) / k, with
     theta = pi (3 - sqrt(5)) the golden angle: the 1/k decay of the random
     family in tests/oracles.py, and every mode complex and non-zero, since
-    theta k^2 is never a multiple of pi.  The phases grow with k^2 so that
-    Im(w conj(w')) at the free ends, which tells the square expansion's two
-    boundary readings apart, is as large as for a random draw: at the
-    defaults the plain reading's residual is 26-93x the curvature one's at
-    golden, sqrt(2) - 1 and 1/2, where phases linear in k give 1.4-2.9x.
+    theta k^2 is never a multiple of pi, so Im(w conj(w')) at the free ends,
+    which tells the square expansion's two boundary readings apart, is not
+    zero.  On the Legendre modes at the defaults the plain reading's
+    residual is 6.0e-5 to 2.2e-4 at golden, sqrt(2) - 1 and 1/2, and the
+    curvature one's is rounding, at most 2.0e-15.
     """
     import numpy as np
 
@@ -107,45 +107,44 @@ def _verify_carleman_side(
     admissible = carleman.validate_weight(weight, side)
     if not admissible.ok:
         raise ValueError(f"{side} weight inadmissible: {'; '.join(admissible.violations)}")
-    interval = (weight.a, weight.b)
-    cells = cfg["cells"]
-    h_ref = cfg["check_h"]
+    cells, h_ref = cfg["cells"], cfg["check_h"]
     w_coefficients, v_coefficients = identity_check_coefficients(cfg["n_modes"])
 
-    def on_grid(coefficients, n):
-        """The test function of the coefficients on weight.grid(n), free at both ends."""
-        return coefficients @ carleman.sample_basis(interval, n, cfg["n_modes"])
-
-    # dual-route convergence over 3 refinements
+    # dual-route convergence over 3 refinements of the grid, sampling the modes
+    # as carleman.sample_basis' cosines
     route_errors = []
     for n in (cells // 4, cells // 2, cells):
         x = weight.grid(n)
-        w = on_grid(w_coefficients, n)
-        diff = carleman.conjugation_route(weight, h_ref, w, x) - carleman.apply_conjugated_operator(
-            weight, h_ref, w, x
-        )
+        w = w_coefficients @ carleman.sample_basis((weight.a, weight.b), n, cfg["n_modes"])
+        try:
+            route = carleman.conjugation_route(weight, h_ref, w, x)
+        except FloatingPointError as exc:
+            raise FloatingPointError(
+                f"{exc}. The dual route's grid of {n} cells cannot hold exp(+-phi/h) across "
+                f"one stencil at check_h = {h_ref:g}: a larger check_h or cells lifts the limit"
+            ) from None
+        diff = route - carleman.apply_conjugated_operator(weight, h_ref, w, x)
         route_errors.append(float(np.max(np.abs(diff))))
     orders = [
         math.log2(route_errors[i] / route_errors[i + 1]) for i in range(len(route_errors) - 1)
     ]
 
-    x = weight.grid(cells)
-    w = on_grid(w_coefficients, cells)
-    v = on_grid(v_coefficients, cells)
-    ibp1, ibp2 = carleman.ibp_residuals(weight, h_ref, v, w, x)
-    sq_curv, sq_plain = carleman.square_expansion_residual(weight, h_ref, w, x)
-
     h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
     estimate = carleman.estimate_carleman_constant(weight, cfg["n_modes"], h_grid, side)
+    # the other identities on the Legendre series, on the constant's nodes
+    ibp = carleman.ibp_residuals(weight, h_ref, v_coefficients, w_coefficients, estimate.nodes)
+    curvature, plain = carleman.square_expansion_residual(
+        weight, h_ref, w_coefficients, estimate.nodes)
 
     checks = {
         "weight": weight.kind,
         "interval": [weight.a, weight.b],
         "dual_route_errors": route_errors,
         "dual_route_orders": orders,
-        "ibp_residuals": [ibp1, ibp2],
-        "square_identity_residual_curvature": sq_curv.relative_residual,
-        "square_identity_residual_plain": sq_plain.relative_residual,
+        "gauss_nodes": estimate.nodes,
+        "ibp_residuals": list(ibp),
+        "square_identity_residual_curvature": curvature.relative_residual,
+        "square_identity_residual_plain": plain.relative_residual,
     }
     return checks, estimate
 

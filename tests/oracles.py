@@ -16,6 +16,12 @@ The conjugation-route reference shares the package's stencil but grows each
 exponential window one node at a time, recomputing the weight's spread at
 every step, where the package reads window ends off running extrema.
 
+The operator identities (the split, integration by parts, the expanded
+square), which the package sums on Gauss-Legendre nodes, are referenced two
+ways: by finite differences and Simpson's rule on a uniform grid, converging
+at second order (the grid_* functions), and exactly, in numpy.polynomial's
+Legendre series algebra (exact_identity_terms).
+
 The random test functions are seeded combinations of the package's sample
 basis, or of pinned sines.  The Carleman constant on a span is the top
 eigenvalue of a pencil; no draw from the span may exceed it.  The sides of
@@ -50,12 +56,12 @@ from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from pointdamp.carleman import apply_helmholtz, sample_basis
+from pointdamp.carleman import SquareExpansionReport, _d2, apply_helmholtz, sample_basis
 from pointdamp.diophantine import (
     _GOLDEN_60, ConditionReport, GrowthFunction, default_mu_grid, settle,
 )
 from pointdamp.frequency import ForcingData, ResolventSolution, assemble_phi
-from pointdamp.quadrature import simpson
+from pointdamp.quadrature import derivative, simpson
 
 # one-sided 5-point first-derivative stencils, O(h^4)
 _BACKWARD5 = np.array([25.0, -48.0, 36.0, -16.0, 3.0]) / 12.0
@@ -272,6 +278,156 @@ def conjugation_route_incremental(
             break
         start = stop - 2 * margin
     return out, windows
+
+
+def grid_split_conjugated_operator(weight, h: float, w: np.ndarray, x: np.ndarray):
+    """Symmetric and antisymmetric parts (P_w = sym + i * antisym) on a uniform grid.
+
+    sym  = delta^2 w - ((phi')^2 + 1) w           (delta = -i h d/dx)
+    anti = 2 phi' delta w - i h phi'' w
+    """
+    dx = float(x[1] - x[0])
+    p1 = np.asarray(weight.d1(x), dtype=float)
+    p2 = np.asarray(weight.d2(x), dtype=float)
+    w = np.asarray(w, dtype=complex)
+    sym = -(h**2) * _d2(w, dx) - (p1**2 + 1.0) * w
+    anti = -1j * h * (2.0 * p1 * derivative(w, dx) + p2 * w)
+    return sym, anti
+
+
+def grid_ibp_residuals(weight, h: float, v: np.ndarray, w: np.ndarray, x: np.ndarray):
+    """The package's ibp_residuals for samples v and w on a uniform grid, by
+    finite differences and Simpson's rule."""
+    dx = float(x[1] - x[0])
+    v = np.asarray(v, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    q2w, q1w = grid_split_conjugated_operator(weight, h, w, x)
+    q2v, q1v = grid_split_conjugated_operator(weight, h, v, x)
+    dv = -1j * h * derivative(v, dx)
+    dw = -1j * h * derivative(w, dx)
+    p1 = np.asarray(weight.d1(x), dtype=float)
+
+    lhs1 = simpson(v * np.conj(q2w), dx=dx)
+    rhs1 = simpson(q2v * np.conj(w), dx=dx) + 1j * h * (
+        (v[-1] * np.conj(dw[-1]) + dv[-1] * np.conj(w[-1]))
+        - (v[0] * np.conj(dw[0]) + dv[0] * np.conj(w[0]))
+    )
+    lhs2 = simpson(v * np.conj(q1w), dx=dx)
+    rhs2 = simpson(q1v * np.conj(w), dx=dx) + 2j * h * (
+        p1[-1] * v[-1] * np.conj(w[-1]) - p1[0] * v[0] * np.conj(w[0])
+    )
+    s1 = abs(lhs1) + abs(rhs1) + 1e-300
+    s2 = abs(lhs2) + abs(rhs2) + 1e-300
+    return float(abs(lhs1 - rhs1) / s1), float(abs(lhs2 - rhs2) / s2)
+
+
+def grid_square_expansion_residual(weight, h: float, w: np.ndarray, x: np.ndarray):
+    """The package's square_expansion_residual for a sample w on a uniform grid,
+    by finite differences and Simpson's rule: its (curvature, plain) readings."""
+    x = np.asarray(x, dtype=float)
+    dx = float(x[1] - x[0])
+    w = np.asarray(w, dtype=complex)
+    p1 = np.asarray(weight.d1(x), dtype=float)
+    p2 = np.asarray(weight.d2(x), dtype=float)
+    p3 = np.asarray(weight.d3(x), dtype=float)
+    p4 = np.asarray(weight.d4(x), dtype=float)
+
+    sym, anti = grid_split_conjugated_operator(weight, h, w, x)
+    pw = sym + 1j * anti
+    dw = -1j * h * derivative(w, dx)
+
+    lhs = float(simpson(np.abs(pw) ** 2, dx=dx).real)
+    volume = np.array([
+        simpson(np.abs(sym) ** 2, dx=dx),
+        4.0 * simpson(p1**2 * np.abs(dw) ** 2, dx=dx),
+        4.0 * h * simpson(p2 * np.abs(dw) ** 2, dx=dx),
+        h**2 * simpson(p2**2 * np.abs(w) ** 2, dx=dx),
+        4.0 * h * simpson(p2 * p1**2 * np.abs(w) ** 2, dx=dx),
+        -(h**3) * simpson(p4 * np.abs(w) ** 2, dx=dx),
+        4.0 * h * simpson(p1 * p2 * (w * np.conj(dw)).imag, dx=dx),
+    ])
+
+    def boundary(idx: int, curvature: float) -> float:
+        return (
+            -2.0 * h * p1[idx] * abs(dw[idx]) ** 2
+            - 2.0 * h**2 * curvature * (w[idx] * np.conj(dw[idx])).imag
+            - h * (2.0 * p1[idx] * (1.0 + p1[idx] ** 2) - h**2 * p3[idx]) * abs(w[idx]) ** 2
+        )
+
+    def reading(curvature_left: float, curvature_right: float) -> SquareExpansionReport:
+        rhs = float(np.sum(volume)) + boundary(-1, curvature_right) - boundary(0, curvature_left)
+        residual = abs(lhs - rhs)
+        return SquareExpansionReport(
+            lhs=lhs,
+            rhs=rhs,
+            relative_residual=float(residual / (abs(lhs) + abs(rhs) + 1e-300)),
+            volume=volume,
+        )
+
+    return reading(p2[0], p2[-1]), reading(1.0, 1.0)
+
+
+def exact_identity_terms(weight, h: float, v_coefficients, w_coefficients) -> dict:
+    """The package's identity checks for a quadratic weight, in exact Legendre algebra.
+
+    v = sum_k v_k P_{k-1}(s) and w likewise are numpy.polynomial series on
+    [a, b], complex coefficients and all; phi' and phi'' are read off the
+    weight's ends as series of degree 1 and 0, and each integral is .integ()
+    taken between the ends.  Returns the series of the split of w, "sym" and
+    "anti"; the two sides of each integration-by-parts identity, "ibp"; and
+    the expanded square's left side, seven volume integrals and the right
+    sides of its two readings, "square" (the package's order and signs).
+    """
+    a, b = weight.a, weight.b
+    domain = [a, b]
+    ends = np.array(domain)
+    phi1 = Legendre.fit(ends, weight.d1(ends), 1, domain=domain)
+    phi2 = Legendre.fit(ends, weight.d2(ends), 0, domain=domain)
+    v, w = (Legendre(np.asarray(c, dtype=complex), domain=domain)
+            for c in (v_coefficients, w_coefficients))
+
+    def conj(f):
+        return Legendre(np.conj(f.coef), domain=domain)
+
+    def integral(f):
+        antiderivative = f.integ()
+        return antiderivative(b) - antiderivative(a)
+
+    def across(f):  # evaluated b minus a
+        return f(b) - f(a)
+
+    def split(f):
+        return (-(h**2) * f.deriv(2) - (phi1 * phi1 + 1.0) * f,
+                -1j * h * (2.0 * phi1 * f.deriv() + phi2 * f))
+
+    (q2v, q1v), (q2w, q1w) = split(v), split(w)
+    dv, dw = -1j * h * v.deriv(), -1j * h * w.deriv()
+    ibp = [
+        (integral(v * conj(q2w)),
+         integral(q2v * conj(w)) + 1j * h * across(v * conj(dw) + dv * conj(w))),
+        (integral(v * conj(q1w)), integral(q1v * conj(w)) + 2j * h * across(phi1 * v * conj(w))),
+    ]
+    pw = q2w + 1j * q1w
+    w_sq, dw_sq, mixed = w * conj(w), dw * conj(dw), w * conj(dw)
+    volume = np.array([
+        integral(q2w * conj(q2w)),
+        4.0 * integral(phi1 * phi1 * dw_sq),
+        4.0 * h * integral(phi2 * dw_sq),
+        h**2 * integral(phi2 * phi2 * w_sq),
+        4.0 * h * integral(phi2 * phi1 * phi1 * w_sq),
+        0.0,  # -h^3 int phi'''' |w|^2, and a quadratic's phi'''' is 0
+        4.0 * h * integral(phi1 * phi2 * mixed).imag,
+    ]).real
+
+    def boundary(end, curvature):
+        return (-2.0 * h * phi1(end) * dw_sq(end).real
+                - 2.0 * h**2 * curvature * mixed(end).imag
+                - 2.0 * h * phi1(end) * (1.0 + phi1(end) ** 2) * w_sq(end).real)
+
+    rhs = [np.sum(volume) + boundary(b, c_b) - boundary(a, c_a)
+           for c_a, c_b in ((phi2(a), phi2(b)), (1.0, 1.0))]
+    return {"sym": q2w, "anti": q1w, "ibp": ibp,
+            "square": (integral(pw * conj(pw)).real, volume, *rhs)}
 
 
 def legendre_rows(weight, side: str, n_modes: int) -> list[Legendre]:

@@ -29,7 +29,8 @@ poly_eps=3 (a strip check that is not refuted) and with k1=0 (an exp_grid
 refuted for every position), then each task's default sweep again on two
 usable CPUs and the simulate sweep on three, which write what the first
 copies, run on one, write, and two small simulate runs that differ only in
-``sample_every`` (1 and 100), whose ``final_state.csv`` is the same.
+``sample_every`` (1 and 100), whose ``final_state.csv`` is the same, and
+carleman-verify at 0.99999, whose right side is 1e-5 long.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -73,6 +74,7 @@ INVOCATIONS = (
     + [(3, SWEEPS[-1])]
     + [(None, ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
                "--set", f"sample_every={every}"]) for every in (1, 100)]
+    + [(None, ["carleman-verify", "--xi", "0.99999"])]
 )
 
 

@@ -13,8 +13,9 @@ import scipy.linalg
 
 from pointdamp import carleman, decayfit, diophantine, frequency, simulator
 from pointdamp.mesh import build_mesh
+from pointdamp.tasks.carleman_verify import identity_check_coefficients
 
-from oracles import numerov_interface_solve, random_test_function
+from oracles import grid_square_expansion_residual, numerov_interface_solve, random_test_function
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,8 +143,9 @@ def test_criterion_6_stability_dichotomy(capsys):
 
 
 def test_criterion_7_weighted_inequality_checks(capsys):
-    """Dual-route and square-expansion residuals converge at second order;
-    inequality ratio sup is finite and stable between Gauss node counts."""
+    """Dual-route and grid square-expansion residuals converge at second order;
+    the package's identities on Gauss nodes are exact to rounding; inequality
+    ratio sup is finite and stable between Gauss node counts."""
     sides = {
         "left": carleman.default_left_weight(GOLDEN),
         "right": carleman.default_right_weight(GOLDEN),
@@ -159,11 +161,20 @@ def test_criterion_7_weighted_inequality_checks(capsys):
             gap = carleman.conjugation_route(weight, h_ref, w, x) - \
                 carleman.apply_conjugated_operator(weight, h_ref, w, x)
             errs_route.append(float(np.max(np.abs(gap))))
-            rep, _ = carleman.square_expansion_residual(weight, h_ref, w, x)
+            rep, _ = grid_square_expansion_residual(weight, h_ref, w, x)
             errs_sq.append(rep.relative_residual)
         for errs in (errs_route, errs_sq):
             orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
             min_order = min(min_order, min(orders))
+    # the package's own checks, on the node count at which the forms settle:
+    # exact for the quadratic weights, so rounding, (2m + 4)^2 eps at most
+    w_coefficients, v_coefficients = identity_check_coefficients(8)
+    worst_exact = 0.0
+    for weight in sides.values():
+        ibp = carleman.ibp_residuals(weight, h_ref, v_coefficients, w_coefficients, 22)
+        rep, _ = carleman.square_expansion_residual(weight, h_ref, w_coefficients, 22)
+        worst_exact = max(worst_exact, *ibp, rep.relative_residual)
+    exact_bound = 20**2 * np.finfo(float).eps
 
     # the span maximum on 8 rows from the forms on 11 and 22 Gauss nodes, the
     # first count of the node rule and its first doubling
@@ -179,12 +190,14 @@ def test_criterion_7_weighted_inequality_checks(capsys):
     variation = abs(sups[11] / sups[22] - 1.0)
     ok = (
         min_order >= 1.9
+        and worst_exact <= exact_bound
         and all(math.isfinite(s) and s > 0 for s in sups.values())
         and variation <= 1e-12
     )
     _report(
         capsys, 7, ok,
-        f"min observed order {min_order:.2f} (needs >= 1.9); ratio sup "
+        f"min observed order {min_order:.2f} (needs >= 1.9); Gauss identity residuals "
+        f"{worst_exact:.1e} (allowed {exact_bound:.1e}); ratio sup "
         f"{sups[11]:.4e} vs {sups[22]:.4e}, variation {variation:.2e} (allowed 1e-12)",
     )
 

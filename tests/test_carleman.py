@@ -6,8 +6,12 @@ import pytest
 
 from oracles import (
     conjugation_route_incremental,
+    exact_identity_terms,
     exact_inequality_sides,
     gauss_inequality_sides,
+    grid_ibp_residuals,
+    grid_split_conjugated_operator,
+    grid_square_expansion_residual,
     legendre_rows,
     pinned_basis,
     random_coefficients,
@@ -34,6 +38,7 @@ from pointdamp import (
     square_expansion_residual,
     validate_weight,
 )
+from pointdamp.tasks.carleman_verify import identity_check_coefficients
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE
 
@@ -147,14 +152,14 @@ def test_split_reconstructs_operator(rng):
     weight = default_left_weight(GOLDEN)
     x = weight.grid(300)
     w = random_test_function((weight.a, weight.b), 300, rng)
-    sym, anti = split_conjugated_operator(weight, 0.2, w, x)
+    sym, anti = grid_split_conjugated_operator(weight, 0.2, w, x)
     full = apply_conjugated_operator(weight, 0.2, w, x)
     np.testing.assert_allclose(sym + 1j * anti, full, atol=1e-12 * np.max(np.abs(full)))
     # with a linear weight the antisymmetric part is exactly 2 phi' delta w
     lin = WeightFunction.polynomial([0.0, 3.0], (0.0, 1.0))
     xl = lin.grid(200)
     wl = random_test_function((0.0, 1.0), 200, rng)
-    _, anti_l = split_conjugated_operator(lin, 0.5, wl, xl)
+    _, anti_l = grid_split_conjugated_operator(lin, 0.5, wl, xl)
     dwl = np.gradient(wl, xl)
     inner = slice(1, -1)
     np.testing.assert_allclose(
@@ -195,7 +200,7 @@ def test_conjugation_route_overflow_guard():
         conjugation_route(weight, 1e-8, w, x)
 
 
-# ------------------------------------------------- transfer identities
+# ------------------------------- transfer identities, on the grid oracle
 
 
 def test_ibp_residuals_small_and_refining(rng):
@@ -207,13 +212,13 @@ def test_ibp_residuals_small_and_refining(rng):
         gen = np.random.default_rng(9)
         v = random_test_function((weight.a, weight.b), n, gen)
         w = random_test_function((weight.a, weight.b), n, gen)
-        res[n] = ibp_residuals(weight, h, v, w, x)
+        res[n] = grid_ibp_residuals(weight, h, v, w, x)
     assert res[1000][0] < 1e-4 and res[1000][1] < 1e-4
     assert res[4000][0] < res[1000][0]
     assert res[4000][1] < res[1000][1]
 
 
-# ------------------------------------------------------ square expansion
+# ------------------------------------ square expansion, on the grid oracle
 
 
 def test_square_expansion_curvature_reading_converges():
@@ -225,7 +230,7 @@ def test_square_expansion_curvature_reading_converges():
         w = random_test_function(
             (weight.a, weight.b), n, np.random.default_rng(6), pin_left=True
         )
-        rep, _ = square_expansion_residual(weight, h, w, x)
+        rep, _ = grid_square_expansion_residual(weight, h, w, x)
         residuals.append(rep.relative_residual)
     assert residuals[0] > residuals[1] > residuals[2]
     assert residuals[0] / residuals[2] > 8.0
@@ -242,7 +247,7 @@ def test_square_expansion_discriminates_readings():
     w = random_test_function(
         (weight.a, weight.b), n, np.random.default_rng(6), pin_left=True
     )
-    curv, plain = square_expansion_residual(weight, h, w, x)
+    curv, plain = grid_square_expansion_residual(weight, h, w, x)
     assert plain.relative_residual > 10.0 * curv.relative_residual
 
 
@@ -251,8 +256,81 @@ def test_square_expansion_readings_coincide_when_curvature_is_one(rng):
     weight = WeightFunction.polynomial([0.0, 1.0, 0.5], (0.0, 0.6))
     x = weight.grid(800)
     w = random_test_function((0.0, 0.6), 800, rng, pin_left=True)
-    a, b = square_expansion_residual(weight, 0.4, w, x)
+    a, b = grid_square_expansion_residual(weight, 0.4, w, x)
     assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
+
+
+# ------------------------------------ the identities on Gauss-Legendre nodes
+
+# (2m + 4)^2 eps at m = 8 modes: what rounding the nodes can move a sum by
+ROUNDING = 20**2 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05, 0.3])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_gauss_identities_match_the_exact_oracle(side, h):
+    """The default weights are quadratic, so on the node count at which the
+    constant's forms settle every identity's integrand is a polynomial the
+    rule integrates exactly: the split at the nodes, the square expansion's
+    left side, volume integrals and both readings equal numpy.polynomial's
+    exact values, and the integration-by-parts residuals are rounding."""
+    weight = _side_weight(side, "default")
+    nodes = estimate_carleman_constant(weight, 8, np.geomspace(1e-3, 1e-1, 13), side).nodes
+    assert nodes == 2 * (8 + 3)
+    w_coefficients, v_coefficients = identity_check_coefficients(8)
+    for v_c, w_c in ((v_coefficients, w_coefficients), tuple(_coefficients(2, seed=11))):
+        exact = exact_identity_terms(weight, h, v_c, w_c)
+        x, _, w = carleman._series(weight, w_c, nodes)
+        for part, exact_part in zip(split_conjugated_operator(weight, h, w, x),
+                                    (exact["sym"], exact["anti"])):
+            np.testing.assert_allclose(part, exact_part(x), rtol=0,
+                                       atol=1e-12 * np.max(np.abs(part)))
+        curvature, plain = square_expansion_residual(weight, h, w_c, nodes)
+        lhs, volume, rhs_curvature, rhs_plain = exact["square"]
+        assert curvature.lhs == pytest.approx(lhs, rel=1e-12)
+        np.testing.assert_allclose(curvature.volume, volume, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(volume)))
+        assert curvature.rhs == pytest.approx(rhs_curvature, rel=1e-12)
+        assert plain.rhs == pytest.approx(rhs_plain, rel=1e-12)
+        assert curvature.relative_residual <= ROUNDING
+        # the exact sides of each transfer identity agree, and the rule's do
+        for lhs, rhs in exact["ibp"]:
+            assert abs(lhs - rhs) <= 1e-14 * (abs(lhs) + abs(rhs))
+        assert max(ibp_residuals(weight, h, v_c, w_c, nodes)) <= ROUNDING
+
+
+@pytest.mark.parametrize("beta", [None, 2.0])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_square_expansion_without_any_one_volume_term_fails(side, beta):
+    """A mutant that drops one volume term lifts the curvature reading's
+    residual from rounding to above 1e-6, at golden and the default check_h.
+    The fourth derivative of the quadratic default weights vanishes, so the
+    h^3 phi'''' term is dropped under exp:2, where all seven matter."""
+    if beta is None:
+        weight = _side_weight(side, "default")
+    else:
+        interval = (0.0, GOLDEN) if side == "left" else (GOLDEN, 1.0)
+        weight = WeightFunction.exponential(beta if side == "left" else -beta, interval)
+    nodes = estimate_carleman_constant(weight, 8, np.geomspace(1e-3, 1e-1, 13), side).nodes
+    report, _ = square_expansion_residual(weight, 0.05, identity_check_coefficients(8)[0], nodes)
+    assert report.relative_residual <= ROUNDING
+    for k, term in enumerate(report.volume):
+        if beta is None and k == 5:
+            assert term == 0.0
+            continue
+        mutant = report.rhs - term
+        assert abs(report.lhs - mutant) > 1e-6 * (abs(report.lhs) + abs(mutant)), k
+
+
+@pytest.mark.parametrize("xi", [0.3, GOLDEN, 1.0 - 1e-4, 1.0 - 1e-6])
+def test_right_side_constant_mirrors_the_left(xi):
+    # x -> 1 - x takes (x - 2)^2 on [xi, 1] to (x + 1)^2 on [0, 1 - xi], and
+    # the rows' offset from the outer end is taken in s, so a short right side
+    # settles as its mirror does
+    h = np.geomspace(1e-3, 1e-1, 13)
+    right = estimate_carleman_constant(default_right_weight(xi), 8, h, "right")
+    left = estimate_carleman_constant(default_left_weight(1.0 - xi), 8, h, "left")
+    np.testing.assert_allclose(right.sup_ratio, left.sup_ratio, rtol=1e-11, atol=0)
 
 
 # ---------------------------------------------------------- the inequality

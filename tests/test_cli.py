@@ -1173,9 +1173,10 @@ def test_carleman_verify_left(tmp_path):
     side = report["result"]["left"]
     assert side["c_hat"] > side["c_hat_half_modes"] > 0.0
     assert all(o > 1.5 for o in side["dual_route_orders"])
-    # the default weight has phi'' = 2, so the two boundary readings differ;
-    # on this mesh both residuals stay below 1e-4 (at the default 2048 cells
-    # the plain one is ~52x the curvature one)
+    # the default weight has phi'' = 2, so the two boundary readings differ:
+    # on the 22 Gauss nodes the constant's forms settle on, the curvature one
+    # is rounding and the plain one 6.0e-5
+    assert side["gauss_nodes"] == 22
     assert side["square_identity_residual_curvature"] < 1e-4
     assert side["square_identity_residual_plain"] < 1e-4
     # one row per h: the span maximum, that of the leading half of the modes,
@@ -1189,6 +1190,42 @@ def test_carleman_verify_left(tmp_path):
     assert side["c_hat"] == max(sup)
     assert side["c_hat_half_modes"] == max(half)
     assert np.all((0.0 < share) & (share < 1.0))
+
+
+@pytest.mark.parametrize("xi, weight", [
+    ("golden", "default"), ("0.41421356237309515", "default"), ("1/2", "default"),
+    ("1/3", "exp:3"),
+])
+def test_carleman_identities_are_exact_to_rounding(tmp_path, xi, weight):
+    # on the Gauss nodes of the constant's forms the identities are exact for
+    # the default weights and settled for exp:3: what is left is rounding,
+    # (2 n_modes + 4)^2 eps at most, while the plain reading of the square
+    # expansion's mixed boundary term stays off by far more
+    assert run(["carleman-verify", "--xi", xi, "--out", tmp_path, "--set", f"weight={weight}",
+                "--set", "cells=64"]) == 0
+    result = json.loads((tmp_path / "carleman_report.json").read_text())["result"]
+    bound = (2 * 8 + 4) ** 2 * np.finfo(float).eps
+    for side in ("left", "right"):
+        checks = result[side]
+        assert max(checks["ibp_residuals"]) <= bound, side
+        assert checks["square_identity_residual_curvature"] <= bound, side
+        if xi == "golden":
+            assert checks["square_identity_residual_plain"] >= 1e-6, side
+
+
+@pytest.mark.parametrize("setting", ["weight=exp:10.5", "check_h=2e-5"])
+def test_carleman_dual_route_refusal_names_the_keys_that_lift_it(tmp_path, capsys, setting):
+    # at golden the grid route holds exp(+-phi/h) across one stencil up to
+    # exp:10.38 and down to check_h = 2.6e-5 on the default 2048 cells; the
+    # refusal names what a command-line user can change, and four times the
+    # cells run
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "default",
+                "--set", setting]) == 3
+    err = capsys.readouterr().err
+    assert "computation error: FloatingPointError" in err
+    assert "a larger check_h or cells lifts the limit" in err
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "finer",
+                "--set", setting, "--set", "cells=8192"]) == 0
 
 
 def test_carleman_constant_does_not_fall_with_more_modes(tmp_path):
@@ -1579,7 +1616,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 36
+    assert sum(line.endswith(".json") for line in lines) == 37
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):
