@@ -24,7 +24,6 @@ rescaled windows (the identity being local, this is exact).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -246,9 +245,8 @@ def conjugation_route(
     return out
 
 
-@functools.lru_cache(maxsize=4)
 def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndarray:
-    """Read-only (n_modes, n + 1) real basis on a uniform grid, shared by its calls.
+    """(n_modes, n + 1) real basis on a uniform grid.
 
     Row k - 1 is the k-th mode, a shifted cosine free at both ends: the
     incommensurate frequencies keep its value and slope generic there.
@@ -256,9 +254,7 @@ def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndar
     a, b = interval
     s = (np.linspace(a, b, n + 1) - a) / (b - a)
     k = np.arange(1, n_modes + 1)
-    basis = np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
-    basis.flags.writeable = False
-    return basis
+    return np.cos(np.outer((k + 0.37) * np.pi, s) + 0.21)
 
 
 # ----------------------------------------------------------------------------

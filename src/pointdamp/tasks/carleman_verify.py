@@ -11,23 +11,20 @@ from pathlib import Path
 
 from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_CELLS, ConfigError, Position, _check_sizes, _report_skeleton, all_of, at_least,
-    at_most, finite_positive, one_of,
+    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, _report_skeleton,
+    at_least, finite_positive, one_of,
 )
 
 SCHEMA = {
     "side": ("both", one_of("both", "left", "right")),
     "weight": ("default", None),
-    # the dual route's coarsest grid has cells // 4 cells, and its
-    # one-sided second-derivative stencil needs at least 3 of them
-    "cells": (2048, all_of(at_least(12), at_most(MAX_CELLS))),
     "n_modes": (8, at_least(1)),
     "h_min": (1e-3, finite_positive),
     "h_max": (1e-1, finite_positive),
     "h_count": (13, at_least(1)),
     "check_h": (0.05, finite_positive),
 }
-SWEEP_DEFAULTS = {"cells": "1024"}
+SWEEP_DEFAULTS: dict[str, str] = {}
 USES_NUMPY = True
 
 
@@ -35,10 +32,9 @@ def check(cfg: dict, xi: Position) -> float | None:
     """beta of a weight=exp:<beta> config, None for the default weights."""
     if not cfg["h_min"] <= cfg["h_max"]:
         raise ConfigError("need h_min <= h_max")
-    # the dual route's basis on its grid, each side's forms of every h, and the
-    # rows on the most Gauss nodes: n_modes + 3 doubled carleman._NODE_DOUBLINGS times
+    # each side's forms of every h, and the rows on the most Gauss nodes:
+    # n_modes + 3 doubled carleman._NODE_DOUBLINGS times (run sizes the dual route)
     _check_sizes({
-        "n_modes * (cells + 1)": cfg["n_modes"] * (cfg["cells"] + 1),
         "h_count * n_modes**2": cfg["h_count"] * cfg["n_modes"] ** 2,
         "n_modes * (n_modes + 3) * 2**6": cfg["n_modes"] * (cfg["n_modes"] + 3) * 2**6,
     })
@@ -58,23 +54,41 @@ def check(cfg: dict, xi: Position) -> float | None:
 
 def _carleman_weights(
     cfg: dict, xi: float, beta: float | None
-) -> dict[str, carleman.WeightFunction]:
+) -> dict[str, tuple[carleman.WeightFunction, int]]:
+    """side -> (its admissible weight, its dual route's cells), every side before any runs."""
     from .. import carleman
 
     sides = ("left", "right") if cfg["side"] == "both" else (cfg["side"],)
     weights = {}
     for side in sides:
-        interval = (0.0, xi) if side == "left" else (xi, 1.0)
         if beta is None:
-            weights[side] = (
-                carleman.default_left_weight(xi)
-                if side == "left"
-                else carleman.default_right_weight(xi)
-            )
+            weight = (carleman.default_left_weight if side == "left"
+                      else carleman.default_right_weight)(xi)
         else:
-            signed = beta if side == "left" else -beta
-            weights[side] = carleman.WeightFunction.exponential(signed, interval)
+            interval = (0.0, xi) if side == "left" else (xi, 1.0)
+            weight = carleman.WeightFunction.exponential(
+                beta if side == "left" else -beta, interval)
+        admissible = carleman.validate_weight(weight, side)
+        if not admissible.ok:
+            raise ValueError(f"{side} weight inadmissible: {'; '.join(admissible.violations)}")
+        weights[side] = weight, _dual_route_cells(cfg, side, weight)
     return weights
+
+
+def _dual_route_cells(cfg: dict, side: str, weight: carleman.WeightFunction) -> int:
+    """The fewest cells n with dx * max(max|phi'| / check_h, sample_basis' top frequency)
+    <= 0.08, phi' largest at an end since phi'' > 0: 4n against 2n then reads second
+    order.  The dual route runs n, 2n and 4n; a 4n past the ceilings is refused."""
+    slope = max(abs(float(weight.d1(end))) for end in (weight.a, weight.b)) / cfg["check_h"]
+    top = (cfg["n_modes"] + 0.37) * math.pi / (weight.b - weight.a)
+    coarse = (weight.b - weight.a) * max(slope, top) / 0.08
+    cells = math.ceil(min(coarse, MAX_CELLS))
+    if 4 * cells > MAX_CELLS or cfg["n_modes"] * (4 * cells + 1) > MAX_GRID_POINTS:
+        lever = "a larger check_h" if slope > top else "fewer n_modes"
+        raise ValueError(f"the {side} dual route needs {4 * coarse:.3g} cells at check_h = "
+                         f"{cfg['check_h']:g}, past {MAX_CELLS} cells or {MAX_GRID_POINTS} "
+                         f"basis points: {lever} lifts the limit")
+    return cells
 
 
 def identity_check_coefficients(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,37 +111,26 @@ def identity_check_coefficients(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verify_carleman_side(
-    cfg: dict, side: str, weight: carleman.WeightFunction
+    cfg: dict, side: str, weight: carleman.WeightFunction, cells: int
 ) -> tuple[dict, carleman.ConstantEstimate]:
     """Returns (the identity checks, the constant estimate) for one side."""
     import numpy as np
 
     from .. import carleman
 
-    admissible = carleman.validate_weight(weight, side)
-    if not admissible.ok:
-        raise ValueError(f"{side} weight inadmissible: {'; '.join(admissible.violations)}")
-    cells, h_ref = cfg["cells"], cfg["check_h"]
+    h_ref = cfg["check_h"]
     w_coefficients, v_coefficients = identity_check_coefficients(cfg["n_modes"])
 
     # dual-route convergence over 3 refinements of the grid, sampling the modes
     # as carleman.sample_basis' cosines
     route_errors = []
-    for n in (cells // 4, cells // 2, cells):
+    for n in (cells, 2 * cells, 4 * cells):
         x = weight.grid(n)
         w = w_coefficients @ carleman.sample_basis((weight.a, weight.b), n, cfg["n_modes"])
-        try:
-            route = carleman.conjugation_route(weight, h_ref, w, x)
-        except FloatingPointError as exc:
-            raise FloatingPointError(
-                f"{exc}. The dual route's grid of {n} cells cannot hold exp(+-phi/h) across "
-                f"one stencil at check_h = {h_ref:g}: a larger check_h or cells lifts the limit"
-            ) from None
+        route = carleman.conjugation_route(weight, h_ref, w, x)
         diff = route - carleman.apply_conjugated_operator(weight, h_ref, w, x)
         route_errors.append(float(np.max(np.abs(diff))))
-    orders = [
-        math.log2(route_errors[i] / route_errors[i + 1]) for i in range(len(route_errors) - 1)
-    ]
+    orders = [math.log2(coarse / fine) for coarse, fine in zip(route_errors, route_errors[1:])]
 
     h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
     estimate = carleman.estimate_carleman_constant(weight, cfg["n_modes"], h_grid, side)
@@ -139,6 +142,7 @@ def _verify_carleman_side(
     checks = {
         "weight": weight.kind,
         "interval": [weight.a, weight.b],
+        "dual_route_cells": cells,
         "dual_route_errors": route_errors,
         "dual_route_orders": orders,
         "gauss_nodes": estimate.nodes,
@@ -154,8 +158,8 @@ def run(
 ) -> dict[str, tuple[dict, carleman.ConstantEstimate]]:
     """Returns side -> (identity checks, constant estimate), weighted by check's beta."""
     return {
-        side: _verify_carleman_side(cfg, side, weight)
-        for side, weight in _carleman_weights(cfg, xi.value, plan).items()
+        side: _verify_carleman_side(cfg, side, weight, cells)
+        for side, (weight, cells) in _carleman_weights(cfg, xi.value, plan).items()
     }
 
 

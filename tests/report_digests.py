@@ -30,7 +30,9 @@ refuted for every position), then each task's default sweep again on two
 usable CPUs and the simulate sweep on three, which write what the first
 copies, run on one, write, and two small simulate runs that differ only in
 ``sample_every`` (1 and 100), whose ``final_state.csv`` is the same, and
-carleman-verify at 0.99999, whose right side is 1e-5 long.
+carleman-verify at 0.99999, whose right side is 1e-5 long, and
+carleman-verify at golden with weight=exp:6 and with check_h=1e-3, whose
+dual routes run on tens of thousands of cells.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -75,6 +77,8 @@ INVOCATIONS = (
     + [(None, ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
                "--set", f"sample_every={every}"]) for every in (1, 100)]
     + [(None, ["carleman-verify", "--xi", "0.99999"])]
+    + [(None, ["carleman-verify", "--xi", "golden", "--set", setting])
+       for setting in ("weight=exp:6", "check_h=1e-3")]
 )
 
 

@@ -77,8 +77,7 @@ def test_carleman_verify_loads_no_random_generator(tmp_path):
     # numpy.random imports secrets, hmac and _hashlib, which maps OpenSSL's
     # libcrypto: ~5.7 MiB of resident memory that carleman-verify has no use for
     done = run_interpreter("-X", "importtime", "-m", "pointdamp.cli", "carleman-verify",
-                           "--xi", "golden", "--out", tmp_path,
-                           "--set", "cells=64", "--set", "h_count=3")
+                           "--xi", "golden", "--out", tmp_path, "--set", "h_count=3")
     assert done.returncode == 0, done.stderr
     assert re.search(r"\| +pointdamp\.carleman$", done.stderr, re.M)
     assert not re.search(r"\| +numpy\.random$", done.stderr, re.M)
@@ -324,7 +323,7 @@ def test_tasks_without_arithmetic_load_no_diophantine(tmp_path):
     runs = [
         ["resolvent-scan", "--xi", "golden", "--set", "mu_max=3", "--set", "cells=16"],
         ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
-        ["carleman-verify", "--xi", "1/3", "--set", "cells=64", "--set", "h_count=3"],
+        ["carleman-verify", "--xi", "1/3", "--set", "h_count=3"],
     ]
     done = run_python(
         "import sys\n"
@@ -573,15 +572,14 @@ def test_degenerate_rectangle_is_config_error(tmp_path):
     ["resolvent-scan", "--set", "mu_min=-1"],
     ["resolvent-scan", "--seed", "-1"],
     ["resolvent-scan", "--set", "mu_max=1e300"],
+    # the dual route sizes its own grids, so this is refused as an unknown key
     ["carleman-verify", "--set", "cells=2"],
-    ["carleman-verify", "--set", "cells=1000001"],
     ["carleman-verify", "--set", "h_min=0"],
     ["carleman-verify", "--set", "h_max=0"],
     ["carleman-verify", "--set", "check_h=0"],
     ["carleman-verify", "--set", "n_modes=0"],
     ["carleman-verify", "--set", "n_modes=-1"],
     ["carleman-verify", "--set", "h_count=0"],
-    ["carleman-verify", "--set", "cells=11"],
     ["carleman-verify", "--seed", "-1"],
     # an inverted h range, which would be swept the right way round
     ["carleman-verify", "--set", "h_min=0.2", "--set", "h_max=0.1"],
@@ -734,7 +732,7 @@ KEY_READ_RUNS = [
     ("classify", {"xi": "golden", "mu_max": "50", "liouville_m_max": "100"}, {"seed"}),
     ("resolvent-scan", {"xi": "golden", "mu_max": "3", "cells": "16", "probes": "2"}, set()),
     ("spectrum", {"xi": "golden", "re_max": "10"}, {"seed"}),
-    ("carleman-verify", {"xi": "golden", "cells": "64", "h_count": "3"}, {"seed"}),
+    ("carleman-verify", {"xi": "golden", "h_count": "3"}, {"seed"}),
     ("simulate", {"xi": "golden", "cells": "16", "t_final": "0.2"}, {"seed"}),
     ("sweep", {"xi_list": "0.3,0.6", "re_max": "8"}, {"xi_min", "xi_max", "xi_count"}),
     ("sweep", {"xi_min": "0.3", "xi_max": "0.6", "xi_count": "2", "re_max": "8"}, set()),
@@ -766,7 +764,7 @@ def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
 
     runs = {
         "sim": ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
-        "car": ["carleman-verify", "--xi", "golden", "--set", "cells=64", "--set", "h_count=3"],
+        "car": ["carleman-verify", "--xi", "golden", "--set", "h_count=3"],
     }
     # the task modules load before the patch, so a writer they bound at
     # import would miss it
@@ -795,8 +793,8 @@ def test_carleman_non_finite_forms_are_computation_errors(tmp_path, setting):
     # would be written as 0
     with np.errstate(all="ignore"):
         code = run([
-            "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
-            "--set", "h_count=3", "--set", setting,
+            "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "h_count=3",
+            "--set", setting,
         ])
     assert code == 3
     assert not list(tmp_path.iterdir())
@@ -815,26 +813,28 @@ def test_carleman_rows_on_the_most_gauss_nodes_are_sized_before_the_run(tmp_path
     assert not list(tmp_path.iterdir())
 
 
-def test_carleman_columns_do_not_depend_on_cells(tmp_path):
-    # cells is the identity checks' grid alone: the constant's columns are the
-    # same bytes on 512 cells and on 4096
-    columns = {}
-    for cells in (512, 4096):
-        out = tmp_path / str(cells)
-        assert run(["carleman-verify", "--xi", "golden", "--out", out,
-                    "--set", f"cells={cells}"]) == 0
-        _, names, rows = read_csv(out / "carleman_sweep.csv")
+def test_carleman_sides_compute_alone(tmp_path):
+    # each side sizes its own dual route, and its constant's rows are the
+    # same bytes whether the other side runs or not
+    rows = {}
+    for side in ("both", "left", "right"):
+        assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / side,
+                    "--set", f"side={side}"]) == 0
+        _, names, rows[side] = read_csv(tmp_path / side / "carleman_sweep.csv")
         assert names == ["side", "h", "sup_ratio", "sup_ratio_half_modes", "outer_share"]
-        columns[cells] = [row[:5] for row in rows]
-    assert columns[512] == columns[4096]
+    assert rows["both"] == rows["left"] + rows["right"]
+    result = json.loads((tmp_path / "both" / "carleman_report.json").read_text())["result"]
+    for side in ("left", "right"):
+        alone = json.loads((tmp_path / side / "carleman_report.json").read_text())["result"]
+        assert alone == {side: result[side]}
 
 
 def test_carleman_tiny_h_gives_finite_ratios(tmp_path):
     # no exponential and no negative power of h enters the forms in w, so at
     # h = 1e-100 both sides are finite and the span maximum is O(h)
     assert run([
-        "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "cells=64",
-        "--set", "h_count=3", "--set", "h_min=1e-100",
+        "carleman-verify", "--xi", "golden", "--out", tmp_path, "--set", "h_count=3",
+        "--set", "h_min=1e-100",
     ]) == 0
     _, _, rows = read_csv(tmp_path / "carleman_sweep.csv")
     for side in ("left", "right"):
@@ -1166,7 +1166,7 @@ def test_resolvent_scan_with_a_failing_child_exits_3(tmp_path, monkeypatch, caps
 def test_carleman_verify_left(tmp_path):
     code = run([
         "carleman-verify", "--xi", "golden", "--out", tmp_path,
-        "--set", "side=left", "--set", "cells=512", "--set", "h_count=5",
+        "--set", "side=left", "--set", "h_count=5",
     ])
     assert code == 0
     report = json.loads((tmp_path / "carleman_report.json").read_text())
@@ -1201,8 +1201,8 @@ def test_carleman_identities_are_exact_to_rounding(tmp_path, xi, weight):
     # the default weights and settled for exp:3: what is left is rounding,
     # (2 n_modes + 4)^2 eps at most, while the plain reading of the square
     # expansion's mixed boundary term stays off by far more
-    assert run(["carleman-verify", "--xi", xi, "--out", tmp_path, "--set", f"weight={weight}",
-                "--set", "cells=64"]) == 0
+    assert run(["carleman-verify", "--xi", xi, "--out", tmp_path,
+                "--set", f"weight={weight}"]) == 0
     result = json.loads((tmp_path / "carleman_report.json").read_text())["result"]
     bound = (2 * 8 + 4) ** 2 * np.finfo(float).eps
     for side in ("left", "right"):
@@ -1213,19 +1213,55 @@ def test_carleman_identities_are_exact_to_rounding(tmp_path, xi, weight):
             assert checks["square_identity_residual_plain"] >= 1e-6, side
 
 
-@pytest.mark.parametrize("setting", ["weight=exp:10.5", "check_h=2e-5"])
-def test_carleman_dual_route_refusal_names_the_keys_that_lift_it(tmp_path, capsys, setting):
-    # at golden the grid route holds exp(+-phi/h) across one stencil up to
-    # exp:10.38 and down to check_h = 2.6e-5 on the default 2048 cells; the
-    # refusal names what a command-line user can change, and four times the
-    # cells run
-    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "default",
+@pytest.mark.parametrize("setting, lifted", [
+    ("weight=exp:10.5", ["weight=exp:10.5", "check_h=0.5"]), ("check_h=2e-5", ["check_h=2e-4"]),
+], ids=["weight=exp:10.5", "check_h=2e-5"])
+def test_carleman_dual_route_refusal_names_the_keys_that_lift_it(tmp_path, capsys, setting,
+                                                                  lifted):
+    # at golden the left side's grids resolving exp(+-phi/h) would pass 10^6
+    # cells: a computation error, before any grid is built, that names what
+    # a command-line user can change; a larger check_h runs, at order 2
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "refused",
                 "--set", setting]) == 3
     err = capsys.readouterr().err
-    assert "computation error: FloatingPointError" in err
-    assert "a larger check_h or cells lifts the limit" in err
-    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "finer",
-                "--set", setting, "--set", "cells=8192"]) == 0
+    assert "computation error: ValueError: the left dual route needs" in err
+    assert "a larger check_h lifts the limit" in err
+    assert not (tmp_path / "refused").exists()
+    settings = [item for value in lifted for item in ("--set", value)]
+    assert run(["carleman-verify", "--xi", "golden", "--out", tmp_path / "lifted",
+                *settings]) == 0
+    result = json.loads((tmp_path / "lifted" / "carleman_report.json").read_text())["result"]
+    for side in ("left", "right"):
+        assert all(1.9 <= o <= 2.2 for o in result[side]["dual_route_orders"]), side
+
+
+# (xi, settings): the dual route reads second order wherever it runs, and the
+# configs whose grids would pass the ceilings are refused, writing nothing
+DUAL_ROUTE_RUNS = [
+    ("golden", []), ("0.41421356237309515", []), ("1/2", []), ("golden", ["n_modes=32"]),
+    ("0.99999", []), ("1/3", ["weight=exp:3"]), ("golden", ["weight=exp:3"]),
+    ("golden", ["weight=exp:6"]), ("golden", ["check_h=1e-3"]),
+]
+DUAL_ROUTE_REFUSALS = [
+    ("golden", ["weight=exp:10"]), ("golden", ["weight=exp:10.5"]), ("golden", ["check_h=2e-5"]),
+    ("golden", ["weight=exp:20", "check_h=1"]),
+]
+
+
+@pytest.mark.parametrize("xi, settings", DUAL_ROUTE_RUNS + DUAL_ROUTE_REFUSALS,
+                         ids=lambda value: value if isinstance(value, str) else "-".join(value))
+def test_carleman_dual_route_orders_are_second_order(tmp_path, capsys, xi, settings):
+    args = [item for value in settings for item in ("--set", value)]
+    code = run(["carleman-verify", "--xi", xi, "--out", tmp_path / "out", *args])
+    if (xi, settings) in DUAL_ROUTE_REFUSALS:
+        assert code == 3
+        assert "check_h" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        return
+    assert code == 0
+    result = json.loads((tmp_path / "out" / "carleman_report.json").read_text())["result"]
+    for side in ("left", "right"):
+        assert all(1.9 <= o <= 2.2 for o in result[side]["dual_route_orders"]), side
 
 
 def test_carleman_constant_does_not_fall_with_more_modes(tmp_path):
@@ -1434,8 +1470,7 @@ def test_sweep_runs_on_one_blas_thread(tmp_path, preset):
         "from pointdamp.cli import main\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"code = main(['sweep', '--out', {str(tmp_path)!r}, '--set', 'task=carleman-verify',\n"
-        "             '--set', 'xi_list=0.3,0.5,0.6', '--set', 'cells=64',\n"
-        "             '--set', 'h_count=3'])\n"
+        "             '--set', 'xi_list=0.3,0.5,0.6', '--set', 'h_count=3'])\n"
         "import numpy\n"
         "libraries = glob.glob(numpy.__path__[0] + '.libs/libscipy_openblas*')\n"
         "threads = (ctypes.CDLL(libraries[0]).scipy_openblas_get_num_threads64_()\n"
@@ -1520,7 +1555,7 @@ SMALL_RUNS = {
     "classify": ["mu_max=20", "liouville_m_max=100"],
     "resolvent-scan": ["mu_max=3", "cells=16", "probes=2"],
     "spectrum": ["re_max=8"],
-    "carleman-verify": ["cells=64", "h_count=3"],
+    "carleman-verify": ["h_count=3"],
     "simulate": ["cells=16", "t_final=0.2"],
 }
 
@@ -1565,7 +1600,7 @@ def test_each_position_is_checked_once(tmp_path, monkeypatch, split_parts, comma
     ["resolvent-scan", "--xi", "0.3", "--set", "mu_min=3", "--set", "mu_max=8",
      "--set", "mu_step=1", "--set", "cells=64", "--set", "probes=2"],
     ["spectrum", "--xi", "0.3", "--set", "re_max=12"],
-    ["carleman-verify", "--xi", "0.3", "--set", "cells=256", "--set", "h_count=4"],
+    ["carleman-verify", "--xi", "0.3", "--set", "h_count=4"],
     ["simulate", "--xi", "0.3", "--set", "cells=60", "--set", "t_final=2",
      "--set", "sample_every=10"],
     ["sweep", "--set", "task=simulate", "--set", "xi_list=0.3,0.6", "--set", "cells=40",
@@ -1616,7 +1651,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 37
+    assert sum(line.endswith(".json") for line in lines) == 39
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):
@@ -1688,7 +1723,7 @@ SMALL_TASK_CONFIGS = {
     "classify": ["--set", "mu_max=20", "--set", "keep_trace=true"],
     "resolvent-scan": ["--set", "mu_max=3", "--set", "cells=16"],
     "spectrum": ["--set", "re_max=12"],
-    "carleman-verify": ["--set", "cells=64", "--set", "h_count=3"],
+    "carleman-verify": ["--set", "h_count=3"],
     "simulate": ["--set", "cells=20", "--set", "t_final=0.5"],
 }
 
