@@ -32,7 +32,8 @@ copies, run on one, write, and two small simulate runs that differ only in
 ``sample_every`` (1 and 100), whose ``final_state.csv`` is the same, and
 carleman-verify at 0.99999, whose right side is 1e-5 long, and
 carleman-verify at golden with weight=exp:6 and with check_h=1e-3, whose
-dual routes run on tens of thousands of cells.
+dual routes run on tens of thousands of cells, and simulate at golden on 300
+cells to t_final=200, whose decay fits rank a power law first.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -79,6 +80,8 @@ INVOCATIONS = (
     + [(None, ["carleman-verify", "--xi", "0.99999"])]
     + [(None, ["carleman-verify", "--xi", "golden", "--set", setting])
        for setting in ("weight=exp:6", "check_h=1e-3")]
+    + [(None, ["simulate", "--xi", "golden", "--set", "cells=300", "--set", "t_final=200",
+               "--set", "dt=0.002"])]
 )
 
 

@@ -206,11 +206,10 @@ def test_criterion_8_decay_fit_inversion(capsys):
     """Noiseless traces invert exactly; 1% noise stays within 5%."""
     t = np.linspace(0.0, 400.0, 2500)
     families = [
-        ("logarithmic", 3.7 / np.log(2.0 + t) ** 4, lambda tr: decayfit.fit_log(tr, n=2),
-         {"C": 3.7}),
-        ("polynomial", 2.2 / (1.0 + t) ** (1.0 / 1.5), lambda tr: decayfit.fit_poly(tr, eps=0.5),
-         {"C": 2.2}),
-        ("exponential", 1.9 * np.exp(-0.05 * t), lambda tr: decayfit.fit_exp(tr),
+        ("logarithmic", 3.7 / np.log(2.0 + t) ** 4, decayfit.fit_log, {"C": 3.7, "power": 4.0}),
+        ("polynomial", 2.2 / (1.0 + t) ** (1.0 / 1.5), decayfit.fit_poly,
+         {"C": 2.2, "power": 1.0 / 1.5}),
+        ("exponential", 1.9 * np.exp(-0.05 * t), decayfit.fit_exp,
          {"M": 1.9, "rate": 0.05}),
     ]
     worst_clean = 0.0
