@@ -16,10 +16,9 @@ u on the grid or as exact Gauss-Legendre forms on the span of Legendre rows of
 the conjugated variable w = e^{(phi - max phi)/h} u, in which no exponential
 appears.  The constant on that span is the top eigenvalue of their pencil.
 
-Exponentials are always taken relative to a local reference value of the
-weight so no admissible h can overflow; when e^{phi/h} spans more than the
-double exponent range the conjugation route is evaluated on overlapping
-rescaled windows (the identity being local, this is exact).
+Exponentials are taken relative to a reference value of the weight: the
+inequality's to max phi, so none overflows, and the conjugation route's to
+phi at each node, over at most three cells; one that overflows raises.
 """
 
 from __future__ import annotations
@@ -52,8 +51,6 @@ __all__ = [
     "sample_basis",
 ]
 
-# largest exponent magnitude we allow inside one rescaled window
-_EXP_WINDOW = 300.0
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
 # inequality_forms doubles its n_modes + 3 Gauss nodes at most this often
@@ -200,49 +197,26 @@ def conjugation_route(
 ) -> np.ndarray:
     """Conjugated operator computed literally as -h^2 e^{phi/h} P(e^{-phi/h} w).
 
-    The weight is recentered on overlapping windows so the exponentials stay
-    inside the double range for any h; results are stitched from window
-    interiors where the stencils are exact.  Raises FloatingPointError when
-    even a minimal window would overflow.
+    Node j recentres the weight at phi_j: its stencil (_d2's) reads each
+    neighbour k as e^{(phi_j - phi_k)/h} w_k, so no exponent spans more than
+    the three cells of the one-sided ends.  Raises FloatingPointError where
+    an exponential overflows.
     """
     x = np.asarray(x, dtype=float)
     dx = float(x[1] - x[0])
     phi = np.asarray(weight.d0(x), dtype=float)
     w = np.asarray(w, dtype=complex)
-    n = x.size
-    out = np.full(n, np.nan + 0j)
-    margin = 2  # stencil half-width plus one
-    start = 0
-    while start < n:
-        # widest window starting here whose recentred exponent stays bounded
-        stop = start + 2 * margin + 1
-        if stop > n:
-            stop = n
-            start = max(0, n - (2 * margin + 1))
-        if stop < n:
-            # spread[j] = ptp(phi[start:start + j + 1]) never decreases: grow the
-            # window up to the first node that takes it past the bound
-            tail = phi[start:]
-            spread = np.maximum.accumulate(tail) - np.minimum.accumulate(tail)
-            grown = start + int(np.searchsorted(spread, _EXP_WINDOW * h, side="right"))
-            stop = min(n, max(stop, grown))
-        window = slice(start, stop)
-        if np.ptp(phi[window]) > 2.0 * _EXP_WINDOW * h:
-            raise FloatingPointError(
-                "weight varies too fast for the exponential route at this h; "
-                "use the expanded formula"
-            )
-        center = 0.5 * (np.max(phi[window]) + np.min(phi[window]))
-        scaled = np.exp(-(phi[window] - center) / h) * w[window]
-        pv = apply_helmholtz(scaled, h, dx)
-        result = -(h**2) * np.exp((phi[window] - center) / h) * pv
-        lo = window.start + (margin if window.start > 0 else 0)
-        hi = window.stop - (margin if window.stop < n else 0)
-        out[lo:hi] = result[lo - window.start : hi - window.start]
-        if window.stop >= n:
-            break
-        start = window.stop - 2 * margin
-    return out
+
+    def seen(j, k):  # w_k as node j's stencil reads it
+        return np.exp((phi[j] - phi[k]) / h) * w[k]
+
+    d2 = np.empty_like(w)
+    inner = slice(1, -1)
+    with np.errstate(over="raise"):
+        d2[inner] = seen(inner, slice(2, None)) - 2.0 * w[inner] + seen(inner, slice(None, -2))
+        for end, stencil in ((0, slice(1, 4)), (-1, slice(-2, -5, -1))):
+            d2[end] = 2.0 * w[end] + np.array([-5.0, 4.0, -1.0]) @ seen(end, stencil)
+    return -(h**2) * (d2 / dx**2 + w / h**2)
 
 
 def sample_basis(interval: tuple[float, float], n: int, n_modes: int) -> np.ndarray:

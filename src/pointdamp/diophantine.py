@@ -4,16 +4,15 @@ Whether the damped point at xi in (0,1) stabilizes every finite-energy state,
 and how fast, is controlled by how well xi is approximated by rationals.  This
 module provides continued-fraction expansions, distance-to-nearest-integer
 scans, and the strip/scan conditions that separate decay regimes.  Each
-check reads its xi (a float, a Fraction, decimal text or 'golden') as one
-exact number, by settle at the default quotient_overflow, or takes the
-Position that settle returned.
+check reads its xi (a float, a Fraction, decimal text, 'golden' or a
+Position) as one exact number, by settle at the default quotient_overflow,
+or takes the Position that settle returned as it is.
 """
 
 from __future__ import annotations
 
 import bisect
 import decimal
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -98,11 +97,14 @@ def expand_continued_fraction(
       - 'golden': (sqrt(5)-1)/2 to 60 significant digits, truncated once
         q_k*q_{k+1} > 0.25e60, where those digits run out.
 
-    Anything else goes through float().  Floats, decimal strings and
-    'golden' whose expansion hits a partial quotient above quotient_overflow
-    are reported as rational, ending on the quotients before it.
+    A Position is read as its exact form, or else its double; anything else
+    goes through float().  Floats, decimal strings and 'golden' whose
+    expansion hits a partial quotient above quotient_overflow are reported
+    as rational, ending on the quotients before it.
     """
     budget = math.inf
+    if isinstance(x, Position):
+        x = x.exact or x.value
     if isinstance(x, Fraction):
         quotient_overflow = math.inf
     elif isinstance(x, str):
@@ -119,22 +121,28 @@ def expand_continued_fraction(
     return ContinuedFraction(float(x), *expansion)
 
 
+class _Settled(Position):
+    """A Position that settle returned: its exact form is the number the checks read."""
+
+
 def settle(xi, quotient_overflow: float = 1e12) -> Position:
     """xi as one exact number: Position(double, the rational it settles on).
 
     A Fraction and decimal text are exact; a float settles where its
     expansion ends (expansion.rational_form).  Otherwise the exact form is
-    'golden', for its 60 digits, or None, for the double's own value.  A
-    Position is taken as settled already.
+    'golden', for its 60 digits, or None, for the double's own value.  What
+    settle returned passes through; another Position reads as xi.exact or xi.value.
     """
-    if isinstance(xi, Position):
+    if isinstance(xi, _Settled):
         return xi
+    if isinstance(xi, Position):
+        xi = xi.exact or xi.value
     if isinstance(xi, str):
         if xi.strip().lower() == "golden":
-            return Position(GOLDEN_RATIO_CONJUGATE, "golden")
+            return _Settled(GOLDEN_RATIO_CONJUGATE, "golden")
         xi = Fraction(xi.strip())
     form = rational_form(xi if isinstance(xi, Fraction) else float(xi), quotient_overflow)
-    return Position(float(xi), form and Fraction(*form))
+    return _Settled(float(xi), form and Fraction(*form))
 
 
 # ----------------------------------------------------------------------------
@@ -163,25 +171,11 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
-def _identity(m: float) -> float:
-    return m
-
-
-def _power_log(alpha: float, eps: float, m: float) -> float:
-    return _power(m, alpha) * _power(math.log(max(m, 2.0)), 1.0 + eps)
-
-
-def _exponential(beta: float, m: float) -> float:
-    return _exp(beta * m)
-
-
 @dataclass
 class GrowthFunction:
     """Positive nondecreasing weight m -> phi(m) used by the scan condition.
 
     evaluate maps one float to one float; calling the function does the same.
-    The constructors' evaluators are module-level functions, their parameters
-    bound by functools.partial, so a GrowthFunction pickles.
     """
 
     kind: str
@@ -192,7 +186,7 @@ class GrowthFunction:
 
     @staticmethod
     def identity() -> "GrowthFunction":
-        return GrowthFunction("identity", _identity)
+        return GrowthFunction("identity", lambda m: m)
 
     @staticmethod
     def power_log(alpha: float, eps: float) -> "GrowthFunction":
@@ -202,7 +196,8 @@ class GrowthFunction:
                 f"power_log needs finite alpha >= 0 and eps >= -1, got alpha={alpha}, eps={eps}"
             )
         return GrowthFunction(
-            f"power_log(alpha={alpha}, eps={eps})", functools.partial(_power_log, alpha, eps)
+            f"power_log(alpha={alpha}, eps={eps})",
+            lambda m: _power(m, alpha) * _power(math.log(max(m, 2.0)), 1.0 + eps),
         )
 
     @staticmethod
@@ -210,7 +205,7 @@ class GrowthFunction:
         """exp(beta * m); nondecreasing needs beta >= 0."""
         if not 0.0 <= beta < math.inf:
             raise ValueError(f"exponential needs a finite beta >= 0, got {beta}")
-        return GrowthFunction(f"exponential(beta={beta})", functools.partial(_exponential, beta))
+        return GrowthFunction(f"exponential(beta={beta})", lambda m: _exp(beta * m))
 
 
 # ----------------------------------------------------------------------------
@@ -647,8 +642,8 @@ def classify_actuator(
     """Classify an actuator position by arithmetic type and strip conditions.
 
     xi may be anything expand_continued_fraction accepts (a float, a
-    Fraction, a decimal string or 'golden').  The verdicts and the exp and
-    poly checks read the exact number it settles on under
+    Fraction, a decimal string, 'golden' or a Position).  The verdicts and
+    the exp and poly checks read the exact number it settles on under
     settings.quotient_overflow (settle): it is rational when that number is
     a Fraction.  The checks evaluate at its double and keep their traces when
     keep_trace is set; settings.depth truncates only the reported expansion.

@@ -120,15 +120,19 @@ def initial_data(
 
 
 def energy(state: WaveState) -> float:
-    """Trapezoid kinetic energy plus piecewise-linear potential energy."""
-    # weighted sums against the lumped nodal mass and 1/h, in place; np.dot
-    # would be a little faster, but its first BLAS call adds resident memory
-    mesh = state.mesh
+    """Trapezoid kinetic energy plus piecewise-linear potential energy.
+
+    Each node's trapezoid (lumped) mass and each cell's 1/h are formed here,
+    since simulate calls this once.
+    """
+    # weighted sums in place; np.dot would be a little faster, but its first
+    # BLAS call adds resident memory
+    h = np.diff(state.mesh.nodes)
     kinetic = state.v * state.v
-    kinetic *= mesh.lumped_mass
+    kinetic *= 0.5 * (np.append(h, 0.0) + np.append(0.0, h))
     potential = np.diff(state.u)
     potential *= potential
-    potential *= mesh.inverse_spacing
+    potential *= 1.0 / h
     return 0.5 * float(kinetic.sum() + potential.sum())
 
 

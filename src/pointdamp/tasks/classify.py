@@ -98,9 +98,9 @@ def run(cfg: dict, xi: Position, plan: diophantine.GrowthFunction):
         **{k: cfg[k] for k in diophantine.ClassifySettings.__dataclass_fields__}
     )
     keep = cfg["keep_trace"]
-    classification = diophantine.classify_actuator(xi.exact or xi.value, settings, keep)
+    classification = diophantine.classify_actuator(xi, settings, keep)
     # the one exact number that classify_actuator's checks read
-    number = diophantine.settle(xi.exact or xi.value, settings.quotient_overflow)
+    number = diophantine.settle(xi, settings.quotient_overflow)
     cos_rep = diophantine.check_cos_grid(number, cfg["mu_min"], cfg["mu_max"], cfg["k1"], keep)
     liou_rep = diophantine.check_liouville_type(
         number, plan, cfg["liouville_kappa"], cfg["liouville_m_max"], keep

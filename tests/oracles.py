@@ -255,7 +255,8 @@ def conjugation_route_incremental(
     Each window starts at five nodes and grows one node at a time while the
     spread max - min of phi over it stays within exp_window * h; results are
     stitched from window interiors.  Returns the stitched values and the
-    number of windows.
+    number of windows.  carleman.conjugation_route recentres at each node
+    instead, and is checked against this.
     """
     n = phi.size
     out = np.full(n, np.nan + 0j)

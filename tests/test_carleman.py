@@ -187,9 +187,22 @@ def test_conjugation_route_windows_match_incremental_growth(h, windows):
     weight = default_left_weight(GOLDEN)
     x = weight.grid(600)
     w = random_test_function((weight.a, weight.b), 600, np.random.default_rng(5))
-    expected, grown = conjugation_route_incremental(weight.d0(x), h, w, float(x[1] - x[0]))
+    dx, phi = float(x[1] - x[0]), weight.d0(x)
+    expected, grown = conjugation_route_incremental(phi, h, w, dx)
     assert grown == windows
-    np.testing.assert_array_equal(conjugation_route(weight, h, w, x), expected)
+    # Both sum -h^2 D_jk e^{y_jk} w_k - w_j over _d2's stencil D, with y_jk =
+    # (phi_j - phi_k) / h: the route in one exponential per term, the oracle
+    # in two recentred on its window, each |y| <= 150 (a spread <= 300 h).  A
+    # subtraction and a division round an exponent by at most 2 eps |y|, so a
+    # term moves by at most (4 * 150 + 2 max|y_route| + 10) eps of its size,
+    # the 10 for exp, the products and the sum.  The stencil's terms are
+    # larger than its result by up to 4 h^2 / dx^2 (9e3 at h = 0.05).
+    stencil = carleman._d2(np.eye(x.size), dx).T  # row j: node j's coefficients
+    near = stencil != 0.0
+    y = np.where(near, (phi[:, None] - phi[None, :]) / h, -np.inf)
+    size = h**2 * (np.abs(stencil) * np.exp(y)) @ np.abs(w) + np.abs(w)
+    bound = (4 * 150 + 2 * np.max(np.abs(y[near])) + 10) * np.finfo(float).eps * size
+    assert np.all(np.abs(conjugation_route(weight, h, w, x) - expected) <= bound)
 
 
 def test_conjugation_route_overflow_guard():
