@@ -51,7 +51,7 @@ _EXPORTS = {
         "dissipation_residual",
     ),
     "decayfit": (
-        "InsufficientData", "FitResult", "DecaySamples", "ENERGY_FLOOR_FACTOR", "MIN_SAMPLES",
+        "InsufficientData", "FitResult", "ENERGY_FLOOR_FACTOR", "MIN_SAMPLES",
         "fit_log", "fit_poly", "fit_exp", "model_select",
     ),
 }

@@ -12,7 +12,8 @@ Parameters are reported as fitted, not clamped: a nonpositive power or rate
 means the family does not describe the trace.  Residuals are root-mean-square
 in log energy, which makes them relative, scale-equivariant, and comparable
 across families.  Samples at or below a floor of 1e-14 times the initial
-energy are discarded before fitting.
+energy are discarded before fitting.  A fit reads `times` and `energies`
+from any object that has them, such as simulator.EnergyTrace.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "InsufficientData",
     "FitResult",
-    "DecaySamples",
     "ENERGY_FLOOR_FACTOR",
     "MIN_SAMPLES",
     "fit_log",
@@ -39,14 +39,6 @@ MIN_SAMPLES = 10
 
 class InsufficientData(ValueError):
     """Raised when fewer than MIN_SAMPLES trace samples sit above the floor."""
-
-
-@dataclass
-class DecaySamples:
-    """Minimal stand-in for an energy trace: just times and energies."""
-
-    times: np.ndarray
-    energies: np.ndarray
 
 
 @dataclass

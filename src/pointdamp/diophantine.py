@@ -4,9 +4,10 @@ Whether the damped point at xi in (0,1) stabilizes every finite-energy state,
 and how fast, is controlled by how well xi is approximated by rationals.  This
 module provides continued-fraction expansions, distance-to-nearest-integer
 scans, and the strip/scan conditions that separate decay regimes.  Each
-check reads its xi (a float, a Fraction, decimal text, 'golden' or a
-Position) as one exact number, by settle at the default quotient_overflow,
-or takes the Position that settle returned as it is.
+check reads its xi (a float, a Fraction, text or a Position) as one exact
+number, by settle at the default quotient_overflow, or takes the Position
+that settle returned as it is.  Text is read by parse_actuator_position, as
+the command line's --xi reads it: a decimal as its double.
 """
 
 from __future__ import annotations
@@ -82,41 +83,47 @@ class ContinuedFraction:
         return max(tail) if tail else 0
 
 
+def _number(x) -> Fraction | float | str:
+    """x as a Fraction, a float or 'golden'; ValueError outside (0, 1), nan included.
+
+    Text is read by parse_actuator_position, as --xi reads it; a Position as
+    its exact form, or else its double; anything else through float().
+    """
+    if isinstance(x, str):
+        x = parse_actuator_position(x)
+    if isinstance(x, Position):
+        x = x.exact or x.value
+    if not isinstance(x, (Fraction, str)):
+        x = float(x)
+    if x != "golden" and not 0 < x < 1:
+        raise ValueError(f"actuator position must lie in (0,1), got {x}")
+    return x
+
+
 def expand_continued_fraction(
     x, depth: int = 40, quotient_overflow: float = 1e12
 ) -> ContinuedFraction:
     """Expand x in (0,1) as a continued fraction, by exact Euclid.
 
-    Accepts:
+    x is read as _number reads it (text as its double), then expanded as:
       - a float: its exact binary value, truncated once the convergent
         denominators exhaust the 53-bit budget (q_k*q_{k+1} > 2**50);
       - a Fraction: exact, with no cutoff, so quotient_overflow does not
         apply;
-      - a decimal string such as '0.375': exactly the rational the digits
-        denote, with no budget;
       - 'golden': (sqrt(5)-1)/2 to 60 significant digits, truncated once
         q_k*q_{k+1} > 0.25e60, where those digits run out.
 
-    A Position is read as its exact form, or else its double; anything else
-    goes through float().  Floats, decimal strings and 'golden' whose
-    expansion hits a partial quotient above quotient_overflow are reported
-    as rational, ending on the quotients before it.
+    Floats and 'golden' whose expansion hits a partial quotient above
+    quotient_overflow are reported as rational, ending on the quotients
+    before it.
     """
-    budget = math.inf
-    if isinstance(x, Position):
-        x = x.exact or x.value
-    if isinstance(x, Fraction):
-        quotient_overflow = math.inf
-    elif isinstance(x, str):
-        text = x.strip().lower()
-        if text == "golden":
-            x, budget = _GOLDEN_60, _GOLDEN_60_BUDGET
-        else:
-            x = Fraction(text)
+    x = _number(x)
+    if x == "golden":
+        x, budget = _GOLDEN_60, _GOLDEN_60_BUDGET
+    elif isinstance(x, Fraction):
+        budget = quotient_overflow = math.inf
     else:
-        x, budget = float(x), PRECISION_BUDGET
-    if not 0 < x < 1:
-        raise ValueError("value must lie in (0,1)")
+        budget = PRECISION_BUDGET
     expansion = expand(*x.as_integer_ratio(), depth, quotient_overflow, budget)
     return ContinuedFraction(float(x), *expansion)
 
@@ -128,20 +135,17 @@ class _Settled(Position):
 def settle(xi, quotient_overflow: float = 1e12) -> Position:
     """xi as one exact number: Position(double, the rational it settles on).
 
-    A Fraction and decimal text are exact; a float settles where its
-    expansion ends (expansion.rational_form).  Otherwise the exact form is
-    'golden', for its 60 digits, or None, for the double's own value.  What
-    settle returned passes through; another Position reads as xi.exact or xi.value.
+    xi is read as _number reads it.  A Fraction is exact; a float settles
+    where its expansion ends (expansion.rational_form), or else has the
+    exact form None, for the double's own value; 'golden' keeps 'golden',
+    for its 60 digits.  What settle returned passes through.
     """
     if isinstance(xi, _Settled):
         return xi
-    if isinstance(xi, Position):
-        xi = xi.exact or xi.value
-    if isinstance(xi, str):
-        if xi.strip().lower() == "golden":
-            return _Settled(GOLDEN_RATIO_CONJUGATE, "golden")
-        xi = Fraction(xi.strip())
-    form = rational_form(xi if isinstance(xi, Fraction) else float(xi), quotient_overflow)
+    xi = _number(xi)
+    if xi == "golden":
+        return _Settled(GOLDEN_RATIO_CONJUGATE, "golden")
+    form = rational_form(xi, quotient_overflow)
     return _Settled(float(xi), form and Fraction(*form))
 
 
@@ -641,8 +645,8 @@ def classify_actuator(
 ) -> ActuatorClassification:
     """Classify an actuator position by arithmetic type and strip conditions.
 
-    xi may be anything expand_continued_fraction accepts (a float, a
-    Fraction, a decimal string, 'golden' or a Position).  The verdicts and
+    xi may be anything settle reads (a float, a Fraction, text, read as
+    --xi reads it, or a Position).  The verdicts and
     the exp and poly checks read the exact number it settles on under
     settings.quotient_overflow (settle): it is rational when that number is
     a Fraction.  The checks evaluate at its double and keep their traces when

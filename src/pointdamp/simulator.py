@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,7 +67,10 @@ __all__ = [
 
 @dataclass
 class WaveState:
-    """Displacement and velocity sampled at every mesh node."""
+    """Displacement and velocity sampled at every mesh node.
+
+    Any starting data is built directly; simulate holds both ends at zero.
+    """
 
     mesh: Mesh
     t: float
@@ -85,20 +88,16 @@ def initial_data(
     mode: int = 1,
     center: Optional[float] = None,
     width: float = 0.1,
-    displacement: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    velocity: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> WaveState:
-    """Build a starting state on the mesh.
+    """Build a starting state on the mesh, at rest.
 
-    kind 'fourier_mode': u = sin(mode * pi * x), at rest.
+    kind 'fourier_mode': u = sin(mode * pi * x).
     kind 'smooth_bump':  compactly supported C^2 bump (1 - s^2)^3 around
                          center (defaults to the interface) with half-width
-                         width, at rest.
-    kind 'custom':       displacement/velocity callables sampled on nodes.
+                         width.
+    Other data is built directly as WaveState(mesh, t, u, v).
     """
     x = mesh.nodes
-    u = np.zeros_like(x)
-    v = np.zeros_like(x)
     if kind == "fourier_mode":
         if mode < 1:
             raise ValueError("mode must be a positive integer")
@@ -107,16 +106,10 @@ def initial_data(
         c = mesh.xi if center is None else float(center)
         s = (x - c) / float(width)
         u = np.where(np.abs(s) < 1.0, (1.0 - s**2) ** 3, 0.0)
-    elif kind == "custom":
-        if displacement is not None:
-            u = np.asarray(displacement(x), dtype=float).copy()
-        if velocity is not None:
-            v = np.asarray(velocity(x), dtype=float).copy()
     else:
         raise ValueError(f"unknown initial data kind: {kind!r}")
     u[0] = u[-1] = 0.0
-    v[0] = v[-1] = 0.0
-    return WaveState(mesh=mesh, t=0.0, u=u, v=v)
+    return WaveState(mesh=mesh, t=0.0, u=u, v=np.zeros_like(x))
 
 
 def energy(state: WaveState) -> float:
@@ -205,16 +198,18 @@ def _from_modes(mesh: Mesh, modal: np.ndarray, out: np.ndarray) -> None:
 def simulate(
     state: WaveState,
     t_final: float,
-    dt: Optional[float] = None,
+    dt: float,
     damped: bool = True,
     sample_every: int = 1,
 ) -> tuple[WaveState, EnergyTrace]:
     """March the state to t_final with the implicit midpoint rule.
 
-    Returns the final state and the energy/damping trace.  The requested dt
-    is shrunk minutely so a whole number of uniform steps lands exactly on
-    t_final; the dt actually used is reported on the trace.  The string is
-    clamped at both ends: boundary values are held at zero.
+    Returns the final state and the energy/damping trace.  dt has no
+    default here; the command line's (half the smaller mesh spacing) is
+    chosen by the simulate task's check.  The requested dt is shrunk
+    minutely so a whole number of uniform steps lands exactly on t_final;
+    the dt actually used is reported on the trace.  The string is clamped at
+    both ends: boundary values are held at zero.
 
     sample_every chooses where energy is sampled and nothing else: the
     modes are carried from block end to block end whatever the samples, so
@@ -222,8 +217,6 @@ def simulate(
     sample_every.
     """
     mesh = state.mesh
-    if dt is None:
-        dt = float(min(mesh.h_left, mesh.h_right)) / 2.0
     if dt <= 0:
         raise ValueError("dt must be positive")
     if sample_every < 1:
@@ -406,23 +399,14 @@ def simulate(
     return final, trace
 
 
-def dissipation_residual(
-    trace: EnergyTrace, t1: Optional[float] = None, t2: Optional[float] = None
-) -> float:
-    """Violation of E(t1) - E(t2) = dissipated energy on [t1, t2].
+def dissipation_residual(trace: EnergyTrace) -> float:
+    """Worst violation of E(t) - E(0) + dissipated(t) = 0 over all samples.
 
-    Times snap to the nearest recorded sample.  With no window given, the
-    worst violation of E(t) - E(0) + dissipated(t) = 0 over all samples is
-    returned.  The damping record is integrated by the midpoint rule, which
-    is the quadrature the stepping scheme satisfies exactly, so the residual
-    measures only accumulated roundoff.
+    The damping record is integrated by the midpoint rule, which is the
+    quadrature the stepping scheme satisfies exactly, so the residual
+    measures only accumulated roundoff.  On any window [t1, t2] between
+    samples the violation of E(t1) - E(t2) = dissipated energy on [t1, t2]
+    is at most twice this value.
     """
     dissipated = trace.dissipated_at_samples()
-    if t1 is None and t2 is None:
-        return float(np.max(np.abs(trace.energies - trace.energies[0] + dissipated)))
-    i1 = 0 if t1 is None else int(np.argmin(np.abs(trace.times - t1)))
-    i2 = trace.times.size - 1 if t2 is None else int(np.argmin(np.abs(trace.times - t2)))
-    if i1 > i2:
-        i1, i2 = i2, i1
-    drop = trace.energies[i1] - trace.energies[i2]
-    return float(abs(drop - (dissipated[i2] - dissipated[i1])))
+    return float(np.max(np.abs(trace.energies - trace.energies[0] + dissipated)))

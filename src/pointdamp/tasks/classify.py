@@ -51,9 +51,11 @@ def _condition_dict(report: diophantine.ConditionReport) -> dict:
 
 def _growth_from_text(text: str) -> diophantine.GrowthFunction:
     """The growth function liouville_phi names, read before the arithmetic layer loads."""
-    name, _, params = text.partition(":")
+    name, colon, params = text.partition(":")
     name = name.strip().lower()
     if name == "identity":
+        if colon:
+            raise ConfigError(f"identity takes no parameters, got {text!r}")
         args = ()
     elif name == "power_log":
         try:

@@ -46,7 +46,7 @@ def check(cfg: dict, xi: Position) -> float:
             raise ConfigError(
                 f"center and width put the bump's support ({low:g}, {high:g}) off the string (0, 1)"
             )
-    # dt = 0 means half the smaller mesh spacing, the simulator's default
+    # dt = 0 means half the smaller mesh spacing
     dt = cfg["dt"] or min(xi.value, 1.0 - xi.value) / cfg["cells"] / 2.0
     if cfg["t_final"] / dt > MAX_SIM_STEPS:
         raise ConfigError(f"t_final / dt would exceed {MAX_SIM_STEPS} steps")

@@ -7,6 +7,7 @@ human-readable checklist.
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -214,7 +215,7 @@ def test_criterion_8_decay_fit_inversion(capsys):
     ]
     worst_clean = 0.0
     for _, energies, fit, truth in families:
-        result = fit(decayfit.DecaySamples(times=t, energies=energies))
+        result = fit(SimpleNamespace(times=t, energies=energies))
         for key, ref in truth.items():
             worst_clean = max(worst_clean, abs(result.parameters[key] / ref - 1.0))
 
@@ -223,7 +224,7 @@ def test_criterion_8_decay_fit_inversion(capsys):
         rng = np.random.default_rng(seed)
         for _, energies, fit, truth in families:
             noisy = energies * np.exp(0.01 * rng.standard_normal(t.size))
-            result = fit(decayfit.DecaySamples(times=t, energies=noisy))
+            result = fit(SimpleNamespace(times=t, energies=noisy))
             for key, ref in truth.items():
                 worst_noisy = max(worst_noisy, abs(result.parameters[key] / ref - 1.0))
     ok = worst_clean <= 1e-6 and worst_noisy <= 0.05

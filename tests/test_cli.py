@@ -288,6 +288,7 @@ def test_bad_growth_function_loads_no_arithmetic(tmp_path):
 EXIT_2_RUNS = [
     ["classify", "--xi", "golden", "--set", "k1=inf"],
     ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:-1"],
+    ["classify", "--xi", "golden", "--set", "liouville_phi=identity:7"],
     ["classify", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=2"],
     ["classify", "--xi", "golden", "--set", "mu_max=inf"],
     ["classify", "--xi", "golden", "--set", "mu_max=1e300"],
@@ -474,6 +475,29 @@ def test_classify_settings_are_config_keys_echoed_in_the_report(tmp_path):
     assert set(fields) <= set(config)
     settings = diophantine.ClassifySettings(**{k: config[k] for k in fields})
     assert settings == diophantine.ClassifySettings(mu_max=80.0, k1=0.5, depth=12)
+
+
+@pytest.mark.parametrize("text", [
+    "golden", "0.41421356237309515", "1/2", "1/3", "355/1131", "0.1", "0.3", "0.375", "0.9",
+    "0.011",
+])
+def test_library_reads_text_as_xi_does(tmp_path, text):
+    # classify_actuator and settle read text through the parser, as --xi
+    # does: a decimal is its double, so 0.41421356237309515 is sqrt(2) - 1's
+    def summary(classification):
+        return (classification.is_rational, classification.continued_fraction.partial_quotients,
+                *[(c.verdict, c.witness) for c in (classification.exp_grid,
+                                                   classification.poly_grid)])
+
+    position = diophantine.parse_actuator_position(text)
+    library = summary(diophantine.classify_actuator(text))
+    assert library == summary(diophantine.classify_actuator(position))
+    assert diophantine.settle(text) == diophantine.settle(position)
+    assert run(["classify", "--xi", text, "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "classify_report.json").read_text())["result"]
+    conditions = [result["conditions"][name] for name in ("exp_grid", "poly_grid")]
+    assert library == (result["is_rational"], result["partial_quotients"],
+                       *[(c["verdict"], c["witness"]) for c in conditions])
 
 
 def test_classify_fraction_echoed(tmp_path):
@@ -1030,17 +1054,14 @@ def test_report_fixes_the_snapshot_nodes(tmp_path, xi, cells):
 
 @pytest.mark.parametrize("xi", ["golden", "1/3", "0.9"])
 @pytest.mark.parametrize("cells", [2, 7, 1000])
-def test_default_time_step_is_the_simulators(xi, cells):
-    # the task's check and simulator.simulate each write the dt = 0 step down
-    from pointdamp import simulator
+def test_default_time_step_is_half_the_smaller_spacing(xi, cells):
+    # the task's check is the one writer of the dt = 0 step; simulate takes dt
     from pointdamp.tasks import simulate as simulate_task
 
     position = cli.parse_position(xi)
     cfg = resolve_config("simulate", {"xi": xi, "cells": str(cells)})
-    state = simulator.initial_data(build_mesh(position.value, cells, cells), "smooth_bump")
-    # a run of no time reports its step as chosen, before any adjustment
-    _, trace = simulator.simulate(state, state.t)
-    assert trace.dt == simulate_task.check(cfg, position)
+    mesh = build_mesh(position.value, cells, cells)
+    assert simulate_task.check(cfg, position) == min(mesh.h_left, mesh.h_right) / 2
 
 
 def test_damping_record_and_dt_reproduce_the_dissipated_column(tmp_path):

@@ -28,6 +28,7 @@ from pointdamp import (
     resonance_indicator,
     settle,
 )
+from pointdamp.inputs import Position
 
 GOLDEN_INDEPENDENT = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -162,29 +163,39 @@ def test_cf_golden_all_ones():
     assert cf.convergents[:6] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
 
 
-def test_cf_decimal_string_is_exact():
-    # 0.375 = 3/8 = [0; 2, 1, 2]; a rounded remainder would end [..., 1, 1]
+def test_cf_decimal_string_reads_as_its_double():
+    # 0.375 = 3/8 = [0; 2, 1, 2] is a double exactly; a rounded remainder
+    # would end [..., 1, 1]
     cf = expand_continued_fraction("0.375")
+    assert cf == expand_continued_fraction(0.375)
     assert cf.partial_quotients == [0, 2, 1, 2]
     assert cf.convergents[-1] == (3, 8)
     assert (2, 5) not in cf.convergents
     assert cf.is_rational
 
 
-def test_cf_decimal_strings_match_their_fractions(rng):
-    # at most 11 digits, no quotient exceeds quotient_overflow, so both
-    # routes end where Euclid does
-    texts = ["0.375", "0.1", "0.99999999999", "0.00000000001"]
+def test_sqrt2_decimal_text_is_sqrt2s_double():
+    # the text of sqrt(2) - 1's double reads as that double, not as the
+    # 17-digit rational it spells (maximum partial quotient 80)
+    text = "0.41421356237309515"
+    classification = classify_actuator(text)
+    assert not classification.is_rational
+    assert classification.max_partial_quotient == 2
+    assert settle(text) == (math.sqrt(2.0) - 1.0, None)
+
+
+def test_cf_decimal_strings_match_their_doubles(rng):
+    # text is read as --xi reads it: a decimal is its double, whatever its
+    # digits, and the expansion is the double's
+    texts = ["0.375", "0.1", "0.99999999999", "0.00000000001", "0.41421356237309515"]
     for x in rng.uniform(0.0, 1.0, size=300):
-        texts += [f"{x:.6f}", f"{x:.11f}", f"{x:.3g}"]
+        texts += [f"{x:.6f}", f"{x:.11f}", f"{x:.3g}", repr(float(x))]
     for text in texts:
-        if not 0 < Fraction(text) < 1:
+        if not 0 < float(text) < 1:
             continue
         a = expand_continued_fraction(text, depth=200)
-        b = expand_continued_fraction(Fraction(text), depth=200)
-        assert a.partial_quotients == b.partial_quotients, text
-        assert a.convergents == b.convergents, text
-        assert a.terminated and b.terminated, text
+        assert a == expand_continued_fraction(float(text), depth=200), text
+        assert a == expand_continued_fraction(parse_actuator_position(text), depth=200), text
 
 
 def test_cf_golden_string_stops_at_its_precision():
@@ -235,6 +246,25 @@ def test_cf_float_is_the_exact_expansion_of_its_double():
 def test_cf_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         expand_continued_fraction(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    1.5, -0.25, 1.0, 0.0, math.nan, math.inf, -math.inf, Fraction(3, 2), "1.5", "nan",
+    Position(1.5, None), Position(0.5, Fraction(3, 2)),
+])
+def test_arithmetic_reads_no_position_outside_the_unit_interval(bad):
+    # settle and every check read xi through the one reader, which refuses
+    # what the parser, the expansion and build_mesh refuse
+    with pytest.raises(ValueError):
+        settle(bad)
+    with pytest.raises(ValueError):
+        expand_continued_fraction(bad)
+    with pytest.raises(ValueError):
+        check_exp_grid(bad)
+    with pytest.raises(ValueError):
+        check_liouville_type(bad, GrowthFunction.identity(), 0.2, 100)
+    with pytest.raises(ValueError):
+        classify_actuator(bad)
 
 
 def test_cf_recurrence_and_straddling(rng):

@@ -104,3 +104,12 @@ def test_benchmark_invocations_pass_their_output_checks(tmp_path, monkeypatch):
         out = tmp_path / f"run{i:02d}"
         assert cli.main([*inv.argv, "--out", str(out), "--seed", str(seed)]) == 0, inv.label
         assert inv.check(out, seed).problems == [], inv.label
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's Quick start block is the documented API; it must run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md (Quick start)", "exec"), {})
+    assert capsys.readouterr().out
