@@ -20,8 +20,9 @@ runs once, handing the plan it returns to the task's run.  Each subcommand,
 the sweep included, lives in its own module, pointdamp.tasks.<name> (the
 command with "_" for "-"), which holds its other keys and is imported on
 first use (see _task), so an invocation compiles the core and its own task
-only.  The tasks call write_csv and write_json_report through this module at
-each call, so replacing either here sees every file.
+only.  A task describes the files it writes (its files), and write_files here
+writes them through write_csv and write_json_report, looked up on this module
+at each call, so replacing either here sees every file.
 """
 
 from __future__ import annotations
@@ -209,8 +210,10 @@ def _task(command: str):
     It defines SCHEMA; check(cfg, xi), the checks across its keys at the
     Position xi, which returns the plan they settle; run(cfg, xi, plan), its
     one compute path, which computes from that plan and checks nothing again;
-    and write(cfg, result).  A task the sweep runs also defines USES_NUMPY,
-    SWEEP_DEFAULTS and row(result).
+    and files(cfg, result), which returns (report file name, the report's
+    result block, tables) for write_files, each table a tuple (file name,
+    schema, columns, rows, version).  A task the sweep runs also defines
+    USES_NUMPY, SWEEP_DEFAULTS and row(result).
     """
     # __import__ runs the import in C, which python -X importtime logs;
     # importlib.import_module's pure-Python path goes unlisted
@@ -318,13 +321,27 @@ def write_csv(path: Path, schema: str, columns: list[str], rows, *, version: int
     _write_atomic(path, _csv_lines(schema, version, columns, rows))
 
 
-def _report_skeleton(command: str, cfg: dict, uses_numpy: bool) -> dict:
+def write_files(command: str, cfg: dict, uses_numpy: bool, files: tuple) -> list[Path]:
+    """Write a task's files under cfg["out"]: its tables in order, then its
+    JSON report {command, config, versions, result}; returns their paths.
+
+    files is the task's (report file name, result, tables).
+    """
+    report, result, tables = files
+    out = Path(cfg["out"])
+    paths = []
+    for name, schema, columns, rows, version in tables:
+        paths.append(out / name)
+        write_csv(paths[-1], schema, columns, rows, version=version)
     versions = {"pointdamp": __version__}
     if uses_numpy:
         import numpy
 
         versions["numpy"] = numpy.__version__
-    return {"command": command, "config": _pyify(cfg), "versions": versions}
+    paths.append(out / report)
+    write_json_report(paths[-1], {"command": command, "config": _pyify(cfg),
+                                  "versions": versions, "result": result})
+    return paths
 
 
 # ----------------------------------------------------------------------------
@@ -366,7 +383,8 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
-    if _task(cfg.get("task", args.command)).USES_NUMPY and "numpy" not in sys.modules:
+    uses_numpy = _task(cfg.get("task", args.command)).USES_NUMPY
+    if uses_numpy and "numpy" not in sys.modules:
         # OpenBLAS on one thread, unless the environment names a count: a
         # report then does not follow the host's CPUs (read as numpy loads)
         os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -374,7 +392,8 @@ def main(argv=None) -> int:
         task = _task(args.command)
         xi = parse_position(cfg["xi"]) if "xi" in cfg else None
         plan = task.check(cfg, xi)
-        paths = task.write(cfg, task.run(cfg, xi, plan))
+        files = task.files(cfg, task.run(cfg, xi, plan))
+        paths = write_files(args.command, cfg, uses_numpy, files)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

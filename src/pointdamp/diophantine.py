@@ -465,16 +465,15 @@ def _strip_check(
     position = settle(xi)
     xi, centre = position.value, condition.centre
     resonance = _first_resonance(centre, position, mu_min, mu_max)
-    trace = None
-    if keep_trace:
-        minima = [_strip_minimum(condition, xi, s) for s in _strips(mu_min, mu_max, centre)]
-        log_k2, witness = min(minima)
-        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
-        trace = _Rows(len(rows), 3, rows.__getitem__)
     if resonance is not None:
         log_k2, witness = -math.inf, resonance
-    elif not keep_trace:
+    else:
         log_k2, witness = _least_strip_minimum(condition, xi, _strips(mu_min, mu_max, centre))
+    trace = None
+    if keep_trace:
+        minima = (_strip_minimum(condition, xi, s) for s in _strips(mu_min, mu_max, centre))
+        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
+        trace = _Rows(len(rows), 3, rows.__getitem__)
     constants = {**constants, "inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2}
     if not math.isfinite(log_k2):
         verdict, note = "fail", "exact resonance"

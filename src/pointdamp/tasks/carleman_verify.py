@@ -7,12 +7,10 @@ checks.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, _report_skeleton,
-    at_least, finite_positive, one_of,
+    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, at_least, finite_positive,
+    one_of,
 )
 
 SCHEMA = {
@@ -91,6 +89,16 @@ def _dual_route_cells(cfg: dict, side: str, weight: carleman.WeightFunction) -> 
     return cells
 
 
+# the dual route's finest error, predicted from its coarsest, must lie this
+# many times above the finest grid's rounding floor (_verify_carleman_side).
+# Over default and exp:3 weights and 4 to 32 modes, every side whose orders
+# left [1.9, 2.2] was predicted at most 8.5 times its floor (a 1.06e-6 long
+# side among them), and every side predicted 8.8 times or more read orders
+# in [1.9, 2.2]; the 1e-5 long right side at xi = 0.99999 is predicted 80
+# times its floor
+_ROUTE_NOISE_MARGIN = 16
+
+
 def identity_check_coefficients(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """The two fixed test functions of the identity checks, as coefficients.
 
@@ -122,14 +130,27 @@ def _verify_carleman_side(
     w_coefficients, v_coefficients = identity_check_coefficients(cfg["n_modes"])
 
     # dual-route convergence over 3 refinements of the grid, sampling the modes
-    # as carleman.sample_basis' cosines
+    # as carleman.sample_basis' cosines; a grid so fine that the route divides
+    # by an underflowed dx**2 gives a non-finite error, refused below
     route_errors = []
-    for n in (cells, 2 * cells, 4 * cells):
-        x = weight.grid(n)
-        w = w_coefficients @ carleman.sample_basis((weight.a, weight.b), n, cfg["n_modes"])
-        route = carleman.conjugation_route(weight, h_ref, w, x)
-        diff = route - carleman.apply_conjugated_operator(weight, h_ref, w, x)
-        route_errors.append(float(np.max(np.abs(diff))))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for n in (cells, 2 * cells, 4 * cells):
+            x = weight.grid(n)
+            w = w_coefficients @ carleman.sample_basis((weight.a, weight.b), n, cfg["n_modes"])
+            route = carleman.conjugation_route(weight, h_ref, w, x)
+            diff = route - carleman.apply_conjugated_operator(weight, h_ref, w, x)
+            route_errors.append(float(np.max(np.abs(diff))))
+        # the route reads phi_j - phi_k, which cancels between values near
+        # max|phi|: its rounding, amplified by h / dx**2, on the finest grid
+        floor = float(np.finfo(float).eps * np.max(np.abs(weight.d0(x))) * h_ref
+                      * np.max(np.abs(w)) / (x[1] - x[0]) ** 2)
+    # second order predicts the coarsest error / 16 on the finest grid
+    if not (all(map(math.isfinite, route_errors))
+            and route_errors[0] / 16 >= _ROUTE_NOISE_MARGIN * floor):
+        raise ValueError(
+            f"the {side} side, {weight.b - weight.a:.3g} long, is too short for the dual "
+            f"route: its finest grid's rounding, {floor:.3g}, is not {_ROUTE_NOISE_MARGIN}x "
+            f"below the error {route_errors[0] / 16:.3g} that second order predicts there")
     orders = [math.log2(coarse / fine) for coarse, fine in zip(route_errors, route_errors[1:])]
 
     h_grid = np.geomspace(cfg["h_min"], cfg["h_max"], cfg["h_count"])
@@ -139,6 +160,10 @@ def _verify_carleman_side(
     curvature, plain = carleman.square_expansion_residual(
         weight, h_ref, w_coefficients, estimate.nodes)
 
+    residuals = [*ibp, curvature.relative_residual, plain.relative_residual]
+    if not all(map(math.isfinite, [*orders, *residuals])):
+        raise ValueError(f"the {side} side's dual-route orders or identity residuals are not "
+                         "finite")
     checks = {
         "weight": weight.kind,
         "interval": [weight.a, weight.b],
@@ -163,26 +188,21 @@ def run(
     }
 
 
-def write(cfg: dict, sides: dict) -> list[Path]:
-    payload = _report_skeleton("carleman-verify", cfg, USES_NUMPY)
-    payload["result"] = {}
+def files(cfg: dict, sides: dict) -> tuple:
+    report = {}
     rows: list[tuple] = []
     for side, (checks, estimate) in sides.items():
         per_h = zip(estimate.h, estimate.sup_ratio, estimate.sup_ratio_half_modes,
                     estimate.outer_share)
-        payload["result"][side] = dict(
+        report[side] = dict(
             checks,
             c_hat=estimate.c_hat,
             c_hat_half_modes=float(estimate.sup_ratio_half_modes.max()),
         )
         rows.extend((side, *values) for values in per_h)
-    out = Path(cfg["out"])
-    csv_path = out / "carleman_sweep.csv"
     columns = ["side", "h", "sup_ratio", "sup_ratio_half_modes", "outer_share"]
-    cli.write_csv(csv_path, "carleman-sweep", columns, rows, version=3)
-    json_path = out / "carleman_report.json"
-    cli.write_json_report(json_path, payload)
-    return [csv_path, json_path]
+    return "carleman_report.json", report, [("carleman_sweep.csv", "carleman-sweep", columns,
+                                              rows, 3)]
 
 
 def row(sides: dict) -> dict:

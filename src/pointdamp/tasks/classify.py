@@ -7,12 +7,10 @@ imports after its configuration checks; no numpy.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, all_of, at_least, at_most,
-    finite, finite_nonnegative, positive,
+    MAX_GRID_POINTS, ConfigError, Position, all_of, at_least, at_most, finite,
+    finite_nonnegative, positive,
 )
 
 # lowest classify frequency: the exp_grid and poly_grid indicators share the
@@ -110,13 +108,11 @@ def run(cfg: dict, xi: Position, plan: diophantine.GrowthFunction):
     return classification, cos_rep, liou_rep, xi.exact
 
 
-def write(cfg: dict, result) -> list[Path]:
+def files(cfg: dict, result) -> tuple:
     classification, cos_rep, liou_rep, exact = result
-    out = Path(cfg["out"])
     cf = classification.continued_fraction
     grid_reps = {"exp": classification.exp_grid, "poly": classification.poly_grid, "cos": cos_rep}
-    payload = _report_skeleton("classify", cfg, USES_NUMPY)
-    payload["result"] = {
+    report = {
         "xi": classification.xi,
         "exact_form": exact,
         "is_rational": classification.is_rational,
@@ -131,19 +127,14 @@ def write(cfg: dict, result) -> list[Path]:
             "liouville": _condition_dict(liou_rep),
         },
     }
-    paths = [out / "classify_report.json"]
-    cli.write_json_report(paths[0], payload)
+    tables = []
     if cfg["keep_trace"]:
-        for name, rep in grid_reps.items():
-            p = out / f"classify_trace_{name}.csv"
-            cli.write_csv(
-                p, "classify-trace", ["mu", "expression", "weighted_expression"], rep.trace
-            )
-            paths.append(p)
-        p = out / "classify_trace_liouville.csv"
-        cli.write_csv(p, "liouville-trace", ["m", "product"], liou_rep.trace)
-        paths.append(p)
-    return paths
+        tables = [(f"classify_trace_{name}.csv", "classify-trace",
+                   ["mu", "expression", "weighted_expression"], rep.trace, 1)
+                  for name, rep in grid_reps.items()]
+        tables.append(("classify_trace_liouville.csv", "liouville-trace", ["m", "product"],
+                       liou_rep.trace, 1))
+    return "classify_report.json", report, tables
 
 
 def row(result) -> dict:

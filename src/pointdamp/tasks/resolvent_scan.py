@@ -7,12 +7,10 @@ configuration checks.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, _report_skeleton, all_of,
-    at_least, at_most, finite, finite_positive,
+    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, all_of, at_least, at_most,
+    finite, finite_positive,
 )
 from ..inputs import default_mu_grid
 
@@ -63,17 +61,8 @@ def _max_finite_norm(scan: frequency.ScanResult) -> float | None:
     return float(np.max(finite)) if finite.size else None
 
 
-def write(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
-    out = Path(cfg["out"])
-    csv_path = out / "resolvent_scan.csv"
-    cli.write_csv(
-        csv_path,
-        "resolvent-scan",
-        ["mu", "norm_estimate"],
-        zip(scan.mu, scan.norm_estimate),
-    )
-    payload = _report_skeleton("resolvent-scan", cfg, USES_NUMPY)
-    payload["result"] = {
+def files(cfg: dict, scan: frequency.ScanResult) -> tuple:
+    report = {
         "growth_constant": scan.growth_constant,
         "growth_rate": scan.growth_rate,
         "log_residual": scan.log_residual,
@@ -81,9 +70,9 @@ def write(cfg: dict, scan: frequency.ScanResult) -> list[Path]:
         "n_grid": int(scan.mu.size),
         "max_finite_norm": _max_finite_norm(scan),
     }
-    json_path = out / "resolvent_scan.json"
-    cli.write_json_report(json_path, payload)
-    return [csv_path, json_path]
+    table = ("resolvent_scan.csv", "resolvent-scan", ["mu", "norm_estimate"],
+             zip(scan.mu, scan.norm_estimate), 1)
+    return "resolvent_scan.json", report, [table]
 
 
 def row(scan: frequency.ScanResult) -> dict:

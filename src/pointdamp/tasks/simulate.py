@@ -7,12 +7,10 @@ after its configuration checks.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
 from ..cli import (
-    MAX_CELLS, MAX_SIM_STEPS, ConfigError, Position, _report_skeleton, all_of, at_least,
-    at_most, finite_nonnegative, one_of, positive,
+    MAX_CELLS, MAX_SIM_STEPS, ConfigError, Position, all_of, at_least, at_most,
+    finite_nonnegative, one_of, positive,
 )
 
 SCHEMA = {
@@ -79,44 +77,32 @@ def run(cfg: dict, xi: Position, plan: float):
     return final, trace, fits
 
 
-def write(cfg: dict, result) -> list[Path]:
+def files(cfg: dict, result) -> tuple:
     from .. import decayfit
 
     final, trace, fits = result
-    out = Path(cfg["out"])
-    paths = []
-
-    p = out / "energy_trace.csv"
-    cli.write_csv(
-        p,
-        "energy-trace",
-        ["t", "energy", "dissipated"],
-        zip(trace.times, trace.energies, trace.dissipated_at_samples()),
-    )
-    paths.append(p)
-    # one row per step k, at its midpoint t = (k + 1/2) dt with the report's dt
-    p = out / "damping_record.csv"
-    cli.write_csv(p, "damping-record", ["power"], zip(trace.damping_power), version=2)
-    paths.append(p)
+    tables = [
+        ("energy_trace.csv", "energy-trace", ["t", "energy", "dissipated"],
+         zip(trace.times, trace.energies, trace.dissipated_at_samples()), 1),
+        # one row per step k, at its midpoint t = (k + 1/2) dt with the report's dt
+        ("damping_record.csv", "damping-record", ["power"], zip(trace.damping_power), 2),
+    ]
     # one row per mesh node, in node order: build_mesh(result.xi, cells, cells) gives
     # the nodes bit for bit, by the rule in the Mesh docstring
     if cfg["save_state"]:
-        p = out / "final_state.csv"
-        cli.write_csv(p, "state-snapshot", ["u", "v"], zip(final.u, final.v), version=2)
-        paths.append(p)
+        tables.append(("final_state.csv", "state-snapshot", ["u", "v"], zip(final.u, final.v), 2))
 
-    payload = _report_skeleton("simulate", cfg, USES_NUMPY)
-    payload["result"] = {
+    report = {
         "dt": trace.dt,
         "n_steps": int(trace.damping_power.size),
         "xi": final.mesh.xi,
         **row(result),
     }
     if isinstance(fits, decayfit.InsufficientData):
-        payload["result"]["fits"] = None
-        payload["result"]["fit_note"] = str(fits)
+        report["fits"] = None
+        report["fit_note"] = str(fits)
     elif fits is not None:
-        payload["result"]["fits"] = [
+        report["fits"] = [
             {
                 "kind": f.kind,
                 "parameters": f.parameters,
@@ -126,10 +112,7 @@ def write(cfg: dict, result) -> list[Path]:
             }
             for f in fits
         ]
-    p = out / "simulate_report.json"
-    cli.write_json_report(p, payload)
-    paths.append(p)
-    return paths
+    return "simulate_report.json", report, tables
 
 
 def row(result) -> dict:

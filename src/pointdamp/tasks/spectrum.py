@@ -8,12 +8,8 @@ roots from pointdamp.expansion's rational form of xi; no numpy.
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
-from ..cli import (
-    MAX_GRID_POINTS, ConfigError, Position, _report_skeleton, nonnegative,
-)
+from ..cli import MAX_GRID_POINTS, ConfigError, Position, nonnegative
 
 SCHEMA = {
     "re_min": (0.5, None),
@@ -52,27 +48,18 @@ def run(cfg: dict, xi: Position, plan: tuple[float, float, float, float]):
     return roots, characteristic.abscissa_of_roots(roots, form)
 
 
-def write(cfg: dict, result) -> list[Path]:
+def files(cfg: dict, result) -> tuple:
     roots, abscissa = result
-    out = Path(cfg["out"])
-    csv_path = out / "spectrum.csv"
-    cli.write_csv(
-        csv_path,
-        "spectrum-roots",
-        ["re_z", "im_z", "residual", "multiplicity"],
-        ((r.z.real, r.z.imag, r.residual, r.multiplicity) for r in roots),
-    )
-    payload = _report_skeleton("spectrum", cfg, USES_NUMPY)
-    payload["result"] = {
+    report = {
         "rectangle": list(_rectangle(cfg)),
         "n_roots": len(roots),
         "total_multiplicity": sum(r.multiplicity for r in roots),
         "spectral_abscissa": abscissa if math.isfinite(abscissa) else None,
         "has_real_root": abscissa == 0.0,  # exactly when a root is real (abscissa_of_roots)
     }
-    json_path = out / "spectrum.json"
-    cli.write_json_report(json_path, payload)
-    return [csv_path, json_path]
+    table = ("spectrum.csv", "spectrum-roots", ["re_z", "im_z", "residual", "multiplicity"],
+             ((r.z.real, r.z.imag, r.residual, r.multiplicity) for r in roots), 1)
+    return "spectrum.json", report, [table]
 
 
 def row(result) -> dict:

@@ -8,13 +8,8 @@ its own layers.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .. import cli  # cli.write_csv and cli.write_json_report are looked up at each call
-from .. import processes
-from ..cli import (
-    ConfigError, Limit, Position, _report_skeleton, all_of, at_least, at_most, one_of,
-)
+from .. import cli, processes
+from ..cli import ConfigError, Limit, Position, all_of, at_least, at_most, one_of
 
 MAX_SWEEP_POSITIONS = 10**4
 
@@ -83,19 +78,13 @@ def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[
                   key=lambda pair: pair[0])
 
 
-def write(cfg: dict, results: list[tuple[float, dict]]) -> list[Path]:
+def files(cfg: dict, results: list[tuple[float, dict]]) -> tuple:
     task = cfg["task"]
     columns = ["xi"] + list(results[0][1].keys())
     rows = [[v] + [summary[c] for c in columns[1:]] for v, summary in results]
-    out = Path(cfg["out"])
-    csv_path = out / f"sweep_{task}.csv"
-    cli.write_csv(csv_path, f"sweep-{task}", columns, rows)
-    payload = _report_skeleton("sweep", cfg, cli._task(task).USES_NUMPY)
-    payload["result"] = {
+    report = {
         "task": task,
         "n_points": len(results),
         "rows": [dict(summary, xi=v) for v, summary in results],
     }
-    json_path = out / f"sweep_{task}.json"
-    cli.write_json_report(json_path, payload)
-    return [csv_path, json_path]
+    return f"sweep_{task}.json", report, [(f"sweep_{task}.csv", f"sweep-{task}", columns, rows, 1)]

@@ -33,7 +33,10 @@ copies, run on one, write, and two small simulate runs that differ only in
 carleman-verify at 0.99999, whose right side is 1e-5 long, and
 carleman-verify at golden with weight=exp:6 and with check_h=1e-3, whose
 dual routes run on tens of thousands of cells, and simulate at golden on 300
-cells to t_final=200, whose decay fits rank a power law first.
+cells to t_final=200, whose decay fits rank a power law first, then classify
+with its traces at golden and at 1/3 (there under a power_log Liouville
+weight), simulate without fits or final state, and simulate to t_final=0.05,
+whose two samples above the fit floor leave a fit_note in place of fits.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -82,6 +85,14 @@ INVOCATIONS = (
        for setting in ("weight=exp:6", "check_h=1e-3")]
     + [(None, ["simulate", "--xi", "golden", "--set", "cells=300", "--set", "t_final=200",
                "--set", "dt=0.002"])]
+    + [(None, args) for args in (
+        ["classify", "--xi", "golden", "--set", "keep_trace=true"],
+        ["classify", "--xi", "1/3", "--set", "keep_trace=true",
+         "--set", "liouville_phi=power_log:1,0.5"],
+        ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
+         "--set", "fit=false", "--set", "save_state=false"],
+        ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.05"],
+    )]
 )
 
 

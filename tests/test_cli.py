@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -713,12 +714,12 @@ def test_commands_are_the_task_modules():
     assert modules == {command.replace("-", "_") for command in COMMANDS}
     for command in COMMANDS:
         task = cli._task(command)
-        assert all(callable(getattr(task, name)) for name in ("check", "run", "write")), command
+        assert all(callable(getattr(task, name)) for name in ("check", "run", "files")), command
         # the core parses xi and hands check the Position, and run the
         # Position with the plan that check returned
         assert list(inspect.signature(task.check).parameters) == ["cfg", "xi"], command
         assert list(inspect.signature(task.run).parameters) == ["cfg", "xi", "plan"], command
-        assert list(inspect.signature(task.write).parameters)[0] == "cfg", command
+        assert list(inspect.signature(task.files).parameters)[0] == "cfg", command
         assert not set(task.SCHEMA) & (set(COMMON_SCHEMA) | set(POSITION_SCHEMA)), command
     # the sweep runs every other command, each through the same protocol
     swept = [command for command in COMMANDS if command != "sweep"]
@@ -770,13 +771,16 @@ def test_every_config_key_is_read_by_its_task(tmp_path):
         # as main does, the core reads and parses xi, and the task gets the
         # Position, checked once
         xi = cli.parse_position(cfg["xi"]) if command != "sweep" else None
-        task.write(cfg, task.run(cfg, xi, task.check(cfg, xi)))
+        files = task.files(cfg, task.run(cfg, xi, task.check(cfg, xi)))
+        cli.write_files(command, cfg, cli._task(cfg.get("task", command)).USES_NUMPY, files)
         assert set(schema(command)) - cfg.read == unread, command
 
 
-def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
+def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch, capsys):
     # perfbench/tracer.py replaces write_csv and write_json_report on
-    # pointdamp.cli by attribute, so the task modules must look both up there
+    # pointdamp.cli by attribute, so the core must look both up there at each
+    # call: every file of every command goes through them, and main prints
+    # each path it wrote
     written = []
 
     def recording(writer):
@@ -787,20 +791,31 @@ def test_task_files_pass_through_the_writers_on_cli(tmp_path, monkeypatch):
         return record
 
     runs = {
-        "sim": ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
+        "classify": ["classify", "--xi", "golden", "--set", "mu_max=20"],
+        "traces": ["classify", "--xi", "golden", "--set", "mu_max=20",
+                   "--set", "keep_trace=true"],
+        "scan": ["resolvent-scan", "--xi", "golden", "--set", "mu_max=3", "--set", "cells=16"],
+        "spectrum": ["spectrum", "--xi", "golden", "--set", "re_max=12"],
         "car": ["carleman-verify", "--xi", "golden", "--set", "h_count=3"],
+        "sim": ["simulate", "--xi", "golden", "--set", "cells=20", "--set", "t_final=0.5"],
+        "sweep": ["sweep", "--set", "xi_list=0.3,0.6", "--set", "re_max=8"],
     }
-    # the task modules load before the patch, so a writer they bound at
-    # import would miss it
+    assert {args[0] for args in runs.values()} == set(COMMANDS)
+    # the task modules load before the patch, so a writer bound at import
+    # would miss it
     for args in runs.values():
         cli._task(args[0])
     for name in ("write_csv", "write_json_report"):
         monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
     for out, args in runs.items():
+        capsys.readouterr()
         assert run(args + ["--out", tmp_path / out]) == 0
         files = sorted((tmp_path / out).iterdir())
-        assert len(files) >= 2, out
+        assert files, out
         assert sorted(p for p in written if p.parent == tmp_path / out) == files, out
+        printed = capsys.readouterr().out.splitlines()
+        assert sorted(map(Path, printed)) == files, out
+    assert len(list(tmp_path.glob("traces/classify_trace_*.csv"))) == 4
 
 
 def test_inadmissible_weight_is_computation_error(tmp_path):
@@ -1260,7 +1275,7 @@ def test_carleman_dual_route_refusal_names_the_keys_that_lift_it(tmp_path, capsy
 # configs whose grids would pass the ceilings are refused, writing nothing
 DUAL_ROUTE_RUNS = [
     ("golden", []), ("0.41421356237309515", []), ("1/2", []), ("golden", ["n_modes=32"]),
-    ("0.99999", []), ("1/3", ["weight=exp:3"]), ("golden", ["weight=exp:3"]),
+    ("0.99999", []), ("1e-5", []), ("1/3", ["weight=exp:3"]), ("golden", ["weight=exp:3"]),
     ("golden", ["weight=exp:6"]), ("golden", ["check_h=1e-3"]),
 ]
 DUAL_ROUTE_REFUSALS = [
@@ -1283,6 +1298,26 @@ def test_carleman_dual_route_orders_are_second_order(tmp_path, capsys, xi, setti
     result = json.loads((tmp_path / "out" / "carleman_report.json").read_text())["result"]
     for side in ("left", "right"):
         assert all(1.9 <= o <= 2.2 for o in result[side]["dual_route_orders"]), side
+
+
+@pytest.mark.parametrize("xi, side, length", [
+    ("1e-7", "left", "1e-07"), ("0.9999999", "right", "1e-07"), ("1e-6", "left", "1e-06"),
+    ("1.0626585691826105e-06", "left", "1.06e-06"), ("1e-80", "left", "1e-80"),
+    ("1e-300", "left", "1e-300"),
+])
+def test_carleman_short_side_is_refused(tmp_path, capsys, xi, side, length):
+    # the route's exponent phi_j - phi_k cancels near max|phi|, and h / dx**2
+    # amplifies its rounding: on a side this short the finest grid's error
+    # is rounding (at 1.06e-6 the left orders read [1.971, 1.753]), and at
+    # 1e-300 dx**2 underflows.  Refused with the side and its length named,
+    # writing nothing and raising no floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["carleman-verify", "--xi", xi, "--out", tmp_path / "out"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"ValueError: the {side} side, {length} long, is too short for the dual route" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_carleman_constant_does_not_fall_with_more_modes(tmp_path):
@@ -1672,7 +1707,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 40
+    assert sum(line.endswith(".json") for line in lines) == 44
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):
