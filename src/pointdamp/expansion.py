@@ -13,16 +13,18 @@ def expand(
     n: int, d: int, depth: int, quotient_overflow: float, budget: float
 ) -> tuple[list[int], list[tuple[int, int]], bool, bool]:
     """(quotients, convergents, terminated, truncated) of n/d by Euclid: at
-    most depth quotients, kept while q_k*q_{k+1} <= budget.  A quotient past
-    a0 above quotient_overflow terminates it too (the tail is noise), and an
-    overflow after [..., a, 1] then ends as [..., a + 1]."""
+    most depth quotients, kept while q_k*q_{k+1} <= budget.  A quotient above
+    quotient_overflow after a convergent strictly inside (0, 1) terminates it
+    too (the tail is noise), and an overflow after [..., a, 1] then ends as
+    [..., a + 1]; after 0/1 or 1/1 it is a quotient like any other, so
+    nothing settles on an endpoint."""
     quotients: list[int] = []
     convergents: list[tuple[int, int]] = []
     p_prev, p_cur = 0, 1
     q_prev, q_cur = 1, 0
     while len(quotients) < depth:
         a, r = divmod(n, d)
-        if quotients and a > quotient_overflow:
+        if a > quotient_overflow and 0 < p_cur < q_cur:
             if len(quotients) >= 3 and quotients[-1] == 1:
                 quotients[-2:] = [quotients[-2] + 1]
                 del convergents[-2]

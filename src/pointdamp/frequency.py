@@ -457,14 +457,6 @@ _ALLOCATOR_PRIME_BYTES = 8 * _BLOCK_BYTES
 # band limit of the random probes
 _PROBE_MODES = 8
 
-# fewest blocks of each part of a split scan.  As whole `resolvent-scan
-# --xi golden` invocations on 2 vCPUs, split scans of 16 to 32 blocks tied
-# with serial ones or lost in one series of 11 pairs, and 32 to 48 blocks
-# won by 3-7 ms of median wall in another, each paying ~15-35 ms more CPU
-# for the fork and the copy-on-write faults of both processes; 64 blocks won
-# in both series (8 and 11 of 11 pairs)
-_MIN_BLOCKS_PER_PROCESS = 32
-
 
 @functools.lru_cache(maxsize=4)
 def _series_table(nodes: bytes) -> np.ndarray:
@@ -609,13 +601,13 @@ class ScanResult:
 
 def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -> bytes:
     """The float64 estimates at the frequencies of a run of blocks, a block at a time."""
-    n, rows = mesh.nodes.size, max(probes_per_mu, 1)
+    n = mesh.nodes.size
     estimates = []
     for first in range(blocks.start * block, min(blocks.stop * block, mu_grid.size), block):
         mus = mu_grid[first : first + block]
         # (frequency, probe, samples of f, f' and g over all nodes), the
         # near-resonant probe first
-        series = np.empty((mus.size, rows, 3 * n), dtype=complex)
+        series = np.empty((mus.size, probes_per_mu, 3 * n), dtype=complex)
         _fill_resonant(mesh, mus, series[:, 0])
         if probes_per_mu > 1:
             draws = [
@@ -642,22 +634,24 @@ def scan_resolvent_growth(
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
     its own mu.  The blocks split into the contiguous parts of
-    processes.divide, at least _MIN_BLOCKS_PER_PROCESS each, and every part
-    but the first runs in a child that processes.split forks, which sends
-    its float64 estimates back; every block computes as it would alone, so
-    the estimates are the same bit for bit in any number of processes.
-    Fits log(norm) = log C + K*mu by least squares over the finite estimates
-    in this process.
+    processes.divide, and every part but the first runs in a child that
+    processes.split forks, which sends its float64 estimates back; every
+    block computes as it would alone, so the estimates are the same bit for
+    bit in any number of processes.  Fits log(norm) = log C + K*mu by least
+    squares over the finite estimates in this process.  probes_per_mu below 1
+    is refused.
     """
+    if probes_per_mu < 1:
+        raise ValueError("probes_per_mu must be at least 1")
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
     # a block of frequencies at a time, each with its own probes
-    block = max(1, _BLOCK_BYTES // (16 * max(probes_per_mu, 1) * mesh.nodes.size))
+    block = max(1, _BLOCK_BYTES // (16 * probes_per_mu * mesh.nodes.size))
     fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block)
     # dropped at once, before any fork, so a child inherits the allocator's
     # threshold too: see _ALLOCATOR_PRIME_BYTES
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
-    blocks = processes.divide(-(-mu_grid.size // block), _MIN_BLOCKS_PER_PROCESS)
+    blocks = processes.divide(-(-mu_grid.size // block))
     parts = processes.split(len(blocks), lambda part: fill(blocks[part]))
     estimates = np.frombuffer(b"".join(parts)).copy()
     finite = np.isfinite(estimates) & (estimates > 0)

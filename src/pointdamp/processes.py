@@ -1,11 +1,11 @@
 """Parts of one computation in forked child processes: the scan's blocks and a sweep's jobs.
 
-divide(units, least) is the one rule for how many processes a computation
-runs in and which contiguous units each takes.  split(parts, work) runs
-work(0) here and each other part in a child forked here, which sends the
-bytes its work returns down a pipe, every process on one BLAS thread.
-may_fork() says whether this process may fork at all.  The standard library
-alone, and not part of the package's public names.
+divide(units) is the one rule for how many processes a computation runs in
+and which contiguous units each takes.  split(parts, work) runs work(0) here
+and each other part in a child forked here, which sends the bytes its work
+returns down a pipe, every process on one BLAS thread.  may_fork() says
+whether this process may fork at all.  The standard library alone, and not
+part of the package's public names.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ def may_fork() -> bool:
     return hasattr(os, "sched_getaffinity") and not _in_split and threading.active_count() == 1
 
 
-def divide(units: int, least: int) -> list[range]:
+def divide(units: int) -> list[range]:
     """The contiguous runs of units 0 .. units - 1 a computation splits into, one per process.
 
     As many as the usable CPUs (os.sched_getaffinity; a CPU quota is not
-    read) but at most units // least, so each holds least units or more;
-    one, all of them, where may_fork() is false.
+    read) but at most units, so each holds a unit or more; one, all of them,
+    where may_fork() is false or there is at most one unit.
     """
-    count = max(1, min(len(os.sched_getaffinity(0)), units // least)) if may_fork() else 1
+    count = max(1, min(len(os.sched_getaffinity(0)), units)) if may_fork() else 1
     return [range(units * part // count, units * (part + 1) // count) for part in range(count)]
 
 

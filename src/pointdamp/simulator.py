@@ -69,7 +69,8 @@ __all__ = [
 class WaveState:
     """Displacement and velocity sampled at every mesh node.
 
-    Any starting data is built directly; simulate holds both ends at zero.
+    Any starting data is built directly; simulate takes it only with u and v
+    zero at both ends, where the string is clamped.
     """
 
     mesh: Mesh
@@ -209,7 +210,8 @@ def simulate(
     chosen by the simulate task's check.  The requested dt is shrunk
     minutely so a whole number of uniform steps lands exactly on t_final;
     the dt actually used is reported on the trace.  The string is clamped at
-    both ends: boundary values are held at zero.
+    both ends: a state whose u or v is not zero there is refused, since
+    energy() would count what the step then drops.
 
     sample_every chooses where energy is sampled and nothing else: the
     modes are carried from block end to block end whatever the samples, so
@@ -221,6 +223,8 @@ def simulate(
         raise ValueError("dt must be positive")
     if sample_every < 1:
         raise ValueError("sample_every must be >= 1")
+    if state.u[0] or state.u[-1] or state.v[0] or state.v[-1]:
+        raise ValueError("the string is clamped: u and v must be 0 at both ends")
     span = t_final - state.t
     if span < 0:
         raise ValueError("t_final must not precede the current time")

@@ -71,7 +71,7 @@ def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[
                              for position, task_plan in jobs])
 
     first, rest = plan[:1], plan[1:]
-    parts = processes.divide(len(rest), 1)
+    parts = processes.divide(len(rest))
     payloads = processes.split(1, lambda part: rows(first))
     payloads += processes.split(len(parts), lambda part: rows([rest[j] for j in parts[part]]))
     return sorted((pair for payload in payloads for pair in pickle.loads(payload)),

@@ -510,6 +510,19 @@ def test_classify_fraction_echoed(tmp_path):
     assert report["result"]["exact_form"] == "2/5"
 
 
+@pytest.mark.parametrize("xi, quotients", [
+    ("1e-13", [0, 9_999_999_999_999]), ("0.9999999999999", [0, 1, 9_996_891_514_694]),
+])
+def test_classify_settles_no_position_on_an_end(tmp_path, xi, quotients):
+    # the first quotient past 0/1 or 1/1 is above quotient_overflow; the
+    # position has no exact form and is read as its double, not as 0 or 1
+    assert run(["classify", "--xi", xi, "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "classify_report.json").read_text())["result"]
+    assert result["is_rational"] is False
+    assert result["partial_quotients"] == quotients
+    assert result["conditions"]["exp_grid"]["verdict"] == "pass"
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -942,7 +955,10 @@ def test_spectrum_one_half(tmp_path):
     ("0.4", ("0.5", "50"), True),
     # classify's expansion reads 0.4 as 2/5 and this double as irrational
     ("0.400000000001", ("0.5", "50"), False),
-], ids=["golden-317811", "0.4", "0.4+1e-12"])
+    # no position settles on 0 or 1: the smallest Im z here is ~1e-25
+    ("1e-13", ("0.5", "50"), False),
+    ("0.9999999999999", ("0.5", "50"), False),
+], ids=["golden-317811", "0.4", "0.4+1e-12", "1e-13", "1-1e-13"])
 def test_spectrum_real_roots_are_those_of_the_rational_form(tmp_path, xi, re_range, real):
     code = run(["spectrum", "--xi", xi, "--out", tmp_path,
                 "--set", f"re_min={re_range[0]}", "--set", f"re_max={re_range[1]}"])
@@ -1190,11 +1206,25 @@ def test_resolvent_scan_with_a_failing_child_exits_3(tmp_path, monkeypatch, caps
         return bound(*args)
 
     monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
-    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert run(["resolvent-scan", "--xi", "golden", "--out", tmp_path, "--set", "cells=32"]) == 3
     assert "computation error: RuntimeError" in capsys.readouterr().err
     assert not (tmp_path / "resolvent_scan.csv").exists()
+
+
+def test_default_resolvent_scan_splits_on_two_cpus(tmp_path, monkeypatch):
+    # 119 frequencies in 40 blocks of 3: one child on 2 usable CPUs, none on
+    # 1, and the same table both ways
+    forked = record_forks(monkeypatch)
+    tables = []
+    for cpus, children in ((1, 0), (2, 1)):
+        _on_cpus(monkeypatch, cpus)
+        assert run(["resolvent-scan", "--xi", "golden", "--out", tmp_path / str(cpus)]) == 0
+        assert len(forked) == children
+        tables.append((tmp_path / str(cpus) / "resolvent_scan.csv").read_bytes())
+    assert_reaped(forked)
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 2 + 119
 
 # ---------------------------------------------------------- carleman verify
 
@@ -1417,7 +1447,6 @@ def test_resolvent_scan_sweep_forks_only_at_the_sweep_level(tmp_path, monkeypatc
 
     monkeypatch.setattr(os, "fork", fork_in_the_parent_only)
     forked = record_forks(monkeypatch)
-    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
     args = ["sweep", "--set", "task=resolvent-scan", "--set", "xi_list=0.3,golden,0.7",
             "--set", "mu_max=120", "--set", "cells=32"]
     _on_cpus(monkeypatch, 1)

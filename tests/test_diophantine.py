@@ -403,6 +403,8 @@ def test_exact_resonances_of_every_small_rational():
 @pytest.mark.parametrize("xi, form", [
     (0.4, (2, 5)), (0.4 + 1e-12, None), (0.5 + 1e-13, (1, 2)), (GOLDEN_RATIO_CONJUGATE, None),
     (0.375, (3, 8)), (Fraction(1, 999_983), (1, 999_983)),
+    # a quotient above the overflow just past 0/1 or 1/1 settles on no endpoint
+    (1e-13, None), (0.9999999999999, None),
 ])
 def test_rational_form_is_where_the_expansion_ends(xi, form):
     assert expansion.rational_form(xi) == form

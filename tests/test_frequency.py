@@ -686,7 +686,6 @@ def test_each_probe_bound_is_the_same_alone_in_a_stack_and_in_a_block(cells):
 def _scan_on_cpus(monkeypatch, cpus, xi, grid, seed, cells=32):
     """The scan in blocks of 3 frequencies, in as many processes as blocks, up to cpus."""
     monkeypatch.setattr(frequency, "_BLOCK_BYTES", 3 * 16 * 4 * (2 * cells + 1))
-    monkeypatch.setattr(frequency, "_MIN_BLOCKS_PER_PROCESS", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     return scan_resolvent_growth(xi, grid, 4, seed=seed, cells_per_side=cells)
 
@@ -730,22 +729,28 @@ def test_scan_on_one_cpu_never_forks(monkeypatch):
     assert np.all(np.isfinite(scan.norm_estimate))
 
 
+@pytest.mark.parametrize("probes", [0, -5])
+def test_scan_refuses_fewer_than_one_probe(probes):
+    with pytest.raises(ValueError, match="probes_per_mu"):
+        scan_resolvent_growth(GOLDEN, [2.0, 3.0], probes, cells_per_side=16)
+
+
 def test_when_a_scan_forks(monkeypatch):
-    # the scan's parts are processes.divide's over its blocks, at least
-    # _MIN_BLOCKS_PER_PROCESS each: on 2 CPUs the benchmark's golden scan
-    # (mu_max=200, 133 blocks of 3 frequencies) splits 66/67
+    # the scan's parts are processes.divide's over its blocks: on 2 CPUs the
+    # benchmark's golden scan (mu_max=200, 133 blocks of 3 frequencies)
+    # splits 66/67
     divided = []
     divide = processes.divide
 
-    def recording_divide(units, least):
-        divided.append((units, least, divide(units, least)))
+    def recording_divide(units):
+        divided.append((units, divide(units)))
         return divided[-1][-1]
 
     monkeypatch.setattr(processes, "divide", recording_divide)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forked = record_forks(monkeypatch)
     scan = scan_resolvent_growth(GOLDEN, default_mu_grid(1.0, 200.0, 0.5), 4, seed=1)
-    assert divided == [(133, 32, [range(0, 66), range(66, 133)])]
+    assert divided == [(133, [range(0, 66), range(66, 133)])]
     assert len(forked) == 1
     assert_reaped(forked)
     assert scan.norm_estimate.size == 399 and scan.n_resonant == 0

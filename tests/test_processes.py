@@ -22,13 +22,13 @@ def _on_cpus(monkeypatch, count):
 
 def test_one_cpu_runs_one_part(monkeypatch):
     _on_cpus(monkeypatch, 1)
-    assert processes.divide(1000, 1) == [range(0, 1000)]
+    assert processes.divide(1000) == [range(0, 1000)]
 
 
 def test_no_part_of_its_own_where_it_may_not_fork(monkeypatch):
     _on_cpus(monkeypatch, 8)
     # inside a split, in its own part and in a child alike
-    assert processes.split(2, lambda part: bytes([len(processes.divide(100, 1))])) == [
+    assert processes.split(2, lambda part: bytes([len(processes.divide(100))])) == [
         b"\x01", b"\x01"
     ]
     # beside another Python thread
@@ -36,41 +36,43 @@ def test_no_part_of_its_own_where_it_may_not_fork(monkeypatch):
     waiting = threading.Thread(target=release.wait, args=(60,))
     waiting.start()
     try:
-        assert processes.divide(100, 1) == [range(0, 100)]
+        assert processes.divide(100) == [range(0, 100)]
     finally:
         release.set()
         waiting.join()
-    assert len(processes.divide(100, 1)) == 8
+    assert len(processes.divide(100)) == 8
 
 
 def test_work_below_the_minimum_runs_in_one_part(monkeypatch):
+    # a part holds one unit at least: no unit or one runs in one part, and
+    # two units split in two
     _on_cpus(monkeypatch, 8)
-    assert processes.divide(63, 32) == [range(0, 63)]
-    assert processes.divide(64, 32) == [range(0, 32), range(32, 64)]
-    assert processes.divide(0, 1) == [range(0, 0)]
+    assert processes.divide(0) == [range(0, 0)]
+    assert processes.divide(1) == [range(0, 1)]
+    assert processes.divide(2) == [range(0, 1), range(1, 2)]
 
 
 def test_eight_cpus_and_three_jobs_give_two_parts(monkeypatch):
     # a sweep of three jobs runs the first alone, then divides the other two,
     # one job or more each: two parts, whatever the CPUs beyond two
     _on_cpus(monkeypatch, 8)
-    assert processes.divide(3 - 1, 1) == [range(0, 1), range(1, 2)]
+    assert processes.divide(3 - 1) == [range(0, 1), range(1, 2)]
 
 
-@pytest.mark.parametrize("cpus, units, least", [(2, 133, 32), (8, 133, 32), (3, 19, 1), (8, 5, 1)])
-def test_parts_are_contiguous_and_even(monkeypatch, cpus, units, least):
+@pytest.mark.parametrize("cpus, units", [(2, 133), (8, 133), (3, 19), (8, 5), (2, 40)])
+def test_parts_are_contiguous_and_even(monkeypatch, cpus, units):
     _on_cpus(monkeypatch, cpus)
-    parts = processes.divide(units, least)
-    assert len(parts) == min(cpus, units // least)
+    parts = processes.divide(units)
+    assert len(parts) == min(cpus, units)
     assert [part.start for part in parts[1:]] == [part.stop for part in parts[:-1]]
     assert (parts[0].start, parts[-1].stop) == (0, units)
     assert max(map(len, parts)) - min(map(len, parts)) <= 1
-    assert min(map(len, parts)) >= least
+    assert min(map(len, parts)) >= 1
 
 
 def test_golden_scan_splits_66_67(monkeypatch):
     _on_cpus(monkeypatch, 2)
-    assert processes.divide(133, 32) == [range(0, 66), range(66, 133)]
+    assert processes.divide(133) == [range(0, 66), range(66, 133)]
 
 
 # ------------------------------------------------------------------- split

@@ -107,6 +107,16 @@ def test_simulate_validates_inputs():
         simulate(state, 1.0, dt=0.1, sample_every=0)
 
 
+@pytest.mark.parametrize("array, index", [("u", 0), ("u", -1), ("v", 0), ("v", -1)])
+def test_simulate_refuses_data_off_zero_at_an_end(array, index):
+    # energy() counts the ends, which the clamped step would drop unrecorded
+    mesh = build_mesh(GOLDEN, 50, 50)
+    state = initial_data(mesh, "smooth_bump")
+    getattr(state, array)[index] = 0.1
+    with pytest.raises(ValueError, match="both ends"):
+        simulate(state, 1.0, dt=0.01)
+
+
 def test_simulate_lands_exactly_on_final_time():
     mesh = build_mesh(GOLDEN, 64, 64)
     state = initial_data(mesh, "smooth_bump")
