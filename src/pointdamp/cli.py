@@ -235,10 +235,6 @@ def _pyify(obj):
     fractions = sys.modules.get("fractions")  # no Fraction exists before fractions loads
     if fractions is not None and isinstance(obj, fractions.Fraction):
         return str(obj)
-    if hasattr(obj, "dtype"):  # a numpy array or scalar, recognised without importing numpy
-        return _pyify(obj.tolist())
-    if isinstance(obj, complex):
-        return {"real": _pyify(obj.real), "imag": _pyify(obj.imag)}
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # JSON has no nan or infinity
     return obj
@@ -295,10 +291,10 @@ def _csv_column(values: tuple) -> tuple[str, tuple]:
     return "%s", tuple(map(_csv_cell, values))
 
 
-def _csv_chunk(chunk: list) -> str:
-    """The lines of a chunk of rows, formatted with one %-template."""
-    if len(set(map(len, chunk))) != 1:
-        return "".join(",".join(map(_csv_cell, row)) + "\n" for row in chunk)
+def _csv_chunk(chunk: list, width: int) -> str:
+    """The lines of a chunk of rows, formatted with one %-template; each row holds width cells."""
+    if set(map(len, chunk)) != {width}:
+        raise ValueError(f"a row's cell count differs from the {width} columns")
     specs, columns = zip(*map(_csv_column, zip(*chunk)))
     template = (",".join(specs) + "\n") * len(chunk)
     return template % tuple(itertools.chain.from_iterable(zip(*columns)))
@@ -309,14 +305,15 @@ def _csv_lines(schema: str, version: int, columns: list[str], rows):
     yield ",".join(columns) + "\n"
     rows = iter(rows)
     while chunk := list(map(tuple, itertools.islice(rows, _CSV_CHUNK_ROWS))):
-        yield _csv_chunk(chunk)
+        yield _csv_chunk(chunk, len(columns))
 
 
 def write_csv(path: Path, schema: str, columns: list[str], rows, *, version: int = 1) -> None:
     """Stream the rows to the file a chunk at a time, under a schema comment.
 
     Each schema carries its own version, raised when its columns change.
-    Every cell reads as _csv_cell writes it.
+    Every cell reads as _csv_cell writes it.  A row whose cell count differs
+    from the columns' raises a ValueError, and no file is left behind.
     """
     _write_atomic(path, _csv_lines(schema, version, columns, rows))
 

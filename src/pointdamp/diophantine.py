@@ -73,10 +73,6 @@ class ContinuedFraction:
     truncated_by_precision: bool = False
 
     @property
-    def is_rational(self) -> bool:
-        return self.terminated
-
-    @property
     def max_partial_quotient(self) -> int:
         # a0 encodes the integer part (0 here) and carries no approximation info
         tail = self.partial_quotients[1:]
@@ -179,14 +175,11 @@ def _power(x: float, p: float) -> float:
 class GrowthFunction:
     """Positive nondecreasing weight m -> phi(m) used by the scan condition.
 
-    evaluate maps one float to one float; calling the function does the same.
+    evaluate maps one float to one float.
     """
 
     kind: str
     evaluate: Callable[[float], float] = field(repr=False)
-
-    def __call__(self, m: float) -> float:
-        return self.evaluate(float(m))
 
     @staticmethod
     def identity() -> "GrowthFunction":
@@ -251,10 +244,6 @@ class ConditionReport:
     fitted_constants: dict
     note: str = ""
     trace: _Rows | None = field(default=None, repr=False)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 class _Rows:
@@ -593,7 +582,8 @@ def check_liouville_type(
 
     trace = None
     if keep_trace:
-        trace = _Rows(m_max, 2, lambda i: (float(i + 1), phi(i + 1) * distance(i + 1)))
+        trace = _Rows(m_max, 2, lambda i: (float(i + 1),
+                                           phi.evaluate(float(i + 1)) * distance(i + 1)))
     constants = {
         "kappa": kappa,
         "phi": phi.kind,

@@ -599,11 +599,12 @@ class ScanResult:
     n_resonant: int
 
 
-def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -> bytes:
-    """The float64 estimates at the frequencies of a run of blocks, a block at a time."""
+def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -> np.ndarray:
+    """The estimates at the frequencies of a run of blocks, a block at a time."""
     n = mesh.nodes.size
-    estimates = []
-    for first in range(blocks.start * block, min(blocks.stop * block, mu_grid.size), block):
+    frequencies = range(blocks.start * block, min(blocks.stop * block, mu_grid.size))
+    estimates = np.empty(len(frequencies))
+    for first in frequencies[::block]:
         mus = mu_grid[first : first + block]
         # (frequency, probe, samples of f, f' and g over all nodes), the
         # near-resonant probe first
@@ -616,8 +617,9 @@ def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -
             ]
             _fill_series(mesh, np.stack(draws), series[:, 1:])
         probes = [_split_series(mesh, series)]
-        estimates.append(resolvent_norm_lower_bound(xi, mus, probes).tobytes())
-    return b"".join(estimates)
+        start = first - frequencies.start
+        estimates[start : start + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
+    return estimates
 
 
 def scan_resolvent_growth(
@@ -633,9 +635,8 @@ def scan_resolvent_growth(
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
-    its own mu.  The blocks split into the contiguous parts of
-    processes.divide, and every part but the first runs in a child that
-    processes.split forks, which sends its float64 estimates back; every
+    its own mu.  processes.split runs the blocks in contiguous parts, every
+    part but the first in a forked child that sends its estimates back; every
     block computes as it would alone, so the estimates are the same bit for
     bit in any number of processes.  Fits log(norm) = log C + K*mu by least
     squares over the finite estimates in this process.  probes_per_mu below 1
@@ -651,9 +652,7 @@ def scan_resolvent_growth(
     # dropped at once, before any fork, so a child inherits the allocator's
     # threshold too: see _ALLOCATOR_PRIME_BYTES
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)
-    blocks = processes.divide(-(-mu_grid.size // block))
-    parts = processes.split(len(blocks), lambda part: fill(blocks[part]))
-    estimates = np.frombuffer(b"".join(parts)).copy()
+    estimates = np.concatenate(processes.split(-(-mu_grid.size // block), fill))
     finite = np.isfinite(estimates) & (estimates > 0)
     n_resonant = int(np.sum(~finite))
     if np.sum(finite) >= 2:

@@ -1,16 +1,17 @@
 """Parts of one computation in forked child processes: the scan's blocks and a sweep's jobs.
 
 divide(units) is the one rule for how many processes a computation runs in
-and which contiguous units each takes.  split(parts, work) runs work(0) here
-and each other part in a child forked here, which sends the bytes its work
-returns down a pipe, every process on one BLAS thread.  may_fork() says
-whether this process may fork at all.  The standard library alone, and not
-part of the package's public names.
+and which contiguous units each takes.  split(units, work) runs work on each
+run of units that divide gives, the first here and each other in a child
+forked here, which sends back what its work returned, pickled, every process
+on one BLAS thread.  may_fork() says whether this process may fork at all.
+The standard library alone, and not part of the package's public names.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import sys
 import threading
 from typing import Callable
@@ -62,8 +63,8 @@ def _one_blas_thread() -> Callable[[], object]:
     return lambda: set_threads(count)
 
 
-def _serve(part: int, work: Callable[[int], object], write: int, reads: list[int]) -> None:
-    """In a forked child: work(part) down the write end, or the text of what it raised.
+def _serve(run: range, work: Callable[[range], object], write: int, reads: list[int]) -> None:
+    """In a forked child: work(run), pickled, down the write end, or the text of what it raised.
 
     Leaves through os._exit, status 0 once the result is sent and 1 otherwise,
     so it never returns into the caller, runs no atexit hook and flushes no
@@ -75,7 +76,7 @@ def _serve(part: int, work: Callable[[int], object], write: int, reads: list[int
         for read in reads:  # this child's and every earlier child's read end
             os.close(read)
         try:
-            payload, status = work(part), 0
+            payload, status = pickle.dumps(work(run)), 0
         except BaseException as exc:
             payload, status = f"{type(exc).__name__}: {exc}".encode(), 1
         with open(write, "wb") as pipe:
@@ -90,28 +91,29 @@ def _read_all(read: int) -> bytes:
         return pipe.read()
 
 
-def split(parts: int, work: Callable[[int], object]) -> list:
-    """[work(0), then the bytes work(i) returned in its child, for i = 1 .. parts - 1].
+def split(units: int, work: Callable[[range], object]) -> list:
+    """[work(run) for each run of divide(units)], the first run's here and each other's in a child.
 
-    The children fork first and work(0) runs here meanwhile; may_fork() is
-    false here until it returns, as in every child, so split(1, work) runs
-    work(0) with no fork beneath it.  Where numpy is loaded, its OpenBLAS
-    runs on one thread here, and so in every child, until split returns:
-    pools of one thread per CPU in each process would contend for the CPUs.
-    The parent reads every pipe before it reaps, so no child blocks on a full
-    pipe.  A child that fails, by raising or by any exit status but 0, makes
-    split raise a RuntimeError naming the part, the pid, the exit status and
-    the bytes it sent, and the text of what it raised.  If this process
-    raises, or is interrupted, before it has reaped them, it kills and reaps
-    every child: no process outlives the call.
+    The children fork first and the first run's work runs here meanwhile;
+    may_fork() is false here until it returns, as in every child, so a split
+    inside work runs in one part with no fork beneath it.  Where numpy is
+    loaded, its OpenBLAS runs on one thread here, and so in every child,
+    until split returns: pools of one thread per CPU in each process would
+    contend for the CPUs.  The parent reads every pipe before it reaps, so no
+    child blocks on a full pipe.  A child that fails, by raising or by any
+    exit status but 0, makes split raise a RuntimeError naming the part, the
+    pid, the exit status and the bytes it sent, and the text of what it
+    raised.  If this process raises, or is interrupted, before it has reaped
+    them, it kills and reaps every child: no process outlives the call.
     """
     global _in_split
+    runs = divide(units)
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     statuses: list[int] = []
     restore_blas = _one_blas_thread()
     _in_split = True
     try:
-        for part in range(1, parts):
+        for run in runs[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -120,10 +122,10 @@ def split(parts: int, work: Callable[[int], object]) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _serve(part, work, write, [fd for _, fd in children] + [read])
+                _serve(run, work, write, [fd for _, fd in children] + [read])
             children.append((pid, read))
             os.close(write)
-        first = work(0)
+        first = work(runs[0])
         payloads = [_read_all(read) for _, read in children]
         for pid, _ in children:
             statuses.append(os.waitpid(pid, 0)[1])
@@ -143,7 +145,7 @@ def split(parts: int, work: Callable[[int], object]) -> list:
         if code != 0:
             raised = f": {payload.decode(errors='replace')}" if code == 1 else ""
             raise RuntimeError(
-                f"part {part} of {parts} failed in process {pid}: exit status {code},"
+                f"part {part} of {len(runs)} failed in process {pid}: exit status {code},"
                 f" {len(payload)} bytes sent{raised}"
             )
-    return [first, *payloads]
+    return [first, *map(pickle.loads, payloads)]

@@ -37,14 +37,8 @@ USES_NUMPY = False
 
 
 def _condition_dict(report: diophantine.ConditionReport) -> dict:
-    return {
-        "condition_id": report.condition_id,
-        "xi": report.xi,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "fitted_constants": report.fitted_constants,
-        "note": report.note,
-    }
+    """The report's fields, its trace (written as a table) excepted."""
+    return {name: value for name, value in vars(report).items() if name != "trace"}
 
 
 def _growth_from_text(text: str) -> diophantine.GrowthFunction:

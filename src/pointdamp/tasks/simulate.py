@@ -32,17 +32,37 @@ SWEEP_DEFAULTS = {"cells": "300", "t_final": "50", "dt": "0.002", "save_state": 
 USES_NUMPY = True
 
 
+def _holds_a_node(xi: float, cells: int, center: float, width: float) -> bool:
+    """Whether the bump's open support holds an interior node of the run's mesh.
+
+    The interior nodes are j * (xi / cells) and xi + j * ((1 - xi) / cells)
+    for 0 < j < cells, and xi (the rule in Mesh's docstring); initial_data
+    puts a nonzero value at a node x exactly when abs((x - center) / width)
+    < 1.  On each side only the nodes next to the centre are tried.
+    """
+    if abs((xi - center) / width) < 1.0:
+        return True
+    for origin, h in ((0.0, xi / cells), (xi, (1.0 - xi) / cells)):
+        near = round(min(max((center - origin) / h, 1.0), cells - 1.0))
+        for j in range(max(near - 1, 1), min(near + 1, cells - 1) + 1):
+            if abs((origin + j * h - center) / width) < 1.0:
+                return True
+    return False
+
+
 def check(cfg: dict, xi: Position) -> float:
     """The time step, refused when the run would take over MAX_SIM_STEPS steps.
 
-    A smooth bump whose support misses the string, which would start the run
-    from zero data, is refused too.
+    A smooth bump whose support holds no interior mesh node, which would
+    start the run from zero data, is refused too.
     """
-    if cfg["initial"] == "smooth_bump" and not math.isnan(cfg["center"]):
-        low, high = cfg["center"] - cfg["width"], cfg["center"] + cfg["width"]
-        if not (low < 1.0 and high > 0.0):
+    center, width = cfg["center"], cfg["width"]
+    if cfg["initial"] == "smooth_bump" and not math.isnan(center):
+        if not _holds_a_node(xi.value, cfg["cells"], center, width):
             raise ConfigError(
-                f"center and width put the bump's support ({low:g}, {high:g}) off the string (0, 1)"
+                f"center and width put the bump's support ({center - width:g}, {center + width:g})"
+                f" on no interior node of the {cfg['cells']}-cell sides, so the run would start"
+                " from zero data"
             )
     # dt = 0 means half the smaller mesh spacing
     dt = cfg["dt"] or min(xi.value, 1.0 - xi.value) / cfg["cells"] / 2.0
@@ -102,16 +122,7 @@ def files(cfg: dict, result) -> tuple:
         report["fits"] = None
         report["fit_note"] = str(fits)
     elif fits is not None:
-        report["fits"] = [
-            {
-                "kind": f.kind,
-                "parameters": f.parameters,
-                "residual": f.residual,
-                "valid_range": list(f.valid_range),
-                "n_samples": f.n_samples,
-            }
-            for f in fits
-        ]
+        report["fits"] = [vars(f) for f in fits]
     return "simulate_report.json", report, tables
 
 

@@ -56,26 +56,22 @@ def run(cfg: dict, xi: None, plan: list[tuple[Position, object]]) -> list[tuple[
 
     The first job runs here alone, in a split of its own, so the layers it
     imports (numpy's ~80 ms among them) load once and every child inherits
-    them; the other jobs then split into the parts of processes.divide, one
+    them; processes.split then runs the other jobs in contiguous parts, one
     job or more each.  Every job runs inside a split: nothing it calls forks,
     and once numpy has loaded it computes on one BLAS thread, so the rows
     are the same bit for bit in any number of processes.
     """
-    import pickle
-
     task = cli._task(cfg["task"])
     task_cfg = dict(cfg["task_config"], seed=cfg["seed"])
 
-    def rows(jobs: list[tuple[Position, object]]) -> bytes:
-        return pickle.dumps([(position.value, task.row(task.run(task_cfg, position, task_plan)))
-                             for position, task_plan in jobs])
+    def rows(jobs: list[tuple[Position, object]]) -> list[tuple[float, dict]]:
+        return [(position.value, task.row(task.run(task_cfg, position, task_plan)))
+                for position, task_plan in jobs]
 
     first, rest = plan[:1], plan[1:]
-    parts = processes.divide(len(rest))
-    payloads = processes.split(1, lambda part: rows(first))
-    payloads += processes.split(len(parts), lambda part: rows([rest[j] for j in parts[part]]))
-    return sorted((pair for payload in payloads for pair in pickle.loads(payload)),
-                  key=lambda pair: pair[0])
+    parts = processes.split(1, lambda run: rows(first))
+    parts += processes.split(len(rest), lambda run: rows([rest[j] for j in run]))
+    return sorted((pair for part in parts for pair in part), key=lambda pair: pair[0])
 
 
 def files(cfg: dict, results: list[tuple[float, dict]]) -> tuple:

@@ -688,7 +688,7 @@ def liouville_scan(xi, phi: GrowthFunction, kappa: float, m_max: int,
     """Full-scan reference of check_liouville_type: every m <= m_max, on
     settled_distances."""
     m = np.arange(1, int(m_max) + 1, dtype=float)
-    weights = m if phi.kind == "identity" else np.array([phi(v) for v in m.tolist()])
+    weights = m if phi.kind == "identity" else np.array([phi.evaluate(v) for v in m.tolist()])
     with np.errstate(invalid="ignore"):
         products = weights * settled_distances(xi, m_max)
     trace = np.column_stack([m, products]) if keep_trace else None

@@ -264,7 +264,7 @@ def test_criterion_9_diophantine_oracle(capsys):
     witness = rep.witness
     witness_violates = (
         witness is not None
-        and float(phi(witness) * diophantine.dist_nearest_integer(witness * xi)) < 0.2
+        and phi.evaluate(witness) * diophantine.dist_nearest_integer(witness * xi) < 0.2
     )
     witness_is_convergent = witness is not None and int(witness) in string_qs
     ok = (

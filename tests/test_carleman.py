@@ -18,26 +18,15 @@ from oracles import (
     random_test_function,
 )
 from pointdamp import carleman
-from pointdamp import (
-    GOLDEN_RATIO_CONJUGATE,
-    WeightFunction,
-    apply_conjugated_operator,
-    apply_helmholtz,
-    build_mesh,
-    conjugation_route,
-    default_left_weight,
-    default_right_weight,
-    estimate_carleman_constant,
-    evaluate_carleman_inequality,
-    ibp_residuals,
-    inequality_forms,
-    resonant_forcing,
-    sample_basis,
-    solve_resolvent,
-    split_conjugated_operator,
-    square_expansion_residual,
-    validate_weight,
+from pointdamp.carleman import (
+    WeightFunction, apply_conjugated_operator, apply_helmholtz, conjugation_route,
+    default_left_weight, default_right_weight, estimate_carleman_constant,
+    evaluate_carleman_inequality, ibp_residuals, inequality_forms, sample_basis,
+    split_conjugated_operator, square_expansion_residual, validate_weight,
 )
+from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE
+from pointdamp.frequency import resonant_forcing, solve_resolvent
+from pointdamp.mesh import build_mesh
 from pointdamp.tasks.carleman_verify import identity_check_coefficients
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE

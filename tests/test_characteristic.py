@@ -17,8 +17,9 @@ from pointdamp.characteristic import (
     height_bound,
 )
 from pointdamp.cli import main
+from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE
 
-GOLDEN = pointdamp.GOLDEN_RATIO_CONJUGATE
+GOLDEN = GOLDEN_RATIO_CONJUGATE
 POSITIONS = (GOLDEN, 0.41421356237309515, 0.5, 0.4, 0.05, 0.01, 0.3)
 
 
@@ -68,6 +69,16 @@ def test_no_root_at_or_above_the_height_bound(xi):
     assert frequency.winding_number(xi, (0.5 * math.pi, 60.5 * math.pi, y, 2.0 * y)) == 0
 
 
+def test_a_window_above_the_height_bound_holds_no_root(monkeypatch):
+    # returned at once, without a Newton solve: the bound is 1.25 at 0.3
+    def no_newton(*args):
+        raise AssertionError("a strip was solved")
+
+    monkeypatch.setattr(characteristic, "_certified_root", no_newton)
+    assert height_bound(0.3) < 5.0
+    assert find_eigenvalues(0.3, (0.5, 20.0, 5.0, 6.0)) == []
+
+
 def test_scalar_and_array_evaluations_agree():
     z = np.array([0.0, 1.5 + 0.2j, 377.0 + 0.01j, -20.0 + 2.5j, 4e4 + 1.0j])
     for xi in (GOLDEN, 0.01):
@@ -80,9 +91,7 @@ def test_scalar_and_array_evaluations_agree():
     assert isinstance(characteristic_function(0.3, np.float64(2.0)), complex)
 
 
-def test_frequency_and_the_package_re_export_the_same_objects():
-    for name in characteristic.__all__:
-        assert getattr(pointdamp, name) is getattr(characteristic, name), name
+def test_frequency_re_exports_the_same_objects():
     # the names frequency still takes from characteristic
     for name in ("find_eigenvalues", "characteristic_function", "ContourThroughRoot"):
         assert getattr(frequency, name) is getattr(characteristic, name), name

@@ -683,6 +683,26 @@ def test_out_of_range_number_is_config_error(tmp_path, args):
     assert run(args + xi + ["--out", tmp_path]) == 2
 
 
+def test_scan_fit_of_one_finite_estimate(tmp_path):
+    # one frequency: the growth constant is its estimate, with no rate and no residual
+    assert run(["resolvent-scan", "--xi", "golden", "--set", "mu_min=5", "--set", "mu_max=5.2",
+                 "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "resolvent_scan.json").read_text())["result"]
+    assert (result["n_grid"], result["n_resonant"]) == (1, 0)
+    assert result["growth_constant"] == result["max_finite_norm"] > 0.0
+    assert (result["growth_rate"], result["log_residual"]) == (0.0, 0.0)
+
+
+def test_scan_fit_of_no_finite_estimate(tmp_path):
+    # the one frequency, 2 pi, is resonant at 1/2: no constant and no residual
+    assert run(["resolvent-scan", "--xi", "1/2", "--set", f"mu_min={2 * math.pi!r}",
+                 "--set", "mu_max=6.5", "--set", "mu_step=1", "--out", tmp_path]) == 0
+    result = json.loads((tmp_path / "resolvent_scan.json").read_text())["result"]
+    assert (result["n_grid"], result["n_resonant"]) == (1, 1)
+    assert result["growth_constant"] is None and result["log_residual"] is None
+    assert result["max_finite_norm"] is None
+
+
 def test_simulate_refuses_a_bump_off_the_string(tmp_path, capsys):
     args = ["simulate", "--xi", "golden", "--set", "t_final=1", "--set", "cells=20"]
     for center in ("2", "-0.2"):
@@ -695,6 +715,46 @@ def test_simulate_refuses_a_bump_off_the_string(tmp_path, capsys):
     assert run(args + end) == 0
     report = json.loads((tmp_path / "end" / "simulate_report.json").read_text())
     assert report["result"]["energy_initial"] > 0.0
+
+
+def test_simulate_refuses_a_bump_between_mesh_nodes(tmp_path, capsys):
+    # a support inside (0, 1) that holds no interior node gives zero data:
+    # refused in check, so a sweep refuses it before any job
+    runs = [
+        ["simulate", "--xi", "golden", "--set", "center=0.3", "--set", "width=1e-4"],
+        ["simulate", "--xi", "golden", "--set", "center=0.3", "--set", "width=1e-3",
+         "--set", "cells=10"],
+        ["sweep", "--set", "task=simulate", "--set", "xi_list=golden,0.3",
+         "--set", "center=0.3", "--set", "width=1e-4"],
+    ]
+    for args in runs:
+        assert run(args + ["--set", "t_final=0.1", "--out", tmp_path / "zero"]) == 2
+        assert "zero data" in capsys.readouterr().err
+    assert not (tmp_path / "zero").exists()
+    # at 0.3 the damped node lies in that support
+    assert run(runs[0][:2] + ["0.3"] + runs[0][3:] + ["--set", "t_final=0.1", "--set",
+                                                       "fit=false", "--out", tmp_path]) == 0
+    report = json.loads((tmp_path / "simulate_report.json").read_text())
+    assert report["result"]["energy_initial"] > 0.0
+
+
+def test_bump_node_rule_matches_the_initial_data():
+    # check's O(1) decision against the nodes initial_data fills
+    from pointdamp import simulator
+    from pointdamp.tasks.simulate import _holds_a_node
+
+    rng = np.random.default_rng(7)
+    for _ in range(400):
+        xi, cells = float(rng.uniform(0.01, 0.99)), int(rng.integers(2, 60))
+        width = float(10.0 ** rng.uniform(-4, 0))
+        mesh = build_mesh(xi, cells, cells)
+        # centres on or next to a node, and anywhere on or near the string
+        node = float(mesh.nodes[rng.integers(mesh.nodes.size)])
+        for center in (node, np.nextafter(node - width, -1.0), node + width,
+                       float(rng.uniform(-0.2, 1.2))):
+            u = simulator.initial_data(mesh, "smooth_bump", center=center, width=width).u
+            assert _holds_a_node(xi, cells, float(center), width) == bool(np.any(u)), (
+                xi, cells, center, width)
 
 
 def _readme_key_tables():
@@ -1531,9 +1591,9 @@ def split_parts(monkeypatch):
     parts = []
     split = processes.split
 
-    def recording_split(count, work):
-        parts.append(count)
-        return split(count, work)
+    def recording_split(units, work):
+        parts.append(len(processes.divide(units)))
+        return split(units, work)
 
     monkeypatch.setattr(processes, "split", recording_split)
     return parts
@@ -1875,14 +1935,24 @@ def test_csv_chunks_match_cell_formatting(tmp_path):
         # a column whose cell types differ between rows
         ("both", 1.5, 2, np.float32(0.1), True, None),
     ]
-    ragged_rows = [(1.0, 2.0), (3.0,), (4.0, 5.0, 6)]
-    for name, rows in (("floats", float_rows), ("mixed", mixed_rows), ("ragged", ragged_rows)):
+    for name, rows in (("floats", float_rows), ("mixed", mixed_rows)):
         path = tmp_path / f"{name}.csv"
         columns = [f"c{j}" for j in range(len(rows[0]))]
         write_csv(path, "test", columns, (iter(row) for row in rows))
         expected = "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
         header = "# pointdamp-csv schema=test version=1\n" + ",".join(columns) + "\n"
         assert path.read_text(encoding="utf-8") == header + expected, name
+
+
+def test_csv_refuses_a_row_whose_cells_differ_from_its_columns(tmp_path):
+    from pointdamp.cli import _CSV_CHUNK_ROWS, write_csv
+
+    full = [(1.0, 2.0)] * (_CSV_CHUNK_ROWS + 1)
+    # short and long rows, in the first chunk and after a full one is written
+    for ragged in ([(1.0, 2.0), (3.0,)], [(4.0, 5.0, 6)], full + [(3.0,)]):
+        with pytest.raises(ValueError, match="2 columns"):
+            write_csv(tmp_path / "ragged.csv", "test", ["c0", "c1"], iter(ragged))
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_float_format_roundtrips(tmp_path):

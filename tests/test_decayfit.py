@@ -3,14 +3,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pointdamp import (
-    ENERGY_FLOOR_FACTOR,
-    MIN_SAMPLES,
-    InsufficientData,
-    fit_exp,
-    fit_log,
-    fit_poly,
-    model_select,
+from pointdamp.decayfit import (
+    ENERGY_FLOOR_FACTOR, MIN_SAMPLES, InsufficientData, fit_exp, fit_log, fit_poly, model_select,
 )
 
 

@@ -10,23 +10,11 @@ from oracles import (
 )
 
 from pointdamp import diophantine, expansion
-from pointdamp import (
-    GOLDEN_RATIO_CONJUGATE,
-    ActuatorClassification,
-    ClassifySettings,
-    GrowthFunction,
-    check_cos_grid,
-    check_exp_grid,
-    check_liouville_type,
-    check_poly_grid,
-    classify_actuator,
-    cos_resonance_indicator,
-    default_mu_grid,
-    dist_nearest_integer,
-    expand_continued_fraction,
-    parse_actuator_position,
-    resonance_indicator,
-    settle,
+from pointdamp.diophantine import (
+    GOLDEN_RATIO_CONJUGATE, ActuatorClassification, ClassifySettings, GrowthFunction,
+    check_cos_grid, check_exp_grid, check_liouville_type, check_poly_grid, classify_actuator,
+    cos_resonance_indicator, default_mu_grid, dist_nearest_integer, expand_continued_fraction,
+    parse_actuator_position, resonance_indicator, settle,
 )
 from pointdamp.inputs import Position
 
@@ -128,14 +116,14 @@ def test_cf_one_half():
     cf = expand_continued_fraction(0.5)
     assert cf.partial_quotients == [0, 2]
     assert cf.convergents == [(0, 1), (1, 2)]
-    assert cf.terminated and cf.is_rational
+    assert cf.terminated
 
 
 def test_cf_two_fifths_exact():
     cf = expand_continued_fraction(Fraction(2, 5))
     assert cf.partial_quotients == [0, 2, 2]
     assert cf.convergents[-1] == (2, 5)
-    assert cf.is_rational
+    assert cf.terminated
 
 
 @pytest.mark.parametrize("x, quotients", [
@@ -149,7 +137,7 @@ def test_cf_two_fifths_exact():
 ], ids=["0.375", "0.3", "0.9", "0.1", "0.011"])
 def test_cf_float_detects_simple_rational(x, quotients):
     cf = expand_continued_fraction(x)
-    assert cf.is_rational and not cf.truncated_by_precision
+    assert cf.terminated and not cf.truncated_by_precision
     assert cf.partial_quotients == quotients
     assert cf.convergents[-1] == Fraction(str(x)).as_integer_ratio()
 
@@ -158,7 +146,7 @@ def test_cf_golden_all_ones():
     cf = expand_continued_fraction("golden", depth=12)
     assert cf.partial_quotients == [0] + [1] * 11
     assert cf.max_partial_quotient == 1
-    assert not cf.is_rational
+    assert not cf.terminated
     # Fibonacci convergents
     assert cf.convergents[:6] == [(0, 1), (1, 1), (1, 2), (2, 3), (3, 5), (5, 8)]
 
@@ -171,7 +159,7 @@ def test_cf_decimal_string_reads_as_its_double():
     assert cf.partial_quotients == [0, 2, 1, 2]
     assert cf.convergents[-1] == (3, 8)
     assert (2, 5) not in cf.convergents
-    assert cf.is_rational
+    assert cf.terminated
 
 
 def test_sqrt2_decimal_text_is_sqrt2s_double():
@@ -306,18 +294,18 @@ def test_cf_convergents_are_best_approximations():
 
 def test_growth_identity():
     phi = GrowthFunction.identity()
-    assert [phi(m) for m in (1.0, 5.0, 10)] == [1.0, 5.0, 10.0]
+    assert [phi.evaluate(m) for m in (1.0, 5.0, 10)] == [1.0, 5.0, 10.0]
 
 
 def test_growth_power_log():
     phi = GrowthFunction.power_log(2.0, 0.5)
     for m in (3.0, 10.0):
-        assert phi(m) == pytest.approx(m**2 * math.log(m) ** 1.5, rel=1e-15)
+        assert phi.evaluate(m) == pytest.approx(m**2 * math.log(m) ** 1.5, rel=1e-15)
 
 
 def test_growth_exponential():
     phi = GrowthFunction.exponential(0.3)
-    assert phi(10.0) == pytest.approx(math.exp(3.0))
+    assert phi.evaluate(10.0) == pytest.approx(math.exp(3.0))
 
 
 # ------------------------------------------------------- grid expressions
@@ -342,36 +330,43 @@ def test_default_mu_grid_covers_range():
 
 def test_exp_grid_golden_passes():
     rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.fitted_constants["inf_weighted"] > 0.0
 
 
 def test_exp_grid_rational_fails_on_resonance():
     rep = check_exp_grid(0.5, 1.0, 10.0)
-    assert not rep.passed
+    assert rep.verdict == "fail"
     assert rep.note == "exact resonance"
     assert rep.witness == pytest.approx(2 * math.pi, abs=1e-12)
 
 
+def test_exact_resonance_past_a_range_start_inside_a_period():
+    # 1/3 resonates at multiples of 3 pi: from just past 3 pi the first is 6 pi
+    rep = check_exp_grid(Fraction(1, 3), 3 * math.pi + 0.1, 20.0)
+    assert (rep.verdict, rep.note) == ("fail", "exact resonance")
+    assert rep.witness == 6 * math.pi
+
+
 def test_poly_and_cos_grid_golden_pass():
     # eps = 3 is the least exponent a position can satisfy
-    assert check_poly_grid(GOLDEN_RATIO_CONJUGATE, eps=3.0).passed
-    assert check_cos_grid(GOLDEN_RATIO_CONJUGATE).passed
+    assert check_poly_grid(GOLDEN_RATIO_CONJUGATE, eps=3.0).verdict == "pass"
+    assert check_cos_grid(GOLDEN_RATIO_CONJUGATE).verdict == "pass"
 
 
 def test_golden_passes_at_its_convergents_far_out():
     # the strip minima at 317,811 pi (sine) and 257,114.5 pi (cosine) are
     # about 4e-22: small, and not an exact resonance
-    assert check_poly_grid(GOLDEN_RATIO_CONJUGATE, 3.0, 998_000.0, 999_000.0).passed
-    assert check_exp_grid(GOLDEN_RATIO_CONJUGATE, 998_000.0, 999_000.0).passed
-    assert check_cos_grid(GOLDEN_RATIO_CONJUGATE, 807_000.0, 808_500.0).passed
+    assert check_poly_grid(GOLDEN_RATIO_CONJUGATE, 3.0, 998_000.0, 999_000.0).verdict == "pass"
+    assert check_exp_grid(GOLDEN_RATIO_CONJUGATE, 998_000.0, 999_000.0).verdict == "pass"
+    assert check_cos_grid(GOLDEN_RATIO_CONJUGATE, 807_000.0, 808_500.0).verdict == "pass"
 
 
 @pytest.mark.parametrize("xi", [1e-6, 0.999999])
 def test_exp_grid_near_the_ends_passes(xi):
     # the indicator at pi is about 1e-21, and no rational is near
     rep = check_exp_grid(xi, 1.0, 10.0)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert 0.0 < rep.fitted_constants["inf_weighted"] < 1e-20
 
 
@@ -409,7 +404,7 @@ def test_exact_resonances_of_every_small_rational():
 def test_rational_form_is_where_the_expansion_ends(xi, form):
     assert expansion.rational_form(xi) == form
     cf = expand_continued_fraction(xi)
-    assert cf.is_rational == (form is not None)
+    assert cf.terminated == (form is not None)
     if form is not None:
         assert cf.convergents[-1] == form
         assert settle(xi) == (float(xi), Fraction(*form))
@@ -428,7 +423,7 @@ def test_grid_checks_validate_inputs():
 
 def test_short_grid_passes_with_note():
     rep = check_exp_grid(GOLDEN_RATIO_CONJUGATE, mu_min=1.0, mu_max=3.0)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.note == "verified on the checked range only"
 
 
@@ -444,7 +439,7 @@ def test_liouville_golden_passes():
     rep = check_liouville_type(
         GOLDEN_RATIO_CONJUGATE, GrowthFunction.identity(), 0.2, 1000
     )
-    assert rep.passed
+    assert rep.verdict == "pass"
     # golden infimum of m*dist(m*xi) is 1/(golden+2) ~ 0.382
     assert rep.fitted_constants["min_product"] == pytest.approx(0.38196, abs=1e-4)
 
@@ -452,7 +447,7 @@ def test_liouville_golden_passes():
 def test_liouville_near_rational_fails_at_infimum():
     # 0.110001 approximates 11/100 to 1e-6, so m=100 nearly lands on an integer
     rep = check_liouville_type(0.110001, GrowthFunction.identity(), 0.2, 10_000)
-    assert not rep.passed
+    assert rep.verdict == "fail"
     assert rep.witness == 100.0
     # the witness reproduces the violation
     assert rep.witness * dist_nearest_integer(rep.witness * 0.110001) < 0.2
@@ -470,7 +465,7 @@ def test_liouville_reads_an_unsettled_double_exactly():
     # in floats 10^6 * 0.110001 is 110001.0
     phi = GrowthFunction.power_log(2.0, 0.5)
     rep = check_liouville_type(0.110001, phi, 1e-3, 10**6)
-    assert rep.passed
+    assert rep.verdict == "pass"
     assert rep.fitted_constants["min_product"] > 1e-3
 
 
@@ -497,9 +492,9 @@ def test_classify_one_half():
     assert not cls.strongly_stable
     assert not cls.constant_type
     # the resonance at 2*pi is the least strip minimum, and witnessed
-    assert not cls.exp_grid.passed
+    assert cls.exp_grid.verdict == "fail"
     assert cls.exp_grid.witness == pytest.approx(2 * math.pi, abs=1e-12)
-    assert not cls.poly_grid.passed
+    assert cls.poly_grid.verdict == "fail"
 
 
 def test_classify_golden_string():
@@ -509,7 +504,7 @@ def test_classify_golden_string():
     assert cls.constant_type
     assert cls.max_partial_quotient == 1
     # the default poly_eps = 1 asks for a weight below mu^4, which no position meets
-    assert cls.exp_grid.passed and not cls.poly_grid.passed
+    assert cls.exp_grid.verdict == "pass" and cls.poly_grid.verdict == "fail"
     assert cls.poly_grid.note.startswith("refuted for every xi")
 
 
@@ -582,7 +577,7 @@ def _resonance_by_search(kind, xi, mu_range):
     rational that xi expands to vanishes, found strip by strip in Fractions,
     or None."""
     cf = expand_continued_fraction(xi)
-    if not cf.is_rational:
+    if not cf.terminated:
         return None
     x = Fraction(*cf.convergents[-1])
     centre = 0.5 if kind == "cos" else 0.0
@@ -630,7 +625,7 @@ def assert_strip_minima_match(rep, kind, xi, mu_range, weight, step=1e-3):
     elif refuted_for_every_xi(kind, weight):
         assert rep.verdict == "fail" and rep.note.startswith("refuted for every xi")
     else:
-        assert rep.passed and rep.note == "verified on the checked range only"
+        assert rep.verdict == "pass" and rep.note == "verified on the checked range only"
 
 
 RANGES = {"default": (1.0, 500.0), "short": (1.0, 3.5), "with-2pi": (1.0, 60.0)}
@@ -706,7 +701,7 @@ def test_strip_minima_agree_with_a_fine_dense_scan(xi):
 
 def test_golden_poly_grid_finds_the_narrow_minimum():
     rep = check_poly_grid(GOLDEN_RATIO_CONJUGATE)
-    assert not rep.passed and rep.note.startswith("refuted for every xi")
+    assert rep.verdict == "fail" and rep.note.startswith("refuted for every xi")
     assert rep.fitted_constants["inf_weighted"] == pytest.approx(1.854e-3, rel=1e-3)
     assert rep.witness == pytest.approx(452.38934, abs=1e-5)
     # the 0.01 grid saw 0.0904 at 452.39
@@ -734,7 +729,7 @@ def test_strip_verdicts(xi, verdicts):
         if isinstance(xi, Fraction):
             assert rep.note == "exact resonance"
             assert rep.witness == pytest.approx(math.pi * xi.denominator, abs=1e-12)
-        elif not rep.passed:
+        elif rep.verdict == "fail":
             assert rep.note.startswith("refuted for every xi")
     if cos_rep.verdict == "fail":
         assert cos_rep.note == "exact resonance"
@@ -751,7 +746,7 @@ def test_classify_verdicts_ignore_depth(xi, rational):
     shallow = classify_actuator(xi, ClassifySettings(depth=2))
     assert len(shallow.continued_fraction.partial_quotients) == 2
     assert (shallow.is_rational, shallow.strongly_stable) == (rational, not rational)
-    assert shallow.exp_grid.passed is not rational
+    assert (shallow.exp_grid.verdict == "pass") is not rational
     if rational:
         assert not shallow.constant_type
         assert shallow.exp_grid.note == "exact resonance"
@@ -765,11 +760,12 @@ def test_poly_grid_below_mu4_fails_on_every_range(xi):
     for mu_max in (60.0, 200.0, 500.0, 2_000.0, 20_000.0):
         for eps in (1.0, 2.9):
             rep = check_poly_grid(xi, eps, 1.0, mu_max)
-            assert not rep.passed and rep.note.startswith("refuted for every xi"), (mu_max, eps)
+            assert rep.verdict == "fail", (mu_max, eps)
+            assert rep.note.startswith("refuted for every xi"), (mu_max, eps)
         for eps in (3.0, 7.0):
-            assert check_poly_grid(xi, eps, 1.0, mu_max).passed, (mu_max, eps)
-        assert check_exp_grid(xi, 1.0, mu_max).passed, mu_max
-        assert check_cos_grid(xi, 1.0, mu_max).passed, mu_max
+            assert check_poly_grid(xi, eps, 1.0, mu_max).verdict == "pass", (mu_max, eps)
+        assert check_exp_grid(xi, 1.0, mu_max).verdict == "pass", mu_max
+        assert check_cos_grid(xi, 1.0, mu_max).verdict == "pass", mu_max
 
 
 @pytest.mark.parametrize("xi, denominators, limit", [
@@ -794,13 +790,14 @@ def test_strip_verdicts_nest_on_random_positions():
     counts = {"constant_type": 0, "poly3": 0, "exp": 0}
     for xi in positions:
         cls = classify_actuator(xi)
-        assert not cls.poly_grid.passed and cls.poly_grid.note.startswith("refuted for every xi")
-        poly3 = check_poly_grid(xi, 3.0).passed
+        assert cls.poly_grid.verdict == "fail"
+        assert cls.poly_grid.note.startswith("refuted for every xi")
+        poly3 = check_poly_grid(xi, 3.0).verdict == "pass"
         assert poly3 or not cls.constant_type, xi
-        assert cls.exp_grid.passed or not poly3, xi
+        assert cls.exp_grid.verdict == "pass" or not poly3, xi
         counts["constant_type"] += cls.constant_type
         counts["poly3"] += poly3
-        counts["exp"] += cls.exp_grid.passed
+        counts["exp"] += cls.exp_grid.verdict == "pass"
     assert counts == {"constant_type": 133, "poly3": 400, "exp": 400}
 
 
@@ -876,7 +873,7 @@ def test_growth_functions_follow_their_numpy_formulas():
         (GrowthFunction.power_log(0.5, 1.0), np.sqrt(m) * np.log(np.maximum(m, 2.0)) ** 2),
         (GrowthFunction.exponential(0.3), np.exp(0.3 * m)),
     ):
-        values = np.array([phi(v) for v in m.tolist()])
+        values = np.array([phi.evaluate(v) for v in m.tolist()])
         np.testing.assert_allclose(values, expected, rtol=1e-15)
         assert np.all(np.diff(values) >= 0)
 

@@ -20,27 +20,16 @@ from oracles import (
 import pointdamp
 from pointdamp import characteristic, frequency, processes
 from pointdamp.inputs import default_mu_grid
-from pointdamp import (
-    GOLDEN_RATIO_CONJUGATE,
-    ContourThroughRoot,
-    ForcingData,
-    ResonantDenominator,
-    abscissa_of_roots,
-    assemble_phi,
-    build_mesh,
-    characteristic_derivative,
-    characteristic_function,
-    check_exp_grid,
+from pointdamp.characteristic import (
+    ContourThroughRoot, abscissa_of_roots, characteristic_derivative, characteristic_function,
     find_eigenvalues,
-    random_forcing,
-    resolvent_norm_lower_bound,
-    resonance_indicator,
-    resonant_forcing,
-    scan_resolvent_growth,
-    solve_resolvent,
-    state_norm,
-    winding_number,
 )
+from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE, check_exp_grid, resonance_indicator
+from pointdamp.frequency import (
+    ForcingData, ResonantDenominator, assemble_phi, random_forcing, resolvent_norm_lower_bound,
+    resonant_forcing, scan_resolvent_growth, solve_resolvent, state_norm, winding_number,
+)
+from pointdamp.mesh import build_mesh
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE
 
@@ -966,7 +955,8 @@ def test_eigenvalues_far_out_terminate():
     # subdividing forever, so run it in a child that can be timed out
     src = str(Path(pointdamp.__file__).resolve().parents[1])
     probe = (
-        "from pointdamp import GOLDEN_RATIO_CONJUGATE, find_eigenvalues; "
+        "from pointdamp.characteristic import find_eigenvalues; "
+        "from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE; "
         "print(len(find_eigenvalues(GOLDEN_RATIO_CONJUGATE, (8550.0, 8565.0, -0.5, 3.0))))"
     )
     done = subprocess.run(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pointdamp import Mesh, build_mesh
+from pointdamp.mesh import Mesh, build_mesh
 
 
 def test_uniform_halves():

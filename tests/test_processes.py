@@ -3,6 +3,7 @@
 import ctypes
 import glob
 import os
+import pickle
 import threading
 import time
 
@@ -28,9 +29,7 @@ def test_one_cpu_runs_one_part(monkeypatch):
 def test_no_part_of_its_own_where_it_may_not_fork(monkeypatch):
     _on_cpus(monkeypatch, 8)
     # inside a split, in its own part and in a child alike
-    assert processes.split(2, lambda part: bytes([len(processes.divide(100))])) == [
-        b"\x01", b"\x01"
-    ]
+    assert processes.split(2, lambda run: len(processes.divide(100))) == [1, 1]
     # beside another Python thread
     release = threading.Event()
     waiting = threading.Thread(target=release.wait, args=(60,))
@@ -85,14 +84,27 @@ def _blas_library():
     return ctypes.CDLL(libraries[0])
 
 
-def test_every_process_of_a_split_runs_on_one_blas_thread():
+def test_split_returns_what_each_run_returned_in_run_order(monkeypatch):
+    # the first run here, the others in children, whose results come back pickled
+    _on_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    results = processes.split(7, lambda run: (run, os.getpid() == parent, np.arange(len(run))))
+    assert [(run, here) for run, here, _ in results] == [
+        (range(0, 2), True), (range(2, 4), False), (range(4, 7), False)
+    ]
+    for run, _, values in results:
+        np.testing.assert_array_equal(values, np.arange(len(run)))
+
+
+def test_every_process_of_a_split_runs_on_one_blas_thread(monkeypatch):
     library = _blas_library()
     count = library.scipy_openblas_get_num_threads64_
     before = count()
     library.scipy_openblas_set_num_threads64_(3)
+    _on_cpus(monkeypatch, 3)
     try:
-        seen = processes.split(3, lambda part: bytes([count()]))
-        assert seen == [b"\x01"] * 3
+        seen = processes.split(3, lambda run: count())
+        assert seen == [1] * 3
         # and the count this process ran on is back once the split returns
         assert count() == 3
     finally:
@@ -102,11 +114,12 @@ def test_every_process_of_a_split_runs_on_one_blas_thread():
 def test_a_failing_child_fails_the_split(monkeypatch):
     parent = os.getpid()
 
-    def fails_in_a_child(part):
+    def fails_in_a_child(run):
         if os.getpid() != parent:
             raise MemoryError("no room")
-        return b""
+        return None
 
+    _on_cpus(monkeypatch, 2)
     forked = record_forks(monkeypatch)
     # the child sends the 20 bytes of what it raised
     failed = (r"part 1 of 2 failed in process \d+: exit status 1, 20 bytes sent:"
@@ -121,10 +134,12 @@ def test_a_child_exit_status_fails_the_split_after_a_full_payload(monkeypatch):
     parent = os.getpid()
     leave = os._exit
     monkeypatch.setattr(os, "_exit", lambda code: leave(7 if os.getpid() != parent else code))
+    _on_cpus(monkeypatch, 2)
     forked = record_forks(monkeypatch)
-    failed = r"part 1 of 2 failed in process \d+: exit status 7, 24 bytes sent$"
+    sent = len(pickle.dumps(bytes(24)))
+    failed = rf"part 1 of 2 failed in process \d+: exit status 7, {sent} bytes sent$"
     with pytest.raises(RuntimeError, match=failed):
-        processes.split(2, lambda part: bytes(24))
+        processes.split(2, lambda run: bytes(24))
     assert len(forked) == 1
     assert_reaped(forked)
 
@@ -132,11 +147,12 @@ def test_a_child_exit_status_fails_the_split_after_a_full_payload(monkeypatch):
 def test_an_interrupted_parent_kills_its_children(monkeypatch):
     parent = os.getpid()
 
-    def interrupted(part):
+    def interrupted(run):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(60)  # unless the parent kills it
 
+    _on_cpus(monkeypatch, 2)
     forked = record_forks(monkeypatch)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import midpoint_march_long_double
-from pointdamp import (
-    GOLDEN_RATIO_CONJUGATE,
-    WaveState,
-    build_mesh,
-    dissipation_residual,
-    energy,
-    initial_data,
-    simulate,
-    simulator,
-)
+from pointdamp import simulator
+from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE
+from pointdamp.mesh import build_mesh
+from pointdamp.simulator import WaveState, dissipation_residual, energy, initial_data, simulate
 
 GOLDEN = GOLDEN_RATIO_CONJUGATE
 
