@@ -24,7 +24,7 @@ phi at each node, over at most three cells; one that overflows raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -39,21 +39,19 @@ __all__ = [
     "default_left_weight",
     "default_right_weight",
     "validate_weight",
-    "apply_helmholtz",
     "apply_conjugated_operator",
     "conjugation_route",
     "split_conjugated_operator",
     "ibp_residuals",
     "square_expansion_residual",
     "evaluate_carleman_inequality",
-    "inequality_forms",
     "estimate_carleman_constant",
     "sample_basis",
 ]
 
 # points at which validate_weight samples the weight's slope and convexity
 _WEIGHT_SAMPLES = 1001
-# inequality_forms doubles its n_modes + 3 Gauss nodes at most this often
+# _settled_forms doubles its n_modes + 3 Gauss nodes at most this often
 _NODE_DOUBLINGS = 6
 
 
@@ -99,17 +97,6 @@ class WeightFunction:
         return WeightFunction(
             a=a, b=b, kind=f"exponential(beta={beta}, amplitude=1.0)",
             d0=deriv(0), d1=deriv(1), d2=deriv(2), d3=deriv(3), d4=deriv(4),
-        )
-
-    @staticmethod
-    def polynomial(coeffs: Sequence[float], interval: tuple[float, float]) -> "WeightFunction":
-        """Coefficients in increasing-degree order."""
-        a, b = interval
-        base = np.polynomial.Polynomial(list(coeffs))
-        ds = [base.deriv(k) if k else base for k in range(5)]
-        return WeightFunction(
-            a=a, b=b, kind=f"polynomial(degree={len(list(coeffs)) - 1})",
-            d0=ds[0], d1=ds[1], d2=ds[2], d3=ds[3], d4=ds[4],
         )
 
 
@@ -170,13 +157,6 @@ def _d2(w: np.ndarray, dx: float) -> np.ndarray:
     out[..., 0] = (2.0 * w[..., 0] - 5.0 * w[..., 1] + 4.0 * w[..., 2] - w[..., 3]) / dx**2
     out[..., -1] = (2.0 * w[..., -1] - 5.0 * w[..., -2] + 4.0 * w[..., -3] - w[..., -4]) / dx**2
     return out
-
-
-def apply_helmholtz(u: np.ndarray, h: float, dx: float) -> np.ndarray:
-    """P u = u'' + u/h^2 on a uniform grid."""
-    if h <= 0 or dx <= 0:
-        raise ValueError("h and dx must be positive")
-    return _d2(np.asarray(u), dx) + np.asarray(u) / h**2
 
 
 def apply_conjugated_operator(
@@ -342,7 +322,7 @@ def _legendre_rule(weight: WeightFunction, nodes: int, count: int):
 def _gauss_forms(
     weight: WeightFunction, n_modes: int, h_values: np.ndarray, side: str, nodes: int
 ) -> np.ndarray:
-    """inequality_forms' L and R, stacked, by the Gauss-Legendre rule on the given nodes."""
+    """_settled_forms' L and R, stacked, by the Gauss-Legendre rule on the given nodes."""
     s, x, q, half, (p, dp, d2p) = _legendre_rule(weight, nodes, n_modes)
     outer, damped = (-2, -1) if side == "left" else (-1, -2)
     # the rows w_k = (x - outer) P_k(s) and their x-derivatives; the offset is
@@ -369,18 +349,16 @@ def _gauss_forms(
     return forms
 
 
-def inequality_forms(
-    weight: WeightFunction,
-    n_modes: int,
-    h_values,
-    side: str = "left",
-) -> tuple[np.ndarray, np.ndarray]:
+def _settled_forms(
+    weight: WeightFunction, n_modes: int, h_values, side: str
+) -> tuple[np.ndarray, int]:
     """Both sides of the weighted inequality as Hermitian forms on n_modes rows of w.
 
     Row k is w_k = (x - outer) P_k(s), P_k the Legendre polynomial and s
     mapping [weight.a, weight.b] onto [-1, 1], in the conjugated variable
-    w = e^{(phi - max phi)/h} u.  Returns L and R, each (len(h_values),
-    n_modes, n_modes): for w = c @ rows with c = a + i b, the sides of
+    w = e^{(phi - max phi)/h} u.  Returns L and R, stacked as (2,
+    len(h_values), n_modes, n_modes), and the node count on which they
+    settled: for w = c @ rows with c = a + i b, the sides of
     evaluate_carleman_inequality for that u are a.L[h].a + b.L[h].b and
     a.R[h].a + b.R[h].b.  With G(X) the Gauss-Legendre sum of X X^T,
     S = h B' - phi' B and P_w B the conjugated operator applied row by row:
@@ -395,14 +373,6 @@ def inequality_forms(
     FloatingPointError.  P_w B is formed for each h: expanding G(P_w B) in
     powers of h cancels catastrophically near a resonance.
     """
-    forms, _ = _settled_forms(weight, n_modes, h_values, side)
-    return forms[0], forms[1]
-
-
-def _settled_forms(
-    weight: WeightFunction, n_modes: int, h_values, side: str
-) -> tuple[np.ndarray, int]:
-    """inequality_forms' L and R, stacked, and the node count on which they settled."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     h_values = np.atleast_1d(np.asarray(h_values, dtype=float))
@@ -446,7 +416,7 @@ def estimate_carleman_constant(
     h_values,
     side: str = "left",
 ) -> ConstantEstimate:
-    """Constant of the weighted inequality over the span of inequality_forms' n_modes rows.
+    """Constant of the weighted inequality over the span of _settled_forms' n_modes rows.
 
     A complex coefficient vector a + i b gives a ratio between those of a and
     b, so the largest LHS/RHS at each h is the top eigenvalue of the real

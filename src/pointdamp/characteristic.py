@@ -38,7 +38,6 @@ __all__ = [
     "CharacteristicRoot",
     "ContourThroughRoot",
     "characteristic_function",
-    "characteristic_derivative",
     "closed_form_seed",
     "height_bound",
     "strip_count",
@@ -80,11 +79,6 @@ def characteristic_function(xi: float, z):
     z = np.asarray(z, dtype=complex)
     out = np.sin(z) + 1j * np.sin(xi * z) * np.sin((1.0 - xi) * z)
     return out if out.ndim else complex(out)
-
-
-def characteristic_derivative(xi: float, z: complex) -> complex:
-    """D'(z) at one point."""
-    return _values(xi, 1.0 - xi, complex(z))[1]
 
 
 def _values(xi: float, eta: float, z: complex) -> tuple[complex, complex]:

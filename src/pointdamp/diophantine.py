@@ -34,7 +34,6 @@ __all__ = [
     "ClassifySettings",
     "GOLDEN_RATIO_CONJUGATE",
     "parse_actuator_position",
-    "dist_nearest_integer",
     "expand_continued_fraction",
     "settle",
     "resonance_indicator",
@@ -51,15 +50,6 @@ __all__ = [
 # with the same budget rule at that precision
 _GOLDEN_60 = (Fraction(decimal.Context(prec=60).sqrt(5)) - 1) / 2
 _GOLDEN_60_BUDGET = 0.25e60
-
-
-def dist_nearest_integer(rho: float) -> float:
-    """Distance from rho to the nearest integer, in [0, 1/2]; nan when rho is not finite.
-
-    Halves round to even, as numpy.round does.
-    """
-    rho = float(rho)
-    return abs(rho - round(rho)) if math.isfinite(rho) else math.nan
 
 
 @dataclass
@@ -243,29 +233,17 @@ class ConditionReport:
     witness: float | None
     fitted_constants: dict
     note: str = ""
-    trace: _Rows | None = field(default=None, repr=False)
+    trace: list[tuple] | _Rows | None = field(default=None, repr=False)
 
 
 class _Rows:
-    """A table of n rows of the given width; row(i) computes row i when read."""
+    """A table of n rows; row(i) computes row i when read."""
 
-    def __init__(self, n: int, width: int, row: Callable[[int], tuple]):
-        self._n, self._width, self._row = n, width, row
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i: int) -> tuple:
-        if not -self._n <= i < self._n:
-            raise IndexError("row index out of range")
-        return self._row(i % self._n)
+    def __init__(self, n: int, row: Callable[[int], tuple]):
+        self._n, self._row = n, row
 
     def __iter__(self):
         return map(self._row, range(self._n))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._n, self._width
 
 
 def _log_weighted(expression: float, log_weight: float) -> float:
@@ -461,8 +439,7 @@ def _strip_check(
     trace = None
     if keep_trace:
         minima = (_strip_minimum(condition, xi, s) for s in _strips(mu_min, mu_max, centre))
-        rows = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
-        trace = _Rows(len(rows), 3, rows.__getitem__)
+        trace = [(mu, condition.indicator(xi, mu), _exp(value)) for value, mu in minima]
     constants = {**constants, "inf_weighted": _exp(log_k2), "log_inf_weighted": log_k2}
     if not math.isfinite(log_k2):
         verdict, note = "fail", "exact resonance"
@@ -582,8 +559,7 @@ def check_liouville_type(
 
     trace = None
     if keep_trace:
-        trace = _Rows(m_max, 2, lambda i: (float(i + 1),
-                                           phi.evaluate(float(i + 1)) * distance(i + 1)))
+        trace = _Rows(m_max, lambda i: (i + 1.0, phi.evaluate(i + 1.0) * distance(i + 1)))
     constants = {
         "kappa": kappa,
         "phi": phi.kind,

@@ -40,16 +40,6 @@ class Mesh:
     def h_right(self) -> float:
         return (1.0 - self.xi) / self.n_right
 
-    @property
-    def left(self) -> np.ndarray:
-        """Nodes of [0, xi], endpoint included."""
-        return self.nodes[: self.i_xi + 1]
-
-    @property
-    def right(self) -> np.ndarray:
-        """Nodes of [xi, 1], endpoint included."""
-        return self.nodes[self.i_xi :]
-
     def split(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Split a full-grid function into (left, right) halves sharing the xi node."""
         values = np.asarray(values)

@@ -22,7 +22,7 @@ MU_MIN = 1.0
 SCHEMA = {
     "depth": (40, at_least(1)),
     "quotient_overflow": (1e12, all_of(finite, at_least(1))),
-    "constant_type_bound": (20, None),
+    "constant_type_bound": (20, at_least(1)),
     "mu_min": (1.0, all_of(finite, at_least(MU_MIN))),
     "mu_max": (500.0, None),
     "k1": (1.0, finite_nonnegative),

@@ -26,9 +26,10 @@ SCHEMA = {
     "fit": (True, None),
     "save_state": (True, None),
 }
-# lighter than the defaults, so a default sweep finishes at desk scale
+# lighter than the defaults, so a default sweep finishes at desk scale, from the
+# widest bump that stays inside [0, 1] at every default grid point
 SWEEP_DEFAULTS = {"cells": "300", "t_final": "50", "dt": "0.002", "save_state": "false",
-                  "fit": "false"}
+                  "fit": "false", "width": "0.05"}
 USES_NUMPY = True
 
 
@@ -53,12 +54,18 @@ def _holds_a_node(xi: float, cells: int, center: float, width: float) -> bool:
 def check(cfg: dict, xi: Position) -> float:
     """The time step, refused when the run would take over MAX_SIM_STEPS steps.
 
-    A smooth bump whose support holds no interior mesh node, which would
-    start the run from zero data, is refused too.
+    A smooth bump that reaches past 0 or 1, where the clamped end would cut
+    it, or whose support holds no interior mesh node, which would start the
+    run from zero data, is refused too.
     """
     center, width = cfg["center"], cfg["width"]
-    if cfg["initial"] == "smooth_bump" and not math.isnan(center):
-        if not _holds_a_node(xi.value, cfg["cells"], center, width):
+    if cfg["initial"] == "smooth_bump":
+        c = xi.value if math.isnan(center) else center
+        if c - width < 0.0 or c + width > 1.0:
+            fits = f"the widest that fits is {min(c, 1.0 - c)!r}" if 0 < c < 1 else "none fits"
+            raise ConfigError(f"width={width!r} carries the smooth bump at center={c!r} past"
+                              f" the end x={0 if c < width else 1}; {fits}")
+        if not math.isnan(center) and not _holds_a_node(xi.value, cfg["cells"], center, width):
             raise ConfigError(
                 f"center and width put the bump's support ({center - width:g}, {center + width:g})"
                 f" on no interior node of the {cfg['cells']}-cell sides, so the run would start"

@@ -12,9 +12,11 @@ pairing of Phi with u, integrated by parts, is taken by Simpson quadrature
 and compared with the boundary and interface terms, so a solve that breaks
 the jump condition or the equation leaves a residual.
 
-The conjugation-route reference shares the package's stencil but grows each
-exponential window one node at a time, recomputing the weight's spread at
-every step, where the package reads window ends off running extrema.
+The conjugation-route reference shares the package's stencil, through
+apply_helmholtz, but grows each exponential window one node at a time,
+recomputing the weight's spread at every step, where the package reads
+window ends off running extrema.  polynomial_weight builds weights whose
+derivatives numpy.polynomial differentiates exactly.
 
 The operator identities (the split, integration by parts, the expanded
 square), which the package sums on Gauss-Legendre nodes, are referenced two
@@ -56,7 +58,7 @@ from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import spsolve
 
-from pointdamp.carleman import SquareExpansionReport, _d2, apply_helmholtz, sample_basis
+from pointdamp.carleman import SquareExpansionReport, WeightFunction, _d2, sample_basis
 from pointdamp.diophantine import (
     _GOLDEN_60, ConditionReport, GrowthFunction, default_mu_grid, settle,
 )
@@ -245,6 +247,24 @@ def verify_interface_identity(
         bound_holds=bool(trace_lhs <= c_bound * trace_rhs),
         c_bound=c_bound,
     )
+
+
+def polynomial_weight(coeffs, interval: tuple[float, float]) -> WeightFunction:
+    """A weight from polynomial coefficients in increasing-degree order."""
+    a, b = interval
+    base = np.polynomial.Polynomial(list(coeffs))
+    ds = [base.deriv(k) if k else base for k in range(5)]
+    return WeightFunction(
+        a=a, b=b, kind=f"polynomial(degree={len(list(coeffs)) - 1})",
+        d0=ds[0], d1=ds[1], d2=ds[2], d3=ds[3], d4=ds[4],
+    )
+
+
+def apply_helmholtz(u: np.ndarray, h: float, dx: float) -> np.ndarray:
+    """P u = u'' + u/h^2 on a uniform grid, by the package's stencil."""
+    if h <= 0 or dx <= 0:
+        raise ValueError("h and dx must be positive")
+    return _d2(np.asarray(u), dx) + np.asarray(u) / h**2
 
 
 def conjugation_route_incremental(

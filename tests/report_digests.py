@@ -36,7 +36,12 @@ dual routes run on tens of thousands of cells, and simulate at golden on 300
 cells to t_final=200, whose decay fits rank a power law first, then classify
 with its traces at golden and at 1/3 (there under a power_log Liouville
 weight), simulate without fits or final state, and simulate to t_final=0.05,
-whose two samples above the fit floor leave a fit_note in place of fits.
+whose two samples above the fit floor leave a fit_note in place of fits,
+then classify configured by a --config file alone, simulate from a bump
+placed by center and width (which check tests for a mesh node inside its
+support), and classify under an exponential Liouville weight.  A --config
+names a file of CONFIG_FILES, which digests writes into that run's
+directory, where the listing shows it, and passes by its path there.
 New invocations go at the end, so the run numbers of the earlier ones hold.
 Only resolvent-scan draws random numbers, so at the two seeds every other
 task's files differ in the echoed seed alone.
@@ -92,8 +97,16 @@ INVOCATIONS = (
         ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
          "--set", "fit=false", "--set", "save_state=false"],
         ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.05"],
+        ["classify", "--config", "classify.cfg"],
+        ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
+         "--set", "center=0.3", "--set", "width=0.2"],
+        ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:0.5"],
     )]
 )
+CONFIG_FILES = {
+    "classify.cfg": "# classify at 1/3 over a short range, traces kept\n"
+                    "xi = 1/3\n\nmu_max = 50\nkeep_trace = true\n",
+}
 
 
 def digests(directory: Path, invocations: list[tuple[int | None, list[str]]]) -> list[str]:
@@ -106,9 +119,15 @@ def digests(directory: Path, invocations: list[tuple[int | None, list[str]]]) ->
     os.chdir(directory)
     try:
         for i, (cpus, args) in enumerate(invocations):
+            run = Path(f"run{i:02d}")
+            if "--config" in args:
+                k = args.index("--config") + 1
+                run.mkdir()
+                (run / args[k]).write_text(CONFIG_FILES[args[k]])
+                args = [*args[:k], str(run / args[k]), *args[k + 1:]]
             if cpus is not None:
                 os.sched_getaffinity = lambda pid, cpus=cpus: set(range(cpus))
-            code = main([*args, "--out", f"run{i:02d}"])
+            code = main([*args, "--out", str(run)])
             os.sched_getaffinity = affinity
             if code != 0:
                 raise RuntimeError(f"exit {code}: {' '.join(args)}")

@@ -31,6 +31,7 @@ def test_criterion_1_resolvent_matches_independent_bvp(capsys):
     """Closed-form resolvent vs a fourth-order finite-difference solve."""
     rng = np.random.default_rng(101)
     mesh = build_mesh(GOLDEN, 1000, 1000)
+    x1, x2 = mesh.split(mesh.nodes)
     started = time.monotonic()
     worst = 0.0
     for _ in range(20):
@@ -39,7 +40,7 @@ def test_criterion_1_resolvent_matches_independent_bvp(capsys):
         sol = frequency.solve_resolvent(GOLDEN, mu, forcing)
         phi1, phi2 = frequency.assemble_phi(forcing, mu)
         ref1, ref2 = numerov_interface_solve(
-            GOLDEN, mu, mesh.left, phi1, mesh.right, phi2, forcing.f1_at_xi
+            GOLDEN, mu, x1, phi1, x2, phi2, forcing.f1_at_xi
         )
         num = np.sum(np.abs(sol.u1 - ref1) ** 2) + np.sum(np.abs(sol.u2 - ref2) ** 2)
         den = np.sum(np.abs(ref1) ** 2) + np.sum(np.abs(ref2) ** 2)
@@ -246,8 +247,8 @@ def test_criterion_9_diophantine_oracle(capsys):
         for _, q in cf.convergents:
             if not 2 <= q <= 1000:
                 continue
-            best_smaller = min(diophantine.dist_nearest_integer(m * xi) for m in range(1, q))
-            own = diophantine.dist_nearest_integer(q * xi)
+            best_smaller = min(abs(m * xi - round(m * xi)) for m in range(1, q))
+            own = abs(q * xi - round(q * xi))
             n_checked += 1
             n_beat += int(own < best_smaller)
 
@@ -264,7 +265,7 @@ def test_criterion_9_diophantine_oracle(capsys):
     witness = rep.witness
     witness_violates = (
         witness is not None
-        and phi.evaluate(witness) * diophantine.dist_nearest_integer(witness * xi) < 0.2
+        and phi.evaluate(witness) * abs(witness * xi - round(witness * xi)) < 0.2
     )
     witness_is_convergent = witness is not None and int(witness) in string_qs
     ok = (

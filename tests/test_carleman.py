@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    apply_helmholtz,
     conjugation_route_incremental,
     exact_identity_terms,
     exact_inequality_sides,
@@ -14,14 +15,15 @@ from oracles import (
     grid_square_expansion_residual,
     legendre_rows,
     pinned_basis,
+    polynomial_weight,
     random_coefficients,
     random_test_function,
 )
 from pointdamp import carleman
 from pointdamp.carleman import (
-    WeightFunction, apply_conjugated_operator, apply_helmholtz, conjugation_route,
+    WeightFunction, apply_conjugated_operator, conjugation_route,
     default_left_weight, default_right_weight, estimate_carleman_constant,
-    evaluate_carleman_inequality, ibp_residuals, inequality_forms, sample_basis,
+    evaluate_carleman_inequality, ibp_residuals, sample_basis,
     split_conjugated_operator, square_expansion_residual, validate_weight,
 )
 from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE
@@ -57,7 +59,7 @@ def test_exponential_weight_side_admissibility():
 
 
 def test_polynomial_weight():
-    w = WeightFunction.polynomial([0.0, 0.0, 1.0], (0.2, 0.8))  # x^2
+    w = polynomial_weight([0.0, 0.0, 1.0], (0.2, 0.8))  # x^2
     assert validate_weight(w, "left").ok
     assert w.d0(0.5) == pytest.approx(0.25)
     assert w.d1(0.5) == pytest.approx(1.0)
@@ -65,7 +67,7 @@ def test_polynomial_weight():
 
 
 def test_constant_weight_rejected():
-    w = WeightFunction.polynomial([1.0], (0.0, 0.5))
+    w = polynomial_weight([1.0], (0.0, 0.5))
     check = validate_weight(w, "left")
     assert not check.ok
     assert len(check.violations) >= 2
@@ -94,7 +96,7 @@ def test_validate_weight_side_names():
         default_left_weight(GOLDEN),
         default_right_weight(GOLDEN),
         WeightFunction.exponential(1.5, (0.0, GOLDEN)),
-        WeightFunction.polynomial([0.1, 1.0, 0.5, 0.25], (0.1, 0.9)),
+        polynomial_weight([0.1, 1.0, 0.5, 0.25], (0.1, 0.9)),
     ],
 )
 def test_weight_derivative_chain_consistent(weight):
@@ -130,7 +132,7 @@ def test_apply_helmholtz_validates():
 
 def test_conjugated_operator_linear_weight_closed_form():
     # phi = x, h = 1, w = e^x: -w'' + 2w' + 0 - 2w = -e^x
-    weight = WeightFunction.polynomial([0.0, 1.0], (0.0, 1.0))
+    weight = polynomial_weight([0.0, 1.0], (0.0, 1.0))
     x = weight.grid(400)
     w = np.exp(x)
     out = apply_conjugated_operator(weight, 1.0, w, x)
@@ -145,7 +147,7 @@ def test_split_reconstructs_operator(rng):
     full = apply_conjugated_operator(weight, 0.2, w, x)
     np.testing.assert_allclose(sym + 1j * anti, full, atol=1e-12 * np.max(np.abs(full)))
     # with a linear weight the antisymmetric part is exactly 2 phi' delta w
-    lin = WeightFunction.polynomial([0.0, 3.0], (0.0, 1.0))
+    lin = polynomial_weight([0.0, 3.0], (0.0, 1.0))
     xl = lin.grid(200)
     wl = random_test_function((0.0, 1.0), 200, rng)
     _, anti_l = grid_split_conjugated_operator(lin, 0.5, wl, xl)
@@ -255,7 +257,7 @@ def test_square_expansion_discriminates_readings():
 
 def test_square_expansion_readings_coincide_when_curvature_is_one(rng):
     # phi = x^2/2 + x has phi'' = 1, so both readings are the same formula
-    weight = WeightFunction.polynomial([0.0, 1.0, 0.5], (0.0, 0.6))
+    weight = polynomial_weight([0.0, 1.0, 0.5], (0.0, 0.6))
     x = weight.grid(800)
     w = random_test_function((0.0, 0.6), 800, rng, pin_left=True)
     a, b = grid_square_expansion_residual(weight, 0.4, w, x)
@@ -409,7 +411,7 @@ def test_inequality_forms_match_the_exact_oracle(side, n_modes):
     random complex coefficients."""
     weight = _side_weight(side, "default")
     h = np.array([1e-3, 0.01, 0.1])
-    lhs_forms, rhs_forms = inequality_forms(weight, n_modes, h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, n_modes, h, side)
     samples = np.vstack([np.eye(n_modes), _coefficients(4, n_modes, seed=n_modes)])
     lhs, rhs = _form_values(lhs_forms, samples), _form_values(rhs_forms, samples)
     for c, c_lhs, c_rhs in zip(samples, lhs, rhs):
@@ -424,7 +426,7 @@ def test_exponential_weight_forms_match_composite_gauss(side):
     # forms settle; 64 panels of 8 nodes resolve the same integrals
     weight = _side_weight(side, "exp")
     h = np.array([1e-3, 0.01, 0.1])
-    lhs_forms, rhs_forms = inequality_forms(weight, 8, h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 8, h, side)
     samples = _coefficients(5, seed=3)
     lhs, rhs = _form_values(lhs_forms, samples), _form_values(rhs_forms, samples)
     for c, c_lhs, c_rhs in zip(samples, lhs, rhs):
@@ -443,7 +445,7 @@ def test_inequality_forms_that_never_settle_are_an_error():
     )
     nodes = (2 + 3) * 2**carleman._NODE_DOUBLINGS
     with pytest.raises(FloatingPointError, match=f"did not settle on {nodes} nodes"):
-        inequality_forms(kinked, 2, [0.05], "left")
+        carleman._settled_forms(kinked, 2, [0.05], "left")
 
 
 def test_constant_estimate_null_span():
@@ -465,7 +467,7 @@ def test_constant_estimate_tame_family():
     assert np.all(np.isfinite(est.sup_ratio))
     # one maximiser per h, scaled to RHS = 1, where LHS is the maximum
     assert est.coefficients.shape == (h.size, 8)
-    lhs_forms, rhs_forms = inequality_forms(weight, 8, h, "left")
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 8, h, "left")
     for c, f_l, f_r, sup in zip(est.coefficients, lhs_forms, rhs_forms, est.sup_ratio):
         assert c @ f_r @ c == pytest.approx(1.0, rel=1e-10)
         assert c @ f_l @ c == pytest.approx(sup, rel=1e-10)
@@ -503,7 +505,7 @@ def test_constant_estimate_matches_pointwise_oracle(side, kind, panels):
         assert lhs[0] / rhs[0] == pytest.approx(sup, rel=1e-10)
     # the forms give each sample's sides, and no sample beats the maximum
     coefficients = _coefficients(7, seed=panels)
-    lhs_forms, rhs_forms = inequality_forms(weight, 8, est.h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 8, est.h, side)
     lhs, rhs = _form_values(lhs_forms, coefficients), _form_values(rhs_forms, coefficients)
     for c, c_lhs, c_rhs in zip(coefficients, lhs, rhs):
         direct_lhs, direct_rhs = gauss_inequality_sides(weight, side, c, est.h, panels)
@@ -516,14 +518,14 @@ def test_constant_estimate_matches_pointwise_oracle(side, kind, panels):
 def test_inequality_forms_are_the_pointwise_sides(side):
     weight = default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
     h = np.array([0.004, 0.05])
-    lhs_forms, rhs_forms = inequality_forms(weight, 5, h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 5, h, side)
     assert lhs_forms.shape == rhs_forms.shape == (2, 5, 5)
     for k in range(5):  # a unit coefficient picks the diagonal entry
         direct_lhs, direct_rhs = exact_inequality_sides(weight, side, np.eye(5)[k], h)
         np.testing.assert_allclose(lhs_forms[:, k, k], direct_lhs, rtol=1e-10)
         np.testing.assert_allclose(rhs_forms[:, k, k], direct_rhs, rtol=1e-10)
     with pytest.raises(ValueError):
-        inequality_forms(weight, 5, h, "up")
+        carleman._settled_forms(weight, 5, h, "up")
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -537,7 +539,7 @@ def test_inequality_forms_converge_to_the_plain_sides(side):
     weight = default_left_weight(GOLDEN) if side == "left" else default_right_weight(GOLDEN)
     h = np.array([0.01, 0.03, 0.1])
     c = _coefficients(1, seed=5)
-    lhs_forms, rhs_forms = inequality_forms(weight, 8, h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 8, h, side)
     rows = legendre_rows(weight, side, 8)
     gaps = []
     for cells in (2048, 4096, 8192):
@@ -583,7 +585,7 @@ DEFAULT_H = np.geomspace(1e-3, 1e-1, 13)
 def test_span_maximum_bounds_the_random_family(xi, side):
     weight = default_left_weight(xi) if side == "left" else default_right_weight(xi)
     est = estimate_carleman_constant(weight, 8, DEFAULT_H, side)
-    lhs_forms, rhs_forms = inequality_forms(weight, 8, est.h, side)
+    (lhs_forms, rhs_forms), _ = carleman._settled_forms(weight, 8, est.h, side)
     draws = _coefficients(200, seed=17)
     ratio = _form_values(lhs_forms, draws) / _form_values(rhs_forms, draws)
     assert np.all(ratio <= est.sup_ratio * (1.0 + 1e-12))

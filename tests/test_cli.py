@@ -26,7 +26,7 @@ from pointdamp.tasks import sweep
 from pointdamp.tasks.sweep import _linspace
 
 from forks import assert_reaped, record_forks
-from report_digests import INVOCATIONS, SWEEPS, compare, digests
+from report_digests import CONFIG_FILES, INVOCATIONS, SWEEPS, compare, digests
 
 
 def run(args):
@@ -300,6 +300,7 @@ EXIT_2_RUNS = [
     ["carleman-verify", "--xi", "golden", "--set", "weight=bogus"],
     ["carleman-verify", "--xi", "golden", "--set", "weight=exp:nan"],
     ["simulate", "--xi", "golden", "--set", "t_final=1e6"],
+    ["simulate", "--xi", "golden", "--set", "center=0.05"],
     ["sweep", "--set", "xi_list=0.3,abc"],
 ]
 
@@ -710,11 +711,11 @@ def test_simulate_refuses_a_bump_off_the_string(tmp_path, capsys):
         error = capsys.readouterr().err
         assert "center" in error and "width" in error
     assert not (tmp_path / "off").exists()
-    # a bump that reaches over the end of the string still starts it moving
-    end = ["--set", "center=1.05", "--set", "width=0.1", "--out", tmp_path / "end"]
-    assert run(args + end) == 0
-    report = json.loads((tmp_path / "end" / "simulate_report.json").read_text())
-    assert report["result"]["energy_initial"] > 0.0
+    # a bump that reaches over the end of the string would be cut there: refused too
+    end = ["--set", "center=0.99", "--set", "width=0.1", "--out", tmp_path / "end"]
+    assert run(args + end) == 2
+    assert "past the end x=1" in capsys.readouterr().err
+    assert not (tmp_path / "end").exists()
 
 
 def test_simulate_refuses_a_bump_between_mesh_nodes(tmp_path, capsys):
@@ -752,9 +753,59 @@ def test_bump_node_rule_matches_the_initial_data():
         node = float(mesh.nodes[rng.integers(mesh.nodes.size)])
         for center in (node, np.nextafter(node - width, -1.0), node + width,
                        float(rng.uniform(-0.2, 1.2))):
+            if center - width < 0.0 or center + width > 1.0:
+                # check refuses a bump past an end before it asks for a node
+                with pytest.raises(ValueError, match="past an end"):
+                    simulator.initial_data(mesh, "smooth_bump", center=center, width=width)
+                continue
             u = simulator.initial_data(mesh, "smooth_bump", center=center, width=width).u
             assert _holds_a_node(xi, cells, float(center), width) == bool(np.any(u)), (
                 xi, cells, center, width)
+
+
+def test_simulate_refuses_a_bump_past_an_end(tmp_path, capsys):
+    # the clamped end would cut such a bump, so the run would start from a cliff;
+    # a sweep refuses it before any job
+    runs = {
+        ("--xi", "golden", "--set", "center=0.05"): "past the end x=0; the widest that fits is 0.05",
+        ("--xi", "golden", "--set", "width=inf"): "the widest that fits is 0.3819660112501051",
+        ("--xi", "0.95",): "width=0.1 carries the smooth bump at center=0.95 past the end x=1",
+        ("--xi", "golden", "--set", "center=1.5"): "past the end x=1; none fits",
+    }
+    for args, message in runs.items():
+        assert run(["simulate", *args, "--set", "t_final=1", "--out", tmp_path / "cut"]) == 2
+        assert message in capsys.readouterr().err
+    assert run(["sweep", "--set", "task=simulate", "--set", "width=0.1", "--set", "t_final=1",
+                "--out", tmp_path / "cut"]) == 2
+    assert "past the end x=0; the widest that fits is 0.05" in capsys.readouterr().err
+    assert not (tmp_path / "cut").exists()
+    # a bump that reaches an end exactly fits
+    assert run(["simulate", "--xi", "0.05", "--set", "width=0.05", "--set", "t_final=0.1",
+                "--set", "fit=false", "--out", tmp_path]) == 0
+
+
+def test_classify_refuses_a_constant_type_bound_below_one(tmp_path, capsys):
+    # partial quotients are at least 1, so a lower bound would make every
+    # position fail "constant type" without a word
+    for bound in ("0", "-1"):
+        assert run(["classify", "--xi", "golden", "--set", f"constant_type_bound={bound}",
+                    "--out", tmp_path / "bound"]) == 2
+        assert "constant_type_bound must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "bound").exists()
+    assert run(["classify", "--xi", "golden", "--set", "constant_type_bound=1",
+                "--out", tmp_path]) == 0
+    assert json.loads((tmp_path / "classify_report.json").read_text())["result"]["constant_type"]
+
+
+def test_default_simulate_sweep_starts_every_position_from_the_same_energy(tmp_path):
+    # the default bump fits inside [0, 1] at every default grid point, so the
+    # initial energy depends on the mesh alone
+    assert run(["sweep", "--set", "task=simulate", "--set", "t_final=0.1",
+                "--out", tmp_path]) == 0
+    rows = json.loads((tmp_path / "sweep_simulate.json").read_text())["result"]["rows"]
+    energies = [row["energy_initial"] for row in rows]
+    assert len(energies) == 19
+    assert max(energies) <= 1.01 * min(energies)
 
 
 def _readme_key_tables():
@@ -1796,7 +1847,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 44
+    assert sum(line.endswith(".json") for line in lines) == 47
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):
@@ -1808,12 +1859,15 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
         digests(refused, [])
 
 
-def test_report_digest_invocations_resolve():
-    # the fixed list stays valid as the schemas change
+def test_report_digest_invocations_resolve(tmp_path):
+    # the fixed list stays valid as the schemas change, its config files too
     parser = cli._build_parser()
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     for _, args in INVOCATIONS:
         parsed = parser.parse_args(args)
-        raw = dict(item.split("=", 1) for item in parsed.overrides)
+        raw = cli.load_config_file(tmp_path / parsed.config) if parsed.config else {}
+        raw |= dict(item.split("=", 1) for item in parsed.overrides)
         if parsed.xi is not None:
             raw["xi"] = parsed.xi
         resolve_config(parsed.command, raw)

@@ -21,7 +21,7 @@ import pointdamp
 from pointdamp import characteristic, frequency, processes
 from pointdamp.inputs import default_mu_grid
 from pointdamp.characteristic import (
-    ContourThroughRoot, abscissa_of_roots, characteristic_derivative, characteristic_function,
+    ContourThroughRoot, abscissa_of_roots, characteristic_function,
     find_eigenvalues,
 )
 from pointdamp.diophantine import GOLDEN_RATIO_CONJUGATE, check_exp_grid, resonance_indicator
@@ -42,8 +42,9 @@ def _zero_forcing(mesh):
 
 def _hat_forcing(mesh, mu, phi1, phi2, f1x):
     """Forcing with Phi = (phi1, phi2) and f1(xi) = f1x: f is the hat through f1x at xi."""
-    f1 = f1x * (mesh.left / mesh.xi)
-    f2 = f1x * ((1.0 - mesh.right) / (1.0 - mesh.xi))
+    x1, x2 = mesh.split(mesh.nodes)
+    f1 = f1x * (x1 / mesh.xi)
+    f2 = f1x * ((1.0 - x2) / (1.0 - mesh.xi))
     fp1 = np.full(f1.shape, f1x / mesh.xi)
     fp2 = np.full(f2.shape, -f1x / (1.0 - mesh.xi))
     return ForcingData(mesh, f1, f2, phi1 - 1j * mu * f1, phi2 - 1j * mu * f2, fp1, fp2)
@@ -96,7 +97,7 @@ def test_random_forcing_is_admissible(rng):
     assert abs(forcing.f2[-1]) < 1e-12
     assert abs(forcing.f1[-1] - forcing.f2[0]) < 1e-12
     # supplied derivative samples agree with finite differences
-    fd = np.gradient(forcing.f1.real, mesh.left)
+    fd = np.gradient(forcing.f1.real, mesh.split(mesh.nodes)[0])
     assert np.max(np.abs(fd[1:-1] - forcing.fp1.real[1:-1])) < 1e-2
 
 
@@ -111,7 +112,7 @@ def test_random_forcing_matches_naive_series():
         af, ag, bg = (
             (rng.standard_normal(8) + 1j * rng.standard_normal(8)) / k for _ in range(3)
         )
-        for side, x in (("1", mesh.left), ("2", mesh.right)):
+        for side, x in zip("12", mesh.split(mesh.nodes)):
             theta = [(j + 1) * (np.pi * x) for j in range(8)]
             f = sum(af[j] * np.sin(theta[j]) for j in range(8))
             fp = sum(af[j] * (j + 1) * np.pi * np.cos(theta[j]) for j in range(8))
@@ -156,7 +157,7 @@ def test_resonant_forcing_structure():
     mesh = build_mesh(0.5, 32, 32)
     probe = resonant_forcing(mesh, 11.0)
     assert np.all(probe.f1 == 0) and np.all(probe.f2 == 0)
-    np.testing.assert_allclose(probe.g1, np.sin(11.0 * mesh.left), atol=1e-15)
+    np.testing.assert_allclose(probe.g1, np.sin(11.0 * mesh.split(mesh.nodes)[0]), atol=1e-15)
 
 
 # ------------------------------------------------------------ coefficients
@@ -186,8 +187,9 @@ def test_lambda_matches_quadrature_oracle():
     o1, o2 = interface_coefficients_quadrature(GOLDEN, mu, phi1f, phi2f, f1x)
     for cells in ORACLE_CELLS:
         mesh = build_mesh(GOLDEN, cells, cells)
-        p1 = np.array([phi1f(t) for t in mesh.left])
-        p2 = np.array([phi2f(t) for t in mesh.right])
+        x1, x2 = mesh.split(mesh.nodes)
+        p1 = np.array([phi1f(t) for t in x1])
+        p2 = np.array([phi2f(t) for t in x2])
         sol = solve_resolvent(GOLDEN, mu, _hat_forcing(mesh, mu, p1, p2, f1x))
         assert abs(sol.lambda1 - o1) < 1e-8
         assert abs(sol.lambda2 - o2) < 1e-8
@@ -264,7 +266,8 @@ def test_solve_refuses_a_forcing_outside_its_contract(defect):
     if defect == "outer_ends":
         f1, f2 = np.ones_like(zero.f1), np.ones_like(zero.f2)
     else:
-        f1, f2 = mesh.left / mesh.xi, 0.5 * (1.0 - mesh.right) / (1.0 - mesh.xi)
+        x1, x2 = mesh.split(mesh.nodes)
+        f1, f2 = x1 / mesh.xi, 0.5 * (1.0 - x2) / (1.0 - mesh.xi)
     forcing = ForcingData(mesh, f1 + 0j, f2 + 0j, zero.g1, zero.g2)
     with pytest.raises(ValueError, match="outer boundaries" if defect == "outer_ends" else
                        "continuous"):
@@ -277,8 +280,9 @@ def test_solve_matches_numerov_oracle(rng):
     mu = 20.0
     sol = solve_resolvent(GOLDEN, mu, forcing)
     phi1, phi2 = assemble_phi(forcing, mu)
+    x1, x2 = mesh.split(mesh.nodes)
     o1, o2 = numerov_interface_solve(
-        GOLDEN, mu, mesh.left, phi1, mesh.right, phi2, forcing.f1_at_xi
+        GOLDEN, mu, x1, phi1, x2, phi2, forcing.f1_at_xi
     )
     scale = max(np.abs(o1).max(), np.abs(o2).max())
     assert np.abs(sol.u1 - o1).max() / scale < 1e-6
@@ -367,8 +371,9 @@ def test_trace_derivatives_match_solution_arrays(rng):
     mu = 20.0
     sol = solve_resolvent(GOLDEN, mu, forcing)
     phi1, phi2 = assemble_phi(forcing, mu)
+    x1, x2 = mesh.split(mesh.nodes)
     o1, o2 = numerov_interface_solve(
-        GOLDEN, mu, mesh.left, phi1, mesh.right, phi2, forcing.f1_at_xi
+        GOLDEN, mu, x1, phi1, x2, phi2, forcing.f1_at_xi
     )
     left = _BACKWARD5 @ o1[:-6:-1] / mesh.h_left
     right = _FORWARD5 @ o2[:5] / mesh.h_right
@@ -428,10 +433,11 @@ def test_trace_bound_holds_over_random_ensemble():
 
 def test_state_norm_known_value():
     mesh = build_mesh(0.5, 256, 256)
-    a1 = np.sin(np.pi * mesh.left)
-    a2 = np.sin(np.pi * mesh.right)
-    ap1 = np.pi * np.cos(np.pi * mesh.left)
-    ap2 = np.pi * np.cos(np.pi * mesh.right)
+    x1, x2 = mesh.split(mesh.nodes)
+    a1 = np.sin(np.pi * x1)
+    a2 = np.sin(np.pi * x2)
+    ap1 = np.pi * np.cos(np.pi * x1)
+    ap2 = np.pi * np.cos(np.pi * x2)
     b1 = np.zeros_like(a1)
     b2 = np.zeros_like(a2)
     norm = state_norm(mesh, a1, a2, b1, b2, ap1, ap2)
@@ -440,8 +446,7 @@ def test_state_norm_known_value():
 
 def test_state_norm_without_derivative_samples():
     mesh = build_mesh(0.5, 512, 512)
-    a1 = np.sin(np.pi * mesh.left)
-    a2 = np.sin(np.pi * mesh.right)
+    a1, a2 = mesh.split(np.sin(np.pi * mesh.nodes))
     b1 = np.zeros_like(a1)
     b2 = np.zeros_like(a2)
     norm = state_norm(mesh, a1, a2, b1, b2)
@@ -827,7 +832,7 @@ def test_characteristic_derivative_fd_check(rng):
         z = complex(rng.uniform(1, 20), rng.uniform(-1, 2))
         h = 1e-6
         fd = (characteristic_function(xi, z + h) - characteristic_function(xi, z - h)) / (2 * h)
-        assert abs(characteristic_derivative(xi, z) - fd) < 1e-5
+        assert abs(characteristic._values(xi, 1 - xi, z)[1] - fd) < 1e-5
 
 
 def test_winding_counts():

@@ -25,13 +25,12 @@ def test_interface_node_exact():
 
 def test_side_views_share_interface():
     mesh = build_mesh(0.25, 5, 9)
-    assert mesh.left[-1] == mesh.xi
-    assert mesh.right[0] == mesh.xi
-    assert mesh.left.size == mesh.n_left + 1
-    assert mesh.right.size == mesh.n_right + 1
-    np.testing.assert_array_equal(
-        np.concatenate([mesh.left, mesh.right[1:]]), mesh.nodes
-    )
+    left, right = mesh.split(mesh.nodes)
+    assert left[-1] == mesh.xi
+    assert right[0] == mesh.xi
+    assert left.size == mesh.n_left + 1
+    assert right.size == mesh.n_right + 1
+    np.testing.assert_array_equal(np.concatenate([left, right[1:]]), mesh.nodes)
 
 
 def test_split_grid_function():

@@ -37,6 +37,16 @@ def test_smooth_bump_data():
     assert abs(du[edge]) < 0.1
 
 
+def test_smooth_bump_past_an_end_is_refused():
+    # the clamped ends would cut it; one that reaches an end exactly fits
+    mesh = build_mesh(0.05, 20, 20)
+    for center, width in ((None, 0.1), (0.95, 0.1), (0.5, 0.6)):
+        with pytest.raises(ValueError, match="past an end"):
+            initial_data(mesh, "smooth_bump", center=center, width=width)
+    u = initial_data(mesh, "smooth_bump", width=0.05).u
+    assert u[0] == 0.0 and u[1] > 0.0
+
+
 def test_initial_data_validation():
     mesh = build_mesh(0.5, 16, 16)
     with pytest.raises(ValueError):
