@@ -616,8 +616,12 @@ def classify_actuator(
     settings.quotient_overflow (settle): it is rational when that number is
     a Fraction.  The checks evaluate at its double and keep their traces when
     keep_trace is set; settings.depth truncates only the reported expansion.
+    A depth or constant_type_bound below 1 is a ValueError.
     """
     settings = settings or ClassifySettings()
+    for name in ("depth", "constant_type_bound"):
+        if not getattr(settings, name) >= 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(settings, name)!r}")
     cf = expand_continued_fraction(xi, settings.depth, settings.quotient_overflow)
     position = settle(xi, settings.quotient_overflow)
     mu_range = settings.mu_min, settings.mu_max

@@ -95,7 +95,7 @@ def initial_data(
     kind 'fourier_mode': u = sin(mode * pi * x).
     kind 'smooth_bump':  compactly supported C^2 bump (1 - s^2)^3 around
                          center (defaults to the interface) with half-width
-                         width, inside [0, 1] (else ValueError).
+                         width > 0, inside [0, 1] (else ValueError).
     Other data is built directly as WaveState(mesh, t, u, v).
     """
     x = mesh.nodes
@@ -105,6 +105,8 @@ def initial_data(
         u = np.sin(mode * np.pi * x)
     elif kind == "smooth_bump":
         c = mesh.xi if center is None else float(center)
+        if not width > 0.0:
+            raise ValueError(f"a smooth bump needs a width > 0, got {width!r}")
         if c - width < 0.0 or c + width > 1.0:
             raise ValueError(f"a smooth bump at {c} of width {width} reaches past an end")
         s = (x - c) / float(width)

@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 
 from ..cli import (
-    MAX_CELLS, MAX_GRID_POINTS, ConfigError, Position, _check_sizes, at_least, finite_positive,
-    one_of,
+    MAX_CELLS, ConfigError, Position, _check_sizes, at_least, finite_positive, one_of,
 )
 
 SCHEMA = {
@@ -24,6 +23,7 @@ SCHEMA = {
 }
 SWEEP_DEFAULTS: dict[str, str] = {}
 USES_NUMPY = True
+_ROUTE_MODES = 8  # the dual route's test function has these modes at every n_modes
 
 
 def check(cfg: dict, xi: Position) -> float | None:
@@ -74,28 +74,27 @@ def _carleman_weights(
 
 
 def _dual_route_cells(cfg: dict, side: str, weight: carleman.WeightFunction) -> int:
-    """The fewest cells n with dx * max(max|phi'| / check_h, sample_basis' top frequency)
-    <= 0.08, phi' largest at an end since phi'' > 0: 4n against 2n then reads second
-    order.  The dual route runs n, 2n and 4n; a 4n past the ceilings is refused."""
+    """The fewest cells n with dx * max(max|phi'| / check_h, the route modes' top
+    frequency) <= 0.08, phi' largest at an end since phi'' > 0: 4n against 2n then reads
+    second order.  The dual route runs n, 2n and 4n; a 4n past MAX_CELLS is refused."""
     slope = max(abs(float(weight.d1(end))) for end in (weight.a, weight.b)) / cfg["check_h"]
-    top = (cfg["n_modes"] + 0.37) * math.pi / (weight.b - weight.a)
+    top = (_ROUTE_MODES + 0.37) * math.pi / (weight.b - weight.a)
     coarse = (weight.b - weight.a) * max(slope, top) / 0.08
     cells = math.ceil(min(coarse, MAX_CELLS))
-    if 4 * cells > MAX_CELLS or cfg["n_modes"] * (4 * cells + 1) > MAX_GRID_POINTS:
-        lever = "a larger check_h" if slope > top else "fewer n_modes"
+    if 4 * cells > MAX_CELLS:
         raise ValueError(f"the {side} dual route needs {4 * coarse:.3g} cells at check_h = "
-                         f"{cfg['check_h']:g}, past {MAX_CELLS} cells or {MAX_GRID_POINTS} "
-                         f"basis points: {lever} lifts the limit")
+                         f"{cfg['check_h']:g}, past {MAX_CELLS} cells: a larger check_h "
+                         "lifts the limit")
     return cells
 
 
 # the dual route's finest error, predicted from its coarsest, must lie this
 # many times above the finest grid's rounding floor (_verify_carleman_side).
-# Over default and exp:3 weights and 4 to 32 modes, every side whose orders
-# left [1.9, 2.2] was predicted at most 8.5 times its floor (a 1.06e-6 long
-# side among them), and every side predicted 8.8 times or more read orders
-# in [1.9, 2.2]; the 1e-5 long right side at xi = 0.99999 is predicted 80
-# times its floor
+# Over default and exp:3 weights and routes of 4 to 32 modes, which cover the
+# one 8-mode route run at every n_modes, every side whose orders left [1.9, 2.2]
+# was predicted at most 8.5 times its floor (a 1.06e-6 long side among them),
+# and every side predicted 8.8 times or more read orders in [1.9, 2.2]; the
+# 1e-5 long right side at xi = 0.99999 is predicted 80 times its floor
 _ROUTE_NOISE_MARGIN = 16
 
 
@@ -129,14 +128,15 @@ def _verify_carleman_side(
     h_ref = cfg["check_h"]
     w_coefficients, v_coefficients = identity_check_coefficients(cfg["n_modes"])
 
-    # dual-route convergence over 3 refinements of the grid, sampling the modes
-    # as carleman.sample_basis' cosines; a grid so fine that the route divides
-    # by an underflowed dx**2 gives a non-finite error, refused below
+    # dual-route convergence over 3 refinements of the grid, on sample_basis'
+    # cosines under the _ROUTE_MODES-mode w; a grid so fine that the route
+    # divides by an underflowed dx**2 gives a non-finite error, refused below
     route_errors = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for n in (cells, 2 * cells, 4 * cells):
             x = weight.grid(n)
-            w = w_coefficients @ carleman.sample_basis((weight.a, weight.b), n, cfg["n_modes"])
+            w = identity_check_coefficients(_ROUTE_MODES)[0] @ carleman.sample_basis(
+                (weight.a, weight.b), n, _ROUTE_MODES)
             route = carleman.conjugation_route(weight, h_ref, w, x)
             diff = route - carleman.apply_conjugated_operator(weight, h_ref, w, x)
             route_errors.append(float(np.max(np.abs(diff))))

@@ -39,7 +39,9 @@ weight), simulate without fits or final state, and simulate to t_final=0.05,
 whose two samples above the fit floor leave a fit_note in place of fits,
 then classify configured by a --config file alone, simulate from a bump
 placed by center and width (which check tests for a mesh node inside its
-support), and classify under an exponential Liouville weight.  A --config
+support), classify under an exponential Liouville weight, and carleman-verify
+at golden over 128 modes and 3 h, a constant on more rows than the dual route
+samples, whose route matches the default run's.  A --config
 names a file of CONFIG_FILES, which digests writes into that run's
 directory, where the listing shows it, and passes by its path there.
 New invocations go at the end, so the run numbers of the earlier ones hold.
@@ -101,6 +103,7 @@ INVOCATIONS = (
         ["simulate", "--xi", "golden", "--set", "cells=40", "--set", "t_final=0.5",
          "--set", "center=0.3", "--set", "width=0.2"],
         ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:0.5"],
+        ["carleman-verify", "--xi", "golden", "--set", "n_modes=128", "--set", "h_count=3"],
     )]
 )
 CONFIG_FILES = {

@@ -1462,16 +1462,18 @@ def test_carleman_short_side_is_refused(tmp_path, capsys, xi, side, length):
 
 
 def test_carleman_constant_does_not_fall_with_more_modes(tmp_path):
-    # the 8 modes are the leading rows of the 32, so the span maximum can only grow
-    c_hat = {}
+    # the 8 modes are the leading rows of the 32, so the span maximum can only
+    # grow; the dual route runs on the same 8-mode test function at both
+    results = {}
     for n_modes in (8, 32):
         out = tmp_path / str(n_modes)
         assert run(["carleman-verify", "--xi", "golden", "--out", out,
                     "--set", f"n_modes={n_modes}"]) == 0
-        result = json.loads((out / "carleman_report.json").read_text())["result"]
-        c_hat[n_modes] = {side: result[side]["c_hat"] for side in ("left", "right")}
+        results[n_modes] = json.loads((out / "carleman_report.json").read_text())["result"]
     for side in ("left", "right"):
-        assert c_hat[32][side] >= c_hat[8][side], side
+        assert results[32][side]["c_hat"] >= results[8][side]["c_hat"], side
+        for key in ("dual_route_cells", "dual_route_errors", "dual_route_orders"):
+            assert results[32][side][key] == results[8][side][key], (side, key)
 
 
 def test_readme_names_the_carleman_report_keys(tmp_path):
@@ -1847,7 +1849,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 47
+    assert sum(line.endswith(".json") for line in lines) == 48
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):

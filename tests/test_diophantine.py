@@ -201,6 +201,14 @@ def test_cf_golden_string_stops_at_its_precision():
     assert classify_actuator("golden", ClassifySettings(depth=200)).constant_type
 
 
+@pytest.mark.parametrize("field", ["depth", "constant_type_bound"])
+def test_classify_refuses_settings_below_one(field):
+    # classify's schema asks at least 1 of both; unrefused, 0 reads golden as not
+    # of constant type, for want of a bound or of an expansion
+    with pytest.raises(ValueError, match=f"{field} must be at least 1"):
+        classify_actuator("golden", ClassifySettings(**{field: 0}))
+
+
 def test_cf_float_golden_hits_precision_budget():
     cf = expand_continued_fraction(GOLDEN_RATIO_CONJUGATE, depth=60)
     assert cf.truncated_by_precision

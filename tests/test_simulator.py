@@ -47,6 +47,13 @@ def test_smooth_bump_past_an_end_is_refused():
     assert u[0] == 0.0 and u[1] > 0.0
 
 
+@pytest.mark.parametrize("width", [math.nan, 0.0, -0.1])
+def test_smooth_bump_of_no_positive_width_is_refused(width):
+    # unrefused, nan builds zero data, 0 zero data with two warnings and -0.1 a 0.1 bump
+    with pytest.raises(ValueError, match="width > 0"):
+        initial_data(build_mesh(0.5, 16, 16), "smooth_bump", width=width)
+
+
 def test_initial_data_validation():
     mesh = build_mesh(0.5, 16, 16)
     with pytest.raises(ValueError):
