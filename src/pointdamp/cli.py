@@ -27,11 +27,11 @@ at each call, so replacing either here sees every file.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -345,23 +345,132 @@ def write_files(command: str, cfg: dict, uses_numpy: bool, files: tuple) -> list
 # entry point
 # ----------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pointdamp",
-        description="Numerical laboratory for a string damped at one interior point.",
-    )
-    parser.add_argument("command", choices=COMMANDS, help="the task to run")
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--set", action="append", dest="overrides", default=[],
-                        metavar="KEY=VALUE", help="override one configuration key (repeatable)")
-    parser.add_argument("--xi", help="actuator position: decimal, p/q, or 'golden'")
-    parser.add_argument("--out", help="output directory (default '.')")
-    parser.add_argument("--seed", type=int, help="seed for resolvent-scan's random probes")
-    return parser
+class _Arguments(NamedTuple):
+    """A parsed command line: the command, the option values given, each --set in order."""
+
+    command: str
+    config: str | None = None
+    overrides: tuple[str, ...] = ()
+    xi: str | None = None
+    out: str | None = None
+    seed: int | None = None
+
+
+_USAGE = (
+    "usage: pointdamp [-h] [--config FILE] [--set KEY=VALUE] [--xi XI] [--out DIR] [--seed N]\n"
+    "                 {" + ",".join(COMMANDS) + "}\n"
+)
+_HELP = _USAGE + f"""
+Numerical laboratory for a string damped at one interior point.
+
+positional arguments:
+  {{{",".join(COMMANDS)}}}
+                    the task to run
+
+options:
+  -h, --help        show this help message and exit
+  --config FILE     flat key=value configuration file
+  --set KEY=VALUE   override one configuration key (repeatable)
+  --xi XI           actuator position: decimal, p/q, or 'golden'
+  --out DIR         output directory (default '.')
+  --seed N          seed for resolvent-scan's random probes
+"""
+# the long options, each taking one value; --set repeats, the others keep their last value
+_OPTIONS = ("--config", "--set", "--xi", "--out", "--seed")
+
+
+class _Help(Exception):
+    """-h or --help: print the help and exit 0."""
+
+
+class _UsageError(Exception):
+    """A command line the parser refuses: exit 2."""
+
+
+def _option(text: str) -> str | None:
+    """The option text names, exactly or by a unique prefix, or None.
+
+    A prefix of more than one option is a _UsageError.
+    """
+    matches = [name for name in (*_OPTIONS, "--help") if name.startswith(text)]
+    if text in matches:
+        return text
+    if len(matches) > 1:
+        raise _UsageError(f"ambiguous option: {text} could match {', '.join(matches)}")
+    return matches[0] if matches else None
+
+
+def _is_value(text: str) -> bool:
+    """Whether text is a value rather than an option: "-", a negative number, or no leading "-"."""
+    if not text.startswith("-") or text == "-":
+        return True
+    return re.fullmatch(r"-\d+|-\d*\.\d+", text) is not None
+
+
+def _parse_args(argv) -> _Arguments:
+    """command [--config F] [--set K=V]... [--xi X] [--out D] [--seed N], in any order.
+
+    A value follows its option as the next argument or after "=", and an
+    option may be shortened to any unique prefix; "--" ends the options.
+    Raises _Help for -h or --help, and _UsageError for anything else it
+    cannot read.
+    """
+    values: dict[str, str] = {}
+    overrides: list[str] = []
+    positionals: list[str] = []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positionals.extend(args)
+            break
+        if arg == "-h":
+            raise _Help
+        if _is_value(arg):
+            positionals.append(arg)
+            continue
+        text, inline, value = arg.partition("=")
+        option = _option(text) if arg.startswith("--") else None
+        if option is None:
+            raise _UsageError(f"unrecognized arguments: {arg}")
+        if option == "--help":
+            if inline:
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+            raise _Help
+        if not inline:
+            value = next(args, None)
+            if value is None or not _is_value(value):
+                raise _UsageError(f"argument {option}: expected one argument")
+        if option == "--set":
+            overrides.append(value)
+        else:
+            values[option[2:]] = value
+    if not positionals:
+        raise _UsageError("the following arguments are required: command")
+    command, *extra = positionals
+    if command not in COMMANDS:
+        raise _UsageError(
+            f"argument command: invalid choice: {command!r} (choose from {', '.join(COMMANDS)})"
+        )
+    if extra:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    seed = values.pop("seed", None)
+    if seed is not None:
+        try:
+            seed = int(seed)
+        except ValueError:
+            raise _UsageError(f"argument --seed: invalid int value: {seed!r}") from None
+    return _Arguments(command, overrides=tuple(overrides), seed=seed, **values)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Help:
+        print(_HELP, end="")
+        return 0
+    except _UsageError as exc:
+        print(f"{_USAGE}pointdamp: error: {exc}", file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
         raw: dict[str, str] = {}

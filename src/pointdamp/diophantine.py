@@ -86,6 +86,14 @@ def _number(x) -> Fraction | float | str:
     return x
 
 
+def _check_quotient_overflow(quotient_overflow: float) -> None:
+    """A ValueError unless quotient_overflow is finite and at least 1, as classify asks."""
+    if not 1 <= quotient_overflow < math.inf:
+        raise ValueError(
+            f"quotient_overflow must be finite and at least 1, got {quotient_overflow!r}"
+        )
+
+
 def expand_continued_fraction(
     x, depth: int = 40, quotient_overflow: float = 1e12
 ) -> ContinuedFraction:
@@ -101,8 +109,10 @@ def expand_continued_fraction(
 
     Floats and 'golden' whose expansion hits a partial quotient above
     quotient_overflow are reported as rational, ending on the quotients
-    before it.
+    before it.  A quotient_overflow that is not finite and at least 1 is a
+    ValueError, for any x.
     """
+    _check_quotient_overflow(quotient_overflow)
     x = _number(x)
     if x == "golden":
         x, budget = _GOLDEN_60, _GOLDEN_60_BUDGET
@@ -124,8 +134,10 @@ def settle(xi, quotient_overflow: float = 1e12) -> Position:
     xi is read as _number reads it.  A Fraction is exact; a float settles
     where its expansion ends (expansion.rational_form), or else has the
     exact form None, for the double's own value; 'golden' keeps 'golden',
-    for its 60 digits.  What settle returned passes through.
+    for its 60 digits.  What settle returned passes through.  A
+    quotient_overflow that is not finite and at least 1 is a ValueError.
     """
+    _check_quotient_overflow(quotient_overflow)
     if isinstance(xi, _Settled):
         return xi
     xi = _number(xi)
@@ -616,7 +628,8 @@ def classify_actuator(
     settings.quotient_overflow (settle): it is rational when that number is
     a Fraction.  The checks evaluate at its double and keep their traces when
     keep_trace is set; settings.depth truncates only the reported expansion.
-    A depth or constant_type_bound below 1 is a ValueError.
+    A depth or constant_type_bound below 1 is a ValueError, and so is a
+    quotient_overflow that is not finite and at least 1.
     """
     settings = settings or ClassifySettings()
     for name in ("depth", "constant_type_bound"):

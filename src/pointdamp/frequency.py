@@ -437,13 +437,13 @@ def _response_norm(xi: float, mu, forcing: ForcingData) -> np.ndarray:
 # bytes of complex probe samples solved as one block of frequencies by
 # scan_resolvent_growth: three frequencies of the default scan (4 probes on
 # 1026 nodes), so each stacked array of the solve stays under 0.2 MB.  Each
-# frequency of a block holds ~0.6 MB at the block's peak (tracemalloc: 0.61,
-# 1.20, 1.79 and 2.38 MB for blocks of 1 to 4 in the default scan).  Blocks
+# frequency of a block holds ~0.53 MB at the block's peak (tracemalloc: 0.55,
+# 1.08, 1.60 and 2.13 MB for blocks of 1 to 4 in the default scan).  Blocks
 # of 4 were ~7% faster than 3 when measured, but lift the scan's peak past
 # the allocator prime below, and its peak RSS with it; 2 were ~17% slower
 _BLOCK_BYTES = 200 << 10
 
-# A block's allocations peak at about nine times _BLOCK_BYTES (1.8 MB in the
+# A block's allocations peak at about eight times _BLOCK_BYTES (1.6 MB in the
 # default scan), all freed before the next block.  glibc returns the top of
 # its heap to the system once more than its trim threshold is free, and
 # raises that threshold to twice the size of any mmapped block freed
@@ -487,29 +487,68 @@ def _probe_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     return rng.standard_normal((count, 6, _PROBE_MODES)) / np.arange(1, _PROBE_MODES + 1)
 
 
+def _coefficients(draws: np.ndarray) -> np.ndarray:
+    """(..., 3 * _PROBE_MODES, 2) series coefficients of probes from their draws.
+
+    The coefficient blocks (af, ag, bg) run down, (real, imag) across, as the
+    series table's columns take them.
+    """
+    lead = draws.shape[:-2]
+    return draws.reshape(lead + (3, 2, _PROBE_MODES)).swapaxes(-1, -2).reshape(lead + (-1, 2))
+
+
+def _pairs(samples: np.ndarray) -> np.ndarray:
+    """A complex array as a float view with (real, imag) on a new last axis."""
+    return samples.view(float).reshape(samples.shape + (2,))
+
+
 def _fill_series(mesh: Mesh, draws: np.ndarray, out: np.ndarray) -> None:
     """Write the samples (f, f', g) of probes into out (..., 3 * nodes).
 
     draws (..., 6, _PROBE_MODES) are the probes' coefficients, as _probe_draws
     gives them; one product with the series table maps all of them.
     """
-    lead = draws.shape[:-2]
-    # (..., 3 * _PROBE_MODES, 2): coefficient blocks down, (real, imag) across
-    coef = draws.reshape(lead + (3, 2, _PROBE_MODES)).swapaxes(-1, -2).reshape(lead + (-1, 2))
     # real matrix products give (real, imag) pairs, read as complex samples
     table = _series_table(mesh.nodes.tobytes())
-    np.matmul(table, coef, out=out.view(float).reshape(out.shape + (2,)))
+    np.matmul(table, _coefficients(draws), out=_pairs(out))
 
 
 def _fill_resonant(mesh: Mesh, mu, out: np.ndarray) -> None:
-    """Write the samples (f, f', g) of near-resonant probes into out (..., 3 * nodes).
+    """Write the samples of near-resonant probes into out (..., k * nodes), g last.
 
     f = f' = 0 and g = sin(mu x), with mu a float or an array of frequencies
-    along out's leading axes.
+    along out's leading axes: k = 3 for (f, f', g), 2 for (f, g).
     """
     n = mesh.nodes.size
-    out[..., : 2 * n] = 0.0
-    out[..., 2 * n :] = np.sin(np.multiply.outer(mu, mesh.nodes))
+    out[..., :-n] = 0.0
+    out[..., -n:] = np.sin(np.multiply.outer(mu, mesh.nodes))
+
+
+@functools.lru_cache(maxsize=4)
+def _probe_basis(xi: float, n_left: int, n_right: int) -> tuple[np.ndarray, ...]:
+    """(f rows, g rows, G) of the random probes on build_mesh(xi, n_left, n_right).
+
+    The rows are the series table's own, read in place: their product with
+    a probe's coefficients c (_coefficients) gives its samples of f and g.
+    G is the read-only Simpson Gram matrix of the table's f' and g rows, each
+    side under its own weights, so the probe's input norm is sqrt(c^H G c),
+    state_norm of its samples to rounding.
+    """
+    mesh = build_mesh(xi, n_left, n_right)
+    table = _series_table(mesh.nodes.tobytes())
+    n = mesh.nodes.size
+    gram = np.zeros((3 * _PROBE_MODES, 3 * _PROBE_MODES))
+    for side, dx in zip(mesh.split(np.arange(n)), (mesh.h_left, mesh.h_right)):
+        weights = simpson_weights(side.size, dx)[:, None]
+        for rows in (table[n : 2 * n], table[2 * n :]):
+            gram += rows[side].T @ (weights * rows[side])
+    gram.flags.writeable = False
+    return table[:n], table[2 * n :], gram
+
+
+def _basis_norms(gram: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sqrt(c^H G c) of each probe's coefficients c, the (real, imag) pairs of coef."""
+    return _root(np.sum(coef * (gram @ coef), axis=(-2, -1)))
 
 
 def _split_series(mesh: Mesh, series: np.ndarray) -> ForcingData:
@@ -574,19 +613,33 @@ def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> floa
     fp1 = rows(derivative(p.f1, mesh.h_left) if p.fp1 is None else p.fp1 for p in probes)
     fp2 = rows(derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
     in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
+    estimates = _block_bounds(xi, mu, ForcingData(mesh, f1, f2, g1, g2), in_norm)
+    return float(estimates[0]) if scalar else estimates
+
+
+def _block_bounds(
+    xi: float, mu: np.ndarray, probes: ForcingData, in_norm: np.ndarray
+) -> np.ndarray:
+    """Each frequency's max response-to-input norm ratio over its probes.
+
+    probes hold (frequency, probe, grid) arrays, mu the frequencies and
+    in_norm the (frequency, probe) input norms; f' is not read.  A probe of
+    zero input norm is skipped; a frequency gives 0.0 without a live probe,
+    else +inf where it is resonant.
+    """
     live = in_norm != 0.0
-    # a frequency without a live probe gives 0.0, a resonant one +inf
     resonant = _denominator(xi, mu)[2] <= (_EPS * mu) ** 2
     estimates = np.where(resonant & live.any(axis=1), math.inf, 0.0)
     solve = ~resonant & live.any(axis=1)
     if np.any(solve):
         if not np.all(solve):
-            mu, f1, f2, g1, g2 = mu[solve], f1[solve], f2[solve], g1[solve], g2[solve]
-            in_norm, live = in_norm[solve], live[solve]
-        out_norm = _response_norm(xi, mu, ForcingData(mesh, f1, f2, g1, g2))
+            mu, in_norm, live = mu[solve], in_norm[solve], live[solve]
+            rows = (probes.f1, probes.f2, probes.g1, probes.g2)
+            probes = ForcingData(probes.mesh, *(a[solve] for a in rows))
+        out_norm = _response_norm(xi, mu, probes)
         ratio = np.divide(out_norm, in_norm, out=np.zeros_like(out_norm), where=live)
         estimates[solve] = np.max(ratio, axis=1)
-    return float(estimates[0]) if scalar else estimates
+    return estimates
 
 
 @dataclass
@@ -599,26 +652,42 @@ class ScanResult:
     n_resonant: int
 
 
-def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, blocks: range) -> np.ndarray:
-    """The estimates at the frequencies of a run of blocks, a block at a time."""
+def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, basis, blocks: range):
+    """The estimates at the frequencies of a run of blocks, a block at a time.
+
+    basis is _probe_basis's for the mesh, or None with no random probe.
+    """
     n = mesh.nodes.size
     frequencies = range(blocks.start * block, min(blocks.stop * block, mu_grid.size))
     estimates = np.empty(len(frequencies))
     for first in frequencies[::block]:
         mus = mu_grid[first : first + block]
-        # (frequency, probe, samples of f, f' and g over all nodes), the
+        # (frequency, probe, samples of f and g over all nodes), the
         # near-resonant probe first
-        series = np.empty((mus.size, probes_per_mu, 3 * n), dtype=complex)
+        series = np.empty((mus.size, probes_per_mu, 2 * n), dtype=complex)
         _fill_resonant(mesh, mus, series[:, 0])
+        f1, f2 = mesh.split(series[..., :n])
+        g1, g2 = mesh.split(series[..., n:])
+        in_norm = np.empty((mus.size, probes_per_mu))
+        # state_norm's sum, whose f' terms come first and are zero here
+        in_norm[:, 0] = _root(
+            _abs2_integral(g1[:, 0], mesh.h_left) + _abs2_integral(g2[:, 0], mesh.h_right)
+        )
         if probes_per_mu > 1:
+            f_rows, g_rows, gram = basis
             draws = [
                 _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)
                 for i in range(first, first + mus.size)
             ]
-            _fill_series(mesh, np.stack(draws), series[:, 1:])
-        probes = [_split_series(mesh, series)]
+            coef = _coefficients(np.stack(draws))
+            samples = _pairs(series[:, 1:])
+            np.matmul(f_rows, coef, out=samples[..., :n, :])
+            np.matmul(g_rows, coef, out=samples[..., n:, :])
+            in_norm[:, 1:] = _basis_norms(gram, coef)
         start = first - frequencies.start
-        estimates[start : start + mus.size] = resolvent_norm_lower_bound(xi, mus, probes)
+        estimates[start : start + mus.size] = _block_bounds(
+            xi, mus, ForcingData(mesh, f1, f2, g1, g2), in_norm
+        )
     return estimates
 
 
@@ -635,20 +704,28 @@ def scan_resolvent_growth(
     probes_per_mu - 1 random band-limited forcings (seeded per grid index,
     so scans are reproducible), solved together.  A block of frequencies is
     solved in one call; each estimate equals resolvent_norm_lower_bound at
-    its own mu.  processes.split runs the blocks in contiguous parts, every
-    part but the first in a forked child that sends its estimates back; every
-    block computes as it would alone, so the estimates are the same bit for
-    bit in any number of processes.  Fits log(norm) = log C + K*mu by least
-    squares over the finite estimates in this process.  probes_per_mu below 1
-    is refused.
+    its own mu, the near-resonant probe's ratio bit for bit.  The random
+    probes' samples of f' are never formed: their input norms come from the
+    Gram matrix of the probe basis (_probe_basis), which this process builds,
+    with numpy.random, before processes.split runs the blocks in contiguous
+    parts, every part but the first in a forked child that inherits both and
+    sends its estimates back; every block computes as it would alone, so the
+    estimates are the same bit for bit in any number of processes.  Fits
+    log(norm) = log C + K*mu by least squares over the finite estimates in
+    this process.  probes_per_mu below 1 is refused.
     """
     if probes_per_mu < 1:
         raise ValueError("probes_per_mu must be at least 1")
     mu_grid = np.asarray(mu_grid, dtype=float)
     mesh = build_mesh(xi, cells_per_side, cells_per_side)
+    basis = None
+    if probes_per_mu > 1:
+        import numpy.random  # noqa: F401  (~20 ms of CPU, once here rather than in each part)
+
+        basis = _probe_basis(mesh.xi, mesh.n_left, mesh.n_right)
     # a block of frequencies at a time, each with its own probes
     block = max(1, _BLOCK_BYTES // (16 * probes_per_mu * mesh.nodes.size))
-    fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block)
+    fill = functools.partial(_scan_blocks, xi, mesh, mu_grid, probes_per_mu, seed, block, basis)
     # dropped at once, before any fork, so a child inherits the allocator's
     # threshold too: see _ALLOCATOR_PRIME_BYTES
     np.empty(_ALLOCATOR_PRIME_BYTES // 8)

@@ -124,6 +124,10 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     assert "'pointdamp.expansion'" not in loaded
     assert "'concurrent.futures'" not in loaded
     assert "'numpy'" not in loaded
+    # the command line is parsed without argparse and the gettext and locale
+    # lookups it brings in
+    for module in ("argparse", "gettext", "locale"):
+        assert f"'{module}'" not in loaded, module
 
     # classify, alone and swept, runs without numpy or the other layers; a
     # p/q position still comes back as its exact form
@@ -141,6 +145,8 @@ def test_cli_import_loads_only_the_parsing_layer(tmp_path):
     assert done.returncode == 0, done.stderr
     for layer in ("frequency", "carleman", "simulator", "mesh"):
         assert f"'pointdamp.{layer}'" not in done.stdout, layer
+    for module in ("argparse", "gettext", "locale"):
+        assert f"'{module}'" not in done.stdout, module
     assert "'numpy'" not in done.stdout
     # each task loads its own module, alone or swept (with the sweep's), and no other
     assert task_modules(done.stdout) == {"classify", "sweep"}
@@ -573,6 +579,71 @@ def test_unknown_key_is_config_error(tmp_path, capsys):
 
 def test_malformed_set_is_config_error(tmp_path):
     assert run(["classify", "--xi", "0.5", "--out", tmp_path, "--set", "oops"]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    # --flag value and --flag=value, options on either side of the command
+    ["--xi", "0.4", "--set", "mu_max=30", "classify", "--config", "c.cfg", "--seed", "7"],
+    ["classify", "--xi=0.4", "--set=mu_max=30", "--config=c.cfg", "--seed=7"],
+    # unique prefixes, of the flag alone or with its "=value"
+    ["classify", "--x", "0.4", "--set", "mu_max=30", "--con=c.cfg", "--see", "7"],
+    # the last value of a flag holds; "--" ends the options
+    ["--xi", "0.9", "--seed", "1", "--xi", "0.4", "--set", "mu_max=30", "--config", "c.cfg",
+     "--seed", "7", "--", "classify"],
+])
+def test_parser_forms(args):
+    assert cli._parse_args(args) == ("classify", "c.cfg", ("mu_max=30",), "0.4", None, 7)
+
+
+def test_parser_repeats_set_in_order():
+    parsed = cli._parse_args(["resolvent-scan", "--set", "probes=1", "--set=cells=32",
+                              "--set", "mu_max=3", "--out", "o", "--set", "probes=2"])
+    assert parsed.overrides == ("probes=1", "cells=32", "mu_max=3", "probes=2")
+    assert (parsed.command, parsed.out, parsed.config, parsed.xi, parsed.seed) == (
+        "resolvent-scan", "o", None, None, None
+    )
+    # a negative number is a value, "-" too
+    assert cli._parse_args(["classify", "--xi", "-0.5", "--out", "-"])[3:5] == ("-0.5", "-")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_prints_the_usage_and_exits_0(flag, capsys):
+    assert main(["classify", flag, "--bogus"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: pointdamp [-h]") and err == ""
+    for option in ("--config FILE", "--set KEY=VALUE", "--xi XI", "--out DIR", "--seed N"):
+        assert option in out
+    assert ",".join(COMMANDS) in out
+
+
+@pytest.mark.parametrize("args, reason", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["classify", "extra"], "unrecognized arguments: extra"),
+    (["classify", "--bogus=1"], "unrecognized arguments: --bogus=1"),
+    (["classify", "-x"], "unrecognized arguments: -x"),
+    (["classify", "--s", "seed=1"], "ambiguous option: --s could match --set, --seed"),
+    (["classify", "--xi"], "argument --xi: expected one argument"),
+    (["classify", "--out", "--xi", "0.4"], "argument --out: expected one argument"),
+    (["classify", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["classify", "--help=1"], "argument -h/--help: ignored explicit argument '1'"),
+])
+def test_unreadable_command_line_exits_2_with_a_usage_line(tmp_path, args, reason, capsys):
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, *_, message = err.splitlines()
+    assert usage.startswith("usage: pointdamp [-h]")
+    assert message.startswith(f"pointdamp: error: {reason}")
+    assert not list(tmp_path.iterdir())
+
+
+def test_module_run_parses_help_and_errors(tmp_path):
+    done = run_interpreter("-m", "pointdamp.cli", "--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: pointdamp")
+    done = run_interpreter("-m", "pointdamp.cli", "classify", "--seed", "x")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.splitlines()[-1] == "pointdamp: error: argument --seed: invalid int value: 'x'"
 
 
 def test_degenerate_rectangle_is_config_error(tmp_path):
@@ -1307,16 +1378,17 @@ def test_resolvent_scan_from_the_lowest_frequency(tmp_path):
 
 
 def test_resolvent_scan_with_a_failing_child_exits_3(tmp_path, monkeypatch, capsys):
-    # 3 blocks of 48 frequencies at 32 cells, split over 2 processes
+    # 3 blocks of 48 frequencies at 32 cells, split over 2 processes; the
+    # failure enters at the bound every block computes
     parent = os.getpid()
-    bound = frequency.resolvent_norm_lower_bound
+    bound = frequency._block_bounds
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
             raise MemoryError("no room")
         return bound(*args)
 
-    monkeypatch.setattr(frequency, "resolvent_norm_lower_bound", fails_in_a_child)
+    monkeypatch.setattr(frequency, "_block_bounds", fails_in_a_child)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert run(["resolvent-scan", "--xi", "golden", "--out", tmp_path, "--set", "cells=32"]) == 3
     assert "computation error: RuntimeError" in capsys.readouterr().err
@@ -1863,11 +1935,10 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
 
 def test_report_digest_invocations_resolve(tmp_path):
     # the fixed list stays valid as the schemas change, its config files too
-    parser = cli._build_parser()
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
     for _, args in INVOCATIONS:
-        parsed = parser.parse_args(args)
+        parsed = cli._parse_args(args)
         raw = cli.load_config_file(tmp_path / parsed.config) if parsed.config else {}
         raw |= dict(item.split("=", 1) for item in parsed.overrides)
         if parsed.xi is not None:

@@ -209,6 +209,23 @@ def test_classify_refuses_settings_below_one(field):
         classify_actuator("golden", ClassifySettings(**{field: 0}))
 
 
+@pytest.mark.parametrize("overflow", [0.5, 0.0, -3.0, math.nan, math.inf])
+def test_quotient_overflow_must_be_finite_and_at_least_one(overflow):
+    # classify's schema asks finite and at least 1; unrefused, 0.5 read 0.3
+    # as rational with quotients [0, 3] and golden as [0, 2], and nan read
+    # 0.3 as irrational and of constant type
+    message = "quotient_overflow must be finite and at least 1"
+    for x in (0.3, "golden", Fraction(1, 3)):
+        with pytest.raises(ValueError, match=message):
+            expand_continued_fraction(x, quotient_overflow=overflow)
+        with pytest.raises(ValueError, match=message):
+            settle(x, overflow)
+        with pytest.raises(ValueError, match=message):
+            classify_actuator(x, ClassifySettings(quotient_overflow=overflow))
+    # the least it admits reads golden as before
+    assert classify_actuator("golden", ClassifySettings(quotient_overflow=1.0)).constant_type
+
+
 def test_cf_float_golden_hits_precision_budget():
     cf = expand_continued_fraction(GOLDEN_RATIO_CONJUGATE, depth=60)
     assert cf.truncated_by_precision

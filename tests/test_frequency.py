@@ -557,6 +557,38 @@ def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells):
     return np.array(bounds)
 
 
+@pytest.mark.parametrize("cells", [47, 48, 512])
+def test_basis_norms_are_the_state_norms_of_the_samples(cells):
+    # 48 samples a side (47 cells) put the last-interval Simpson weights into G
+    mesh = build_mesh(GOLDEN, cells, cells)
+    f_rows, g_rows, gram = frequency._probe_basis(GOLDEN, cells, cells)
+    draws = frequency._probe_draws(np.random.default_rng(cells), 6)
+    probes = random_forcing(mesh, np.random.default_rng(cells), count=6)
+    expected = state_norm(mesh, probes.f1, probes.f2, probes.g1, probes.g2, probes.fp1, probes.fp2)
+    coef = frequency._coefficients(draws)
+    np.testing.assert_allclose(frequency._basis_norms(gram, coef), expected, rtol=1e-14)
+    # the basis rows give the probes' samples of f and g
+    samples = np.concatenate([f_rows @ coef, g_rows @ coef], axis=-2)
+    f, g = np.split(samples[..., 0] + 1j * samples[..., 1], 2, axis=-1)
+    np.testing.assert_allclose(f, np.concatenate([probes.f1, probes.f2[:, 1:]], axis=-1),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(g, np.concatenate([probes.g1, probes.g2[:, 1:]], axis=-1),
+                               rtol=0, atol=1e-14)
+
+
+def test_scan_where_a_random_probe_carries_the_maximum():
+    # golden at seed 2: at mu = 1 a random probe's ratio beats the
+    # near-resonant probe's, so the estimate reads a basis input norm
+    grid = np.array([1.0, 1.5, 40.0])
+    scan = scan_resolvent_growth(GOLDEN, grid, 4, seed=2)
+    mesh = build_mesh(GOLDEN, 512, 512)
+    assert resolvent_norm_lower_bound(GOLDEN, 1.0, [resonant_forcing(mesh, 1.0)]) < (
+        scan.norm_estimate[0]
+    )
+    expected = _per_frequency_bounds(GOLDEN, grid, 4, 2, 512)
+    np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
+
+
 @pytest.mark.parametrize("probes", [1, 4])
 def test_scan_blocks_equal_per_frequency_bounds(monkeypatch, probes):
     # blocks of 3 frequencies over 8 grid points: the last block is short
@@ -748,6 +780,37 @@ def test_when_a_scan_forks(monkeypatch):
     assert len(forked) == 1
     assert_reaped(forked)
     assert scan.norm_estimate.size == 399 and scan.n_resonant == 0
+
+
+def test_the_scan_builds_its_shared_setup_before_it_forks():
+    # in a fresh interpreter, where numpy.random is not yet loaded: when the
+    # scan forks, numpy.random is loaded and the probe basis of the scan's
+    # mesh is cached, so the child inherits both
+    src = str(Path(pointdamp.__file__).resolve().parents[1])
+    probe = (
+        "import os, sys\n"
+        "import numpy as np\n"
+        "from pointdamp import frequency\n"
+        "from pointdamp.inputs import GOLDEN_RATIO_CONJUGATE as xi\n"
+        "assert 'numpy.random' not in sys.modules\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "frequency._BLOCK_BYTES = 3 * 16 * 4 * 65\n"
+        "seen, fork = [], os.fork\n"
+        "def checking_fork():\n"
+        "    misses = frequency._probe_basis.cache_info().misses\n"
+        "    frequency._probe_basis(xi, 32, 32)\n"
+        "    cached = frequency._probe_basis.cache_info().misses == misses\n"
+        "    seen.append(('numpy.random' in sys.modules, cached))\n"
+        "    return fork()\n"
+        "os.fork = checking_fork\n"
+        "frequency.scan_resolvent_growth(xi, np.linspace(2.0, 60.0, 8), 4, cells_per_side=32)\n"
+        "print(seen)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[(True, True)]"
 
 
 def test_scan_never_forks_while_another_thread_runs(monkeypatch):
