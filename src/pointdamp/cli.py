@@ -163,7 +163,10 @@ def _settings(schema: dict, raw: dict[str, str]) -> dict:
                 raise ConfigError(f"missing key {key!r} (e.g. --xi or --set {key}=...)")
             cfg[key] = default
             continue
-        cfg[key] = _CASTERS.get(type(default), str)(text)
+        try:
+            cfg[key] = _CASTERS.get(type(default), str)(text)
+        except ConfigError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         if limit is not None and not limit.admits(cfg[key]):
             raise ConfigError(f"{key} must be {limit.text}, got {text!r}")
     return cfg
@@ -353,7 +356,7 @@ class _Arguments(NamedTuple):
     overrides: tuple[str, ...] = ()
     xi: str | None = None
     out: str | None = None
-    seed: int | None = None
+    seed: str | None = None
 
 
 _USAGE = (
@@ -453,13 +456,7 @@ def _parse_args(argv) -> _Arguments:
         )
     if extra:
         raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
-    seed = values.pop("seed", None)
-    if seed is not None:
-        try:
-            seed = int(seed)
-        except ValueError:
-            raise _UsageError(f"argument --seed: invalid int value: {seed!r}") from None
-    return _Arguments(command, overrides=tuple(overrides), seed=seed, **values)
+    return _Arguments(command, overrides=tuple(overrides), **values)
 
 
 def main(argv=None) -> int:
@@ -483,7 +480,7 @@ def main(argv=None) -> int:
             raw[key.strip()] = value.strip()
         for key in ("xi", "out", "seed"):  # the keys with a flag of their own
             if getattr(args, key) is not None:
-                raw[key] = str(getattr(args, key))
+                raw[key] = getattr(args, key)
         cfg = resolve_config(args.command, raw)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

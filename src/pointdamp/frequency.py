@@ -5,11 +5,13 @@ Solves the resolvent two-point problem on the imaginary axis in closed form
 the axis.  The solve and the norm estimate share one computation up to
 W+- = u' +- i*mu*u on each side: solve_resolvent forms u, u', v and the
 interface residuals from it, while resolvent_norm_lower_bound integrates
-|u'|^2 + |v|^2 straight from it, with no u and no residual.  The
+|u'|^2 + |v|^2 straight from it, with no u and no residual.  random_forcing
+and the scan draw their random probes from one basis cached per mesh
+(_probe_basis): a sine-series table that maps a probe's coefficients to its
+samples (f, g, f'), and the Gram matrix of its input norm.  The
 characteristic roots live in pointdamp.characteristic, of which this module
 re-exports the function, the root finder and its error; the
-argument-principle winding count here is the independent check of their
-count.
+argument-principle winding count here is the independent check of their count.
 
 Conventions.  The damped point xi splits (0,1) into a left side [0,xi] and a
 right side [xi,1].  At frequency mu > 0 the transformed displacement solves
@@ -459,27 +461,34 @@ _PROBE_MODES = 8
 
 
 @functools.lru_cache(maxsize=4)
-def _series_table(nodes: bytes) -> np.ndarray:
-    """Read-only block table that maps probe coefficients to (f, f', g).
+def _probe_basis(xi: float, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (table, G) of the random probes on build_mesh(xi, n_left, n_right).
 
-    With s_k = sin(k pi x) and c_k = cos(k pi x), k = 1.._PROBE_MODES, at the
-    given nodes, the rows are [s, 0, 0], [k pi c, 0, 0] and [0, c, s]
-    against the coefficient blocks (af, ag, bg).  Keyed by the node values,
-    so every probe of a scan shares one table.
+    With s_k = sin(k pi x), c_k = cos(k pi x), k = 1.._PROBE_MODES, at the nodes,
+    the table's rows are [s, 0, 0], [0, c, s] and [k pi c, 0, 0] against the
+    coefficient blocks (af, ag, bg): its product with a probe's coefficients c
+    (_coefficients) gives the samples (f, g, f'), its first 2 * nodes rows f and
+    g alone.  G is the Simpson Gram matrix of the f' and g rows, each side under
+    its own weights, so sqrt(c^H G c) is state_norm of the samples to rounding.
     """
-    x = np.frombuffer(nodes)
-    n_modes = _PROBE_MODES
+    mesh = build_mesh(xi, n_left, n_right)
+    n, n_modes = mesh.nodes.size, _PROBE_MODES
     k = np.arange(1, n_modes + 1)
-    theta = np.outer(np.pi * x, k)
+    theta = np.outer(np.pi * mesh.nodes, k)
     sin, cos = np.sin(theta), np.cos(theta)
-    n = x.size
     table = np.zeros((3 * n, 3 * n_modes))
     table[:n, :n_modes] = sin
-    table[n : 2 * n, :n_modes] = cos * (k * np.pi)
-    table[2 * n :, n_modes : 2 * n_modes] = cos
-    table[2 * n :, 2 * n_modes :] = sin
+    table[n : 2 * n, n_modes : 2 * n_modes] = cos
+    table[n : 2 * n, 2 * n_modes :] = sin
+    table[2 * n :, :n_modes] = cos * (k * np.pi)
+    gram = np.zeros((3 * n_modes, 3 * n_modes))
+    for side, dx in zip(mesh.split(np.arange(n)), (mesh.h_left, mesh.h_right)):
+        weights = simpson_weights(side.size, dx)[:, None]
+        for rows in (table[2 * n :], table[n : 2 * n]):
+            gram += rows[side].T @ (weights * rows[side])
     table.flags.writeable = False
-    return table
+    gram.flags.writeable = False
+    return table, gram
 
 
 def _probe_draws(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -491,59 +500,27 @@ def _coefficients(draws: np.ndarray) -> np.ndarray:
     """(..., 3 * _PROBE_MODES, 2) series coefficients of probes from their draws.
 
     The coefficient blocks (af, ag, bg) run down, (real, imag) across, as the
-    series table's columns take them.
+    probe table's columns take them.
     """
     lead = draws.shape[:-2]
     return draws.reshape(lead + (3, 2, _PROBE_MODES)).swapaxes(-1, -2).reshape(lead + (-1, 2))
 
 
-def _pairs(samples: np.ndarray) -> np.ndarray:
-    """A complex array as a float view with (real, imag) on a new last axis."""
-    return samples.view(float).reshape(samples.shape + (2,))
-
-
-def _fill_series(mesh: Mesh, draws: np.ndarray, out: np.ndarray) -> None:
-    """Write the samples (f, f', g) of probes into out (..., 3 * nodes).
-
-    draws (..., 6, _PROBE_MODES) are the probes' coefficients, as _probe_draws
-    gives them; one product with the series table maps all of them.
-    """
-    # real matrix products give (real, imag) pairs, read as complex samples
-    table = _series_table(mesh.nodes.tobytes())
-    np.matmul(table, _coefficients(draws), out=_pairs(out))
+def _fill_random(table: np.ndarray, coef: np.ndarray, out: np.ndarray) -> None:
+    """Write random probes' samples into out (..., k * nodes): (f, g) at k = 2, (f, g, f') at 3."""
+    # one real product with the table's first k * nodes rows gives (real, imag) pairs
+    np.matmul(table[: out.shape[-1]], coef, out=out.view(float).reshape(out.shape + (2,)))
 
 
 def _fill_resonant(mesh: Mesh, mu, out: np.ndarray) -> None:
-    """Write the samples of near-resonant probes into out (..., k * nodes), g last.
+    """Write the samples of near-resonant probes into out (..., k * nodes), in either layout.
 
-    f = f' = 0 and g = sin(mu x), with mu a float or an array of frequencies
-    along out's leading axes: k = 3 for (f, f', g), 2 for (f, g).
+    g = sin(mu x) at [nodes, 2 * nodes) and zeros elsewhere, with mu a float
+    or an array of frequencies along out's leading axes.
     """
     n = mesh.nodes.size
-    out[..., :-n] = 0.0
-    out[..., -n:] = np.sin(np.multiply.outer(mu, mesh.nodes))
-
-
-@functools.lru_cache(maxsize=4)
-def _probe_basis(xi: float, n_left: int, n_right: int) -> tuple[np.ndarray, ...]:
-    """(f rows, g rows, G) of the random probes on build_mesh(xi, n_left, n_right).
-
-    The rows are the series table's own, read in place: their product with
-    a probe's coefficients c (_coefficients) gives its samples of f and g.
-    G is the read-only Simpson Gram matrix of the table's f' and g rows, each
-    side under its own weights, so the probe's input norm is sqrt(c^H G c),
-    state_norm of its samples to rounding.
-    """
-    mesh = build_mesh(xi, n_left, n_right)
-    table = _series_table(mesh.nodes.tobytes())
-    n = mesh.nodes.size
-    gram = np.zeros((3 * _PROBE_MODES, 3 * _PROBE_MODES))
-    for side, dx in zip(mesh.split(np.arange(n)), (mesh.h_left, mesh.h_right)):
-        weights = simpson_weights(side.size, dx)[:, None]
-        for rows in (table[n : 2 * n], table[2 * n :]):
-            gram += rows[side].T @ (weights * rows[side])
-    gram.flags.writeable = False
-    return table[:n], table[2 * n :], gram
+    out[...] = 0.0
+    out[..., n : 2 * n] = np.sin(np.multiply.outer(mu, mesh.nodes))
 
 
 def _basis_norms(gram: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -552,12 +529,9 @@ def _basis_norms(gram: np.ndarray, coef: np.ndarray) -> np.ndarray:
 
 
 def _split_series(mesh: Mesh, series: np.ndarray) -> ForcingData:
-    """Probes from their samples (f, f', g) over all nodes, stacked on the leading axes."""
-    f, fp, g = np.split(series, 3, axis=-1)
-    f1, f2 = mesh.split(f)
-    fp1, fp2 = mesh.split(fp)
-    g1, g2 = mesh.split(g)
-    return ForcingData(mesh=mesh, f1=f1, f2=f2, g1=g1, g2=g2, fp1=fp1, fp2=fp2)
+    """Probes from their samples (f, g) or (f, g, f') over all nodes, stacked on leading axes."""
+    parts = np.split(series, series.shape[-1] // mesh.nodes.size, axis=-1)
+    return ForcingData(mesh, *(side for part in parts for side in mesh.split(part)))
 
 
 def random_forcing(mesh: Mesh, rng: np.random.Generator, count: int | None = None) -> ForcingData:
@@ -567,8 +541,9 @@ def random_forcing(mesh: Mesh, rng: np.random.Generator, count: int | None = Non
     j-th of k successive single calls on the same generator.
     """
     draws = _probe_draws(rng, 1 if count is None else count)
+    table, _ = _probe_basis(mesh.xi, mesh.n_left, mesh.n_right)
     series = np.empty((draws.shape[0], 3 * mesh.nodes.size), dtype=complex)
-    _fill_series(mesh, draws, series)
+    _fill_random(table, _coefficients(draws), series)
     return _split_series(mesh, series[0] if count is None else series)
 
 
@@ -579,33 +554,28 @@ def resonant_forcing(mesh: Mesh, mu: float) -> ForcingData:
     return _split_series(mesh, series)
 
 
-def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> float | np.ndarray:
+def resolvent_norm_lower_bound(xi: float, mu: float, probes: list[ForcingData]) -> float:
     """Max response-to-input norm ratio over the probe set.
 
     A lower bound for the resolvent norm on the imaginary axis at height mu;
     +inf where |D(mu)|^2 <= (eps mu)^2, its rounding (ResonantDenominator).
     The probes (single or stacked, on one mesh) are solved as one stack; a
     probe of zero input norm is skipped, and 0.0 is returned when every
-    probe is zero (or there is none).
-
-    mu may also be a 1-D array of frequencies aligned with the first axis of
-    every probe's arrays; the result is then one estimate per frequency, each
-    the value a float mu with that slice of the probes would give.
+    probe is zero (or there is none).  A probe that ForcingData.validate
+    refuses raises its ValueError.
     """
-    scalar = np.ndim(mu) == 0
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if mu.ndim != 1:
-        raise ValueError("mu must be a float or a 1-D array")
     if not probes:
-        return 0.0 if scalar else np.zeros(mu.shape)
+        return 0.0
     mesh = probes[0].mesh
     if any(p.mesh is not mesh and not np.array_equal(p.mesh.nodes, mesh.nodes) for p in probes):
         raise ValueError("probes must share one mesh")
+    for p in probes:
+        p.validate()
 
     def rows(arrays) -> np.ndarray:
-        # (frequency, probe, grid); one stack is read in place
+        # (frequency, probe, grid) with one frequency; one stack is read in place
         arrays = [np.asarray(a, dtype=complex) for a in arrays]
-        arrays = [a.reshape(mu.size, -1, a.shape[-1]) for a in arrays]
+        arrays = [a.reshape(1, -1, a.shape[-1]) for a in arrays]
         return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
 
     f1, f2 = rows(p.f1 for p in probes), rows(p.f2 for p in probes)
@@ -613,8 +583,8 @@ def resolvent_norm_lower_bound(xi: float, mu, probes: list[ForcingData]) -> floa
     fp1 = rows(derivative(p.f1, mesh.h_left) if p.fp1 is None else p.fp1 for p in probes)
     fp2 = rows(derivative(p.f2, mesh.h_right) if p.fp2 is None else p.fp2 for p in probes)
     in_norm = state_norm(mesh, f1, f2, g1, g2, fp1, fp2)
-    estimates = _block_bounds(xi, mu, ForcingData(mesh, f1, f2, g1, g2), in_norm)
-    return float(estimates[0]) if scalar else estimates
+    mu = np.array([mu], dtype=float)
+    return float(_block_bounds(xi, mu, ForcingData(mesh, f1, f2, g1, g2), in_norm)[0])
 
 
 def _block_bounds(
@@ -657,37 +627,32 @@ def _scan_blocks(xi, mesh, mu_grid, probes_per_mu, seed, block, basis, blocks: r
 
     basis is _probe_basis's for the mesh, or None with no random probe.
     """
-    n = mesh.nodes.size
     frequencies = range(blocks.start * block, min(blocks.stop * block, mu_grid.size))
     estimates = np.empty(len(frequencies))
     for first in frequencies[::block]:
         mus = mu_grid[first : first + block]
         # (frequency, probe, samples of f and g over all nodes), the
         # near-resonant probe first
-        series = np.empty((mus.size, probes_per_mu, 2 * n), dtype=complex)
+        series = np.empty((mus.size, probes_per_mu, 2 * mesh.nodes.size), dtype=complex)
         _fill_resonant(mesh, mus, series[:, 0])
-        f1, f2 = mesh.split(series[..., :n])
-        g1, g2 = mesh.split(series[..., n:])
         in_norm = np.empty((mus.size, probes_per_mu))
-        # state_norm's sum, whose f' terms come first and are zero here
-        in_norm[:, 0] = _root(
-            _abs2_integral(g1[:, 0], mesh.h_left) + _abs2_integral(g2[:, 0], mesh.h_right)
-        )
         if probes_per_mu > 1:
-            f_rows, g_rows, gram = basis
+            table, gram = basis
             draws = [
                 _probe_draws(np.random.default_rng([seed, i]), probes_per_mu - 1)
                 for i in range(first, first + mus.size)
             ]
             coef = _coefficients(np.stack(draws))
-            samples = _pairs(series[:, 1:])
-            np.matmul(f_rows, coef, out=samples[..., :n, :])
-            np.matmul(g_rows, coef, out=samples[..., n:, :])
+            _fill_random(table, coef, series[:, 1:])
             in_norm[:, 1:] = _basis_norms(gram, coef)
-        start = first - frequencies.start
-        estimates[start : start + mus.size] = _block_bounds(
-            xi, mus, ForcingData(mesh, f1, f2, g1, g2), in_norm
+        probes = _split_series(mesh, series)
+        # state_norm's sum, whose f' terms come first and are zero here
+        in_norm[:, 0] = _root(
+            _abs2_integral(probes.g1[:, 0], mesh.h_left)
+            + _abs2_integral(probes.g2[:, 0], mesh.h_right)
         )
+        start = first - frequencies.start
+        estimates[start : start + mus.size] = _block_bounds(xi, mus, probes, in_norm)
     return estimates
 
 

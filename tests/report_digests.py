@@ -41,7 +41,11 @@ then classify configured by a --config file alone, simulate from a bump
 placed by center and width (which check tests for a mesh node inside its
 support), classify under an exponential Liouville weight, and carleman-verify
 at golden over 128 modes and 3 h, a constant on more rows than the dual route
-samples, whose route matches the default run's.  A --config
+samples, whose route matches the default run's, then resolvent-scan at
+golden with probes=1 (the near-resonant probe alone, no probe basis) and at
+0.3 on 47 cells a side with probes=6 to mu_max=20 (five random probes a
+frequency, their input norms from a Gram matrix under the last-interval
+Simpson weights), so both of the scan's fills run split and serial.  A --config
 names a file of CONFIG_FILES, which digests writes into that run's
 directory, where the listing shows it, and passes by its path there.
 New invocations go at the end, so the run numbers of the earlier ones hold.
@@ -104,6 +108,9 @@ INVOCATIONS = (
          "--set", "center=0.3", "--set", "width=0.2"],
         ["classify", "--xi", "golden", "--set", "liouville_phi=exponential:0.5"],
         ["carleman-verify", "--xi", "golden", "--set", "n_modes=128", "--set", "h_count=3"],
+        ["resolvent-scan", "--xi", "golden", "--set", "probes=1"],
+        ["resolvent-scan", "--xi", "0.3", "--set", "cells=47", "--set", "probes=6",
+         "--set", "mu_max=20"],
     )]
 )
 CONFIG_FILES = {

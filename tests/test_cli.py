@@ -592,7 +592,7 @@ def test_malformed_set_is_config_error(tmp_path):
      "--seed", "7", "--", "classify"],
 ])
 def test_parser_forms(args):
-    assert cli._parse_args(args) == ("classify", "c.cfg", ("mu_max=30",), "0.4", None, 7)
+    assert cli._parse_args(args) == ("classify", "c.cfg", ("mu_max=30",), "0.4", None, "7")
 
 
 def test_parser_repeats_set_in_order():
@@ -625,7 +625,7 @@ def test_help_prints_the_usage_and_exits_0(flag, capsys):
     (["classify", "--s", "seed=1"], "ambiguous option: --s could match --set, --seed"),
     (["classify", "--xi"], "argument --xi: expected one argument"),
     (["classify", "--out", "--xi", "0.4"], "argument --out: expected one argument"),
-    (["classify", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["classify", "--seed"], "argument --seed: expected one argument"),
     (["classify", "--help=1"], "argument -h/--help: ignored explicit argument '1'"),
 ])
 def test_unreadable_command_line_exits_2_with_a_usage_line(tmp_path, args, reason, capsys):
@@ -641,9 +641,37 @@ def test_unreadable_command_line_exits_2_with_a_usage_line(tmp_path, args, reaso
 def test_module_run_parses_help_and_errors(tmp_path):
     done = run_interpreter("-m", "pointdamp.cli", "--help")
     assert done.returncode == 0 and done.stdout.startswith("usage: pointdamp")
-    done = run_interpreter("-m", "pointdamp.cli", "classify", "--seed", "x")
+    done = run_interpreter("-m", "pointdamp.cli", "classify", "--xi", "golden", "--seed", "x")
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.splitlines()[-1] == "pointdamp: error: argument --seed: invalid int value: 'x'"
+    assert done.stderr.splitlines() == ["configuration error: seed: expected an integer, got 'x'"]
+
+
+@pytest.mark.parametrize("args, reason", [
+    # --seed reads as --set seed= does: the schema's caster and limit
+    (["classify", "--xi", "golden", "--seed", "x"], "seed: expected an integer, got 'x'"),
+    (["classify", "--xi", "golden", "--set", "seed=x"], "seed: expected an integer, got 'x'"),
+    (["classify", "--xi", "golden", "--set", "depth=abc"], "depth: expected an integer, got 'abc'"),
+    (["classify", "--xi", "golden", "--set", "mu_max=far"], "mu_max: expected a number, got 'far'"),
+    (["classify", "--xi", "golden", "--config", "cast.cfg"],
+     "keep_trace: expected a boolean, got 'maybe'"),
+    # a key of the sweep's task, cast into its task_config
+    (["sweep", "--set", "task=simulate", "--set", "xi_list=0.3", "--set", "damped=maybe"],
+     "damped: expected a boolean, got 'maybe'"),
+])
+def test_a_value_that_does_not_cast_names_its_key(tmp_path, args, reason, capsys):
+    (tmp_path / "cast.cfg").write_text("keep_trace = maybe\n")
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    assert main([*args, "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"configuration error: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", ["007", "1_0", " 7"])
+def test_seed_flag_keeps_its_text_for_the_schema(text):
+    # the seed an integer parse of the text gives, as before the schema read it
+    assert cli._parse_args(["classify", "--seed", text]).seed == text
+    assert resolve_config("classify", {"xi": "golden", "seed": text})["seed"] == int(text)
 
 
 def test_degenerate_rectangle_is_config_error(tmp_path):
@@ -1921,7 +1949,7 @@ def test_report_digest_json_files_parse_strictly(tmp_path):
     assert default_simulate in INVOCATIONS
     entries = [entry for entry in INVOCATIONS if entry[0] is None and entry != default_simulate]
     lines = digests(tmp_path, entries)
-    assert sum(line.endswith(".json") for line in lines) == 48
+    assert sum(line.endswith(".json") for line in lines) == 50
     half = entries.index((None, ["classify", "--xi", "1/2", "--seed", "1"]))
     report = json.loads((tmp_path / f"run{half:02d}" / "classify_report.json").read_text())
     for name in ("exp_grid", "poly_grid"):

@@ -508,6 +508,19 @@ def test_lower_bound_skips_zero_probes_and_fills_derivatives():
     assert alone == pytest.approx(resolvent_norm_lower_bound(GOLDEN, 18.0, [probe]), rel=1e-3)
 
 
+def test_lower_bound_refuses_a_probe_that_validate_refuses():
+    # f lifted off zero at the outer boundaries: solve_resolvent refuses it,
+    # and so does the bound, with the same error
+    mesh = build_mesh(GOLDEN, 32, 32)
+    probe = random_forcing(mesh, np.random.default_rng(3))
+    lifted = ForcingData(mesh, probe.f1 + 1.0, probe.f2 + 1.0, probe.g1, probe.g2, probe.fp1,
+                         probe.fp2)
+    for solve in (lambda: solve_resolvent(GOLDEN, 18.0, lifted),
+                  lambda: resolvent_norm_lower_bound(GOLDEN, 18.0, [probe, lifted])):
+        with pytest.raises(ValueError, match="f must vanish at the outer boundaries"):
+            solve()
+
+
 def test_lower_bound_of_stack_is_infinite_on_resonance():
     mesh = build_mesh(0.5, 64, 64)
     stack = random_forcing(mesh, np.random.default_rng(1), count=3)
@@ -561,19 +574,40 @@ def _per_frequency_bounds(xi, grid, probes_per_mu, seed, cells):
 def test_basis_norms_are_the_state_norms_of_the_samples(cells):
     # 48 samples a side (47 cells) put the last-interval Simpson weights into G
     mesh = build_mesh(GOLDEN, cells, cells)
-    f_rows, g_rows, gram = frequency._probe_basis(GOLDEN, cells, cells)
+    table, gram = frequency._probe_basis(GOLDEN, cells, cells)
     draws = frequency._probe_draws(np.random.default_rng(cells), 6)
     probes = random_forcing(mesh, np.random.default_rng(cells), count=6)
     expected = state_norm(mesh, probes.f1, probes.f2, probes.g1, probes.g2, probes.fp1, probes.fp2)
     coef = frequency._coefficients(draws)
     np.testing.assert_allclose(frequency._basis_norms(gram, coef), expected, rtol=1e-14)
-    # the basis rows give the probes' samples of f and g
-    samples = np.concatenate([f_rows @ coef, g_rows @ coef], axis=-2)
+    # the table's first 2 * nodes rows give the probes' samples of f and g
+    samples = table[: 2 * mesh.nodes.size] @ coef
     f, g = np.split(samples[..., 0] + 1j * samples[..., 1], 2, axis=-1)
     np.testing.assert_allclose(f, np.concatenate([probes.f1, probes.f2[:, 1:]], axis=-1),
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(g, np.concatenate([probes.g1, probes.g2[:, 1:]], axis=-1),
                                rtol=0, atol=1e-14)
+
+
+def test_random_forcing_is_the_table_times_its_draws_coefficients():
+    # all three rows of the table, in its order (f, g, f')
+    mesh = build_mesh(0.3, 47, 47)
+    table, _ = frequency._probe_basis(0.3, 47, 47)
+    draws = frequency._probe_draws(np.random.default_rng(9), 5)
+    probes = random_forcing(mesh, np.random.default_rng(9), count=5)
+    samples = table @ frequency._coefficients(draws)
+    parts = np.split(samples[..., 0] + 1j * samples[..., 1], 3, axis=-1)
+    for part, names in zip(parts, (("f1", "f2"), ("g1", "g2"), ("fp1", "fp2"))):
+        for side, name in zip(mesh.split(part), names):
+            np.testing.assert_array_equal(getattr(probes, name), side)
+
+
+def test_a_scan_and_random_forcing_on_one_mesh_share_one_probe_basis():
+    frequency._probe_basis.cache_clear()
+    scan_resolvent_growth(0.3, np.array([2.0, 3.0]), 2, cells_per_side=37)
+    random_forcing(build_mesh(0.3, 37, 37), np.random.default_rng(0), count=2)
+    info = frequency._probe_basis.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_scan_where_a_random_probe_carries_the_maximum():
@@ -618,6 +652,12 @@ def test_scan_block_with_a_resonant_frequency(monkeypatch):
     np.testing.assert_allclose(scan.norm_estimate, expected, rtol=1e-14)
 
 
+def _block_bounds(xi, mus, block):
+    """The scan's block function on (frequency, probe, grid) probes, state_norm's input norms."""
+    in_norm = state_norm(block.mesh, block.f1, block.f2, block.g1, block.g2, block.fp1, block.fp2)
+    return frequency._block_bounds(xi, mus, block, in_norm)
+
+
 def test_lower_bound_over_a_frequency_block():
     mesh = build_mesh(0.5, 64, 64)
     mus = np.array([5.0, 2 * math.pi, 7.0])
@@ -630,12 +670,13 @@ def test_lower_bound_over_a_frequency_block():
     f1[2], g1[2], fp1[2] = zero, zero, zero
     f2[2], g2[2], fp2[2] = 0.0, 0.0, 0.0
     block = ForcingData(mesh, f1, f2, g1, g2, fp1, fp2)
-    bounds = resolvent_norm_lower_bound(0.5, mus, [block])
+    bounds = _block_bounds(0.5, mus, block)
     assert bounds.shape == (3,)
     assert bounds[1] == math.inf and bounds[2] == 0.0
     single = ForcingData(mesh, f1[0], f2[0], g1[0], g2[0], fp1[0], fp2[0])
     assert bounds[0] == resolvent_norm_lower_bound(0.5, 5.0, [single])
-    assert np.array_equal(resolvent_norm_lower_bound(0.5, mus, []), np.zeros(3))
+    no_probe = ForcingData(mesh, *(a[:, :0] for a in (f1, f2, g1, g2, fp1, fp2)))
+    assert np.array_equal(_block_bounds(0.5, mus, no_probe), np.zeros(3))
 
 
 def _bound_from_the_solution(xi, mu, probe):
@@ -675,7 +716,7 @@ def test_lower_bound_over_a_block_is_the_norm_ratio_of_the_solution(cells):
     block = random_forcing(mesh, np.random.default_rng(4), count=12)
     names = ("f1", "f2", "g1", "g2", "fp1", "fp2")
     rows = [getattr(block, name).reshape(3, 4, -1) for name in names]
-    bounds = resolvent_norm_lower_bound(0.5, mus, [ForcingData(mesh, *rows)])
+    bounds = _block_bounds(0.5, mus, ForcingData(mesh, *rows))
     assert bounds[1] == math.inf
     for k in (0, 2):
         expected = _bound_from_the_solution(0.5, mus[k], ForcingData(mesh, *(r[k] for r in rows)))
@@ -702,7 +743,7 @@ def test_each_probe_bound_is_the_same_alone_in_a_stack_and_in_a_block(cells):
             alone = resolvent_norm_lower_bound(GOLDEN, mu, [probe])
             stack = ForcingData(mesh, *(o[k] for o in only))
             in_stack = resolvent_norm_lower_bound(GOLDEN, mu, [stack])
-            in_block = resolvent_norm_lower_bound(GOLDEN, mus, [ForcingData(mesh, *only)])
+            in_block = _block_bounds(GOLDEN, mus, ForcingData(mesh, *only))
             assert alone > 0.0
             assert in_stack == alone
             assert in_block[k] == alone
